@@ -33,6 +33,7 @@ func main() {
 	for _, e := range g.Edges() {
 		fmt.Printf("  %v\n", e)
 	}
+	nodes := g.Nodes()
 
 	// 1. Ground truth: the static policy solver.
 	sol, err := solver.Solve(g)
@@ -40,8 +41,8 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Println("\nConverged policy routes (static solver):")
-	for _, from := range g.Nodes() {
-		for _, to := range g.Nodes() {
+	for _, from := range nodes {
+		for _, to := range nodes {
 			if from == to {
 				continue
 			}
@@ -91,8 +92,8 @@ func main() {
 	fmt.Printf("BGP     cold start: converged at %v with %d update units\n", tB, statsB.Units)
 
 	mismatches := 0
-	for _, from := range g.Nodes() {
-		for _, to := range g.Nodes() {
+	for _, from := range nodes {
+		for _, to := range nodes {
 			want, _ := sol.Path(from, to)
 			if !centaurNodes[from].BestPath(to).Equal(want) || !bgpNodes[from].BestPath(to).Equal(want) {
 				mismatches++

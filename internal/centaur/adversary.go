@@ -55,7 +55,7 @@ func advLinkCompare(a, b routing.Link) int {
 // for neighbors the attack does not target, and when every injected
 // announcement already stands (re-send only on change, so injection
 // quiesces and the network still converges).
-func (n *Node) advInjects(b routing.NodeID) []pgraph.LinkInfo {
+func (n *Node) advInjects(b routing.NodeID, nb *neighbor) []pgraph.LinkInfo {
 	if !n.adv.IsAttacker(n.self) {
 		return nil
 	}
@@ -75,25 +75,20 @@ func (n *Node) advInjects(b routing.NodeID) []pgraph.LinkInfo {
 			ToIsDest: true,
 		}})
 	case adversary.Leak:
-		if !adversary.LeakTarget(n.rel[b]) {
+		if !adversary.LeakTarget(nb.rel) {
 			return nil
 		}
-		dests := make([]routing.NodeID, 0, len(n.paths))
-		for d := range n.paths {
-			dests = append(dests, d)
-		}
-		slices.Sort(dests)
-		for _, d := range dests {
-			if !adversary.LeakClass(n.classes[d]) {
+		for id, r := range n.routes { // ascending destinations
+			d := routing.NodeID(id)
+			if r.path == nil || !adversary.LeakClass(r.class) {
 				continue
 			}
-			p := n.paths[d]
-			if len(p) < 3 || p.Contains(b) {
+			if len(r.path) < 3 || r.path.Contains(b) {
 				// Adjacent destinations have no replayable tail; paths
 				// through the receiver keep sender-side loop avoidance.
 				continue
 			}
-			src := n.nbGraph[n.vias[d]]
+			src := n.NeighborGraph(r.via)
 			if src == nil {
 				continue
 			}
@@ -101,7 +96,7 @@ func (n *Node) advInjects(b routing.NodeID) []pgraph.LinkInfo {
 			// neighbor, dropping the rooting self→via link (see the
 			// file comment). Attributes are copied faithfully — the
 			// leak is a replay, not a fabrication.
-			for _, l := range p.Links()[1:] {
+			for _, l := range r.path.Links()[1:] {
 				li := pgraph.LinkInfo{Link: l, ToIsDest: src.IsDest(l.To)}
 				if pl := src.Permission(l); pl != nil && !pl.Empty() {
 					li.Perm = pl.Pairs()
@@ -117,10 +112,6 @@ func (n *Node) advInjects(b routing.NodeID) []pgraph.LinkInfo {
 	default:
 		return nil
 	}
-	if len(want) == 0 {
-		return nil
-	}
-	sent := n.injectedTo[b]
 	var out []pgraph.LinkInfo
 	seen := make(map[routing.Link]struct{}, len(want))
 	perDest := make(map[routing.NodeID]int)
@@ -130,17 +121,17 @@ func (n *Node) advInjects(b routing.NodeID) []pgraph.LinkInfo {
 			continue // two leaked paths sharing a tail link
 		}
 		seen[c.li.Link] = struct{}{}
-		if prev, ok := sent[c.li.Link]; ok && prev.Equal(c.li) {
+		i, sent := slices.BinarySearchFunc(nb.injected, c.li.Link, func(li pgraph.LinkInfo, l routing.Link) int {
+			return advLinkCompare(li.Link, l)
+		})
+		switch {
+		case sent && nb.injected[i].Equal(c.li):
 			continue
+		case sent:
+			nb.injected[i] = c.li
+		default:
+			nb.injected = slices.Insert(nb.injected, i, c.li)
 		}
-		if sent == nil {
-			sent = make(map[routing.Link]pgraph.LinkInfo)
-			if n.injectedTo == nil {
-				n.injectedTo = make(map[routing.NodeID]map[routing.Link]pgraph.LinkInfo)
-			}
-			n.injectedTo[b] = sent
-		}
-		sent[c.li.Link] = c.li
 		out = append(out, c.li)
 		if perDest[c.dest] == 0 {
 			destOrder = append(destOrder, c.dest)

@@ -1,0 +1,68 @@
+package centaur
+
+import (
+	"testing"
+
+	"centaur/internal/sim"
+	"centaur/internal/topogen"
+	"centaur/internal/topology"
+)
+
+// The two benchmarks drive Node.Handle — 97 % of a Centaur simulation's
+// wall time — through the simulator on one fixed input (BRITE-like 160
+// nodes, seed 1, the coldstart workload's shape), so two commits
+// compare with benchstat without running a figure.
+
+func benchNetwork(b *testing.B, g *topology.Graph) *sim.Network {
+	b.Helper()
+	net, err := sim.NewNetwork(sim.Config{
+		Topology:  g,
+		Build:     New(Config{Incremental: true}),
+		DelaySeed: 1,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, _, err := net.RunToConvergence(500_000_000); err != nil {
+		b.Fatal(err)
+	}
+	return net
+}
+
+// BenchmarkHandleColdStart measures one cold start to quiescence: bulk
+// deltas on cold derive caches.
+func BenchmarkHandleColdStart(b *testing.B) {
+	g, err := topogen.BRITE(160, 2, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchNetwork(b, g)
+	}
+}
+
+// BenchmarkHandleFlip measures one link failed, quiesced, restored and
+// quiesced on a converged network: the incremental path on warm caches.
+func BenchmarkHandleFlip(b *testing.B) {
+	g, err := topogen.BRITE(160, 2, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	net := benchNetwork(b, g)
+	edges := g.Edges()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e := edges[i%len(edges)]
+		net.FailLink(e.A, e.B)
+		if _, _, err := net.RunToConvergence(500_000_000); err != nil {
+			b.Fatal(err)
+		}
+		net.RestoreLink(e.A, e.B)
+		if _, _, err := net.RunToConvergence(500_000_000); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

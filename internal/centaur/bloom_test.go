@@ -88,8 +88,8 @@ func TestBloomPLNeighborGraphsCarryFilters(t *testing.T) {
 	_, nodes := converge(t, g, Config{Incremental: true, BloomPL: true, PLFPRate: 0.5, Policy: overridePolicy()})
 	withFilters := 0
 	for _, n := range nodes {
-		for _, nb := range n.nbGraph {
-			for _, lp := range nb.PermissionLists() {
+		for _, b := range n.nbrList {
+			for _, lp := range n.NeighborGraph(b).PermissionLists() {
 				if lp.Perm.Filters() != nil {
 					withFilters++
 				}
@@ -106,8 +106,8 @@ func TestBloomPLNeighborGraphsCarryFilters(t *testing.T) {
 	}
 	_, plain := converge(t, small, Config{Incremental: true, Policy: overridePolicy()})
 	for _, n := range plain {
-		for _, nb := range n.nbGraph {
-			for _, lp := range nb.PermissionLists() {
+		for _, b := range n.nbrList {
+			for _, lp := range n.NeighborGraph(b).PermissionLists() {
 				if lp.Perm.Filters() != nil {
 					t.Fatal("explicit mode leaked a compressed representation")
 				}

@@ -26,6 +26,7 @@
 package centaur
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"time"
@@ -128,30 +129,29 @@ const DefaultPLFPRate = 0.01
 
 // Node is one Centaur router. Create with New; it implements
 // sim.Protocol.
+//
+// Per-destination state (the route table, each neighbor's derive cache,
+// the round's affected-set stamps) lives in tables indexed directly by
+// destination NodeID and grown to the highest ID seen: the simulator's
+// topologies number their nodes densely from 1, so the ID is the slot.
+// Per-neighbor state lives in nbrs, parallel to nbrList.
 type Node struct {
 	cfg  Config
 	pol  policy.Policy
 	env  sim.Env
 	self routing.NodeID
-	rel  map[routing.NodeID]topology.Relationship
 	// nbrList is the static ascending neighbor list (the topology's
-	// adjacencies do not change; only link state does).
+	// adjacencies do not change; only link state does); nbrs[i] is the
+	// state kept for neighbor nbrList[i].
 	nbrList []routing.NodeID
+	nbrs    []neighbor
 
-	// nbGraph[b] is G_{b→self}: the P-graph announced by neighbor b.
-	// Present exactly for neighbors whose link is up.
-	nbGraph map[routing.NodeID]*pgraph.Graph
-	// paths is the selected path set (Loc-RIB); classes and vias hold
-	// the corresponding route class and learned-from neighbor.
-	paths   map[routing.NodeID]routing.Path
-	classes map[routing.NodeID]policy.RouteClass
-	vias    map[routing.NodeID]routing.NodeID
+	// routes is the selected path set (Loc-RIB) with each route's class
+	// and learned-from neighbor.
+	routes []route
 	// localView maintains the node's own P-graph incrementally (Table 2
 	// semantics via the §4.3.2 counter machinery).
 	localView *pgraph.View
-	// views[b] maintains the announced (export-filtered) P-graph toward
-	// neighbor b; its Flush yields the Δ_B update messages.
-	views map[routing.NodeID]*pgraph.View
 	// pendingFailed accumulates root-cause links to attach to the next
 	// outgoing updates of the current recompute round.
 	pendingFailed []routing.Link
@@ -179,29 +179,65 @@ type Node struct {
 	// authoritative and always propagate, refreshing the window.
 	noted    map[routing.Link]uint64
 	notedGen uint64
-	// derived caches per-neighbor path derivations in incremental mode:
-	// derived[b][d] is the memoized DerivePath result from G_{b->self}.
-	// Entries are invalidated by the affected-set analysis.
-	derived map[routing.NodeID]map[routing.NodeID]derivedEntry
 
-	// adv is the misbehavior model (nil for honest runs); injectedTo[b]
-	// records the adversarial link announcements already sent to
-	// neighbor b, so injection re-sends only on change and quiesces.
-	adv        *adversary.Model
-	injectedTo map[routing.NodeID]map[routing.Link]pgraph.LinkInfo
+	// adv is the misbehavior model (nil for honest runs).
+	adv *adversary.Model
 
-	// Per-round scratch, reused across Handle calls (each round finishes
-	// before the next event is dispatched).
-	destBuf  []routing.NodeID
-	addsBuf  []pgraph.LinkInfo
-	dirtyBuf map[routing.NodeID]bool
+	// Per-round scratch, reused across events (each round finishes
+	// before the next event is dispatched). affected is the round's
+	// destination set; a destination is in it when its stamp equals
+	// epoch.
+	affected   []routing.NodeID
+	stamp      []uint32
+	epoch      uint32
+	addsBuf    []pgraph.LinkInfo
+	headBuf    []routing.NodeID
+	belowBuf   []routing.NodeID
+	changedBuf []routing.NodeID
 }
 
-// derivedEntry is one memoized derivation result (ok=false caches a
-// derivation failure, which is as expensive to recompute as a success).
-type derivedEntry struct {
-	path routing.Path
-	ok   bool
+// neighbor is the state kept for one adjacency.
+type neighbor struct {
+	rel topology.Relationship
+	// graph is G_{b→self}, the P-graph announced by the neighbor; nil
+	// exactly while the link is down.
+	graph *pgraph.Graph
+	// view maintains the announced (export-filtered) P-graph toward the
+	// neighbor; its Flush yields the Δ_B update messages. nil until the
+	// session's first announcement.
+	view *pgraph.View
+	// derived memoizes, in incremental mode, the DerivePath result from
+	// graph per destination: nil is "not cached", noPath a cached failure
+	// (as expensive to recompute as a success). Entries are invalidated
+	// by the affected-set analysis.
+	derived []routing.Path
+	// dirty marks, within a round, that a route exportable to the
+	// neighbor changed, so its view needs updating.
+	dirty bool
+	// injected records the adversarial link announcements already sent
+	// to the neighbor (ascending by link), so injection re-sends only on
+	// change and quiesces.
+	injected []pgraph.LinkInfo
+}
+
+// route is one Loc-RIB entry; a nil path means no route.
+type route struct {
+	path  routing.Path
+	class policy.RouteClass
+	via   routing.NodeID
+}
+
+// noPath is the derive cache's entry for "no path derivable": empty but
+// not nil.
+var noPath = routing.Path{}
+
+// at returns the entry of an ID-indexed table for d, growing the table
+// to cover it.
+func at[T any](tab *[]T, d routing.NodeID) *T {
+	if int(d) >= len(*tab) {
+		*tab = append(*tab, make([]T, int(d)+1-len(*tab))...)
+	}
+	return &(*tab)[d]
 }
 
 var _ sim.Protocol = (*Node)(nil)
@@ -219,22 +255,26 @@ func New(cfg Config) sim.Builder {
 			pol:       pol,
 			env:       env,
 			self:      env.Self(),
-			rel:       make(map[routing.NodeID]topology.Relationship),
-			nbGraph:   make(map[routing.NodeID]*pgraph.Graph),
-			paths:     make(map[routing.NodeID]routing.Path),
-			classes:   make(map[routing.NodeID]policy.RouteClass),
-			vias:      make(map[routing.NodeID]routing.NodeID),
 			localView: pgraph.NewView(env.Self()),
-			views:     make(map[routing.NodeID]*pgraph.View),
 			adv:       cfg.Adversary,
 		}
-		for _, nb := range env.Neighbors() {
-			n.rel[nb.ID] = nb.Rel
+		nbs := slices.Clone(env.Neighbors())
+		slices.SortFunc(nbs, func(a, b topology.Neighbor) int { return cmp.Compare(a.ID, b.ID) })
+		for _, nb := range nbs {
 			n.nbrList = append(n.nbrList, nb.ID)
+			n.nbrs = append(n.nbrs, neighbor{rel: nb.Rel})
 		}
-		slices.Sort(n.nbrList)
 		return n
 	}
+}
+
+// neighbor returns the state kept for adjacency b, nil when b is not a
+// neighbor.
+func (n *Node) neighbor(b routing.NodeID) *neighbor {
+	if i, ok := slices.BinarySearch(n.nbrList, b); ok {
+		return &n.nbrs[i]
+	}
+	return nil
 }
 
 // Start implements sim.Protocol: learn adjacent links (§4.3.1 Step 1 —
@@ -242,9 +282,9 @@ func New(cfg Config) sim.Builder {
 // solve-and-announce round.
 func (n *Node) Start(env sim.Env) {
 	n.env = env
-	for _, nb := range env.Neighbors() {
-		if env.LinkIsUp(nb.ID) {
-			n.nbGraph[nb.ID] = n.freshNeighborGraph(nb.ID)
+	for i, b := range n.nbrList {
+		if env.LinkIsUp(b) {
+			n.nbrs[i].graph = n.freshNeighborGraph(b)
 		}
 	}
 	n.recompute()
@@ -301,10 +341,6 @@ func (n *Node) compressDelta(d pgraph.Delta) {
 	}
 }
 
-// neighbors returns the static ascending neighbor list (shared; do not
-// mutate).
-func (n *Node) neighbors() []routing.NodeID { return n.nbrList }
-
 // Handle implements sim.Protocol: import-filter and apply the neighbor's
 // delta (§4.3.1 Step 2 / §4.3.2 Step 5), then re-solve and re-announce.
 func (n *Node) Handle(from routing.NodeID, msg sim.Message) {
@@ -312,8 +348,8 @@ func (n *Node) Handle(from routing.NodeID, msg sim.Message) {
 	if !ok {
 		return
 	}
-	g, ok := n.nbGraph[from]
-	if !ok {
+	nb := n.neighbor(from)
+	if nb == nil || nb.graph == nil {
 		return // link went down; the session state is gone
 	}
 	// Import filtering: drop links pointing at this node (loop
@@ -335,21 +371,16 @@ func (n *Node) Handle(from routing.NodeID, msg sim.Message) {
 	// head — in the old graph for context that disappears, in the new
 	// graph for context that appears (any link whose Permission List
 	// changed is re-announced by the sender, so it shows up here too).
-	var affected map[routing.NodeID]struct{}
-	if n.cfg.Incremental {
-		affected = make(map[routing.NodeID]struct{})
-		n.collectHeads(g, from, filtered, affected)
-	}
-	g.Apply(filtered)
-	if n.cfg.Incremental {
-		n.collectHeads(g, from, filtered, affected)
-	}
+	n.beginRound()
+	n.collectHeads(nb, filtered)
+	nb.graph.Apply(filtered)
+	n.collectHeads(nb, filtered)
 	// A re-announced link is evidence it is back in service: lift its
 	// root-cause mask.
 	for _, li := range filtered.Adds {
 		if _, wasMasked := n.failed[li.Link]; wasMasked {
 			delete(n.failed, li.Link)
-			n.maskAffect(li.Link, affected)
+			n.maskAffect(li.Link)
 		}
 	}
 	// Root cause notification: a physically failed link invalidates
@@ -363,54 +394,79 @@ func (n *Node) Handle(from routing.NodeID, msg sim.Message) {
 				n.noteFailedLink(l)
 			}
 			n.mask(l)
-			n.maskAffect(l, affected)
+			n.maskAffect(l)
 		}
 	}
-	if n.cfg.Incremental {
-		n.recomputeDests(affected)
-	} else {
-		n.recompute()
+	n.resolve()
+}
+
+// beginRound empties the affected set for a new event.
+func (n *Node) beginRound() {
+	if n.epoch++; n.epoch == 0 { // stamp wrap-around: forget every old round
+		clear(n.stamp)
+		n.epoch = 1
+	}
+	n.affected = n.affected[:0]
+}
+
+// affect adds destination d to the round's affected set.
+func (n *Node) affect(d routing.NodeID) {
+	if st := at(&n.stamp, d); *st != n.epoch {
+		*st = n.epoch
+		n.affected = append(n.affected, d)
 	}
 }
 
-// collectHeads adds to affected the destinations below every link head
-// touched by the delta in neighbor from's current graph, and drops their
-// cached derivations.
-func (n *Node) collectHeads(g *pgraph.Graph, from routing.NodeID, d pgraph.Delta, affected map[routing.NodeID]struct{}) {
-	visit := func(head routing.NodeID) {
-		for _, dst := range g.DestsBelow(head) {
-			affected[dst] = struct{}{}
-			n.invalidate(from, dst)
+// affectBelow adds to the affected set the destinations below any of
+// heads in the neighbor's current graph — one traversal for all heads —
+// and drops their cached derivations. The full-recompute mode visits
+// every destination anyway and keeps no cache.
+func (n *Node) affectBelow(nb *neighbor, heads ...routing.NodeID) {
+	if !n.cfg.Incremental {
+		return
+	}
+	n.belowBuf = nb.graph.AppendDestsBelow(n.belowBuf[:0], heads...)
+	for _, dst := range n.belowBuf {
+		n.affect(dst)
+		if int(dst) < len(nb.derived) {
+			nb.derived[dst] = nil
 		}
 	}
+}
+
+// collectHeads affects the destinations below every link head touched
+// by the delta in the neighbor's current graph.
+func (n *Node) collectHeads(nb *neighbor, d pgraph.Delta) {
+	heads := n.headBuf[:0]
 	for _, li := range d.Adds {
-		visit(li.Link.To)
+		heads = append(heads, li.Link.To)
 	}
 	for _, l := range d.Removes {
-		visit(l.To)
+		heads = append(heads, l.To)
 	}
+	n.headBuf = heads
+	n.affectBelow(nb, heads...)
 }
 
-// maskAffect records, for a link whose failed-mask state changed, the
-// destinations whose derivations that can influence — in every neighbor
-// graph — and drops their cached derivations. A nil affected set (full
-// recompute mode) only performs the invalidation.
-func (n *Node) maskAffect(l routing.Link, affected map[routing.NodeID]struct{}) {
-	for b, g := range n.nbGraph {
-		for _, dst := range g.DestsBelow(l.To) {
-			if affected != nil {
-				affected[dst] = struct{}{}
-			}
-			n.invalidate(b, dst)
+// maskAffect affects, for a link whose failed-mask state changed, the
+// destinations whose derivations that can influence. Derivation consults
+// the mask only for the in-links a graph actually holds, so only the
+// neighbor graphs containing l are concerned; everywhere else every
+// cached derivation, and hence every installed route, stands.
+func (n *Node) maskAffect(l routing.Link) {
+	for i := range n.nbrs {
+		if nb := &n.nbrs[i]; nb.graph != nil && nb.graph.HasLink(l) {
+			n.affectBelow(nb, l.To)
 		}
 	}
 }
 
-// invalidate drops the cached derivation for destination d via neighbor b.
-func (n *Node) invalidate(b, d routing.NodeID) {
-	if m := n.derived[b]; m != nil {
-		delete(m, d)
+// maskTTL resolves the configured mask lifetime.
+func (n *Node) maskTTL() time.Duration {
+	if n.cfg.MaskTTL > 0 {
+		return n.cfg.MaskTTL
 	}
+	return time.Second
 }
 
 // mask suppresses link l for derivation and schedules the mask's expiry.
@@ -421,23 +477,20 @@ func (n *Node) mask(l routing.Link) {
 	n.failedGen++
 	gen := n.failedGen
 	n.failed[l] = gen
-	ttl := n.cfg.MaskTTL
-	if ttl <= 0 {
-		ttl = time.Second
-	}
-	n.env.After(ttl, func() {
+	n.env.After(n.maskTTL(), func() {
 		if n.failed[l] != gen {
 			return // lifted or re-masked since
 		}
 		delete(n.failed, l)
-		if n.cfg.Incremental {
-			affected := make(map[routing.NodeID]struct{})
-			n.maskAffect(l, affected)
-			n.recomputeDests(affected)
-		} else {
-			n.maskAffect(l, nil)
-			n.recompute()
+		n.beginRound()
+		n.maskAffect(l)
+		if n.cfg.Incremental && len(n.affected) == 0 {
+			// No graph holds l any more (it has been withdrawn everywhere),
+			// so no derivation changes and there is nothing to re-announce:
+			// every up neighbor already has a current view.
+			return
 		}
+		n.resolve()
 	})
 }
 
@@ -458,11 +511,7 @@ func (n *Node) markNoted(l routing.Link) bool {
 	n.notedGen++
 	gen := n.notedGen
 	n.noted[l] = gen
-	ttl := n.cfg.MaskTTL
-	if ttl <= 0 {
-		ttl = time.Second
-	}
-	n.env.After(ttl, func() {
+	n.env.After(n.maskTTL(), func() {
 		if n.noted[l] == gen {
 			delete(n.noted, l)
 		}
@@ -472,30 +521,31 @@ func (n *Node) markNoted(l routing.Link) bool {
 
 // noteFailedLink records l for propagation with this round's updates.
 func (n *Node) noteFailedLink(l routing.Link) {
-	for _, f := range n.pendingFailed {
-		if f == l {
-			return
-		}
+	if !slices.Contains(n.pendingFailed, l) {
+		n.pendingFailed = append(n.pendingFailed, l)
 	}
-	n.pendingFailed = append(n.pendingFailed, l)
+}
+
+// endSession drops everything learned from and announced to a neighbor.
+func (nb *neighbor) endSession() {
+	clear(nb.derived) // keeps the table's storage for the next session
+	nb.graph, nb.view, nb.injected = nil, nil, nil
 }
 
 // LinkDown implements sim.Protocol: drop the neighbor's P-graph and our
 // announced state toward it, record the root cause, and re-solve.
 func (n *Node) LinkDown(b routing.NodeID) {
-	var affected map[routing.NodeID]struct{}
-	if n.cfg.Incremental {
-		affected = make(map[routing.NodeID]struct{})
-		if g := n.nbGraph[b]; g != nil {
-			for _, d := range g.Dests() {
-				affected[d] = struct{}{}
-			}
+	nb := n.neighbor(b)
+	if nb == nil {
+		return
+	}
+	n.beginRound()
+	if n.cfg.Incremental && nb.graph != nil {
+		for _, d := range nb.graph.Dests() {
+			n.affect(d)
 		}
 	}
-	delete(n.nbGraph, b)
-	delete(n.views, b)
-	delete(n.derived, b)
-	delete(n.injectedTo, b)
+	nb.endSession()
 	if !n.cfg.DisableRootCause {
 		for _, l := range []routing.Link{{From: n.self, To: b}, {From: b, To: n.self}} {
 			// This node is the link's endpoint: its note is authoritative,
@@ -503,14 +553,10 @@ func (n *Node) LinkDown(b routing.NodeID) {
 			n.markNoted(l)
 			n.noteFailedLink(l)
 			n.mask(l)
-			n.maskAffect(l, affected)
+			n.maskAffect(l)
 		}
 	}
-	if n.cfg.Incremental {
-		n.recomputeDests(affected)
-	} else {
-		n.recompute()
-	}
+	n.resolve()
 }
 
 // LinkUp implements sim.Protocol: restart the session — a fresh empty
@@ -519,22 +565,28 @@ func (n *Node) LinkDown(b routing.NodeID) {
 // adjacency's own root-cause masks are lifted: the link is
 // authoritatively back.
 func (n *Node) LinkUp(b routing.NodeID) {
-	n.nbGraph[b] = n.freshNeighborGraph(b)
-	delete(n.views, b)
-	delete(n.derived, b)
-	delete(n.injectedTo, b)
-	var affected map[routing.NodeID]struct{}
-	if n.cfg.Incremental {
-		affected = map[routing.NodeID]struct{}{b: {}}
+	nb := n.neighbor(b)
+	if nb == nil {
+		return
 	}
+	nb.endSession()
+	nb.graph = n.freshNeighborGraph(b)
+	n.beginRound()
+	n.affect(b)
 	for _, l := range []routing.Link{{From: n.self, To: b}, {From: b, To: n.self}} {
 		if _, wasMasked := n.failed[l]; wasMasked {
 			delete(n.failed, l)
-			n.maskAffect(l, affected)
+			n.maskAffect(l)
 		}
 	}
+	n.resolve()
+}
+
+// resolve re-solves after an event: the affected destinations in
+// incremental mode, everything otherwise.
+func (n *Node) resolve() {
 	if n.cfg.Incremental {
-		n.recomputeDests(affected)
+		n.solveAffected()
 	} else {
 		n.recompute()
 	}
@@ -551,90 +603,76 @@ func (n *Node) LinkUp(b routing.NodeID) {
 // nodes whose paths were unaffected never announced it and have nothing
 // to propagate.
 func (n *Node) recompute() {
-	tele.recomputes.Inc()
 	// The destination universe is everything any neighbor advertises
 	// plus everything we currently route to — a destination that just
 	// vanished from every graph must still be visited so its stale route
 	// is withdrawn.
-	set := make(map[routing.NodeID]struct{}, len(n.paths))
-	for _, d := range n.knownDests() {
-		set[d] = struct{}{}
+	n.beginRound()
+	for i := range n.nbrs {
+		if g := n.nbrs[i].graph; g != nil {
+			for _, d := range g.Dests() {
+				n.affect(d)
+			}
+		}
 	}
-	for d := range n.paths {
-		set[d] = struct{}{}
+	for d := range n.routes {
+		if n.routes[d].path != nil {
+			n.affect(routing.NodeID(d))
+		}
 	}
-	dests := n.destBuf[:0]
-	for d := range set {
-		dests = append(dests, d)
-	}
-	slices.Sort(dests)
-	n.destBuf = dests
-	changed := n.solveSome(dests, n.dirtyScratch())
-	n.finish(changed, n.dirtyBuf)
+	n.solveAffected()
 }
 
-// recomputeDests is the incremental-mode recompute: only the affected
-// destinations are re-solved, and only the export views of neighbors an
-// export-relevant route changed for are updated.
-func (n *Node) recomputeDests(affected map[routing.NodeID]struct{}) {
+// solveAffected re-solves the round's affected destinations in
+// ascending order and announces the outcome; only the export views of
+// neighbors an export-relevant route changed for are updated.
+func (n *Node) solveAffected() {
 	tele.recomputes.Inc()
-	dests := n.destBuf[:0]
-	for d := range affected {
-		dests = append(dests, d)
+	slices.Sort(n.affected)
+	for i := range n.nbrs {
+		n.nbrs[i].dirty = false
 	}
-	slices.Sort(dests)
-	n.destBuf = dests
-	changed := n.solveSome(dests, n.dirtyScratch())
-	n.finish(changed, n.dirtyBuf)
-}
-
-// dirtyScratch returns the cleared per-round dirty-neighbor scratch map.
-func (n *Node) dirtyScratch() map[routing.NodeID]bool {
-	if n.dirtyBuf == nil {
-		n.dirtyBuf = make(map[routing.NodeID]bool, len(n.rel))
-	} else {
-		clear(n.dirtyBuf)
-	}
-	return n.dirtyBuf
+	n.finish(n.solveSome(n.affected))
 }
 
 // finish applies the round's route changes to the local P-graph and the
 // per-neighbor announced views (pgraph.View, the §4.3.2 counter
-// machinery), then sends the flushed Δ_B messages. dirty limits view
-// updates to neighbors an export-relevant route changed for.
-func (n *Node) finish(changed []routing.NodeID, dirty map[routing.NodeID]bool) {
+// machinery), then sends the flushed Δ_B messages. View updates are
+// limited to the neighbors marked dirty.
+func (n *Node) finish(changed []routing.NodeID) {
 	for _, d := range changed {
-		n.localView.Set(d, n.paths[d])
+		n.localView.Set(d, n.routes[d].path)
 	}
 	n.localView.Flush() // the local graph emits no messages
 	failed := n.pendingFailed
 	n.pendingFailed = nil
-	for _, b := range n.neighbors() {
-		if _, up := n.nbGraph[b]; !up {
+	for i, b := range n.nbrList {
+		nb := &n.nbrs[i]
+		if nb.graph == nil {
 			continue
 		}
 		// Adversarial injections (nil for honest nodes) ride the same
 		// delta so the receiver processes them like any announcement.
-		inject := n.advInjects(b)
-		view, hasView := n.views[b]
+		inject := n.advInjects(b, nb)
 		switch {
-		case !hasView:
+		case nb.view == nil:
 			// Fresh session: announce the full exportable path set
 			// (§4.3.1 Steps 1 and 4).
-			view = pgraph.NewView(n.self)
-			n.views[b] = view
-			for d := range n.paths {
-				view.Set(d, n.exportable(d, b))
+			nb.view = pgraph.NewView(n.self)
+			for d := range n.routes {
+				if p := n.exportable(routing.NodeID(d), b, nb); p != nil {
+					nb.view.Set(routing.NodeID(d), p)
+				}
 			}
-		case (len(changed) == 0 || (dirty != nil && !dirty[b])) && len(inject) == 0:
+		case (len(changed) == 0 || !nb.dirty) && len(inject) == 0:
 			// No exportable-to-b route changed; the view is current.
 			continue
 		default:
 			for _, d := range changed {
-				view.Set(d, n.exportable(d, b))
+				nb.view.Set(d, n.exportable(d, b, nb))
 			}
 		}
-		delta := view.Flush()
+		delta := nb.view.Flush()
 		if len(inject) > 0 {
 			delta.Adds = append(delta.Adds, inject...)
 			slices.SortFunc(delta.Adds, func(x, y pgraph.LinkInfo) int {
@@ -658,161 +696,128 @@ func (n *Node) finish(changed []routing.NodeID, dirty map[routing.NodeID]bool) {
 // exportable returns the path announced to neighbor b for destination d:
 // the selected path when the export filter admits its class and it does
 // not traverse b (sender-side loop avoidance), nil otherwise.
-func (n *Node) exportable(d, b routing.NodeID) routing.Path {
-	p, ok := n.paths[d]
-	if !ok {
+func (n *Node) exportable(d, b routing.NodeID, nb *neighbor) routing.Path {
+	r := n.routes[d]
+	if r.path == nil || !n.pol.Export(n.self, r.class, nb.rel) || r.path.Contains(b) {
 		return nil
 	}
-	if !n.pol.Export(n.self, n.classes[d], n.rel[b]) {
-		return nil
-	}
-	if p.Contains(b) {
-		return nil
-	}
-	return p
+	return r.path
 }
 
 // solveSome is the local solver core (§3.2.3): for each destination the
 // candidates are the unique policy-compliant paths DerivePath
 // reconstructs from each neighbor P-graph, self-prepended, loop-checked,
 // and ranked by the policy. Destinations no longer derivable anywhere
-// lose their route. It returns the destinations whose route changed.
-// When dirty is non-nil, every neighbor whose export view could be
-// altered by a changed route is marked in it.
-func (n *Node) solveSome(dests []routing.NodeID, dirty map[routing.NodeID]bool) []routing.NodeID {
-	if w := n.cfg.DeriveWorkers; w > 1 && !n.cfg.BloomPL && len(dests) > 1 {
-		return n.solveSomeParallel(dests, dirty, w)
+// lose their route. It returns the destinations whose route changed
+// (scratch, valid until the next round), having marked dirty every
+// neighbor whose export view a changed route could alter.
+func (n *Node) solveSome(dests []routing.NodeID) []routing.NodeID {
+	// With nothing masked the derivations take their unfiltered fast
+	// path; the result is the same as filtering with an empty mask.
+	var skip func(routing.Link) bool
+	if len(n.failed) > 0 {
+		skip = n.isFailed
 	}
-	nbs := n.neighbors()
-	var changed []routing.NodeID
+	if w := n.cfg.DeriveWorkers; w > 1 && !n.cfg.BloomPL && len(dests) > 1 {
+		return n.solveSomeParallel(dests, skip, w)
+	}
+	changed := n.changedBuf[:0]
 	for _, d := range dests {
-		if d == n.self {
-			continue
-		}
-		// Candidates are ranked on the neighbor-derived paths without
-		// materializing the self-prepended copy: every comparison sees
-		// both lengths offset by the same +1, and class/via/destination
-		// are unaffected — only the winner is prepended.
-		var best policy.Candidate
-		for _, b := range nbs {
-			g, up := n.nbGraph[b]
-			if !up {
-				continue
-			}
-			p, ok := n.derive(b, g, d)
-			if !ok || !n.pol.Accept(n.self, b, p) {
-				continue
-			}
-			cand := policy.Candidate{
-				Path:  p,
-				Class: policy.ClassOf(n.rel[b]),
-				Via:   b,
-			}
-			if len(best.Path) == 0 || n.pol.Better(n.self, cand, best) {
-				best = cand
-			}
-		}
-		if len(best.Path) > 0 {
-			best.Path = best.Path.Prepend(n.self)
-		}
-		if n.applyBest(d, best, dirty) {
+		if d != n.self && n.applyBest(d, n.rank(d, skip, nil)) {
 			changed = append(changed, d)
 		}
 	}
+	n.changedBuf = changed
 	return changed
 }
 
-// applyBest installs best (already self-prepended, empty for "no route")
-// as destination d's selected route when it differs from the current
-// one, reporting whether the route changed. On a change it emits the
-// RouteChangedVia trace event and marks the dirty export views. Both
-// the serial and parallel solveSome apply through here so the two modes
-// cannot drift.
-func (n *Node) applyBest(d routing.NodeID, best policy.Candidate, dirty map[routing.NodeID]bool) bool {
-	oldPath, had := n.paths[d]
-	oldClass := n.classes[d]
-	oldVia := n.vias[d] // routing.None when absent
-	newVia := routing.None
+// rank returns destination d's best candidate as the via neighbor
+// derived it — not yet self-prepended — or the zero Candidate when no
+// neighbor offers an acceptable path. It mutates no node state other
+// than the derive cache, and not even that when installs is non-nil (see
+// derive), so the parallel solver's workers can share it. Ranking the
+// neighbor-derived paths is sound: every comparison sees both lengths
+// offset by the same +1, and class/via/destination are unaffected.
+func (n *Node) rank(d routing.NodeID, skip func(routing.Link) bool, installs *[]cacheInstall) policy.Candidate {
+	var best policy.Candidate
+	for i, b := range n.nbrList {
+		nb := &n.nbrs[i]
+		if nb.graph == nil {
+			continue
+		}
+		p, ok := n.derive(nb, d, skip, installs)
+		if !ok || !n.pol.Accept(n.self, b, p) {
+			continue
+		}
+		cand := policy.Candidate{Path: p, Class: policy.ClassOf(nb.rel), Via: b}
+		if len(best.Path) == 0 || n.pol.Better(n.self, cand, best) {
+			best = cand
+		}
+	}
+	return best
+}
+
+// applyBest installs best (rank's winner, empty for "no route") as
+// destination d's selected route when it differs from the current one,
+// reporting whether the route changed; only then is the self-prepended
+// path materialized. On a change it emits the RouteChangedVia trace
+// event and marks the dirty export views. Both the serial and parallel
+// solveSome apply through here so the two modes cannot drift.
+func (n *Node) applyBest(d routing.NodeID, best policy.Candidate) bool {
+	r := at(&n.routes, d)
+	old := *r
 	switch {
-	case len(best.Path) == 0 && !had:
+	case len(best.Path) == 0 && old.path == nil:
 		return false
 	case len(best.Path) == 0:
-		delete(n.paths, d)
-		delete(n.classes, d)
-		delete(n.vias, d)
-	case had && oldPath.Equal(best.Path) && n.vias[d] == best.Via:
+		*r = route{}
+	case old.path != nil && old.path[1:].Equal(best.Path) && old.via == best.Via:
 		return false
 	default:
-		n.paths[d] = best.Path
-		n.classes[d] = best.Class
-		n.vias[d] = best.Via
-		newVia = best.Via
+		*r = route{path: best.Path.Prepend(n.self), class: best.Class, via: best.Via}
 	}
-	sim.RouteChangedVia(n.env, d, oldVia, newVia)
-	if dirty != nil {
-		n.markDirty(dirty, d, oldClass, best)
+	sim.RouteChangedVia(n.env, d, old.via, r.via)
+	// Every neighbor whose export view the change can alter is dirty.
+	for i := range n.nbrs {
+		nb := &n.nbrs[i]
+		if !nb.dirty && ((old.class != 0 && n.pol.Export(n.self, old.class, nb.rel)) ||
+			(best.Class != 0 && n.pol.Export(n.self, best.Class, nb.rel))) {
+			nb.dirty = true
+		}
 	}
 	return true
 }
 
-// markDirty marks every neighbor whose export view can be altered by
-// destination d's route changing from oldClass to the new best.
-func (n *Node) markDirty(dirty map[routing.NodeID]bool, d routing.NodeID, oldClass policy.RouteClass, best policy.Candidate) {
-	_ = d
-	for _, b := range n.neighbors() {
-		if dirty[b] {
-			continue
-		}
-		rel := n.rel[b]
-		if (oldClass != 0 && n.pol.Export(n.self, oldClass, rel)) ||
-			(best.Class != 0 && n.pol.Export(n.self, best.Class, rel)) {
-			dirty[b] = true
-		}
-	}
-}
-
 // derive returns the (possibly memoized) DerivePath result for
-// destination d from neighbor b's graph. The cache is only active in
+// destination d from the neighbor's graph. The cache is only active in
 // incremental mode, where the affected-set analysis performs the
-// invalidation.
-func (n *Node) derive(b routing.NodeID, g *pgraph.Graph, d routing.NodeID) (routing.Path, bool) {
+// invalidation. A miss is written back directly, or — when installs is
+// non-nil — recorded there for the caller to install, so the parallel
+// ranking phase never writes shared state. The telemetry counters are
+// atomic, so the totals are the same either way.
+func (n *Node) derive(nb *neighbor, d routing.NodeID, skip func(routing.Link) bool, installs *[]cacheInstall) (routing.Path, bool) {
 	if !n.cfg.Incremental {
 		tele.derivations.Inc()
-		return g.DerivePathWith(d, n.isFailed)
+		return nb.graph.DerivePathWith(d, skip)
 	}
-	m := n.derived[b]
-	if m == nil {
-		m = make(map[routing.NodeID]derivedEntry)
-		if n.derived == nil {
-			n.derived = make(map[routing.NodeID]map[routing.NodeID]derivedEntry)
+	if int(d) < len(nb.derived) {
+		if p := nb.derived[d]; p != nil {
+			tele.cacheHits.Inc()
+			return p, len(p) > 0
 		}
-		n.derived[b] = m
-	}
-	if e, ok := m[d]; ok {
-		tele.cacheHits.Inc()
-		return e.path, e.ok
 	}
 	tele.derivations.Inc()
-	p, ok := g.DerivePathWith(d, n.isFailed)
-	m[d] = derivedEntry{path: p, ok: ok}
+	p, ok := nb.graph.DerivePathWith(d, skip)
+	e := p
+	if !ok {
+		e = noPath
+	}
+	if installs != nil {
+		*installs = append(*installs, cacheInstall{nb: nb, d: d, e: e})
+	} else {
+		*at(&nb.derived, d) = e
+	}
 	return p, ok
-}
-
-// knownDests returns every destination any neighbor P-graph advertises,
-// plus self, ascending.
-func (n *Node) knownDests() []routing.NodeID {
-	set := map[routing.NodeID]struct{}{n.self: {}}
-	for _, g := range n.nbGraph {
-		for _, d := range g.Dests() {
-			set[d] = struct{}{}
-		}
-	}
-	out := make([]routing.NodeID, 0, len(set))
-	for d := range set {
-		out = append(out, d)
-	}
-	slices.Sort(out)
-	return out
 }
 
 // BestPath returns the node's selected path to dest (nil when none).
@@ -820,7 +825,15 @@ func (n *Node) BestPath(dest routing.NodeID) routing.Path {
 	if dest == n.self {
 		return routing.Path{n.self}
 	}
-	return n.paths[dest].Clone()
+	return n.route(dest).path.Clone()
+}
+
+// route returns dest's Loc-RIB entry (the zero route when none).
+func (n *Node) route(dest routing.NodeID) route {
+	if int(dest) < len(n.routes) {
+		return n.routes[dest]
+	}
+	return route{}
 }
 
 // NextHopTo returns the first hop of the selected route to dest without
@@ -833,7 +846,7 @@ func (n *Node) NextHopTo(dest routing.NodeID) routing.NodeID {
 	if n.adv.Drops(n.self, dest) {
 		return routing.None
 	}
-	if p := n.paths[dest]; len(p) >= 2 {
+	if p := n.route(dest).path; len(p) >= 2 {
 		return p[1]
 	}
 	return routing.None
@@ -844,14 +857,16 @@ func (n *Node) BestClass(dest routing.NodeID) policy.RouteClass {
 	if dest == n.self {
 		return policy.ClassOwn
 	}
-	return n.classes[dest]
+	return n.route(dest).class
 }
 
 // Routes returns a copy of the selected path set keyed by destination.
 func (n *Node) Routes() map[routing.NodeID]routing.Path {
-	out := make(map[routing.NodeID]routing.Path, len(n.paths))
-	for d, p := range n.paths {
-		out[d] = p.Clone()
+	out := make(map[routing.NodeID]routing.Path, len(n.routes))
+	for d, r := range n.routes {
+		if r.path != nil {
+			out[routing.NodeID(d)] = r.path.Clone()
+		}
 	}
 	return out
 }
@@ -862,14 +877,18 @@ func (n *Node) LocalGraph() *pgraph.Graph { return n.localView.Graph() }
 // NeighborGraph returns G_{b→self}, the P-graph assembled from neighbor
 // b's announcements, or nil when the adjacency is down (shared, do not
 // mutate).
-func (n *Node) NeighborGraph(b routing.NodeID) *pgraph.Graph { return n.nbGraph[b] }
+func (n *Node) NeighborGraph(b routing.NodeID) *pgraph.Graph {
+	if nb := n.neighbor(b); nb != nil {
+		return nb.graph
+	}
+	return nil
+}
 
 // ExportedView returns the announced view toward neighbor b as link
 // announcements (nil when no session exists).
 func (n *Node) ExportedView(b routing.NodeID) []pgraph.LinkInfo {
-	v, ok := n.views[b]
-	if !ok {
-		return nil
+	if nb := n.neighbor(b); nb != nil && nb.view != nil {
+		return nb.view.Graph().LinkInfos()
 	}
-	return v.Graph().LinkInfos()
+	return nil
 }

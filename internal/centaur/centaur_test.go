@@ -312,8 +312,8 @@ func TestAnnouncementMinimality(t *testing.T) {
 			// the export-filtered path set (the incremental View and the
 			// batch Build must agree — the sender-side ground truth).
 			exportablePaths := make(map[routing.NodeID]routing.Path)
-			for dst := range n.paths {
-				if p := n.exportable(dst, nb.ID); p != nil {
+			for dst := range n.Routes() {
+				if p := n.exportable(dst, nb.ID, n.neighbor(nb.ID)); p != nil {
 					exportablePaths[dst] = p
 				}
 			}
@@ -329,8 +329,8 @@ func TestAnnouncementMinimality(t *testing.T) {
 			// is exportable to this neighbor.
 			for _, li := range view {
 				found := false
-				for dst, p := range n.paths {
-					if !n.pol.Export(id, n.classes[dst], nb.Rel) || p.Contains(nb.ID) {
+				for dst, p := range n.Routes() {
+					if !n.pol.Export(id, n.BestClass(dst), nb.Rel) || p.Contains(nb.ID) {
 						continue
 					}
 					for _, l := range p.Links() {

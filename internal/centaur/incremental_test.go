@@ -3,6 +3,7 @@ package centaur
 import (
 	"testing"
 
+	"centaur/internal/pgraph"
 	"centaur/internal/policy"
 	"centaur/internal/routing"
 	"centaur/internal/sim"
@@ -159,5 +160,25 @@ func TestIncrementalDoesLessDerivationWork(t *testing.T) {
 	incUnits := countUnits(true)
 	if fullUnits != incUnits {
 		t.Fatalf("message units differ between modes: full %d vs incremental %d", fullUnits, incUnits)
+	}
+}
+
+// TestNoChangeHandleAllocatesNothing pins the steady-state cost of a
+// round that changes nothing: an update whose every link the import
+// filter drops walks the whole Handle → solve → finish pipeline on
+// reused scratch, without a single allocation.
+func TestNoChangeHandleAllocatesNothing(t *testing.T) {
+	g, err := topogen.BRITE(40, 2, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, nodes := converge(t, g, Config{Incremental: true})
+	id := g.Nodes()[0]
+	n, from := nodes[id], g.Neighbors(id)[0].ID
+	var msg sim.Message = Update{Delta: pgraph.Delta{Adds: []pgraph.LinkInfo{
+		{Link: routing.Link{From: from, To: id}, ToIsDest: true},
+	}}}
+	if allocs := testing.AllocsPerRun(50, func() { n.Handle(from, msg) }); allocs != 0 {
+		t.Fatalf("a no-change Handle round allocated %v times, want 0", allocs)
 	}
 }

@@ -3,9 +3,10 @@
 //
 //  1. Ranking (parallel): each worker ranks the candidate paths for a
 //     contiguous chunk of the sorted destination list. This phase only
-//     READS — the neighbor P-graphs, the relationship map, the failed-
-//     link mask, and the derive cache. Cache misses are derived but the
-//     results are recorded per-destination instead of written back.
+//     READS — the neighbor P-graphs (derivation is one of pgraph's
+//     read-only operations), the neighbor table, the failed-link mask,
+//     and the derive cache. Cache misses are derived but the results
+//     are recorded per-destination instead of written back.
 //  2. Apply (serial, ascending destinations): the deferred cache
 //     entries are installed and each destination's winner goes through
 //     the same applyBest as the serial path, so route tables, trace
@@ -22,7 +23,6 @@ package centaur
 import (
 	"sync"
 
-	"centaur/internal/pgraph"
 	"centaur/internal/policy"
 	"centaur/internal/routing"
 )
@@ -30,14 +30,14 @@ import (
 // cacheInstall is one derive-cache write deferred out of the parallel
 // ranking phase.
 type cacheInstall struct {
-	b routing.NodeID
-	d routing.NodeID
-	e derivedEntry
+	nb *neighbor
+	d  routing.NodeID
+	e  routing.Path
 }
 
 // rankResult is one destination's ranking-phase output.
 type rankResult struct {
-	best     policy.Candidate // self-prepended when non-empty
+	best     policy.Candidate // rank's winner, not yet self-prepended
 	installs []cacheInstall
 }
 
@@ -45,11 +45,8 @@ type rankResult struct {
 // across workers goroutines. Callers guarantee workers > 1 and
 // !cfg.BloomPL (Bloom false-positive observation happens inside the
 // backtrace and its trace order must stay serial).
-func (n *Node) solveSomeParallel(dests []routing.NodeID, dirty map[routing.NodeID]bool, workers int) []routing.NodeID {
-	if workers > len(dests) {
-		workers = len(dests)
-	}
-	nbs := n.neighbors()
+func (n *Node) solveSomeParallel(dests []routing.NodeID, skip func(routing.Link) bool, workers int) []routing.NodeID {
+	workers = min(workers, len(dests))
 	results := make([]rankResult, len(dests))
 	var wg sync.WaitGroup
 	chunk := (len(dests) + workers - 1) / workers
@@ -59,86 +56,26 @@ func (n *Node) solveSomeParallel(dests []routing.NodeID, dirty map[routing.NodeI
 		go func(lo, hi int) {
 			defer wg.Done()
 			for i := lo; i < hi; i++ {
-				if dests[i] == n.self {
-					continue
+				if dests[i] != n.self {
+					results[i].best = n.rank(dests[i], skip, &results[i].installs)
 				}
-				n.rankDest(dests[i], nbs, &results[i])
 			}
 		}(lo, hi)
 	}
 	wg.Wait()
 
-	var changed []routing.NodeID
+	changed := n.changedBuf[:0]
 	for i, d := range dests {
 		if d == n.self {
 			continue
 		}
-		r := &results[i]
-		for _, ins := range r.installs {
-			m := n.derived[ins.b]
-			if m == nil {
-				m = make(map[routing.NodeID]derivedEntry)
-				if n.derived == nil {
-					n.derived = make(map[routing.NodeID]map[routing.NodeID]derivedEntry)
-				}
-				n.derived[ins.b] = m
-			}
-			m[ins.d] = ins.e
+		for _, ins := range results[i].installs {
+			*at(&ins.nb.derived, ins.d) = ins.e
 		}
-		if n.applyBest(d, r.best, dirty) {
+		if n.applyBest(d, results[i].best) {
 			changed = append(changed, d)
 		}
 	}
+	n.changedBuf = changed
 	return changed
-}
-
-// rankDest ranks destination d's candidate paths into r without
-// touching any mutable node state; derive-cache misses land in
-// r.installs for the apply phase. The ranking itself mirrors the serial
-// solveSome loop: comparisons run on the neighbor-derived paths (every
-// candidate's length is offset by the same +1) and only the winner is
-// materialized self-prepended.
-func (n *Node) rankDest(d routing.NodeID, nbs []routing.NodeID, r *rankResult) {
-	var best policy.Candidate
-	for _, b := range nbs {
-		g, up := n.nbGraph[b]
-		if !up {
-			continue
-		}
-		p, ok := n.deriveRO(b, g, d, &r.installs)
-		if !ok || !n.pol.Accept(n.self, b, p) {
-			continue
-		}
-		cand := policy.Candidate{
-			Path:  p,
-			Class: policy.ClassOf(n.rel[b]),
-			Via:   b,
-		}
-		if len(best.Path) == 0 || n.pol.Better(n.self, cand, best) {
-			best = cand
-		}
-	}
-	if len(best.Path) > 0 {
-		best.Path = best.Path.Prepend(n.self)
-	}
-	r.best = best
-}
-
-// deriveRO is derive with the cache write deferred: safe to call from
-// ranking workers because the cache maps are only read. The telemetry
-// counters are atomic, so incrementing them here keeps the totals
-// identical to the serial mode.
-func (n *Node) deriveRO(b routing.NodeID, g *pgraph.Graph, d routing.NodeID, installs *[]cacheInstall) (routing.Path, bool) {
-	if !n.cfg.Incremental {
-		tele.derivations.Inc()
-		return g.DerivePathWith(d, n.isFailed)
-	}
-	if e, ok := n.derived[b][d]; ok {
-		tele.cacheHits.Inc()
-		return e.path, e.ok
-	}
-	tele.derivations.Inc()
-	p, ok := g.DerivePathWith(d, n.isFailed)
-	*installs = append(*installs, cacheInstall{b: b, d: d, e: derivedEntry{path: p, ok: ok}})
-	return p, ok
 }

@@ -4,8 +4,6 @@ import (
 	"maps"
 	"slices"
 
-	"centaur/internal/pgraph"
-	"centaur/internal/routing"
 	"centaur/internal/sim"
 )
 
@@ -16,59 +14,48 @@ var _ sim.Snapshotter = (*Node)(nil)
 // only read — many forks are taken concurrently from one checkpointed
 // template, and the race detector gates this in CI.
 //
-// Copy depth follows the package's mutation contract: cfg, pol, rel,
-// and nbrList are construction-only and shared; routing.Path values are
-// immutable once installed, so the Loc-RIB maps are copied but their
-// path slices are not; the neighbor P-graphs and the local/announced
-// views are live mutable structures and are deep-cloned (pgraph's
-// Graph.Clone / View.Clone, including the in-place-mutating Permission
-// Lists). The derived cache is copied as well — not for correctness
-// (each entry is a pure function of the neighbor's P-graph) but so a
-// fork's cache hit pattern is deterministic rather than dependent on
-// which template the scheduler checkpointed. Mask TTL timers need no
-// transfer: a quiesced network has no pending timer events and each
-// firing removes its own mask generation before quiescence is possible.
+// Copy depth follows the package's mutation contract: cfg, pol and
+// nbrList are construction-only and shared; routing.Path values are
+// immutable once installed, so the route table and the derive caches
+// are copied but their path slices are not; the neighbor P-graphs and
+// the local/announced views are live mutable structures and are
+// deep-cloned (pgraph's Graph.Clone / View.Clone, including the
+// in-place-mutating Permission Lists). The derive caches are copied as
+// well — not for correctness (each entry is a pure function of the
+// neighbor's P-graph) but so a fork's cache hit pattern is deterministic
+// rather than dependent on which template the scheduler checkpointed.
+// Mask TTL timers need no transfer: a quiesced network has no pending
+// timer events and each firing removes its own mask generation before
+// quiescence is possible.
 func (n *Node) ForkProtocol(env sim.Env) sim.Protocol {
 	out := &Node{
-		cfg:       n.cfg,
-		pol:       n.pol,
-		env:       env,
-		self:      n.self,
-		rel:       n.rel,
-		nbrList:   n.nbrList,
-		nbGraph:   make(map[routing.NodeID]*pgraph.Graph, len(n.nbGraph)),
-		paths:     maps.Clone(n.paths),
-		classes:   maps.Clone(n.classes),
-		vias:      maps.Clone(n.vias),
-		localView: n.localView.Clone(),
-		views:     make(map[routing.NodeID]*pgraph.View, len(n.views)),
-		failedGen: n.failedGen,
-		notedGen:  n.notedGen,
+		cfg:           n.cfg,
+		pol:           n.pol,
+		env:           env,
+		self:          n.self,
+		nbrList:       n.nbrList,
+		nbrs:          slices.Clone(n.nbrs),
+		routes:        slices.Clone(n.routes),
+		localView:     n.localView.Clone(),
+		pendingFailed: slices.Clone(n.pendingFailed),
+		failed:        maps.Clone(n.failed),
+		failedGen:     n.failedGen,
+		noted:         maps.Clone(n.noted),
+		notedGen:      n.notedGen,
 	}
-	for b, g := range n.nbGraph {
-		cl := g.Clone()
-		// Graph.Clone does not carry the false-positive observer — it
-		// closes over the owning node; the fork registers its own.
-		out.installFPObserver(cl)
-		out.nbGraph[b] = cl
-	}
-	for b, v := range n.views {
-		out.views[b] = v.Clone()
-	}
-	if n.pendingFailed != nil {
-		out.pendingFailed = slices.Clone(n.pendingFailed)
-	}
-	if n.failed != nil {
-		out.failed = maps.Clone(n.failed)
-	}
-	if n.noted != nil {
-		out.noted = maps.Clone(n.noted)
-	}
-	if n.derived != nil {
-		out.derived = make(map[routing.NodeID]map[routing.NodeID]derivedEntry, len(n.derived))
-		for b, m := range n.derived {
-			out.derived[b] = maps.Clone(m)
+	for i := range out.nbrs {
+		nb := &out.nbrs[i]
+		if nb.graph != nil {
+			nb.graph = nb.graph.Clone()
+			// Graph.Clone does not carry the false-positive observer — it
+			// closes over the owning node; the fork registers its own.
+			out.installFPObserver(nb.graph)
 		}
+		if nb.view != nil {
+			nb.view = nb.view.Clone()
+		}
+		nb.derived = slices.Clone(nb.derived)
+		nb.injected = nil // like adv, adversarial state is not forked
 	}
 	return out
 }
@@ -77,21 +64,20 @@ func (n *Node) ForkProtocol(env sim.Env) sim.Protocol {
 // what ForkProtocol copies, dominated by the per-neighbor P-graphs and
 // announced views.
 func (n *Node) SnapshotBytes() int {
-	const entry = 48 // amortized per-map-entry share of buckets and keys
-	b := 0
-	for _, g := range n.nbGraph {
-		b += g.ApproxMemBytes()
+	const word = 8
+	b := n.localView.ApproxMemBytes() + len(n.routes)*5*word + len(n.failed)*6*word
+	for _, r := range n.routes {
+		b += len(r.path) * word / 2
 	}
-	b += n.localView.ApproxMemBytes()
-	for _, v := range n.views {
-		b += v.ApproxMemBytes()
-	}
-	for _, p := range n.paths {
-		b += entry + len(p)*8
-	}
-	b += len(n.classes)*entry + len(n.vias)*entry + len(n.failed)*entry
-	for _, m := range n.derived {
-		b += entry + len(m)*(entry+8)
+	for i := range n.nbrs {
+		nb := &n.nbrs[i]
+		if nb.graph != nil {
+			b += nb.graph.ApproxMemBytes()
+		}
+		if nb.view != nil {
+			b += nb.view.ApproxMemBytes()
+		}
+		b += len(nb.derived) * 3 * word
 	}
 	return b
 }

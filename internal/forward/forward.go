@@ -157,9 +157,14 @@ func nextHopOf(net *sim.Network, cur, dst routing.NodeID) routing.NodeID {
 // traversed path (ending at the dead-end node for blackholes, at the
 // budget cutoff for loops) and the outcome.
 func WalkFlow(net *sim.Network, f Flow) (routing.Path, Outcome) {
+	return walkFlow(net, f, nil)
+}
+
+// walkFlow is WalkFlow building the traversed path in buf's storage.
+func walkFlow(net *sim.Network, f Flow, buf routing.Path) (routing.Path, Outcome) {
 	g := net.Topology()
-	maxHops := len(g.Nodes())
-	path := routing.Path{f.Src}
+	maxHops := g.NumNodes()
+	path := append(buf[:0], f.Src)
 	cur := f.Src
 	for hops := 0; hops <= maxHops; hops++ {
 		if !net.NodeIsUp(cur) {
@@ -259,7 +264,8 @@ type Tracker struct {
 	net *sim.Network
 	cfg Config
 
-	cur      []Outcome // current classification per flow
+	cur      []Outcome    // current classification per flow
+	pathBuf  routing.Path // eval's walk scratch; it only wants the outcomes
 	dirty    bool
 	primed   bool          // cur holds a real evaluation
 	lastEval time.Duration // left edge of the open integration interval
@@ -327,7 +333,8 @@ func (t *Tracker) eval(now time.Duration) {
 	t.imp.Evals++
 	tele.evals.Inc()
 	for i, f := range t.cfg.Flows {
-		_, o := WalkFlow(t.net, f)
+		var o Outcome
+		t.pathBuf, o = walkFlow(t.net, f, t.pathBuf)
 		if t.primed && o != t.cur[i] {
 			t.imp.Transitions++
 			tele.transitions.Inc()

@@ -163,9 +163,15 @@ func TestWalkFlowClassifications(t *testing.T) {
 			1: hop(4, 2),
 			2: hop(4, 1), // 1 and 2 point at each other
 		})
-		_, o := forward.WalkFlow(net, forward.Flow{Src: 1, Dst: 4})
+		path, o := forward.WalkFlow(net, forward.Flow{Src: 1, Dst: 4})
 		if o != forward.Looping {
 			t.Fatalf("got %v, want looping", o)
+		}
+		// The hop budget is the topology's node count: the walk takes
+		// NumNodes+1 hops before giving up, bouncing between 1 and 2.
+		want := routing.Path{1, 2, 1, 2, 1, 2}
+		if len(want) != g.NumNodes()+2 || !path.Equal(want) {
+			t.Fatalf("loop walk traversed %v, want %v", path, want)
 		}
 	})
 }

@@ -2,7 +2,7 @@ package pgraph
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"centaur/internal/routing"
 )
@@ -27,7 +27,7 @@ func (g *Graph) DerivePath(dest routing.NodeID) (routing.Path, bool) {
 // mutating the neighbor's announced graph — the announcement contract
 // stays intact and derivation simply avoids the dead links.
 func (g *Graph) DerivePathWith(dest routing.NodeID, skip func(routing.Link) bool) (routing.Path, bool) {
-	p, ok, _, _ := g.derivePath(dest, skip, nil)
+	p, ok, _ := g.derivePath(dest, skip)
 	return p, ok
 }
 
@@ -81,45 +81,50 @@ func (r DenialReason) String() string {
 // DerivePathReason is DerivePath returning, on failure, why the
 // derivation was denied.
 func (g *Graph) DerivePathReason(dest routing.NodeID) (routing.Path, bool, DenialReason) {
-	p, ok, reason, _ := g.derivePath(dest, nil, nil)
-	return p, ok, reason
+	return g.derivePath(dest, nil)
 }
 
-// derivePath is the backtrace core of DerivePathWith. scratch, when
-// non-nil, is reused as the reversed-path work buffer; the (possibly
-// grown) buffer is returned so batch callers (DeriveAllInto) amortize
-// it across destinations. The returned path never aliases scratch.
-func (g *Graph) derivePath(dest routing.NodeID, skip func(routing.Link) bool, scratch routing.Path) (routing.Path, bool, DenialReason, routing.Path) {
-	tele.deriveCalls.Inc()
-	if dest == g.root {
-		return routing.Path{g.root}, true, DenialNone, scratch
+// derivePath resolves dest and backtraces from its slot.
+func (g *Graph) derivePath(dest routing.NodeID, skip func(routing.Link) bool) (routing.Path, bool, DenialReason) {
+	if s, ok := g.slot(dest); ok {
+		return g.deriveSlot(s, skip)
 	}
-	if len(g.parents[dest]) == 0 {
-		return nil, false, DenialAbsent, scratch
+	tele.deriveCalls.Inc()
+	return nil, false, DenialAbsent
+}
+
+// deriveSlot is the backtrace core of DerivePathWith, from the slot of
+// the destination. It only reads the graph, and its one allocation is
+// the returned path.
+func (g *Graph) deriveSlot(cur int32, skip func(routing.Link) bool) (routing.Path, bool, DenialReason) {
+	tele.deriveCalls.Inc()
+	dest := g.nodes.at(cur).id
+	if cur == rootSlot {
+		return routing.Path{g.root}, true, DenialNone
+	}
+	if len(g.nodes.at(cur).in) == 0 {
+		return nil, false, DenialAbsent
 	}
 	// Backtrace produces the path reversed (dest first); reverse at the
-	// end. A step budget of nLinks+1 bounds the walk: any longer chain
-	// must revisit a link, i.e. the graph is malformed (loop detection
-	// without allocating a visited set).
-	reversed := scratch[:0]
-	if reversed == nil {
-		reversed = make(routing.Path, 0, 8)
-	}
-	reversed = append(reversed, dest)
+	// end. Inter-domain paths are short, so the work buffer normally
+	// stays on the stack. A step budget of nLinks+1 bounds the walk: any
+	// longer chain must revisit a link, i.e. the graph is malformed
+	// (loop detection without a visited set).
+	var buf [24]routing.NodeID
+	reversed := append(buf[:0], dest)
 	steps := g.nLinks + 1
-	current := dest
 	next := routing.None // current's successor on the path being rebuilt
-	for current != g.root {
+	for cur != rootSlot {
 		if steps--; steps < 0 {
-			return nil, false, DenialLoop, reversed
+			return nil, false, DenialLoop
 		}
-		parents := g.parents[current]
-		var parent routing.NodeID
+		nd := g.nodes.at(cur)
+		var parent *edge
 		switch {
-		case len(parents) == 0:
-			return nil, false, DenialUnreachable, reversed
-		case skip == nil && len(parents) == 1 && g.perms[routing.Link{From: parents[0], To: current}] == nil:
-			parent = parents[0]
+		case len(nd.in) == 0:
+			return nil, false, DenialUnreachable
+		case skip == nil && len(nd.in) == 1 && nd.in[0].perm == nil:
+			parent = &nd.in[0]
 		default:
 			// Multi-homed (or restricted) node: a parent link whose
 			// Permission List explicitly permits (dest, next) wins;
@@ -128,23 +133,22 @@ func (g *Graph) derivePath(dest routing.NodeID, skip func(routing.Link) bool, sc
 			// semantics. No explicit permit and zero or several
 			// unrestricted links means no derivable path. Skipped
 			// (failed) links are treated as absent throughout.
-			parent = routing.None
-			unrestricted := routing.None
+			var unrestricted *edge
 			ambiguous := false
-			for _, p := range parents {
-				l := routing.Link{From: p, To: current}
+			for i := range nd.in {
+				e := &nd.in[i]
+				l := routing.Link{From: e.from, To: nd.id}
 				if skip != nil && skip(l) {
 					continue
 				}
-				pl := g.perms[l]
-				if pl == nil {
-					if unrestricted != routing.None {
+				if e.perm == nil {
+					if unrestricted != nil {
 						ambiguous = true
 					}
-					unrestricted = p
+					unrestricted = e
 					continue
 				}
-				ok, fp := pl.PermitReport(dest, next)
+				ok, fp := e.perm.PermitReport(dest, next)
 				if fp {
 					noteFPHit()
 					if g.fpObserver != nil {
@@ -152,30 +156,30 @@ func (g *Graph) derivePath(dest routing.NodeID, skip func(routing.Link) bool, sc
 					}
 				}
 				if ok {
-					parent = p
+					parent = e
 					break
 				}
 			}
-			if parent == routing.None {
-				if unrestricted == routing.None {
-					return nil, false, DenialNoPermit, reversed
+			if parent == nil {
+				if unrestricted == nil {
+					return nil, false, DenialNoPermit
 				}
 				if ambiguous {
-					return nil, false, DenialAmbiguous, reversed
+					return nil, false, DenialAmbiguous
 				}
 				parent = unrestricted
 			}
 		}
-		reversed = append(reversed, parent)
-		next = current
-		current = parent
+		reversed = append(reversed, parent.from)
+		next = nd.id
+		cur = parent.slot
 	}
 	// Reverse into source-first order.
 	path := make(routing.Path, len(reversed))
 	for i, n := range reversed {
 		path[len(reversed)-1-i] = n
 	}
-	return path, true, DenialNone, reversed
+	return path, true, DenialNone
 }
 
 // DeriveAll derives the policy-compliant path for every marked
@@ -186,23 +190,21 @@ func (g *Graph) DeriveAll() map[routing.NodeID]routing.Path {
 }
 
 // DeriveAllInto is DeriveAll with caller-owned storage: out, when
-// non-nil, is cleared and refilled instead of allocating a fresh map,
-// and one backtrace work buffer is shared across all destinations
-// instead of being re-grown per derivation. Batch consumers that derive
-// every destination repeatedly (analysis sweeps, per-flip re-derivation)
-// use this to hold per-call allocation to the result paths themselves.
+// non-nil, is cleared and refilled instead of allocating a fresh map.
+// Batch consumers that derive every destination repeatedly (analysis
+// sweeps, per-flip re-derivation) use this to hold per-call allocation
+// to the result paths themselves.
 func (g *Graph) DeriveAllInto(out map[routing.NodeID]routing.Path) map[routing.NodeID]routing.Path {
 	if out == nil {
-		out = make(map[routing.NodeID]routing.Path, len(g.dests))
+		out = make(map[routing.NodeID]routing.Path, g.nDests)
 	} else {
 		clear(out)
 	}
-	var scratch routing.Path
-	for d := range g.dests {
-		var p routing.Path
-		var ok bool
-		if p, ok, _, scratch = g.derivePath(d, nil, scratch); ok {
-			out[d] = p
+	for s := int32(0); s < g.nodes.n; s++ {
+		if nd := g.nodes.at(s); nd.dest {
+			if p, ok, _ := g.deriveSlot(s, nil); ok {
+				out[nd.id] = p
+			}
 		}
 	}
 	return out
@@ -213,75 +215,133 @@ func (g *Graph) DeriveAllInto(out map[routing.NodeID]routing.Path) map[routing.N
 // the single selected path from root to it; every path must start at
 // root and end at its destination, and be loop-free.
 //
-// Per DESIGN.md §2.5, construction is two-pass: the paper's pseudocode
+// Per DESIGN.md §2.5, construction is multi-pass: the paper's pseudocode
 // attaches a Permission List entry only at the moment a link insertion
 // makes a node multi-homed, which would leave paths inserted earlier
 // without entries and make them underivable. Pass one inserts all links
-// and maintains the per-link selected-path counters (§4.3.2); pass two
-// attaches one per-dest-next entry for every selected path segment that
-// crosses a multi-homed node.
+// and maintains the per-link selected-path counters (§4.3.2). Pass two
+// picks each multi-homed node's primary in-link, which stays
+// unrestricted: the paper's Figure 4(c) restricts only the exceptional
+// link (C->D) and leaves the default parent (B->D) alone, and
+// DerivePath falls through to the unique unrestricted in-link when no
+// Permission List matches. Choosing the in-link that carries the most
+// selected paths minimizes total Permission List size — this is what
+// keeps the paper's Table 5 entry counts small: the bulk subtree
+// fan-out rides the unrestricted link, and only exceptional paths are
+// enumerated. Pass three attaches one per-dest-next entry for every
+// selected path segment that crosses a multi-homed node over a
+// non-primary in-link.
 func Build(root routing.NodeID, paths map[routing.NodeID]routing.Path) (*Graph, error) {
 	tele.builds.Inc()
 	g := New(root)
-	g.MarkDest(root)
-	// Pass one: links, destination marks, counters.
+	g.setDest(rootSlot, true)
+	// Pass one: links, destination marks, counters. hops records the slot
+	// of every path node, in the order dests lists the paths, so the
+	// later passes need no lookups.
+	dests := make([]routing.NodeID, 0, len(paths))
+	var hops []int32
 	for dest, p := range paths {
 		if err := validatePath(root, dest, p); err != nil {
 			return nil, err
 		}
-		g.MarkDest(dest)
-		for _, l := range p.Links() {
-			g.AddLink(l)
-			g.counters[l]++
+		dests = append(dests, dest)
+		hops = g.addPath(p, hops)
+	}
+	primary := g.pickPrimaries()
+	for _, dest := range dests {
+		p := paths[dest]
+		g.appendPathPairs(dest, p, hops[:len(p)], primary)
+		hops = hops[len(p):]
+	}
+	g.sealPerms()
+	return g, nil
+}
+
+// addPath inserts p's links, counts p on each of them, marks p's
+// destination, and appends the slot of every node of p to hops.
+func (g *Graph) addPath(p routing.Path, hops []int32) []int32 {
+	cur := int32(rootSlot)
+	hops = append(hops, cur)
+	for i := 1; i < len(p); i++ {
+		var at int
+		if j, ok := g.nodes.at(cur).child(p[i]); ok {
+			cur = g.nodes.at(cur).out[j].slot
+			at, _ = g.nodes.at(cur).inEdge(p[i-1])
+		} else {
+			cur, at, _ = g.insertLink(routing.Link{From: p[i-1], To: p[i]})
+		}
+		g.nodes.at(cur).in[at].counter++
+		hops = append(hops, cur)
+	}
+	g.setDest(cur, true)
+	return hops
+}
+
+// Per-slot layouts other than "position of the primary in-edge".
+const (
+	singleHomed   = -1 // the node's in-links carry no Permission Lists
+	allRestricted = -2 // multi-homed, every in-link restricted (multipath)
+)
+
+// pickPrimaries returns, per slot, the position of the multi-homed
+// node's primary in-edge — the one with the most selected paths, ties
+// to the lowest parent ID — and singleHomed for every other node.
+func (g *Graph) pickPrimaries() []int32 {
+	primary := make([]int32, g.nodes.len())
+	for s := int32(0); s < g.nodes.n; s++ {
+		primary[s] = singleHomed
+		if in := g.nodes.at(s).in; len(in) > 1 {
+			primary[s] = int32(primaryEdge(in))
 		}
 	}
-	// Pass two: Permission List entries at multi-homed nodes.
-	for dest, p := range paths {
-		for i := 0; i+1 < len(p); i++ {
-			l := routing.Link{From: p[i], To: p[i+1]}
-			b := l.To
-			if !g.MultiHomed(b) {
-				continue
-			}
-			// Next hop of the multi-homed node b in path p; None when the
-			// path terminates at b.
-			next := routing.None
-			if i+2 < len(p) {
-				next = p[i+2]
-			}
-			pl := g.perms[l]
-			if pl == nil {
-				pl = &PermissionList{}
-				g.perms[l] = pl
-			}
-			pl.Add(dest, next)
+	return primary
+}
+
+// primaryEdge returns the position of the in-edge with the highest
+// counter; in-edges ascend by parent, so ties keep the lowest ID.
+func primaryEdge(in []edge) int {
+	best := 0
+	for i := range in {
+		if in[i].counter > in[best].counter {
+			best = i
 		}
 	}
-	// Pass three: strip the Permission List from each multi-homed node's
-	// primary in-link. The paper's Figure 4(c) restricts only the
-	// exceptional link (C->D) and leaves the default parent (B->D)
-	// unrestricted; DerivePath falls through to the unique unrestricted
-	// in-link when no Permission List matches. Choosing the in-link that
-	// carries the most selected paths as the primary minimizes total
-	// Permission List size — this is what keeps the paper's Table 5
-	// entry counts small: the bulk subtree fan-out rides the
-	// unrestricted link, and only exceptional paths are enumerated.
-	for n, parents := range g.parents {
-		if len(parents) < 2 {
+	return best
+}
+
+// appendPathPairs appends p's (dest, next) pair to the Permission List
+// of every in-edge of p that enters a multi-homed node other than
+// through its primary; layout is pickPrimaries' per-slot result and
+// hops are p's node slots. The lists are left unsorted; sealPerms
+// finishes them.
+func (g *Graph) appendPathPairs(dest routing.NodeID, p routing.Path, hops []int32, layout []int32) {
+	for i := 1; i < len(p); i++ {
+		s := hops[i]
+		if layout[s] == singleHomed {
 			continue
 		}
-		primary := routing.None
-		best := -1
-		for _, p := range parents {
-			c := g.counters[routing.Link{From: p, To: n}]
-			if c > best { // parents ascend, so ties keep the lowest ID
-				best = c
-				primary = p
+		nd := g.nodes.at(s)
+		at, _ := nd.inEdge(p[i-1])
+		if int32(at) == layout[s] {
+			continue
+		}
+		e := &nd.in[at]
+		if e.perm == nil {
+			g.setPerm(e, &PermissionList{})
+		}
+		e.perm.pairs = append(e.perm.pairs, PermEntry{Dest: dest, Next: nextAfter(p, i)})
+	}
+}
+
+// sealPerms sorts the Permission Lists bulk construction filled.
+func (g *Graph) sealPerms() {
+	for s := int32(0); s < g.nodes.n; s++ {
+		for _, e := range g.nodes.at(s).in {
+			if e.perm != nil {
+				e.perm.setPairs(e.perm.pairs)
 			}
 		}
-		delete(g.perms, routing.Link{From: primary, To: n})
 	}
-	return g, nil
 }
 
 func validatePath(root, dest routing.NodeID, p routing.Path) error {
@@ -357,18 +417,20 @@ func (li LinkInfo) String() string {
 // link for deterministic diffing.
 func (g *Graph) LinkInfos() []LinkInfo {
 	out := make([]LinkInfo, 0, g.nLinks)
-	for from, tos := range g.children {
-		for _, to := range tos {
-			l := routing.Link{From: from, To: to}
-			li := LinkInfo{Link: l, ToIsDest: g.IsDest(to)}
-			if pl := g.perms[l]; pl != nil && !pl.Empty() {
-				li.Perm = pl.Pairs()
-			}
-			out = append(out, li)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return linkLess(out[i].Link, out[j].Link) })
+	g.eachLink(func(l routing.Link, head *node, e *edge) {
+		out = append(out, linkInfoOf(l, head, e))
+	})
 	return out
+}
+
+// linkInfoOf materializes the announced state of one link (copying the
+// Permission List pairs, which mutate in place).
+func linkInfoOf(l routing.Link, head *node, e *edge) LinkInfo {
+	li := LinkInfo{Link: l, ToIsDest: head.dest}
+	if e.perm != nil && e.perm.NumPairs() > 0 {
+		li.Perm = e.perm.Pairs()
+	}
+	return li
 }
 
 // Delta is the incremental difference between two announced views of a
@@ -391,27 +453,60 @@ func (d Delta) Size() int { return len(d.Adds) + len(d.Removes) }
 // the announced view new. A link present in both but with changed
 // attributes (destination mark or Permission List) appears in Adds as a
 // re-announcement. Either argument may be nil, meaning an empty view.
+//
+// Views are normally in canonical order (LinkInfos, ExportedView), and
+// then the diff is one merge pass; anything else is ordered first, a
+// repeated link keeping its last announcement.
 func Diff(oldView, newView []LinkInfo) Delta {
-	oldByLink := make(map[routing.Link]LinkInfo, len(oldView))
-	for _, li := range oldView {
-		oldByLink[li.Link] = li
-	}
+	oldView, newView = canonicalView(oldView), canonicalView(newView)
 	var d Delta
-	seen := make(map[routing.Link]struct{}, len(newView))
-	for _, li := range newView {
-		seen[li.Link] = struct{}{}
-		if prev, ok := oldByLink[li.Link]; !ok || !prev.Equal(li) {
-			d.Adds = append(d.Adds, li)
+	i, j := 0, 0
+	for i < len(oldView) || j < len(newView) {
+		c := 1 // old exhausted: the new link is an addition
+		switch {
+		case j == len(newView):
+			c = -1
+		case i < len(oldView):
+			c = linkCompare(oldView[i].Link, newView[j].Link)
+		}
+		switch {
+		case c < 0:
+			d.Removes = append(d.Removes, oldView[i].Link)
+			i++
+		case c > 0:
+			d.Adds = append(d.Adds, newView[j])
+			j++
+		default:
+			if !oldView[i].Equal(newView[j]) {
+				d.Adds = append(d.Adds, newView[j])
+			}
+			i++
+			j++
 		}
 	}
-	for _, li := range oldView {
-		if _, ok := seen[li.Link]; !ok {
-			d.Removes = append(d.Removes, li.Link)
-		}
-	}
-	sort.Slice(d.Adds, func(i, j int) bool { return linkLess(d.Adds[i].Link, d.Adds[j].Link) })
-	sort.Slice(d.Removes, func(i, j int) bool { return linkLess(d.Removes[i], d.Removes[j]) })
 	return d
+}
+
+// canonicalView returns view ordered strictly ascending by link. The
+// input is returned as is when it already is.
+func canonicalView(view []LinkInfo) []LinkInfo {
+	canonical := true
+	for i := 1; i < len(view) && canonical; i++ {
+		canonical = linkCompare(view[i-1].Link, view[i].Link) < 0
+	}
+	if canonical {
+		return view
+	}
+	sorted := slices.Clone(view)
+	slices.SortStableFunc(sorted, func(a, b LinkInfo) int { return linkCompare(a.Link, b.Link) })
+	out := sorted[:0]
+	for i, li := range sorted {
+		if i+1 < len(sorted) && sorted[i+1].Link == li.Link {
+			continue // superseded by a later announcement of the same link
+		}
+		out = append(out, li)
+	}
+	return out
 }
 
 // Apply merges a received delta into the graph, implementing the
@@ -424,17 +519,16 @@ func (g *Graph) Apply(d Delta) {
 		g.RemoveLink(l)
 	}
 	for _, li := range d.Adds {
-		g.AddLink(li.Link)
-		if li.ToIsDest {
-			g.MarkDest(li.Link.To)
-		} else {
-			g.UnmarkDest(li.Link.To)
+		if !li.Link.IsValid() {
+			continue
 		}
-		pl := &PermissionList{}
-		for _, e := range li.Perm {
-			pl.Add(e.Dest, e.Next)
+		to, i, _ := g.insertLink(li.Link)
+		g.setDest(to, li.ToIsDest)
+		var pl *PermissionList
+		if len(li.Perm) > 0 || len(li.Filters) > 0 {
+			pl = &PermissionList{filters: cloneFilters(li.Filters)}
+			pl.setPairs(slices.Clone(li.Perm))
 		}
-		pl.SetFilters(cloneFilters(li.Filters))
-		g.SetPermission(li.Link, pl)
+		g.setPerm(&g.nodes.at(to).in[i], pl)
 	}
 }

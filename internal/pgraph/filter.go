@@ -205,10 +205,7 @@ func (pl *PermissionList) PermitReport(dest, next routing.NodeID) (ok, fp bool) 
 	if !f.Filter.Has(dest) {
 		return false, false
 	}
-	if pl.byNext != nil {
-		if pl.Permit(dest, next) {
-			return true, false
-		}
+	if len(pl.pairs) > 0 && !pl.Permit(dest, next) {
 		return false, true
 	}
 	return true, false

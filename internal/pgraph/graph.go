@@ -3,8 +3,8 @@ package pgraph
 import (
 	"cmp"
 	"fmt"
+	"maps"
 	"slices"
-	"sort"
 	"strings"
 
 	"centaur/internal/routing"
@@ -18,20 +18,32 @@ import (
 // Links carry optional Permission Lists; nodes carry an optional
 // "destination" mark corresponding to prefix ownership (§3.2.1).
 //
-// Graph is not safe for concurrent use: even the read-only traversals
-// reuse internal scratch space.
+// Storage is slot-indexed (DESIGN.md "P-graph storage"): every node the
+// graph contains is interned to a dense slot, and a slot's record holds
+// the node's in-edges — each with its parent, selected-path counter and
+// Permission List — and its child list. An entry point resolves a
+// NodeID through the intern table once; everything after that walks
+// slots. Memory is proportional to the graph's own size, so sparse node
+// IDs (real AS numbers) cost nothing extra.
+//
+// Concurrency: HasLink, IsDest, Permission, Counter, the DerivePath
+// family and Clone only read the graph and may run concurrently with
+// each other. DestsBelow and AppendDestsBelow stamp the nodes they
+// visit and every mutator rewrites records, so those need exclusive
+// access.
 type Graph struct {
-	root     routing.NodeID
-	parents  map[routing.NodeID][]routing.NodeID // incoming neighbors, sorted
-	children map[routing.NodeID][]routing.NodeID // outgoing neighbors, sorted
-	perms    map[routing.Link]*PermissionList
-	dests    map[routing.NodeID]struct{}
-	counters map[routing.Link]int // selected paths per link (paper §4.3.2)
-	nLinks   int
+	root  routing.NodeID
+	idx   map[routing.NodeID]int32 // intern table: node -> slot
+	nodes nodeTable                // by slot; a free slot has id None
+	free  []int32                  // released slots awaiting reuse
 
-	// DFS scratch reused across DestsBelow calls.
-	dbSeen  map[routing.NodeID]struct{}
-	dbStack []routing.NodeID
+	nLinks, nDests, nPerms int
+
+	// Traversal scratch: a node is visited when its seen stamp equals
+	// epoch; found collects the destination slots of the current walk.
+	epoch uint32
+	stack []int32
+	found []int32
 
 	// fpObserver, when set, is called for every Bloom false-positive hit
 	// a Permission List check takes during derivation (see filter.go).
@@ -40,16 +52,211 @@ type Graph struct {
 	fpObserver func(l routing.Link, dest, next routing.NodeID)
 }
 
+// rootSlot is the slot New interns the root at; the root is never
+// released.
+const rootSlot = 0
+
+// nodeTable holds the slot records in fixed-size chunks, so a growing
+// graph allocates only the new chunk: records are never copied, and a
+// *node stays valid for the graph's lifetime.
+type nodeTable struct {
+	chunks [][]node
+	n      int32 // slots handed out, released ones included
+}
+
+const (
+	chunkBits = 4
+	chunkSize = 1 << chunkBits
+)
+
+// at returns slot s's record.
+func (t *nodeTable) at(s int32) *node { return &t.chunks[s>>chunkBits][s&(chunkSize-1)] }
+
+// len returns the number of slots handed out.
+func (t *nodeTable) len() int { return int(t.n) }
+
+// push appends a record and returns its slot.
+func (t *nodeTable) push(nd node) int32 {
+	s := t.n
+	if int(s>>chunkBits) == len(t.chunks) {
+		t.chunks = append(t.chunks, make([]node, chunkSize))
+	}
+	t.n++
+	*t.at(s) = nd
+	return s
+}
+
+// sized returns an empty table with as many slots as t, its chunks
+// carved from one allocation.
+func (t *nodeTable) sized() nodeTable {
+	out := nodeTable{chunks: make([][]node, len(t.chunks)), n: t.n}
+	all := make([]node, len(t.chunks)*chunkSize)
+	for c := range out.chunks {
+		out.chunks[c] = all[c*chunkSize : (c+1)*chunkSize : (c+1)*chunkSize]
+	}
+	return out
+}
+
+// node is one slot's record.
+type node struct {
+	id   routing.NodeID
+	in   []edge     // in-edges, ascending by parent ID
+	out  []childRef // children, ascending by ID
+	dest bool
+	seen uint32 // traversal stamp
+}
+
+// edge is one in-edge record of a node: the link parent->node.
+type edge struct {
+	from    routing.NodeID
+	slot    int32  // from's slot
+	counter int32  // selected paths using the link (paper §4.3.2)
+	touched uint32 // View round in which the link was last snapshotted
+	perm    *PermissionList
+}
+
+// childRef names one child of a node.
+type childRef struct {
+	id   routing.NodeID
+	slot int32
+}
+
 // New returns an empty P-graph rooted at root.
 func New(root routing.NodeID) *Graph {
-	return &Graph{
-		root:     root,
-		parents:  make(map[routing.NodeID][]routing.NodeID),
-		children: make(map[routing.NodeID][]routing.NodeID),
-		perms:    make(map[routing.Link]*PermissionList),
-		dests:    make(map[routing.NodeID]struct{}),
-		counters: make(map[routing.Link]int),
+	g := &Graph{root: root, idx: make(map[routing.NodeID]int32)}
+	g.intern(root)
+	return g
+}
+
+// slot resolves n through the intern table.
+func (g *Graph) slot(n routing.NodeID) (int32, bool) {
+	s, ok := g.idx[n]
+	return s, ok
+}
+
+// intern returns n's slot, assigning one when n is new to the graph.
+func (g *Graph) intern(n routing.NodeID) int32 {
+	if s, ok := g.idx[n]; ok {
+		return s
 	}
+	var s int32
+	if k := len(g.free); k > 0 {
+		s = g.free[k-1]
+		g.free = g.free[:k-1]
+		g.nodes.at(s).id = n
+	} else {
+		s = g.nodes.push(node{id: n})
+	}
+	g.idx[n] = s
+	return s
+}
+
+// gc releases slot s when its node has no links left. A released node
+// loses its destination mark; the root stays interned and keeps its
+// mark even when isolated, because the announcing neighbor itself
+// remains a reachable destination.
+func (g *Graph) gc(s int32) {
+	nd := g.nodes.at(s)
+	if s == rootSlot || len(nd.in) > 0 || len(nd.out) > 0 {
+		return
+	}
+	if nd.dest {
+		g.nDests--
+	}
+	delete(g.idx, nd.id)
+	*nd = node{in: nd.in[:0], out: nd.out[:0]}
+	g.free = append(g.free, s)
+}
+
+// inEdge finds the in-edge from parent from: its position and whether
+// it is there. In-degrees are tiny, so a scan beats a binary search.
+func (nd *node) inEdge(from routing.NodeID) (int, bool) {
+	for i := range nd.in {
+		if nd.in[i].from >= from {
+			return i, nd.in[i].from == from
+		}
+	}
+	return len(nd.in), false
+}
+
+// child finds the child with the given ID: its position and whether it
+// is there.
+func (nd *node) child(id routing.NodeID) (int, bool) {
+	lo, hi := 0, len(nd.out)
+	for lo < hi {
+		if mid := int(uint(lo+hi) >> 1); nd.out[mid].id < id {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo, lo < len(nd.out) && nd.out[lo].id == id
+}
+
+// link resolves l to its head slot and the position of its in-edge
+// record there.
+func (g *Graph) link(l routing.Link) (to int32, i int, ok bool) {
+	if to, ok = g.slot(l.To); !ok {
+		return 0, 0, false
+	}
+	i, ok = g.nodes.at(to).inEdge(l.From)
+	return to, i, ok
+}
+
+// edgeOf returns l's in-edge record, nil when l is absent. The pointer
+// is valid until the next mutation.
+func (g *Graph) edgeOf(l routing.Link) *edge {
+	if to, i, ok := g.link(l); ok {
+		return &g.nodes.at(to).in[i]
+	}
+	return nil
+}
+
+// insertLink makes sure l is present and returns where its record
+// lives; added reports whether it was created. l must be valid.
+func (g *Graph) insertLink(l routing.Link) (to int32, i int, added bool) {
+	to, i, ok := g.link(l)
+	if ok {
+		return to, i, false
+	}
+	from := g.intern(l.From)
+	to = g.intern(l.To)
+	head, tail := g.nodes.at(to), g.nodes.at(from)
+	i, _ = head.inEdge(l.From)
+	head.in = slices.Insert(head.in, i, edge{from: l.From, slot: from})
+	j, _ := tail.child(l.To)
+	tail.out = slices.Insert(tail.out, j, childRef{id: l.To, slot: to})
+	g.nLinks++
+	return to, i, true
+}
+
+// removeEdge deletes the in-edge at position i of slot to, with its
+// Permission List and counter, and releases endpoints left isolated.
+func (g *Graph) removeEdge(to int32, i int) {
+	nd := g.nodes.at(to)
+	e := nd.in[i]
+	if e.perm != nil {
+		g.nPerms--
+	}
+	nd.in = slices.Delete(nd.in, i, i+1)
+	parent := g.nodes.at(e.slot)
+	j, _ := parent.child(nd.id)
+	parent.out = slices.Delete(parent.out, j, j+1)
+	g.nLinks--
+	g.gc(e.slot)
+	g.gc(to)
+}
+
+// setPerm attaches pl (nil clears) to an in-edge record, keeping the
+// Permission List count.
+func (g *Graph) setPerm(e *edge, pl *PermissionList) {
+	switch {
+	case e.perm == nil && pl != nil:
+		g.nPerms++
+	case e.perm != nil && pl == nil:
+		g.nPerms--
+	}
+	e.perm = pl
 }
 
 // Root returns the node at which every derivable path begins.
@@ -60,97 +267,113 @@ func (g *Graph) NumLinks() int { return g.nLinks }
 
 // HasLink reports whether directed link l is present.
 func (g *Graph) HasLink(l routing.Link) bool {
-	return contains(g.children[l.From], l.To)
+	_, _, ok := g.link(l)
+	return ok
 }
 
 // AddLink inserts directed link l; it reports whether l was newly added.
 func (g *Graph) AddLink(l routing.Link) bool {
-	if !l.IsValid() || g.HasLink(l) {
+	if !l.IsValid() {
 		return false
 	}
-	g.children[l.From] = insertSorted(g.children[l.From], l.To)
-	g.parents[l.To] = insertSorted(g.parents[l.To], l.From)
-	g.nLinks++
-	return true
+	_, _, added := g.insertLink(l)
+	return added
 }
 
 // RemoveLink deletes directed link l along with its Permission List and
 // counter; it reports whether l was present. Nodes left with no incident
 // links are dropped from the graph (and lose their destination mark).
 func (g *Graph) RemoveLink(l routing.Link) bool {
-	if !g.HasLink(l) {
-		return false
+	to, i, ok := g.link(l)
+	if ok {
+		g.removeEdge(to, i)
 	}
-	g.children[l.From] = removeSorted(g.children[l.From], l.To)
-	g.parents[l.To] = removeSorted(g.parents[l.To], l.From)
-	delete(g.perms, l)
-	delete(g.counters, l)
-	g.nLinks--
-	g.gcNode(l.From)
-	g.gcNode(l.To)
-	return true
+	return ok
 }
 
-// gcNode drops bookkeeping for a node with no remaining links. The root
-// keeps its destination mark even when isolated: the announcing neighbor
-// itself remains a reachable destination.
-func (g *Graph) gcNode(n routing.NodeID) {
-	if len(g.children[n]) == 0 && len(g.parents[n]) == 0 {
-		delete(g.children, n)
-		delete(g.parents, n)
-		if n != g.root {
-			delete(g.dests, n)
-		}
+// Parents returns the upstream neighbors of n in ascending order, as a
+// fresh slice.
+func (g *Graph) Parents(n routing.NodeID) []routing.NodeID {
+	s, ok := g.slot(n)
+	if !ok || len(g.nodes.at(s).in) == 0 {
+		return nil
 	}
+	in := g.nodes.at(s).in
+	out := make([]routing.NodeID, len(in))
+	for i, e := range in {
+		out[i] = e.from
+	}
+	return out
 }
-
-// Parents returns the sorted upstream neighbors of n. The slice is owned
-// by the graph and must not be modified.
-func (g *Graph) Parents(n routing.NodeID) []routing.NodeID { return g.parents[n] }
-
-// Children returns the sorted downstream neighbors of n. The slice is
-// owned by the graph and must not be modified.
-func (g *Graph) Children(n routing.NodeID) []routing.NodeID { return g.children[n] }
 
 // InDegree returns the number of links pointing at n. A node with
 // InDegree > 1 is "multi-homed" in the paper's terms (§3.2.4).
-func (g *Graph) InDegree(n routing.NodeID) int { return len(g.parents[n]) }
+func (g *Graph) InDegree(n routing.NodeID) int {
+	if s, ok := g.slot(n); ok {
+		return len(g.nodes.at(s).in)
+	}
+	return 0
+}
 
 // MultiHomed reports whether n has more than one parent in the graph.
-func (g *Graph) MultiHomed(n routing.NodeID) bool { return len(g.parents[n]) > 1 }
+func (g *Graph) MultiHomed(n routing.NodeID) bool { return g.InDegree(n) > 1 }
 
 // MarkDest marks n as a destination (prefix owner).
 func (g *Graph) MarkDest(n routing.NodeID) {
 	if n.IsValid() {
-		g.dests[n] = struct{}{}
+		g.setDest(g.intern(n), true)
 	}
 }
 
 // UnmarkDest removes n's destination mark.
-func (g *Graph) UnmarkDest(n routing.NodeID) { delete(g.dests, n) }
+func (g *Graph) UnmarkDest(n routing.NodeID) {
+	if s, ok := g.slot(n); ok {
+		g.setDest(s, false)
+		g.gc(s) // a node held only by its mark leaves the graph with it
+	}
+}
+
+// setDest sets slot s's destination mark, keeping the count.
+func (g *Graph) setDest(s int32, dest bool) {
+	if nd := g.nodes.at(s); nd.dest != dest {
+		nd.dest = dest
+		if dest {
+			g.nDests++
+		} else {
+			g.nDests--
+		}
+	}
+}
 
 // IsDest reports whether n is marked as a destination.
 func (g *Graph) IsDest(n routing.NodeID) bool {
-	_, ok := g.dests[n]
-	return ok
+	s, ok := g.slot(n)
+	return ok && g.nodes.at(s).dest
 }
 
 // Dests returns the marked destinations in ascending order.
 func (g *Graph) Dests() []routing.NodeID {
-	out := make([]routing.NodeID, 0, len(g.dests))
-	for d := range g.dests {
-		out = append(out, d)
+	out := make([]routing.NodeID, 0, g.nDests)
+	for i := int32(0); i < g.nodes.n; i++ {
+		if nd := g.nodes.at(i); nd.dest {
+			out = append(out, nd.id)
+		}
 	}
 	slices.Sort(out)
 	return out
 }
 
 // NumDests returns the number of marked destinations.
-func (g *Graph) NumDests() int { return len(g.dests) }
+func (g *Graph) NumDests() int { return g.nDests }
 
 // Permission returns the Permission List attached to link l, or nil when
 // the link is unrestricted.
-func (g *Graph) Permission(l routing.Link) *PermissionList { return g.perms[l] }
+func (g *Graph) Permission(l routing.Link) *PermissionList {
+	if e := g.edgeOf(l); e != nil {
+		return e.perm
+	}
+	return nil
+}
 
 // SetFPObserver registers fn (nil to clear) to be called whenever a
 // Permission List membership check on this graph hits a Bloom false
@@ -161,25 +384,33 @@ func (g *Graph) SetFPObserver(fn func(l routing.Link, dest, next routing.NodeID)
 }
 
 // SetPermission attaches pl to link l, replacing any existing list. A
-// nil or empty pl clears the restriction.
+// nil or empty pl clears the restriction. The list lives on the link's
+// record, so l must be present; setting one on an absent link is a
+// no-op.
 func (g *Graph) SetPermission(l routing.Link, pl *PermissionList) {
-	if pl == nil || pl.Empty() {
-		delete(g.perms, l)
-		return
+	if e := g.edgeOf(l); e != nil {
+		if pl != nil && pl.Empty() {
+			pl = nil
+		}
+		g.setPerm(e, pl)
 	}
-	g.perms[l] = pl
 }
 
 // NumPermissionLists returns the number of links carrying a non-empty
 // Permission List (the paper's Table 4 metric).
-func (g *Graph) NumPermissionLists() int { return len(g.perms) }
+func (g *Graph) NumPermissionLists() int { return g.nPerms }
 
 // PermissionLists returns all non-empty Permission Lists keyed by their
 // link, sorted by link for determinism.
 func (g *Graph) PermissionLists() []LinkPermission {
-	out := make([]LinkPermission, 0, len(g.perms))
-	for l, pl := range g.perms {
-		out = append(out, LinkPermission{Link: l, Perm: pl})
+	out := make([]LinkPermission, 0, g.nPerms)
+	for s := int32(0); s < g.nodes.n; s++ {
+		nd := g.nodes.at(s)
+		for _, e := range nd.in {
+			if e.perm != nil {
+				out = append(out, LinkPermission{Link: routing.Link{From: e.from, To: nd.id}, Perm: e.perm})
+			}
+		}
 	}
 	slices.SortFunc(out, func(a, b LinkPermission) int { return linkCompare(a.Link, b.Link) })
 	return out
@@ -193,37 +424,108 @@ type LinkPermission struct {
 
 // Counter returns the number of selected paths using link l, maintained
 // by BuildGraph for Δ computation in the steady phase (paper §4.3.2).
-func (g *Graph) Counter(l routing.Link) int { return g.counters[l] }
+func (g *Graph) Counter(l routing.Link) int {
+	if e := g.edgeOf(l); e != nil {
+		return int(e.counter)
+	}
+	return 0
+}
+
+// eachLink calls fn for every link in ascending (From, To) order with
+// the head node's record and the link's in-edge record.
+func (g *Graph) eachLink(fn func(l routing.Link, head *node, e *edge)) {
+	// Sorting (id, slot) packed into one word orders the tails by ID;
+	// each child list is already ascending.
+	order := make([]uint64, 0, g.nodes.len())
+	for s := int32(0); s < g.nodes.n; s++ {
+		if nd := g.nodes.at(s); len(nd.out) > 0 {
+			order = append(order, uint64(nd.id)<<32|uint64(s))
+		}
+	}
+	slices.Sort(order)
+	for _, key := range order {
+		tail := g.nodes.at(int32(uint32(key)))
+		for _, c := range tail.out {
+			head := g.nodes.at(c.slot)
+			i, _ := head.inEdge(tail.id)
+			fn(routing.Link{From: tail.id, To: c.id}, head, &head.in[i])
+		}
+	}
+}
 
 // Links returns every directed link in the graph, sorted.
 func (g *Graph) Links() []routing.Link {
 	out := make([]routing.Link, 0, g.nLinks)
-	for from, tos := range g.children {
-		for _, to := range tos {
-			out = append(out, routing.Link{From: from, To: to})
-		}
-	}
-	slices.SortFunc(out, linkCompare)
+	g.eachLink(func(l routing.Link, _ *node, _ *edge) { out = append(out, l) })
 	return out
 }
 
 // Nodes returns every node that is an endpoint of at least one link (or
 // the root), in ascending order.
 func (g *Graph) Nodes() []routing.NodeID {
-	set := make(map[routing.NodeID]struct{}, len(g.children)+1)
-	set[g.root] = struct{}{}
-	for n := range g.children {
-		set[n] = struct{}{}
-	}
-	for n := range g.parents {
-		set[n] = struct{}{}
-	}
-	out := make([]routing.NodeID, 0, len(set))
-	for n := range set {
-		out = append(out, n)
+	out := make([]routing.NodeID, 0, g.nodes.len())
+	for s := int32(0); s < g.nodes.n; s++ {
+		if nd := g.nodes.at(s); s == rootSlot || len(nd.in) > 0 || len(nd.out) > 0 {
+			out = append(out, nd.id)
+		}
 	}
 	slices.Sort(out)
 	return out
+}
+
+// walkBelow returns the slots of the marked destinations reachable from
+// the head slots pushed since beginWalk by following child links. The
+// result is traversal scratch, valid until the next walk.
+func (g *Graph) walkBelow() []int32 {
+	for len(g.stack) > 0 {
+		s := g.stack[len(g.stack)-1]
+		g.stack = g.stack[:len(g.stack)-1]
+		if g.nodes.at(s).dest {
+			g.found = append(g.found, s)
+		}
+		for _, c := range g.nodes.at(s).out {
+			g.pushWalk(c.slot)
+		}
+	}
+	return g.found
+}
+
+// beginWalk starts a traversal: a fresh visit stamp and empty scratch.
+func (g *Graph) beginWalk() {
+	if g.epoch++; g.epoch == 0 { // stamp wrap-around: forget every old visit
+		for s := int32(0); s < g.nodes.n; s++ {
+			g.nodes.at(s).seen = 0
+		}
+		g.epoch = 1
+	}
+	g.stack, g.found = g.stack[:0], g.found[:0]
+}
+
+// pushWalk schedules slot s for the current traversal unless visited.
+func (g *Graph) pushWalk(s int32) {
+	if nd := g.nodes.at(s); nd.seen != g.epoch {
+		nd.seen = g.epoch
+		g.stack = append(g.stack, s)
+	}
+}
+
+// AppendDestsBelow appends to dst the marked destinations reachable from
+// any of heads by following child links (a head itself included when
+// marked), each once, in no particular order. One traversal serves all
+// heads; nodes the graph does not contain are skipped.
+func (g *Graph) AppendDestsBelow(dst []routing.NodeID, heads ...routing.NodeID) []routing.NodeID {
+	g.beginWalk()
+	for _, h := range heads {
+		if s, ok := g.slot(h); ok {
+			g.pushWalk(s)
+		}
+	}
+	found := g.walkBelow()
+	dst = slices.Grow(dst, len(found))
+	for _, s := range found {
+		dst = append(dst, g.nodes.at(s).id)
+	}
+	return dst
 }
 
 // DestsBelow returns the marked destinations reachable from n by
@@ -232,83 +534,64 @@ func (g *Graph) Nodes() []routing.NodeID {
 // change at n — the incremental recompute mode uses it to bound the
 // affected destination set after applying a delta.
 func (g *Graph) DestsBelow(n routing.NodeID) []routing.NodeID {
-	if len(g.children[n]) == 0 && len(g.parents[n]) == 0 && !g.IsDest(n) {
-		return nil
-	}
-	if g.dbSeen == nil {
-		g.dbSeen = make(map[routing.NodeID]struct{})
-	} else {
-		clear(g.dbSeen)
-	}
-	seen := g.dbSeen
-	seen[n] = struct{}{}
-	stack := append(g.dbStack[:0], n)
-	var out []routing.NodeID
-	for len(stack) > 0 {
-		cur := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if g.IsDest(cur) {
-			out = append(out, cur)
-		}
-		for _, c := range g.children[cur] {
-			if _, ok := seen[c]; !ok {
-				seen[c] = struct{}{}
-				stack = append(stack, c)
-			}
-		}
-	}
-	g.dbStack = stack
+	out := g.AppendDestsBelow(nil, n)
 	slices.Sort(out)
 	return out
 }
 
-// Clone returns a deep copy of the graph.
-// Rough per-element heap costs used by the ApproxMemBytes estimates:
-// one machine word and one map entry's amortized share of buckets,
-// headers, and keys. Estimates feed a telemetry gauge, not an
-// allocator, so being within a small factor is enough.
+// Rough per-element heap costs used by the ApproxMemBytes estimates.
+// Estimates feed a telemetry gauge, not an allocator, so being within a
+// small factor is enough.
 const (
 	wordBytes     = 8
-	mapEntryBytes = 48
+	mapEntryBytes = 48 // one map entry's amortized share of buckets and keys
+	nodeBytes     = 64 // one slot record
+	edgeBytes     = 32 // one in-edge record plus its child reference
 )
 
-// ApproxMemBytes estimates the graph's heap footprint: adjacency lists
-// in both directions, destination marks, per-link counters, and
-// Permission List pairs. Feeds the checkpoint layer's snapshot-bytes
-// accounting (sim.checkpoint_bytes).
+// ApproxMemBytes estimates the graph's heap footprint: the intern
+// table, slot records, edge records and Permission List pairs. Feeds
+// the checkpoint layer's snapshot-bytes accounting
+// (sim.checkpoint_bytes).
 func (g *Graph) ApproxMemBytes() int {
-	b := 0
-	for _, list := range g.parents {
-		b += mapEntryBytes + len(list)*wordBytes
-	}
-	for _, list := range g.children {
-		b += mapEntryBytes + len(list)*wordBytes
-	}
-	b += len(g.dests) * mapEntryBytes
-	b += len(g.counters) * mapEntryBytes
-	for _, pl := range g.perms {
-		b += 2*mapEntryBytes + pl.NumPairs()*mapEntryBytes
+	b := len(g.idx)*mapEntryBytes + g.nodes.len()*nodeBytes + g.nLinks*edgeBytes
+	for s := int32(0); s < g.nodes.n; s++ {
+		for _, e := range g.nodes.at(s).in {
+			if e.perm != nil {
+				b += mapEntryBytes + e.perm.NumPairs()*wordBytes
+			}
+		}
 	}
 	return b
 }
 
+// Clone returns a deep copy of the graph. The receiver is only read.
 func (g *Graph) Clone() *Graph {
-	out := New(g.root)
-	out.nLinks = g.nLinks
-	for n, list := range g.parents {
-		out.parents[n] = append([]routing.NodeID(nil), list...)
+	out := &Graph{
+		root:   g.root,
+		idx:    maps.Clone(g.idx),
+		nodes:  g.nodes.sized(),
+		free:   slices.Clone(g.free),
+		nLinks: g.nLinks, nDests: g.nDests, nPerms: g.nPerms,
 	}
-	for n, list := range g.children {
-		out.children[n] = append([]routing.NodeID(nil), list...)
-	}
-	for l, pl := range g.perms {
-		out.perms[l] = pl.Clone()
-	}
-	for d := range g.dests {
-		out.dests[d] = struct{}{}
-	}
-	for l, c := range g.counters {
-		out.counters[l] = c
+	// Two backing arrays serve every node's lists; the capacity-clamped
+	// sub-slices make a later append reallocate instead of overrunning
+	// the neighbouring node's records.
+	edges := make([]edge, 0, g.nLinks)
+	kids := make([]childRef, 0, g.nLinks)
+	for s := int32(0); s < g.nodes.n; s++ {
+		src := g.nodes.at(s)
+		lo := len(edges)
+		edges = append(edges, src.in...)
+		in := edges[lo:len(edges):len(edges)]
+		for i := range in {
+			if in[i].perm != nil {
+				in[i].perm = in[i].perm.Clone()
+			}
+		}
+		lo = len(kids)
+		kids = append(kids, src.out...)
+		*out.nodes.at(s) = node{id: src.id, in: in, out: kids[lo:len(kids):len(kids)], dest: src.dest}
 	}
 	return out
 }
@@ -316,31 +599,26 @@ func (g *Graph) Clone() *Graph {
 // Equal reports whether two graphs have the same root, links, Permission
 // Lists, and destination marks (counters are bookkeeping and ignored).
 func (g *Graph) Equal(other *Graph) bool {
-	if g.root != other.root || g.nLinks != other.nLinks {
+	if g.root != other.root || g.nLinks != other.nLinks || g.nDests != other.nDests || g.nPerms != other.nPerms {
 		return false
 	}
-	if len(g.dests) != len(other.dests) || len(g.perms) != len(other.perms) {
-		return false
-	}
-	for d := range g.dests {
-		if _, ok := other.dests[d]; !ok {
+	for s := int32(0); s < g.nodes.n; s++ {
+		nd := g.nodes.at(s)
+		if !nd.id.IsValid() {
+			continue
+		}
+		os, ok := other.slot(nd.id)
+		if !ok {
 			return false
 		}
-	}
-	for from, tos := range g.children {
-		otherTos := other.children[from]
-		if len(tos) != len(otherTos) {
+		ond := other.nodes.at(os)
+		if nd.dest != ond.dest || len(nd.in) != len(ond.in) {
 			return false
 		}
-		for i := range tos {
-			if tos[i] != otherTos[i] {
+		for i, e := range nd.in {
+			if oe := ond.in[i]; e.from != oe.from || !e.perm.Equal(oe.perm) {
 				return false
 			}
-		}
-	}
-	for l, pl := range g.perms {
-		if !pl.Equal(other.perms[l]) {
-			return false
 		}
 	}
 	return true
@@ -350,49 +628,18 @@ func (g *Graph) Equal(other *Graph) bool {
 // Lists), and destinations.
 func (g *Graph) String() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "P-graph(root=%v links=%d dests=%d)\n", g.root, g.nLinks, len(g.dests))
-	for _, l := range g.Links() {
+	fmt.Fprintf(&b, "P-graph(root=%v links=%d dests=%d)\n", g.root, g.nLinks, g.nDests)
+	g.eachLink(func(l routing.Link, head *node, e *edge) {
 		fmt.Fprintf(&b, "  %v", l)
-		if g.IsDest(l.To) {
+		if head.dest {
 			b.WriteString(" [dest]")
 		}
-		if pl := g.perms[l]; pl != nil {
-			fmt.Fprintf(&b, " perm=%v", pl)
+		if e.perm != nil {
+			fmt.Fprintf(&b, " perm=%v", e.perm)
 		}
 		b.WriteByte('\n')
-	}
+	})
 	return b.String()
-}
-
-func contains(list []routing.NodeID, n routing.NodeID) bool {
-	i := sort.Search(len(list), func(i int) bool { return list[i] >= n })
-	return i < len(list) && list[i] == n
-}
-
-func insertSorted(list []routing.NodeID, n routing.NodeID) []routing.NodeID {
-	i := sort.Search(len(list), func(i int) bool { return list[i] >= n })
-	if i < len(list) && list[i] == n {
-		return list
-	}
-	list = append(list, 0)
-	copy(list[i+1:], list[i:])
-	list[i] = n
-	return list
-}
-
-func removeSorted(list []routing.NodeID, n routing.NodeID) []routing.NodeID {
-	i := sort.Search(len(list), func(i int) bool { return list[i] >= n })
-	if i >= len(list) || list[i] != n {
-		return list
-	}
-	return append(list[:i], list[i+1:]...)
-}
-
-func linkLess(a, b routing.Link) bool {
-	if a.From != b.From {
-		return a.From < b.From
-	}
-	return a.To < b.To
 }
 
 func linkCompare(a, b routing.Link) int {

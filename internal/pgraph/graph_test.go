@@ -195,3 +195,37 @@ func TestDestsBelow(t *testing.T) {
 		t.Fatalf("DestsBelow with cycle = %v", got)
 	}
 }
+
+// TestReadPathAllocations pins the steady-state allocation cost of the
+// two reads the Centaur decision process takes per destination: a
+// derivation allocates its result path and nothing else, and the
+// subtree walk fills the caller's buffer from the graph's own scratch.
+func TestReadPathAllocations(t *testing.T) {
+	paths := map[routing.NodeID]routing.Path{}
+	for d := routing.NodeID(2); d <= 40; d++ {
+		paths[d] = routing.Path{1, 2 + d%3, 5 + d%7, 50 + d}[:2+d%3]
+		paths[d][len(paths[d])-1] = d
+	}
+	g, err := Build(1, paths)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dests := g.Dests()
+	if n := testing.AllocsPerRun(20, func() {
+		for _, d := range dests {
+			if _, ok := g.DerivePath(d); !ok {
+				t.Fatalf("no path to %v", d)
+			}
+		}
+	}); n != float64(len(dests)) {
+		t.Errorf("DerivePath: %v allocations for %d derivations, want one each", n, len(dests))
+	}
+	buf := make([]routing.NodeID, 0, len(dests))
+	if n := testing.AllocsPerRun(20, func() {
+		if buf = g.AppendDestsBelow(buf[:0], 1); len(buf) != len(dests) {
+			t.Fatalf("%d destinations below the root, want %d", len(buf), len(dests))
+		}
+	}); n != 0 {
+		t.Errorf("AppendDestsBelow into a sized buffer: %v allocations, want 0", n)
+	}
+}

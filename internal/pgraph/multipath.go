@@ -29,7 +29,13 @@ import (
 // and be loop-free; the paths of one destination must be distinct.
 func BuildMulti(root routing.NodeID, paths map[routing.NodeID][]routing.Path) (*Graph, error) {
 	g := New(root)
-	g.MarkDest(root)
+	g.setDest(rootSlot, true)
+	type selected struct {
+		dest routing.NodeID
+		path routing.Path
+	}
+	var all []selected
+	var hops []int32
 	for dest, set := range paths {
 		seen := make(map[string]struct{}, len(set))
 		for _, p := range set {
@@ -41,35 +47,24 @@ func BuildMulti(root routing.NodeID, paths map[routing.NodeID][]routing.Path) (*
 				return nil, fmt.Errorf("pgraph: duplicate path %v for destination %v", p, dest)
 			}
 			seen[key] = struct{}{}
-			g.MarkDest(dest)
-			for _, l := range p.Links() {
-				g.AddLink(l)
-				g.counters[l]++
-			}
+			all = append(all, selected{dest, p})
+			hops = g.addPath(p, hops)
 		}
 	}
 	// Permission List entries at multi-homed nodes, for every path of
 	// every destination; no primary-link stripping (see package note).
-	for dest, set := range paths {
-		for _, p := range set {
-			for i := 0; i+1 < len(p); i++ {
-				l := routing.Link{From: p[i], To: p[i+1]}
-				if !g.MultiHomed(l.To) {
-					continue
-				}
-				next := routing.None
-				if i+2 < len(p) {
-					next = p[i+2]
-				}
-				pl := g.perms[l]
-				if pl == nil {
-					pl = &PermissionList{}
-					g.perms[l] = pl
-				}
-				pl.Add(dest, next)
-			}
+	restrict := make([]int32, g.nodes.len())
+	for s := int32(0); s < g.nodes.n; s++ {
+		restrict[s] = singleHomed
+		if len(g.nodes.at(s).in) > 1 {
+			restrict[s] = allRestricted
 		}
 	}
+	for _, sel := range all {
+		g.appendPathPairs(sel.dest, sel.path, hops[:len(sel.path)], restrict)
+		hops = hops[len(sel.path):]
+	}
+	g.sealPerms()
 	return g, nil
 }
 
@@ -92,18 +87,20 @@ func (g *Graph) DeriveMulti(dest routing.NodeID, limit int) []routing.Path {
 	if dest == g.root {
 		return []routing.Path{{g.root}}
 	}
-	if len(g.parents[dest]) == 0 {
+	start, ok := g.slot(dest)
+	if !ok || len(g.nodes.at(start).in) == 0 {
 		return nil
 	}
 	var out []routing.Path
 	// Backtrack from dest toward the root. suffix holds the nodes from
-	// the current position down to dest (current first).
-	var walk func(current, next routing.NodeID, suffix routing.Path, visited map[routing.NodeID]struct{})
-	walk = func(current, next routing.NodeID, suffix routing.Path, visited map[routing.NodeID]struct{}) {
+	// the current position down to dest (dest first); it doubles as the
+	// loop check, paths being short.
+	var walk func(cur int32, next routing.NodeID, suffix routing.Path)
+	walk = func(cur int32, next routing.NodeID, suffix routing.Path) {
 		if limit > 0 && len(out) >= limit {
 			return
 		}
-		if current == g.root {
+		if cur == rootSlot {
 			// Materialize root-first.
 			p := make(routing.Path, len(suffix))
 			for i, n := range suffix {
@@ -112,25 +109,17 @@ func (g *Graph) DeriveMulti(dest routing.NodeID, limit int) []routing.Path {
 			out = append(out, p)
 			return
 		}
-		for _, parent := range g.parents[current] {
-			if _, loop := visited[parent]; loop {
-				continue
-			}
-			l := routing.Link{From: parent, To: current}
-			pl := g.perms[l]
+		nd := g.nodes.at(cur)
+		for _, e := range nd.in {
 			// An unrestricted link permits everything (received graphs
 			// may carry them); a Permission List gates on (dest, next).
-			if pl != nil && !pl.Permit(dest, next) {
+			if suffix.Contains(e.from) || (e.perm != nil && !e.perm.Permit(dest, next)) {
 				continue
 			}
-			visited[parent] = struct{}{}
-			walk(parent, current, append(suffix, parent), visited)
-			delete(visited, parent)
+			walk(e.slot, nd.id, append(suffix, e.from))
 		}
 	}
-	suffix := make(routing.Path, 0, 8)
-	suffix = append(suffix, dest)
-	walk(dest, routing.None, suffix, map[routing.NodeID]struct{}{dest: {}})
+	walk(start, routing.None, append(make(routing.Path, 0, 8), dest))
 	sort.Slice(out, func(i, j int) bool { return out[i].String() < out[j].String() })
 	return out
 }

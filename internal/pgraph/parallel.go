@@ -1,15 +1,14 @@
 package pgraph
 
 import (
-	"slices"
 	"sync"
 
 	"centaur/internal/routing"
 )
 
 // DeriveAllParallel is DeriveAllInto fanned out across a bounded worker
-// pool: destinations are sorted, split into contiguous chunks, and each
-// worker backtraces its chunk with its own scratch buffer. Per-
+// pool: the destinations are split into contiguous chunks and each
+// worker backtraces its chunk. Per-
 // destination derivations are independent reads of the graph, so the
 // result is identical to DeriveAllInto at any worker count or
 // GOMAXPROCS — each destination's path depends only on the graph, and
@@ -23,47 +22,38 @@ import (
 // backtrace, and those events' order is part of the byte-identical
 // trace contract.
 func (g *Graph) DeriveAllParallel(workers int, out map[routing.NodeID]routing.Path) map[routing.NodeID]routing.Path {
-	if workers > len(g.dests) {
-		workers = len(g.dests)
-	}
+	workers = min(workers, g.nDests)
 	if workers <= 1 || g.fpObserver != nil {
 		return g.DeriveAllInto(out)
 	}
 	if out == nil {
-		out = make(map[routing.NodeID]routing.Path, len(g.dests))
+		out = make(map[routing.NodeID]routing.Path, g.nDests)
 	} else {
 		clear(out)
 	}
-	dests := make([]routing.NodeID, 0, len(g.dests))
-	for d := range g.dests {
-		dests = append(dests, d)
-	}
-	slices.Sort(dests)
-	results := make([]routing.Path, len(dests)) // nil = no derivable path
-	var wg sync.WaitGroup
-	chunk := (len(dests) + workers - 1) / workers
-	for lo := 0; lo < len(dests); lo += chunk {
-		hi := lo + chunk
-		if hi > len(dests) {
-			hi = len(dests)
+	slots := make([]int32, 0, g.nDests)
+	for s := int32(0); s < g.nodes.n; s++ {
+		if g.nodes.at(s).dest {
+			slots = append(slots, s)
 		}
+	}
+	results := make([]routing.Path, len(slots)) // nil = no derivable path
+	var wg sync.WaitGroup
+	chunk := (len(slots) + workers - 1) / workers
+	for lo := 0; lo < len(slots); lo += chunk {
+		hi := min(lo+chunk, len(slots))
 		wg.Add(1)
 		go func(lo, hi int) {
 			defer wg.Done()
-			var scratch routing.Path
 			for i := lo; i < hi; i++ {
-				var p routing.Path
-				var ok bool
-				if p, ok, _, scratch = g.derivePath(dests[i], nil, scratch); ok {
-					results[i] = p
-				}
+				results[i], _, _ = g.deriveSlot(slots[i], nil)
 			}
 		}(lo, hi)
 	}
 	wg.Wait()
-	for i, d := range dests {
+	for i, s := range slots {
 		if results[i] != nil {
-			out[d] = results[i]
+			out[g.nodes.at(s).id] = results[i]
 		}
 	}
 	return out

@@ -10,8 +10,9 @@
 package pgraph
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"centaur/internal/routing"
@@ -37,170 +38,145 @@ func (e PermEntry) String() string {
 // grouped into a single entry, matching §4.1's "destinations with the
 // same next hop can be grouped into one pair entry". The zero value is
 // an empty list ready for use.
+//
+// The pairs live in one slice kept sorted by (Next, Dest) — the
+// canonical wire order — so membership is a binary search and Pairs is
+// a plain copy; a next-hop group is a contiguous run.
 type PermissionList struct {
-	byNext map[routing.NodeID]map[routing.NodeID]struct{}
-	pairs  int
+	pairs []PermEntry
 	// filters is the optional compressed §4.1 representation (see
-	// filter.go); when set, PermitReport answers from it and uses byNext
-	// only as the false-positive oracle.
+	// filter.go); when set, PermitReport answers from it and uses the
+	// pairs only as the false-positive oracle.
 	filters []DestFilter
+}
+
+// key packs a pair so that integer order is (Next, Dest) order.
+func (e PermEntry) key() uint64 { return uint64(e.Next)<<32 | uint64(e.Dest) }
+
+// comparePerm orders pairs by (Next, Dest).
+func comparePerm(a, b PermEntry) int { return cmp.Compare(a.key(), b.key()) }
+
+// find returns the position of (dest, next) in the sorted pairs, or the
+// position it would be inserted at.
+func (pl *PermissionList) find(dest, next routing.NodeID) (int, bool) {
+	key := PermEntry{Dest: dest, Next: next}.key()
+	lo, hi := 0, len(pl.pairs)
+	for lo < hi {
+		if mid := int(uint(lo+hi) >> 1); pl.pairs[mid].key() < key {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo, lo < len(pl.pairs) && pl.pairs[lo].key() == key
 }
 
 // Add records that the path to dest whose next hop (after the
 // multi-homed node) is next may use the link. Adding a duplicate pair is
 // a no-op.
 func (pl *PermissionList) Add(dest, next routing.NodeID) {
-	if pl.byNext == nil {
-		pl.byNext = make(map[routing.NodeID]map[routing.NodeID]struct{}, 2)
+	if i, dup := pl.find(dest, next); !dup {
+		pl.pairs = slices.Insert(pl.pairs, i, PermEntry{Dest: dest, Next: next})
 	}
-	dests, ok := pl.byNext[next]
-	if !ok {
-		dests = make(map[routing.NodeID]struct{}, 4)
-		pl.byNext[next] = dests
+}
+
+// setPairs replaces the list's pairs with the given ones, taking
+// ownership of the slice. Bulk builders append in any order and let this
+// sort once; input that is already canonical (strictly ascending, as
+// every honest announcement is) is adopted as is.
+func (pl *PermissionList) setPairs(pairs []PermEntry) {
+	for i := 1; i < len(pairs); i++ {
+		if comparePerm(pairs[i-1], pairs[i]) >= 0 {
+			slices.SortFunc(pairs, comparePerm)
+			pairs = slices.Compact(pairs)
+			break
+		}
 	}
-	if _, dup := dests[dest]; !dup {
-		dests[dest] = struct{}{}
-		pl.pairs++
-	}
+	pl.pairs = pairs
 }
 
 // Remove deletes the (dest, next) pair; it reports whether the pair was
 // present.
 func (pl *PermissionList) Remove(dest, next routing.NodeID) bool {
-	dests, ok := pl.byNext[next]
-	if !ok {
-		return false
+	i, ok := pl.find(dest, next)
+	if ok {
+		pl.pairs = slices.Delete(pl.pairs, i, i+1)
 	}
-	if _, ok := dests[dest]; !ok {
-		return false
-	}
-	delete(dests, dest)
-	if len(dests) == 0 {
-		delete(pl.byNext, next)
-	}
-	pl.pairs--
-	return true
+	return ok
 }
 
 // Permit reports whether the path to dest via next hop next is allowed
 // to use the link (paper Table 1, line 8).
 func (pl *PermissionList) Permit(dest, next routing.NodeID) bool {
-	dests, ok := pl.byNext[next]
-	if !ok {
-		return false
-	}
-	_, ok = dests[dest]
+	_, ok := pl.find(dest, next)
 	return ok
 }
 
 // NumEntries returns the number of grouped entries — (destination list,
 // next hop) pairs — which is the quantity the paper's Table 5 reports.
-func (pl *PermissionList) NumEntries() int { return len(pl.byNext) }
+func (pl *PermissionList) NumEntries() int {
+	n := 0
+	for i, e := range pl.pairs {
+		if i == 0 || e.Next != pl.pairs[i-1].Next {
+			n++
+		}
+	}
+	return n
+}
 
 // NumPairs returns the total number of (dest, next) pairs before
 // grouping, i.e. the number of distinct policy-compliant paths the list
 // describes.
-func (pl *PermissionList) NumPairs() int { return pl.pairs }
+func (pl *PermissionList) NumPairs() int { return len(pl.pairs) }
 
 // Empty reports whether the list permits no paths at all. A list
 // carrying only a compressed representation (a pure wire consumer's
 // view) is not empty: it still restricts derivation.
-func (pl *PermissionList) Empty() bool { return pl.pairs == 0 && len(pl.filters) == 0 }
+func (pl *PermissionList) Empty() bool { return len(pl.pairs) == 0 && len(pl.filters) == 0 }
 
-// Pairs returns every (dest, next) pair sorted by (next, dest), for
-// deterministic wire encoding and comparison.
+// Pairs returns a copy of every (dest, next) pair sorted by (next,
+// dest), for deterministic wire encoding and comparison.
 func (pl *PermissionList) Pairs() []PermEntry {
-	out := make([]PermEntry, 0, pl.pairs)
-	for next, dests := range pl.byNext {
-		for dest := range dests {
-			out = append(out, PermEntry{Dest: dest, Next: next})
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Next != out[j].Next {
-			return out[i].Next < out[j].Next
-		}
-		return out[i].Dest < out[j].Dest
-	})
-	return out
+	return append(make([]PermEntry, 0, len(pl.pairs)), pl.pairs...)
 }
 
 // Clone returns an independent copy of the list.
 func (pl *PermissionList) Clone() *PermissionList {
-	out := &PermissionList{pairs: pl.pairs, filters: cloneFilters(pl.filters)}
-	if pl.byNext == nil {
-		return out
-	}
-	out.byNext = make(map[routing.NodeID]map[routing.NodeID]struct{}, len(pl.byNext))
-	for next, dests := range pl.byNext {
-		cp := make(map[routing.NodeID]struct{}, len(dests))
-		for d := range dests {
-			cp[d] = struct{}{}
-		}
-		out.byNext[next] = cp
-	}
-	return out
+	return &PermissionList{pairs: slices.Clone(pl.pairs), filters: cloneFilters(pl.filters)}
 }
 
 // Equal reports whether two lists permit exactly the same path set. A
 // nil list equals an empty one. The compressed representation is an
 // encoding of the pairs, not extra state, so it does not participate.
 func (pl *PermissionList) Equal(other *PermissionList) bool {
-	plPairs, otherPairs := 0, 0
+	var a, b []PermEntry
 	if pl != nil {
-		plPairs = pl.pairs
+		a = pl.pairs
 	}
 	if other != nil {
-		otherPairs = other.pairs
+		b = other.pairs
 	}
-	if plPairs != otherPairs {
-		return false
-	}
-	if pl == nil || other == nil {
-		return true
-	}
-	for next, dests := range pl.byNext {
-		od, ok := other.byNext[next]
-		if !ok || len(od) != len(dests) {
-			return false
-		}
-		for d := range dests {
-			if _, ok := od[d]; !ok {
-				return false
-			}
-		}
-	}
-	return true
+	return slices.Equal(a, b)
 }
 
 // String renders the list's grouped entries sorted by next hop, e.g.
 // "{next:N3 dests:[N5 N7]; next:N4 dests:[N9]}".
 func (pl *PermissionList) String() string {
-	if pl == nil || pl.pairs == 0 {
+	if pl == nil || len(pl.pairs) == 0 {
 		return "{}"
 	}
-	nexts := make([]routing.NodeID, 0, len(pl.byNext))
-	for n := range pl.byNext {
-		nexts = append(nexts, n)
-	}
-	sort.Slice(nexts, func(i, j int) bool { return nexts[i] < nexts[j] })
 	var b strings.Builder
 	b.WriteByte('{')
-	for i, n := range nexts {
-		if i > 0 {
-			b.WriteString("; ")
+	for i, e := range pl.pairs {
+		switch {
+		case i == 0:
+			fmt.Fprintf(&b, "next:%v dests:[%v", e.Next, e.Dest)
+		case e.Next != pl.pairs[i-1].Next:
+			fmt.Fprintf(&b, "]; next:%v dests:[%v", e.Next, e.Dest)
+		default:
+			fmt.Fprintf(&b, " %v", e.Dest)
 		}
-		dests := make([]routing.NodeID, 0, len(pl.byNext[n]))
-		for d := range pl.byNext[n] {
-			dests = append(dests, d)
-		}
-		sort.Slice(dests, func(i, j int) bool { return dests[i] < dests[j] })
-		strs := make([]string, len(dests))
-		for i, d := range dests {
-			strs[i] = d.String()
-		}
-		fmt.Fprintf(&b, "next:%v dests:[%s]", n, strings.Join(strs, " "))
 	}
-	b.WriteByte('}')
+	b.WriteString("]}")
 	return b.String()
 }

@@ -22,20 +22,27 @@ import (
 // the receiver side remains Graph.Apply.
 type View struct {
 	g *Graph
-	// paths is the current selected path per destination (the slices are
-	// shared with the caller and never mutated).
-	paths map[routing.NodeID]routing.Path
-	// state tracks each node's multi-homing status and current primary
-	// (unrestricted) parent, so transitions can be detected without
-	// rescanning.
-	state map[routing.NodeID]nodeState
+	// paths is the current selected path per destination, indexed by the
+	// destination's slot in g (the slices are shared with the caller and
+	// never mutated). A destination with a path is the head of a link, so
+	// its slot cannot be released while the entry is set.
+	paths []routing.Path
+	// state tracks, per slot of g, the node's multi-homing status and
+	// current primary (unrestricted) parent, so transitions can be
+	// detected without rescanning. Only a node with several in-links has
+	// state, and a Set removes at most one of them, so a slot is never
+	// released (and reused) with state left in it.
+	state []nodeState
 	// round snapshots the announced LinkInfo of every link touched since
-	// the last Flush; absent links snapshot as a zero LinkInfo with
-	// present=false.
-	round map[routing.Link]snapshot
-	// nodeBuf is Set's scratch for the structurally touched node set;
-	// paths are short, so membership checks stay linear.
-	nodeBuf []routing.NodeID
+	// the last Flush, in first-touch order. An in-edge record stamped with
+	// the current epoch is already in it; a link removed and re-added
+	// within one round appears twice, and Flush keeps its first snapshot.
+	round []snapshot
+	epoch uint32
+	// slotBuf and hopBuf are Set's scratch: the structurally touched
+	// slots (paths are short, so membership checks stay linear) and the
+	// slots of the path being walked.
+	slotBuf, hopBuf []int32
 }
 
 // nodeState is the cached per-node announcement layout.
@@ -44,24 +51,30 @@ type nodeState struct {
 	primary routing.NodeID
 }
 
-// snapshot is a link's announced state at first touch in a round.
+// snapshot is a link's announced state at first touch in a round; an
+// absent link snapshots with present=false and only info.Link set. to is
+// the slot its head had then, a hint that saves Flush the lookup; Flush
+// records there what it decided to announce for the link.
 type snapshot struct {
 	present bool
+	verdict uint8 // noChange, announce or withdraw
+	to      int32
 	info    LinkInfo
 }
+
+const (
+	noChange uint8 = iota
+	announce
+	withdraw
+)
 
 // NewView returns an empty announced view rooted at root.
 func NewView(root routing.NodeID) *View {
 	g := New(root)
 	// The root is its own destination, matching Build; the mark never
 	// appears in announcements (the root is never a link head).
-	g.MarkDest(root)
-	return &View{
-		g:     g,
-		paths: make(map[routing.NodeID]routing.Path),
-		state: make(map[routing.NodeID]nodeState),
-		round: make(map[routing.Link]snapshot),
-	}
+	g.setDest(rootSlot, true)
+	return &View{g: g, epoch: 1}
 }
 
 // Graph exposes the maintained P-graph (shared; callers must not mutate).
@@ -70,65 +83,51 @@ func (v *View) Graph() *Graph { return v.g }
 // Clone returns an independent deep copy of the view: Set/Flush on
 // either copy never affects the other. The path slices are shared (they
 // are immutable by the View contract), as are the Perm slices inside
-// pending round snapshots (linkInfo materializes them fresh and nothing
-// writes into them). The receiver is only read, so concurrent Clones of
-// one view are safe — the checkpoint layer (sim.Checkpoint.Fork) relies
-// on that.
+// pending round snapshots (linkInfoOf materializes them fresh and
+// nothing writes into them). The receiver is only read, so concurrent
+// Clones of one view are safe — the checkpoint layer
+// (sim.Checkpoint.Fork) relies on that.
 func (v *View) Clone() *View {
-	out := &View{
+	return &View{
 		g:     v.g.Clone(),
-		paths: make(map[routing.NodeID]routing.Path, len(v.paths)),
-		state: make(map[routing.NodeID]nodeState, len(v.state)),
-		round: make(map[routing.Link]snapshot, len(v.round)),
+		paths: slices.Clone(v.paths),
+		state: slices.Clone(v.state),
+		round: slices.Clone(v.round),
+		epoch: v.epoch,
 	}
-	for d, p := range v.paths {
-		out.paths[d] = p
-	}
-	for n, st := range v.state {
-		out.state[n] = st
-	}
-	for l, s := range v.round {
-		out.round[l] = s
-	}
-	return out
 }
 
 // ApproxMemBytes estimates the view's heap footprint: the maintained
 // graph plus the per-destination path table and per-node layout cache.
 // Feeds the checkpoint layer's snapshot-bytes accounting.
 func (v *View) ApproxMemBytes() int {
-	b := v.g.ApproxMemBytes()
+	b := v.g.ApproxMemBytes() + len(v.paths)*3*wordBytes + len(v.state)*wordBytes
 	for _, p := range v.paths {
-		b += mapEntryBytes + len(p)*wordBytes
+		b += len(p) * wordBytes / 2
 	}
-	b += len(v.state) * (mapEntryBytes + 2*wordBytes)
 	return b
 }
 
 // Path returns the currently announced path for dest (nil if none).
-func (v *View) Path(dest routing.NodeID) routing.Path { return v.paths[dest] }
-
-// touch snapshots link l's announced state the first time it is touched
-// in the current round. It must run BEFORE any mutation of the link.
-func (v *View) touch(l routing.Link) {
-	if _, done := v.round[l]; done {
-		return
+func (v *View) Path(dest routing.NodeID) routing.Path {
+	if s, ok := v.g.slot(dest); ok && int(s) < len(v.paths) {
+		return v.paths[s]
 	}
-	if !v.g.HasLink(l) {
-		v.round[l] = snapshot{}
-		return
-	}
-	v.round[l] = snapshot{present: true, info: v.linkInfo(l)}
+	return nil
 }
 
-// linkInfo materializes the announced state of link l (deep-copying the
-// Permission List pairs, which mutate in place).
-func (v *View) linkInfo(l routing.Link) LinkInfo {
-	li := LinkInfo{Link: l, ToIsDest: v.g.IsDest(l.To)}
-	if pl := v.g.perms[l]; pl != nil && !pl.Empty() {
-		li.Perm = pl.Pairs()
+// touch snapshots the announced state of the in-edge at position i of
+// slot s the first time it is touched in the current round. It must run
+// BEFORE any mutation of the link.
+func (v *View) touch(s int32, i int) {
+	nd := v.g.nodes.at(s)
+	e := &nd.in[i]
+	if e.touched == v.epoch {
+		return
 	}
-	return li
+	e.touched = v.epoch
+	l := routing.Link{From: e.from, To: nd.id}
+	v.round = append(v.round, snapshot{present: true, to: s, info: linkInfoOf(l, nd, e)})
 }
 
 // Set replaces destination dest's announced path; nil (or empty)
@@ -137,204 +136,280 @@ func (v *View) Set(dest routing.NodeID, p routing.Path) {
 	if len(p) == 0 {
 		p = nil
 	}
-	old := v.paths[dest]
+	g := v.g
+	ds, known := g.slot(dest)
+	var old routing.Path
+	if known && int(ds) < len(v.paths) {
+		old = v.paths[ds]
+	}
 	if old.Equal(p) {
 		return
 	}
-	touched := v.nodeBuf[:0]
+	touched := v.slotBuf[:0]
 
-	// Remove the old path's contributions.
+	// Remove the old path's contributions. Its links all exist, so the
+	// node slots resolve by walking child lists down from the root; they
+	// are resolved up front because removals release slots.
 	if old != nil {
-		for i := 0; i+1 < len(old); i++ {
-			l := routing.Link{From: old[i], To: old[i+1]}
-			v.touch(l)
-			touched = addNode(touched, l.To)
-			if pl := v.g.perms[l]; pl != nil {
-				next := routing.None
-				if i+2 < len(old) {
-					next = old[i+2]
-				}
-				pl.Remove(dest, next)
-				if pl.Empty() {
-					delete(v.g.perms, l)
+		v.paths[ds] = nil
+		hops := append(v.hopBuf[:0], rootSlot)
+		for i := 1; i < len(old); i++ {
+			nd := g.nodes.at(hops[i-1])
+			j, _ := nd.child(old[i])
+			hops = append(hops, nd.out[j].slot)
+		}
+		v.hopBuf = hops
+		for i := 1; i < len(old); i++ {
+			s := hops[i]
+			nd := g.nodes.at(s)
+			at, _ := nd.inEdge(old[i-1])
+			v.touch(s, at)
+			touched = addSlot(touched, s)
+			e := &nd.in[at]
+			if e.perm != nil {
+				e.perm.Remove(dest, nextAfter(old, i))
+				if e.perm.Empty() {
+					g.setPerm(e, nil)
 				}
 			}
-			if v.g.counters[l]--; v.g.counters[l] <= 0 {
-				v.g.RemoveLink(l) // drops counter and any residual list
+			if e.counter--; e.counter <= 0 {
+				g.removeEdge(s, at) // drops counter and any residual list
 			}
 		}
-		delete(v.paths, dest)
+		known = g.nodes.at(ds).id == dest // the removals may have released dest
 	}
 
 	// Add the new path's links.
 	if p != nil {
-		v.paths[dest] = p
-		for i := 0; i+1 < len(p); i++ {
-			l := routing.Link{From: p[i], To: p[i+1]}
-			v.touch(l)
-			v.g.AddLink(l)
-			v.g.counters[l]++
-			touched = addNode(touched, l.To)
+		hops := append(v.hopBuf[:0], rootSlot)
+		cur := int32(rootSlot)
+		for i := 1; i < len(p); i++ {
+			var at int
+			if j, ok := g.nodes.at(cur).child(p[i]); ok {
+				cur = g.nodes.at(cur).out[j].slot
+				at, _ = g.nodes.at(cur).inEdge(p[i-1])
+				v.touch(cur, at)
+			} else {
+				l := routing.Link{From: p[i-1], To: p[i]}
+				cur, at, _ = g.insertLink(l)
+				g.nodes.at(cur).in[at].touched = v.epoch
+				v.round = append(v.round, snapshot{to: cur, info: LinkInfo{Link: l}})
+			}
+			g.nodes.at(cur).in[at].counter++
+			touched = addSlot(touched, cur)
+			hops = append(hops, cur)
 		}
+		v.hopBuf = hops
+		ds, known = cur, true
+		if n := g.nodes.len(); len(v.paths) < n {
+			v.paths = append(v.paths, make([]routing.Path, n-len(v.paths))...)
+			v.state = append(v.state, make([]nodeState, n-len(v.state))...)
+		}
+		v.paths[ds] = p
 	}
 
 	// Destination mark follows path presence; a change re-announces
 	// every in-link of dest.
-	if v.g.IsDest(dest) != (p != nil) {
-		for _, parent := range v.g.Parents(dest) {
-			v.touch(routing.Link{From: parent, To: dest})
+	if known && g.nodes.at(ds).dest != (p != nil) {
+		for i := range g.nodes.at(ds).in {
+			v.touch(ds, i)
 		}
-		if p != nil {
-			v.g.MarkDest(dest)
-		} else {
-			v.g.UnmarkDest(dest)
-		}
+		g.setDest(ds, p != nil)
 	}
 
 	// Settle the announcement layout (multi-homing, primary choice) of
 	// every structurally touched node, then place the new path's pairs.
 	// fixNode only inspects and mutates state keyed by its own node, so
 	// the visit order is immaterial.
-	v.nodeBuf = touched
-	for _, b := range touched {
-		v.fixNode(b)
+	v.slotBuf = touched
+	for _, s := range touched {
+		v.fixNode(s)
 	}
-	if p != nil {
-		for i := 0; i+1 < len(p); i++ {
-			l := routing.Link{From: p[i], To: p[i+1]}
-			b := l.To
-			st := v.state[b]
-			if !st.multi || l.From == st.primary {
-				continue
-			}
-			next := routing.None
-			if i+2 < len(p) {
-				next = p[i+2]
-			}
-			pl := v.g.perms[l]
-			if pl == nil {
-				pl = &PermissionList{}
-				v.g.perms[l] = pl
-			}
-			pl.Add(dest, next)
+	for i := 1; i < len(p); i++ {
+		s := v.hopBuf[i]
+		st := v.state[s]
+		if !st.multi || p[i-1] == st.primary {
+			continue
 		}
+		nd := g.nodes.at(s)
+		at, _ := nd.inEdge(p[i-1])
+		e := &nd.in[at]
+		if e.perm == nil {
+			g.setPerm(e, &PermissionList{})
+		}
+		e.perm.Add(dest, nextAfter(p, i))
 	}
 }
 
-// fixNode re-establishes node b's announcement layout after structural
-// changes: single-homed nodes carry no Permission Lists; multi-homed
-// nodes carry one on every in-link except the primary (the in-link with
-// the most selected paths, ties to the lowest parent — Build's rule).
-// Layout transitions rebuild the affected lists from the stored paths.
-func (v *View) fixNode(b routing.NodeID) {
-	parents := v.g.Parents(b)
-	st := v.state[b]
-	if len(parents) < 2 {
-		delete(v.state, b)
-		if len(parents) == 1 {
-			l := routing.Link{From: parents[0], To: b}
-			if v.g.perms[l] != nil {
-				v.touch(l)
-				delete(v.g.perms, l)
-			}
+// nextAfter returns the next hop of node p[i] on path p, None when the
+// path terminates there.
+func nextAfter(p routing.Path, i int) routing.NodeID {
+	if i+1 < len(p) {
+		return p[i+1]
+	}
+	return routing.None
+}
+
+// fixNode re-establishes the announcement layout of the node at slot s
+// after structural changes: single-homed nodes carry no Permission
+// Lists; multi-homed nodes carry one on every in-link except the
+// primary (the in-link with the most selected paths, ties to the lowest
+// parent — Build's rule). Layout transitions rebuild the affected lists
+// from the stored paths.
+func (v *View) fixNode(s int32) {
+	g := v.g
+	nd := g.nodes.at(s)
+	if !nd.id.IsValid() {
+		return // released by the removals
+	}
+	st := v.state[s]
+	if len(nd.in) < 2 {
+		v.state[s] = nodeState{}
+		if len(nd.in) == 1 {
+			v.dropPerm(s, 0)
 		}
 		return
 	}
-	primary := routing.None
-	best := -1
-	for _, p := range parents {
-		if c := v.g.counters[routing.Link{From: p, To: b}]; c > best {
-			best = c
-			primary = p
-		}
-	}
+	primary := primaryEdge(nd.in)
+	primaryID := nd.in[primary].from
 	switch {
 	case !st.multi:
 		// Single → multi: build the list of every non-primary in-link.
-		for _, p := range parents {
-			l := routing.Link{From: p, To: b}
-			if p == primary {
-				if v.g.perms[l] != nil {
-					v.touch(l)
-					delete(v.g.perms, l)
-				}
+		for i := range nd.in {
+			if i == primary {
+				v.dropPerm(s, i)
 				continue
 			}
-			v.touch(l)
-			v.installPairs(l)
+			v.touch(s, i)
+			v.installPairs(s, i)
 		}
-	case primary != st.primary:
+	case primaryID != st.primary:
 		// Primary flip: the old primary needs its list built, the new
 		// primary sheds its list.
-		oldL := routing.Link{From: st.primary, To: b}
-		if v.g.HasLink(oldL) {
-			v.touch(oldL)
-			v.installPairs(oldL)
+		if i, ok := nd.inEdge(st.primary); ok {
+			v.touch(s, i)
+			v.installPairs(s, i)
 		}
-		newL := routing.Link{From: primary, To: b}
-		if v.g.perms[newL] != nil {
-			v.touch(newL)
-			delete(v.g.perms, newL)
-		}
+		v.dropPerm(s, primary)
 	}
-	v.state[b] = nodeState{multi: true, primary: primary}
+	v.state[s] = nodeState{multi: true, primary: primaryID}
 }
 
-// installPairs rebuilds link l's Permission List from the stored paths:
-// one (dest, next) pair per selected path crossing l. Candidate
-// destinations are bounded by the subtree below l's head.
-func (v *View) installPairs(l routing.Link) {
-	pl := &PermissionList{}
-	for _, d := range v.g.DestsBelow(l.To) {
-		p := v.paths[d]
-		for i := 0; i+1 < len(p); i++ {
-			if p[i] == l.From && p[i+1] == l.To {
-				next := routing.None
-				if i+2 < len(p) {
-					next = p[i+2]
-				}
-				pl.Add(d, next)
+// dropPerm clears the Permission List, if any, of the in-edge at
+// position i of slot s.
+func (v *View) dropPerm(s int32, i int) {
+	if e := &v.g.nodes.at(s).in[i]; e.perm != nil {
+		v.touch(s, i)
+		v.g.setPerm(e, nil)
+	}
+}
+
+// installPairs rebuilds the Permission List of the in-edge at position
+// i of slot s from the stored paths: one (dest, next) pair per selected
+// path crossing the link. Candidate destinations are bounded by the
+// subtree below the link's head.
+func (v *View) installPairs(s int32, i int) {
+	g := v.g
+	head := g.nodes.at(s).id
+	e := &g.nodes.at(s).in[i]
+	g.beginWalk()
+	g.pushWalk(s)
+	var pairs []PermEntry
+	for _, ds := range g.walkBelow() {
+		p := v.paths[ds]
+		for k := 0; k+1 < len(p); k++ {
+			if p[k] == e.from && p[k+1] == head {
+				pairs = append(pairs, PermEntry{Dest: g.nodes.at(ds).id, Next: nextAfter(p, k+1)})
 				break
 			}
 		}
 	}
-	if pl.Empty() {
-		delete(v.g.perms, l)
+	if len(pairs) == 0 {
+		g.setPerm(e, nil)
 		return
 	}
-	v.g.perms[l] = pl
+	pl := &PermissionList{}
+	pl.setPairs(pairs)
+	g.setPerm(e, pl)
 }
 
 // Flush returns the Δ accumulated since the last Flush: every touched
 // link whose announced state actually changed, as additions (including
 // attribute re-announcements) and withdrawals, sorted deterministically.
 func (v *View) Flush() Delta {
-	var d Delta
-	for l, before := range v.round {
-		nowPresent := v.g.HasLink(l)
+	g := v.g
+	slices.SortStableFunc(v.round, func(a, b snapshot) int { return linkCompare(a.info.Link, b.info.Link) })
+	// Pass one settles each touched link's verdict and counts, so pass two
+	// fills exactly sized slices and materializes only what is sent.
+	var adds, removes int
+	for i := range v.round {
+		before := &v.round[i]
+		l := before.info.Link
+		if i > 0 && v.round[i-1].info.Link == l {
+			continue // re-touched after a removal; the first snapshot is the baseline
+		}
+		at, now := 0, false
+		if head := g.nodes.at(before.to); head.id == l.To {
+			at, now = head.inEdge(l.From)
+		} else {
+			before.to, at, now = g.link(l)
+		}
+		head := g.nodes.at(before.to)
 		switch {
-		case !before.present && nowPresent:
-			d.Adds = append(d.Adds, v.linkInfo(l))
-		case before.present && !nowPresent:
+		case now && !(before.present && sameAnnouncement(before.info, head, &head.in[at])):
+			before.verdict = announce
+			adds++
+		case before.present && !now:
+			before.verdict = withdraw
+			removes++
+		}
+	}
+	var d Delta
+	if adds > 0 {
+		d.Adds = make([]LinkInfo, 0, adds)
+	}
+	if removes > 0 {
+		d.Removes = make([]routing.Link, 0, removes)
+	}
+	for _, s := range v.round {
+		l := s.info.Link
+		switch s.verdict {
+		case announce:
+			head := g.nodes.at(s.to)
+			at, _ := head.inEdge(l.From)
+			d.Adds = append(d.Adds, linkInfoOf(l, head, &head.in[at]))
+		case withdraw:
 			d.Removes = append(d.Removes, l)
-		case before.present && nowPresent:
-			if after := v.linkInfo(l); !after.Equal(before.info) {
-				d.Adds = append(d.Adds, after)
-			}
 		}
 	}
 	clear(v.round)
-	slices.SortFunc(d.Adds, func(a, b LinkInfo) int { return linkCompare(a.Link, b.Link) })
-	slices.SortFunc(d.Removes, linkCompare)
+	v.round = v.round[:0]
+	if v.epoch++; v.epoch == 0 { // stamp wrap-around: forget every old touch
+		for s := int32(0); s < g.nodes.n; s++ {
+			for i := range g.nodes.at(s).in {
+				g.nodes.at(s).in[i].touched = 0
+			}
+		}
+		v.epoch = 1
+	}
 	return d
 }
 
-// addNode appends n to set if absent, preserving first-touch order.
-func addNode(set []routing.NodeID, n routing.NodeID) []routing.NodeID {
-	for _, x := range set {
-		if x == n {
-			return set
-		}
+// sameAnnouncement reports whether the link's current record still
+// announces what the snapshot recorded. View lists carry no compressed
+// form, so the pairs and the destination mark are all there is.
+func sameAnnouncement(before LinkInfo, head *node, e *edge) bool {
+	var pairs []PermEntry
+	if e.perm != nil {
+		pairs = e.perm.pairs
 	}
-	return append(set, n)
+	return before.ToIsDest == head.dest && slices.Equal(before.Perm, pairs)
+}
+
+// addSlot appends s to set if absent, preserving first-touch order.
+func addSlot(set []int32, s int32) []int32 {
+	if slices.Contains(set, s) {
+		return set
+	}
+	return append(set, s)
 }

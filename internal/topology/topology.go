@@ -192,7 +192,10 @@ func (g *Graph) Neighbors(a routing.NodeID) []Neighbor {
 // Degree returns the number of edges incident to node a.
 func (g *Graph) Degree(a routing.NodeID) int { return len(g.adj[a]) }
 
-// Nodes returns all node IDs in ascending order.
+// Nodes returns all node IDs in ascending order. It builds and sorts a
+// fresh slice on every call, so hoist it out of loops and use NumNodes
+// when only the count is needed; every non-test caller takes it once
+// per operation.
 func (g *Graph) Nodes() []routing.NodeID {
 	out := make([]routing.NodeID, 0, len(g.adj))
 	for id := range g.adj {
