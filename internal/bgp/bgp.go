@@ -27,6 +27,10 @@ import (
 // withdrawal; otherwise Path is the sender's full path to Dest (sender
 // first). FailedLinks carries BGP-RCN root cause notifications (see
 // rcn.go); it is always empty in plain BGP mode.
+//
+// An Update is immutable once sent: the same boxed value goes to every
+// neighbor a decision is advertised to, and its Path is the slice the
+// sender installed and the receivers store.
 type Update struct {
 	Dest        routing.NodeID
 	Path        routing.Path
@@ -59,7 +63,10 @@ func (u Update) String() string {
 // Config parameterizes a BGP node.
 type Config struct {
 	// Policy supplies import/export filters and ranking; nil means
-	// policy.GaoRexford{}.
+	// policy.GaoRexford{}. Better is handed neighbor-learned candidates
+	// with the path as announced, one hop short of the node's own: every
+	// such candidate misses the same first hop, so a ranking by class,
+	// destination, length and via (all that GaoRexford reads) is unmoved.
 	Policy policy.Policy
 	// MRAI is the minimum interval between successive advertisement
 	// batches to the same neighbor; zero disables the timer, which is
@@ -83,37 +90,116 @@ type Config struct {
 }
 
 // Node is one BGP speaker. Create with New; it implements sim.Protocol.
+//
+// Per-destination state lives in rows, a table indexed directly by
+// destination NodeID and grown to the highest ID seen (the simulator's
+// topologies number their nodes densely from 1, so the ID is the slot;
+// a sparse ID costs an empty row per skipped ID). Per-neighbor state
+// lives in peers, parallel to nbrs; a neighbor's index in nbrs is its
+// slot, the key of the per-row RIB entries.
 type Node struct {
 	cfg  Config
 	pol  policy.Policy
 	env  sim.Env
 	self routing.NodeID
 	adv  *adversary.Model // nil for honest runs
-	rel  map[routing.NodeID]topology.Relationship
-	// nbrs is the fixed neighbor set in ascending ID order, cached so the
-	// decision process doesn't rebuild and re-sort it per destination.
-	nbrs []routing.NodeID
+	// nbrs is the fixed neighbor set in ascending ID order (the
+	// topology's adjacencies do not change; only link state does).
+	nbrs  []routing.NodeID
+	peers []peer
+	rows  []row
 
-	// adjIn[n][d] is the candidate at this node via neighbor n for
-	// destination d: the neighbor's announced path with self prepended.
-	adjIn map[routing.NodeID]map[routing.NodeID]routing.Path
-	// best is the Loc-RIB: the selected candidate per destination.
-	best map[routing.NodeID]policy.Candidate
-	// advertised[n][d] is the path last announced to neighbor n.
-	advertised map[routing.NodeID]map[routing.NodeID]routing.Path
-	// MRAI state: destinations awaiting the timer, and whether the
-	// timer is armed, per neighbor.
-	pending   map[routing.NodeID]map[routing.NodeID]struct{}
-	mraiArmed map[routing.NodeID]bool
-	// BGP-RCN state (rcn.go): masked failed links, their generation
-	// sequence, and the per-neighbor root-cause delivery queues.
-	failed     map[edgeKey]uint64
-	failedGen  uint64
-	pendingRCN map[routing.NodeID][]rcnNotice
+	// BGP-RCN state (rcn.go): masked failed links and their generation
+	// sequence. The per-neighbor root-cause queues are in peers.
+	failed    map[edgeKey]uint64
+	failedGen uint64
 
-	// Scratch buffers reused across the decision process's hot calls.
+	// candBuf is the decision process's candidate list, reused per call.
 	candBuf []policy.Candidate
-	destBuf []routing.NodeID // flushPending only: never reused re-entrantly
+}
+
+// peer is the state kept for one neighbor.
+type peer struct {
+	rel topology.Relationship
+	// MRAI state: destinations awaiting the timer (ascending), and
+	// whether the timer is armed.
+	pending   []routing.NodeID
+	mraiArmed bool
+	// rcn queues root causes for delivery with the next update (RCN only).
+	rcn []rcnNotice
+}
+
+// row is everything the node knows about one destination.
+type row struct {
+	// best is the Loc-RIB entry; a nil Path means no route.
+	best policy.Candidate
+	// in is the Adj-RIB-In: per neighbor, the path as announced (neighbor
+	// first; self is prepended only to the candidate that becomes best,
+	// see runDecision). out is the path last advertised to each neighbor.
+	// Both list only the neighbors that have an entry, in ascending slot
+	// order.
+	in, out []ribEntry
+}
+
+// ribEntry is one neighbor's path in a row.
+type ribEntry struct {
+	slot int
+	path routing.Path
+}
+
+// find returns where slot's entry is (or would be inserted) in a
+// slot-sorted list, and whether it is there. Lists are as short as the
+// node's degree, which a scan suits.
+func find(es []ribEntry, slot int) (int, bool) {
+	for i := range es {
+		if es[i].slot >= slot {
+			return i, es[i].slot == slot
+		}
+	}
+	return len(es), false
+}
+
+// set installs p as slot's path, given find's answer (i, had) for slot.
+func set(es *[]ribEntry, i int, had bool, slot int, p routing.Path) {
+	if had {
+		(*es)[i].path = p
+		return
+	}
+	*es = slices.Insert(*es, i, ribEntry{slot: slot, path: p})
+}
+
+// drop removes slot's entry from the list and reports whether it had one.
+func drop(es *[]ribEntry, slot int) bool {
+	i, had := find(*es, slot)
+	if had {
+		*es = slices.Delete(*es, i, i+1)
+	}
+	return had
+}
+
+// outbox holds the boxed announcement and withdrawal of one
+// destination's current state, built on first use, so that a decision
+// advertised to k neighbors allocates one sim.Message, not k. Messages
+// are immutable once sent, which is what makes the sharing safe.
+type outbox struct {
+	announce, withdraw sim.Message
+}
+
+// update returns the message carrying path (nil: a withdrawal) for
+// dest. Root causes ride on one neighbor's update only, so an update
+// with any is made for it alone.
+func (b *outbox) update(dest routing.NodeID, path routing.Path, failed []routing.Link) sim.Message {
+	if failed != nil {
+		return Update{Dest: dest, Path: path, FailedLinks: failed}
+	}
+	m := &b.announce
+	if path == nil {
+		m = &b.withdraw
+	}
+	if *m == nil {
+		*m = Update{Dest: dest, Path: path}
+	}
+	return *m
 }
 
 // rcnNotice is a queued root cause awaiting delivery to one neighbor; a
@@ -134,51 +220,52 @@ func New(cfg Config) sim.Builder {
 			pol = policy.GaoRexford{}
 		}
 		n := &Node{
-			cfg:        cfg,
-			pol:        pol,
-			env:        env,
-			self:       env.Self(),
-			adv:        cfg.Adversary,
-			rel:        make(map[routing.NodeID]topology.Relationship),
-			adjIn:      make(map[routing.NodeID]map[routing.NodeID]routing.Path),
-			best:       make(map[routing.NodeID]policy.Candidate),
-			advertised: make(map[routing.NodeID]map[routing.NodeID]routing.Path),
-			pending:    make(map[routing.NodeID]map[routing.NodeID]struct{}),
-			mraiArmed:  make(map[routing.NodeID]bool),
+			cfg:  cfg,
+			pol:  pol,
+			env:  env,
+			self: env.Self(),
+			adv:  cfg.Adversary,
 		}
 		for _, nb := range env.Neighbors() { // ascending by ID
-			n.rel[nb.ID] = nb.Rel
 			n.nbrs = append(n.nbrs, nb.ID)
-			n.adjIn[nb.ID] = make(map[routing.NodeID]routing.Path)
-			n.advertised[nb.ID] = make(map[routing.NodeID]routing.Path)
-			n.pending[nb.ID] = make(map[routing.NodeID]struct{})
-		}
-		if cfg.RCN {
-			n.pendingRCN = make(map[routing.NodeID][]rcnNotice)
+			n.peers = append(n.peers, peer{rel: nb.Rel})
 		}
 		return n
 	}
+}
+
+// row returns dest's row, growing the table to cover it. The pointer is
+// good until the next call with a destination not seen before.
+func (n *Node) row(dest routing.NodeID) *row {
+	if int(dest) >= len(n.rows) {
+		n.rows = append(n.rows, make([]row, int(dest)+1-len(n.rows))...)
+	}
+	return &n.rows[dest]
+}
+
+// bestOf returns the Loc-RIB entry for dest without growing the table.
+func (n *Node) bestOf(dest routing.NodeID) policy.Candidate {
+	if int(dest) < len(n.rows) {
+		return n.rows[dest].best
+	}
+	return policy.Candidate{}
 }
 
 // Start implements sim.Protocol: originate the node's own destination
 // and announce it to every neighbor.
 func (n *Node) Start(env sim.Env) {
 	n.env = env
-	n.best[n.self] = policy.Candidate{
+	n.row(n.self).best = policy.Candidate{
 		Path:  routing.Path{n.self},
 		Class: policy.ClassOwn,
 		Via:   routing.None,
 	}
 	sim.RouteChangedVia(env, n.self, routing.None, routing.None)
-	for _, nb := range n.nbrs {
-		n.scheduleAdvert(nb, n.self)
-	}
+	n.advertiseAll(n.self)
 	// A hijacking attacker additionally announces its victim destination
 	// from session start; advertise supplies the forged path.
 	if v, ok := n.adv.HijackVictim(n.self); ok {
-		for _, nb := range n.nbrs {
-			n.scheduleAdvert(nb, v)
-		}
+		n.advertiseAll(v)
 	}
 }
 
@@ -188,7 +275,7 @@ func (n *Node) Handle(from routing.NodeID, msg sim.Message) {
 	if !ok {
 		return
 	}
-	rib, ok := n.adjIn[from]
+	slot, ok := slices.BinarySearch(n.nbrs, from)
 	if !ok {
 		return
 	}
@@ -210,34 +297,34 @@ func (n *Node) Handle(from routing.NodeID, msg sim.Message) {
 			n.unmaskEdge(edgeOf(u.Path[i], u.Path[i+1]))
 		}
 	}
+	in := &n.row(u.Dest).in
+	i, had := find(*in, slot)
 	if u.Path == nil || !n.pol.Accept(n.self, from, u.Path) {
 		// Withdrawal, or a path the import filter rejects (e.g. it
 		// contains this node): either way it replaces — and removes —
 		// whatever the neighbor previously announced for the destination.
-		if _, had := rib[u.Dest]; had {
-			delete(rib, u.Dest)
+		if had {
+			*in = slices.Delete(*in, i, i+1)
 			n.runDecision(u.Dest)
 		}
-	} else {
-		rib[u.Dest] = u.Path.Prepend(n.self)
-		n.runDecision(u.Dest)
+		return
 	}
+	// Stored as announced and shared with the sender: paths are immutable.
+	set(in, i, had, slot, u.Path)
+	n.runDecision(u.Dest)
 }
 
 // queueRCN schedules delivery of the root cause to every neighbor with
 // that neighbor's next real update, valid until the mask TTL elapses.
 func (n *Node) queueRCN(l routing.Link) {
-	if n.pendingRCN == nil {
-		return
-	}
 	ttl := n.cfg.RCNMaskTTL
 	if ttl <= 0 {
 		ttl = time.Second
 	}
 	tele.rcnNotices.Inc()
 	deadline := n.env.Now() + ttl
-	for _, nb := range n.nbrs {
-		n.pendingRCN[nb] = append(n.pendingRCN[nb], rcnNotice{link: l, deadline: deadline})
+	for i := range n.peers {
+		n.peers[i].rcn = append(n.peers[i].rcn, rcnNotice{link: l, deadline: deadline})
 	}
 }
 
@@ -245,6 +332,7 @@ func (n *Node) queueRCN(l routing.Link) {
 // schedules advertisements to every neighbor.
 func (n *Node) runDecision(dest routing.NodeID) {
 	tele.decisions.Inc()
+	r := n.row(dest)
 	cands := n.candBuf[:0]
 	if dest == n.self {
 		cands = append(cands, policy.Candidate{
@@ -253,159 +341,160 @@ func (n *Node) runDecision(dest routing.NodeID) {
 			Via:   routing.None,
 		})
 	}
-	for _, nb := range n.nbrs {
-		if p, ok := n.adjIn[nb][dest]; ok {
-			if n.cfg.RCN && n.masked(p) {
-				continue // RCN: never explore a path over a failed link
-			}
-			cands = append(cands, policy.Candidate{
-				Path:  p,
-				Class: policy.ClassOf(n.rel[nb]),
-				Via:   nb,
-			})
+	for _, e := range r.in { // ascending by neighbor ID
+		if n.cfg.RCN && n.masked(n.nbrs[e.slot], e.path) {
+			continue // RCN: never explore a path over a failed link
 		}
+		cands = append(cands, policy.Candidate{
+			Path:  e.path,
+			Class: policy.ClassOf(n.peers[e.slot].rel),
+			Via:   n.nbrs[e.slot],
+		})
 	}
 	// policy.Best copies the winner out by value, so the buffer can be
 	// reused on the next decision.
 	newBest := policy.Best(n.pol, n.self, cands)
 	n.candBuf = cands[:0]
-	old, had := n.best[dest]
-	if had && newBest.Path.Equal(old.Path) && newBest.Via == old.Via {
-		return
-	}
-	oldVia := routing.None
-	if had {
-		oldVia = old.Via
-	}
-	newVia := routing.None
-	if len(newBest.Path) == 0 {
-		if !had {
+	old := r.best
+	had := len(old.Path) > 0
+	if newBest.Via != routing.None {
+		// A neighbor's candidate: its path lacks this node until installed.
+		if had && newBest.Via == old.Via && old.Path[1:].Equal(newBest.Path) {
 			return
 		}
-		delete(n.best, dest)
-	} else {
-		n.best[dest] = newBest
-		newVia = newBest.Via
+		newBest.Path = newBest.Path.Prepend(n.self)
+	} else if had && newBest.Path.Equal(old.Path) && newBest.Via == old.Via {
+		return
 	}
-	sim.RouteChangedVia(n.env, dest, oldVia, newVia)
-	for _, nb := range n.nbrs {
-		n.scheduleAdvert(nb, dest)
+	if !had && len(newBest.Path) == 0 {
+		return
+	}
+	// With no route both Vias are routing.None: the zero Candidate's.
+	r.best = newBest
+	sim.RouteChangedVia(n.env, dest, old.Via, newBest.Via)
+	n.advertiseAll(dest)
+}
+
+// advertiseAll schedules the advertisement of dest's current state to
+// every neighbor, in ascending ID order, sharing one boxed message.
+func (n *Node) advertiseAll(dest routing.NodeID) {
+	var box outbox
+	for slot := range n.nbrs {
+		n.scheduleAdvert(slot, dest, &box)
 	}
 }
 
 // scheduleAdvert queues (or immediately performs) the advertisement of
-// dest's current state to neighbor nb, honoring MRAI.
-func (n *Node) scheduleAdvert(nb, dest routing.NodeID) {
-	if !n.env.LinkIsUp(nb) {
+// dest's current state to the neighbor in slot, honoring MRAI.
+func (n *Node) scheduleAdvert(slot int, dest routing.NodeID, box *outbox) {
+	if !n.env.LinkIsUp(n.nbrs[slot]) {
 		return
 	}
 	if n.cfg.MRAI <= 0 {
-		n.advertise(nb, dest)
+		n.advertise(slot, dest, box)
 		return
 	}
-	n.pending[nb][dest] = struct{}{}
-	if n.mraiArmed[nb] {
+	p := &n.peers[slot]
+	if i, held := slices.BinarySearch(p.pending, dest); !held {
+		p.pending = slices.Insert(p.pending, i, dest)
+	}
+	if p.mraiArmed {
 		return
 	}
-	n.flushPending(nb)
-	n.armMRAI(nb)
+	n.flushPending(slot)
+	n.armMRAI(slot)
 }
 
-// armMRAI starts the per-neighbor MRAI timer; when it fires, held
-// updates are flushed and the timer re-arms if any were sent.
-func (n *Node) armMRAI(nb routing.NodeID) {
-	n.mraiArmed[nb] = true
+// armMRAI starts the neighbor's MRAI timer; when it fires, held updates
+// are flushed and the timer re-arms if any were sent.
+func (n *Node) armMRAI(slot int) {
+	n.peers[slot].mraiArmed = true
 	n.env.After(n.cfg.MRAI, func() {
-		n.mraiArmed[nb] = false
-		if len(n.pending[nb]) > 0 && n.env.LinkIsUp(nb) {
-			n.flushPending(nb)
-			n.armMRAI(nb)
+		n.peers[slot].mraiArmed = false
+		if len(n.peers[slot].pending) > 0 && n.env.LinkIsUp(n.nbrs[slot]) {
+			n.flushPending(slot)
+			n.armMRAI(slot)
 		}
 	})
 }
 
-// flushPending advertises every held destination to nb.
-func (n *Node) flushPending(nb routing.NodeID) {
+// flushPending advertises every held destination to the neighbor in
+// slot, in ascending order. advertise never queues, so the list is
+// stable for the duration of the loop.
+func (n *Node) flushPending(slot int) {
 	tele.mraiFlushes.Inc()
-	dests := n.destBuf[:0]
-	for d := range n.pending[nb] {
-		dests = append(dests, d)
+	p := &n.peers[slot]
+	for _, d := range p.pending {
+		n.advertise(slot, d, &outbox{})
 	}
-	slices.Sort(dests)
-	// advertise never re-enters flushPending, so destBuf stays coherent
-	// for the duration of the loop.
-	n.destBuf = dests
-	for _, d := range dests {
-		delete(n.pending[nb], d)
-		n.advertise(nb, d)
-	}
+	p.pending = p.pending[:0]
 }
 
-// advertise sends the current state of dest to neighbor nb if it differs
-// from what was last advertised: the best path when exportable, a
-// withdrawal otherwise. Attacker nodes (Config.Adversary) deviate here
-// — and only here — on the control plane: a hijacker forges an
-// origination of its victim destination, and a leaker re-exports
-// provider/peer routes to providers and peers where the export rule
-// forbids it (CAIR's route-leak pattern). The honest branch is
-// untouched when no model is attached.
-func (n *Node) advertise(nb, dest routing.NodeID) {
+// advertise sends the current state of dest to the neighbor in slot if
+// it differs from what was last advertised: the best path when
+// exportable, a withdrawal otherwise. Attacker nodes (Config.Adversary)
+// deviate here — and only here — on the control plane: a hijacker
+// forges an origination of its victim destination, and a leaker
+// re-exports provider/peer routes to providers and peers where the
+// export rule forbids it (CAIR's route-leak pattern). The honest branch
+// is untouched when no model is attached.
+func (n *Node) advertise(slot int, dest routing.NodeID, box *outbox) {
+	nb, rel := n.nbrs[slot], n.peers[slot].rel
+	r := n.row(dest)
 	var toSend routing.Path
 	injected := false
 	if v, ok := n.adv.HijackVictim(n.self); ok && dest == v {
 		toSend = routing.Path{n.self} // forged origination of the victim
 		injected = true
-	} else if best, ok := n.best[dest]; ok &&
+		box = &outbox{} // not the path the other neighbors are sent
+	} else if best := r.best; len(best.Path) > 0 &&
 		!best.Path.Contains(nb) { // sender-side loop avoidance
 		switch {
-		case n.pol.Export(n.self, best.Class, n.rel[nb]):
+		case n.pol.Export(n.self, best.Class, rel):
 			toSend = best.Path
-		case n.adv.Leaks(n.self) && adversary.LeakClass(best.Class) && adversary.LeakTarget(n.rel[nb]):
+		case n.adv.Leaks(n.self) && adversary.LeakClass(best.Class) && adversary.LeakTarget(rel):
 			toSend = best.Path
 			injected = true
 		}
 	}
-	prev, hadPrev := n.advertised[nb][dest]
+	i, had := find(r.out, slot)
 	if toSend == nil {
-		if !hadPrev {
+		if !had {
 			return
 		}
-		delete(n.advertised[nb], dest)
-		n.env.Send(nb, Update{Dest: dest, FailedLinks: n.drainRCN(nb)})
+		r.out = slices.Delete(r.out, i, i+1)
+		n.env.Send(nb, box.update(dest, nil, n.drainRCN(slot)))
 		return
 	}
-	if hadPrev && prev.Equal(toSend) {
+	if had && r.out[i].path.Equal(toSend) {
 		return
 	}
 	// Paths are immutable once installed (Prepend copies), so the best
 	// path can back both the advertised record and the in-flight update
 	// without defensive clones.
-	n.advertised[nb][dest] = toSend
-	n.env.Send(nb, Update{Dest: dest, Path: toSend, FailedLinks: n.drainRCN(nb)})
+	set(&r.out, i, had, slot, toSend)
+	n.env.Send(nb, box.update(dest, toSend, n.drainRCN(slot)))
 	if injected {
 		n.adv.NoteInjected(dest, 1)
 	}
 }
 
-// drainRCN empties neighbor nb's queued root cause notifications for
-// attachment to the update being sent, dropping notices whose episode
-// has already expired.
-func (n *Node) drainRCN(nb routing.NodeID) []routing.Link {
-	if n.pendingRCN == nil {
+// drainRCN empties the queued root cause notifications of the neighbor
+// in slot for attachment to the update being sent, dropping notices
+// whose episode has already expired.
+func (n *Node) drainRCN(slot int) []routing.Link {
+	p := &n.peers[slot]
+	if len(p.rcn) == 0 {
 		return nil
 	}
-	queued := n.pendingRCN[nb]
-	if len(queued) == 0 {
-		return nil
-	}
-	delete(n.pendingRCN, nb)
 	now := n.env.Now()
-	out := make([]routing.Link, 0, len(queued))
-	for _, q := range queued {
+	out := make([]routing.Link, 0, len(p.rcn))
+	for _, q := range p.rcn {
 		if q.deadline >= now {
 			out = append(out, q.link)
 		}
 	}
+	p.rcn = p.rcn[:0]
 	if len(out) == 0 {
 		return nil
 	}
@@ -413,24 +502,26 @@ func (n *Node) drainRCN(nb routing.NodeID) []routing.Link {
 }
 
 // LinkDown implements sim.Protocol: flush all state learned from and
-// advertised to the failed neighbor, then re-run the decision process
-// for every destination the neighbor had supplied a candidate for.
+// advertised to the failed neighbor, re-running the decision process,
+// in ascending order, for every destination the neighbor had supplied a
+// candidate for. A decision touches only its own row, so flushing row
+// by row is the same as flushing everything first.
 func (n *Node) LinkDown(nb routing.NodeID) {
+	slot, ok := slices.BinarySearch(n.nbrs, nb)
+	if !ok {
+		return
+	}
 	if n.cfg.RCN {
 		n.queueRCN(routing.Link{From: n.self, To: nb})
 		n.maskEdge(edgeOf(n.self, nb))
 	}
-	rib := n.adjIn[nb]
-	affected := make([]routing.NodeID, 0, len(rib))
-	for d := range rib {
-		affected = append(affected, d)
-	}
-	slices.Sort(affected)
-	n.adjIn[nb] = make(map[routing.NodeID]routing.Path)
-	n.advertised[nb] = make(map[routing.NodeID]routing.Path)
-	n.pending[nb] = make(map[routing.NodeID]struct{})
-	for _, d := range affected {
-		n.runDecision(d)
+	n.peers[slot].pending = n.peers[slot].pending[:0]
+	for d := 0; d < len(n.rows); d++ {
+		r := &n.rows[d]
+		drop(&r.out, slot)
+		if drop(&r.in, slot) {
+			n.runDecision(routing.NodeID(d))
+		}
 	}
 	if n.cfg.RCN {
 		n.redecideCrossing(edgeOf(n.self, nb))
@@ -438,33 +529,32 @@ func (n *Node) LinkDown(nb routing.NodeID) {
 }
 
 // LinkUp implements sim.Protocol: session re-establishment — advertise
-// the full table to the recovered neighbor.
+// the full table to the recovered neighbor, in ascending order.
 func (n *Node) LinkUp(nb routing.NodeID) {
+	slot, ok := slices.BinarySearch(n.nbrs, nb)
+	if !ok {
+		return
+	}
 	if n.cfg.RCN {
-		delete(n.pendingRCN, nb) // stale notices must not greet the new session
+		n.peers[slot].rcn = n.peers[slot].rcn[:0] // stale notices must not greet the new session
 		n.unmaskEdge(edgeOf(n.self, nb))
 	}
-	dests := make([]routing.NodeID, 0, len(n.best))
-	for d := range n.best {
-		dests = append(dests, d)
-	}
-	slices.Sort(dests)
-	for _, d := range dests {
-		n.scheduleAdvert(nb, d)
+	for d := 0; d < len(n.rows); d++ {
+		if len(n.rows[d].best.Path) > 0 {
+			n.scheduleAdvert(slot, routing.NodeID(d), &outbox{})
+		}
 	}
 	// A hijack victim destination is advertised without a best-path
 	// entry, so the table walk above misses it.
-	if v, ok := n.adv.HijackVictim(n.self); ok {
-		if _, has := n.best[v]; !has {
-			n.scheduleAdvert(nb, v)
-		}
+	if v, ok := n.adv.HijackVictim(n.self); ok && len(n.bestOf(v).Path) == 0 {
+		n.scheduleAdvert(slot, v, &outbox{})
 	}
 }
 
 // BestPath returns the node's selected path to dest (nil when it has no
 // route). Exposed for tests and experiment harnesses.
 func (n *Node) BestPath(dest routing.NodeID) routing.Path {
-	return n.best[dest].Path.Clone()
+	return n.bestOf(dest).Path.Clone()
 }
 
 // NextHopTo returns the first hop of the selected route to dest without
@@ -477,7 +567,7 @@ func (n *Node) NextHopTo(dest routing.NodeID) routing.NodeID {
 	if n.adv.Drops(n.self, dest) {
 		return routing.None
 	}
-	if p := n.best[dest].Path; len(p) >= 2 {
+	if p := n.bestOf(dest).Path; len(p) >= 2 {
 		return p[1]
 	}
 	return routing.None
@@ -486,14 +576,16 @@ func (n *Node) NextHopTo(dest routing.NodeID) routing.NodeID {
 // BestClass returns the class of the node's selected route to dest (0
 // when it has no route).
 func (n *Node) BestClass(dest routing.NodeID) policy.RouteClass {
-	return n.best[dest].Class
+	return n.bestOf(dest).Class
 }
 
 // Routes returns a copy of the node's Loc-RIB keyed by destination.
 func (n *Node) Routes() map[routing.NodeID]routing.Path {
-	out := make(map[routing.NodeID]routing.Path, len(n.best))
-	for d, c := range n.best {
-		out[d] = c.Path.Clone()
+	out := make(map[routing.NodeID]routing.Path)
+	for d := range n.rows {
+		if p := n.rows[d].best.Path; len(p) > 0 {
+			out[routing.NodeID(d)] = p.Clone()
+		}
 	}
 	return out
 }

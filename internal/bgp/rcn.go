@@ -15,6 +15,7 @@
 package bgp
 
 import (
+	"slices"
 	"time"
 
 	"centaur/internal/routing"
@@ -66,18 +67,11 @@ func (n *Node) maskEdge(e edgeKey) {
 // queued notices about the link, and re-decides the destinations the
 // mask was suppressing.
 func (n *Node) unmaskEdge(e edgeKey) {
-	for nb, queued := range n.pendingRCN {
-		kept := queued[:0]
-		for _, q := range queued {
-			if edgeOf(q.link.From, q.link.To) != e {
-				kept = append(kept, q)
-			}
-		}
-		if len(kept) == 0 {
-			delete(n.pendingRCN, nb)
-		} else {
-			n.pendingRCN[nb] = kept
-		}
+	for i := range n.peers {
+		p := &n.peers[i]
+		p.rcn = slices.DeleteFunc(p.rcn, func(q rcnNotice) bool {
+			return edgeOf(q.link.From, q.link.To) == e
+		})
 	}
 	if _, ok := n.failed[e]; !ok {
 		return
@@ -86,10 +80,15 @@ func (n *Node) unmaskEdge(e edgeKey) {
 	n.redecideCrossing(e)
 }
 
-// masked reports whether any hop of p crosses a masked link.
-func (n *Node) masked(p routing.Path) bool {
+// masked reports whether the candidate learned from nb, whose announced
+// path is p, crosses a masked link — the self–nb hop included, which p
+// itself (stored as announced) does not carry.
+func (n *Node) masked(nb routing.NodeID, p routing.Path) bool {
 	if len(n.failed) == 0 {
 		return false
+	}
+	if _, ok := n.failed[edgeOf(n.self, nb)]; ok {
+		return true
 	}
 	for i := 0; i+1 < len(p); i++ {
 		if _, ok := n.failed[edgeOf(p[i], p[i+1])]; ok {
@@ -100,17 +99,16 @@ func (n *Node) masked(p routing.Path) bool {
 }
 
 // redecideCrossing re-runs the decision process for every destination
-// that has a candidate crossing e (its eligibility just changed).
+// that has a candidate crossing e (its eligibility just changed), in
+// ascending destination order: the order fixes the send order and with
+// it the run's sequence numbers, so it must not depend on a map.
 func (n *Node) redecideCrossing(e edgeKey) {
-	affected := make(map[routing.NodeID]struct{})
-	for _, rib := range n.adjIn {
-		for d, p := range rib {
-			if pathCrosses(p, e) {
-				affected[d] = struct{}{}
+	for d := 0; d < len(n.rows); d++ {
+		for _, in := range n.rows[d].in {
+			if edgeOf(n.self, n.nbrs[in.slot]) == e || pathCrosses(in.path, e) {
+				n.runDecision(routing.NodeID(d))
+				break
 			}
 		}
-	}
-	for d := range affected {
-		n.runDecision(d)
 	}
 }

@@ -1,10 +1,14 @@
 package bgp
 
 import (
+	"bytes"
+	"math/rand"
 	"testing"
 
+	"centaur/internal/policy"
 	"centaur/internal/routing"
 	"centaur/internal/sim"
+	"centaur/internal/telemetry"
 	"centaur/internal/topogen"
 	"centaur/internal/topology"
 )
@@ -220,4 +224,49 @@ func (n *noticeTap) Handle(from routing.NodeID, msg sim.Message) {
 		*n.count++
 	}
 	n.Protocol.Handle(from, msg)
+}
+
+// TestRCNTraceIsDeterministic runs one BGP-RCN flip series twice and
+// requires byte-identical event traces. The order in which a lifted or
+// expired mask re-decides its destinations fixes the send order, and
+// with it every later sequence number; it once followed a Go map.
+func TestRCNTraceIsDeterministic(t *testing.T) {
+	g, err := topogen.CAIDALike(80, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	series := func() []byte {
+		tc := telemetry.NewTraceCollector()
+		net, err := sim.NewNetwork(sim.Config{
+			Topology:  g,
+			Build:     New(Config{Policy: policy.GaoRexford{TieBreak: policy.TieHashed}, RCN: true}),
+			DelaySeed: 3,
+			Trace:     tc.Chunk("rcn", 3).Observe,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		quiesce := func() {
+			if _, _, err := net.RunToConvergence(50_000_000); err != nil {
+				t.Fatal(err)
+			}
+		}
+		quiesce()
+		edges := g.Edges()
+		rng := rand.New(rand.NewSource(3))
+		for flip := 0; flip < 30; flip++ {
+			e := edges[rng.Intn(len(edges))]
+			net.FailLink(e.A, e.B)
+			quiesce()
+			net.RestoreLink(e.A, e.B)
+			quiesce()
+		}
+		return tc.Bytes()
+	}
+	first := series()
+	for run := 0; run < 2; run++ {
+		if again := series(); !bytes.Equal(first, again) {
+			t.Fatalf("run %d: trace of %d bytes differs from the first run's %d", run+2, len(again), len(first))
+		}
+	}
 }

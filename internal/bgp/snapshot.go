@@ -3,8 +3,8 @@ package bgp
 import (
 	"maps"
 	"slices"
+	"unsafe"
 
-	"centaur/internal/routing"
 	"centaur/internal/sim"
 )
 
@@ -16,80 +16,86 @@ var _ sim.Snapshotter = (*Node)(nil)
 // template, and the race detector gates this in CI.
 //
 // What is shared vs. copied follows the package's mutation contract:
-// cfg, pol, rel, and nbrs never change after construction, and
-// routing.Path values are immutable once installed (Prepend copies), so
-// those are shared; every map that Handle/LinkDown/LinkUp mutates is
-// copied. The scratch buffers start empty — they are rebuilt per call.
+// cfg, pol and nbrs never change after construction, and routing.Path
+// values are immutable once installed (Prepend copies), so those are
+// shared; everything Handle/LinkDown/LinkUp mutates is copied. The
+// rows' RIB entries are copied into one arena, each row's lists cut
+// from it with no spare capacity, so a fork costs two allocations
+// for the table however many rows it has and a later insert into one
+// row reallocates that row alone. The candidate buffer starts empty.
 // MRAI and RCN mask timers need no transfer: a quiesced network has no
 // pending timer events, and each firing disarms its flag (mraiArmed)
 // or expires its mask entry before quiescence can be reached.
 func (n *Node) ForkProtocol(env sim.Env) sim.Protocol {
 	out := &Node{
-		cfg:        n.cfg,
-		pol:        n.pol,
-		env:        env,
-		self:       n.self,
-		rel:        n.rel,
-		nbrs:       n.nbrs,
-		adjIn:      forkRIB(n.adjIn),
-		best:       maps.Clone(n.best),
-		advertised: forkRIB(n.advertised),
-		pending:    make(map[routing.NodeID]map[routing.NodeID]struct{}, len(n.pending)),
-		mraiArmed:  maps.Clone(n.mraiArmed),
-		failedGen:  n.failedGen,
+		cfg:       n.cfg,
+		pol:       n.pol,
+		env:       env,
+		self:      n.self,
+		nbrs:      n.nbrs,
+		peers:     slices.Clone(n.peers),
+		rows:      slices.Clone(n.rows),
+		failed:    maps.Clone(n.failed),
+		failedGen: n.failedGen,
 	}
-	for nb, set := range n.pending {
-		out.pending[nb] = maps.Clone(set)
+	for i := range out.peers {
+		p := &out.peers[i]
+		p.pending = slices.Clone(p.pending)
+		p.rcn = slices.Clone(p.rcn)
 	}
-	if n.failed != nil {
-		out.failed = maps.Clone(n.failed)
-	}
-	if n.pendingRCN != nil {
-		out.pendingRCN = make(map[routing.NodeID][]rcnNotice, len(n.pendingRCN))
-		for nb, q := range n.pendingRCN {
-			out.pendingRCN[nb] = slices.Clone(q)
+	arena := make([]ribEntry, 0, n.ribEntries())
+	cut := func(es []ribEntry) []ribEntry {
+		if len(es) == 0 {
+			return nil
 		}
+		at := len(arena)
+		arena = append(arena, es...)
+		return arena[at:len(arena):len(arena)]
+	}
+	for i := range out.rows {
+		r := &out.rows[i]
+		r.in, r.out = cut(r.in), cut(r.out)
 	}
 	return out
 }
 
-// forkRIB deep-copies a per-neighbor RIB; the path values stay shared
-// (immutable once installed).
-func forkRIB(rib map[routing.NodeID]map[routing.NodeID]routing.Path) map[routing.NodeID]map[routing.NodeID]routing.Path {
-	out := make(map[routing.NodeID]map[routing.NodeID]routing.Path, len(rib))
-	for nb, m := range rib {
-		out[nb] = maps.Clone(m)
+// ribEntries counts the Adj-RIB-In and advertised entries of all rows.
+func (n *Node) ribEntries() int {
+	total := 0
+	for i := range n.rows {
+		total += len(n.rows[i].in) + len(n.rows[i].out)
 	}
-	return out
+	return total
 }
 
-// SnapshotBytes implements sim.Snapshotter: a rough heap estimate of
-// what ForkProtocol copies (map entries; the shared path bodies are
-// counted once per referencing entry, which overestimates — fine for a
-// high-water gauge).
+// SnapshotBytes implements sim.Snapshotter: the bytes ForkProtocol
+// copies — the row table, its RIB entries, the per-neighbor state —
+// plus the path bodies those entries reference. The bodies are shared,
+// not copied, and one body backs a best entry, the advertised entries
+// made from it and the in-flight updates, so counting it once per
+// referencing entry overestimates; fine for a high-water gauge.
 func (n *Node) SnapshotBytes() int {
-	const entry = 48 // amortized per-map-entry share of buckets and keys
-	b := 0
-	for _, m := range n.adjIn {
-		b += entry
-		for _, p := range m {
-			b += entry + len(p)*8
+	const (
+		rowSize    = int(unsafe.Sizeof(row{}))
+		entrySize  = int(unsafe.Sizeof(ribEntry{}))
+		peerSize   = int(unsafe.Sizeof(peer{}))
+		idSize     = int(unsafe.Sizeof(n.self))
+		noticeSize = int(unsafe.Sizeof(rcnNotice{}))
+		maskSize   = int(unsafe.Sizeof(edgeKey{})) + 8
+	)
+	b := len(n.rows)*rowSize + n.ribEntries()*entrySize + len(n.peers)*peerSize + len(n.failed)*maskSize
+	for i := range n.rows {
+		r := &n.rows[i]
+		b += len(r.best.Path) * idSize
+		for _, e := range r.in {
+			b += len(e.path) * idSize
+		}
+		for _, e := range r.out {
+			b += len(e.path) * idSize
 		}
 	}
-	for _, m := range n.advertised {
-		b += entry
-		for _, p := range m {
-			b += entry + len(p)*8
-		}
-	}
-	b += len(n.best) * (entry + 32)
-	for _, s := range n.pending {
-		b += entry + len(s)*entry
-	}
-	b += len(n.mraiArmed) * entry
-	b += len(n.failed) * entry
-	for _, q := range n.pendingRCN {
-		b += entry + len(q)*24
+	for i := range n.peers {
+		b += len(n.peers[i].pending)*idSize + len(n.peers[i].rcn)*noticeSize
 	}
 	return b
 }

@@ -30,7 +30,7 @@ package ospf
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"centaur/internal/routing"
 	"centaur/internal/sim"
@@ -94,14 +94,25 @@ type Config struct {
 
 // Node is one OSPF router. Create with New or NewWithConfig; it
 // implements sim.Protocol.
+//
+// The link-state database and the next-hop table are indexed directly
+// by NodeID and grown to the highest ID seen (the simulator's
+// topologies number their nodes densely from 1; a sparse ID costs an
+// empty entry per skipped ID).
 type Node struct {
 	env  sim.Env
 	self routing.NodeID
 	cfg  Config
 	seq  uint64
-	lsdb map[routing.NodeID]LSA
-	// spf caches the next-hop table; nil means stale.
-	spf map[routing.NodeID]routing.NodeID
+	// lsdb[origin] is origin's newest LSA; Seq == 0 marks an origin not
+	// heard from (originated sequence numbers start at 1, and a received
+	// LSA numbered 0 is discarded as stale). held counts the LSAs present.
+	lsdb []LSA
+	held int
+	// spf[dest] is the cached next hop toward dest, valid while spfOK.
+	spf   []routing.NodeID
+	spfOK bool
+	queue []routing.NodeID // runSPF's BFS queue, reused
 }
 
 var _ sim.Protocol = (*Node)(nil)
@@ -112,12 +123,7 @@ func New() sim.Builder { return NewWithConfig(Config{}) }
 // NewWithConfig returns the sim.Builder for OSPF nodes.
 func NewWithConfig(cfg Config) sim.Builder {
 	return func(env sim.Env) sim.Protocol {
-		return &Node{
-			env:  env,
-			self: env.Self(),
-			cfg:  cfg,
-			lsdb: make(map[routing.NodeID]LSA),
-		}
+		return &Node{env: env, self: env.Self(), cfg: cfg}
 	}
 }
 
@@ -127,19 +133,31 @@ func (n *Node) Start(env sim.Env) {
 	n.originate()
 }
 
+// install stores lsa as its origin's newest and invalidates SPF.
+func (n *Node) install(lsa LSA) {
+	if int(lsa.Origin) >= len(n.lsdb) {
+		n.lsdb = append(n.lsdb, make([]LSA, int(lsa.Origin)+1-len(n.lsdb))...)
+	}
+	if n.lsdb[lsa.Origin].Seq == 0 {
+		n.held++
+	}
+	n.lsdb[lsa.Origin] = lsa
+	n.spfOK = false
+}
+
 // originate rebuilds this node's own LSA from its current up
 // adjacencies, bumps the sequence number, installs it, and floods it.
 func (n *Node) originate() {
-	nbrs := make([]routing.NodeID, 0, 4)
-	for _, nb := range n.env.Neighbors() { // ascending by ID
+	all := n.env.Neighbors() // ascending by ID
+	nbrs := make([]routing.NodeID, 0, len(all))
+	for _, nb := range all {
 		if n.env.LinkIsUp(nb.ID) {
 			nbrs = append(nbrs, nb.ID)
 		}
 	}
 	n.seq++
 	lsa := LSA{Origin: n.self, Seq: n.seq, Neighbors: nbrs}
-	n.lsdb[n.self] = lsa
-	n.spf = nil
+	n.install(lsa)
 	tele.originates.Inc()
 	// Deliberately the next-hop-less RouteChanged (not RouteChangedVia):
 	// SPF is lazy, so the new next hops aren't known here, and computing
@@ -147,19 +165,21 @@ func (n *Node) originate() {
 	// counter and perturb provenance-off outputs. Schema-v2 traces mark
 	// these route events "next hop unknown" by omitting oh/nh.
 	n.env.RouteChanged(n.self)
-	n.flood(lsa, routing.None)
+	n.flood(Flood{LSA: lsa}, routing.None)
 }
 
-// flood forwards lsa to every up neighbor except the one it came from.
-// LSAs are immutable once originated (originate builds a fresh Neighbors
-// slice and nothing writes to an installed one), so every hop can share
-// the same backing array without defensive clones.
-func (n *Node) flood(lsa LSA, except routing.NodeID) {
+// flood forwards msg, a Flood, to every up neighbor except the one it
+// came from. LSAs are immutable once originated (originate builds a
+// fresh Neighbors slice and nothing writes to an installed one) and so
+// are messages once sent, so every hop shares the same boxed message
+// and backing array: a flood allocates at most where the message is
+// made, never per neighbor.
+func (n *Node) flood(msg sim.Message, except routing.NodeID) {
 	for _, nb := range n.env.Neighbors() {
 		if nb.ID == except || !n.env.LinkIsUp(nb.ID) {
 			continue
 		}
-		n.env.Send(nb.ID, Flood{LSA: lsa})
+		n.env.Send(nb.ID, msg)
 	}
 }
 
@@ -169,31 +189,28 @@ func (n *Node) Handle(from routing.NodeID, msg sim.Message) {
 	if !ok {
 		return
 	}
-	if f.LSA.Origin == n.self {
+	cur, _ := n.LSA(f.LSA.Origin) // Seq 0 when absent
+	if f.LSA.Origin == n.self && cur.Seq != 0 && f.LSA.Seq > cur.Seq {
 		// A self-originated LSA strictly newer than the one we installed
 		// is a pre-crash incarnation's, still circulating with a higher
 		// sequence number. Adopt that number and supersede it
 		// (RFC 2328 §13.4), or every post-restart origination would be
 		// discarded as stale. Echoes of our own current LSA (equal Seq)
 		// fall through to the stale check below and stop there.
-		if cur, have := n.lsdb[n.self]; have && f.LSA.Seq > cur.Seq {
-			n.seq = f.LSA.Seq
-			n.originate()
-			return
-		}
+		n.seq = f.LSA.Seq
+		n.originate()
+		return
 	}
-	cur, have := n.lsdb[f.LSA.Origin]
-	if have && f.LSA.Seq <= cur.Seq {
+	if f.LSA.Seq <= cur.Seq {
 		tele.staleLSAs.Inc()
 		return // stale or duplicate — flooding stops here
 	}
-	n.lsdb[f.LSA.Origin] = f.LSA
-	n.spf = nil
+	n.install(f.LSA)
 	// An installed LSA invalidates SPF: routes toward (at least) the
 	// origin may differ once recomputed. Next hops are unreported (plain
 	// RouteChanged) because SPF is lazy — see originate.
 	n.env.RouteChanged(f.LSA.Origin)
-	n.flood(f.LSA, from)
+	n.flood(msg, from)
 }
 
 // LinkDown implements sim.Protocol: re-originate with the adjacency
@@ -202,22 +219,18 @@ func (n *Node) Handle(from routing.NodeID, msg sim.Message) {
 func (n *Node) LinkDown(routing.NodeID) { n.originate() }
 
 // LinkUp implements sim.Protocol: re-originate with the adjacency back.
-// With Config.DatabaseExchange the node first unicasts its whole LSDB to
-// the new neighbor (RFC 2328's database exchange, approximated as a
-// one-shot push) so a freshly restarted peer recovers the topology —
-// and, crucially, hears its own pre-crash LSA and supersedes it.
+// With Config.DatabaseExchange the node first unicasts its whole LSDB,
+// in ascending origin order, to the new neighbor (RFC 2328's database
+// exchange, approximated as a one-shot push) so a freshly restarted
+// peer recovers the topology — and, crucially, hears its own pre-crash
+// LSA and supersedes it.
 func (n *Node) LinkUp(nb routing.NodeID) {
 	if n.cfg.DatabaseExchange {
-		origins := make([]routing.NodeID, 0, len(n.lsdb))
 		for origin := range n.lsdb {
-			if origin == n.self {
-				continue // originate() below refloods a fresh self-LSA
+			// originate() below refloods a fresh self-LSA.
+			if lsa := n.lsdb[origin]; lsa.Seq != 0 && lsa.Origin != n.self {
+				n.env.Send(nb, Flood{LSA: lsa})
 			}
-			origins = append(origins, origin)
-		}
-		sort.Slice(origins, func(i, j int) bool { return origins[i] < origins[j] })
-		for _, origin := range origins {
-			n.env.Send(nb, Flood{LSA: n.lsdb[origin]})
 		}
 	}
 	n.originate()
@@ -226,65 +239,55 @@ func (n *Node) LinkUp(nb routing.NodeID) {
 // LSA returns the stored LSA for origin, if any — an inspection hook for
 // invariant checkers comparing databases across nodes.
 func (n *Node) LSA(origin routing.NodeID) (LSA, bool) {
-	l, ok := n.lsdb[origin]
-	return l, ok
+	if int(origin) < len(n.lsdb) && n.lsdb[origin].Seq != 0 {
+		return n.lsdb[origin], true
+	}
+	return LSA{}, false
 }
 
 // LSDBSize returns the number of LSAs currently held.
-func (n *Node) LSDBSize() int { return len(n.lsdb) }
+func (n *Node) LSDBSize() int { return n.held }
 
 // NextHop returns this node's shortest-path next hop toward dest
 // (routing.None when unreachable), computing SPF on demand. Links count
 // only when both endpoint LSAs agree they are up (OSPF's two-way check).
 func (n *Node) NextHop(dest routing.NodeID) routing.NodeID {
-	if n.spf == nil {
+	if !n.spfOK {
 		n.runSPF()
 	}
-	return n.spf[dest]
+	if int(dest) < len(n.spf) {
+		return n.spf[dest]
+	}
+	return routing.None
 }
 
 // runSPF runs hop-count Dijkstra (BFS, since all links weigh 1) over the
-// LSDB and fills the next-hop cache.
+// LSDB and fills the next-hop cache. A node other than self has been
+// reached exactly when its next hop is set, so the table doubles as the
+// visited set.
 func (n *Node) runSPF() {
 	tele.spfRuns.Inc()
-	n.spf = make(map[routing.NodeID]routing.NodeID, len(n.lsdb))
-	// twoWay reports whether the directed LSDB edge a->b is confirmed by
-	// b's LSA listing a.
-	twoWay := func(a, b routing.NodeID) bool {
-		back, ok := n.lsdb[b]
-		if !ok {
-			return false
-		}
-		i := sort.Search(len(back.Neighbors), func(i int) bool { return back.Neighbors[i] >= a })
-		return i < len(back.Neighbors) && back.Neighbors[i] == a
-	}
-	type item struct {
-		node  routing.NodeID
-		first routing.NodeID // first hop from self
-	}
-	queue := []item{{node: n.self, first: routing.None}}
-	visited := map[routing.NodeID]struct{}{n.self: {}}
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		lsa, ok := n.lsdb[cur.node]
-		if !ok {
-			continue
-		}
+	n.spf = append(n.spf[:0], make([]routing.NodeID, len(n.lsdb))...)
+	n.spfOK = true
+	queue := append(n.queue[:0], n.self)
+	for head := 0; head < len(queue); head++ {
+		cur := queue[head]
+		lsa, _ := n.LSA(cur)
 		for _, nb := range lsa.Neighbors {
-			if _, seen := visited[nb]; seen {
+			if nb == n.self || int(nb) >= len(n.spf) || n.spf[nb] != routing.None {
+				continue // visited, or no LSA to confirm the link with
+			}
+			// Two-way check: the edge cur->nb counts once nb's LSA lists cur.
+			if _, back := slices.BinarySearch(n.lsdb[nb].Neighbors, cur); !back {
 				continue
 			}
-			if !twoWay(cur.node, nb) {
-				continue
-			}
-			visited[nb] = struct{}{}
-			first := cur.first
-			if cur.node == n.self {
+			first := n.spf[cur]
+			if cur == n.self {
 				first = nb
 			}
 			n.spf[nb] = first
-			queue = append(queue, item{node: nb, first: first})
+			queue = append(queue, nb)
 		}
 	}
+	n.queue = queue
 }

@@ -1,7 +1,8 @@
 package ospf
 
 import (
-	"maps"
+	"slices"
+	"unsafe"
 
 	"centaur/internal/sim"
 )
@@ -13,30 +14,30 @@ var _ sim.Snapshotter = (*Node)(nil)
 // receiver is only read — forks are taken concurrently from one
 // template. Installed LSAs are immutable (originate builds a fresh
 // Neighbors slice and nothing writes to an installed one), so cloning
-// the lsdb map while sharing the LSA values is a deep copy in effect.
-// The SPF cache is shared too: runSPF always replaces n.spf with a
-// fresh map rather than mutating the old one, so a fork invalidating
-// its cache (spf = nil, then rebuild) never touches the template's.
+// the lsdb table while sharing the Neighbors arrays is a deep copy in
+// effect. The SPF cache is cloned with it: runSPF refills the table in
+// place, so a fork must not share the template's.
 func (n *Node) ForkProtocol(env sim.Env) sim.Protocol {
 	return &Node{
-		env:  env,
-		self: n.self,
-		cfg:  n.cfg,
-		seq:  n.seq,
-		lsdb: maps.Clone(n.lsdb),
-		spf:  n.spf,
+		env:   env,
+		self:  n.self,
+		cfg:   n.cfg,
+		seq:   n.seq,
+		lsdb:  slices.Clone(n.lsdb),
+		held:  n.held,
+		spf:   slices.Clone(n.spf),
+		spfOK: n.spfOK,
 	}
 }
 
-// SnapshotBytes implements sim.Snapshotter: a rough heap estimate of
-// the forked state (LSDB entries with their neighbor lists, plus the
-// shared SPF table counted once per fork).
+// SnapshotBytes implements sim.Snapshotter: the bytes ForkProtocol
+// copies (the LSDB and next-hop tables) plus the neighbor lists the
+// LSAs reference, which are shared rather than copied.
 func (n *Node) SnapshotBytes() int {
-	const entry = 48 // amortized per-map-entry share of buckets and keys
-	b := 0
-	for _, lsa := range n.lsdb {
-		b += entry + len(lsa.Neighbors)*8
+	const idSize = int(unsafe.Sizeof(n.self))
+	b := len(n.lsdb)*int(unsafe.Sizeof(LSA{})) + len(n.spf)*idSize
+	for i := range n.lsdb {
+		b += len(n.lsdb[i].Neighbors) * idSize
 	}
-	b += len(n.spf) * entry
 	return b
 }

@@ -18,13 +18,14 @@ import (
 // Links carry optional Permission Lists; nodes carry an optional
 // "destination" mark corresponding to prefix ownership (§3.2.1).
 //
-// Storage is slot-indexed (DESIGN.md "P-graph storage"): every node the
-// graph contains is interned to a dense slot, and a slot's record holds
-// the node's in-edges — each with its parent, selected-path counter and
-// Permission List — and its child list. An entry point resolves a
-// NodeID through the intern table once; everything after that walks
-// slots. Memory is proportional to the graph's own size, so sparse node
-// IDs (real AS numbers) cost nothing extra.
+// Storage is slot-indexed (DESIGN.md "Protocol state storage"): every
+// node the graph contains is interned to a dense slot, and a slot's
+// record holds the node's in-edges — each with its parent,
+// selected-path counter and Permission List — and its child list. An
+// entry point resolves a NodeID through the intern table once;
+// everything after that walks slots. Memory is proportional to the
+// graph's own size, so sparse node IDs (real AS numbers) cost nothing
+// extra.
 //
 // Concurrency: HasLink, IsDest, Permission, Counter, the DerivePath
 // family and Clone only read the graph and may run concurrently with
