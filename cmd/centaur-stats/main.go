@@ -38,27 +38,33 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:]); err != nil {
 		fmt.Fprintln(os.Stderr, "centaur-stats:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
+func run(args []string) error {
+	fs := flag.NewFlagSet("centaur-stats", flag.ExitOnError)
 	var (
-		table    = flag.String("table", "", "reproduce a table: 3 | 45 (Tables 4 and 5 share one computation)")
-		fig      = flag.String("fig", "", "reproduce a figure: 5")
-		ext      = flag.String("ext", "", "run an extension analysis: multipath")
-		k        = flag.Int("k", 3, "paths per destination for -ext multipath")
-		nodes    = flag.Int("nodes", 4000, "topology size for generated inputs")
-		seed     = flag.Int64("seed", 1, "generation and sampling seed")
-		sample   = flag.Int("sample", 500, "links sampled for figure 5 (0 = all)")
-		topoFile = flag.String("topo", "", "CAIDA serial-1 relationship file to analyze instead of a generated topology")
-		tiebreak = flag.String("tiebreak", "override", "within-class preference model: lowest-via | hashed | hashed-preferred | override")
-		checkTr  = flag.String("check-trace", "", "validate a centaur-sim -trace JSONL file and print its summary")
-		explain  = flag.String("explain", "", "causal analysis of a centaur-sim -trace -prov JSONL file")
+		table    = fs.String("table", "", "reproduce a table: 3 | 45 (Tables 4 and 5 share one computation)")
+		fig      = fs.String("fig", "", "reproduce a figure: 5")
+		ext      = fs.String("ext", "", "run an extension analysis: multipath")
+		k        = fs.Int("k", 3, "paths per destination for -ext multipath")
+		nodes    = fs.Int("nodes", 4000, "topology size for generated inputs")
+		seed     = fs.Int64("seed", 1, "generation and sampling seed")
+		sample   = fs.Int("sample", 500, "links sampled for figure 5 (0 = all)")
+		topoFile = fs.String("topo", "", "CAIDA serial-1 relationship file to analyze instead of a generated topology")
+		tiebreak = fs.String("tiebreak", "override", "within-class preference model: lowest-via | hashed | hashed-preferred | override")
+		checkTr  = fs.String("check-trace", "", "validate a centaur-sim -trace JSONL file and print its summary")
+		explain  = fs.String("explain", "", "causal analysis of a centaur-sim -trace -prov JSONL file")
 	)
-	flag.Parse()
+	fs.Parse(args) // ExitOnError: a malformed flag has already exited
+	if *sample < 0 {
+		// The runners read any count below one as "all links", so a slip
+		// like -sample -3 would silently measure every link.
+		return fmt.Errorf("-sample %d: the number of sampled links cannot be negative (0 measures all links)", *sample)
+	}
 	if *checkTr != "" {
 		return checkTrace(*checkTr)
 	}
@@ -182,7 +188,7 @@ func run() error {
 		ran = true
 	}
 	if !ran {
-		flag.Usage()
+		fs.Usage()
 		return fmt.Errorf("one of -table {3,45}, -fig 5, -ext multipath, -check-trace, or -explain is required")
 	}
 	return nil

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"strings"
 	"testing"
 
 	"centaur/internal/policy"
@@ -21,5 +22,35 @@ func TestParseTieBreak(t *testing.T) {
 	}
 	if _, err := parseTieBreak("bogus"); err == nil {
 		t.Error("unknown mode must fail")
+	}
+}
+
+// TestRunRejectsBadInvocations: a command line that cannot mean what it
+// says fails with a message naming the problem (main turns the error
+// into a non-zero exit) before any topology is generated.
+func TestRunRejectsBadInvocations(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-fig", "5", "-nodes", "200", "-sample", "-3"}, "-sample -3"},
+		{[]string{"-ext", "multipath", "-sample", "-1"}, "-sample -1"},
+		{[]string{"-fig", "5", "-tiebreak", "bogus"}, "bogus"},
+		{[]string{"-nodes", "50"}, "is required"},
+	} {
+		err := run(tc.args)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("run(%q) = %v, want an error mentioning %q", tc.args, err, tc.want)
+		}
+	}
+}
+
+// TestRunSampleBounds: zero still means every link and a positive count
+// still samples, on a topology small enough to solve in milliseconds.
+func TestRunSampleBounds(t *testing.T) {
+	for _, sample := range []string{"0", "5"} {
+		if err := run([]string{"-fig", "5", "-nodes", "40", "-sample", sample}); err != nil {
+			t.Errorf("-sample %s: %v", sample, err)
+		}
 	}
 }

@@ -113,11 +113,10 @@ func plOverheadRow(name string, sol *solver.Solution, fpRate float64, workers in
 	idx := sol.Index()
 	n := idx.Len()
 	counts := make([]PLOverheadRow, n)
-	err := parallelEach(n, workers, func(i int) error {
-		node := idx.ID(i)
-		g, err := pgraph.Build(node, sol.PathSet(node))
+	err := parallelEachWith(n, workers, func(lg *localGraphs, i int) error {
+		g, err := lg.build(sol, idx.ID(i))
 		if err != nil {
-			return fmt.Errorf("experiments: building P-graph for %v: %w", node, err)
+			return err
 		}
 		c := &counts[i]
 		for _, lp := range g.PermissionLists() {

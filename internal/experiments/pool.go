@@ -16,6 +16,15 @@ import (
 // callers with two fan-out dimensions (protocol × trial chunk) flatten
 // them into one task list instead.
 func parallelEach(n, workers int, fn func(i int) error) error {
+	return parallelEachWith(n, workers, func(_ *struct{}, i int) error { return fn(i) })
+}
+
+// parallelEachWith is parallelEach with per-worker scratch: every worker
+// owns one zero-initialized S and hands it to each fn call it runs, so fn
+// can recycle storage from one index to the next without sharing it.
+// What fn leaves in its slot must not depend on what an earlier call
+// left in S.
+func parallelEachWith[S any](n, workers int, fn func(sc *S, i int) error) error {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -23,8 +32,9 @@ func parallelEach(n, workers int, fn func(i int) error) error {
 		workers = n
 	}
 	if workers <= 1 {
+		var sc S
 		for i := 0; i < n; i++ {
-			if err := fn(i); err != nil {
+			if err := fn(&sc, i); err != nil {
 				return err
 			}
 		}
@@ -37,12 +47,13 @@ func parallelEach(n, workers int, fn func(i int) error) error {
 	for w := 0; w < workers; w++ {
 		go func() {
 			defer wg.Done()
+			var sc S
 			for {
 				i := int(next.Add(1)) - 1
 				if i >= n {
 					return
 				}
-				errs[i] = fn(i)
+				errs[i] = fn(&sc, i)
 			}
 		}()
 	}

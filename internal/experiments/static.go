@@ -107,6 +107,40 @@ type PGraphStats struct {
 	Entries *metrics.Histogram
 }
 
+// localGraphs builds one node's local P-graph after another in the same
+// storage: the graph, the path list and the paths' backing array are
+// recycled, so a sweep over every node allocates little beyond the
+// Permission Lists. A built graph is valid until the next build.
+type localGraphs struct {
+	g     *pgraph.Graph
+	paths []routing.Path
+	hops  routing.Path // backing array of the paths
+}
+
+// build returns node's local P-graph (paper Table 2's BuildGraph over
+// the node's selected path set, Solution.PathSet without the map).
+func (lg *localGraphs) build(sol *solver.Solution, node routing.NodeID) (*pgraph.Graph, error) {
+	idx := sol.Index()
+	lg.paths, lg.hops = lg.paths[:0], lg.hops[:0]
+	for i := 0; i < idx.Len(); i++ {
+		dest := idx.ID(i)
+		if dest == node {
+			continue
+		}
+		lo := len(lg.hops)
+		var ok bool
+		if lg.hops, ok = sol.AppendPath(lg.hops, node, dest); ok {
+			lg.paths = append(lg.paths, lg.hops[lo:len(lg.hops):len(lg.hops)])
+		}
+	}
+	g, err := pgraph.BuildInto(lg.g, node, lg.paths)
+	if err != nil {
+		return nil, fmt.Errorf("experiments: building P-graph for %v: %w", node, err)
+	}
+	lg.g = g
+	return g, nil
+}
+
 // ComputePGraphStats builds the local P-graph of every node from the
 // converged solution and aggregates Tables 4 and 5, in parallel across
 // nodes.
@@ -118,11 +152,10 @@ func ComputePGraphStats(name string, sol *solver.Solution) (*PGraphStats, error)
 		entries      []int
 	}
 	counts := make([]nodeCounts, n)
-	err := parallelEach(n, 0, func(i int) error {
-		node := idx.ID(i)
-		g, err := pgraph.Build(node, sol.PathSet(node))
+	err := parallelEachWith(n, 0, func(lg *localGraphs, i int) error {
+		g, err := lg.build(sol, idx.ID(i))
 		if err != nil {
-			return fmt.Errorf("experiments: building P-graph for %v: %w", node, err)
+			return err
 		}
 		c := &counts[i]
 		c.links = int64(g.NumLinks())
@@ -285,69 +318,103 @@ func Figure5(name string, sol *solver.Solution, sampleLinks int, seed int64) (*F
 		RootCauseRatio:    metrics.NewDist(len(edges)),
 		FullRepairCentaur: metrics.NewDist(len(edges)),
 	}
-	// Failure-independent node state (selected paths and route classes)
-	// is computed once per distinct endpoint and shared by every sample
-	// touching that node.
-	endpoints := make([]routing.NodeID, 0, 2*len(edges))
-	seen := make(map[routing.NodeID]int, 2*len(edges))
-	for _, e := range edges {
-		for _, u := range [2]routing.NodeID{e.A, e.B} {
-			if _, ok := seen[u]; !ok {
-				seen[u] = len(endpoints)
-				endpoints = append(endpoints, u)
+	// A failure is measured at each endpoint of its link. The samples are
+	// grouped by endpoint, so the failure-independent node state (selected
+	// paths, route classes, exported views) is built once per distinct
+	// endpoint and dropped as soon as its samples are measured.
+	type failure struct {
+		sample, side int
+		v            routing.NodeID
+	}
+	var endpoints []routing.NodeID // in order of first appearance
+	failures := make(map[routing.NodeID][]failure, 2*len(edges))
+	for i, e := range edges {
+		for side, uv := range [2][2]routing.NodeID{{e.A, e.B}, {e.B, e.A}} {
+			if _, seen := failures[uv[0]]; !seen {
+				endpoints = append(endpoints, uv[0])
 			}
+			failures[uv[0]] = append(failures[uv[0]], failure{sample: i, side: side, v: uv[1]})
 		}
 	}
-	statics := make([]*nodeStatic, len(endpoints))
-	if err := parallelEach(len(endpoints), 0, func(i int) error {
-		statics[i] = newNodeStatic(sol, endpoints[i])
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-
-	type sample struct{ rc, bg, fr float64 }
-	samples := make([]sample, len(edges))
-	if err := parallelEach(len(edges), 0, func(i int) error {
-		e := edges[i]
-		a := failureImpact(sol, statics[seen[e.A]], e.A, e.B)
-		b := failureImpact(sol, statics[seen[e.B]], e.B, e.A)
-		samples[i] = sample{
-			rc: float64(a.rootCause + b.rootCause),
-			bg: float64(a.bgpMsgs + b.bgpMsgs),
-			fr: float64(a.delta[0] + a.delta[1] + b.delta[0] + b.delta[1]),
+	impacts := make([][2]edgeImpact, len(edges))
+	if err := parallelEach(len(endpoints), 0, func(k int) error {
+		u := endpoints[k]
+		st := newNodeStatic(sol, u)
+		for _, f := range failures[u] {
+			impacts[f.sample][f.side] = st.failureImpact(sol, u, f.v)
 		}
 		return nil
 	}); err != nil {
 		return nil, err
 	}
-	for _, s := range samples {
-		res.RootCauseCentaur.Add(s.rc)
-		res.RootCauseBGP.Add(s.bg)
-		res.FullRepairCentaur.Add(s.fr)
-		if s.rc > 0 {
-			res.RootCauseRatio.Add(s.bg / s.rc)
+	for _, ab := range impacts {
+		a, b := ab[0], ab[1]
+		rc := float64(a.rootCause + b.rootCause)
+		bg := float64(a.bgpMsgs + b.bgpMsgs)
+		res.RootCauseCentaur.Add(rc)
+		res.RootCauseBGP.Add(bg)
+		res.FullRepairCentaur.Add(float64(a.delta[0] + a.delta[1] + b.delta[0] + b.delta[1]))
+		if rc > 0 {
+			res.RootCauseRatio.Add(bg / rc)
 		}
 	}
 	return res, nil
 }
 
-// nodeStatic caches a node's failure-independent routing state — its
-// selected paths and their route classes — so Figure 5 computes it once
-// per endpoint instead of once per accounting model per sample.
+// nodeStatic caches a node's failure-independent routing state, so
+// Figure 5 computes it once per endpoint instead of once per accounting
+// model per sample.
 type nodeStatic struct {
 	paths   map[routing.NodeID]routing.Path
 	classes map[routing.NodeID]policy.RouteClass
+	// views holds, per relationship some neighbor has to the node, the
+	// announced link view of the paths the node's export filter lets
+	// through to such a neighbor. policy.Policy.Export reads nothing else
+	// of a neighbor, so the view a particular neighbor nb is sent is the
+	// relationship's minus the paths that contain nb (the loop filter).
+	views map[topology.Relationship]*pgraph.View
+	// through lists, aligned with the node's neighbor list, the
+	// destinations whose selected path contains that neighbor.
+	through [][]routing.NodeID
 }
 
-// newNodeStatic materializes u's path set and class map.
+// newNodeStatic materializes u's path set, class map and export views.
 func newNodeStatic(sol *solver.Solution, u routing.NodeID) *nodeStatic {
+	pol := sol.Policy()
+	nbs := sol.Topology().Neighbors(u)
 	paths := sol.PathSet(u)
-	classes := make(map[routing.NodeID]policy.RouteClass, len(paths))
-	for d := range paths {
-		classes[d] = sol.Class(u, d)
+	st := &nodeStatic{
+		paths:   paths,
+		classes: make(map[routing.NodeID]policy.RouteClass, len(paths)),
+		views:   make(map[topology.Relationship]*pgraph.View),
+		through: make([][]routing.NodeID, len(nbs)),
 	}
-	return &nodeStatic{paths: paths, classes: classes}
+	nbAt := make(map[routing.NodeID]int, len(nbs))
+	for i, nb := range nbs {
+		nbAt[nb.ID] = i
+	}
+	for d, p := range paths {
+		st.classes[d] = sol.Class(u, d)
+		for _, x := range p[1:] {
+			if i, ok := nbAt[x]; ok {
+				st.through[i] = append(st.through[i], d)
+			}
+		}
+	}
+	for _, nb := range nbs {
+		if st.views[nb.Rel] != nil {
+			continue
+		}
+		view := pgraph.NewView(u)
+		for d, p := range paths {
+			if pol.Export(u, st.classes[d], nb.Rel) {
+				view.Set(d, p)
+			}
+		}
+		view.Flush()
+		st.views[nb.Rel] = view
+	}
+	return st
 }
 
 // edgeImpact is one endpoint's immediate reaction to a link failure
@@ -359,32 +426,59 @@ type edgeImpact struct {
 }
 
 // failureImpact measures endpoint u's immediate reaction to losing its
-// link to v. The expensive intermediates — u's exported link views, the
-// set of destinations routed through the failed link (from the
-// solution's reverse next-hop index, instead of scanning the full path
-// set), and the best replacement route per affected destination — are
-// computed once here and shared by the individual accountings. One
-// exportable-path buffer is reused across every view build of the
-// sample.
-func failureImpact(sol *solver.Solution, st *nodeStatic, u, v routing.NodeID) edgeImpact {
+// link to v. The destinations routed through the failed link come from
+// the solution's reverse next-hop index, and their best replacements are
+// computed once for the BGP and the Centaur accounting.
+//
+// Centaur's side is read off the incrementally maintained export views
+// (paper §4.3.2; DESIGN.md "Figure 5 accounting"), one surviving neighbor
+// nb at a time: withdrawing the paths through nb turns the
+// relationship's view into nb's, whose holding the failed link is the
+// root cause bit; moving the affected destinations to their replacements
+// makes Flush return the full-repair Δ; then the view is put back.
+func (st *nodeStatic) failureImpact(sol *solver.Solution, u, v routing.NodeID) edgeImpact {
 	pol := sol.Policy()
-	nbs := sol.Topology().Neighbors(u)
-	buf := make(map[routing.NodeID]routing.Path, len(st.paths))
-	// Old exported views toward every surviving neighbor, aligned with
-	// nbs (nil at v's slot).
-	oldViews := make([][]pgraph.LinkInfo, len(nbs))
-	for i, nb := range nbs {
-		if nb.ID != v {
-			oldViews[i] = exportLinkView(u, nb, st.paths, st.classes, pol, buf)
-		}
-	}
 	via := sol.DestsVia(u, v)
 	repl := replacements(sol, st, via, u, v)
-	return edgeImpact{
-		rootCause: rootCauseCentaurMsgs(oldViews, routing.Link{From: u, To: v}),
-		bgpMsgs:   immediateBGPMsgs(sol, st, via, repl, u, v),
-		delta:     immediateCentaurDelta(sol, st, repl, oldViews, u, v, buf),
+	out := edgeImpact{bgpMsgs: immediateBGPMsgs(sol, st, via, repl, u, v)}
+	for i, nb := range sol.Topology().Neighbors(u) {
+		if nb.ID == v {
+			continue
+		}
+		view := st.views[nb.Rel]
+		// exported is what u announces to a neighbor of nb's relationship
+		// for a route with path p and class cl.
+		exported := func(p routing.Path, cl policy.RouteClass) routing.Path {
+			if !pol.Export(u, cl, nb.Rel) {
+				return nil
+			}
+			return p
+		}
+		for _, d := range st.through[i] {
+			view.Set(d, nil)
+		}
+		view.Flush()
+		if view.Graph().HasLink(routing.Link{From: u, To: v}) {
+			out.rootCause++
+		}
+		for _, d := range via {
+			best := repl[d] // the zero Candidate when no route survives
+			if best.Path.Contains(nb.ID) {
+				best.Path = nil
+			}
+			view.Set(d, exported(best.Path, best.Class))
+		}
+		delta := view.Flush()
+		out.delta[0] += len(delta.Adds)
+		out.delta[1] += len(delta.Removes)
+		for _, ds := range [2][]routing.NodeID{via, st.through[i]} {
+			for _, d := range ds {
+				view.Set(d, exported(st.paths[d], st.classes[d]))
+			}
+		}
+		view.Flush()
 	}
+	return out
 }
 
 // replacements computes, for every destination u currently routes
@@ -428,23 +522,6 @@ func bestReplacement(sol *solver.Solution, u, v, d routing.NodeID) policy.Candid
 	return best
 }
 
-// rootCauseCentaurMsgs counts the root cause notifications endpoint u
-// must emit the moment its link to v fails: one withdrawal of the
-// directed failed link per surviving neighbor whose exported view
-// contained it.
-func rootCauseCentaurMsgs(oldViews [][]pgraph.LinkInfo, failed routing.Link) int {
-	msgs := 0
-	for _, view := range oldViews {
-		for _, li := range view {
-			if li.Link == failed {
-				msgs++
-				break
-			}
-		}
-	}
-	return msgs
-}
-
 // immediateBGPMsgs counts the updates endpoint u sends right after its
 // link to v fails: for every destination routed through v (via), one
 // announce/withdraw per neighbor whose advertised state changes when
@@ -475,70 +552,6 @@ func immediateBGPMsgs(sol *solver.Solution, st *nodeStatic, via []routing.NodeID
 		}
 	}
 	return msgs
-}
-
-// immediateCentaurDelta counts the [adds, removes] link-announcement
-// units endpoint u sends right after its link to v fails: the
-// per-neighbor delta between its old exported link-state views
-// (oldViews, aligned with Neighbors(u)) and the views rebuilt from the
-// replacement routes (repl).
-func immediateCentaurDelta(sol *solver.Solution, st *nodeStatic, repl map[routing.NodeID]policy.Candidate,
-	oldViews [][]pgraph.LinkInfo, u, v routing.NodeID, buf map[routing.NodeID]routing.Path) [2]int {
-	pol := sol.Policy()
-	// New path set: every route through v moves to its best replacement
-	// (or disappears); the rest carry over.
-	newPaths := make(map[routing.NodeID]routing.Path, len(st.paths))
-	newClasses := make(map[routing.NodeID]policy.RouteClass, len(st.paths))
-	for d, p := range st.paths {
-		if p.NextHop(u) != v {
-			newPaths[d] = p
-			newClasses[d] = st.classes[d]
-		} else if best, ok := repl[d]; ok {
-			newPaths[d] = best.Path
-			newClasses[d] = best.Class
-		}
-	}
-	var out [2]int
-	for i, nb := range sol.Topology().Neighbors(u) {
-		if nb.ID == v {
-			continue
-		}
-		newView := exportLinkView(u, nb, newPaths, newClasses, pol, buf)
-		d := pgraph.Diff(oldViews[i], newView)
-		out[0] += len(d.Adds)
-		out[1] += len(d.Removes)
-	}
-	return out
-}
-
-// exportLinkView assembles the link-level announcement view of paths as
-// exported to neighbor nb (the batch equivalent of the protocol's
-// incrementally maintained pgraph.View). buf, when non-nil, is reused
-// as the exportable-path work map — pgraph.Build does not retain it, so
-// one buffer serves every view of a Figure 5 sample (the same
-// reusable-buffer discipline as pgraph.DeriveAllInto).
-func exportLinkView(self routing.NodeID, nb topology.Neighbor,
-	paths map[routing.NodeID]routing.Path, classes map[routing.NodeID]policy.RouteClass,
-	pol policy.Policy, buf map[routing.NodeID]routing.Path) []pgraph.LinkInfo {
-	exportable := buf
-	if exportable == nil {
-		exportable = make(map[routing.NodeID]routing.Path, len(paths))
-	} else {
-		clear(exportable)
-	}
-	for d, p := range paths {
-		if !pol.Export(self, classes[d], nb.Rel) || p.Contains(nb.ID) {
-			continue
-		}
-		exportable[d] = p
-	}
-	g, err := pgraph.Build(self, exportable)
-	if err != nil {
-		// Selected paths are valid by construction; a failure here is a
-		// programming error.
-		panic(fmt.Sprintf("experiments: building export view: %v", err))
-	}
-	return g.LinkInfos()
 }
 
 // String renders the Figure 5 summary: the distributions and the

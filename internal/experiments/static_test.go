@@ -26,10 +26,10 @@ func solveSmall(t *testing.T) *solver.Solution {
 
 // TestFigure5ImpactGolden pins the per-edge and total counts of all
 // three Figure 5 accounting models on a fixed topology. The golden
-// numbers were recorded before bestReplacement/replacements were
-// factored out of immediateBGPMsgs and immediateCentaurDelta, so this
-// test pins both callers of the shared helper to their original
-// behavior.
+// numbers were recorded when every exported view was still rebuilt with
+// pgraph.Build and diffed, before bestReplacement/replacements were
+// factored out; they now pin the shared incremental views to that
+// original behavior.
 func TestFigure5ImpactGolden(t *testing.T) {
 	sol := solveSmall(t)
 	edges := sol.Topology().Edges()
@@ -38,7 +38,7 @@ func TestFigure5ImpactGolden(t *testing.T) {
 	}
 
 	impact := func(u, v routing.NodeID) edgeImpact {
-		return failureImpact(sol, newNodeStatic(sol, u), u, v)
+		return newNodeStatic(sol, u).failureImpact(sol, u, v)
 	}
 
 	var rc, bgp, fr int
@@ -127,5 +127,32 @@ func TestBestReplacementMatchesReference(t *testing.T) {
 	}
 	if checked == 0 {
 		t.Fatal("no affected destinations checked")
+	}
+}
+
+// TestFigure5AllocBudget pins Figure 5's allocation count per sampled
+// link on the CAIDA-like 120-node fixture. The shared views measure 20
+// links in about 1,100 allocations each — per-endpoint path sets and
+// base views, then Flush deltas; the rebuild-per-neighbor runner took
+// about 13,600. The budget leaves room for scheduling and map-growth
+// noise, not for a P-graph build per neighbor.
+func TestFigure5AllocBudget(t *testing.T) {
+	g, err := topogen.CAIDALike(120, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sol, err := solver.SolveOpts(g, solver.Options{TieBreak: policy.TieOverride})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const links, budget = 20, 2000
+	perLink := testing.AllocsPerRun(3, func() {
+		if _, err := Figure5("budget", sol, links, 1); err != nil {
+			t.Fatal(err)
+		}
+	}) / links
+	t.Logf("%.0f allocations per sampled link", perLink)
+	if perLink > budget {
+		t.Errorf("%.0f allocations per sampled link, budget %d", perLink, budget)
 	}
 }

@@ -182,18 +182,12 @@ func (g *Graph) deriveSlot(cur int32, skip func(routing.Link) bool) (routing.Pat
 	return path, true, DenialNone
 }
 
-// DeriveAll derives the policy-compliant path for every marked
-// destination, returning a map keyed by destination. Destinations with
-// no derivable path are omitted.
-func (g *Graph) DeriveAll() map[routing.NodeID]routing.Path {
-	return g.DeriveAllInto(nil)
-}
-
-// DeriveAllInto is DeriveAll with caller-owned storage: out, when
-// non-nil, is cleared and refilled instead of allocating a fresh map.
-// Batch consumers that derive every destination repeatedly (analysis
-// sweeps, per-flip re-derivation) use this to hold per-call allocation
-// to the result paths themselves.
+// DeriveAllInto derives the policy-compliant path for every marked
+// destination into a map keyed by destination; destinations with no
+// derivable path are omitted. out, when non-nil, is cleared and refilled
+// instead of allocating a fresh map: batch consumers that derive every
+// destination repeatedly (analysis sweeps, per-flip re-derivation) use
+// this to hold per-call allocation to the result paths themselves.
 func (g *Graph) DeriveAllInto(out map[routing.NodeID]routing.Path) map[routing.NodeID]routing.Path {
 	if out == nil {
 		out = make(map[routing.NodeID]routing.Path, g.nDests)
@@ -232,27 +226,46 @@ func (g *Graph) DeriveAllInto(out map[routing.NodeID]routing.Path) map[routing.N
 // selected path segment that crosses a multi-homed node over a
 // non-primary in-link.
 func Build(root routing.NodeID, paths map[routing.NodeID]routing.Path) (*Graph, error) {
+	list := make([]routing.Path, 0, len(paths))
+	for dest, p := range paths {
+		if p.Dest() != dest || len(p) == 0 {
+			return nil, validatePath(root, dest, p)
+		}
+		list = append(list, p)
+	}
+	return BuildInto(nil, root, list)
+}
+
+// BuildInto is Build with caller-owned storage and the path set as a
+// list, one path per destination. g, when non-nil, is emptied and
+// refilled instead of allocating a fresh graph, keeping its intern table,
+// slot records and edge capacity, so a sweep that builds one P-graph
+// after another allocates only their Permission Lists. Nodes take their
+// slots in list order, which is why the input is not a map (DESIGN.md
+// "Figure 5 accounting"). Whatever g held is gone, also on error.
+func BuildInto(g *Graph, root routing.NodeID, paths []routing.Path) (*Graph, error) {
 	tele.builds.Inc()
-	g := New(root)
+	if g == nil {
+		g = New(root)
+	} else {
+		g.reset(root)
+	}
 	g.setDest(rootSlot, true)
 	// Pass one: links, destination marks, counters. hops records the slot
-	// of every path node, in the order dests lists the paths, so the
-	// later passes need no lookups.
-	dests := make([]routing.NodeID, 0, len(paths))
-	var hops []int32
-	for dest, p := range paths {
-		if err := validatePath(root, dest, p); err != nil {
+	// of every path node, so the later passes need no lookups; it and the
+	// primaries live in the traversal scratch, which Build never walks.
+	hops := g.stack[:0]
+	for _, p := range paths {
+		if err := validatePath(root, p.Dest(), p); err != nil {
 			return nil, err
 		}
-		dests = append(dests, dest)
-		hops = g.addPath(p, hops)
+		marked := g.nDests
+		if hops = g.addPath(p, hops); g.nDests == marked && len(p) > 1 {
+			return nil, fmt.Errorf("pgraph: two paths for destination %v", p.Dest())
+		}
 	}
-	primary := g.pickPrimaries()
-	for _, dest := range dests {
-		p := paths[dest]
-		g.appendPathPairs(dest, p, hops[:len(p)], primary)
-		hops = hops[len(p):]
-	}
+	g.stack = hops[:0]
+	g.appendPairs(hops, g.pickPrimaries())
 	g.sealPerms()
 	return g, nil
 }
@@ -287,7 +300,8 @@ const (
 // node's primary in-edge — the one with the most selected paths, ties
 // to the lowest parent ID — and singleHomed for every other node.
 func (g *Graph) pickPrimaries() []int32 {
-	primary := make([]int32, g.nodes.len())
+	primary := slices.Grow(g.found[:0], g.nodes.len())[:g.nodes.len()]
+	g.found = primary[:0]
 	for s := int32(0); s < g.nodes.n; s++ {
 		primary[s] = singleHomed
 		if in := g.nodes.at(s).in; len(in) > 1 {
@@ -309,27 +323,40 @@ func primaryEdge(in []edge) int {
 	return best
 }
 
-// appendPathPairs appends p's (dest, next) pair to the Permission List
-// of every in-edge of p that enters a multi-homed node other than
-// through its primary; layout is pickPrimaries' per-slot result and
-// hops are p's node slots. The lists are left unsorted; sealPerms
-// finishes them.
-func (g *Graph) appendPathPairs(dest routing.NodeID, p routing.Path, hops []int32, layout []int32) {
-	for i := 1; i < len(p); i++ {
-		s := hops[i]
-		if layout[s] == singleHomed {
-			continue
+// appendPairs appends, for every path addPath recorded in hops, its
+// (dest, next) pair to the Permission List of every in-edge of the path
+// that enters a multi-homed node other than through its primary; layout
+// is pickPrimaries' per-slot result. A path starts at the root slot and
+// never returns to it, which is what separates the paths in hops. The
+// lists are left unsorted; sealPerms finishes them.
+func (g *Graph) appendPairs(hops, layout []int32) {
+	for len(hops) > 0 {
+		n := 1
+		for n < len(hops) && hops[n] != rootSlot {
+			n++
 		}
-		nd := g.nodes.at(s)
-		at, _ := nd.inEdge(p[i-1])
-		if int32(at) == layout[s] {
-			continue
+		dest := g.nodes.at(hops[n-1]).id
+		for i := 1; i < n; i++ {
+			s := hops[i]
+			if layout[s] == singleHomed {
+				continue
+			}
+			nd := g.nodes.at(s)
+			at, _ := nd.inEdge(g.nodes.at(hops[i-1]).id)
+			if int32(at) == layout[s] {
+				continue
+			}
+			e := &nd.in[at]
+			if e.perm == nil {
+				g.setPerm(e, &PermissionList{})
+			}
+			next := routing.None
+			if i+1 < n {
+				next = g.nodes.at(hops[i+1]).id
+			}
+			e.perm.pairs = append(e.perm.pairs, PermEntry{Dest: dest, Next: next})
 		}
-		e := &nd.in[at]
-		if e.perm == nil {
-			g.setPerm(e, &PermissionList{})
-		}
-		e.perm.pairs = append(e.perm.pairs, PermEntry{Dest: dest, Next: nextAfter(p, i)})
+		hops = hops[n:]
 	}
 }
 

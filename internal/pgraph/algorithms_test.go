@@ -336,7 +336,7 @@ func TestDeriveAll(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	all := g.DeriveAll()
+	all := g.DeriveAllInto(nil)
 	// Root itself is marked as destination by Build.
 	if len(all) != 3 {
 		t.Fatalf("DeriveAll returned %d paths, want 3 (including root)", len(all))
@@ -351,7 +351,7 @@ func TestDeriveAll(t *testing.T) {
 func TestDeriveAllInto(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	// Reuse one buffer across several random graphs: every refill must
-	// match a fresh DeriveAll exactly, with no stale keys surviving.
+	// match a derivation into a fresh map exactly, with no stale keys surviving.
 	buf := map[routing.NodeID]routing.Path{99: {99}} // junk that must be cleared
 	for trial := 0; trial < 20; trial++ {
 		paths := randomPathSet(rng, 1)
@@ -359,10 +359,10 @@ func TestDeriveAllInto(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := g.DeriveAll()
+		want := g.DeriveAllInto(nil)
 		buf = g.DeriveAllInto(buf)
 		if len(buf) != len(want) {
-			t.Fatalf("trial %d: DeriveAllInto has %d paths, DeriveAll has %d", trial, len(buf), len(want))
+			t.Fatalf("trial %d: refilled map has %d paths, fresh map has %d", trial, len(buf), len(want))
 		}
 		for d, p := range want {
 			if !buf[d].Equal(p) {

@@ -54,6 +54,27 @@ func BenchmarkBuild(b *testing.B) {
 	}
 }
 
+// BenchmarkBuildInto is BenchmarkBuild into one recycled graph, the way
+// the per-node sweeps of tables 4-5 build.
+func BenchmarkBuildInto(b *testing.B) {
+	hub, paths, dests := benchInput(b)
+	list := make([]routing.Path, len(dests))
+	for i, d := range dests {
+		list[i] = paths[d]
+	}
+	g, err := pgraph.BuildInto(nil, hub, list)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := pgraph.BuildInto(g, hub, list); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkViewSetFlush measures the sender side of the §4.3.2 steady
 // phase: every eighth destination withdrawn and flushed, then
 // re-announced and flushed, on a view holding the full path set.

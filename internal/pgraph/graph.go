@@ -76,14 +76,15 @@ func (t *nodeTable) at(s int32) *node { return &t.chunks[s>>chunkBits][s&(chunkS
 // len returns the number of slots handed out.
 func (t *nodeTable) len() int { return int(t.n) }
 
-// push appends a record and returns its slot.
-func (t *nodeTable) push(nd node) int32 {
+// push hands the next slot to node id and returns it. A slot not yet
+// handed out is blank but for the edge capacity a reset left in it.
+func (t *nodeTable) push(id routing.NodeID) int32 {
 	s := t.n
 	if int(s>>chunkBits) == len(t.chunks) {
 		t.chunks = append(t.chunks, make([]node, chunkSize))
 	}
 	t.n++
-	*t.at(s) = nd
+	t.at(s).id = id
 	return s
 }
 
@@ -129,6 +130,22 @@ func New(root routing.NodeID) *Graph {
 	return g
 }
 
+// reset empties g for reuse as a graph rooted at root. The intern
+// table's buckets, the slot chunks, every slot's edge capacity and the
+// traversal scratch are kept; the records are blanked, which also drops
+// their Permission List pointers.
+func (g *Graph) reset(root routing.NodeID) {
+	clear(g.idx)
+	for s := int32(0); s < g.nodes.n; s++ {
+		nd := g.nodes.at(s)
+		clear(nd.in)
+		*nd = node{in: nd.in[:0], out: nd.out[:0]}
+	}
+	g.nodes.n = 0
+	*g = Graph{root: root, idx: g.idx, nodes: g.nodes, free: g.free[:0], stack: g.stack[:0], found: g.found[:0]}
+	g.intern(root)
+}
+
 // slot resolves n through the intern table.
 func (g *Graph) slot(n routing.NodeID) (int32, bool) {
 	s, ok := g.idx[n]
@@ -146,7 +163,7 @@ func (g *Graph) intern(n routing.NodeID) int32 {
 		g.free = g.free[:k-1]
 		g.nodes.at(s).id = n
 	} else {
-		s = g.nodes.push(node{id: n})
+		s = g.nodes.push(n)
 	}
 	g.idx[n] = s
 	return s

@@ -30,11 +30,6 @@ import (
 func BuildMulti(root routing.NodeID, paths map[routing.NodeID][]routing.Path) (*Graph, error) {
 	g := New(root)
 	g.setDest(rootSlot, true)
-	type selected struct {
-		dest routing.NodeID
-		path routing.Path
-	}
-	var all []selected
 	var hops []int32
 	for dest, set := range paths {
 		seen := make(map[string]struct{}, len(set))
@@ -47,7 +42,6 @@ func BuildMulti(root routing.NodeID, paths map[routing.NodeID][]routing.Path) (*
 				return nil, fmt.Errorf("pgraph: duplicate path %v for destination %v", p, dest)
 			}
 			seen[key] = struct{}{}
-			all = append(all, selected{dest, p})
 			hops = g.addPath(p, hops)
 		}
 	}
@@ -60,10 +54,7 @@ func BuildMulti(root routing.NodeID, paths map[routing.NodeID][]routing.Path) (*
 			restrict[s] = allRestricted
 		}
 	}
-	for _, sel := range all {
-		g.appendPathPairs(sel.dest, sel.path, hops[:len(sel.path)], restrict)
-		hops = hops[len(sel.path):]
-	}
+	g.appendPairs(hops, restrict)
 	g.sealPerms()
 	return g, nil
 }

@@ -99,6 +99,10 @@ type Policy interface {
 	Accept(self, via routing.NodeID, p routing.Path) bool
 	// Export is the export filter: whether node self may announce a
 	// route of class cl to a neighbor whose relationship to self is rel.
+	// The relationship is all a policy learns of the neighbor: two
+	// neighbors of the same relationship are exported the same routes,
+	// which is what lets experiments.Figure5 keep one announced view per
+	// relationship instead of one per neighbor.
 	Export(self routing.NodeID, cl RouteClass, rel topology.Relationship) bool
 	// Better is the ranking function: whether candidate a is strictly
 	// preferred over candidate b at node self.

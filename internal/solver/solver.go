@@ -627,28 +627,35 @@ func (s *Solution) Dist(from, dest routing.NodeID) int {
 // Path materializes from's best path to dest by following next hops. The
 // boolean result is false when dest is unreachable from from.
 func (s *Solution) Path(from, dest routing.NodeID) (routing.Path, bool) {
+	p, ok := s.AppendPath(nil, from, dest)
+	return p[:len(p):len(p)], ok // no spare capacity for a caller's append to share
+}
+
+// AppendPath is Path appending to dst, for callers that carve many paths
+// out of one buffer; an unreachable dest leaves dst as it was.
+func (s *Solution) AppendPath(dst routing.Path, from, dest routing.NodeID) (routing.Path, bool) {
 	f, d := s.idx.Pos(from), s.idx.Pos(dest)
 	if f < 0 || d < 0 {
-		return nil, false
+		return dst, false
 	}
 	if f == d {
-		return routing.Path{from}, true
+		return append(dst, from), true
 	}
 	if s.nextPos(d, int32(f)) == noRoute {
-		return nil, false
+		return dst, false
 	}
-	p := make(routing.Path, 0, int(s.distPos(d, int32(f)))+1)
+	lo := len(dst)
+	dst = slices.Grow(dst, int(s.distPos(d, int32(f)))+1)
 	cur := int32(f)
 	for cur != int32(d) {
-		p = append(p, s.idx.ID(int(cur)))
+		dst = append(dst, s.idx.ID(int(cur)))
 		cur = s.nextPos(d, cur)
-		if len(p) > s.idx.Len() {
+		if len(dst)-lo > s.idx.Len() {
 			// Defensive: a loop here would mean the fixpoint failed.
-			return nil, false
+			return dst[:lo], false
 		}
 	}
-	p = append(p, dest)
-	return p, true
+	return append(dst, dest), true
 }
 
 // PathSet returns from's selected path to every reachable destination
