@@ -80,63 +80,80 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:]); err != nil {
 		fmt.Fprintln(os.Stderr, "centaur-sim:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
+func run(args []string) error {
+	fs := flag.NewFlagSet("centaur-sim", flag.ExitOnError)
 	var (
-		fig        = flag.String("fig", "", "reproduce a figure: 6 | 7 | 8")
-		compare    = flag.Bool("compare", false, "run the full protocol ladder (Centaur, BGP, BGP+MRAI, BGP-RCN, OSPF) on one flip workload")
-		nodes      = flag.Int("nodes", 500, "BRITE topology size (figures 6 and 7)")
-		m          = flag.Int("m", 2, "BRITE attachment links per node")
-		flips      = flag.Int("flips", 120, "links flipped per measurement (0 = all)")
-		seed       = flag.Int64("seed", 1, "topology, delay, and sampling seed")
-		mrai       = flag.Duration("mrai", 30*time.Second, "BGP MRAI for the figure 6 headline series")
-		sizes      = flag.String("sizes", "100,200,300,400,500,600,700,800,900,1000", "figure 8 topology sizes")
-		workers    = flag.Int("workers", 0, "max concurrent simulations (0 = GOMAXPROCS, 1 = serial)")
-		trialsPer  = flag.Int("trials-per-net", 0, "flip trials per fresh network; 0 = one shared network per series (historical semantics)")
-		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memprofile = flag.String("memprofile", "", "write a heap profile to this file on exit")
-		noCheckpt  = flag.Bool("no-checkpoint", false, "disable converged-state checkpointing; cold-start every trial chunk")
-		verify     = flag.Bool("verify", false, "figures 6-8: invariant-check every quiesced flip state against the incremental solver oracle")
-		scaling    = flag.Bool("scaling", false, "run the solver scaling sweep (cold solve vs incremental flips; -sizes, -flips, -seed apply)")
-		scalingMax = flag.Int("scaling-max-nodes", 16000, "scaling: largest default sweep tier (75000 adds the real-AS-scale point; ignored when -sizes is set)")
-		noVerify   = flag.Bool("no-verify", false, "scaling: skip the answer-identical check against a fresh cold solve per size")
-		deriveWork = flag.Int("derive-workers", 0, "centaur: goroutines per node's recompute round (0/1 = serial; results identical at any setting)")
-		traceFile  = flag.String("trace", "", "write a structured JSONL event trace to this file")
-		prov       = flag.Bool("prov", false, "emit the trace with causal provenance (schema v2; requires -trace)")
-		debugAddr  = flag.String("debug-addr", "", "serve /debug/vars and /debug/pprof on this address (e.g. localhost:6060)")
-		progress   = flag.Duration("progress", 0, "print a progress line to stderr at this interval (0 = off)")
+		fig        = fs.String("fig", "", "reproduce a figure: 6 | 7 | 8")
+		compare    = fs.Bool("compare", false, "run the full protocol ladder (Centaur, BGP, BGP+MRAI, BGP-RCN, OSPF) on one flip workload")
+		nodes      = fs.Int("nodes", 500, "BRITE topology size (figures 6 and 7)")
+		m          = fs.Int("m", 2, "BRITE attachment links per node")
+		flips      = fs.Int("flips", 120, "links flipped per measurement (0 = all)")
+		seed       = fs.Int64("seed", 1, "topology, delay, and sampling seed")
+		mrai       = fs.Duration("mrai", 30*time.Second, "BGP MRAI for the figure 6 headline series")
+		sizes      = fs.String("sizes", "100,200,300,400,500,600,700,800,900,1000", "figure 8 topology sizes")
+		workers    = fs.Int("workers", 0, "max concurrent simulations (0 = GOMAXPROCS, 1 = serial)")
+		trialsPer  = fs.Int("trials-per-net", 0, "flip trials per fresh network; 0 = one shared network per series (historical semantics)")
+		cpuprofile = fs.String("cpuprofile", "", "write a CPU profile to this file")
+		memprofile = fs.String("memprofile", "", "write a heap profile to this file on exit")
+		noCheckpt  = fs.Bool("no-checkpoint", false, "disable converged-state checkpointing; cold-start every trial chunk")
+		verify     = fs.Bool("verify", false, "figures 6-8: invariant-check every quiesced flip state against the incremental solver oracle")
+		scaling    = fs.Bool("scaling", false, "run the solver scaling sweep (cold solve vs incremental flips; -sizes, -flips, -seed apply)")
+		scalingMax = fs.Int("scaling-max-nodes", 16000, "scaling: largest default sweep tier (75000 adds the real-AS-scale point; ignored when -sizes is set)")
+		noVerify   = fs.Bool("no-verify", false, "scaling: skip the answer-identical check against a fresh cold solve per size")
+		deriveWork = fs.Int("derive-workers", 0, "centaur: goroutines per node's recompute round (0/1 = serial; results identical at any setting)")
+		traceFile  = fs.String("trace", "", "write a structured JSONL event trace to this file")
+		prov       = fs.Bool("prov", false, "emit the trace with causal provenance (schema v2; requires -trace)")
+		debugAddr  = fs.String("debug-addr", "", "serve /debug/vars and /debug/pprof on this address (e.g. localhost:6060)")
+		progress   = fs.Duration("progress", 0, "print a progress line to stderr at this interval (0 = off)")
 
-		rel         = flag.Bool("rel", false, "run the reliability experiment (convergence under injected faults)")
-		loss        = flag.String("loss", "0,0.05,0.1,0.2", "reliability: comma-separated per-message loss rates")
-		dup         = flag.Float64("dup", 0, "reliability: per-message duplication probability")
-		jitter      = flag.Duration("jitter", 0, "reliability: max extra per-message delivery delay")
-		churn       = flag.String("churn", "0,10", "reliability: comma-separated link-flap rates (flaps per simulated second)")
-		crashes     = flag.Int("crashes", 0, "reliability: node crash/restart cycles per trial")
-		faultSeed   = flag.Int64("fault-seed", 10_000, "reliability: fault-plan seed (same seed ⇒ same faults)")
-		trials      = flag.Int("trials", 1, "reliability: trials per (protocol, loss, churn) grid point")
-		noTransport = flag.Bool("no-transport", false, "reliability: run protocols raw, without the reliable-transport adapter")
-		bloomPL     = flag.Bool("bloom-pl", false, "reliability: centaur sends Bloom-compressed Permission Lists")
-		plFPRate    = flag.Float64("pl-fp-rate", 0, "reliability: per-filter false-positive target for -bloom-pl (0 = protocol default)")
+		rel         = fs.Bool("rel", false, "run the reliability experiment (convergence under injected faults)")
+		loss        = fs.String("loss", "0,0.05,0.1,0.2", "reliability: comma-separated per-message loss rates")
+		dup         = fs.Float64("dup", 0, "reliability: per-message duplication probability")
+		jitter      = fs.Duration("jitter", 0, "reliability: max extra per-message delivery delay")
+		churn       = fs.String("churn", "0,10", "reliability: comma-separated link-flap rates (flaps per simulated second)")
+		crashes     = fs.Int("crashes", 0, "reliability: node crash/restart cycles per trial")
+		faultSeed   = fs.Int64("fault-seed", 10_000, "reliability: fault-plan seed (same seed ⇒ same faults)")
+		trials      = fs.Int("trials", 1, "reliability: trials per (protocol, loss, churn) grid point")
+		noTransport = fs.Bool("no-transport", false, "reliability: run protocols raw, without the reliable-transport adapter")
+		bloomPL     = fs.Bool("bloom-pl", false, "reliability: centaur sends Bloom-compressed Permission Lists")
+		plFPRate    = fs.Float64("pl-fp-rate", 0, "reliability: per-filter false-positive target for -bloom-pl (0 = protocol default)")
 
-		adv          = flag.Bool("adv", false, "run the adversarial experiment (route leaks, hijacks, interception, relationship-inference noise)")
-		advKinds     = flag.String("adv-kinds", "leak,hijack", "adversarial: comma-separated attack kinds (leak|hijack|intercept)")
-		advAttackers = flag.String("adv-attackers", "1", "adversarial: comma-separated simultaneous attacker counts")
-		advNoise     = flag.String("adv-noise", "0", "adversarial: comma-separated fractions of c2p/p2p labels flipped before the protocols see the topology")
-		advSeed      = flag.Int64("adv-seed", 40_000, "adversarial: attacker-selection and noise-relabeling seed")
+		adv          = fs.Bool("adv", false, "run the adversarial experiment (route leaks, hijacks, interception, relationship-inference noise)")
+		advKinds     = fs.String("adv-kinds", "leak,hijack", "adversarial: comma-separated attack kinds (leak|hijack|intercept)")
+		advAttackers = fs.String("adv-attackers", "1", "adversarial: comma-separated simultaneous attacker counts")
+		advNoise     = fs.String("adv-noise", "0", "adversarial: comma-separated fractions of c2p/p2p labels flipped before the protocols see the topology")
+		advSeed      = fs.Int64("adv-seed", 40_000, "adversarial: attacker-selection and noise-relabeling seed")
 
-		flows        = flag.Int("flows", 0, "data plane: src→dst traffic aggregates walked through the live RIBs (0 = off); figures 6/7, -rel, and -adv")
-		flowSeed     = flag.Int64("flow-seed", 42, "data plane: flow sampling seed")
-		flowRate     = flag.Float64("flow-rate", 0, "data plane: packets per second per flow for packet-equivalent metrics (0 = 1000)")
-		detectIntv   = flag.String("detect-interval", "", "liveness: BFD transmit interval(s) — one duration for figures 6/7, a comma-separated sweep for -rel (empty = oracle detection)")
-		detectMult   = flag.Int("detect-mult", 0, "liveness: detection multiplier (0 = default 3)")
-		oracleDetect = flag.Bool("oracle-detect", false, "liveness: -rel only, add the oracle (instantaneous detection) point to a -detect-interval sweep")
+		flows        = fs.Int("flows", 0, "data plane: src→dst traffic aggregates walked through the live RIBs (0 = off); figures 6/7, -rel, and -adv")
+		flowSeed     = fs.Int64("flow-seed", 42, "data plane: flow sampling seed")
+		flowRate     = fs.Float64("flow-rate", 0, "data plane: packets per second per flow for packet-equivalent metrics (0 = 1000)")
+		detectIntv   = fs.String("detect-interval", "", "liveness: BFD transmit interval(s) — one duration for figures 6/7, a comma-separated sweep for -rel (empty = oracle detection)")
+		detectMult   = fs.Int("detect-mult", 0, "liveness: detection multiplier (0 = default 3)")
+		oracleDetect = fs.Bool("oracle-detect", false, "liveness: -rel only, add the oracle (instantaneous detection) point to a -detect-interval sweep")
 	)
-	flag.Parse()
+	fs.Parse(args) // ExitOnError: a malformed flag has already exited
+	// The runners read a count below one as "all" or "the default", so a
+	// slip like -flips -1 would silently flip every link.
+	for _, c := range []struct {
+		name string
+		v    int
+	}{
+		{"flips", *flips}, {"workers", *workers}, {"trials-per-net", *trialsPer},
+		{"flows", *flows}, {"crashes", *crashes}, {"trials", *trials},
+	} {
+		if c.v < 0 {
+			return fmt.Errorf("-%s %d: a count cannot be negative", c.name, c.v)
+		}
+	}
+	if *prov && *traceFile == "" {
+		return fmt.Errorf("-prov requires -trace (provenance rides on the event trace)")
+	}
 
 	stop, err := startProfiles(*cpuprofile, *memprofile)
 	if err != nil {
@@ -157,9 +174,6 @@ func run() error {
 		solver.SetTelemetry(reg)
 		forward.SetTelemetry(reg)
 		liveness.SetTelemetry(reg)
-	}
-	if *prov && *traceFile == "" {
-		return fmt.Errorf("-prov requires -trace (provenance rides on the event trace)")
 	}
 	if *traceFile != "" {
 		if *prov {
@@ -182,7 +196,7 @@ func run() error {
 	}
 
 	sizesSet := false
-	flag.Visit(func(f *flag.Flag) {
+	fs.Visit(func(f *flag.Flag) {
 		if f.Name == "sizes" {
 			sizesSet = true
 		}
@@ -319,8 +333,7 @@ func dispatch(fig string, compare bool, nodes, m, flips int, seed int64, mrai ti
 		fmt.Print(res)
 		return nil
 	default:
-		flag.Usage()
-		return fmt.Errorf("-fig {6,7,8} is required")
+		return fmt.Errorf("-fig {6,7,8} is required, got %q (-h lists the flags)", fig)
 	}
 }
 

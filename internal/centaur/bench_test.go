@@ -13,7 +13,7 @@ import (
 // nodes, seed 1, the coldstart workload's shape), so two commits
 // compare with benchstat without running a figure.
 
-func benchNetwork(b *testing.B, g *topology.Graph) *sim.Network {
+func benchNetwork(b testing.TB, g *topology.Graph) *sim.Network {
 	b.Helper()
 	net, err := sim.NewNetwork(sim.Config{
 		Topology:  g,
@@ -40,6 +40,22 @@ func BenchmarkHandleColdStart(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		benchNetwork(b, g)
+	}
+}
+
+// TestColdStartAllocBudget pins the allocation count of the benchmark's
+// cold start. The budget (see norace_test.go and race_test.go for the
+// measurements) leaves room for map-growth noise, not for another
+// incrementally maintained P-graph per node.
+func TestColdStartAllocBudget(t *testing.T) {
+	g, err := topogen.BRITE(160, 2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(2, func() { benchNetwork(t, g) })
+	t.Logf("%.0f allocations per cold start", allocs)
+	if allocs > coldStartAllocBudget {
+		t.Errorf("%.0f allocations per cold start, budget %d", allocs, coldStartAllocBudget)
 	}
 }
 

@@ -4,8 +4,7 @@
 // Each node follows the protocol flow of §4.3:
 //
 //   - It keeps one P-graph per neighbor (G_{B→A}), assembled from that
-//     neighbor's downstream-link announcements, plus its own local
-//     P-graph built from its selected paths (§3.2.2).
+//     neighbor's downstream-link announcements.
 //   - The local solver derives, for every known destination, the unique
 //     policy-compliant path offered by each neighbor's P-graph
 //     (DerivePath, Table 1), prepends itself, performs loop detection
@@ -149,9 +148,6 @@ type Node struct {
 	// routes is the selected path set (Loc-RIB) with each route's class
 	// and learned-from neighbor.
 	routes []route
-	// localView maintains the node's own P-graph incrementally (Table 2
-	// semantics via the §4.3.2 counter machinery).
-	localView *pgraph.View
 	// pendingFailed accumulates root-cause links to attach to the next
 	// outgoing updates of the current recompute round.
 	pendingFailed []routing.Link
@@ -251,12 +247,11 @@ func New(cfg Config) sim.Builder {
 			pol = policy.GaoRexford{}
 		}
 		n := &Node{
-			cfg:       cfg,
-			pol:       pol,
-			env:       env,
-			self:      env.Self(),
-			localView: pgraph.NewView(env.Self()),
-			adv:       cfg.Adversary,
+			cfg:  cfg,
+			pol:  pol,
+			env:  env,
+			self: env.Self(),
+			adv:  cfg.Adversary,
 		}
 		nbs := slices.Clone(env.Neighbors())
 		slices.SortFunc(nbs, func(a, b topology.Neighbor) int { return cmp.Compare(a.ID, b.ID) })
@@ -593,9 +588,8 @@ func (n *Node) resolve() {
 }
 
 // recompute is the full local solver plus announcement step: re-derive
-// the best path for every known destination from the neighbor P-graphs,
-// rebuild the local P-graph if anything changed, and send per-neighbor
-// deltas of the export-filtered views.
+// the best path for every known destination from the neighbor P-graphs
+// and send per-neighbor deltas of the export-filtered views.
 //
 // Root-cause notifications ride along with the deltas: a node whose
 // selected paths used a failed link withdraws that link in its delta, so
@@ -635,15 +629,10 @@ func (n *Node) solveAffected() {
 	n.finish(n.solveSome(n.affected))
 }
 
-// finish applies the round's route changes to the local P-graph and the
-// per-neighbor announced views (pgraph.View, the §4.3.2 counter
-// machinery), then sends the flushed Δ_B messages. View updates are
-// limited to the neighbors marked dirty.
+// finish applies the round's route changes to the announced views of the
+// neighbors marked dirty (pgraph.View, the §4.3.2 counter machinery) and
+// sends the flushed Δ_B messages.
 func (n *Node) finish(changed []routing.NodeID) {
-	for _, d := range changed {
-		n.localView.Set(d, n.routes[d].path)
-	}
-	n.localView.Flush() // the local graph emits no messages
 	failed := n.pendingFailed
 	n.pendingFailed = nil
 	for i, b := range n.nbrList {
@@ -871,8 +860,21 @@ func (n *Node) Routes() map[routing.NodeID]routing.Path {
 	return out
 }
 
-// LocalGraph returns the node's local P-graph (shared, do not mutate).
-func (n *Node) LocalGraph() *pgraph.Graph { return n.localView.Graph() }
+// LocalGraph builds the node's local P-graph (§3.2.2, Table 2) from the
+// route table: fresh and caller-owned, O(routes) per call. None is kept.
+func (n *Node) LocalGraph() *pgraph.Graph {
+	paths := make([]routing.Path, 0, len(n.routes))
+	for _, r := range n.routes {
+		if r.path != nil {
+			paths = append(paths, r.path)
+		}
+	}
+	g, err := pgraph.BuildInto(nil, n.self, paths)
+	if err != nil {
+		panic(fmt.Sprintf("centaur: node %v: selected paths form no P-graph: %v", n.self, err))
+	}
+	return g
+}
 
 // NeighborGraph returns G_{b→self}, the P-graph assembled from neighbor
 // b's announcements, or nil when the adjacency is down (shared, do not

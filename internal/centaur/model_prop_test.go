@@ -24,7 +24,10 @@ func sameUpdate(a, b sim.Message) bool {
 // lockstep pairs (the real Node and the reference model fed the same
 // events, every Update and route change compared per event): cold
 // start, single and overlapping failures, restores inside and outside
-// the mask TTL.
+// the mask TTL, node crashes and restarts, and a topology with a sparse
+// node ID. After every quiescence each node's LocalGraph — built on
+// demand from the route table — must equal the local view the model
+// still maintains incrementally, and derive every selected route.
 func TestNodeMatchesModel(t *testing.T) {
 	brite, err := topogen.BRITE(50, 2, 3)
 	if err != nil {
@@ -43,6 +46,7 @@ func TestNodeMatchesModel(t *testing.T) {
 		{"caida/incremental", caida, Config{Incremental: true, Policy: overridePolicy()}},
 		{"brite/full", brite, Config{MaskTTL: 30 * time.Millisecond}},
 		{"caida/no-root-cause", caida, Config{Incremental: true, DisableRootCause: true}},
+		{"sparse/incremental", prototest.SparseGraph(t), Config{Incremental: true, MaskTTL: 30 * time.Millisecond}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			compared := 0
@@ -57,9 +61,26 @@ func TestNodeMatchesModel(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			prototest.Flaps{MaxDown: 3}.Run(t, net, tc.g)
-			if compared == 0 {
-				t.Fatal("nothing was compared")
+			graphs := 0
+			settled := func() {
+				for _, id := range tc.g.Nodes() {
+					p := net.Node(id).(*prototest.Pair)
+					node, model := p.Real().(*Node), p.Model().(*refNode)
+					lg := node.LocalGraph()
+					if want := model.localGraph(); !lg.Equal(want) {
+						t.Fatalf("node %v: LocalGraph is\n%v\nmodel's local view is\n%v", id, lg, want)
+					}
+					for d, want := range node.Routes() {
+						if got, ok := lg.DerivePath(d); !ok || !got.Equal(want) {
+							t.Fatalf("node %v: LocalGraph derives %v for %v, selected %v", id, got, d, want)
+						}
+					}
+					graphs++
+				}
+			}
+			prototest.Flaps{MaxDown: 3, CrashEvery: 5, Settled: settled}.Run(t, net, tc.g)
+			if compared == 0 || graphs == 0 {
+				t.Fatalf("compared %d emissions and %d local graphs", compared, graphs)
 			}
 		})
 	}

@@ -5,7 +5,9 @@ package centaur
 // compression and the adversary hooks) as the reference model
 // TestNodeMatchesModel runs the real Node against, event by event. It
 // also keeps the un-narrowed maskAffect and the unconditional
-// mask-expiry round, so the comparison covers those two clean-ups.
+// mask-expiry round, so the comparison covers those two clean-ups, and
+// the incrementally maintained local view (localGraph), which the Node
+// dropped for a graph built on demand.
 
 import (
 	"slices"
@@ -100,6 +102,11 @@ func (n *refNode) freshNeighborGraph(b routing.NodeID) *pgraph.Graph {
 	g.MarkDest(b)
 	return g
 }
+
+// localGraph returns the local P-graph the model still maintains
+// incrementally in finish — the oracle for Node.LocalGraph, which builds
+// its graph on demand (shared; do not mutate).
+func (n *refNode) localGraph() *pgraph.Graph { return n.localView.Graph() }
 
 // neighbors returns the static ascending neighbor list (shared; do not
 // mutate).

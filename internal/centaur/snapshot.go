@@ -18,9 +18,9 @@ var _ sim.Snapshotter = (*Node)(nil)
 // nbrList are construction-only and shared; routing.Path values are
 // immutable once installed, so the route table and the derive caches
 // are copied but their path slices are not; the neighbor P-graphs and
-// the local/announced views are live mutable structures and are
-// deep-cloned (pgraph's Graph.Clone / View.Clone, including the
-// in-place-mutating Permission Lists). The derive caches are copied as
+// the announced views are live mutable, so deep-cloned (Graph.Clone /
+// View.Clone, in-place-mutating Permission Lists included; there is no
+// local view to clone, see LocalGraph). The derive caches are copied as
 // well — not for correctness (each entry is a pure function of the
 // neighbor's P-graph) but so a fork's cache hit pattern is deterministic
 // rather than dependent on which template the scheduler checkpointed.
@@ -36,7 +36,6 @@ func (n *Node) ForkProtocol(env sim.Env) sim.Protocol {
 		nbrList:       n.nbrList,
 		nbrs:          slices.Clone(n.nbrs),
 		routes:        slices.Clone(n.routes),
-		localView:     n.localView.Clone(),
 		pendingFailed: slices.Clone(n.pendingFailed),
 		failed:        maps.Clone(n.failed),
 		failedGen:     n.failedGen,
@@ -60,12 +59,11 @@ func (n *Node) ForkProtocol(env sim.Env) sim.Protocol {
 	return out
 }
 
-// SnapshotBytes implements sim.Snapshotter: a rough heap estimate of
-// what ForkProtocol copies, dominated by the per-neighbor P-graphs and
-// announced views.
+// SnapshotBytes implements sim.Snapshotter: a rough heap estimate of what
+// ForkProtocol copies, mostly the per-neighbor P-graphs and announced views.
 func (n *Node) SnapshotBytes() int {
 	const word = 8
-	b := n.localView.ApproxMemBytes() + len(n.routes)*5*word + len(n.failed)*6*word
+	b := len(n.routes)*5*word + len(n.failed)*6*word
 	for _, r := range n.routes {
 		b += len(r.path) * word / 2
 	}
