@@ -50,7 +50,7 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:]); err != nil {
 		fmt.Fprintln(os.Stderr, "centaur-bench:", err)
 		os.Exit(1)
 	}
@@ -92,38 +92,55 @@ type benchReport struct {
 	Provenance map[string]telemetry.SeriesProvenance `json:"provenance,omitempty"`
 }
 
-func run() error {
+func run(args []string) error {
+	fs := flag.NewFlagSet("centaur-bench", flag.ExitOnError)
 	var (
-		quick      = flag.Bool("quick", false, "run at smoke scale")
-		seed       = flag.Int64("seed", 1, "master seed")
-		workers    = flag.Int("workers", 0, "max concurrent simulations (0 = GOMAXPROCS, 1 = serial)")
-		trialsPer  = flag.Int("trials-per-net", 0, "flip trials per fresh network; 0 = one shared network per series (historical semantics)")
-		noCheckpt  = flag.Bool("no-checkpoint", false, "disable converged-state checkpointing; cold-start every trial chunk")
-		reportPath = flag.String("report", "BENCH_report.json", "write the machine-readable report here (empty = skip)")
-		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memprofile = flag.String("memprofile", "", "write a heap profile to this file on exit")
-		debugAddr  = flag.String("debug-addr", "", "serve /debug/vars and /debug/pprof on this address (e.g. localhost:6060)")
-		progress   = flag.Duration("progress", 0, "print a progress line to stderr at this interval (0 = off)")
-		traceFile  = flag.String("trace", "", "write a structured JSONL event trace of the figure 6-8 and reliability steps to this file")
-		prov       = flag.Bool("prov", false, "emit the trace with causal provenance (schema v2; requires -trace) and add per-series critical-path percentiles to the report")
+		quick      = fs.Bool("quick", false, "run at smoke scale")
+		seed       = fs.Int64("seed", 1, "master seed")
+		workers    = fs.Int("workers", 0, "max concurrent simulations (0 = GOMAXPROCS, 1 = serial)")
+		trialsPer  = fs.Int("trials-per-net", 0, "flip trials per fresh network; 0 = one shared network per series (historical semantics)")
+		noCheckpt  = fs.Bool("no-checkpoint", false, "disable converged-state checkpointing; cold-start every trial chunk")
+		reportPath = fs.String("report", "BENCH_report.json", "write the machine-readable report here (empty = skip)")
+		cpuprofile = fs.String("cpuprofile", "", "write a CPU profile to this file")
+		memprofile = fs.String("memprofile", "", "write a heap profile to this file on exit")
+		debugAddr  = fs.String("debug-addr", "", "serve /debug/vars and /debug/pprof on this address (e.g. localhost:6060)")
+		progress   = fs.Duration("progress", 0, "print a progress line to stderr at this interval (0 = off)")
+		traceFile  = fs.String("trace", "", "write a structured JSONL event trace of the figure 6-8 and reliability steps to this file")
+		prov       = fs.Bool("prov", false, "emit the trace with causal provenance (schema v2; requires -trace) and add per-series critical-path percentiles to the report")
 
-		loss       = flag.String("loss", "0,0.1,0.2", "reliability step: comma-separated per-message loss rates")
-		dup        = flag.Float64("dup", 0, "reliability step: per-message duplication probability")
-		jitter     = flag.Duration("jitter", 0, "reliability step: max extra per-message delivery delay")
-		churn      = flag.String("churn", "0,10", "reliability step: comma-separated link-flap rates (flaps per simulated second)")
-		crashes    = flag.Int("crashes", 1, "reliability step: node crash/restart cycles per trial")
-		faultSeed  = flag.Int64("fault-seed", 10_000, "reliability step: fault-plan seed (same seed ⇒ same faults)")
-		flows      = flag.Int("flows", 64, "user-impact step: tracked src→dst flows (quick: halved; 0 skips the step)")
-		detect     = flag.String("detect", "2ms,10ms,50ms", "user-impact step: comma-separated BFD detection transmit intervals swept against the oracle point")
-		bloomPL    = flag.Bool("bloom-pl", false, "measure Bloom-compressed Permission Lists: adds the PL-overhead step and switches the reliability centaur series to compressed lists")
-		plFPRate   = flag.Float64("pl-fp-rate", 0, "per-filter false-positive target for -bloom-pl (0 = protocol default)")
-		advStep    = flag.Bool("adv", false, "add the adversarial step: route leaks and hijacks with the invariant checker as the detector, 1000 nodes (quick: 150)")
-		advSeed    = flag.Int64("adv-seed", 40_000, "adversarial step: attacker-selection and noise-relabeling seed")
-		scaling    = flag.Bool("scaling", false, "add the solver scaling step: cold solve vs incremental flips at 1k/4k/16k nodes (quick: 300/600), verified answer-identical")
-		scalingMax = flag.Int("scaling-max-nodes", 16000, "scaling step: largest sweep tier (75000 adds the real-AS-scale point on the sharded table layout)")
-		deriveWork = flag.Int("derive-workers", 0, "goroutines per centaur node's recompute round (0/1 = serial; results identical at any setting)")
+		loss       = fs.String("loss", "0,0.1,0.2", "reliability step: comma-separated per-message loss rates")
+		dup        = fs.Float64("dup", 0, "reliability step: per-message duplication probability")
+		jitter     = fs.Duration("jitter", 0, "reliability step: max extra per-message delivery delay")
+		churn      = fs.String("churn", "0,10", "reliability step: comma-separated link-flap rates (flaps per simulated second)")
+		crashes    = fs.Int("crashes", 1, "reliability step: node crash/restart cycles per trial")
+		faultSeed  = fs.Int64("fault-seed", 10_000, "reliability step: fault-plan seed (same seed ⇒ same faults)")
+		flows      = fs.Int("flows", 64, "user-impact step: tracked src→dst flows (quick: halved; 0 skips the step)")
+		detect     = fs.String("detect", "2ms,10ms,50ms", "user-impact step: comma-separated BFD detection transmit intervals swept against the oracle point")
+		bloomPL    = fs.Bool("bloom-pl", false, "measure Bloom-compressed Permission Lists: adds the PL-overhead step and switches the reliability centaur series to compressed lists")
+		plFPRate   = fs.Float64("pl-fp-rate", 0, "per-filter false-positive target for -bloom-pl (0 = protocol default)")
+		advStep    = fs.Bool("adv", false, "add the adversarial step: route leaks and hijacks with the invariant checker as the detector, 1000 nodes (quick: 150)")
+		advSeed    = fs.Int64("adv-seed", 40_000, "adversarial step: attacker-selection and noise-relabeling seed")
+		scaling    = fs.Bool("scaling", false, "add the solver scaling step: cold solve vs incremental flips at 1k/4k/16k nodes (quick: 300/600), verified answer-identical")
+		scalingMax = fs.Int("scaling-max-nodes", 16000, "scaling step: largest sweep tier (75000 adds the real-AS-scale point on the sharded table layout)")
+		deriveWork = fs.Int("derive-workers", 0, "goroutines per centaur node's recompute round (0/1 = serial; results identical at any setting)")
 	)
-	flag.Parse()
+	fs.Parse(args) // ExitOnError: a malformed flag has already exited
+	// The steps read a count below one as "all" or "the default", so a
+	// slip like -workers -3 would silently run at full width.
+	for _, c := range []struct {
+		name string
+		v    int
+	}{
+		{"workers", *workers}, {"trials-per-net", *trialsPer}, {"crashes", *crashes},
+		{"flows", *flows}, {"scaling-max-nodes", *scalingMax}, {"derive-workers", *deriveWork},
+	} {
+		if c.v < 0 {
+			return fmt.Errorf("-%s %d: a count cannot be negative", c.name, c.v)
+		}
+	}
+	if *prov && *traceFile == "" {
+		return fmt.Errorf("-prov requires -trace (provenance rides on the event trace)")
+	}
 
 	stop, err := startProfiles(*cpuprofile, *memprofile)
 	if err != nil {
@@ -175,9 +192,6 @@ func run() error {
 
 	// Opt-in like -bloom-pl: without -trace the report and stdout stay
 	// byte-identical to builds predating the option.
-	if *prov && *traceFile == "" {
-		return fmt.Errorf("-prov requires -trace (provenance rides on the event trace)")
-	}
 	var tc *telemetry.TraceCollector
 	if *traceFile != "" {
 		if *prov {
@@ -376,7 +390,7 @@ func run() error {
 			Seed:  *seed, TieBreak: policy.TieHashed, Verify: true,
 		}
 		scalingMaxSet := false
-		flag.Visit(func(f *flag.Flag) {
+		fs.Visit(func(f *flag.Flag) {
 			if f.Name == "scaling-max-nodes" {
 				scalingMaxSet = true
 			}

@@ -1,0 +1,29 @@
+package main
+
+import (
+	"strings"
+	"testing"
+)
+
+// TestRunRejectsBadInvocations: a command line that cannot mean what it
+// says fails with a message naming the problem (main turns the error
+// into a non-zero exit) before any step runs or any report is written.
+func TestRunRejectsBadInvocations(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-quick", "-workers", "-3"}, "-workers -3"},
+		{[]string{"-quick", "-trials-per-net", "-2"}, "-trials-per-net -2"},
+		{[]string{"-quick", "-crashes", "-1"}, "-crashes -1"},
+		{[]string{"-quick", "-flows", "-8"}, "-flows -8"},
+		{[]string{"-quick", "-scaling", "-scaling-max-nodes", "-1"}, "-scaling-max-nodes -1"},
+		{[]string{"-quick", "-derive-workers", "-2"}, "-derive-workers -2"},
+		{[]string{"-quick", "-prov"}, "-prov requires -trace"},
+	} {
+		err := run(append(tc.args, "-report", ""))
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("run(%q) = %v, want an error mentioning %q", tc.args, err, tc.want)
+		}
+	}
+}

@@ -55,6 +55,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -80,13 +81,15 @@ import (
 )
 
 func main() {
-	if err := run(os.Args[1:]); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "centaur-sim:", err)
 		os.Exit(1)
 	}
 }
 
-func run(args []string) error {
+// run executes one command line, printing the results to w; diagnostics
+// and progress go to stderr.
+func run(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("centaur-sim", flag.ExitOnError)
 	var (
 		fig        = fs.String("fig", "", "reproduce a figure: 6 | 7 | 8")
@@ -209,9 +212,9 @@ func run(args []string) error {
 	var dispatchErr error
 	switch {
 	case *scaling:
-		dispatchErr = runScaling(*sizes, sizesSet, *scalingMax, *flips, *seed, !*noVerify)
+		dispatchErr = runScaling(w, *sizes, sizesSet, *scalingMax, *flips, *seed, !*noVerify)
 	case *rel:
-		dispatchErr = runReliability(relFlags{
+		dispatchErr = runReliability(w, relFlags{
 			nodes: *nodes, m: *m, seed: *seed, workers: *workers,
 			loss: *loss, dup: *dup, jitter: *jitter, churn: *churn,
 			crashes: *crashes, faultSeed: *faultSeed, trials: *trials,
@@ -219,13 +222,13 @@ func run(args []string) error {
 			dp: dp,
 		}, reg, tc)
 	case *adv:
-		dispatchErr = runAdversarial(advFlags{
+		dispatchErr = runAdversarial(w, advFlags{
 			nodes: *nodes, m: *m, seed: *seed, workers: *workers,
 			kinds: *advKinds, attackers: *advAttackers, noise: *advNoise,
 			advSeed: *advSeed, trials: *trials, dp: dp,
 		}, reg, tc)
 	default:
-		dispatchErr = dispatch(*fig, *compare, *nodes, *m, *flips, *seed, *mrai, *sizes, *workers, *trialsPer, *deriveWork, *noCheckpt, *verify, dp, reg, tc)
+		dispatchErr = dispatch(w, *fig, *compare, *nodes, *m, *flips, *seed, *mrai, *sizes, *workers, *trialsPer, *deriveWork, *noCheckpt, *verify, dp, reg, tc)
 	}
 	if dispatchErr != nil {
 		return dispatchErr
@@ -281,9 +284,9 @@ func (f dataPlaneFlags) sweep() ([]time.Duration, error) {
 
 // dispatch runs the selected experiment mode with the observability
 // hooks threaded through.
-func dispatch(fig string, compare bool, nodes, m, flips int, seed int64, mrai time.Duration, sizes string, workers, trialsPer, deriveWorkers int, noCheckpt, verify bool, dp dataPlaneFlags, reg *telemetry.Registry, tc *telemetry.TraceCollector) error {
+func dispatch(w io.Writer, fig string, compare bool, nodes, m, flips int, seed int64, mrai time.Duration, sizes string, workers, trialsPer, deriveWorkers int, noCheckpt, verify bool, dp dataPlaneFlags, reg *telemetry.Registry, tc *telemetry.TraceCollector) error {
 	if compare {
-		return runCompare(nodes, m, flips, seed, mrai, workers, trialsPer, noCheckpt, reg, tc)
+		return runCompare(w, nodes, m, flips, seed, mrai, workers, trialsPer, noCheckpt, reg, tc)
 	}
 	detect, err := dp.single()
 	if err != nil {
@@ -302,7 +305,7 @@ func dispatch(fig string, compare bool, nodes, m, flips int, seed int64, mrai ti
 		if err != nil {
 			return err
 		}
-		fmt.Print(res)
+		fmt.Fprint(w, res)
 		return nil
 	case "7":
 		res, err := experiments.Figure7(experiments.Figure7Config{
@@ -315,7 +318,7 @@ func dispatch(fig string, compare bool, nodes, m, flips int, seed int64, mrai ti
 		if err != nil {
 			return err
 		}
-		fmt.Print(res)
+		fmt.Fprint(w, res)
 		return nil
 	case "8":
 		sz, err := parseSizes(sizes)
@@ -330,7 +333,7 @@ func dispatch(fig string, compare bool, nodes, m, flips int, seed int64, mrai ti
 		if err != nil {
 			return err
 		}
-		fmt.Print(res)
+		fmt.Fprint(w, res)
 		return nil
 	default:
 		return fmt.Errorf("-fig {6,7,8} is required, got %q (-h lists the flags)", fig)
@@ -341,7 +344,7 @@ func dispatch(fig string, compare bool, nodes, m, flips int, seed int64, mrai ti
 // -sizes default targets figure 8; unless the flag was set explicitly
 // the sweep uses the standard tiers up to -scaling-max-nodes (75000
 // opts into the real-AS-scale point).
-func runScaling(sizesFlag string, sizesSet bool, maxNodes, flips int, seed int64, verify bool) error {
+func runScaling(w io.Writer, sizesFlag string, sizesSet bool, maxNodes, flips int, seed int64, verify bool) error {
 	var sz []int
 	if sizesSet {
 		var err error
@@ -358,7 +361,7 @@ func runScaling(sizesFlag string, sizesSet bool, maxNodes, flips int, seed int64
 	if err != nil {
 		return err
 	}
-	fmt.Print(res)
+	fmt.Fprint(w, res)
 	return nil
 }
 
@@ -383,7 +386,7 @@ type relFlags struct {
 // per-grid-point table. Trials that fail (no quiescence, or a wrongly
 // quiesced state) are listed after the table rather than aborting the
 // sweep — with -no-transport they are the expected result.
-func runReliability(f relFlags, reg *telemetry.Registry, tc *telemetry.TraceCollector) error {
+func runReliability(w io.Writer, f relFlags, reg *telemetry.Registry, tc *telemetry.TraceCollector) error {
 	lossRates, err := parseRates(f.loss)
 	if err != nil {
 		return fmt.Errorf("-loss: %w", err)
@@ -417,7 +420,7 @@ func runReliability(f relFlags, reg *telemetry.Registry, tc *telemetry.TraceColl
 	if err != nil {
 		return err
 	}
-	fmt.Print(res)
+	fmt.Fprint(w, res)
 	for _, s := range res.Samples {
 		if s.OK() {
 			continue
@@ -427,10 +430,10 @@ func runReliability(f relFlags, reg *telemetry.Registry, tc *telemetry.TraceColl
 			why = fmt.Sprintf("%d invariant violations, e.g. %s", s.Violations, s.FirstViolation)
 		}
 		if res.HasDetect {
-			fmt.Printf("  FAILED %s detect=%v loss=%.2f churn=%.1f trial=%d: %s\n", s.Protocol, s.DetectInterval, s.Loss, s.Churn, s.Trial, why)
+			fmt.Fprintf(w, "  FAILED %s detect=%v loss=%.2f churn=%.1f trial=%d: %s\n", s.Protocol, s.DetectInterval, s.Loss, s.Churn, s.Trial, why)
 			continue
 		}
-		fmt.Printf("  FAILED %s loss=%.2f churn=%.1f trial=%d: %s\n", s.Protocol, s.Loss, s.Churn, s.Trial, why)
+		fmt.Fprintf(w, "  FAILED %s loss=%.2f churn=%.1f trial=%d: %s\n", s.Protocol, s.Loss, s.Churn, s.Trial, why)
 	}
 	return nil
 }
@@ -451,7 +454,7 @@ type advFlags struct {
 // runAdversarial runs the misbehavior sweep and prints the containment
 // table: for each drawn attack scenario, how far contaminated state
 // propagated under BGP vs under Centaur's Permission-List structure.
-func runAdversarial(f advFlags, reg *telemetry.Registry, tc *telemetry.TraceCollector) error {
+func runAdversarial(w io.Writer, f advFlags, reg *telemetry.Registry, tc *telemetry.TraceCollector) error {
 	kinds, err := adversary.ParseKinds(f.kinds)
 	if err != nil {
 		return fmt.Errorf("-adv-kinds: %w", err)
@@ -475,7 +478,7 @@ func runAdversarial(f advFlags, reg *telemetry.Registry, tc *telemetry.TraceColl
 	if err != nil {
 		return err
 	}
-	fmt.Print(res)
+	fmt.Fprint(w, res)
 	return nil
 }
 
@@ -574,13 +577,13 @@ func startProfiles(cpu, mem string) (func(), error) {
 // numbered in creation order, and only a serial ladder creates them in
 // the deterministic ladder order (each row's inner fan-out stays
 // deterministic on its own, so the full worker budget shifts inward).
-func runCompare(nodes, m, flips int, seed int64, mrai time.Duration, workers, trialsPer int, noCheckpt bool, reg *telemetry.Registry, tc *telemetry.TraceCollector) error {
+func runCompare(w io.Writer, nodes, m, flips int, seed int64, mrai time.Duration, workers, trialsPer int, noCheckpt bool, reg *telemetry.Registry, tc *telemetry.TraceCollector) error {
 	g, err := topogen.BRITE(nodes, m, seed)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("protocol ladder on %v, %d flips, seed %d\n\n", g.Stats(), flips, seed)
-	fmt.Printf("%-10s %12s %12s %12s %12s %14s %14s\n",
+	fmt.Fprintf(w, "protocol ladder on %v, %d flips, seed %d\n\n", g.Stats(), flips, seed)
+	fmt.Fprintf(w, "%-10s %12s %12s %12s %12s %14s %14s\n",
 		"protocol", "cold units", "units/phase", "msgs/phase", "kB/phase", "mean down", "mean up")
 	ladder := []struct {
 		name  string
@@ -632,7 +635,7 @@ func runCompare(nodes, m, flips int, seed int64, mrai time.Duration, workers, tr
 		if err != nil {
 			return err
 		}
-		fmt.Print(rows[i])
+		fmt.Fprint(w, rows[i])
 	}
 	return nil
 }

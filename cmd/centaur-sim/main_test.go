@@ -1,6 +1,7 @@
 package main
 
 import (
+	"io"
 	"strings"
 	"testing"
 )
@@ -37,7 +38,7 @@ func TestRunRejectsBadInvocations(t *testing.T) {
 		{[]string{"-fig", "6", "-nodes", "1"}, "n=1"},
 		{[]string{"-fig", "8", "-sizes", "40,x"}, "bad size"},
 	} {
-		err := run(tc.args)
+		err := run(tc.args, io.Discard)
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("run(%q) = %v, want an error mentioning %q", tc.args, err, tc.want)
 		}
@@ -48,7 +49,7 @@ func TestRunRejectsBadInvocations(t *testing.T) {
 // GOMAXPROCS, -trials-per-net 0 one shared network) on a run small
 // enough for a unit test.
 func TestRunTinyFigure(t *testing.T) {
-	if err := run([]string{"-fig", "7", "-nodes", "20", "-flips", "2", "-workers", "0", "-trials-per-net", "0"}); err != nil {
+	if err := run([]string{"-fig", "7", "-nodes", "20", "-flips", "2", "-workers", "0", "-trials-per-net", "0"}, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 }

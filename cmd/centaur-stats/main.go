@@ -27,6 +27,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 
@@ -38,13 +39,14 @@ import (
 )
 
 func main() {
-	if err := run(os.Args[1:]); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "centaur-stats:", err)
 		os.Exit(1)
 	}
 }
 
-func run(args []string) error {
+// run executes one command line, printing the results to w.
+func run(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("centaur-stats", flag.ExitOnError)
 	var (
 		table    = fs.String("table", "", "reproduce a table: 3 | 45 (Tables 4 and 5 share one computation)")
@@ -66,10 +68,10 @@ func run(args []string) error {
 		return fmt.Errorf("-sample %d: the number of sampled links cannot be negative (0 measures all links)", *sample)
 	}
 	if *checkTr != "" {
-		return checkTrace(*checkTr)
+		return checkTrace(w, *checkTr)
 	}
 	if *explain != "" {
-		return explainTrace(*explain)
+		return explainTrace(w, *explain)
 	}
 	sc := experiments.Scale{Nodes: *nodes, Seed: *seed}
 	tb, err := parseTieBreak(*tiebreak)
@@ -148,7 +150,7 @@ func run(args []string) error {
 		if err != nil {
 			return err
 		}
-		fmt.Print(res)
+		fmt.Fprint(w, res)
 		ran = true
 	}
 	if *table == "45" || *table == "4" || *table == "5" {
@@ -160,7 +162,7 @@ func run(args []string) error {
 		if err != nil {
 			return err
 		}
-		fmt.Print(res)
+		fmt.Fprint(w, res)
 		ran = true
 	}
 	if *fig == "5" {
@@ -172,7 +174,7 @@ func run(args []string) error {
 		if err != nil {
 			return err
 		}
-		fmt.Print(res)
+		fmt.Fprint(w, res)
 		ran = true
 	}
 	if *ext == "multipath" {
@@ -184,7 +186,7 @@ func run(args []string) error {
 		if err != nil {
 			return err
 		}
-		fmt.Print(res)
+		fmt.Fprint(w, res)
 		ran = true
 	}
 	if !ran {
@@ -197,7 +199,7 @@ func run(args []string) error {
 // checkTrace validates a JSONL event trace against the schema
 // telemetry.ValidateTrace documents and prints what it contains; a
 // malformed trace surfaces as a non-zero exit naming the bad line.
-func checkTrace(path string) error {
+func checkTrace(w io.Writer, path string) error {
 	f, err := os.Open(path)
 	if err != nil {
 		return err
@@ -207,20 +209,20 @@ func checkTrace(path string) error {
 	if err != nil {
 		return fmt.Errorf("%s: %w", path, err)
 	}
-	fmt.Printf("%s: valid trace, %d chunks, %d events\n", path, sum.Chunks, sum.Events)
+	fmt.Fprintf(w, "%s: valid trace, %d chunks, %d events\n", path, sum.Chunks, sum.Events)
 	kinds := make([]string, 0, len(sum.ByKind))
 	for k := range sum.ByKind {
 		kinds = append(kinds, k)
 	}
 	sort.Strings(kinds)
 	for _, k := range kinds {
-		fmt.Printf("  %-12s %d\n", k, sum.ByKind[k])
+		fmt.Fprintf(w, "  %-12s %d\n", k, sum.ByKind[k])
 	}
 	if sum.ProvenanceChunks > 0 {
-		fmt.Printf("  provenance: %d/%d chunks schema v2\n", sum.ProvenanceChunks, sum.Chunks)
+		fmt.Fprintf(w, "  provenance: %d/%d chunks schema v2\n", sum.ProvenanceChunks, sum.Chunks)
 	}
 	if sum.UnconsumedLossDecisions > 0 {
-		fmt.Printf("  unconsumed fault-loss decisions: %d (losses outrun by link flaps)\n", sum.UnconsumedLossDecisions)
+		fmt.Fprintf(w, "  unconsumed fault-loss decisions: %d (losses outrun by link flaps)\n", sum.UnconsumedLossDecisions)
 	}
 	return nil
 }
@@ -229,7 +231,7 @@ func checkTrace(path string) error {
 // validates the trace first (provenance integrity included), then
 // prints the per-root-event trees and the per-series critical-path
 // summary.
-func explainTrace(path string) error {
+func explainTrace(w io.Writer, path string) error {
 	f, err := os.Open(path)
 	if err != nil {
 		return err
@@ -245,7 +247,7 @@ func explainTrace(path string) error {
 	if err != nil {
 		return fmt.Errorf("%s: %w", path, err)
 	}
-	fmt.Print(rep)
+	fmt.Fprint(w, rep)
 	return nil
 }
 

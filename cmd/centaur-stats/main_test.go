@@ -1,6 +1,7 @@
 package main
 
 import (
+	"io"
 	"strings"
 	"testing"
 
@@ -38,7 +39,7 @@ func TestRunRejectsBadInvocations(t *testing.T) {
 		{[]string{"-fig", "5", "-tiebreak", "bogus"}, "bogus"},
 		{[]string{"-nodes", "50"}, "is required"},
 	} {
-		err := run(tc.args)
+		err := run(tc.args, io.Discard)
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("run(%q) = %v, want an error mentioning %q", tc.args, err, tc.want)
 		}
@@ -49,7 +50,7 @@ func TestRunRejectsBadInvocations(t *testing.T) {
 // still samples, on a topology small enough to solve in milliseconds.
 func TestRunSampleBounds(t *testing.T) {
 	for _, sample := range []string{"0", "5"} {
-		if err := run([]string{"-fig", "5", "-nodes", "40", "-sample", sample}); err != nil {
+		if err := run([]string{"-fig", "5", "-nodes", "40", "-sample", sample}, io.Discard); err != nil {
 			t.Errorf("-sample %s: %v", sample, err)
 		}
 	}

@@ -42,7 +42,7 @@ func TestFanOutBoxesOneMessage(t *testing.T) {
 		Update{Dest: 100, Path: routing.Path{2, 100}},
 		Update{Dest: 100, Path: routing.Path{2, 50, 100}},
 	}
-	n.Handle(2, msgs[0]) // grows the row table and the advertised lists
+	n.Handle(2, msgs[0]) // grows the row's RIB lists
 	env.Sends = 0
 	turn := 0
 	allocs := testing.AllocsPerRun(50, func() {
@@ -55,4 +55,11 @@ func TestFanOutBoxesOneMessage(t *testing.T) {
 	if allocs != 2 {
 		t.Fatalf("a decision advertised to 7 neighbors allocated %v times, want 2 (the path and one message)", allocs)
 	}
+}
+
+// TestSparseIDsAllocateLikeDense pins that a node's tables are sized by
+// the node count: a network whose IDs reach 4,200,000,000 allocates what
+// its dense relabelling {1,2,3,4} does.
+func TestSparseIDsAllocateLikeDense(t *testing.T) {
+	prototest.SparseAllocatesLikeDense(t, New(Config{}))
 }

@@ -91,17 +91,17 @@ type Config struct {
 
 // Node is one BGP speaker. Create with New; it implements sim.Protocol.
 //
-// Per-destination state lives in rows, a table indexed directly by
-// destination NodeID and grown to the highest ID seen (the simulator's
-// topologies number their nodes densely from 1, so the ID is the slot;
-// a sparse ID costs an empty row per skipped ID). Per-neighbor state
-// lives in peers, parallel to nbrs; a neighbor's index in nbrs is its
-// slot, the key of the per-row RIB entries.
+// Per-destination state lives in rows, a table sized once by the
+// network's topology.Index and keyed by a destination's position there;
+// updates still carry NodeIDs. Per-neighbor state lives in peers,
+// parallel to nbrs; a neighbor's index in nbrs is its slot, the key of
+// the per-row RIB entries.
 type Node struct {
 	cfg  Config
 	pol  policy.Policy
 	env  sim.Env
 	self routing.NodeID
+	idx  *topology.Index
 	adv  *adversary.Model // nil for honest runs
 	// nbrs is the fixed neighbor set in ascending ID order (the
 	// topology's adjacencies do not change; only link state does).
@@ -219,12 +219,15 @@ func New(cfg Config) sim.Builder {
 		if pol == nil {
 			pol = policy.GaoRexford{}
 		}
+		idx := env.Index()
 		n := &Node{
 			cfg:  cfg,
 			pol:  pol,
 			env:  env,
 			self: env.Self(),
+			idx:  idx,
 			adv:  cfg.Adversary,
+			rows: make([]row, idx.Len()),
 		}
 		for _, nb := range env.Neighbors() { // ascending by ID
 			n.nbrs = append(n.nbrs, nb.ID)
@@ -234,19 +237,16 @@ func New(cfg Config) sim.Builder {
 	}
 }
 
-// row returns dest's row, growing the table to cover it. The pointer is
-// good until the next call with a destination not seen before.
+// row returns dest's row; dest must be a node of the network.
 func (n *Node) row(dest routing.NodeID) *row {
-	if int(dest) >= len(n.rows) {
-		n.rows = append(n.rows, make([]row, int(dest)+1-len(n.rows))...)
-	}
-	return &n.rows[dest]
+	return &n.rows[n.idx.Pos(dest)]
 }
 
-// bestOf returns the Loc-RIB entry for dest without growing the table.
+// bestOf returns the Loc-RIB entry for dest (the zero Candidate when
+// dest is no node of the network).
 func (n *Node) bestOf(dest routing.NodeID) policy.Candidate {
-	if int(dest) < len(n.rows) {
-		return n.rows[dest].best
+	if p := n.idx.Pos(dest); p >= 0 {
+		return n.rows[p].best
 	}
 	return policy.Candidate{}
 }
@@ -276,8 +276,9 @@ func (n *Node) Handle(from routing.NodeID, msg sim.Message) {
 		return
 	}
 	slot, ok := slices.BinarySearch(n.nbrs, from)
-	if !ok {
-		return
+	pos := n.idx.Pos(u.Dest)
+	if !ok || pos < 0 {
+		return // not a neighbor, or a destination with no row
 	}
 	if n.cfg.RCN {
 		// Root cause notifications: mask the failed links and queue them
@@ -297,7 +298,7 @@ func (n *Node) Handle(from routing.NodeID, msg sim.Message) {
 			n.unmaskEdge(edgeOf(u.Path[i], u.Path[i+1]))
 		}
 	}
-	in := &n.row(u.Dest).in
+	in := &n.rows[pos].in
 	i, had := find(*in, slot)
 	if u.Path == nil || !n.pol.Accept(n.self, from, u.Path) {
 		// Withdrawal, or a path the import filter rejects (e.g. it
@@ -520,7 +521,7 @@ func (n *Node) LinkDown(nb routing.NodeID) {
 		r := &n.rows[d]
 		drop(&r.out, slot)
 		if drop(&r.in, slot) {
-			n.runDecision(routing.NodeID(d))
+			n.runDecision(n.idx.ID(d))
 		}
 	}
 	if n.cfg.RCN {
@@ -541,7 +542,7 @@ func (n *Node) LinkUp(nb routing.NodeID) {
 	}
 	for d := 0; d < len(n.rows); d++ {
 		if len(n.rows[d].best.Path) > 0 {
-			n.scheduleAdvert(slot, routing.NodeID(d), &outbox{})
+			n.scheduleAdvert(slot, n.idx.ID(d), &outbox{})
 		}
 	}
 	// A hijack victim destination is advertised without a best-path
@@ -584,7 +585,7 @@ func (n *Node) Routes() map[routing.NodeID]routing.Path {
 	out := make(map[routing.NodeID]routing.Path)
 	for d := range n.rows {
 		if p := n.rows[d].best.Path; len(p) > 0 {
-			out[routing.NodeID(d)] = p.Clone()
+			out[n.idx.ID(d)] = p.Clone()
 		}
 	}
 	return out

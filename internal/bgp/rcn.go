@@ -106,7 +106,7 @@ func (n *Node) redecideCrossing(e edgeKey) {
 	for d := 0; d < len(n.rows); d++ {
 		for _, in := range n.rows[d].in {
 			if edgeOf(n.self, n.nbrs[in.slot]) == e || pathCrosses(in.path, e) {
-				n.runDecision(routing.NodeID(d))
+				n.runDecision(n.idx.ID(d))
 				break
 			}
 		}

@@ -32,6 +32,7 @@ func (n *Node) ForkProtocol(env sim.Env) sim.Protocol {
 		pol:       n.pol,
 		env:       env,
 		self:      n.self,
+		idx:       n.idx,
 		nbrs:      n.nbrs,
 		peers:     slices.Clone(n.peers),
 		rows:      slices.Clone(n.rows),

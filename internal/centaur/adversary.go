@@ -78,8 +78,8 @@ func (n *Node) advInjects(b routing.NodeID, nb *neighbor) []pgraph.LinkInfo {
 		if !adversary.LeakTarget(nb.rel) {
 			return nil
 		}
-		for id, r := range n.routes { // ascending destinations
-			d := routing.NodeID(id)
+		for p, r := range n.routes { // ascending destinations
+			d := n.idx.ID(p)
 			if r.path == nil || !adversary.LeakClass(r.class) {
 				continue
 			}

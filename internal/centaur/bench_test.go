@@ -3,6 +3,7 @@ package centaur
 import (
 	"testing"
 
+	"centaur/internal/prototest"
 	"centaur/internal/sim"
 	"centaur/internal/topogen"
 	"centaur/internal/topology"
@@ -43,19 +44,23 @@ func BenchmarkHandleColdStart(b *testing.B) {
 	}
 }
 
-// TestColdStartAllocBudget pins the allocation count of the benchmark's
-// cold start. The budget (see norace_test.go and race_test.go for the
-// measurements) leaves room for map-growth noise, not for another
-// incrementally maintained P-graph per node.
+// TestColdStartAllocBudget pins the allocation count and bytes of the
+// benchmark's cold start. The budgets (see norace_test.go and
+// race_test.go for the measurements) leave room for map-growth noise,
+// not for another incrementally maintained P-graph per node or tables
+// grown past the node count.
 func TestColdStartAllocBudget(t *testing.T) {
 	g, err := topogen.BRITE(160, 2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	allocs := testing.AllocsPerRun(2, func() { benchNetwork(t, g) })
-	t.Logf("%.0f allocations per cold start", allocs)
+	allocs, bytes := prototest.ColdStart(t, g, New(Config{Incremental: true}), 2)
+	t.Logf("%.0f allocations, %.2f MB per cold start", allocs, bytes/1e6)
 	if allocs > coldStartAllocBudget {
 		t.Errorf("%.0f allocations per cold start, budget %d", allocs, coldStartAllocBudget)
+	}
+	if bytes > coldStartByteBudget {
+		t.Errorf("%.0f bytes allocated per cold start, budget %d", bytes, coldStartByteBudget)
 	}
 }
 
@@ -81,4 +86,11 @@ func BenchmarkHandleFlip(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// TestSparseIDsAllocateLikeDense pins that a node's tables are sized by
+// the node count: a network whose IDs reach 4,200,000,000 allocates what
+// its dense relabelling {1,2,3,4} does.
+func TestSparseIDsAllocateLikeDense(t *testing.T) {
+	prototest.SparseAllocatesLikeDense(t, New(Config{Incremental: true}))
 }

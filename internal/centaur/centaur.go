@@ -130,15 +130,16 @@ const DefaultPLFPRate = 0.01
 // sim.Protocol.
 //
 // Per-destination state (the route table, each neighbor's derive cache,
-// the round's affected-set stamps) lives in tables indexed directly by
-// destination NodeID and grown to the highest ID seen: the simulator's
-// topologies number their nodes densely from 1, so the ID is the slot.
-// Per-neighbor state lives in nbrs, parallel to nbrList.
+// the round's affected-set stamps) lives in tables sized once by the
+// network's topology.Index and keyed by a destination's position there;
+// messages and traces still speak NodeID. Per-neighbor state lives in
+// nbrs, parallel to nbrList.
 type Node struct {
 	cfg  Config
 	pol  policy.Policy
 	env  sim.Env
 	self routing.NodeID
+	idx  *topology.Index
 	// nbrList is the static ascending neighbor list (the topology's
 	// adjacencies do not change; only link state does); nbrs[i] is the
 	// state kept for neighbor nbrList[i].
@@ -146,7 +147,7 @@ type Node struct {
 	nbrs    []neighbor
 
 	// routes is the selected path set (Loc-RIB) with each route's class
-	// and learned-from neighbor.
+	// and learned-from neighbor, by destination position.
 	routes []route
 	// pendingFailed accumulates root-cause links to attach to the next
 	// outgoing updates of the current recompute round.
@@ -181,15 +182,15 @@ type Node struct {
 
 	// Per-round scratch, reused across events (each round finishes
 	// before the next event is dispatched). affected is the round's
-	// destination set; a destination is in it when its stamp equals
-	// epoch.
-	affected   []routing.NodeID
+	// destination set, as positions; a destination is in it when its
+	// stamp equals epoch.
+	affected   []int
 	stamp      []uint32
 	epoch      uint32
 	addsBuf    []pgraph.LinkInfo
 	headBuf    []routing.NodeID
 	belowBuf   []routing.NodeID
-	changedBuf []routing.NodeID
+	changedBuf []int
 }
 
 // neighbor is the state kept for one adjacency.
@@ -203,9 +204,9 @@ type neighbor struct {
 	// session's first announcement.
 	view *pgraph.View
 	// derived memoizes, in incremental mode, the DerivePath result from
-	// graph per destination: nil is "not cached", noPath a cached failure
-	// (as expensive to recompute as a success). Entries are invalidated
-	// by the affected-set analysis.
+	// graph per destination position: nil is "not cached", noPath a
+	// cached failure (as expensive to recompute as a success). Entries
+	// are invalidated by the affected-set analysis.
 	derived []routing.Path
 	// dirty marks, within a round, that a route exportable to the
 	// neighbor changed, so its view needs updating.
@@ -227,15 +228,6 @@ type route struct {
 // not nil.
 var noPath = routing.Path{}
 
-// at returns the entry of an ID-indexed table for d, growing the table
-// to cover it.
-func at[T any](tab *[]T, d routing.NodeID) *T {
-	if int(d) >= len(*tab) {
-		*tab = append(*tab, make([]T, int(d)+1-len(*tab))...)
-	}
-	return &(*tab)[d]
-}
-
 var _ sim.Protocol = (*Node)(nil)
 
 // New returns the sim.Builder for Centaur nodes with the given
@@ -246,18 +238,27 @@ func New(cfg Config) sim.Builder {
 		if pol == nil {
 			pol = policy.GaoRexford{}
 		}
+		idx := env.Index()
+		dests := idx.Len()
 		n := &Node{
-			cfg:  cfg,
-			pol:  pol,
-			env:  env,
-			self: env.Self(),
-			adv:  cfg.Adversary,
+			cfg:    cfg,
+			pol:    pol,
+			env:    env,
+			self:   env.Self(),
+			idx:    idx,
+			adv:    cfg.Adversary,
+			routes: make([]route, dests),
+			stamp:  make([]uint32, dests),
 		}
 		nbs := slices.Clone(env.Neighbors())
 		slices.SortFunc(nbs, func(a, b topology.Neighbor) int { return cmp.Compare(a.ID, b.ID) })
 		for _, nb := range nbs {
 			n.nbrList = append(n.nbrList, nb.ID)
-			n.nbrs = append(n.nbrs, neighbor{rel: nb.Rel})
+			var derived []routing.Path
+			if cfg.Incremental { // the full mode keeps no derive cache
+				derived = make([]routing.Path, dests)
+			}
+			n.nbrs = append(n.nbrs, neighbor{rel: nb.Rel, derived: derived})
 		}
 		return n
 	}
@@ -404,12 +405,16 @@ func (n *Node) beginRound() {
 	n.affected = n.affected[:0]
 }
 
-// affect adds destination d to the round's affected set.
-func (n *Node) affect(d routing.NodeID) {
-	if st := at(&n.stamp, d); *st != n.epoch {
-		*st = n.epoch
-		n.affected = append(n.affected, d)
+// affect adds destination d to the round's affected set and returns its
+// position, or -1 when d is no node of the network: such a destination
+// has no slot, so it is never routed.
+func (n *Node) affect(d routing.NodeID) int {
+	p := n.idx.Pos(d)
+	if p >= 0 && n.stamp[p] != n.epoch {
+		n.stamp[p] = n.epoch
+		n.affected = append(n.affected, p)
 	}
+	return p
 }
 
 // affectBelow adds to the affected set the destinations below any of
@@ -422,9 +427,8 @@ func (n *Node) affectBelow(nb *neighbor, heads ...routing.NodeID) {
 	}
 	n.belowBuf = nb.graph.AppendDestsBelow(n.belowBuf[:0], heads...)
 	for _, dst := range n.belowBuf {
-		n.affect(dst)
-		if int(dst) < len(nb.derived) {
-			nb.derived[dst] = nil
+		if p := n.affect(dst); p >= 0 {
+			nb.derived[p] = nil
 		}
 	}
 }
@@ -609,9 +613,9 @@ func (n *Node) recompute() {
 			}
 		}
 	}
-	for d := range n.routes {
-		if n.routes[d].path != nil {
-			n.affect(routing.NodeID(d))
+	for p := range n.routes {
+		if n.routes[p].path != nil {
+			n.affect(n.idx.ID(p))
 		}
 	}
 	n.solveAffected()
@@ -632,7 +636,7 @@ func (n *Node) solveAffected() {
 // finish applies the round's route changes to the announced views of the
 // neighbors marked dirty (pgraph.View, the §4.3.2 counter machinery) and
 // sends the flushed Δ_B messages.
-func (n *Node) finish(changed []routing.NodeID) {
+func (n *Node) finish(changed []int) {
 	failed := n.pendingFailed
 	n.pendingFailed = nil
 	for i, b := range n.nbrList {
@@ -648,17 +652,17 @@ func (n *Node) finish(changed []routing.NodeID) {
 			// Fresh session: announce the full exportable path set
 			// (§4.3.1 Steps 1 and 4).
 			nb.view = pgraph.NewView(n.self)
-			for d := range n.routes {
-				if p := n.exportable(routing.NodeID(d), b, nb); p != nil {
-					nb.view.Set(routing.NodeID(d), p)
+			for p := range n.routes {
+				if path := n.exportable(p, b, nb); path != nil {
+					nb.view.Set(n.idx.ID(p), path)
 				}
 			}
 		case (len(changed) == 0 || !nb.dirty) && len(inject) == 0:
 			// No exportable-to-b route changed; the view is current.
 			continue
 		default:
-			for _, d := range changed {
-				nb.view.Set(d, n.exportable(d, b, nb))
+			for _, p := range changed {
+				nb.view.Set(n.idx.ID(p), n.exportable(p, b, nb))
 			}
 		}
 		delta := nb.view.Flush()
@@ -682,11 +686,12 @@ func (n *Node) finish(changed []routing.NodeID) {
 	}
 }
 
-// exportable returns the path announced to neighbor b for destination d:
-// the selected path when the export filter admits its class and it does
-// not traverse b (sender-side loop avoidance), nil otherwise.
-func (n *Node) exportable(d, b routing.NodeID, nb *neighbor) routing.Path {
-	r := n.routes[d]
+// exportable returns the path announced to neighbor b for the
+// destination at position p: the selected path when the export filter
+// admits its class and it does not traverse b (sender-side loop
+// avoidance), nil otherwise.
+func (n *Node) exportable(p int, b routing.NodeID, nb *neighbor) routing.Path {
+	r := n.routes[p]
 	if r.path == nil || !n.pol.Export(n.self, r.class, nb.rel) || r.path.Contains(b) {
 		return nil
 	}
@@ -697,10 +702,11 @@ func (n *Node) exportable(d, b routing.NodeID, nb *neighbor) routing.Path {
 // candidates are the unique policy-compliant paths DerivePath
 // reconstructs from each neighbor P-graph, self-prepended, loop-checked,
 // and ranked by the policy. Destinations no longer derivable anywhere
-// lose their route. It returns the destinations whose route changed
-// (scratch, valid until the next round), having marked dirty every
-// neighbor whose export view a changed route could alter.
-func (n *Node) solveSome(dests []routing.NodeID) []routing.NodeID {
+// lose their route. dests and the result are positions. It returns the
+// destinations whose route changed (scratch, valid until the next
+// round), having marked dirty every neighbor whose export view a changed
+// route could alter.
+func (n *Node) solveSome(dests []int) []int {
 	// With nothing masked the derivations take their unfiltered fast
 	// path; the result is the same as filtering with an empty mask.
 	var skip func(routing.Link) bool
@@ -711,34 +717,35 @@ func (n *Node) solveSome(dests []routing.NodeID) []routing.NodeID {
 		return n.solveSomeParallel(dests, skip, w)
 	}
 	changed := n.changedBuf[:0]
-	for _, d := range dests {
-		if d != n.self && n.applyBest(d, n.rank(d, skip, nil)) {
-			changed = append(changed, d)
+	for _, p := range dests {
+		if n.idx.ID(p) != n.self && n.applyBest(p, n.rank(p, skip, nil)) {
+			changed = append(changed, p)
 		}
 	}
 	n.changedBuf = changed
 	return changed
 }
 
-// rank returns destination d's best candidate as the via neighbor
-// derived it — not yet self-prepended — or the zero Candidate when no
-// neighbor offers an acceptable path. It mutates no node state other
-// than the derive cache, and not even that when installs is non-nil (see
-// derive), so the parallel solver's workers can share it. Ranking the
-// neighbor-derived paths is sound: every comparison sees both lengths
-// offset by the same +1, and class/via/destination are unaffected.
-func (n *Node) rank(d routing.NodeID, skip func(routing.Link) bool, installs *[]cacheInstall) policy.Candidate {
+// rank returns the best candidate for the destination at position p as
+// the via neighbor derived it — not yet self-prepended — or the zero
+// Candidate when no neighbor offers an acceptable path. It mutates no
+// node state other than the derive cache, and not even that when
+// installs is non-nil (see derive), so the parallel solver's workers can
+// share it. Ranking the neighbor-derived paths is sound: every
+// comparison sees both lengths offset by the same +1, and
+// class/via/destination are unaffected.
+func (n *Node) rank(p int, skip func(routing.Link) bool, installs *[]cacheInstall) policy.Candidate {
 	var best policy.Candidate
 	for i, b := range n.nbrList {
 		nb := &n.nbrs[i]
 		if nb.graph == nil {
 			continue
 		}
-		p, ok := n.derive(nb, d, skip, installs)
-		if !ok || !n.pol.Accept(n.self, b, p) {
+		path, ok := n.derive(nb, p, skip, installs)
+		if !ok || !n.pol.Accept(n.self, b, path) {
 			continue
 		}
-		cand := policy.Candidate{Path: p, Class: policy.ClassOf(nb.rel), Via: b}
+		cand := policy.Candidate{Path: path, Class: policy.ClassOf(nb.rel), Via: b}
 		if len(best.Path) == 0 || n.pol.Better(n.self, cand, best) {
 			best = cand
 		}
@@ -746,14 +753,15 @@ func (n *Node) rank(d routing.NodeID, skip func(routing.Link) bool, installs *[]
 	return best
 }
 
-// applyBest installs best (rank's winner, empty for "no route") as
-// destination d's selected route when it differs from the current one,
-// reporting whether the route changed; only then is the self-prepended
-// path materialized. On a change it emits the RouteChangedVia trace
-// event and marks the dirty export views. Both the serial and parallel
-// solveSome apply through here so the two modes cannot drift.
-func (n *Node) applyBest(d routing.NodeID, best policy.Candidate) bool {
-	r := at(&n.routes, d)
+// applyBest installs best (rank's winner, empty for "no route") as the
+// selected route of the destination at position p when it differs from
+// the current one, reporting whether the route changed; only then is the
+// self-prepended path materialized. On a change it emits the
+// RouteChangedVia trace event and marks the dirty export views. Both the
+// serial and parallel solveSome apply through here so the two modes
+// cannot drift.
+func (n *Node) applyBest(p int, best policy.Candidate) bool {
+	r := &n.routes[p]
 	old := *r
 	switch {
 	case len(best.Path) == 0 && old.path == nil:
@@ -765,7 +773,7 @@ func (n *Node) applyBest(d routing.NodeID, best policy.Candidate) bool {
 	default:
 		*r = route{path: best.Path.Prepend(n.self), class: best.Class, via: best.Via}
 	}
-	sim.RouteChangedVia(n.env, d, old.via, r.via)
+	sim.RouteChangedVia(n.env, n.idx.ID(p), old.via, r.via)
 	// Every neighbor whose export view the change can alter is dirty.
 	for i := range n.nbrs {
 		nb := &n.nbrs[i]
@@ -777,36 +785,35 @@ func (n *Node) applyBest(d routing.NodeID, best policy.Candidate) bool {
 	return true
 }
 
-// derive returns the (possibly memoized) DerivePath result for
-// destination d from the neighbor's graph. The cache is only active in
-// incremental mode, where the affected-set analysis performs the
-// invalidation. A miss is written back directly, or — when installs is
-// non-nil — recorded there for the caller to install, so the parallel
+// derive returns the (possibly memoized) DerivePath result for the
+// destination at position p from the neighbor's graph. The cache is only
+// active in incremental mode, where the affected-set analysis performs
+// the invalidation. A miss is written back directly, or — when installs
+// is non-nil — recorded there for the caller to install, so the parallel
 // ranking phase never writes shared state. The telemetry counters are
 // atomic, so the totals are the same either way.
-func (n *Node) derive(nb *neighbor, d routing.NodeID, skip func(routing.Link) bool, installs *[]cacheInstall) (routing.Path, bool) {
+func (n *Node) derive(nb *neighbor, p int, skip func(routing.Link) bool, installs *[]cacheInstall) (routing.Path, bool) {
+	d := n.idx.ID(p)
 	if !n.cfg.Incremental {
 		tele.derivations.Inc()
 		return nb.graph.DerivePathWith(d, skip)
 	}
-	if int(d) < len(nb.derived) {
-		if p := nb.derived[d]; p != nil {
-			tele.cacheHits.Inc()
-			return p, len(p) > 0
-		}
+	if path := nb.derived[p]; path != nil {
+		tele.cacheHits.Inc()
+		return path, len(path) > 0
 	}
 	tele.derivations.Inc()
-	p, ok := nb.graph.DerivePathWith(d, skip)
-	e := p
+	path, ok := nb.graph.DerivePathWith(d, skip)
+	e := path
 	if !ok {
 		e = noPath
 	}
 	if installs != nil {
-		*installs = append(*installs, cacheInstall{nb: nb, d: d, e: e})
+		*installs = append(*installs, cacheInstall{nb: nb, p: p, e: e})
 	} else {
-		*at(&nb.derived, d) = e
+		nb.derived[p] = e
 	}
-	return p, ok
+	return path, ok
 }
 
 // BestPath returns the node's selected path to dest (nil when none).
@@ -819,8 +826,8 @@ func (n *Node) BestPath(dest routing.NodeID) routing.Path {
 
 // route returns dest's Loc-RIB entry (the zero route when none).
 func (n *Node) route(dest routing.NodeID) route {
-	if int(dest) < len(n.routes) {
-		return n.routes[dest]
+	if p := n.idx.Pos(dest); p >= 0 {
+		return n.routes[p]
 	}
 	return route{}
 }
@@ -852,9 +859,9 @@ func (n *Node) BestClass(dest routing.NodeID) policy.RouteClass {
 // Routes returns a copy of the selected path set keyed by destination.
 func (n *Node) Routes() map[routing.NodeID]routing.Path {
 	out := make(map[routing.NodeID]routing.Path, len(n.routes))
-	for d, r := range n.routes {
+	for p, r := range n.routes {
 		if r.path != nil {
-			out[routing.NodeID(d)] = r.path.Clone()
+			out[n.idx.ID(p)] = r.path.Clone()
 		}
 	}
 	return out

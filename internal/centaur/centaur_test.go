@@ -313,7 +313,7 @@ func TestAnnouncementMinimality(t *testing.T) {
 			// batch Build must agree — the sender-side ground truth).
 			exportablePaths := make(map[routing.NodeID]routing.Path)
 			for dst := range n.Routes() {
-				if p := n.exportable(dst, nb.ID, n.neighbor(nb.ID)); p != nil {
+				if p := n.exportable(n.idx.Pos(dst), nb.ID, n.neighbor(nb.ID)); p != nil {
 					exportablePaths[dst] = p
 				}
 			}

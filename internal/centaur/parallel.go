@@ -31,7 +31,7 @@ import (
 // ranking phase.
 type cacheInstall struct {
 	nb *neighbor
-	d  routing.NodeID
+	p  int // destination position
 	e  routing.Path
 }
 
@@ -45,7 +45,7 @@ type rankResult struct {
 // across workers goroutines. Callers guarantee workers > 1 and
 // !cfg.BloomPL (Bloom false-positive observation happens inside the
 // backtrace and its trace order must stay serial).
-func (n *Node) solveSomeParallel(dests []routing.NodeID, skip func(routing.Link) bool, workers int) []routing.NodeID {
+func (n *Node) solveSomeParallel(dests []int, skip func(routing.Link) bool, workers int) []int {
 	workers = min(workers, len(dests))
 	results := make([]rankResult, len(dests))
 	var wg sync.WaitGroup
@@ -56,7 +56,7 @@ func (n *Node) solveSomeParallel(dests []routing.NodeID, skip func(routing.Link)
 		go func(lo, hi int) {
 			defer wg.Done()
 			for i := lo; i < hi; i++ {
-				if dests[i] != n.self {
+				if n.idx.ID(dests[i]) != n.self {
 					results[i].best = n.rank(dests[i], skip, &results[i].installs)
 				}
 			}
@@ -65,15 +65,15 @@ func (n *Node) solveSomeParallel(dests []routing.NodeID, skip func(routing.Link)
 	wg.Wait()
 
 	changed := n.changedBuf[:0]
-	for i, d := range dests {
-		if d == n.self {
+	for i, p := range dests {
+		if n.idx.ID(p) == n.self {
 			continue
 		}
 		for _, ins := range results[i].installs {
-			*at(&ins.nb.derived, ins.d) = ins.e
+			ins.nb.derived[ins.p] = ins.e
 		}
-		if n.applyBest(d, results[i].best) {
-			changed = append(changed, d)
+		if n.applyBest(p, results[i].best) {
+			changed = append(changed, p)
 		}
 	}
 	n.changedBuf = changed

@@ -33,6 +33,7 @@ func (n *Node) ForkProtocol(env sim.Env) sim.Protocol {
 		pol:           n.pol,
 		env:           env,
 		self:          n.self,
+		idx:           n.idx,
 		nbrList:       n.nbrList,
 		nbrs:          slices.Clone(n.nbrs),
 		routes:        slices.Clone(n.routes),
@@ -41,6 +42,7 @@ func (n *Node) ForkProtocol(env sim.Env) sim.Protocol {
 		failedGen:     n.failedGen,
 		noted:         maps.Clone(n.noted),
 		notedGen:      n.notedGen,
+		stamp:         make([]uint32, len(n.stamp)),
 	}
 	for i := range out.nbrs {
 		nb := &out.nbrs[i]

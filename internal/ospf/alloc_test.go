@@ -42,7 +42,7 @@ func TestFanOutBoxesOneMessage(t *testing.T) {
 	for i := range msgs {
 		msgs[i] = Flood{LSA: LSA{Origin: 100, Seq: uint64(i + 1), Neighbors: []routing.NodeID{2}}}
 	}
-	n.Handle(2, msgs[0]) // grows the LSDB table
+	n.Handle(2, msgs[0]) // installs origin 100's first LSA
 	env.Sends = 0
 	turn := 0
 	allocs := testing.AllocsPerRun(50, func() {
@@ -63,4 +63,11 @@ func TestFanOutBoxesOneMessage(t *testing.T) {
 	if allocs != 2 {
 		t.Fatalf("an origination flooded to 8 neighbors allocated %v times, want 2 (the neighbor list and one message)", allocs)
 	}
+}
+
+// TestSparseIDsAllocateLikeDense pins that a node's tables are sized by
+// the node count: a network whose IDs reach 4,200,000,000 allocates what
+// its dense relabelling {1,2,3,4} does.
+func TestSparseIDsAllocateLikeDense(t *testing.T) {
+	prototest.SparseAllocatesLikeDense(t, New())
 }

@@ -34,6 +34,7 @@ import (
 
 	"centaur/internal/routing"
 	"centaur/internal/sim"
+	"centaur/internal/topology"
 	"centaur/internal/wire"
 )
 
@@ -95,24 +96,26 @@ type Config struct {
 // Node is one OSPF router. Create with New or NewWithConfig; it
 // implements sim.Protocol.
 //
-// The link-state database and the next-hop table are indexed directly
-// by NodeID and grown to the highest ID seen (the simulator's
-// topologies number their nodes densely from 1; a sparse ID costs an
-// empty entry per skipped ID).
+// The link-state database and the next-hop table are sized once by the
+// network's topology.Index and keyed by a node's position there; LSAs
+// still carry NodeIDs.
 type Node struct {
 	env  sim.Env
 	self routing.NodeID
+	idx  *topology.Index
 	cfg  Config
 	seq  uint64
-	// lsdb[origin] is origin's newest LSA; Seq == 0 marks an origin not
-	// heard from (originated sequence numbers start at 1, and a received
-	// LSA numbered 0 is discarded as stale). held counts the LSAs present.
+	// lsdb[p] is the newest LSA of the origin at position p; Seq == 0
+	// marks an origin not heard from (originated sequence numbers start
+	// at 1, and a received LSA numbered 0 is discarded as stale). held
+	// counts the LSAs present.
 	lsdb []LSA
 	held int
-	// spf[dest] is the cached next hop toward dest, valid while spfOK.
+	// spf[p] is the cached next hop toward the node at position p, valid
+	// while spfOK.
 	spf   []routing.NodeID
 	spfOK bool
-	queue []routing.NodeID // runSPF's BFS queue, reused
+	queue []int // runSPF's BFS queue of positions, reused
 }
 
 var _ sim.Protocol = (*Node)(nil)
@@ -123,7 +126,15 @@ func New() sim.Builder { return NewWithConfig(Config{}) }
 // NewWithConfig returns the sim.Builder for OSPF nodes.
 func NewWithConfig(cfg Config) sim.Builder {
 	return func(env sim.Env) sim.Protocol {
-		return &Node{env: env, self: env.Self(), cfg: cfg}
+		idx := env.Index()
+		return &Node{
+			env:  env,
+			self: env.Self(),
+			idx:  idx,
+			cfg:  cfg,
+			lsdb: make([]LSA, idx.Len()),
+			spf:  make([]routing.NodeID, idx.Len()),
+		}
 	}
 }
 
@@ -133,15 +144,13 @@ func (n *Node) Start(env sim.Env) {
 	n.originate()
 }
 
-// install stores lsa as its origin's newest and invalidates SPF.
-func (n *Node) install(lsa LSA) {
-	if int(lsa.Origin) >= len(n.lsdb) {
-		n.lsdb = append(n.lsdb, make([]LSA, int(lsa.Origin)+1-len(n.lsdb))...)
-	}
-	if n.lsdb[lsa.Origin].Seq == 0 {
+// install stores lsa as the newest of its origin, the node at position
+// p, and invalidates SPF.
+func (n *Node) install(p int, lsa LSA) {
+	if n.lsdb[p].Seq == 0 {
 		n.held++
 	}
-	n.lsdb[lsa.Origin] = lsa
+	n.lsdb[p] = lsa
 	n.spfOK = false
 }
 
@@ -157,7 +166,7 @@ func (n *Node) originate() {
 	}
 	n.seq++
 	lsa := LSA{Origin: n.self, Seq: n.seq, Neighbors: nbrs}
-	n.install(lsa)
+	n.install(n.idx.Pos(n.self), lsa)
 	tele.originates.Inc()
 	// Deliberately the next-hop-less RouteChanged (not RouteChangedVia):
 	// SPF is lazy, so the new next hops aren't known here, and computing
@@ -189,7 +198,11 @@ func (n *Node) Handle(from routing.NodeID, msg sim.Message) {
 	if !ok {
 		return
 	}
-	cur, _ := n.LSA(f.LSA.Origin) // Seq 0 when absent
+	p := n.idx.Pos(f.LSA.Origin)
+	if p < 0 {
+		return // no node of the network originated it
+	}
+	cur := n.lsdb[p] // Seq 0 when absent
 	if f.LSA.Origin == n.self && cur.Seq != 0 && f.LSA.Seq > cur.Seq {
 		// A self-originated LSA strictly newer than the one we installed
 		// is a pre-crash incarnation's, still circulating with a higher
@@ -205,7 +218,7 @@ func (n *Node) Handle(from routing.NodeID, msg sim.Message) {
 		tele.staleLSAs.Inc()
 		return // stale or duplicate — flooding stops here
 	}
-	n.install(f.LSA)
+	n.install(p, f.LSA)
 	// An installed LSA invalidates SPF: routes toward (at least) the
 	// origin may differ once recomputed. Next hops are unreported (plain
 	// RouteChanged) because SPF is lazy — see originate.
@@ -226,9 +239,9 @@ func (n *Node) LinkDown(routing.NodeID) { n.originate() }
 // LSA and supersedes it.
 func (n *Node) LinkUp(nb routing.NodeID) {
 	if n.cfg.DatabaseExchange {
-		for origin := range n.lsdb {
+		for _, lsa := range n.lsdb {
 			// originate() below refloods a fresh self-LSA.
-			if lsa := n.lsdb[origin]; lsa.Seq != 0 && lsa.Origin != n.self {
+			if lsa.Seq != 0 && lsa.Origin != n.self {
 				n.env.Send(nb, Flood{LSA: lsa})
 			}
 		}
@@ -239,8 +252,8 @@ func (n *Node) LinkUp(nb routing.NodeID) {
 // LSA returns the stored LSA for origin, if any — an inspection hook for
 // invariant checkers comparing databases across nodes.
 func (n *Node) LSA(origin routing.NodeID) (LSA, bool) {
-	if int(origin) < len(n.lsdb) && n.lsdb[origin].Seq != 0 {
-		return n.lsdb[origin], true
+	if p := n.idx.Pos(origin); p >= 0 && n.lsdb[p].Seq != 0 {
+		return n.lsdb[p], true
 	}
 	return LSA{}, false
 }
@@ -255,8 +268,8 @@ func (n *Node) NextHop(dest routing.NodeID) routing.NodeID {
 	if !n.spfOK {
 		n.runSPF()
 	}
-	if int(dest) < len(n.spf) {
-		return n.spf[dest]
+	if p := n.idx.Pos(dest); p >= 0 {
+		return n.spf[p]
 	}
 	return routing.None
 }
@@ -267,26 +280,29 @@ func (n *Node) NextHop(dest routing.NodeID) routing.NodeID {
 // visited set.
 func (n *Node) runSPF() {
 	tele.spfRuns.Inc()
-	n.spf = append(n.spf[:0], make([]routing.NodeID, len(n.lsdb))...)
+	clear(n.spf)
 	n.spfOK = true
-	queue := append(n.queue[:0], n.self)
+	self := n.idx.Pos(n.self)
+	queue := append(n.queue[:0], self)
 	for head := 0; head < len(queue); head++ {
 		cur := queue[head]
-		lsa, _ := n.LSA(cur)
-		for _, nb := range lsa.Neighbors {
-			if nb == n.self || int(nb) >= len(n.spf) || n.spf[nb] != routing.None {
-				continue // visited, or no LSA to confirm the link with
+		curID := n.idx.ID(cur)
+		// An origin not heard from has a zero LSA: no neighbors.
+		for _, nb := range n.lsdb[cur].Neighbors {
+			p := n.idx.Pos(nb)
+			if p == self || p < 0 || n.spf[p] != routing.None {
+				continue // visited, or no node to confirm the link with
 			}
 			// Two-way check: the edge cur->nb counts once nb's LSA lists cur.
-			if _, back := slices.BinarySearch(n.lsdb[nb].Neighbors, cur); !back {
+			if _, back := slices.BinarySearch(n.lsdb[p].Neighbors, curID); !back {
 				continue
 			}
 			first := n.spf[cur]
-			if cur == n.self {
+			if cur == self {
 				first = nb
 			}
-			n.spf[nb] = first
-			queue = append(queue, nb)
+			n.spf[p] = first
+			queue = append(queue, p)
 		}
 	}
 	n.queue = queue

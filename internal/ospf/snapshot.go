@@ -21,6 +21,7 @@ func (n *Node) ForkProtocol(env sim.Env) sim.Protocol {
 	return &Node{
 		env:   env,
 		self:  n.self,
+		idx:   n.idx,
 		cfg:   n.cfg,
 		seq:   n.seq,
 		lsdb:  slices.Clone(n.lsdb),

@@ -77,6 +77,10 @@ type Env interface {
 	// behind per-destination convergence metrics — and counts it in
 	// Stats.RouteChanges.
 	RouteChanged(dest routing.NodeID)
+	// Index returns the dense index of the topology's nodes, shared by
+	// every node of the network. Protocols size their per-destination
+	// tables from it once and key them by position.
+	Index() *topology.Index
 }
 
 // Protocol is one routing protocol instance running at one node.
@@ -715,6 +719,8 @@ func (e *nodeEnv) Self() routing.NodeID { return e.self }
 func (e *nodeEnv) Now() time.Duration { return e.net.now }
 
 func (e *nodeEnv) Neighbors() []topology.Neighbor { return e.net.topo.Neighbors(e.self) }
+
+func (e *nodeEnv) Index() *topology.Index { return e.net.idx }
 
 func (e *nodeEnv) LinkIsUp(n routing.NodeID) bool {
 	ar, ok := e.ref(n)

@@ -1,23 +1,24 @@
 package topology
 
-import "centaur/internal/routing"
+import (
+	"slices"
+
+	"centaur/internal/routing"
+)
 
 // Index assigns dense array positions to the graph's node IDs so that
-// hot algorithms (the static solver, the generators) can use slices
-// instead of maps. Build one with NewIndex; it is immutable afterwards.
+// hot algorithms (the static solver, the generators, the simulator and
+// every protocol's per-destination tables) can use slices instead of
+// maps. Positions follow ascending ID order, so a walk over positions is
+// a walk over IDs in order. Build one with NewIndex; it is immutable
+// afterwards and safe for concurrent reads.
 type Index struct {
-	ids []routing.NodeID
-	pos map[routing.NodeID]int
+	ids []routing.NodeID // ascending
 }
 
 // NewIndex returns the dense index of g's nodes in ascending ID order.
 func NewIndex(g *Graph) *Index {
-	ids := g.Nodes()
-	pos := make(map[routing.NodeID]int, len(ids))
-	for i, id := range ids {
-		pos[id] = i
-	}
-	return &Index{ids: ids, pos: pos}
+	return &Index{ids: g.Nodes()}
 }
 
 // Len returns the number of indexed nodes.
@@ -26,10 +27,16 @@ func (ix *Index) Len() int { return len(ix.ids) }
 // ID returns the node ID at dense position i.
 func (ix *Index) ID(i int) routing.NodeID { return ix.ids[i] }
 
-// Pos returns the dense position of id, or -1 if id is not indexed.
+// Pos returns the dense position of id, or -1 if id is not indexed. IDs
+// numbered densely from 1 resolve in one comparison (id sits at id-1);
+// any other ID by binary search over the ascending IDs.
 func (ix *Index) Pos(id routing.NodeID) int {
-	if p, ok := ix.pos[id]; ok {
-		return p
+	// None wraps past every length.
+	if i := uint(id) - 1; i < uint(len(ix.ids)) && ix.ids[i] == id {
+		return int(i)
+	}
+	if i, ok := slices.BinarySearch(ix.ids, id); ok {
+		return i
 	}
 	return -1
 }

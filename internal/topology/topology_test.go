@@ -2,6 +2,7 @@ package topology
 
 import (
 	"bytes"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -261,6 +262,89 @@ func TestIndex(t *testing.T) {
 	}
 	if len(ix.IDs()) != 3 {
 		t.Fatal("IDs length wrong")
+	}
+}
+
+// indexOf builds the index of a graph holding exactly ids.
+func indexOf(t *testing.T, ids ...routing.NodeID) *Index {
+	t.Helper()
+	g := NewGraph(len(ids))
+	for _, id := range ids {
+		if err := g.AddNode(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return NewIndex(g)
+}
+
+// TestIndexPos covers both of Pos's paths — the dense one-comparison
+// hit and the binary search — and every way an ID can be absent.
+func TestIndexPos(t *testing.T) {
+	dense := indexOf(t, 1, 2, 3, 4)
+	sparse := indexOf(t, 1, 2, 3, 4_200_000_000)
+	gapped := indexOf(t, 2, 3, 7, 8, 9)
+	for _, tt := range []struct {
+		name string
+		ix   *Index
+		id   routing.NodeID
+		want int
+	}{
+		{"dense first", dense, 1, 0},
+		{"dense last", dense, 4, 3},
+		{"dense none", dense, routing.None, -1},
+		{"dense above max", dense, 5, -1},
+		{"sparse below gap", sparse, 3, 2},
+		{"sparse far", sparse, 4_200_000_000, 3},
+		{"sparse in gap", sparse, 70000, -1},
+		{"sparse above max", sparse, 4_200_000_001, -1},
+		{"sparse max uint32", sparse, ^routing.NodeID(0), -1},
+		{"gapped first", gapped, 2, 0},
+		{"gapped after gap", gapped, 8, 3},
+		{"gapped in gap", gapped, 5, -1},
+		{"gapped below min", gapped, 1, -1},
+		{"gapped none", gapped, routing.None, -1},
+		{"empty", indexOf(t), 1, -1},
+	} {
+		if got := tt.ix.Pos(tt.id); got != tt.want {
+			t.Errorf("%s: Pos(%v) = %d, want %d", tt.name, tt.id, got, tt.want)
+		}
+	}
+}
+
+// TestIndexPosMatchesMap checks Pos against a map reference over random
+// ID sets, from fully dense to widely spread, probing members and
+// non-members alike.
+func TestIndexPosMatchesMap(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 200; trial++ {
+		// IDs are drawn from [1, hi]: dense, half full, or scattered.
+		hi := []int64{64, 128, 64_000, 1<<32 - 2}[trial%4]
+		want := make(map[routing.NodeID]int)
+		var ids []routing.NodeID
+		for k := rng.Intn(64); k > 0; k-- {
+			id := routing.NodeID(1 + rng.Int63n(hi))
+			if _, dup := want[id]; !dup {
+				want[id] = 0
+				ids = append(ids, id)
+			}
+		}
+		ix := indexOf(t, ids...)
+		for i, id := range ix.IDs() {
+			want[id] = i
+		}
+		probes := append([]routing.NodeID{routing.None, ^routing.NodeID(0)}, ids...)
+		for k := 0; k < 64; k++ {
+			probes = append(probes, routing.NodeID(rng.Int63n(hi+2)))
+		}
+		for _, id := range probes {
+			p, ok := want[id]
+			if !ok {
+				p = -1
+			}
+			if got := ix.Pos(id); got != p {
+				t.Fatalf("trial %d, ids %v: Pos(%v) = %d, want %d", trial, ix.IDs(), id, got, p)
+			}
+		}
 	}
 }
 
