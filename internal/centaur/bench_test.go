@@ -1,6 +1,7 @@
 package centaur
 
 import (
+	"runtime"
 	"testing"
 
 	"centaur/internal/prototest"
@@ -85,6 +86,55 @@ func BenchmarkHandleFlip(b *testing.B) {
 		if _, _, err := net.RunToConvergence(500_000_000); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestFlipAllocBudget pins the allocation count and bytes of one
+// fail-quiesce-restore-quiesce episode on the benchmark's converged
+// network, averaged over every eighth link after a warm-up pass over the
+// same links (so every restarted session finds the graph and the view
+// its previous one left). The budgets (see norace_test.go and
+// race_test.go for the measurements) leave room for map-growth noise,
+// not for rebuilding a restarted session's export view or neighbour
+// P-graph from nothing.
+func TestFlipAllocBudget(t *testing.T) {
+	g, err := topogen.BRITE(160, 2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	net := benchNetwork(t, g)
+	var edges []topology.Edge
+	for i, e := range g.Edges() {
+		if i%8 == 0 {
+			edges = append(edges, e)
+		}
+	}
+	pass := func() {
+		for _, e := range edges {
+			net.FailLink(e.A, e.B)
+			if _, _, err := net.RunToConvergence(500_000_000); err != nil {
+				t.Fatal(err)
+			}
+			net.RestoreLink(e.A, e.B)
+			if _, _, err := net.RunToConvergence(500_000_000); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	pass()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	pass()
+	runtime.ReadMemStats(&after)
+	allocs := float64(after.Mallocs-before.Mallocs) / float64(len(edges))
+	bytes := float64(after.TotalAlloc-before.TotalAlloc) / float64(len(edges))
+	t.Logf("%.0f allocations, %.1f KB per flip episode (%d links)", allocs, bytes/1e3, len(edges))
+	if allocs > flipAllocBudget {
+		t.Errorf("%.0f allocations per flip episode, budget %d", allocs, flipAllocBudget)
+	}
+	if bytes > flipByteBudget {
+		t.Errorf("%.0f bytes allocated per flip episode, budget %d", bytes, flipByteBudget)
 	}
 }
 

@@ -199,9 +199,13 @@ type neighbor struct {
 	// graph is G_{b→self}, the P-graph announced by the neighbor; nil
 	// exactly while the link is down.
 	graph *pgraph.Graph
+	// spare is the ended session's graph, kept while the link is down so
+	// the next session reuses its storage (see openSession).
+	spare *pgraph.Graph
 	// view maintains the announced (export-filtered) P-graph toward the
 	// neighbor; its Flush yields the Δ_B update messages. nil until the
-	// session's first announcement.
+	// first session's first announcement; it outlives the session, so a
+	// restart brings it up to date instead of rebuilding it (see finish).
 	view *pgraph.View
 	// derived memoizes, in incremental mode, the DerivePath result from
 	// graph per destination position: nil is "not cached", noPath a
@@ -211,6 +215,9 @@ type neighbor struct {
 	// dirty marks, within a round, that a route exportable to the
 	// neighbor changed, so its view needs updating.
 	dirty bool
+	// fresh marks a session whose full view has not been announced yet,
+	// from Start or LinkUp to the end of that event's round.
+	fresh bool
 	// injected records the adversarial link announcements already sent
 	// to the neighbor (ascending by link), so injection re-sends only on
 	// change and quiesces.
@@ -280,20 +287,27 @@ func (n *Node) Start(env sim.Env) {
 	n.env = env
 	for i, b := range n.nbrList {
 		if env.LinkIsUp(b) {
-			n.nbrs[i].graph = n.freshNeighborGraph(b)
+			n.openSession(&n.nbrs[i], b)
 		}
 	}
 	n.recompute()
 }
 
-// freshNeighborGraph creates the empty P-graph for neighbor b. The root
-// is marked as a destination: the adjacency itself is a route to b
-// (every node owns its prefix in the paper's one-AS-one-node model).
-func (n *Node) freshNeighborGraph(b routing.NodeID) *pgraph.Graph {
-	g := pgraph.New(b)
+// openSession gives neighbor b an empty P-graph — the ended session's
+// storage when there is one — and schedules the full announcement of
+// the view toward it. The root is marked as a destination: the adjacency
+// itself is a route to b (every node owns its prefix in the paper's
+// one-AS-one-node model).
+func (n *Node) openSession(nb *neighbor, b routing.NodeID) {
+	g := nb.spare
+	if g == nil {
+		g = pgraph.New(b)
+	} else {
+		g.Reset(b)
+	}
 	g.MarkDest(b)
 	n.installFPObserver(g)
-	return g
+	nb.graph, nb.spare, nb.fresh = g, nil, true
 }
 
 // plFPNoter is the optional environment interface for Permission List
@@ -525,10 +539,16 @@ func (n *Node) noteFailedLink(l routing.Link) {
 	}
 }
 
-// endSession drops everything learned from and announced to a neighbor.
+// endSession drops everything learned from a neighbor. The graph's
+// storage is kept as the next session's spare, and the announced view is
+// kept whole: the next session's first round brings it up to date and
+// announces all of it (see finish).
 func (nb *neighbor) endSession() {
 	clear(nb.derived) // keeps the table's storage for the next session
-	nb.graph, nb.view, nb.injected = nil, nil, nil
+	if nb.graph != nil {
+		nb.spare = nb.graph
+	}
+	nb.graph, nb.injected = nil, nil
 }
 
 // LinkDown implements sim.Protocol: drop the neighbor's P-graph and our
@@ -558,9 +578,8 @@ func (n *Node) LinkDown(b routing.NodeID) {
 	n.resolve()
 }
 
-// LinkUp implements sim.Protocol: restart the session — a fresh empty
-// P-graph for the neighbor and a full re-announcement toward it (the
-// recompute sees no previously exported view and diffs from empty). The
+// LinkUp implements sim.Protocol: restart the session — an empty
+// P-graph for the neighbor and a full re-announcement toward it. The
 // adjacency's own root-cause masks are lifted: the link is
 // authoritatively back.
 func (n *Node) LinkUp(b routing.NodeID) {
@@ -569,7 +588,7 @@ func (n *Node) LinkUp(b routing.NodeID) {
 		return
 	}
 	nb.endSession()
-	nb.graph = n.freshNeighborGraph(b)
+	n.openSession(nb, b)
 	n.beginRound()
 	n.affect(b)
 	for _, l := range []routing.Link{{From: n.self, To: b}, {From: b, To: n.self}} {
@@ -635,10 +654,14 @@ func (n *Node) solveAffected() {
 
 // finish applies the round's route changes to the announced views of the
 // neighbors marked dirty (pgraph.View, the §4.3.2 counter machinery) and
-// sends the flushed Δ_B messages.
+// sends the flushed Δ_B messages; a session's first round announces the
+// whole view instead (announceView). The round's root-cause links are
+// copied once and the copy rides every message of the fan-out: a message
+// is immutable once handed to Send, so receivers may share it.
 func (n *Node) finish(changed []int) {
 	failed := n.pendingFailed
-	n.pendingFailed = nil
+	n.pendingFailed = failed[:0] // failed is read before the next round appends
+	var sent []routing.Link
 	for i, b := range n.nbrList {
 		nb := &n.nbrs[i]
 		if nb.graph == nil {
@@ -647,16 +670,10 @@ func (n *Node) finish(changed []int) {
 		// Adversarial injections (nil for honest nodes) ride the same
 		// delta so the receiver processes them like any announcement.
 		inject := n.advInjects(b, nb)
+		var delta pgraph.Delta
 		switch {
-		case nb.view == nil:
-			// Fresh session: announce the full exportable path set
-			// (§4.3.1 Steps 1 and 4).
-			nb.view = pgraph.NewView(n.self)
-			for p := range n.routes {
-				if path := n.exportable(p, b, nb); path != nil {
-					nb.view.Set(n.idx.ID(p), path)
-				}
-			}
+		case nb.fresh:
+			delta = n.announceView(b, nb)
 		case (len(changed) == 0 || !nb.dirty) && len(inject) == 0:
 			// No exportable-to-b route changed; the view is current.
 			continue
@@ -664,8 +681,8 @@ func (n *Node) finish(changed []int) {
 			for _, p := range changed {
 				nb.view.Set(n.idx.ID(p), n.exportable(p, b, nb))
 			}
+			delta = nb.view.Flush()
 		}
-		delta := nb.view.Flush()
 		if len(inject) > 0 {
 			delta.Adds = append(delta.Adds, inject...)
 			slices.SortFunc(delta.Adds, func(x, y pgraph.LinkInfo) int {
@@ -680,10 +697,39 @@ func (n *Node) finish(changed []int) {
 		}
 		msg := Update{Delta: delta}
 		if len(failed) > 0 {
-			msg.FailedLinks = append([]routing.Link(nil), failed...)
+			if sent == nil {
+				sent = slices.Clone(failed)
+			}
+			msg.FailedLinks = sent
 		}
 		n.env.Send(b, msg)
 	}
+}
+
+// announceView brings the view toward neighbor b up to the exportable
+// path set and returns its full announcement (§4.3.1 Steps 1 and 4). A
+// view kept from an ended session is updated destination by destination,
+// an unchanged path costing one lookup, and the round's Flush — a Δ
+// against the ended session, which the neighbor no longer holds — is
+// dropped in favour of the whole graph: the maintained layout depends
+// only on the path set, so that is exactly what a fresh view's Flush
+// would send. An empty view's Flush already is the whole announcement.
+func (n *Node) announceView(b routing.NodeID, nb *neighbor) pgraph.Delta {
+	nb.fresh = false
+	if nb.view == nil {
+		nb.view = pgraph.NewView(n.self)
+	}
+	empty := nb.view.Graph().NumLinks() == 0
+	for p := range n.routes {
+		if path := n.exportable(p, b, nb); path != nil || !empty {
+			nb.view.Set(n.idx.ID(p), path)
+		}
+	}
+	delta := nb.view.Flush()
+	if empty {
+		return delta
+	}
+	return pgraph.Delta{Adds: nb.view.Graph().LinkInfos()}
 }
 
 // exportable returns the path announced to neighbor b for the
@@ -894,9 +940,11 @@ func (n *Node) NeighborGraph(b routing.NodeID) *pgraph.Graph {
 }
 
 // ExportedView returns the announced view toward neighbor b as link
-// announcements (nil when no session exists).
+// announcements, nil when no session exists — also while the adjacency
+// is down, although the node keeps the ended session's view for the
+// next one.
 func (n *Node) ExportedView(b routing.NodeID) []pgraph.LinkInfo {
-	if nb := n.neighbor(b); nb != nil && nb.view != nil {
+	if nb := n.neighbor(b); nb != nil && nb.graph != nil && nb.view != nil {
 		return nb.view.Graph().LinkInfos()
 	}
 	return nil

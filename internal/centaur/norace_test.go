@@ -10,3 +10,11 @@ const (
 	coldStartAllocBudget = 340_000
 	coldStartByteBudget  = 31_000_000
 )
+
+// TestFlipAllocBudget's limits. Measured 4,778 allocations and 165.7 KB
+// per episode (5,315 and 254.4 KB while a restarted session rebuilt its
+// export view and its neighbour P-graph from nothing).
+const (
+	flipAllocBudget = 4_900
+	flipByteBudget  = 175_000
+)

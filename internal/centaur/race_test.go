@@ -11,3 +11,12 @@ const (
 	coldStartAllocBudget = 420_000
 	coldStartByteBudget  = 33_000_000
 )
+
+// TestFlipAllocBudget's limits under the race detector: measured 4,796
+// allocations and 170.1 KB per episode (5,596 and 265.1 KB while a
+// restarted session rebuilt its export view and its neighbour P-graph
+// from nothing).
+const (
+	flipAllocBudget = 4_900
+	flipByteBudget  = 180_000
+)

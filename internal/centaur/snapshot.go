@@ -55,6 +55,10 @@ func (n *Node) ForkProtocol(env sim.Env) sim.Protocol {
 		if nb.view != nil {
 			nb.view = nb.view.Clone()
 		}
+		// A down link's spare graph is storage, not state: forks taken
+		// concurrently from one template must not share it, and copying
+		// it would buy nothing a fresh graph does not.
+		nb.spare = nil
 		nb.derived = slices.Clone(nb.derived)
 		nb.injected = nil // like adv, adversarial state is not forked
 	}

@@ -248,7 +248,7 @@ func BuildInto(g *Graph, root routing.NodeID, paths []routing.Path) (*Graph, err
 	if g == nil {
 		g = New(root)
 	} else {
-		g.reset(root)
+		g.reset(root, true)
 	}
 	g.setDest(rootSlot, true)
 	// Pass one: links, destination marks, counters. hops records the slot

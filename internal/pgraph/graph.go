@@ -130,14 +130,28 @@ func New(root routing.NodeID) *Graph {
 	return g
 }
 
+// Reset empties g into what New(root) returns, keeping the intern
+// table's buckets and the slot chunks, so a graph rebuilt link by link
+// (a restarted session's neighbour P-graph) allocates again only its
+// edge lists and what outgrows its previous incarnation. Unlike
+// BuildInto's reuse, every slot's in-edge and child lists are dropped:
+// a slot is taken by whichever node arrives first, and capacity kept
+// across that reassignment would creep towards the largest list any
+// slot ever held. The false-positive observer is cleared too.
+func (g *Graph) Reset(root routing.NodeID) { g.reset(root, false) }
+
 // reset empties g for reuse as a graph rooted at root. The intern
-// table's buckets, the slot chunks, every slot's edge capacity and the
-// traversal scratch are kept; the records are blanked, which also drops
-// their Permission List pointers.
-func (g *Graph) reset(root routing.NodeID) {
+// table's buckets, the slot chunks and the traversal scratch are kept,
+// and each slot's edge capacity when keepEdges is set; the records are
+// blanked, which also drops their Permission List pointers.
+func (g *Graph) reset(root routing.NodeID, keepEdges bool) {
 	clear(g.idx)
 	for s := int32(0); s < g.nodes.n; s++ {
 		nd := g.nodes.at(s)
+		if !keepEdges {
+			*nd = node{}
+			continue
+		}
 		clear(nd.in)
 		*nd = node{in: nd.in[:0], out: nd.out[:0]}
 	}
@@ -172,7 +186,12 @@ func (g *Graph) intern(n routing.NodeID) int32 {
 // gc releases slot s when its node has no links left. A released node
 // loses its destination mark; the root stays interned and keeps its
 // mark even when isolated, because the announcing neighbor itself
-// remains a reachable destination.
+// remains a reachable destination. The slot keeps an edge list for its
+// next tenant only when it has room for one entry, which any tenant
+// fills; a longer list belongs to the node that grew it, and handed on
+// it would, in a graph that lives long (a Centaur export view kept
+// across sessions), leave every slot as large as the largest node it
+// ever held.
 func (g *Graph) gc(s int32) {
 	nd := g.nodes.at(s)
 	if s == rootSlot || len(nd.in) > 0 || len(nd.out) > 0 {
@@ -182,7 +201,14 @@ func (g *Graph) gc(s int32) {
 		g.nDests--
 	}
 	delete(g.idx, nd.id)
-	*nd = node{in: nd.in[:0], out: nd.out[:0]}
+	in, out := nd.in[:0], nd.out[:0]
+	if cap(in) > 1 {
+		in = nil
+	}
+	if cap(out) > 1 {
+		out = nil
+	}
+	*nd = node{in: in, out: out}
 	g.free = append(g.free, s)
 }
 

@@ -229,3 +229,62 @@ func TestReadPathAllocations(t *testing.T) {
 		t.Errorf("AppendDestsBelow into a sized buffer: %v allocations, want 0", n)
 	}
 }
+
+// TestResetMatchesNew pins Graph.Reset: a graph that held Permission
+// Lists, destination marks and an observer, reset to another root, is
+// New(root) in everything but its kept slot chunks, holds no slot's old
+// edge lists, and assembles a later announcement exactly like a fresh
+// graph.
+func TestResetMatchesNew(t *testing.T) {
+	paths := map[routing.NodeID]routing.Path{
+		2: {1, 2}, 3: {1, 3}, 4: {1, 2, 4}, 5: {1, 3, 4, 5}, 6: {1, 2, 4, 6}, 7: {1, 3, 5, 7},
+	}
+	built, err := Build(1, paths)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := New(1)
+	g.MarkDest(1)
+	g.Apply(Delta{Adds: built.LinkInfos()})
+	g.SetFPObserver(func(routing.Link, routing.NodeID, routing.NodeID) {})
+	if g.NumPermissionLists() == 0 {
+		t.Fatal("the announcement carried no Permission List; the test would show nothing")
+	}
+	chunks := len(g.nodes.chunks)
+
+	g.Reset(9)
+	if fresh := New(9); !g.Equal(fresh) || !fresh.Equal(g) || g.Root() != 9 ||
+		g.NumLinks() != 0 || g.NumDests() != 0 || g.NumPermissionLists() != 0 || g.fpObserver != nil {
+		t.Fatalf("reset graph differs from New(9): %v", g)
+	}
+	if len(g.nodes.chunks) != chunks {
+		t.Fatalf("Reset kept %d slot chunks of %d", len(g.nodes.chunks), chunks)
+	}
+	for s := int32(0); int(s) < chunks*chunkSize; s++ {
+		if nd := g.nodes.at(s); nd.in != nil || nd.out != nil {
+			t.Fatalf("slot %d kept edge lists (cap %d in, %d out)", s, cap(nd.in), cap(nd.out))
+		}
+	}
+
+	next, err := Build(9, map[routing.NodeID]routing.Path{
+		8: {9, 8}, 3: {9, 8, 3}, 2: {9, 2}, 4: {9, 2, 4}, 5: {9, 8, 3, 5}, 1: {9, 8, 3, 5, 1},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := New(9)
+	for _, h := range []*Graph{g, want} {
+		h.MarkDest(9)
+		h.Apply(Delta{Adds: next.LinkInfos()})
+	}
+	if !g.Equal(want) || !want.Equal(g) {
+		t.Fatalf("reset graph assembled\n%v\nfresh graph\n%v", g, want)
+	}
+	for _, d := range want.Dests() {
+		gp, gok := g.DerivePath(d)
+		wp, wok := want.DerivePath(d)
+		if gok != wok || !gp.Equal(wp) {
+			t.Fatalf("dest %v: reset graph derives %v, fresh graph %v", d, gp, wp)
+		}
+	}
+}

@@ -63,12 +63,13 @@ type Checkpoint struct {
 	stateBytes int64
 }
 
-// Checkpoint snapshots the network's converged state. It requires the
-// network to be quiesced (event queue drained — checkpointing with
-// events in flight would need to serialize closures) and every protocol
-// node to implement Snapshotter (ErrNotSnapshottable otherwise). The
-// network must not be run or mutated afterwards: it becomes the shared
-// read-only template every Fork copies from.
+// Checkpoint snapshots the network's converged state, failed links
+// included. It requires the network to be quiesced (event queue drained
+// — checkpointing with events in flight would need to serialize
+// closures) and every protocol node to implement Snapshotter
+// (ErrNotSnapshottable otherwise). The network must not be run or
+// mutated afterwards: it becomes the shared read-only template every
+// Fork copies from.
 func (n *Network) Checkpoint() (*Checkpoint, error) {
 	if n.injector != nil {
 		return nil, ErrFaultsActive
@@ -101,9 +102,9 @@ func (c *Checkpoint) StateBytes() int64 { return c.stateBytes }
 // delaySeed exactly as NewNetwork would draw them. The fork's clock and
 // event sequence continue from the checkpoint (timers and measurements
 // are all relative, so the absolute offset is immaterial), its event
-// queue is empty, its links are all up, and its stats are zero except
-// the lifetime event count. No Start events are scheduled: the nodes
-// are already converged. Safe to call concurrently.
+// queue is empty, its links are up or down as in the checkpoint, and its
+// stats are zero except the lifetime event count. No Start events are
+// scheduled: the nodes are already converged. Safe to call concurrently.
 func (c *Checkpoint) Fork(delaySeed int64) (*Network, error) {
 	src := c.src
 	n, err := newShell(Config{
@@ -123,6 +124,11 @@ func (c *Checkpoint) Fork(delaySeed int64) (*Network, error) {
 	// quiesced template anyway (Run clears them on drain).
 	n.prov = src.prov
 	n.spanSeq = src.spanSeq
+	// A link down in the template is down in the fork — its endpoints'
+	// protocol state says so — whatever delay the fork drew for it.
+	for i, ls := range src.links {
+		n.links[i].up, n.links[i].since, n.links[i].epoch = ls.up, ls.since, ls.epoch
+	}
 	for i := range src.nodes {
 		n.nodes[i] = src.nodes[i].(Snapshotter).ForkProtocol(&n.envs[i])
 	}

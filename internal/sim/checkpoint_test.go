@@ -2,7 +2,9 @@ package sim_test
 
 import (
 	"errors"
+	"fmt"
 	"reflect"
+	"sync"
 	"testing"
 	"time"
 
@@ -106,31 +108,39 @@ type phaseResult struct {
 // flip-relative terms (absolute simulated time cancels out).
 func measureFlip(tb testing.TB, net *sim.Network, e topology.Edge) (down, up phaseResult) {
 	tb.Helper()
-	phase := func(transition func() bool) phaseResult {
-		net.ResetStats()
-		start := net.Now()
-		if !transition() {
-			tb.Fatalf("link %v-%v transition refused", e.A, e.B)
-		}
-		if _, _, err := net.RunToConvergence(testMaxEvents); err != nil {
-			tb.Fatal(err)
-		}
-		st := net.Stats()
-		res := phaseResult{
-			units: st.Units, msgs: st.Messages, bytes: st.Bytes,
-			destTimes: make(map[routing.NodeID]time.Duration),
-		}
-		if st.Messages > 0 {
-			res.conv = st.LastSend - start
-		}
-		net.LastRouteChanges(func(dest routing.NodeID, at time.Duration) {
-			res.destTimes[dest] = at - start
-		})
-		return res
+	var err error
+	if down, err = measurePhase(net, e, net.FailLink); err != nil {
+		tb.Fatal(err)
 	}
-	down = phase(func() bool { return net.FailLink(e.A, e.B) })
-	up = phase(func() bool { return net.RestoreLink(e.A, e.B) })
+	if up, err = measurePhase(net, e, net.RestoreLink); err != nil {
+		tb.Fatal(err)
+	}
 	return down, up
+}
+
+// measurePhase applies one transition of link e (net.FailLink or
+// net.RestoreLink) and reports the reconvergence it causes.
+func measurePhase(net *sim.Network, e topology.Edge, transition func(a, b routing.NodeID) bool) (phaseResult, error) {
+	net.ResetStats()
+	start := net.Now()
+	if !transition(e.A, e.B) {
+		return phaseResult{}, fmt.Errorf("link %v-%v transition refused", e.A, e.B)
+	}
+	if _, _, err := net.RunToConvergence(testMaxEvents); err != nil {
+		return phaseResult{}, err
+	}
+	st := net.Stats()
+	res := phaseResult{
+		units: st.Units, msgs: st.Messages, bytes: st.Bytes,
+		destTimes: make(map[routing.NodeID]time.Duration),
+	}
+	if st.Messages > 0 {
+		res.conv = st.LastSend - start
+	}
+	net.LastRouteChanges(func(dest routing.NodeID, at time.Duration) {
+		res.destTimes[dest] = at - start
+	})
+	return res, nil
 }
 
 // TestForkMatchesColdStart is the core soundness statement of the
@@ -176,7 +186,8 @@ func TestForkMatchesColdStart(t *testing.T) {
 // TestForkIsolation pins the deep-copy contract: running flips on one
 // fork must not leak into the shared template or into sibling forks —
 // a fork taken and measured after heavy mutation of another behaves
-// exactly like the first.
+// exactly like the first, and two forks of a template checkpointed while
+// a link is down, restoring it concurrently, behave exactly alike.
 func TestForkIsolation(t *testing.T) {
 	g := testTopo(t, 48)
 	edges := g.Edges()
@@ -211,8 +222,63 @@ func TestForkIsolation(t *testing.T) {
 					t.Fatalf("flip %v-%v: sibling fork diverged from first fork", e.A, e.B)
 				}
 			}
+
+			// A template checkpointed while a link is down holds what a
+			// restart reuses (a Centaur node keeps the ended session's export
+			// view and its neighbour graph's storage). Two forks restoring
+			// the link at the same time must share none of it: they measure
+			// exactly alike, and the race detector sees no shared write.
+			down := edges[len(edges)/2]
+			tmplDown := converged(t, g, build, 1)
+			if _, err := measurePhase(tmplDown, down, tmplDown.FailLink); err != nil {
+				t.Fatal(err)
+			}
+			cpDown, err := tmplDown.Checkpoint()
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got [2][]phaseResult
+			var errs [2]error
+			var wg sync.WaitGroup
+			for i := range got {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					got[i], errs[i] = restoreAndFlip(cpDown, down, flips)
+				}()
+			}
+			wg.Wait()
+			if err := errors.Join(errs[:]...); err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got[0], got[1]) {
+				t.Fatalf("two forks restoring %v-%v measured differently:\n%+v\n%+v", down.A, down.B, got[0], got[1])
+			}
 		})
 	}
+}
+
+// restoreAndFlip forks cp, restores the link that was down in it, flips
+// every link of flips, and reports each phase.
+func restoreAndFlip(cp *sim.Checkpoint, down topology.Edge, flips []topology.Edge) ([]phaseResult, error) {
+	net, err := cp.Fork(3)
+	if err != nil {
+		return nil, err
+	}
+	r, err := measurePhase(net, down, net.RestoreLink)
+	if err != nil {
+		return nil, err
+	}
+	out := []phaseResult{r}
+	for _, e := range flips {
+		for _, transition := range []func(a, b routing.NodeID) bool{net.FailLink, net.RestoreLink} {
+			if r, err = measurePhase(net, e, transition); err != nil {
+				return nil, err
+			}
+			out = append(out, r)
+		}
+	}
+	return out, nil
 }
 
 // TestCheckpointRequiresQuiescence pins the API contract: a network
