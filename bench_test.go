@@ -444,37 +444,6 @@ func BenchmarkAblationRootCause(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationRecomputeScope compares the full local solver against
-// the affected-destination incremental solver on identical flip
-// workloads (DESIGN.md §6). Both produce bit-identical messages (tested
-// in internal/centaur); this measures the local computation saved.
-func BenchmarkAblationRecomputeScope(b *testing.B) {
-	for _, tc := range []struct {
-		name string
-		inc  bool
-	}{
-		{"full", false},
-		{"incremental", true},
-	} {
-		b.Run(tc.name, func(b *testing.B) {
-			g, err := topogen.BRITE(benchSimNodes, 2, 3)
-			if err != nil {
-				b.Fatal(err)
-			}
-			for i := 0; i < b.N; i++ {
-				if _, err := experiments.RunFlips(experiments.FlipConfig{
-					Topology: g,
-					Build:    centaur.New(centaur.Config{Incremental: tc.inc}),
-					Flips:    benchFlips,
-					Seed:     int64(i + 1),
-				}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkAblationTieBreak measures the solver under each within-class
 // preference model; the resulting P-graph structure per mode is the
 // Tables 4-5 sensitivity discussed in EXPERIMENTS.md.

@@ -65,18 +65,14 @@ type benchStep struct {
 
 // benchReport is the BENCH_report.json schema.
 type benchReport struct {
-	Generated string `json:"generated"`
-	Nodes     int    `json:"nodes"`
-	Seed      int64  `json:"seed"`
-	Quick     bool   `json:"quick"`
-	Workers   int    `json:"workers"`
-	// DeriveWorkers is the per-node recompute fan-out
-	// (centaur.Config.DeriveWorkers); omitted when serial so default
-	// runs stay byte-identical to builds predating the knob.
-	DeriveWorkers int         `json:"derive_workers,omitempty"`
-	GoMaxProcs    int         `json:"gomaxprocs"`
-	Steps         []benchStep `json:"steps"`
-	TotalSeconds  float64     `json:"total_seconds"`
+	Generated    string      `json:"generated"`
+	Nodes        int         `json:"nodes"`
+	Seed         int64       `json:"seed"`
+	Quick        bool        `json:"quick"`
+	Workers      int         `json:"workers"`
+	GoMaxProcs   int         `json:"gomaxprocs"`
+	Steps        []benchStep `json:"steps"`
+	TotalSeconds float64     `json:"total_seconds"`
 	// ColdStartsAvoided counts trial chunks served by forking a shared
 	// converged checkpoint instead of cold-starting a fresh network
 	// (the run-wide sim.forks counter).
@@ -122,7 +118,6 @@ func run(args []string) error {
 		advSeed    = fs.Int64("adv-seed", 40_000, "adversarial step: attacker-selection and noise-relabeling seed")
 		scaling    = fs.Bool("scaling", false, "add the solver scaling step: cold solve vs incremental flips at 1k/4k/16k nodes (quick: 300/600), verified answer-identical")
 		scalingMax = fs.Int("scaling-max-nodes", 16000, "scaling step: largest sweep tier (75000 adds the real-AS-scale point on the sharded table layout)")
-		deriveWork = fs.Int("derive-workers", 0, "goroutines per centaur node's recompute round (0/1 = serial; results identical at any setting)")
 	)
 	fs.Parse(args) // ExitOnError: a malformed flag has already exited
 	// The steps read a count below one as "all" or "the default", so a
@@ -132,7 +127,7 @@ func run(args []string) error {
 		v    int
 	}{
 		{"workers", *workers}, {"trials-per-net", *trialsPer}, {"crashes", *crashes},
-		{"flows", *flows}, {"scaling-max-nodes", *scalingMax}, {"derive-workers", *deriveWork},
+		{"flows", *flows}, {"scaling-max-nodes", *scalingMax},
 	} {
 		if c.v < 0 {
 			return fmt.Errorf("-%s %d: a count cannot be negative", c.name, c.v)
@@ -187,7 +182,6 @@ func run(args []string) error {
 	fig6.Workers, fig7.Workers, fig8.Workers = *workers, *workers, *workers
 	fig6.TrialsPerNetwork, fig7.TrialsPerNetwork, fig8.TrialsPerNetwork = *trialsPer, *trialsPer, *trialsPer
 	fig6.NoCheckpoint, fig7.NoCheckpoint, fig8.NoCheckpoint = *noCheckpt, *noCheckpt, *noCheckpt
-	fig6.DeriveWorkers, fig7.DeriveWorkers, fig8.DeriveWorkers = *deriveWork, *deriveWork, *deriveWork
 	fig6.Telemetry, fig7.Telemetry, fig8.Telemetry = reg, reg, reg
 
 	// Opt-in like -bloom-pl: without -trace the report and stdout stay
@@ -204,13 +198,12 @@ func run(args []string) error {
 
 	start := time.Now()
 	report := benchReport{
-		Generated:     time.Now().UTC().Format(time.RFC3339),
-		Nodes:         sc.Nodes,
-		Seed:          *seed,
-		Quick:         *quick,
-		Workers:       *workers,
-		DeriveWorkers: *deriveWork,
-		GoMaxProcs:    runtime.GOMAXPROCS(0),
+		Generated:  time.Now().UTC().Format(time.RFC3339),
+		Nodes:      sc.Nodes,
+		Seed:       *seed,
+		Quick:      *quick,
+		Workers:    *workers,
+		GoMaxProcs: runtime.GOMAXPROCS(0),
 	}
 	fmt.Printf("Centaur reproduction report (scale: %d nodes, seed %d)\n", sc.Nodes, *seed)
 	fmt.Printf("generated: %s\n\n", report.Generated)

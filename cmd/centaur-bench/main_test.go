@@ -18,7 +18,6 @@ func TestRunRejectsBadInvocations(t *testing.T) {
 		{[]string{"-quick", "-crashes", "-1"}, "-crashes -1"},
 		{[]string{"-quick", "-flows", "-8"}, "-flows -8"},
 		{[]string{"-quick", "-scaling", "-scaling-max-nodes", "-1"}, "-scaling-max-nodes -1"},
-		{[]string{"-quick", "-derive-workers", "-2"}, "-derive-workers -2"},
 		{[]string{"-quick", "-prov"}, "-prov requires -trace"},
 	} {
 		err := run(append(tc.args, "-report", ""))

@@ -109,7 +109,6 @@ func run(args []string, w io.Writer) error {
 		scaling    = fs.Bool("scaling", false, "run the solver scaling sweep (cold solve vs incremental flips; -sizes, -flips, -seed apply)")
 		scalingMax = fs.Int("scaling-max-nodes", 16000, "scaling: largest default sweep tier (75000 adds the real-AS-scale point; ignored when -sizes is set)")
 		noVerify   = fs.Bool("no-verify", false, "scaling: skip the answer-identical check against a fresh cold solve per size")
-		deriveWork = fs.Int("derive-workers", 0, "centaur: goroutines per node's recompute round (0/1 = serial; results identical at any setting)")
 		traceFile  = fs.String("trace", "", "write a structured JSONL event trace to this file")
 		prov       = fs.Bool("prov", false, "emit the trace with causal provenance (schema v2; requires -trace)")
 		debugAddr  = fs.String("debug-addr", "", "serve /debug/vars and /debug/pprof on this address (e.g. localhost:6060)")
@@ -228,7 +227,7 @@ func run(args []string, w io.Writer) error {
 			advSeed: *advSeed, trials: *trials, dp: dp,
 		}, reg, tc)
 	default:
-		dispatchErr = dispatch(w, *fig, *compare, *nodes, *m, *flips, *seed, *mrai, *sizes, *workers, *trialsPer, *deriveWork, *noCheckpt, *verify, dp, reg, tc)
+		dispatchErr = dispatch(w, *fig, *compare, *nodes, *m, *flips, *seed, *mrai, *sizes, *workers, *trialsPer, *noCheckpt, *verify, dp, reg, tc)
 	}
 	if dispatchErr != nil {
 		return dispatchErr
@@ -284,7 +283,7 @@ func (f dataPlaneFlags) sweep() ([]time.Duration, error) {
 
 // dispatch runs the selected experiment mode with the observability
 // hooks threaded through.
-func dispatch(w io.Writer, fig string, compare bool, nodes, m, flips int, seed int64, mrai time.Duration, sizes string, workers, trialsPer, deriveWorkers int, noCheckpt, verify bool, dp dataPlaneFlags, reg *telemetry.Registry, tc *telemetry.TraceCollector) error {
+func dispatch(w io.Writer, fig string, compare bool, nodes, m, flips int, seed int64, mrai time.Duration, sizes string, workers, trialsPer int, noCheckpt, verify bool, dp dataPlaneFlags, reg *telemetry.Registry, tc *telemetry.TraceCollector) error {
 	if compare {
 		return runCompare(w, nodes, m, flips, seed, mrai, workers, trialsPer, noCheckpt, reg, tc)
 	}
@@ -297,7 +296,7 @@ func dispatch(w io.Writer, fig string, compare bool, nodes, m, flips int, seed i
 	case "6":
 		res, err := experiments.Figure6(experiments.Figure6Config{
 			Nodes: nodes, LinksPerNode: m, Flips: flips, Seed: seed, MRAI: mrai,
-			TrialsPerNetwork: trialsPer, Workers: workers, DeriveWorkers: deriveWorkers,
+			TrialsPerNetwork: trialsPer, Workers: workers,
 			NoCheckpoint: noCheckpt, Verify: verify, Telemetry: reg, Trace: tc,
 			Flows: dp.flows, FlowSeed: dp.flowSeed, FlowRate: dp.flowRate,
 			DetectInterval: detect, DetectMult: dp.detectMult,
@@ -310,7 +309,7 @@ func dispatch(w io.Writer, fig string, compare bool, nodes, m, flips int, seed i
 	case "7":
 		res, err := experiments.Figure7(experiments.Figure7Config{
 			Nodes: nodes, LinksPerNode: m, Flips: flips, Seed: seed,
-			TrialsPerNetwork: trialsPer, Workers: workers, DeriveWorkers: deriveWorkers,
+			TrialsPerNetwork: trialsPer, Workers: workers,
 			NoCheckpoint: noCheckpt, Verify: verify, Telemetry: reg, Trace: tc,
 			Flows: dp.flows, FlowSeed: dp.flowSeed, FlowRate: dp.flowRate,
 			DetectInterval: detect, DetectMult: dp.detectMult,
@@ -327,7 +326,7 @@ func dispatch(w io.Writer, fig string, compare bool, nodes, m, flips int, seed i
 		}
 		res, err := experiments.Figure8(experiments.Figure8Config{
 			Sizes: sz, LinksPerNode: m, FlipsPerSize: flips, Seed: seed,
-			TrialsPerNetwork: trialsPer, Workers: workers, DeriveWorkers: deriveWorkers,
+			TrialsPerNetwork: trialsPer, Workers: workers,
 			NoCheckpoint: noCheckpt, Verify: verify, Telemetry: reg, Trace: tc,
 		})
 		if err != nil {
@@ -589,7 +588,7 @@ func runCompare(w io.Writer, nodes, m, flips int, seed int64, mrai time.Duration
 		name  string
 		build sim.Builder
 	}{
-		{"centaur", centaur.New(centaur.Config{Incremental: true})},
+		{"centaur", centaur.New(centaur.Config{})},
 		{"bgp", bgp.New(bgp.Config{})},
 		{"bgp+mrai", bgp.New(bgp.Config{MRAI: mrai})},
 		{"bgp-rcn", bgp.New(bgp.Config{RCN: true})},

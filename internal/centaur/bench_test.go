@@ -19,7 +19,7 @@ func benchNetwork(b testing.TB, g *topology.Graph) *sim.Network {
 	b.Helper()
 	net, err := sim.NewNetwork(sim.Config{
 		Topology:  g,
-		Build:     New(Config{Incremental: true}),
+		Build:     New(Config{}),
 		DelaySeed: 1,
 	})
 	if err != nil {
@@ -55,7 +55,7 @@ func TestColdStartAllocBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	allocs, bytes := prototest.ColdStart(t, g, New(Config{Incremental: true}), 2)
+	allocs, bytes := prototest.ColdStart(t, g, New(Config{}), 2)
 	t.Logf("%.0f allocations, %.2f MB per cold start", allocs, bytes/1e6)
 	if allocs > coldStartAllocBudget {
 		t.Errorf("%.0f allocations per cold start, budget %d", allocs, coldStartAllocBudget)
@@ -142,5 +142,5 @@ func TestFlipAllocBudget(t *testing.T) {
 // the node count: a network whose IDs reach 4,200,000,000 allocates what
 // its dense relabelling {1,2,3,4} does.
 func TestSparseIDsAllocateLikeDense(t *testing.T) {
-	prototest.SparseAllocatesLikeDense(t, New(Config{Incremental: true}))
+	prototest.SparseAllocatesLikeDense(t, New(Config{}))
 }

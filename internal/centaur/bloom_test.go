@@ -44,7 +44,7 @@ func TestBloomPLConvergesToSolver(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, nodes := converge(t, g, Config{Incremental: true, BloomPL: true, Policy: overridePolicy()})
+	_, nodes := converge(t, g, Config{BloomPL: true, Policy: overridePolicy()})
 	checkAgainstSolverTie(t, g, nodes, policy.TieOverride)
 }
 
@@ -57,9 +57,9 @@ func TestBloomPLRoutesEqualExplicit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, explicit := converge(t, g, Config{Incremental: true, Policy: overridePolicy()})
+	_, explicit := converge(t, g, Config{Policy: overridePolicy()})
 	for _, fpRate := range []float64{0, 0.5} {
-		_, compressed := converge(t, g, Config{Incremental: true, BloomPL: true, PLFPRate: fpRate, Policy: overridePolicy()})
+		_, compressed := converge(t, g, Config{BloomPL: true, PLFPRate: fpRate, Policy: overridePolicy()})
 		for _, from := range g.Nodes() {
 			for _, to := range g.Nodes() {
 				want := explicit[from].BestPath(to)
@@ -85,7 +85,7 @@ func TestBloomPLNeighborGraphsCarryFilters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, nodes := converge(t, g, Config{Incremental: true, BloomPL: true, PLFPRate: 0.5, Policy: overridePolicy()})
+	_, nodes := converge(t, g, Config{BloomPL: true, PLFPRate: 0.5, Policy: overridePolicy()})
 	withFilters := 0
 	for _, n := range nodes {
 		for _, b := range n.nbrList {
@@ -104,7 +104,7 @@ func TestBloomPLNeighborGraphsCarryFilters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, plain := converge(t, small, Config{Incremental: true, Policy: overridePolicy()})
+	_, plain := converge(t, small, Config{Policy: overridePolicy()})
 	for _, n := range plain {
 		for _, b := range n.nbrList {
 			for _, lp := range n.NeighborGraph(b).PermissionLists() {
@@ -120,7 +120,7 @@ func TestBloomPLNeighborGraphsCarryFilters(t *testing.T) {
 // and restore with compressed deltas must track the solver exactly.
 func TestBloomPLFailureRecovery(t *testing.T) {
 	g := topogen.Figure2a()
-	net, nodes := converge(t, g, Config{Incremental: true, BloomPL: true, Policy: overridePolicy()})
+	net, nodes := converge(t, g, Config{BloomPL: true, Policy: overridePolicy()})
 	l := g.Edges()[0]
 	net.FailLink(l.A, l.B)
 	if _, ok := net.Run(50_000_000); !ok {

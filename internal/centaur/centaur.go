@@ -85,14 +85,9 @@ type Config struct {
 	// before the node re-trusts standing announcements (see the failed
 	// field); zero means one second.
 	MaskTTL time.Duration
-	// Incremental switches the local solver from full re-derivation to
-	// affected-destination recomputation: deltas are analyzed for the
-	// destinations whose derivations they can influence (the marked
-	// destinations below every touched link head, per P-graph), only
-	// those are re-solved, per-neighbor derivations are cached, and
-	// export views are rebuilt only for neighbors an export-relevant
-	// route changed for. Results are identical to the full mode (tested);
-	// this is the "recompute scope" ablation of DESIGN.md §6.
+	// Deprecated: ignored; the node always re-solves only the affected
+	// destinations. Kept so the benchmark module compiles; delete it when
+	// benchmark/ is next edited.
 	Incremental bool
 	// BloomPL announces Permission Lists in the §4.1 Bloom-compressed
 	// form: outgoing deltas carry a per-next-hop-group filter (or the
@@ -105,15 +100,6 @@ type Config struct {
 	// PLFPRate is the per-group Bloom filter false-positive target used
 	// when BloomPL is on; zero means DefaultPLFPRate.
 	PLFPRate float64
-	// DeriveWorkers fans the per-destination candidate ranking of a
-	// recompute round out across this many goroutines (<= 1 means
-	// serial). Results are identical at any setting and any GOMAXPROCS:
-	// ranking only reads the neighbor P-graphs and the derive cache, and
-	// the route-table/cache/view writes are applied serially in ascending
-	// destination order afterwards. BloomPL rounds always run serially —
-	// Bloom false-positive hits are observed from inside the backtrace
-	// and their trace order is part of the byte-identical contract.
-	DeriveWorkers int
 	// Adversary, when non-nil, makes the model's attacker nodes
 	// misbehave (leaked P-graph injections, hijack link fabrications,
 	// data-plane drops — see internal/adversary). All hooks are
@@ -207,10 +193,10 @@ type neighbor struct {
 	// first session's first announcement; it outlives the session, so a
 	// restart brings it up to date instead of rebuilding it (see finish).
 	view *pgraph.View
-	// derived memoizes, in incremental mode, the DerivePath result from
-	// graph per destination position: nil is "not cached", noPath a
-	// cached failure (as expensive to recompute as a success). Entries
-	// are invalidated by the affected-set analysis.
+	// derived memoizes the DerivePath result from graph per destination
+	// position: nil is "not cached", noPath a cached failure (as expensive
+	// to recompute as a success). Entries are invalidated by the
+	// affected-set analysis.
 	derived []routing.Path
 	// dirty marks, within a round, that a route exportable to the
 	// neighbor changed, so its view needs updating.
@@ -261,11 +247,7 @@ func New(cfg Config) sim.Builder {
 		slices.SortFunc(nbs, func(a, b topology.Neighbor) int { return cmp.Compare(a.ID, b.ID) })
 		for _, nb := range nbs {
 			n.nbrList = append(n.nbrList, nb.ID)
-			var derived []routing.Path
-			if cfg.Incremental { // the full mode keeps no derive cache
-				derived = make([]routing.Path, dests)
-			}
-			n.nbrs = append(n.nbrs, neighbor{rel: nb.Rel, derived: derived})
+			n.nbrs = append(n.nbrs, neighbor{rel: nb.Rel, derived: make([]routing.Path, dests)})
 		}
 		return n
 	}
@@ -282,15 +264,18 @@ func (n *Node) neighbor(b routing.NodeID) *neighbor {
 
 // Start implements sim.Protocol: learn adjacent links (§4.3.1 Step 1 —
 // each neighbor is itself a reachable destination) and run the first
-// solve-and-announce round.
+// solve-and-announce round. A node starts once, fresh (a restart builds a
+// new instance), so the round is LinkUp's for every up neighbor at once.
 func (n *Node) Start(env sim.Env) {
 	n.env = env
+	n.beginRound()
 	for i, b := range n.nbrList {
 		if env.LinkIsUp(b) {
 			n.openSession(&n.nbrs[i], b)
+			n.affect(b)
 		}
 	}
-	n.recompute()
+	n.solveAffected()
 }
 
 // openSession gives neighbor b an empty P-graph — the ended session's
@@ -376,11 +361,11 @@ func (n *Node) Handle(from routing.NodeID, msg sim.Message) {
 		filtered.Adds = append(filtered.Adds, li)
 	}
 	n.addsBuf = filtered.Adds
-	// Incremental mode: the destinations whose derivations this update
-	// can influence are the marked destinations below every touched link
-	// head — in the old graph for context that disappears, in the new
-	// graph for context that appears (any link whose Permission List
-	// changed is re-announced by the sender, so it shows up here too).
+	// The destinations whose derivations this update can influence are
+	// the marked destinations below every touched link head — in the old
+	// graph for context that disappears, in the new graph for context
+	// that appears (any link whose Permission List changed is re-announced
+	// by the sender, so it shows up here too).
 	n.beginRound()
 	n.collectHeads(nb, filtered)
 	nb.graph.Apply(filtered)
@@ -407,7 +392,7 @@ func (n *Node) Handle(from routing.NodeID, msg sim.Message) {
 			n.maskAffect(l)
 		}
 	}
-	n.resolve()
+	n.solveAffected()
 }
 
 // beginRound empties the affected set for a new event.
@@ -433,12 +418,8 @@ func (n *Node) affect(d routing.NodeID) int {
 
 // affectBelow adds to the affected set the destinations below any of
 // heads in the neighbor's current graph — one traversal for all heads —
-// and drops their cached derivations. The full-recompute mode visits
-// every destination anyway and keeps no cache.
+// and drops their cached derivations.
 func (n *Node) affectBelow(nb *neighbor, heads ...routing.NodeID) {
-	if !n.cfg.Incremental {
-		return
-	}
 	n.belowBuf = nb.graph.AppendDestsBelow(n.belowBuf[:0], heads...)
 	for _, dst := range n.belowBuf {
 		if p := n.affect(dst); p >= 0 {
@@ -497,13 +478,13 @@ func (n *Node) mask(l routing.Link) {
 		delete(n.failed, l)
 		n.beginRound()
 		n.maskAffect(l)
-		if n.cfg.Incremental && len(n.affected) == 0 {
+		if len(n.affected) == 0 {
 			// No graph holds l any more (it has been withdrawn everywhere),
 			// so no derivation changes and there is nothing to re-announce:
 			// every up neighbor already has a current view.
 			return
 		}
-		n.resolve()
+		n.solveAffected()
 	})
 }
 
@@ -559,7 +540,7 @@ func (n *Node) LinkDown(b routing.NodeID) {
 		return
 	}
 	n.beginRound()
-	if n.cfg.Incremental && nb.graph != nil {
+	if nb.graph != nil {
 		for _, d := range nb.graph.Dests() {
 			n.affect(d)
 		}
@@ -575,7 +556,7 @@ func (n *Node) LinkDown(b routing.NodeID) {
 			n.maskAffect(l)
 		}
 	}
-	n.resolve()
+	n.solveAffected()
 }
 
 // LinkUp implements sim.Protocol: restart the session — an empty
@@ -597,52 +578,19 @@ func (n *Node) LinkUp(b routing.NodeID) {
 			n.maskAffect(l)
 		}
 	}
-	n.resolve()
+	n.solveAffected()
 }
 
-// resolve re-solves after an event: the affected destinations in
-// incremental mode, everything otherwise.
-func (n *Node) resolve() {
-	if n.cfg.Incremental {
-		n.solveAffected()
-	} else {
-		n.recompute()
-	}
-}
-
-// recompute is the full local solver plus announcement step: re-derive
-// the best path for every known destination from the neighbor P-graphs
-// and send per-neighbor deltas of the export-filtered views.
+// solveAffected is the local solver plus announcement step: it re-solves
+// the round's affected destinations in ascending order and sends
+// per-neighbor deltas of the export-filtered views; only the views of
+// neighbors an export-relevant route changed for are updated.
 //
 // Root-cause notifications ride along with the deltas: a node whose
 // selected paths used a failed link withdraws that link in its delta, so
 // exactly the nodes that were told about the link hear that it failed —
 // nodes whose paths were unaffected never announced it and have nothing
 // to propagate.
-func (n *Node) recompute() {
-	// The destination universe is everything any neighbor advertises
-	// plus everything we currently route to — a destination that just
-	// vanished from every graph must still be visited so its stale route
-	// is withdrawn.
-	n.beginRound()
-	for i := range n.nbrs {
-		if g := n.nbrs[i].graph; g != nil {
-			for _, d := range g.Dests() {
-				n.affect(d)
-			}
-		}
-	}
-	for p := range n.routes {
-		if n.routes[p].path != nil {
-			n.affect(n.idx.ID(p))
-		}
-	}
-	n.solveAffected()
-}
-
-// solveAffected re-solves the round's affected destinations in
-// ascending order and announces the outcome; only the export views of
-// neighbors an export-relevant route changed for are updated.
 func (n *Node) solveAffected() {
 	tele.recomputes.Inc()
 	slices.Sort(n.affected)
@@ -759,12 +707,9 @@ func (n *Node) solveSome(dests []int) []int {
 	if len(n.failed) > 0 {
 		skip = n.isFailed
 	}
-	if w := n.cfg.DeriveWorkers; w > 1 && !n.cfg.BloomPL && len(dests) > 1 {
-		return n.solveSomeParallel(dests, skip, w)
-	}
 	changed := n.changedBuf[:0]
 	for _, p := range dests {
-		if n.idx.ID(p) != n.self && n.applyBest(p, n.rank(p, skip, nil)) {
+		if n.idx.ID(p) != n.self && n.applyBest(p, n.rank(p, skip)) {
 			changed = append(changed, p)
 		}
 	}
@@ -774,20 +719,17 @@ func (n *Node) solveSome(dests []int) []int {
 
 // rank returns the best candidate for the destination at position p as
 // the via neighbor derived it — not yet self-prepended — or the zero
-// Candidate when no neighbor offers an acceptable path. It mutates no
-// node state other than the derive cache, and not even that when
-// installs is non-nil (see derive), so the parallel solver's workers can
-// share it. Ranking the neighbor-derived paths is sound: every
-// comparison sees both lengths offset by the same +1, and
-// class/via/destination are unaffected.
-func (n *Node) rank(p int, skip func(routing.Link) bool, installs *[]cacheInstall) policy.Candidate {
+// Candidate when no neighbor offers an acceptable path. Ranking the
+// neighbor-derived paths is sound: every comparison sees both lengths
+// offset by the same +1, and class/via/destination are unaffected.
+func (n *Node) rank(p int, skip func(routing.Link) bool) policy.Candidate {
 	var best policy.Candidate
 	for i, b := range n.nbrList {
 		nb := &n.nbrs[i]
 		if nb.graph == nil {
 			continue
 		}
-		path, ok := n.derive(nb, p, skip, installs)
+		path, ok := n.derive(nb, p, skip)
 		if !ok || !n.pol.Accept(n.self, b, path) {
 			continue
 		}
@@ -803,9 +745,7 @@ func (n *Node) rank(p int, skip func(routing.Link) bool, installs *[]cacheInstal
 // selected route of the destination at position p when it differs from
 // the current one, reporting whether the route changed; only then is the
 // self-prepended path materialized. On a change it emits the
-// RouteChangedVia trace event and marks the dirty export views. Both the
-// serial and parallel solveSome apply through here so the two modes
-// cannot drift.
+// RouteChangedVia trace event and marks the dirty export views.
 func (n *Node) applyBest(p int, best policy.Candidate) bool {
 	r := &n.routes[p]
 	old := *r
@@ -832,32 +772,19 @@ func (n *Node) applyBest(p int, best policy.Candidate) bool {
 }
 
 // derive returns the (possibly memoized) DerivePath result for the
-// destination at position p from the neighbor's graph. The cache is only
-// active in incremental mode, where the affected-set analysis performs
-// the invalidation. A miss is written back directly, or — when installs
-// is non-nil — recorded there for the caller to install, so the parallel
-// ranking phase never writes shared state. The telemetry counters are
-// atomic, so the totals are the same either way.
-func (n *Node) derive(nb *neighbor, p int, skip func(routing.Link) bool, installs *[]cacheInstall) (routing.Path, bool) {
-	d := n.idx.ID(p)
-	if !n.cfg.Incremental {
-		tele.derivations.Inc()
-		return nb.graph.DerivePathWith(d, skip)
-	}
+// destination at position p from the neighbor's graph; the affected-set
+// analysis performs the cache invalidation.
+func (n *Node) derive(nb *neighbor, p int, skip func(routing.Link) bool) (routing.Path, bool) {
 	if path := nb.derived[p]; path != nil {
 		tele.cacheHits.Inc()
 		return path, len(path) > 0
 	}
 	tele.derivations.Inc()
-	path, ok := nb.graph.DerivePathWith(d, skip)
-	e := path
-	if !ok {
-		e = noPath
-	}
-	if installs != nil {
-		*installs = append(*installs, cacheInstall{nb: nb, p: p, e: e})
+	path, ok := nb.graph.DerivePathWith(n.idx.ID(p), skip)
+	if ok {
+		nb.derived[p] = path
 	} else {
-		nb.derived[p] = e
+		nb.derived[p] = noPath
 	}
 	return path, ok
 }

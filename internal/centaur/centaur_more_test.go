@@ -298,52 +298,42 @@ func TestDeterministicRuns(t *testing.T) {
 
 // TestRandomFlipSequencesMatchColdStart drives random fail/restore
 // sequences (some without intervening convergence) and checks the final
-// converged state equals a cold start on the final topology, for both
-// recompute modes.
+// converged state equals a cold start on the final topology.
 func TestRandomFlipSequencesMatchColdStart(t *testing.T) {
-	for _, inc := range []bool{false, true} {
-		inc := inc
-		name := "full"
-		if inc {
-			name = "incremental"
+	for seed := int64(1); seed <= 4; seed++ {
+		g, err := topogen.BRITE(36, 2, seed*101)
+		if err != nil {
+			t.Fatal(err)
 		}
-		t.Run(name, func(t *testing.T) {
-			for seed := int64(1); seed <= 4; seed++ {
-				g, err := topogen.BRITE(36, 2, seed*101)
-				if err != nil {
-					t.Fatal(err)
-				}
-				net, nodes := converge(t, g, Config{Incremental: inc})
-				final := g.Clone()
-				rng := rand.New(rand.NewSource(seed))
-				edges := g.Edges()
-				down := map[int]bool{}
-				for step := 0; step < 12; step++ {
-					i := rng.Intn(len(edges))
-					e := edges[i]
-					if down[i] {
-						net.RestoreLink(e.A, e.B)
-						final.AddEdge(e.A, e.B, e.Rel) //nolint:errcheck
-						down[i] = false
-					} else {
-						net.FailLink(e.A, e.B)
-						final.RemoveEdge(e.A, e.B)
-						down[i] = true
-					}
-					if rng.Intn(2) == 0 {
-						if _, _, err := net.RunToConvergence(100_000_000); err != nil {
-							t.Fatal(err)
-						}
-					}
-				}
+		net, nodes := converge(t, g, Config{})
+		final := g.Clone()
+		rng := rand.New(rand.NewSource(seed))
+		edges := g.Edges()
+		down := map[int]bool{}
+		for step := 0; step < 12; step++ {
+			i := rng.Intn(len(edges))
+			e := edges[i]
+			if down[i] {
+				net.RestoreLink(e.A, e.B)
+				final.AddEdge(e.A, e.B, e.Rel) //nolint:errcheck
+				down[i] = false
+			} else {
+				net.FailLink(e.A, e.B)
+				final.RemoveEdge(e.A, e.B)
+				down[i] = true
+			}
+			if rng.Intn(2) == 0 {
 				if _, _, err := net.RunToConvergence(100_000_000); err != nil {
 					t.Fatal(err)
 				}
-				if !final.Connected() {
-					continue // partitions make per-pair comparison noisy; skip
-				}
-				checkAgainstSolver(t, final, nodes)
 			}
-		})
+		}
+		if _, _, err := net.RunToConvergence(100_000_000); err != nil {
+			t.Fatal(err)
+		}
+		if !final.Connected() {
+			continue // partitions make per-pair comparison noisy; skip
+		}
+		checkAgainstSolver(t, final, nodes)
 	}
 }

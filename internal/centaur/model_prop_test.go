@@ -25,9 +25,13 @@ func sameUpdate(a, b sim.Message) bool {
 // events, every Update and route change compared per event): cold
 // start, single and overlapping failures, restores inside and outside
 // the mask TTL, node crashes and restarts, and a topology with a sparse
-// node ID. After every quiescence each node's LocalGraph — built on
-// demand from the route table — must equal the local view the model
-// still maintains incrementally, and derive every selected route.
+// node ID. Each incremental case pairs the real node with the model's
+// incremental mode; its full-model twin pairs the real node with the
+// model's full recompute, so the node's affected-destination rounds are
+// checked to behave exactly like re-deriving every destination on every
+// event. After every quiescence each node's LocalGraph — built on demand
+// from the route table — must equal the local view the model still
+// maintains incrementally, and derive every selected route.
 func TestNodeMatchesModel(t *testing.T) {
 	brite, err := topogen.BRITE(50, 2, 3)
 	if err != nil {
@@ -37,23 +41,28 @@ func TestNodeMatchesModel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	sparse := prototest.SparseGraph(t)
 	for _, tc := range []struct {
 		name string
 		g    *topology.Graph
 		cfg  Config
+		full bool // pair with the model's full recompute
 	}{
-		{"brite/incremental", brite, Config{Incremental: true, MaskTTL: 30 * time.Millisecond}},
-		{"caida/incremental", caida, Config{Incremental: true, Policy: overridePolicy()}},
-		{"brite/full", brite, Config{MaskTTL: 30 * time.Millisecond}},
-		{"caida/no-root-cause", caida, Config{Incremental: true, DisableRootCause: true}},
-		{"sparse/incremental", prototest.SparseGraph(t), Config{Incremental: true, MaskTTL: 30 * time.Millisecond}},
+		{"brite/incremental", brite, Config{MaskTTL: 30 * time.Millisecond}, false},
+		{"brite/full-model", brite, Config{MaskTTL: 30 * time.Millisecond}, true},
+		{"caida/incremental", caida, Config{Policy: overridePolicy()}, false},
+		{"caida/full-model", caida, Config{Policy: overridePolicy()}, true},
+		{"caida/no-root-cause", caida, Config{DisableRootCause: true}, false},
+		{"caida-no-root-cause/full-model", caida, Config{DisableRootCause: true}, true},
+		{"sparse/incremental", sparse, Config{MaskTTL: 30 * time.Millisecond}, false},
+		{"sparse/full-model", sparse, Config{MaskTTL: 30 * time.Millisecond}, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			compared := 0
 			net, err := sim.NewNetwork(sim.Config{
 				Topology: tc.g,
 				Build: func(env sim.Env) sim.Protocol {
-					model := func(env sim.Env) sim.Protocol { return newRefNode(tc.cfg, env) }
+					model := func(env sim.Env) sim.Protocol { return newRefNode(tc.cfg, tc.full, env) }
 					return prototest.NewPair(t, env, New(tc.cfg), model, sameUpdate, &compared)
 				},
 				DelaySeed: 11,

@@ -1,13 +1,16 @@
 package centaur
 
 // The map-backed Centaur decision process this package used before the
-// array-backed one, kept (minus telemetry, the parallel solver, Bloom
-// compression and the adversary hooks) as the reference model
+// array-backed one, kept (minus telemetry, Bloom compression and the
+// adversary hooks) as the reference model
 // TestNodeMatchesModel runs the real Node against, event by event. It
 // also keeps the un-narrowed maskAffect and the unconditional
 // mask-expiry round, so the comparison covers those two clean-ups, and
 // the incrementally maintained local view (localGraph), which the Node
-// dropped for a graph built on demand.
+// dropped for a graph built on demand. It keeps the full-recompute mode
+// the Node no longer has, too — every event re-derives every known
+// destination with no derive cache — as the oracle for the Node's
+// affected-destination rounds.
 
 import (
 	"slices"
@@ -22,7 +25,10 @@ import (
 
 // refNode is the reference node; see Node for what the fields mean.
 type refNode struct {
-	cfg     Config
+	cfg Config
+	// full selects full recompute: every event re-solves every known
+	// destination and nothing is cached.
+	full    bool
 	pol     policy.Policy
 	env     sim.Env
 	self    routing.NodeID
@@ -46,6 +52,9 @@ type refNode struct {
 	destBuf  []routing.NodeID
 	addsBuf  []pgraph.LinkInfo
 	dirtyBuf map[routing.NodeID]bool
+
+	// derivations counts DerivePathWith calls (cache misses).
+	derivations int
 }
 
 // refDerivedEntry is one memoized derivation result (ok=false caches a
@@ -55,13 +64,14 @@ type refDerivedEntry struct {
 	ok   bool
 }
 
-func newRefNode(cfg Config, env sim.Env) *refNode {
+func newRefNode(cfg Config, full bool, env sim.Env) *refNode {
 	pol := cfg.Policy
 	if pol == nil {
 		pol = policy.GaoRexford{}
 	}
 	n := &refNode{
 		cfg:       cfg,
+		full:      full,
 		pol:       pol,
 		env:       env,
 		self:      env.Self(),
@@ -142,13 +152,14 @@ func (n *refNode) Handle(from routing.NodeID, msg sim.Message) {
 	// head — in the old graph for context that disappears, in the new
 	// graph for context that appears (any link whose Permission List
 	// changed is re-announced by the sender, so it shows up here too).
+	// The full mode visits every destination anyway.
 	var affected map[routing.NodeID]struct{}
-	if n.cfg.Incremental {
+	if !n.full {
 		affected = make(map[routing.NodeID]struct{})
 		n.collectHeads(g, from, filtered, affected)
 	}
 	g.Apply(filtered)
-	if n.cfg.Incremental {
+	if !n.full {
 		n.collectHeads(g, from, filtered, affected)
 	}
 	// A re-announced link is evidence it is back in service: lift its
@@ -173,7 +184,7 @@ func (n *refNode) Handle(from routing.NodeID, msg sim.Message) {
 			n.maskAffect(l, affected)
 		}
 	}
-	if n.cfg.Incremental {
+	if !n.full {
 		n.recomputeDests(affected)
 	} else {
 		n.recompute()
@@ -237,7 +248,7 @@ func (n *refNode) mask(l routing.Link) {
 			return // lifted or re-masked since
 		}
 		delete(n.failed, l)
-		if n.cfg.Incremental {
+		if !n.full {
 			affected := make(map[routing.NodeID]struct{})
 			n.maskAffect(l, affected)
 			n.recomputeDests(affected)
@@ -291,7 +302,7 @@ func (n *refNode) noteFailedLink(l routing.Link) {
 // announced state toward it, record the root cause, and re-solve.
 func (n *refNode) LinkDown(b routing.NodeID) {
 	var affected map[routing.NodeID]struct{}
-	if n.cfg.Incremental {
+	if !n.full {
 		affected = make(map[routing.NodeID]struct{})
 		if g := n.nbGraph[b]; g != nil {
 			for _, d := range g.Dests() {
@@ -312,7 +323,7 @@ func (n *refNode) LinkDown(b routing.NodeID) {
 			n.maskAffect(l, affected)
 		}
 	}
-	if n.cfg.Incremental {
+	if !n.full {
 		n.recomputeDests(affected)
 	} else {
 		n.recompute()
@@ -329,7 +340,7 @@ func (n *refNode) LinkUp(b routing.NodeID) {
 	delete(n.views, b)
 	delete(n.derived, b)
 	var affected map[routing.NodeID]struct{}
-	if n.cfg.Incremental {
+	if !n.full {
 		affected = map[routing.NodeID]struct{}{b: {}}
 	}
 	for _, l := range []routing.Link{{From: n.self, To: b}, {From: b, To: n.self}} {
@@ -338,7 +349,7 @@ func (n *refNode) LinkUp(b routing.NodeID) {
 			n.maskAffect(l, affected)
 		}
 	}
-	if n.cfg.Incremental {
+	if !n.full {
 		n.recomputeDests(affected)
 	} else {
 		n.recompute()
@@ -513,9 +524,7 @@ func (n *refNode) solveSome(dests []routing.NodeID, dirty map[routing.NodeID]boo
 // applyBest installs best (already self-prepended, empty for "no route")
 // as destination d's selected route when it differs from the current
 // one, reporting whether the route changed. On a change it emits the
-// RouteChangedVia trace event and marks the dirty export views. Both
-// the serial and parallel solveSome apply through here so the two modes
-// cannot drift.
+// RouteChangedVia trace event and marks the dirty export views.
 func (n *refNode) applyBest(d routing.NodeID, best policy.Candidate, dirty map[routing.NodeID]bool) bool {
 	oldPath, had := n.paths[d]
 	oldClass := n.classes[d]
@@ -562,9 +571,10 @@ func (n *refNode) markDirty(dirty map[routing.NodeID]bool, d routing.NodeID, old
 // derive returns the (possibly memoized) DerivePath result for
 // destination d from neighbor b's graph. The cache is only active in
 // incremental mode, where the affected-set analysis performs the
-// invalidation.
+// invalidation; the full mode derives afresh every time.
 func (n *refNode) derive(b routing.NodeID, g *pgraph.Graph, d routing.NodeID) (routing.Path, bool) {
-	if !n.cfg.Incremental {
+	if n.full {
+		n.derivations++
 		return g.DerivePathWith(d, n.isFailed)
 	}
 	m := n.derived[b]
@@ -578,6 +588,7 @@ func (n *refNode) derive(b routing.NodeID, g *pgraph.Graph, d routing.NodeID) (r
 	if e, ok := m[d]; ok {
 		return e.path, e.ok
 	}
+	n.derivations++
 	p, ok := g.DerivePathWith(d, n.isFailed)
 	m[d] = refDerivedEntry{path: p, ok: ok}
 	return p, ok

@@ -68,7 +68,7 @@ type restartChecker struct {
 
 func newRestartChecker(t *testing.T, g *topology.Graph) *restartChecker {
 	c := &restartChecker{t: t}
-	c.net, c.nodes = converge(t, g, Config{Incremental: true})
+	c.net, c.nodes = converge(t, g, Config{})
 	recordSends(c.net, &c.on, &c.log)
 	return c
 }
@@ -197,7 +197,7 @@ func TestFanOutSharesFailedLinks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	net, _ := converge(t, g, Config{Incremental: true})
+	net, _ := converge(t, g, Config{})
 	var on bool
 	var log []sentUpdate
 	recordSends(net, &on, &log)

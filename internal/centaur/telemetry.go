@@ -6,7 +6,7 @@ import "centaur/internal/telemetry"
 // no-op. Package-level because counters are atomic and nodes of every
 // concurrent simulation share the process-wide registry.
 var tele struct {
-	recomputes  telemetry.Counter // centaur.recomputes: solver rounds (full or incremental)
+	recomputes  telemetry.Counter // centaur.recomputes: solver rounds
 	derivations telemetry.Counter // centaur.derivations: DerivePath evaluations
 	cacheHits   telemetry.Counter // centaur.derive_cache_hits: memoized derivations served
 }

@@ -330,11 +330,10 @@ func adversarialProtocols(spec adversary.Spec, cfg AdversarialConfig) []advProto
 	bm := adversary.NewModel(spec)
 	return []advProtocol{
 		{"centaur", cm, centaur.New(centaur.Config{
-			Policy:      hashedPolicy,
-			Incremental: true,
-			Adversary:   cm,
-			BloomPL:     cfg.BloomPL,
-			PLFPRate:    cfg.PLFPRate,
+			Policy:    hashedPolicy,
+			Adversary: cm,
+			BloomPL:   cfg.BloomPL,
+			PLFPRate:  cfg.PLFPRate,
 		})},
 		{"bgp", bm, bgp.New(bgp.Config{Policy: hashedPolicy, Adversary: bm})},
 	}

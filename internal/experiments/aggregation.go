@@ -84,7 +84,7 @@ func AggregationExtension(cfg AggregationConfig) (*AggregationResult, error) {
 			units *int64
 			bytes *int64
 		}{
-			{centaur.New(centaur.Config{Policy: hashedPolicy, Incremental: true}), &pt.CentaurUnits, &pt.CentaurBytes},
+			{centaur.New(centaur.Config{Policy: hashedPolicy}), &pt.CentaurUnits, &pt.CentaurBytes},
 			{bgp.New(bgp.Config{Policy: hashedPolicy}), &pt.BGPUnits, &pt.BGPBytes},
 		} {
 			net, err := sim.NewNetwork(sim.Config{Topology: g, Build: proto.build, DelaySeed: cfg.Seed})

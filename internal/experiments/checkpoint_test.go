@@ -27,12 +27,11 @@ func TestRunFlipsCheckpointMatchesColdStart(t *testing.T) {
 		t.Fatal(err)
 	}
 	builders := map[string]sim.Builder{
-		"centaur":      centaur.New(centaur.Config{Policy: hashedPolicy, Incremental: true}),
-		"centaur-full": centaur.New(centaur.Config{Policy: hashedPolicy}),
-		"bgp":          bgp.New(bgp.Config{Policy: hashedPolicy}),
-		"bgp-mrai":     bgp.New(bgp.Config{Policy: hashedPolicy, MRAI: 30 * 1e9}),
-		"bgp-rcn":      bgp.New(bgp.Config{Policy: hashedPolicy, RCN: true}),
-		"ospf":         ospf.New(),
+		"centaur":  centaur.New(centaur.Config{Policy: hashedPolicy}),
+		"bgp":      bgp.New(bgp.Config{Policy: hashedPolicy}),
+		"bgp-mrai": bgp.New(bgp.Config{Policy: hashedPolicy, MRAI: 30 * 1e9}),
+		"bgp-rcn":  bgp.New(bgp.Config{Policy: hashedPolicy, RCN: true}),
+		"ospf":     ospf.New(),
 	}
 	for name, build := range builders {
 		t.Run(name, func(t *testing.T) {

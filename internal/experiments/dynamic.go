@@ -512,12 +512,6 @@ type Figure6Config struct {
 	// TrialsPerNetwork=0 runs the protocols concurrently.
 	TrialsPerNetwork int
 	Workers          int
-	// DeriveWorkers fans each Centaur node's recompute rounds out
-	// across goroutines (centaur.Config.DeriveWorkers); results are
-	// byte-identical at any setting, so it is purely a wall-clock knob.
-	// Useful when Workers-level trial parallelism is exhausted (one big
-	// topology) and cores are idle inside a single simulation.
-	DeriveWorkers int
 	// NoCheckpoint disables converged-state checkpointing; see FlipConfig.
 	NoCheckpoint bool
 	// Verify invariant-checks every quiesced state of every series
@@ -608,7 +602,7 @@ func Figure6(cfg Figure6Config) (*Figure6Result, error) {
 	// One flat job list across all three protocol series: the pool is
 	// never nested and stays busy even when chunk runtimes are skewed.
 	var jobs []flipJob
-	jobs = append(jobs, flipJobs(flip(centaur.New(centaur.Config{Policy: hashedPolicy, Incremental: true, DeriveWorkers: cfg.DeriveWorkers}), "fig6.centaur"), "experiments: figure 6 centaur", cent)...)
+	jobs = append(jobs, flipJobs(flip(centaur.New(centaur.Config{Policy: hashedPolicy}), "fig6.centaur"), "experiments: figure 6 centaur", cent)...)
 	jobs = append(jobs, flipJobs(flip(bgp.New(bgp.Config{MRAI: cfg.MRAI, Policy: hashedPolicy}), "fig6.bgp_mrai"), "experiments: figure 6 bgp", bgpr)...)
 	jobs = append(jobs, flipJobs(flip(bgp.New(bgp.Config{Policy: hashedPolicy}), "fig6.bgp"), "experiments: figure 6 bgp (no mrai)", bgpFast)...)
 	if err := runJobs(jobs, cfg.Workers); err != nil {
@@ -692,11 +686,10 @@ type Figure7Config struct {
 	LinksPerNode int
 	Flips        int
 	Seed         int64
-	// TrialsPerNetwork, Workers, and DeriveWorkers are the parallelism
-	// knobs; see FlipConfig and Figure6Config.
+	// TrialsPerNetwork and Workers are the parallelism knobs; see
+	// FlipConfig and Figure6Config.
 	TrialsPerNetwork int
 	Workers          int
-	DeriveWorkers    int
 	// NoCheckpoint disables converged-state checkpointing; see FlipConfig.
 	NoCheckpoint bool
 	// Verify invariant-checks every quiesced state; see Figure6Config.
@@ -770,7 +763,7 @@ func Figure7(cfg Figure7Config) (*Figure7Result, error) {
 	cent := make([]FlipSample, nFlips)
 	osp := make([]FlipSample, nFlips)
 	var jobs []flipJob
-	jobs = append(jobs, flipJobs(flip(centaur.New(centaur.Config{Policy: hashedPolicy, Incremental: true, DeriveWorkers: cfg.DeriveWorkers}), "fig7.centaur"), "experiments: figure 7 centaur", cent)...)
+	jobs = append(jobs, flipJobs(flip(centaur.New(centaur.Config{Policy: hashedPolicy}), "fig7.centaur"), "experiments: figure 7 centaur", cent)...)
 	jobs = append(jobs, flipJobs(flip(ospf.New(), "fig7.ospf"), "experiments: figure 7 ospf", osp)...)
 	if err := runJobs(jobs, cfg.Workers); err != nil {
 		return nil, err
@@ -857,13 +850,10 @@ type Figure8Config struct {
 	// FlipsPerSize is the number of update events measured per size.
 	FlipsPerSize int
 	Seed         int64
-	// TrialsPerNetwork, Workers, and DeriveWorkers are the parallelism
-	// knobs; the pool spans size × protocol × trial chunk, and
-	// DeriveWorkers additionally fans out inside each Centaur node (see
-	// Figure6Config).
+	// TrialsPerNetwork and Workers are the parallelism knobs; the pool
+	// spans size × protocol × trial chunk.
 	TrialsPerNetwork int
 	Workers          int
-	DeriveWorkers    int
 	// NoCheckpoint disables converged-state checkpointing; see FlipConfig.
 	NoCheckpoint bool
 	// Verify invariant-checks every quiesced state (one verification
@@ -935,7 +925,7 @@ func Figure8(cfg Figure8Config) (*Figure8Result, error) {
 		nFlips := len(flipEdges(flip(nil, "")))
 		centBySize[i] = make([]FlipSample, nFlips)
 		bgpBySize[i] = make([]FlipSample, nFlips)
-		jobs = append(jobs, flipJobs(flip(centaur.New(centaur.Config{Policy: hashedPolicy, Incremental: true, DeriveWorkers: cfg.DeriveWorkers}), "fig8.centaur"), fmt.Sprintf("experiments: figure 8 centaur n=%d", n), centBySize[i])...)
+		jobs = append(jobs, flipJobs(flip(centaur.New(centaur.Config{Policy: hashedPolicy}), "fig8.centaur"), fmt.Sprintf("experiments: figure 8 centaur n=%d", n), centBySize[i])...)
 		jobs = append(jobs, flipJobs(flip(bgp.New(bgp.Config{Policy: hashedPolicy}), "fig8.bgp"), fmt.Sprintf("experiments: figure 8 bgp n=%d", n), bgpBySize[i])...)
 	}
 	if err := runJobs(jobs, cfg.Workers); err != nil {

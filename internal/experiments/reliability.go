@@ -325,10 +325,9 @@ func reliabilityProtocols(cfg ReliabilityConfig) []struct {
 		build sim.Builder
 	}{
 		{"centaur", centaur.New(centaur.Config{
-			Policy:      hashedPolicy,
-			Incremental: true,
-			BloomPL:     cfg.BloomPL,
-			PLFPRate:    cfg.PLFPRate,
+			Policy:   hashedPolicy,
+			BloomPL:  cfg.BloomPL,
+			PLFPRate: cfg.PLFPRate,
 		})},
 		{"bgp", bgp.New(bgp.Config{Policy: hashedPolicy})},
 		{"ospf", ospf.NewWithConfig(ospf.Config{DatabaseExchange: true})},

@@ -29,7 +29,7 @@ func TestRunFlipsVerifiedQuiescence(t *testing.T) {
 		t.Fatal(err)
 	}
 	builders := map[string]sim.Builder{
-		"centaur": centaur.New(centaur.Config{Policy: hashedPolicy, Incremental: true}),
+		"centaur": centaur.New(centaur.Config{Policy: hashedPolicy}),
 		"bgp":     bgp.New(bgp.Config{Policy: hashedPolicy}),
 		"ospf":    ospf.New(),
 	}
@@ -59,7 +59,7 @@ func TestRunFlipsVerifySamplesUnchanged(t *testing.T) {
 	}
 	base := FlipConfig{
 		Topology: g,
-		Build:    centaur.New(centaur.Config{Policy: hashedPolicy, Incremental: true}),
+		Build:    centaur.New(centaur.Config{Policy: hashedPolicy}),
 		Flips:    6, Seed: 9,
 	}
 	plain, err := RunFlips(base)
@@ -100,7 +100,7 @@ func TestRunFlipsVerifyCatchesWrongOracle(t *testing.T) {
 	}
 	_, err = RunFlips(FlipConfig{
 		Topology: g,
-		Build:    centaur.New(centaur.Config{Policy: hashedPolicy, Incremental: true}),
+		Build:    centaur.New(centaur.Config{Policy: hashedPolicy}),
 		Flips:    8, Seed: 5,
 		Verify: wrong,
 	})

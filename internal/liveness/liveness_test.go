@@ -32,8 +32,8 @@ type probe struct {
 	events []linkEvent
 }
 
-func (p *probe) Start(env sim.Env)                   { p.env = env }
-func (p *probe) Handle(routing.NodeID, sim.Message)  {}
+func (p *probe) Start(env sim.Env)                  { p.env = env }
+func (p *probe) Handle(routing.NodeID, sim.Message) {}
 func (p *probe) LinkDown(peer routing.NodeID) {
 	p.events = append(p.events, linkEvent{peer: peer, up: false, at: p.env.Now()})
 }
@@ -250,7 +250,7 @@ func TestCrashDuringActiveSession(t *testing.T) {
 		name  string
 		build sim.Builder
 	}{
-		{"centaur", centaur.New(centaur.Config{Policy: pol, Incremental: true})},
+		{"centaur", centaur.New(centaur.Config{Policy: pol})},
 		{"bgp", bgp.New(bgp.Config{Policy: pol})},
 		{"ospf", ospf.NewWithConfig(ospf.Config{DatabaseExchange: true})},
 	}
@@ -268,8 +268,8 @@ func TestCrashDuringActiveSession(t *testing.T) {
 		t.Run(b.name, func(t *testing.T) {
 			build := liveness.Wrap(sim.Reliable(b.build, sim.ReliableConfig{}), cfg)
 			net, err := sim.NewNetwork(sim.Config{
-				Topology: g,
-				Build:    build,
+				Topology:  g,
+				Build:     build,
 				MinDelay:  time.Millisecond,
 				MaxDelay:  3 * time.Millisecond,
 				DelaySeed: 1,

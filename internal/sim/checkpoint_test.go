@@ -23,7 +23,7 @@ const testMaxEvents = 50_000_000
 // the tests assert — the same set the figures simulate.
 func snapshotBuilders() map[string]sim.Builder {
 	return map[string]sim.Builder{
-		"centaur":  centaur.New(centaur.Config{Incremental: true}),
+		"centaur":  centaur.New(centaur.Config{}),
 		"bgp":      bgp.New(bgp.Config{}),
 		"bgp-mrai": bgp.New(bgp.Config{MRAI: 30 * time.Second}),
 		"bgp-rcn":  bgp.New(bgp.Config{RCN: true}),
@@ -327,7 +327,7 @@ func TestCheckpointRequiresSnapshotter(t *testing.T) {
 // sim.checkpoint_bytes gauge reports.
 func TestCheckpointStateBytes(t *testing.T) {
 	g := testTopo(t, 48)
-	net := converged(t, g, centaur.New(centaur.Config{Incremental: true}), 1)
+	net := converged(t, g, centaur.New(centaur.Config{}), 1)
 	cp, err := net.Checkpoint()
 	if err != nil {
 		t.Fatal(err)
@@ -341,7 +341,7 @@ func TestCheckpointStateBytes(t *testing.T) {
 // full cold-start convergence of a Centaur network.
 func BenchmarkColdStart(b *testing.B) {
 	g := testTopo(b, 300)
-	build := centaur.New(centaur.Config{Incremental: true})
+	build := centaur.New(centaur.Config{})
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -359,7 +359,7 @@ func BenchmarkColdStart(b *testing.B) {
 // of the shared converged checkpoint.
 func BenchmarkCheckpointFork(b *testing.B) {
 	g := testTopo(b, 300)
-	net := converged(b, g, centaur.New(centaur.Config{Incremental: true}), 0)
+	net := converged(b, g, centaur.New(centaur.Config{}), 0)
 	cp, err := net.Checkpoint()
 	if err != nil {
 		b.Fatal(err)
