@@ -32,8 +32,6 @@ import (
 	"math"
 	"os"
 	"runtime"
-	"runtime/pprof"
-	"strconv"
 	"strings"
 	"time"
 
@@ -111,7 +109,7 @@ func run(args []string) error {
 		crashes    = fs.Int("crashes", 1, "reliability step: node crash/restart cycles per trial")
 		faultSeed  = fs.Int64("fault-seed", 10_000, "reliability step: fault-plan seed (same seed ⇒ same faults)")
 		flows      = fs.Int("flows", 64, "user-impact step: tracked src→dst flows (quick: halved; 0 skips the step)")
-		detect     = fs.String("detect", "2ms,10ms,50ms", "user-impact step: comma-separated BFD detection transmit intervals swept against the oracle point")
+		detect     = fs.String("detect", "2ms,10ms,50ms", "user-impact step: comma-separated positive BFD transmit intervals; the oracle point is always swept first (unlike centaur-sim -detect-interval, 0 and oracle are rejected)")
 		bloomPL    = fs.Bool("bloom-pl", false, "measure Bloom-compressed Permission Lists: adds the PL-overhead step and switches the reliability centaur series to compressed lists")
 		plFPRate   = fs.Float64("pl-fp-rate", 0, "per-filter false-positive target for -bloom-pl (0 = protocol default)")
 		advStep    = fs.Bool("adv", false, "add the adversarial step: route leaks and hijacks with the invariant checker as the detector, 1000 nodes (quick: 150)")
@@ -137,7 +135,7 @@ func run(args []string) error {
 		return fmt.Errorf("-prov requires -trace (provenance rides on the event trace)")
 	}
 
-	stop, err := startProfiles(*cpuprofile, *memprofile)
+	stop, err := telemetry.StartProfiles("centaur-bench", *cpuprofile, *memprofile)
 	if err != nil {
 		return err
 	}
@@ -297,11 +295,11 @@ func run(args []string) error {
 	if *quick {
 		relCfg.Nodes = 60
 	}
-	lossRates, err := parseRates(*loss)
+	lossRates, err := experiments.ParseRates(*loss)
 	if err != nil {
 		return fmt.Errorf("-loss: %w", err)
 	}
-	churnRates, err := parseRates(*churn)
+	churnRates, err := experiments.ParseRates(*churn)
 	if err != nil {
 		return fmt.Errorf("-churn: %w", err)
 	}
@@ -627,20 +625,6 @@ func parseDetects(s string) ([]time.Duration, error) {
 	return out, nil
 }
 
-// parseRates parses a comma-separated list of nonnegative rates.
-func parseRates(s string) ([]float64, error) {
-	parts := strings.Split(s, ",")
-	out := make([]float64, 0, len(parts))
-	for _, p := range parts {
-		v, err := strconv.ParseFloat(strings.TrimSpace(p), 64)
-		if err != nil || v < 0 {
-			return nil, fmt.Errorf("bad rate %q", p)
-		}
-		out = append(out, v)
-	}
-	return out, nil
-}
-
 // stageStats renders a step's simulator-stage wall-time deltas
 // (cumulative across workers, so the stages can sum past the step's
 // elapsed time). Steps that never enter the simulator report none.
@@ -672,39 +656,4 @@ func writeReport(path string, r benchReport) error {
 		return err
 	}
 	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// startProfiles starts CPU profiling and arranges a heap snapshot; the
-// returned stop function finishes both and is safe to call once.
-func startProfiles(cpu, mem string) (func(), error) {
-	var cpuFile *os.File
-	if cpu != "" {
-		f, err := os.Create(cpu)
-		if err != nil {
-			return nil, fmt.Errorf("-cpuprofile: %w", err)
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			f.Close()
-			return nil, fmt.Errorf("-cpuprofile: %w", err)
-		}
-		cpuFile = f
-	}
-	return func() {
-		if cpuFile != nil {
-			pprof.StopCPUProfile()
-			cpuFile.Close()
-		}
-		if mem != "" {
-			f, err := os.Create(mem)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "centaur-bench: -memprofile:", err)
-				return
-			}
-			defer f.Close()
-			runtime.GC() // materialize the live heap before the snapshot
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintln(os.Stderr, "centaur-bench: -memprofile:", err)
-			}
-		}
-	}, nil
 }

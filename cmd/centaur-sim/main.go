@@ -57,11 +57,8 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"runtime"
-	"runtime/pprof"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"centaur/internal/adversary"
@@ -73,12 +70,13 @@ import (
 	"centaur/internal/ospf"
 	"centaur/internal/pgraph"
 	"centaur/internal/policy"
-	"centaur/internal/sim"
 	"centaur/internal/solver"
 	"centaur/internal/telemetry"
-	"centaur/internal/topogen"
-	"centaur/internal/topology"
 )
+
+// newRegistry makes the run's telemetry registry; the golden tests
+// swap it to read the registry a run filled.
+var newRegistry = telemetry.New
 
 func main() {
 	if err := run(os.Args[1:], os.Stdout); err != nil {
@@ -135,7 +133,7 @@ func run(args []string, w io.Writer) error {
 		flows        = fs.Int("flows", 0, "data plane: src→dst traffic aggregates walked through the live RIBs (0 = off); figures 6/7, -rel, and -adv")
 		flowSeed     = fs.Int64("flow-seed", 42, "data plane: flow sampling seed")
 		flowRate     = fs.Float64("flow-rate", 0, "data plane: packets per second per flow for packet-equivalent metrics (0 = 1000)")
-		detectIntv   = fs.String("detect-interval", "", "liveness: BFD transmit interval(s) — one duration for figures 6/7, a comma-separated sweep for -rel (empty = oracle detection)")
+		detectIntv   = fs.String("detect-interval", "", "liveness: BFD transmit interval(s) — one duration for figures 6/7, a comma-separated sweep for -rel where 0 or oracle names the oracle point (empty = oracle detection; unlike centaur-bench -detect, the oracle point is swept only when listed or with -oracle-detect)")
 		detectMult   = fs.Int("detect-mult", 0, "liveness: detection multiplier (0 = default 3)")
 		oracleDetect = fs.Bool("oracle-detect", false, "liveness: -rel only, add the oracle (instantaneous detection) point to a -detect-interval sweep")
 	)
@@ -157,7 +155,7 @@ func run(args []string, w io.Writer) error {
 		return fmt.Errorf("-prov requires -trace (provenance rides on the event trace)")
 	}
 
-	stop, err := startProfiles(*cpuprofile, *memprofile)
+	stop, err := telemetry.StartProfiles("centaur-sim", *cpuprofile, *memprofile)
 	if err != nil {
 		return err
 	}
@@ -168,7 +166,7 @@ func run(args []string, w io.Writer) error {
 		tc  *telemetry.TraceCollector
 	)
 	if *traceFile != "" || *debugAddr != "" || *progress > 0 {
-		reg = telemetry.New()
+		reg = newRegistry()
 		bgp.SetTelemetry(reg)
 		ospf.SetTelemetry(reg)
 		centaur.SetTelemetry(reg)
@@ -284,58 +282,59 @@ func (f dataPlaneFlags) sweep() ([]time.Duration, error) {
 // dispatch runs the selected experiment mode with the observability
 // hooks threaded through.
 func dispatch(w io.Writer, fig string, compare bool, nodes, m, flips int, seed int64, mrai time.Duration, sizes string, workers, trialsPer int, noCheckpt, verify bool, dp dataPlaneFlags, reg *telemetry.Registry, tc *telemetry.TraceCollector) error {
+	var res fmt.Stringer
+	var err error
 	if compare {
-		return runCompare(w, nodes, m, flips, seed, mrai, workers, trialsPer, noCheckpt, reg, tc)
+		res, err = experiments.Ladder(experiments.Figure6Config{
+			Nodes: nodes, LinksPerNode: m, Flips: flips, Seed: seed, MRAI: mrai,
+			TrialsPerNetwork: trialsPer, Workers: workers, NoCheckpoint: noCheckpt,
+			Telemetry: reg, Trace: tc,
+		})
+	} else {
+		res, err = runFigure(fig, nodes, m, flips, seed, mrai, sizes, workers, trialsPer, noCheckpt, verify, dp, reg, tc)
 	}
-	detect, err := dp.single()
 	if err != nil {
 		return err
 	}
+	fmt.Fprint(w, res)
+	return nil
+}
 
+// runFigure runs the selected figure.
+func runFigure(fig string, nodes, m, flips int, seed int64, mrai time.Duration, sizes string, workers, trialsPer int, noCheckpt, verify bool, dp dataPlaneFlags, reg *telemetry.Registry, tc *telemetry.TraceCollector) (fmt.Stringer, error) {
+	detect, err := dp.single()
+	if err != nil {
+		return nil, err
+	}
 	switch fig {
 	case "6":
-		res, err := experiments.Figure6(experiments.Figure6Config{
+		return experiments.Figure6(experiments.Figure6Config{
 			Nodes: nodes, LinksPerNode: m, Flips: flips, Seed: seed, MRAI: mrai,
 			TrialsPerNetwork: trialsPer, Workers: workers,
 			NoCheckpoint: noCheckpt, Verify: verify, Telemetry: reg, Trace: tc,
 			Flows: dp.flows, FlowSeed: dp.flowSeed, FlowRate: dp.flowRate,
 			DetectInterval: detect, DetectMult: dp.detectMult,
 		})
-		if err != nil {
-			return err
-		}
-		fmt.Fprint(w, res)
-		return nil
 	case "7":
-		res, err := experiments.Figure7(experiments.Figure7Config{
+		return experiments.Figure7(experiments.Figure7Config{
 			Nodes: nodes, LinksPerNode: m, Flips: flips, Seed: seed,
 			TrialsPerNetwork: trialsPer, Workers: workers,
 			NoCheckpoint: noCheckpt, Verify: verify, Telemetry: reg, Trace: tc,
 			Flows: dp.flows, FlowSeed: dp.flowSeed, FlowRate: dp.flowRate,
 			DetectInterval: detect, DetectMult: dp.detectMult,
 		})
-		if err != nil {
-			return err
-		}
-		fmt.Fprint(w, res)
-		return nil
 	case "8":
 		sz, err := parseSizes(sizes)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		res, err := experiments.Figure8(experiments.Figure8Config{
+		return experiments.Figure8(experiments.Figure8Config{
 			Sizes: sz, LinksPerNode: m, FlipsPerSize: flips, Seed: seed,
 			TrialsPerNetwork: trialsPer, Workers: workers,
 			NoCheckpoint: noCheckpt, Verify: verify, Telemetry: reg, Trace: tc,
 		})
-		if err != nil {
-			return err
-		}
-		fmt.Fprint(w, res)
-		return nil
 	default:
-		return fmt.Errorf("-fig {6,7,8} is required, got %q (-h lists the flags)", fig)
+		return nil, fmt.Errorf("-fig {6,7,8} is required, got %q (-h lists the flags)", fig)
 	}
 }
 
@@ -386,11 +385,11 @@ type relFlags struct {
 // quiesced state) are listed after the table rather than aborting the
 // sweep — with -no-transport they are the expected result.
 func runReliability(w io.Writer, f relFlags, reg *telemetry.Registry, tc *telemetry.TraceCollector) error {
-	lossRates, err := parseRates(f.loss)
+	lossRates, err := experiments.ParseRates(f.loss)
 	if err != nil {
 		return fmt.Errorf("-loss: %w", err)
 	}
-	churnRates, err := parseRates(f.churn)
+	churnRates, err := experiments.ParseRates(f.churn)
 	if err != nil {
 		return fmt.Errorf("-churn: %w", err)
 	}
@@ -462,7 +461,7 @@ func runAdversarial(w io.Writer, f advFlags, reg *telemetry.Registry, tc *teleme
 	if err != nil {
 		return fmt.Errorf("-adv-attackers: %w", err)
 	}
-	noises, err := parseRates(f.noise)
+	noises, err := experiments.ParseRates(f.noise)
 	if err != nil {
 		return fmt.Errorf("-adv-noise: %w", err)
 	}
@@ -505,20 +504,6 @@ func parseDetects(s string) ([]time.Duration, error) {
 	return out, nil
 }
 
-// parseRates parses a comma-separated list of nonnegative rates.
-func parseRates(s string) ([]float64, error) {
-	parts := strings.Split(s, ",")
-	out := make([]float64, 0, len(parts))
-	for _, p := range parts {
-		v, err := strconv.ParseFloat(strings.TrimSpace(p), 64)
-		if err != nil || v < 0 {
-			return nil, fmt.Errorf("bad rate %q", p)
-		}
-		out = append(out, v)
-	}
-	return out, nil
-}
-
 // writeTrace dumps the collected trace to path.
 func writeTrace(path string, tc *telemetry.TraceCollector) error {
 	f, err := os.Create(path)
@@ -530,154 +515,6 @@ func writeTrace(path string, tc *telemetry.TraceCollector) error {
 		return fmt.Errorf("-trace: %w", err)
 	}
 	return f.Close()
-}
-
-// startProfiles starts CPU profiling and arranges a heap snapshot; the
-// returned stop function finishes both and is safe to call once.
-func startProfiles(cpu, mem string) (func(), error) {
-	var cpuFile *os.File
-	if cpu != "" {
-		f, err := os.Create(cpu)
-		if err != nil {
-			return nil, fmt.Errorf("-cpuprofile: %w", err)
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			f.Close()
-			return nil, fmt.Errorf("-cpuprofile: %w", err)
-		}
-		cpuFile = f
-	}
-	return func() {
-		if cpuFile != nil {
-			pprof.StopCPUProfile()
-			cpuFile.Close()
-		}
-		if mem != "" {
-			f, err := os.Create(mem)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "centaur-sim: -memprofile:", err)
-				return
-			}
-			defer f.Close()
-			runtime.GC() // materialize the live heap before the snapshot
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintln(os.Stderr, "centaur-sim: -memprofile:", err)
-			}
-		}
-	}, nil
-}
-
-// runCompare prints, for every protocol in the ladder, the cold-start
-// cost and per-flip-phase means of convergence time, update units, wire
-// messages, and wire bytes on an identical workload. The five protocol
-// runs are independent, so they fan out across the worker budget; each
-// row's remaining share of workers flows into its RunFlips call. When a
-// trace is collected the ladder runs serially instead: trace chunks are
-// numbered in creation order, and only a serial ladder creates them in
-// the deterministic ladder order (each row's inner fan-out stays
-// deterministic on its own, so the full worker budget shifts inward).
-func runCompare(w io.Writer, nodes, m, flips int, seed int64, mrai time.Duration, workers, trialsPer int, noCheckpt bool, reg *telemetry.Registry, tc *telemetry.TraceCollector) error {
-	g, err := topogen.BRITE(nodes, m, seed)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "protocol ladder on %v, %d flips, seed %d\n\n", g.Stats(), flips, seed)
-	fmt.Fprintf(w, "%-10s %12s %12s %12s %12s %14s %14s\n",
-		"protocol", "cold units", "units/phase", "msgs/phase", "kB/phase", "mean down", "mean up")
-	ladder := []struct {
-		name  string
-		build sim.Builder
-	}{
-		{"centaur", centaur.New(centaur.Config{})},
-		{"bgp", bgp.New(bgp.Config{})},
-		{"bgp+mrai", bgp.New(bgp.Config{MRAI: mrai})},
-		{"bgp-rcn", bgp.New(bgp.Config{RCN: true})},
-		{"ospf", ospf.New()},
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	outer := workers
-	if outer > len(ladder) {
-		outer = len(ladder)
-	}
-	if tc != nil {
-		outer = 1 // chunk creation order must follow the ladder
-	}
-	inner := workers / outer
-	if inner < 1 {
-		inner = 1
-	}
-	rows := make([]string, len(ladder))
-	errs := make([]error, len(ladder))
-	if outer == 1 {
-		// A plain loop, not a one-slot semaphore: goroutines would race
-		// for the slot and scramble the ladder (and trace chunk) order.
-		for i, proto := range ladder {
-			rows[i], errs[i] = compareRow(g, proto.name, proto.build, flips, seed, inner, trialsPer, noCheckpt, reg, tc)
-		}
-	} else {
-		var wg sync.WaitGroup
-		sem := make(chan struct{}, outer)
-		for i, proto := range ladder {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				sem <- struct{}{}
-				defer func() { <-sem }()
-				rows[i], errs[i] = compareRow(g, proto.name, proto.build, flips, seed, inner, trialsPer, noCheckpt, reg, tc)
-			}()
-		}
-		wg.Wait()
-	}
-	for i, err := range errs {
-		if err != nil {
-			return err
-		}
-		fmt.Fprint(w, rows[i])
-	}
-	return nil
-}
-
-// compareRow measures one ladder protocol and renders its table row
-// (empty when the workload produced no samples).
-func compareRow(g *topology.Graph, name string, build sim.Builder, flips int, seed int64, workers, trialsPer int, noCheckpt bool, reg *telemetry.Registry, tc *telemetry.TraceCollector) (string, error) {
-	net, err := sim.NewNetwork(sim.Config{Topology: g, Build: build, DelaySeed: seed})
-	if err != nil {
-		return "", err
-	}
-	if _, _, err := net.RunToConvergence(500_000_000); err != nil {
-		return "", fmt.Errorf("%s cold start: %w", name, err)
-	}
-	cold := net.Stats().Units
-	samples, err := experiments.RunFlips(experiments.FlipConfig{
-		Topology: g, Build: build, Flips: flips, Seed: seed,
-		TrialsPerNetwork: trialsPer, Workers: workers, NoCheckpoint: noCheckpt,
-		Series: "compare." + name, Telemetry: reg, Trace: tc,
-	})
-	if err != nil {
-		return "", fmt.Errorf("%s flips: %w", name, err)
-	}
-	var units, msgs, bytes int64
-	var down, up time.Duration
-	for _, s := range samples {
-		units += s.DownUnits + s.UpUnits
-		msgs += s.DownMsgs + s.UpMsgs
-		bytes += s.DownBytes + s.UpBytes
-		down += s.DownTime
-		up += s.UpTime
-	}
-	phases := int64(2 * len(samples))
-	if phases == 0 {
-		return "", nil
-	}
-	return fmt.Sprintf("%-10s %12d %12.1f %12.1f %12.2f %14v %14v\n",
-		name, cold,
-		float64(units)/float64(phases),
-		float64(msgs)/float64(phases),
-		float64(bytes)/float64(phases)/1024,
-		(down / time.Duration(len(samples))).Round(time.Microsecond),
-		(up / time.Duration(len(samples))).Round(time.Microsecond)), nil
 }
 
 // parseCounts parses a comma-separated list of positive integers.

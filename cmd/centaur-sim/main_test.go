@@ -32,6 +32,8 @@ func TestRunRejectsBadInvocations(t *testing.T) {
 		{[]string{"-fig", "6", "-nodes", "40", "-flows", "-8"}, "-flows -8"},
 		{[]string{"-rel", "-nodes", "40", "-crashes", "-1"}, "-crashes -1"},
 		{[]string{"-adv", "-nodes", "40", "-trials", "-1"}, "-trials -1"},
+		{[]string{"-rel", "-nodes", "40", "-loss", "0,-0.1"}, `-loss: bad rate "-0.1"`},
+		{[]string{"-adv", "-nodes", "40", "-adv-noise", "x"}, `-adv-noise: bad rate "x"`},
 		{[]string{"-fig", "6", "-nodes", "40", "-prov"}, "-prov requires -trace"},
 		{[]string{"-fig", "9"}, "-fig {6,7,8} is required"},
 		{[]string{"-nodes", "40"}, "-fig {6,7,8} is required"},

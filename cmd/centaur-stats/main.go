@@ -56,7 +56,7 @@ func run(args []string, w io.Writer) error {
 		nodes    = fs.Int("nodes", 4000, "topology size for generated inputs")
 		seed     = fs.Int64("seed", 1, "generation and sampling seed")
 		sample   = fs.Int("sample", 500, "links sampled for figure 5 (0 = all)")
-		topoFile = fs.String("topo", "", "CAIDA serial-1 relationship file to analyze instead of a generated topology")
+		topoFile = fs.String("topo", "", "CAIDA serial-1 relationship file to analyze instead of a generated topology (-fig 5 and -ext multipath; -table rejects it)")
 		tiebreak = fs.String("tiebreak", "override", "within-class preference model: lowest-via | hashed | hashed-preferred | override")
 		checkTr  = fs.String("check-trace", "", "validate a centaur-sim -trace JSONL file and print its summary")
 		explain  = fs.String("explain", "", "causal analysis of a centaur-sim -trace -prov JSONL file")
@@ -66,6 +66,11 @@ func run(args []string, w io.Writer) error {
 		// The runners read any count below one as "all links", so a slip
 		// like -sample -3 would silently measure every link.
 		return fmt.Errorf("-sample %d: the number of sampled links cannot be negative (0 measures all links)", *sample)
+	}
+	if *topoFile != "" && *table != "" {
+		// Tables 3-5 compare the generated measured-like families row by
+		// row; a single snapshot has no place in them.
+		return fmt.Errorf("-topo applies to -fig 5 and -ext multipath only, not to -table %s", *table)
 	}
 	if *checkTr != "" {
 		return checkTrace(w, *checkTr)

@@ -38,6 +38,8 @@ func TestRunRejectsBadInvocations(t *testing.T) {
 		{[]string{"-ext", "multipath", "-sample", "-1"}, "-sample -1"},
 		{[]string{"-fig", "5", "-tiebreak", "bogus"}, "bogus"},
 		{[]string{"-nodes", "50"}, "is required"},
+		{[]string{"-topo", "/nonexistent", "-table", "3"}, "-topo applies to"},
+		{[]string{"-topo", "/nonexistent", "-table", "45"}, "-topo applies to"},
 	} {
 		err := run(tc.args, io.Discard)
 		if err == nil || !strings.Contains(err.Error(), tc.want) {

@@ -10,10 +10,9 @@
 //
 // Determinism contract: scenarios are constructed serially at grid-
 // assembly time (seeded relabeling, seeded attacker selection, one
-// solver solution per scenario), jobs write into preallocated result
-// slots, telemetry folds are atomic, trace chunks are created serially
-// — samples, counters, and the concatenated trace are byte-identical
-// for every Workers value.
+// solver solution per scenario); otherwise as for every trial (see
+// trial) — samples, counters, and the concatenated trace are
+// byte-identical for every Workers value.
 package experiments
 
 import (
@@ -167,135 +166,88 @@ type advScenario struct {
 	flows   []forward.Flow
 }
 
-// advJob is one trial: one protocol against one scenario.
-type advJob struct {
-	protocol  string
-	build     sim.Builder
-	topoTrue  *topology.Graph
-	scen      *advScenario
-	model     *adversary.Model // per-job: it accumulates injection counts
-	delaySeed int64
-	maxEvents int64
-	out       *AdversarialSample
-	tele      *telemetry.Registry
-	chunk     *telemetry.TraceChunk
-	flowRate  float64
-}
-
-func (j advJob) run() error {
-	simCfg := sim.Config{
-		Topology:  j.scen.topoRun,
-		Build:     j.build,
-		DelaySeed: j.delaySeed,
-	}
-	if j.chunk != nil {
-		simCfg.Trace = j.chunk.Observe
-		simCfg.Provenance = j.chunk.Provenance()
-	}
-	net, err := sim.NewNetwork(simCfg)
-	if err != nil {
-		return fmt.Errorf("experiments: adversarial %s: %w", j.protocol, err)
-	}
-	// Root-cause markers for the causal trace: one adv-inject root per
-	// attacker, before any protocol event fires.
-	for _, a := range j.model.Attackers() {
-		net.NoteAdversaryInject(a, j.model.VictimOf(a))
-	}
-	det := invariant.NewAdvTracker(j.topoTrue, j.model, net)
-	det.Install()
-	var tracker *forward.Tracker
-	if len(j.scen.flows) > 0 {
-		tracker = forward.NewTracker(net, forward.Config{Flows: j.scen.flows, PacketRate: j.flowRate})
-		tracker.Install()
-	}
-	s := j.out
-	conv, st, err := net.RunToConvergence(j.maxEvents)
-	if err != nil {
-		s.Diagnostic = err.Error()
-		st = net.Stats()
-	} else {
-		s.Converged = true
-		s.ConvergenceTime = conv
-	}
-	s.Messages = st.Messages
-	if tracker != nil {
-		s.Impact = tracker.Window(net.Now())
-	}
-	rep := det.Report()
-	s.Honest = rep.Honest
-	s.EverContaminated = rep.EverContaminated
-	s.FinalContaminated = rep.FinalContaminated
-	s.EverFraction = rep.EverFraction()
-	s.FinalFraction = rep.FinalFraction()
-	s.Radius = rep.Radius
-	s.BadEvents = rep.BadEvents
-	if len(rep.FinalKinds) > 0 {
-		s.FinalKinds = rep.FinalKinds
-	}
-	s.InjectedUnits = j.model.InjectedUnits()
-	if d := invariant.StructuralDenials(net, j.topoTrue, j.model); len(d) > 0 {
-		s.StructuralDenials = d
-	}
-	if s.Converged {
-		j.verify(net, s)
-	}
-	j.record(st, conv, s)
-	return nil
-}
-
-// verify checks the quiesced state against the scenario's (noisy-label)
-// solver oracle and splits the breaches into detector-explained and
-// unexplained.
-func (j advJob) verify(net *sim.Network, s *AdversarialSample) {
-	vs := invariant.Check(net, j.scen.sol)
-	s.Violations = len(vs)
-	for _, v := range vs {
-		if j.model.IsAttacker(v.Node) {
-			continue
+// advHooks returns the setup and body of one protocol's trial against
+// scen: the attack markers and the contamination detector go in before
+// anything is simulated; the body measures containment into s and
+// splits the quiesced state's breaches into explained and unexplained.
+// model is the protocol's own (it accumulates injection counts) and g
+// the true topology the detector classifies against.
+func advHooks(g *topology.Graph, scen *advScenario, model *adversary.Model, s *AdversarialSample) (func(*sim.Network), func(*trial, *sim.Network, *forward.Tracker) error) {
+	var det *invariant.AdvTracker
+	setup := func(net *sim.Network) {
+		// Root-cause markers for the causal trace: one adv-inject root per
+		// attacker, before any protocol event fires.
+		for _, a := range model.Attackers() {
+			net.NoteAdversaryInject(a, model.VictimOf(a))
 		}
-		var p routing.Path
-		if rib, ok := invariant.Unwrap(net.Node(v.Node)).(invariant.PathRIB); ok {
-			p = rib.BestPath(v.Dest)
+		det = invariant.NewAdvTracker(g, model, net)
+		det.Install()
+	}
+	body := func(t *trial, net *sim.Network, tracker *forward.Tracker) error {
+		o := t.converge(net)
+		s.Converged, s.Diagnostic, s.ConvergenceTime = o.sample()
+		s.Messages = o.st.Messages
+		if tracker != nil {
+			s.Impact = tracker.Window(net.Now())
 		}
-		if _, _, bad := invariant.ClassifyBad(j.topoTrue, j.model, v.Dest, p); bad {
-			continue
+		rep := det.Report()
+		s.Honest = rep.Honest
+		s.EverContaminated = rep.EverContaminated
+		s.FinalContaminated = rep.FinalContaminated
+		s.EverFraction = rep.EverFraction()
+		s.FinalFraction = rep.FinalFraction()
+		s.Radius = rep.Radius
+		s.BadEvents = rep.BadEvents
+		if len(rep.FinalKinds) > 0 {
+			s.FinalKinds = rep.FinalKinds
 		}
-		s.UnexplainedViolations++
+		s.InjectedUnits = model.InjectedUnits()
+		if d := invariant.StructuralDenials(net, g, model); len(d) > 0 {
+			s.StructuralDenials = d
+		}
+		if s.Converged {
+			// Breaches against the scenario's (noisy-label) oracle that the
+			// detector does not explain as contamination, outside the
+			// attackers' own RIBs.
+			vs := invariant.Check(net, scen.sol)
+			s.Violations = len(vs)
+			for _, v := range vs {
+				if model.IsAttacker(v.Node) {
+					continue
+				}
+				var p routing.Path
+				if rib, ok := invariant.Unwrap(net.Node(v.Node)).(invariant.PathRIB); ok {
+					p = rib.BestPath(v.Dest)
+				}
+				if _, _, bad := invariant.ClassifyBad(g, model, v.Dest, p); !bad {
+					s.UnexplainedViolations++
+				}
+			}
+		}
+		// Every adv.* counter registers only when it observed something, so
+		// a run of the suite that injects nothing leaves the snapshot
+		// untouched.
+		r := t.tele
+		if !r.Enabled() {
+			return nil
+		}
+		t.record(o.st, ".conv_ms", o.conv)
+		if s.InjectedUnits > 0 {
+			r.Counter(t.series + ".injected_units").Add(s.InjectedUnits)
+		}
+		if s.BadEvents > 0 {
+			r.Counter(t.series + ".bad_events").Add(int64(s.BadEvents))
+		}
+		if s.EverContaminated > 0 {
+			r.Counter(t.series + ".contaminated_nodes").Add(int64(s.EverContaminated))
+		}
+		for _, kv := range sortedKindCounts(s.StructuralDenials) {
+			r.Counter(t.series + ".denied." + kv.k).Add(int64(kv.v))
+		}
+		r.Distribution(t.series + ".radius").Observe(float64(s.Radius))
+		return nil
 	}
-}
-
-// record folds the trial's accounting into telemetry. Every adv.*
-// counter registers only when it observed something, so a run of the
-// suite that injects nothing leaves the snapshot untouched.
-func (j advJob) record(st sim.Stats, conv time.Duration, s *AdversarialSample) {
-	r := j.tele
-	if !r.Enabled() {
-		return
-	}
-	series := "adv." + j.protocol
-	r.Counter("sim.msgs").Add(st.Messages)
-	r.Counter("sim.units").Add(st.Units)
-	r.Counter("sim.bytes").Add(st.Bytes)
-	r.Counter("sim.route_changes").Add(st.RouteChanges)
-	for kind, msgs := range st.MsgsByKind {
-		r.Counter(series + ".msgs." + kind).Add(msgs)
-		r.Counter(series + ".units." + kind).Add(st.UnitsByKind[kind])
-		r.Counter(series + ".bytes." + kind).Add(st.BytesByKind[kind])
-	}
-	r.Distribution(series + ".conv_ms").Observe(float64(conv) / float64(time.Millisecond))
-	if s.InjectedUnits > 0 {
-		r.Counter(series + ".injected_units").Add(s.InjectedUnits)
-	}
-	if s.BadEvents > 0 {
-		r.Counter(series + ".bad_events").Add(int64(s.BadEvents))
-	}
-	if s.EverContaminated > 0 {
-		r.Counter(series + ".contaminated_nodes").Add(int64(s.EverContaminated))
-	}
-	for _, kv := range sortedKindCounts(s.StructuralDenials) {
-		r.Counter(series + ".denied." + kv.k).Add(int64(kv.v))
-	}
-	r.Distribution(series + ".radius").Observe(float64(s.Radius))
+	return setup, body
 }
 
 type advKindCount struct {
@@ -312,31 +264,21 @@ func sortedKindCounts(m map[string]int) []advKindCount {
 	return out
 }
 
-// advProtocol pairs a series name with its builder and the misbehavior
-// model instance wired into it. Each protocol gets its OWN model from
-// the shared spec — models accumulate injection accounting and the two
-// jobs of a scenario run concurrently.
-type advProtocol struct {
-	name  string
-	model *adversary.Model
-	build sim.Builder
-}
+// advProtocols is the protocol pair under comparison. OSPF is out of
+// scope: it has no export policy to violate and no path RIB for the
+// classifier to inspect.
+var advProtocols = []string{"centaur", "bgp"}
 
-// adversarialProtocols is the protocol pair under comparison. OSPF is
-// out of scope: it has no export policy to violate and no path RIB for
-// the classifier to inspect.
-func adversarialProtocols(spec adversary.Spec, cfg AdversarialConfig) []advProtocol {
-	cm := adversary.NewModel(spec)
-	bm := adversary.NewModel(spec)
-	return []advProtocol{
-		{"centaur", cm, centaur.New(centaur.Config{
-			Policy:    hashedPolicy,
-			Adversary: cm,
-			BloomPL:   cfg.BloomPL,
-			PLFPRate:  cfg.PLFPRate,
-		})},
-		{"bgp", bm, bgp.New(bgp.Config{Policy: hashedPolicy, Adversary: bm})},
+// advBuild returns protocol name's builder with the misbehavior model
+// wired into it. Each trial gets its OWN model from the shared spec —
+// models accumulate injection accounting and the two trials of a
+// scenario run concurrently.
+func advBuild(name string, spec adversary.Spec, cfg AdversarialConfig) (*adversary.Model, sim.Builder) {
+	m := adversary.NewModel(spec)
+	if name == "bgp" {
+		return m, bgp.New(bgp.Config{Policy: hashedPolicy, Adversary: m})
 	}
+	return m, hashedCentaur(centaur.Config{Adversary: m, BloomPL: cfg.BloomPL, PLFPRate: cfg.PLFPRate})
 }
 
 // RunAdversarial sweeps the (kind × attackers × noise × trial) scenario
@@ -349,7 +291,7 @@ func RunAdversarial(cfg AdversarialConfig) (*AdversarialResult, error) {
 			return nil, err
 		}
 	}
-	baseSol, err := solver.SolveOpts(g, solver.Options{TieBreak: hashedPolicy.TieBreak})
+	baseSol, err := hashedSolve(g)
 	if err != nil {
 		return nil, err
 	}
@@ -365,14 +307,7 @@ func RunAdversarial(cfg AdversarialConfig) (*AdversarialResult, error) {
 	if len(noises) == 0 {
 		noises = []float64{0}
 	}
-	trials := cfg.Trials
-	if trials <= 0 {
-		trials = 1
-	}
-	budget := cfg.MaxEvents
-	if budget <= 0 {
-		budget = maxEvents
-	}
+	nTrials := max(cfg.Trials, 1)
 
 	// Scenario construction is serial: seeded noise, seeded selection,
 	// and one oracle solve per noisy topology.
@@ -381,17 +316,17 @@ func RunAdversarial(cfg AdversarialConfig) (*AdversarialResult, error) {
 	for _, kind := range kinds {
 		for _, count := range counts {
 			for _, noise := range noises {
-				for trial := 0; trial < trials; trial++ {
+				for k := 0; k < nTrials; k++ {
 					advSeed := cfg.AdvSeed + scenarioIndex
 					scenarioIndex++
-					scen := &advScenario{kind: kind, noise: noise, trial: trial}
+					scen := &advScenario{kind: kind, noise: noise, trial: k}
 					scen.topoRun = g
 					scen.sol = baseSol
 					if noise > 0 {
 						noisy, flips := adversary.RelabelNoise(g, noise, advSeed)
 						scen.topoRun = noisy
 						scen.flipped = len(flips)
-						if scen.sol, err = solver.SolveOpts(noisy, solver.Options{TieBreak: hashedPolicy.TieBreak}); err != nil {
+						if scen.sol, err = hashedSolve(noisy); err != nil {
 							return nil, err
 						}
 					}
@@ -405,43 +340,35 @@ func RunAdversarial(cfg AdversarialConfig) (*AdversarialResult, error) {
 		}
 	}
 
-	res := &AdversarialResult{HasImpact: cfg.Flows > 0}
-	var jobs []advJob
+	res := &AdversarialResult{
+		Samples:   make([]AdversarialSample, len(scens)*len(advProtocols)),
+		HasImpact: cfg.Flows > 0,
+	}
+	var trials []trial
 	for _, scen := range scens {
-		for _, p := range adversarialProtocols(scen.spec, cfg) {
-			i := len(jobs)
-			res.Samples = append(res.Samples, AdversarialSample{
-				Protocol:  p.name,
-				Kind:      scen.kind.String(),
-				Attackers: len(scen.spec.Attackers),
-				Noise:     scen.noise,
-				Trial:     scen.trial,
-			})
-			jobs = append(jobs, advJob{
-				protocol:  p.name,
-				build:     p.build,
-				topoTrue:  g,
-				scen:      scen,
-				model:     p.model,
-				delaySeed: cfg.Seed + int64(i),
-				maxEvents: budget,
-				tele:      cfg.Telemetry,
-				chunk:     cfg.Trace.Chunk("adv."+p.name, cfg.Seed+int64(i)),
-				flowRate:  cfg.FlowRate,
+		for _, name := range advProtocols {
+			i := len(trials)
+			res.Samples[i] = AdversarialSample{
+				Protocol:     name,
+				Kind:         scen.kind.String(),
+				Attackers:    len(scen.spec.Attackers),
+				Noise:        scen.noise,
+				Trial:        scen.trial,
+				FlippedEdges: scen.flipped,
+			}
+			model, build := advBuild(name, scen.spec, cfg)
+			setup, body := advHooks(g, scen, model, &res.Samples[i])
+			series := "adv." + name
+			trials = append(trials, trial{
+				label: "experiments: adversarial " + name,
+				topo:  scen.topoRun, build: build, delaySeed: cfg.Seed + int64(i), budget: cfg.MaxEvents,
+				series: series, tele: cfg.Telemetry, chunk: cfg.Trace.Chunk(series, cfg.Seed+int64(i)),
+				flows: scen.flows, flowRate: cfg.FlowRate,
+				setup: setup, body: body,
 			})
 		}
 	}
-	for i := range jobs {
-		jobs[i].out = &res.Samples[i]
-		jobs[i].out.FlippedEdges = jobs[i].scen.flipped
-	}
-	poolProgress.total.Add(int64(len(jobs)))
-	err = parallelEach(len(jobs), cfg.Workers, func(i int) error {
-		err := jobs[i].run()
-		poolProgress.done.Add(1)
-		return err
-	})
-	if err != nil {
+	if err := runTrials(trials, cfg.Workers); err != nil {
 		return nil, err
 	}
 	return res, nil

@@ -70,35 +70,29 @@ func AggregationExtension(cfg AggregationConfig) (*AggregationResult, error) {
 	rng.Shuffle(len(stubs), func(i, j int) { stubs[i], stubs[j] = stubs[j], stubs[i] })
 	hosts := stubs[:cfg.Hosts]
 
-	res := &AggregationResult{Points: make([]AggregationPoint, 0, len(cfg.Parts))}
-	for _, parts := range cfg.Parts {
+	// One cold start per (level, protocol), run serially in sweep order.
+	stats := make([][2]sim.Stats, len(cfg.Parts))
+	var trials []trial
+	for i, parts := range cfg.Parts {
 		g := base.Clone()
 		if parts > 0 {
 			if _, err := topogen.AttachLeaves(g, hosts, parts); err != nil {
 				return nil, err
 			}
 		}
-		pt := AggregationPoint{Parts: parts}
-		for _, proto := range []struct {
-			build sim.Builder
-			units *int64
-			bytes *int64
-		}{
-			{centaur.New(centaur.Config{Policy: hashedPolicy}), &pt.CentaurUnits, &pt.CentaurBytes},
-			{bgp.New(bgp.Config{Policy: hashedPolicy}), &pt.BGPUnits, &pt.BGPBytes},
-		} {
-			net, err := sim.NewNetwork(sim.Config{Topology: g, Build: proto.build, DelaySeed: cfg.Seed})
-			if err != nil {
-				return nil, err
-			}
-			if _, _, err := net.RunToConvergence(maxEvents); err != nil {
-				return nil, fmt.Errorf("experiments: aggregation cold start (parts=%d): %w", parts, err)
-			}
-			st := net.Stats()
-			*proto.units = st.Units
-			*proto.bytes = st.Bytes
+		label := fmt.Sprintf("experiments: aggregation (parts=%d)", parts)
+		for k, build := range []sim.Builder{hashedCentaur(centaur.Config{}), bgp.New(bgp.Config{Policy: hashedPolicy})} {
+			trials = append(trials, trial{label: label, topo: g, build: build, delaySeed: cfg.Seed, body: coldStats(&stats[i][k])})
 		}
-		res.Points = append(res.Points, pt)
+	}
+	if err := runTrials(trials, 1); err != nil {
+		return nil, err
+	}
+	res := &AggregationResult{Points: make([]AggregationPoint, len(cfg.Parts))}
+	for i, parts := range cfg.Parts {
+		cent, bgpr := stats[i][0], stats[i][1]
+		res.Points[i] = AggregationPoint{Parts: parts,
+			CentaurUnits: cent.Units, BGPUnits: bgpr.Units, CentaurBytes: cent.Bytes, BGPBytes: bgpr.Bytes}
 	}
 	return res, nil
 }

@@ -1,14 +1,11 @@
 package experiments
 
 import (
-	"errors"
 	"fmt"
 	"math/rand"
 	"slices"
 	"strings"
 	"time"
-
-	"centaur/internal/policy"
 
 	"centaur/internal/bgp"
 	"centaur/internal/centaur"
@@ -24,15 +21,6 @@ import (
 	"centaur/internal/topogen"
 	"centaur/internal/topology"
 )
-
-// maxEvents bounds each simulation run; all protocols quiesce far below
-// this, so hitting it indicates a bug rather than a slow run.
-const maxEvents = 500_000_000
-
-// hashedPolicy is the Gao-Rexford policy with per-node hashed
-// tie-breaks, matching the static experiments (see
-// policy.GaoRexford.HashedTieBreak for why).
-var hashedPolicy = policy.GaoRexford{TieBreak: policy.TieHashed}
 
 // FlipSample is one link-flip measurement: the link was failed, the
 // network reconverged, the link was restored, and the network
@@ -99,7 +87,7 @@ type FlipConfig struct {
 	// RIBs are checked against ground truth that the incremental solver
 	// maintains alongside the simulation. Verify must be the converged
 	// solve of Topology under the protocol's policy; it is never
-	// mutated — each job forks it onto a private graph clone
+	// mutated — each trial forks it onto a private graph clone
 	// (Solution.CloneOn) and keeps the fork current with
 	// Solution.Resolve across its fail/restore schedule, so the oracle
 	// costs microseconds per quiescence instead of a cold re-solve. Any
@@ -115,7 +103,7 @@ type FlipConfig struct {
 	// for every worker count.
 	Telemetry *telemetry.Registry
 	// Trace, when non-nil, collects a structured JSONL event trace. One
-	// chunk per simulation is created at job-construction time (a serial
+	// chunk per simulation is created at trial-construction time (a serial
 	// step), so the concatenated trace is byte-identical for every
 	// worker count.
 	Trace *telemetry.TraceCollector
@@ -136,38 +124,13 @@ type FlipConfig struct {
 	Liveness liveness.Config
 }
 
-// flipJob is one independent unit of simulation work: a fresh network
-// (topology + protocol + delaySeed) whose flip schedule fills out[i]
-// for each edge, in order.
-type flipJob struct {
-	label     string
-	series    string
-	topo      *topology.Graph
-	build     sim.Builder
-	edges     []topology.Edge
-	delaySeed int64
-	out       []FlipSample
-	tele      *telemetry.Registry
-	chunk     *telemetry.TraceChunk
-	// fork, when non-nil, is the series' shared checkpoint source: the
-	// job forks its network from it instead of cold-starting one.
-	fork *forkSource
-	// verify, when non-nil, is the series' shared converged base
-	// solution; see FlipConfig.Verify.
-	verify *solver.Solution
-	// flows/flowRate install a data-plane tracker on the job's network;
-	// see FlipConfig.Flows.
-	flows    []forward.Flow
-	flowRate float64
-}
-
 // verifySolution cold-solves g under the shared hashed-tie-break policy
 // when verification is requested; a nil result disables checking.
 func verifySolution(g *topology.Graph, verify bool) (*solver.Solution, error) {
 	if !verify {
 		return nil, nil
 	}
-	sol, err := solver.SolveOpts(g, solver.Options{TieBreak: hashedPolicy.TieBreak})
+	sol, err := hashedSolve(g)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: verification solve: %w", err)
 	}
@@ -185,7 +148,7 @@ func sampleReachableFlows(g *topology.Graph, n int, seed int64, sol *solver.Solu
 	}
 	if sol == nil {
 		var err error
-		if sol, err = verifySolution(g, true); err != nil {
+		if sol, err = hashedSolve(g); err != nil {
 			return nil, err
 		}
 	}
@@ -214,11 +177,11 @@ func flipEdges(cfg FlipConfig) []topology.Edge {
 	return edges
 }
 
-// flipJobs splits cfg's flip schedule into independent jobs writing into
+// flipTrials splits cfg's flip schedule into warm trials writing into
 // out (which must have one slot per scheduled flip). Trace chunks are
-// created here, in serial job-construction order, which is what pins
-// the chunk order — and hence the whole trace — across worker counts.
-func flipJobs(cfg FlipConfig, label string, out []FlipSample) []flipJob {
+// created here, in serial construction order, which is what pins the
+// chunk order — and hence the whole trace — across worker counts.
+func flipTrials(cfg FlipConfig, label string, out []FlipSample) []trial {
 	edges := flipEdges(cfg)
 	chunk := cfg.TrialsPerNetwork
 	if chunk <= 0 {
@@ -233,238 +196,121 @@ func flipJobs(cfg FlipConfig, label string, out []FlipSample) []flipJob {
 	if livenessOn {
 		build = liveness.Wrap(build, cfg.Liveness)
 	}
+	base := trial{label: label, topo: cfg.Topology, build: build, delaySeed: cfg.Seed,
+		series: series, tele: cfg.Telemetry, warm: true, flows: cfg.Flows, flowRate: cfg.FlowRate}
 	// Checkpointing pays off only when several chunks would each repeat
 	// the cold start; tracing needs every chunk's own cold-start events
 	// in its trace, so it keeps the historical path (see
 	// FlipConfig.NoCheckpoint). The liveness wrapper is not
 	// snapshottable, so those runs skip the fork source rather than
 	// cold-start it just to fail the snapshot.
-	var fork *forkSource
 	if !cfg.NoCheckpoint && cfg.Trace == nil && len(edges) > chunk && !livenessOn {
-		fork = &forkSource{
-			cfg:  sim.Config{Topology: cfg.Topology, Build: build, DelaySeed: cfg.Seed},
-			tele: cfg.Telemetry,
-		}
+		base.fork = &forkSource{template: base}
 	}
-	var jobs []flipJob
+	var trials []trial
 	for start := 0; start < len(edges); start += chunk {
-		end := start + chunk
-		if end > len(edges) {
-			end = len(edges)
-		}
-		delaySeed := cfg.Seed + int64(start)
-		jobs = append(jobs, flipJob{
-			label:     label,
-			series:    series,
-			topo:      cfg.Topology,
-			build:     build,
-			edges:     edges[start:end],
-			delaySeed: delaySeed,
-			out:       out[start:end],
-			tele:      cfg.Telemetry,
-			chunk:     cfg.Trace.Chunk(series, delaySeed),
-			fork:      fork,
-			verify:    cfg.Verify,
-			flows:     cfg.Flows,
-			flowRate:  cfg.FlowRate,
-		})
+		end := min(start+chunk, len(edges))
+		t := base
+		t.delaySeed = cfg.Seed + int64(start)
+		t.chunk = cfg.Trace.Chunk(series, t.delaySeed)
+		t.body = flipBody(edges[start:end], out[start:end], cfg.Verify)
+		trials = append(trials, t)
 	}
-	return jobs
+	return trials
 }
 
-// run acquires the job's converged network (a checkpoint fork or its
-// own cold start) and measures its flip schedule.
-func (j flipJob) run() error {
-	net, err := j.network()
-	if err != nil {
-		return err
-	}
-	// The data-plane tracker attaches to the already-converged network,
-	// so each phase's Window integrates exactly from its flip instant to
-	// its quiescence — the cold start is not in any window.
-	var tracker *forward.Tracker
-	if len(j.flows) > 0 {
-		tracker = forward.NewTracker(net, forward.Config{Flows: j.flows, PacketRate: j.flowRate})
-		tracker.Install()
-	}
-	// The verification oracle: a private fork of the series' base
-	// solution on a private graph clone, advanced edge-by-edge with the
-	// incremental solver in lockstep with the simulated flips.
-	var vg *topology.Graph
-	var vsol *solver.Solution
-	if j.verify != nil {
-		vg = j.topo.Clone()
-		if vsol, err = j.verify.CloneOn(vg); err != nil {
-			return j.wrap(err)
-		}
-	}
-	t0 := time.Now()
-	defer func() { stageClock.flips.Add(int64(time.Since(t0))) }()
-	for i, e := range j.edges {
-		s := FlipSample{Link: e}
-		net.ResetStats()
-		start := net.Now()
-		if !net.FailLink(e.A, e.B) {
-			return j.wrap(fmt.Errorf("experiments: failing %v: link not up", e))
-		}
-		if _, _, err := net.RunToConvergence(maxEvents); err != nil {
-			return j.wrap(fmt.Errorf("experiments: reconverging after failing %v: %w", e, err))
-		}
-		st := net.Stats()
-		s.DownUnits = st.Units
-		s.DownMsgs = st.Messages
-		s.DownBytes = st.Bytes
-		if st.Messages > 0 {
-			s.DownTime = st.LastSend - start
-		}
-		if tracker != nil {
-			s.DownImpact = tracker.Window(net.Now())
-		}
-		j.recordPhase("down", st, s.DownTime, net, start)
-		if vsol != nil {
-			if !vg.RemoveEdge(e.A, e.B) {
-				return j.wrap(fmt.Errorf("experiments: verify: removing %v: no such link", e))
-			}
-			if err := j.checkQuiesced(net, vsol, e, "failing"); err != nil {
+// flipBody measures the flip schedule edges on a converged network into
+// out: fail, reconverge, restore, reconverge. With verify non-nil every
+// quiesced state is checked against a private fork of the series' base
+// solution on a private graph clone, advanced edge by edge with the
+// incremental solver in lockstep with the simulated flips. The tracker,
+// attached after the warm-up, integrates each phase from its flip
+// instant to its quiescence.
+func flipBody(edges []topology.Edge, out []FlipSample, verify *solver.Solution) func(*trial, *sim.Network, *forward.Tracker) error {
+	return func(t *trial, net *sim.Network, tracker *forward.Tracker) error {
+		var vg *topology.Graph
+		var vsol *solver.Solution
+		if verify != nil {
+			vg = t.topo.Clone()
+			var err error
+			if vsol, err = verify.CloneOn(vg); err != nil {
 				return err
 			}
 		}
-		net.ResetStats()
-		start = net.Now()
-		if !net.RestoreLink(e.A, e.B) {
-			return j.wrap(fmt.Errorf("experiments: restoring %v: link not down", e))
-		}
-		if _, _, err := net.RunToConvergence(maxEvents); err != nil {
-			return j.wrap(fmt.Errorf("experiments: reconverging after restoring %v: %w", e, err))
-		}
-		st = net.Stats()
-		s.UpUnits = st.Units
-		s.UpMsgs = st.Messages
-		s.UpBytes = st.Bytes
-		if st.Messages > 0 {
-			s.UpTime = st.LastSend - start
-		}
-		if tracker != nil {
-			s.UpImpact = tracker.Window(net.Now())
-		}
-		j.recordPhase("up", st, s.UpTime, net, start)
-		if vsol != nil {
-			if err := vg.AddEdge(e.A, e.B, e.Rel); err != nil {
-				return j.wrap(fmt.Errorf("experiments: verify: restoring %v: %w", e, err))
+		t0 := time.Now()
+		defer func() { stageClock.flips.Add(int64(time.Since(t0))) }()
+		for i, e := range edges {
+			s := FlipSample{Link: e}
+			for _, ph := range []struct {
+				down               bool
+				units, msgs, bytes *int64
+				conv               *time.Duration
+				impact             *forward.Impact
+			}{
+				{true, &s.DownUnits, &s.DownMsgs, &s.DownBytes, &s.DownTime, &s.DownImpact},
+				{false, &s.UpUnits, &s.UpMsgs, &s.UpBytes, &s.UpTime, &s.UpImpact},
+			} {
+				verb, flip, phase, was := "restoring", net.RestoreLink, "up", "down"
+				if ph.down {
+					verb, flip, phase, was = "failing", net.FailLink, "down", "up"
+				}
+				net.ResetStats()
+				start := net.Now()
+				if !flip(e.A, e.B) {
+					return fmt.Errorf("experiments: %s %v: link not %s", verb, e, was)
+				}
+				o := t.converge(net)
+				if o.err != nil {
+					return fmt.Errorf("experiments: reconverging after %s %v: %w", verb, e, o.err)
+				}
+				st := o.st
+				*ph.units, *ph.msgs, *ph.bytes = st.Units, st.Messages, st.Bytes
+				if st.Messages > 0 {
+					*ph.conv = st.LastSend - start
+				}
+				if tracker != nil {
+					*ph.impact = tracker.Window(net.Now())
+				}
+				t.recordPhase(st, phase, *ph.conv, net, start)
+				if vsol == nil {
+					continue
+				}
+				if ph.down && !vg.RemoveEdge(e.A, e.B) {
+					return fmt.Errorf("experiments: verify: removing %v: no such link", e)
+				}
+				if !ph.down {
+					if err := vg.AddEdge(e.A, e.B, e.Rel); err != nil {
+						return fmt.Errorf("experiments: verify: restoring %v: %w", e, err)
+					}
+				}
+				if _, err := vsol.Resolve([]solver.Flip{{A: e.A, B: e.B}}); err != nil {
+					return fmt.Errorf("experiments: verify: re-solving after %s %v: %w", verb, e, err)
+				}
+				if vs := invariant.CheckAt(net, vsol); len(vs) > 0 {
+					return fmt.Errorf("experiments: verify: %d invariant violations after %s %v, e.g. %s",
+						len(vs), verb, e, vs[0])
+				}
 			}
-			if err := j.checkQuiesced(net, vsol, e, "restoring"); err != nil {
-				return err
-			}
+			out[i] = s
 		}
-		j.out[i] = s
+		return nil
 	}
-	return nil
 }
 
-// checkQuiesced advances the oracle solution over the already-applied
-// graph mutation and checks the quiesced network's RIBs against it.
-func (j flipJob) checkQuiesced(net *sim.Network, vsol *solver.Solution, e topology.Edge, phase string) error {
-	if _, err := vsol.Resolve([]solver.Flip{{A: e.A, B: e.B}}); err != nil {
-		return j.wrap(fmt.Errorf("experiments: verify: re-solving after %s %v: %w", phase, e, err))
-	}
-	if vs := invariant.CheckAt(net, vsol); len(vs) > 0 {
-		return j.wrap(fmt.Errorf("experiments: verify: %d invariant violations after %s %v, e.g. %s",
-			len(vs), phase, e, vs[0]))
-	}
-	return nil
-}
-
-// network returns a converged network for the job: a fork of the
-// series' shared checkpoint when one is configured (falling back to a
-// cold start if the protocol is not snapshottable), otherwise its own
-// cold-started network. Either way the returned network is quiesced
-// and every link is up, so the flip loop starts from identical state.
-func (j flipJob) network() (*sim.Network, error) {
-	if j.fork != nil {
-		cp, err := j.fork.checkpoint()
-		switch {
-		case err == nil:
-			t0 := time.Now()
-			net, err := cp.Fork(j.delaySeed)
-			if err != nil {
-				return nil, j.wrap(err)
-			}
-			stageClock.fork.Add(int64(time.Since(t0)))
-			j.tele.Counter("sim.forks").Inc()
-			return net, nil
-		case !errors.Is(err, sim.ErrNotSnapshottable):
-			return nil, j.wrap(err)
-		}
-		// Not snapshottable: every job cold-starts its own network.
-	}
-	cfg := sim.Config{
-		Topology:  j.topo,
-		Build:     j.build,
-		DelaySeed: j.delaySeed,
-	}
-	if j.chunk != nil {
-		cfg.Trace = j.chunk.Observe
-		// A schema-v2 chunk needs the simulator to assign provenance
-		// spans; a v1 chunk must not see them (byte-compat).
-		cfg.Provenance = j.chunk.Provenance()
-	}
-	t0 := time.Now()
-	net, err := sim.NewNetwork(cfg)
-	if err != nil {
-		return nil, j.wrap(err)
-	}
-	if _, _, err := net.RunToConvergence(maxEvents); err != nil {
-		return nil, j.wrap(fmt.Errorf("experiments: cold start: %w", err))
-	}
-	stageClock.coldStart.Add(int64(time.Since(t0)))
-	j.tele.Counter("sim.coldstarts").Inc()
-	return net, nil
-}
-
-// recordPhase folds one reconvergence phase's accounting into the job's
-// telemetry registry: process-wide simulator totals, per-series
-// counters broken down by message kind, the phase convergence time, and
-// the per-destination route-settle times (relative to the flip instant)
+// recordPhase folds one reconvergence phase ("down" after the failure,
+// "up" after the restore) into telemetry: the shared totals and
+// per-kind counters, the phase convergence time, and the
+// per-destination route-settle times (relative to the flip instant)
 // from the simulator's RouteChanged timestamps.
-func (j flipJob) recordPhase(phase string, st sim.Stats, conv time.Duration, net *sim.Network, start time.Duration) {
-	r := j.tele
-	if !r.Enabled() {
+func (t *trial) recordPhase(st sim.Stats, phase string, conv time.Duration, net *sim.Network, start time.Duration) {
+	if !t.tele.Enabled() {
 		return
 	}
-	r.Counter("sim.msgs").Add(st.Messages)
-	r.Counter("sim.units").Add(st.Units)
-	r.Counter("sim.bytes").Add(st.Bytes)
-	r.Counter("sim.dropped").Add(st.Dropped)
-	r.Counter("sim.undeliverable").Add(st.Undeliverable)
-	r.Counter("sim.route_changes").Add(st.RouteChanges)
-	for kind, msgs := range st.MsgsByKind {
-		r.Counter(j.series + ".msgs." + kind).Add(msgs)
-		r.Counter(j.series + ".units." + kind).Add(st.UnitsByKind[kind])
-		r.Counter(j.series + ".bytes." + kind).Add(st.BytesByKind[kind])
-	}
-	r.Distribution(j.series + ".conv_" + phase + "_ms").Observe(float64(conv) / float64(time.Millisecond))
-	dest := r.Distribution(j.series + ".dest_conv_ms")
+	t.record(st, ".conv_"+phase+"_ms", conv)
+	t.recordLoss(st)
+	dest := t.tele.Distribution(t.series + ".dest_conv_ms")
 	net.LastRouteChanges(func(_ routing.NodeID, at time.Duration) {
 		dest.Observe(float64(at-start) / float64(time.Millisecond))
-	})
-}
-
-// wrap prefixes job errors with the job's figure/protocol label.
-func (j flipJob) wrap(err error) error {
-	if j.label == "" {
-		return err
-	}
-	return fmt.Errorf("%s: %w", j.label, err)
-}
-
-// runJobs executes a flattened job list on the shared bounded pool,
-// feeding the process-wide progress monitor.
-func runJobs(jobs []flipJob, workers int) error {
-	poolProgress.total.Add(int64(len(jobs)))
-	return parallelEach(len(jobs), workers, func(i int) error {
-		err := jobs[i].run()
-		poolProgress.done.Add(1)
-		return err
 	})
 }
 
@@ -482,7 +328,7 @@ func RunFlips(cfg FlipConfig) ([]FlipSample, error) {
 		return nil, fmt.Errorf("experiments: FlipConfig.Build is required")
 	}
 	out := make([]FlipSample, len(flipEdges(cfg)))
-	if err := runJobs(flipJobs(cfg, "", out), cfg.Workers); err != nil {
+	if err := runTrials(flipTrials(cfg, "", out), cfg.Workers); err != nil {
 		return nil, err
 	}
 	return out, nil
@@ -579,7 +425,7 @@ func Figure6(cfg Figure6Config) (*Figure6Result, error) {
 		return nil, err
 	}
 	// All three series run the same hashed-tie-break policy, so one base
-	// solution serves every job's verification fork.
+	// solution serves every trial's verification fork.
 	verify, err := verifySolution(g, cfg.Verify)
 	if err != nil {
 		return nil, err
@@ -599,13 +445,12 @@ func Figure6(cfg Figure6Config) (*Figure6Result, error) {
 	cent := make([]FlipSample, nFlips)
 	bgpr := make([]FlipSample, nFlips)
 	bgpFast := make([]FlipSample, nFlips)
-	// One flat job list across all three protocol series: the pool is
+	// One flat trial list across all three protocol series: the pool is
 	// never nested and stays busy even when chunk runtimes are skewed.
-	var jobs []flipJob
-	jobs = append(jobs, flipJobs(flip(centaur.New(centaur.Config{Policy: hashedPolicy}), "fig6.centaur"), "experiments: figure 6 centaur", cent)...)
-	jobs = append(jobs, flipJobs(flip(bgp.New(bgp.Config{MRAI: cfg.MRAI, Policy: hashedPolicy}), "fig6.bgp_mrai"), "experiments: figure 6 bgp", bgpr)...)
-	jobs = append(jobs, flipJobs(flip(bgp.New(bgp.Config{Policy: hashedPolicy}), "fig6.bgp"), "experiments: figure 6 bgp (no mrai)", bgpFast)...)
-	if err := runJobs(jobs, cfg.Workers); err != nil {
+	trials := flipTrials(flip(hashedCentaur(centaur.Config{}), "fig6.centaur"), "experiments: figure 6 centaur", cent)
+	trials = append(trials, flipTrials(flip(bgp.New(bgp.Config{MRAI: cfg.MRAI, Policy: hashedPolicy}), "fig6.bgp_mrai"), "experiments: figure 6 bgp", bgpr)...)
+	trials = append(trials, flipTrials(flip(bgp.New(bgp.Config{Policy: hashedPolicy}), "fig6.bgp"), "experiments: figure 6 bgp (no mrai)", bgpFast)...)
+	if err := runTrials(trials, cfg.Workers); err != nil {
 		return nil, err
 	}
 	res := &Figure6Result{
@@ -762,10 +607,9 @@ func Figure7(cfg Figure7Config) (*Figure7Result, error) {
 	nFlips := len(flipEdges(flip(nil, "")))
 	cent := make([]FlipSample, nFlips)
 	osp := make([]FlipSample, nFlips)
-	var jobs []flipJob
-	jobs = append(jobs, flipJobs(flip(centaur.New(centaur.Config{Policy: hashedPolicy}), "fig7.centaur"), "experiments: figure 7 centaur", cent)...)
-	jobs = append(jobs, flipJobs(flip(ospf.New(), "fig7.ospf"), "experiments: figure 7 ospf", osp)...)
-	if err := runJobs(jobs, cfg.Workers); err != nil {
+	trials := flipTrials(flip(hashedCentaur(centaur.Config{}), "fig7.centaur"), "experiments: figure 7 centaur", cent)
+	trials = append(trials, flipTrials(flip(ospf.New(), "fig7.ospf"), "experiments: figure 7 ospf", osp)...)
+	if err := runTrials(trials, cfg.Workers); err != nil {
 		return nil, err
 	}
 	res := &Figure7Result{
@@ -901,18 +745,18 @@ type Figure8Result struct {
 // topology sizes given a routing update event").
 func Figure8(cfg Figure8Config) (*Figure8Result, error) {
 	res := &Figure8Result{Points: make([]Figure8Point, 0, len(cfg.Sizes))}
-	// Flatten size × protocol × trial chunk into one job list so small
+	// Flatten size × protocol × trial chunk into one trial list so small
 	// sizes don't leave the pool idle while a big size finishes.
 	centBySize := make([][]FlipSample, len(cfg.Sizes))
 	bgpBySize := make([][]FlipSample, len(cfg.Sizes))
-	var jobs []flipJob
+	var trials []trial
 	for i, n := range cfg.Sizes {
 		g, err := topogen.BRITE(n, cfg.LinksPerNode, cfg.Seed+int64(n))
 		if err != nil {
 			return nil, err
 		}
 		// Both series run the same hashed-tie-break policy, so one
-		// verification solve per size serves every job's fork.
+		// verification solve per size serves every trial's fork.
 		verify, err := verifySolution(g, cfg.Verify)
 		if err != nil {
 			return nil, err
@@ -925,10 +769,10 @@ func Figure8(cfg Figure8Config) (*Figure8Result, error) {
 		nFlips := len(flipEdges(flip(nil, "")))
 		centBySize[i] = make([]FlipSample, nFlips)
 		bgpBySize[i] = make([]FlipSample, nFlips)
-		jobs = append(jobs, flipJobs(flip(centaur.New(centaur.Config{Policy: hashedPolicy}), "fig8.centaur"), fmt.Sprintf("experiments: figure 8 centaur n=%d", n), centBySize[i])...)
-		jobs = append(jobs, flipJobs(flip(bgp.New(bgp.Config{Policy: hashedPolicy}), "fig8.bgp"), fmt.Sprintf("experiments: figure 8 bgp n=%d", n), bgpBySize[i])...)
+		trials = append(trials, flipTrials(flip(hashedCentaur(centaur.Config{}), "fig8.centaur"), fmt.Sprintf("experiments: figure 8 centaur n=%d", n), centBySize[i])...)
+		trials = append(trials, flipTrials(flip(bgp.New(bgp.Config{Policy: hashedPolicy}), "fig8.bgp"), fmt.Sprintf("experiments: figure 8 bgp n=%d", n), bgpBySize[i])...)
 	}
-	if err := runJobs(jobs, cfg.Workers); err != nil {
+	if err := runTrials(trials, cfg.Workers); err != nil {
 		return nil, err
 	}
 	for i, n := range cfg.Sizes {

@@ -10,11 +10,11 @@ import (
 	"centaur/internal/telemetry"
 )
 
-// poolProgress counts trial chunks across every runJobs call in the
+// poolProgress counts trials across every runTrials call in the
 // process — the live numerator/denominator StartProgress reports.
-// Process-wide because a harness run (e.g. the comparison ladder)
-// schedules several job lists concurrently and the operator wants one
-// overall progress line.
+// Process-wide because a harness run (centaur-bench) runs several
+// grids one after another and the operator wants one overall progress
+// line.
 var poolProgress struct {
 	done  atomic.Int64
 	total atomic.Int64

@@ -151,11 +151,11 @@ func TestRunFlipsChunkedSeedRule(t *testing.T) {
 	for start := 0; start < len(edges); start += 2 {
 		end := min(start+2, len(edges))
 		out := make([]FlipSample, end-start)
-		job := flipJob{
-			topo: g, build: build, edges: edges[start:end],
-			delaySeed: 5 + int64(start), out: out,
+		tr := trial{
+			topo: g, build: build, delaySeed: 5 + int64(start), warm: true,
+			body: flipBody(edges[start:end], out, nil),
 		}
-		if err := job.run(); err != nil {
+		if err := tr.run(); err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(out, chunked[start:end]) {

@@ -9,15 +9,16 @@
 // protocol without transport reliability typically fails by quiescing
 // into a *wrong* stable state rather than by never quiescing.
 //
-// Determinism contract: trial j of the flattened job list uses delay
-// seed Seed+j and fault seed FaultSeed+j, jobs write into their own
-// result slots, telemetry folds are atomic, and trace chunks are
-// created serially at job-construction time — so samples, counters, and
-// the concatenated trace are byte-identical for every Workers value.
+// Determinism contract: trial j of the flattened trial list uses delay
+// seed Seed+j and fault seed FaultSeed+j; otherwise as for every trial
+// (see trial) — samples, counters, and the concatenated trace are
+// byte-identical for every Workers value.
 package experiments
 
 import (
 	"fmt"
+	"strconv"
+	"strings"
 	"time"
 
 	"centaur/internal/bgp"
@@ -60,7 +61,7 @@ type ReliabilityConfig struct {
 	// Trials per (protocol, loss, churn) grid point. Default 1.
 	Trials int
 	// Seed drives per-trial link delays; FaultSeed drives per-trial fault
-	// plans. Trial j of the flattened job list uses Seed+j and
+	// plans. Trial j of the flattened trial list uses Seed+j and
 	// FaultSeed+j.
 	Seed      int64
 	FaultSeed int64
@@ -184,153 +185,68 @@ type ReliabilityResult struct {
 	HasDetect bool
 }
 
-// relJob is one trial.
-type relJob struct {
-	index     int // flattened job index: seeds and result slot
-	protocol  string
-	build     sim.Builder
-	topo      *topology.Graph
-	sol       *solver.Solution
-	plan      faults.Plan
-	delaySeed int64
-	maxEvents int64
-	out       *ReliabilitySample
-	tele      *telemetry.Registry
-	chunk     *telemetry.TraceChunk
-	// Data-plane accounting (flows empty = no tracker installed) and
-	// liveness detection (detect 0 = oracle, no wrapper).
-	flows    []forward.Flow
-	flowRate float64
-	detect   time.Duration
-}
-
-func (j relJob) run() error {
-	simCfg := sim.Config{
-		Topology:  j.topo,
-		Build:     j.build,
-		DelaySeed: j.delaySeed,
-	}
-	if j.chunk != nil {
-		simCfg.Trace = j.chunk.Observe
-		// Schema-v2 chunks need simulator-assigned provenance spans.
-		simCfg.Provenance = j.chunk.Provenance()
-	}
-	net, err := sim.NewNetwork(simCfg)
-	if err != nil {
-		return fmt.Errorf("experiments: reliability %s: %w", j.protocol, err)
-	}
-	if j.plan.Active() {
-		faults.Attach(net, j.plan, j.tele)
-	}
-	var tracker *forward.Tracker
-	if len(j.flows) > 0 {
-		tracker = forward.NewTracker(net, forward.Config{Flows: j.flows, PacketRate: j.flowRate})
-		tracker.Install()
-	}
-	s := j.out
-	conv, st, err := net.RunToConvergence(j.maxEvents)
-	if err != nil {
-		s.Diagnostic = err.Error()
-		st = net.Stats()
-	} else {
-		s.Converged = true
-		s.ConvergenceTime = conv
-	}
-	s.Messages = st.Messages
-	s.Delivered = st.Messages - st.Dropped - st.Undeliverable
-	s.FaultDrops = st.FaultDrops
-	s.DeliverySuccess = 1
-	if st.Messages > 0 {
-		s.DeliverySuccess = float64(s.Delivered) / float64(st.Messages)
-	}
-	s.Retransmits = st.Retransmits
-	s.DupSuppressed = st.DupSuppressed
-	s.Abandoned = st.TransportAbandoned
-	s.PLFalsePositives = st.PLFalsePositives
-	if tracker != nil {
-		// One measurement window over the whole trial, closed at the
-		// quiescence instant (or wherever the budget ran out).
-		s.Impact = tracker.Window(net.Now())
-	}
-	if j.detect > 0 {
-		s.BFD = liveness.Collect(net, j.topo.Nodes())
-	}
-	if s.Converged {
-		vs := invariant.Check(net, j.sol)
+// relBody measures one reliability trial into s: the cold start under
+// the trial's fault plan, checked against sol once quiesced.
+func relBody(s *ReliabilitySample, sol *solver.Solution) func(*trial, *sim.Network, *forward.Tracker) error {
+	return func(t *trial, net *sim.Network, tracker *forward.Tracker) error {
+		o := t.converge(net)
+		st := o.st
+		s.Converged, s.Diagnostic, s.ConvergenceTime = o.sample()
+		s.Messages = st.Messages
+		s.Delivered = st.Messages - st.Dropped - st.Undeliverable
+		s.FaultDrops = st.FaultDrops
+		s.DeliverySuccess = 1
+		if st.Messages > 0 {
+			s.DeliverySuccess = float64(s.Delivered) / float64(st.Messages)
+		}
+		s.Retransmits = st.Retransmits
+		s.DupSuppressed = st.DupSuppressed
+		s.Abandoned = st.TransportAbandoned
+		s.PLFalsePositives = st.PLFalsePositives
 		if tracker != nil {
-			// The data-plane walker must agree with the oracle wherever the
-			// control plane does: every tracked flow checks out against the
-			// solver (path-vector) or shortest-path distances (next-hop).
-			vs = append(vs, invariant.CheckFlows(net, j.sol, j.flows)...)
+			// One measurement window over the whole trial, closed at the
+			// quiescence instant (or wherever the budget ran out).
+			s.Impact = tracker.Window(net.Now())
 		}
-		if len(vs) > 0 {
-			s.Violations = len(vs)
-			s.FirstViolation = vs[0].String()
+		if s.DetectInterval > 0 {
+			s.BFD = liveness.Collect(net, t.topo.Nodes())
 		}
-	}
-	j.record(st, conv)
-	return nil
-}
-
-// record folds the trial's accounting into telemetry: process-wide
-// simulator totals, per-series per-kind counters, transport counters,
-// and the convergence-time distribution. (The faults.* counters are
-// incremented by the injector itself.)
-func (j relJob) record(st sim.Stats, conv time.Duration) {
-	r := j.tele
-	if !r.Enabled() {
-		return
-	}
-	series := "rel." + j.protocol
-	r.Counter("sim.msgs").Add(st.Messages)
-	r.Counter("sim.units").Add(st.Units)
-	r.Counter("sim.bytes").Add(st.Bytes)
-	r.Counter("sim.dropped").Add(st.Dropped)
-	r.Counter("sim.undeliverable").Add(st.Undeliverable)
-	r.Counter("sim.route_changes").Add(st.RouteChanges)
-	r.Counter("transport.retransmits").Add(st.Retransmits)
-	r.Counter("transport.dup_suppressed").Add(st.DupSuppressed)
-	r.Counter("transport.abandoned").Add(st.TransportAbandoned)
-	// Registered only when a hit occurred, so a BloomPL-off run's
-	// telemetry snapshot is byte-identical to pre-option runs.
-	if st.PLFalsePositives > 0 {
-		r.Counter("sim.pl_fp").Add(st.PLFalsePositives)
-	}
-	for kind, msgs := range st.MsgsByKind {
-		r.Counter(series + ".msgs." + kind).Add(msgs)
-		r.Counter(series + ".units." + kind).Add(st.UnitsByKind[kind])
-		r.Counter(series + ".bytes." + kind).Add(st.BytesByKind[kind])
-	}
-	r.Distribution(series + ".conv_ms").Observe(float64(conv) / float64(time.Millisecond))
-	// Registered only when the data plane ran, so a flow-less run's
-	// telemetry snapshot is byte-identical to pre-data-plane runs.
-	if imp := j.out.Impact; len(j.flows) > 0 {
-		r.Distribution(series + ".blackhole_s").Observe(imp.BlackholeSec)
-		r.Distribution(series + ".loop_pkts").Observe(imp.LoopPackets)
-		r.Distribution(series + ".valley_pkts").Observe(imp.ValleyDeliveries)
-	}
-}
-
-// reliabilityProtocols is the fixed series list, matching the Figure 6
-// policy setup (hashed tie-breaks) so one solver solution verifies both
-// path-vector protocols. OSPF runs with DatabaseExchange: without it a
-// crashed router cannot rejoin, and the fault workload crashes routers.
-// cfg.BloomPL/PLFPRate select the centaur Permission List encoding.
-func reliabilityProtocols(cfg ReliabilityConfig) []struct {
-	name  string
-	build sim.Builder
-} {
-	return []struct {
-		name  string
-		build sim.Builder
-	}{
-		{"centaur", centaur.New(centaur.Config{
-			Policy:   hashedPolicy,
-			BloomPL:  cfg.BloomPL,
-			PLFPRate: cfg.PLFPRate,
-		})},
-		{"bgp", bgp.New(bgp.Config{Policy: hashedPolicy})},
-		{"ospf", ospf.NewWithConfig(ospf.Config{DatabaseExchange: true})},
+		if s.Converged {
+			vs := invariant.Check(net, sol)
+			if tracker != nil {
+				// The data-plane walker must agree with the oracle wherever the
+				// control plane does: every tracked flow checks out against the
+				// solver (path-vector) or shortest-path distances (next-hop).
+				vs = append(vs, invariant.CheckFlows(net, sol, t.flows)...)
+			}
+			if len(vs) > 0 {
+				s.Violations = len(vs)
+				s.FirstViolation = vs[0].String()
+			}
+		}
+		r := t.tele
+		if !r.Enabled() {
+			return nil
+		}
+		// The faults.* counters are incremented by the injector itself.
+		t.record(st, ".conv_ms", o.conv)
+		t.recordLoss(st)
+		r.Counter("transport.retransmits").Add(st.Retransmits)
+		r.Counter("transport.dup_suppressed").Add(st.DupSuppressed)
+		r.Counter("transport.abandoned").Add(st.TransportAbandoned)
+		// Registered only when a hit occurred, so a BloomPL-off run's
+		// telemetry snapshot is byte-identical to pre-option runs.
+		if st.PLFalsePositives > 0 {
+			r.Counter("sim.pl_fp").Add(st.PLFalsePositives)
+		}
+		// Registered only when the data plane ran, so a flow-less run's
+		// telemetry snapshot is byte-identical to pre-data-plane runs.
+		if tracker != nil {
+			r.Distribution(t.series + ".blackhole_s").Observe(s.Impact.BlackholeSec)
+			r.Distribution(t.series + ".loop_pkts").Observe(s.Impact.LoopPackets)
+			r.Distribution(t.series + ".valley_pkts").Observe(s.Impact.ValleyDeliveries)
+		}
+		return nil
 	}
 }
 
@@ -345,7 +261,7 @@ func RunReliability(cfg ReliabilityConfig) (*ReliabilityResult, error) {
 			return nil, err
 		}
 	}
-	sol, err := solver.SolveOpts(g, solver.Options{TieBreak: hashedPolicy.TieBreak})
+	sol, err := hashedSolve(g)
 	if err != nil {
 		return nil, err
 	}
@@ -357,14 +273,7 @@ func RunReliability(cfg ReliabilityConfig) (*ReliabilityResult, error) {
 	if len(churnRates) == 0 {
 		churnRates = []float64{0}
 	}
-	trials := cfg.Trials
-	if trials <= 0 {
-		trials = 1
-	}
-	budget := cfg.MaxEvents
-	if budget <= 0 {
-		budget = maxEvents
-	}
+	nTrials := max(cfg.Trials, 1)
 	detects := cfg.DetectIntervals
 	if len(detects) == 0 {
 		detects = []time.Duration{0}
@@ -378,9 +287,20 @@ func RunReliability(cfg ReliabilityConfig) (*ReliabilityResult, error) {
 		return nil, err
 	}
 
-	protos := reliabilityProtocols(cfg)
+	// The fixed series list, matching the Figure 6 policy setup (hashed
+	// tie-breaks) so one solver solution verifies both path-vector
+	// protocols. OSPF runs with DatabaseExchange: without it a crashed
+	// router cannot rejoin, and the fault workload crashes routers.
+	protos := []struct {
+		name  string
+		build sim.Builder
+	}{
+		{"centaur", hashedCentaur(centaur.Config{BloomPL: cfg.BloomPL, PLFPRate: cfg.PLFPRate})},
+		{"bgp", bgp.New(bgp.Config{Policy: hashedPolicy})},
+		{"ospf", ospf.NewWithConfig(ospf.Config{DatabaseExchange: true})},
+	}
 	res := &ReliabilityResult{
-		Samples:   make([]ReliabilitySample, len(protos)*len(detects)*len(lossRates)*len(churnRates)*trials),
+		Samples:   make([]ReliabilitySample, len(protos)*len(detects)*len(lossRates)*len(churnRates)*nTrials),
 		HasImpact: len(flows) > 0,
 	}
 	for _, d := range detects {
@@ -388,12 +308,13 @@ func RunReliability(cfg ReliabilityConfig) (*ReliabilityResult, error) {
 			res.HasDetect = true
 		}
 	}
-	var jobs []relJob
+	var trials []trial
 	for _, p := range protos {
 		base := p.build
 		if !cfg.NoTransport {
 			base = sim.Reliable(base, cfg.Transport)
 		}
+		series := "rel." + p.name
 		for _, detect := range detects {
 			// Liveness wraps outside the transport: it must hear raw carrier
 			// events, and its control frames must not ride the retransmitting
@@ -405,48 +326,39 @@ func RunReliability(cfg ReliabilityConfig) (*ReliabilityResult, error) {
 			})
 			for _, loss := range lossRates {
 				for _, churn := range churnRates {
-					for trial := 0; trial < trials; trial++ {
-						i := len(jobs)
+					for k := 0; k < nTrials; k++ {
+						i := len(trials)
 						res.Samples[i] = ReliabilitySample{
-							Protocol: p.name, Loss: loss, Churn: churn, Trial: trial,
+							Protocol: p.name, Loss: loss, Churn: churn, Trial: k,
 							DetectInterval: detect,
 						}
-						jobs = append(jobs, relJob{
-							index:    i,
-							protocol: p.name,
-							build:    build,
-							topo:     g,
-							sol:      sol,
-							plan: faults.Plan{
-								Seed:    cfg.FaultSeed + int64(i),
-								Loss:    loss,
-								Dup:     cfg.Dup,
-								Jitter:  cfg.Jitter,
-								Churn:   churn,
-								Crashes: cfg.Crashes,
-								Window:  cfg.Window,
+						plan := faults.Plan{
+							Seed:    cfg.FaultSeed + int64(i),
+							Loss:    loss,
+							Dup:     cfg.Dup,
+							Jitter:  cfg.Jitter,
+							Churn:   churn,
+							Crashes: cfg.Crashes,
+							Window:  cfg.Window,
+						}
+						trials = append(trials, trial{
+							label: "experiments: reliability " + p.name,
+							topo:  g, build: build, delaySeed: cfg.Seed + int64(i), budget: cfg.MaxEvents,
+							series: series, tele: cfg.Telemetry, chunk: cfg.Trace.Chunk(series, cfg.Seed+int64(i)),
+							flows: flows, flowRate: cfg.FlowRate,
+							setup: func(net *sim.Network) {
+								if plan.Active() {
+									faults.Attach(net, plan, cfg.Telemetry)
+								}
 							},
-							delaySeed: cfg.Seed + int64(i),
-							maxEvents: budget,
-							out:       &res.Samples[i],
-							tele:      cfg.Telemetry,
-							chunk:     cfg.Trace.Chunk("rel."+p.name, cfg.Seed+int64(i)),
-							flows:     flows,
-							flowRate:  cfg.FlowRate,
-							detect:    detect,
+							body: relBody(&res.Samples[i], sol),
 						})
 					}
 				}
 			}
 		}
 	}
-	poolProgress.total.Add(int64(len(jobs)))
-	err = parallelEach(len(jobs), cfg.Workers, func(i int) error {
-		err := jobs[i].run()
-		poolProgress.done.Add(1)
-		return err
-	})
-	if err != nil {
+	if err := runTrials(trials, cfg.Workers); err != nil {
 		return nil, err
 	}
 	return res, nil
@@ -534,4 +446,19 @@ func detectLabel(d time.Duration) string {
 		return "oracle"
 	}
 	return d.String()
+}
+
+// ParseRates parses a comma-separated grid axis of nonnegative rates
+// (loss rates, churn rates, noise fractions) as the CLIs take them.
+func ParseRates(s string) ([]float64, error) {
+	parts := strings.Split(s, ",")
+	out := make([]float64, 0, len(parts))
+	for _, p := range parts {
+		v, err := strconv.ParseFloat(strings.TrimSpace(p), 64)
+		if err != nil || v < 0 {
+			return nil, fmt.Errorf("bad rate %q", p)
+		}
+		out = append(out, v)
+	}
+	return out, nil
 }

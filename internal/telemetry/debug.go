@@ -10,6 +10,9 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
+	"os"
+	"runtime"
+	rpprof "runtime/pprof"
 	"sync"
 	"sync/atomic"
 )
@@ -76,4 +79,41 @@ func ServeDebug(addr string, r *Registry) (string, func(), error) {
 	srv := &http.Server{Handler: mux}
 	go srv.Serve(ln) //nolint:errcheck // ErrServerClosed after stop
 	return ln.Addr().String(), func() { srv.Close() }, nil
+}
+
+// StartProfiles starts CPU profiling into cpu and arranges a heap
+// snapshot into mem (either empty = off) for the command prog; the
+// returned stop function finishes both and is safe to call once. A bad
+// cpu path fails here; a bad mem path only warns on stderr at stop.
+func StartProfiles(prog, cpu, mem string) (func(), error) {
+	var cpuFile *os.File
+	if cpu != "" {
+		f, err := os.Create(cpu)
+		if err != nil {
+			return nil, fmt.Errorf("-cpuprofile: %w", err)
+		}
+		if err := rpprof.StartCPUProfile(f); err != nil {
+			f.Close()
+			return nil, fmt.Errorf("-cpuprofile: %w", err)
+		}
+		cpuFile = f
+	}
+	return func() {
+		if cpuFile != nil {
+			rpprof.StopCPUProfile()
+			cpuFile.Close()
+		}
+		if mem != "" {
+			f, err := os.Create(mem)
+			if err != nil {
+				fmt.Fprintf(os.Stderr, "%s: -memprofile: %v\n", prog, err)
+				return
+			}
+			defer f.Close()
+			runtime.GC() // materialize the live heap before the snapshot
+			if err := rpprof.WriteHeapProfile(f); err != nil {
+				fmt.Fprintf(os.Stderr, "%s: -memprofile: %v\n", prog, err)
+			}
+		}
+	}, nil
 }
