@@ -110,7 +110,7 @@ func BenchmarkFigure5ImmediateOverhead(b *testing.B) {
 // time experiment (Figure 6) at reduced scale.
 func BenchmarkFigure6Convergence(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.Figure6(experiments.Figure6Config{
+		res, err := experiments.Figure6(experiments.Scenario{
 			Nodes: benchSimNodes, LinksPerNode: 2, Flips: benchFlips,
 			Seed: int64(i + 1), MRAI: 30 * time.Second,
 		})
@@ -127,7 +127,7 @@ func BenchmarkFigure6Convergence(b *testing.B) {
 // experiment (Figure 7) at reduced scale.
 func BenchmarkFigure7ConvergenceLoad(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.Figure7(experiments.Figure7Config{
+		res, err := experiments.Figure7(experiments.Scenario{
 			Nodes: benchSimNodes, LinksPerNode: 2, Flips: benchFlips, Seed: int64(i + 1),
 		})
 		if err != nil {
@@ -143,8 +143,8 @@ func BenchmarkFigure7ConvergenceLoad(b *testing.B) {
 // scalability comparison (Figure 8).
 func BenchmarkFigure8Scalability(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.Figure8(experiments.Figure8Config{
-			Sizes: []int{benchSimNodes}, LinksPerNode: 2, FlipsPerSize: benchFlips, Seed: int64(i + 1),
+		res, err := experiments.Figure8(experiments.Scenario{
+			Sizes: []int{benchSimNodes}, LinksPerNode: 2, Flips: benchFlips, Seed: int64(i + 1),
 		})
 		if err != nil {
 			b.Fatal(err)

@@ -17,11 +17,12 @@
 // the -report path, BENCH_report.json by default. -workers bounds the
 // simulator fan-out; -trials-per-net chunks each figure series over
 // fresh networks, which the converged-state checkpoint layer then
-// serves from forks of one cold start (-no-checkpoint opts out);
-// -cpuprofile/-memprofile write pprof profiles. -trace writes the
-// simulator event trace of the dynamic steps; adding -prov upgrades it
-// to schema v2 (causal provenance) and folds per-series critical-path
-// percentiles into the report's "provenance" section.
+// serves from forks of one cold start; -cpuprofile/-memprofile write
+// pprof profiles. -trace writes the simulator event trace of the
+// dynamic steps; adding -prov upgrades it to schema v2 (causal
+// provenance) and folds per-series critical-path percentiles into the
+// report's "provenance" section. A flag only an opt-in step reads fails
+// the run unless the step is on.
 package main
 
 import (
@@ -35,15 +36,11 @@ import (
 	"strings"
 	"time"
 
-	"centaur/internal/bgp"
-	"centaur/internal/centaur"
+	"centaur/internal/adversary"
 	"centaur/internal/experiments"
 	"centaur/internal/forward"
 	"centaur/internal/liveness"
-	"centaur/internal/ospf"
-	"centaur/internal/pgraph"
 	"centaur/internal/policy"
-	"centaur/internal/solver"
 	"centaur/internal/telemetry"
 )
 
@@ -86,124 +83,97 @@ type benchReport struct {
 	Provenance map[string]telemetry.SeriesProvenance `json:"provenance,omitempty"`
 }
 
+// help is centaur-bench's text for the shared flags whose text differs
+// from centaur-sim's.
+var help = map[string]string{
+	"seed":              "master seed",
+	"trace":             "write a structured JSONL event trace of the figure 6-8 and reliability steps to this file",
+	"prov":              "emit the trace with causal provenance (schema v2; requires -trace) and add per-series critical-path percentiles to the report",
+	"loss":              "reliability step: comma-separated per-message loss rates",
+	"dup":               "reliability step: per-message duplication probability",
+	"jitter":            "reliability step: max extra per-message delivery delay",
+	"churn":             "reliability step: comma-separated link-flap rates (flaps per simulated second)",
+	"crashes":           "reliability step: node crash/restart cycles per trial",
+	"fault-seed":        "reliability step: fault-plan seed (same seed ⇒ same faults)",
+	"flows":             "user-impact step: tracked src→dst flows (quick: halved; 0 skips the step)",
+	"bloom-pl":          "measure Bloom-compressed Permission Lists: adds the PL-overhead step and switches the reliability centaur series to compressed lists",
+	"pl-fp-rate":        "per-filter false-positive target for -bloom-pl (0 = protocol default)",
+	"adv":               "add the adversarial step: route leaks and hijacks with the invariant checker as the detector, 1000 nodes (quick: 150)",
+	"adv-seed":          "adversarial step: attacker-selection and noise-relabeling seed",
+	"scaling":           "add the solver scaling step: cold solve vs incremental flips at 1k/4k/16k nodes (quick: 300/600), verified answer-identical",
+	"scaling-max-nodes": "scaling step: largest sweep tier (75000 adds the real-AS-scale point on the sharded table layout)",
+}
+
 func run(args []string) error {
 	fs := flag.NewFlagSet("centaur-bench", flag.ExitOnError)
+	c := experiments.NewCLI("centaur-bench")
+	c.Loss, c.Rel.Crashes, c.Scenario.Flows = "0,0.1,0.2", 1, 64
+	c.Register(fs, help)
 	var (
 		quick      = fs.Bool("quick", false, "run at smoke scale")
-		seed       = fs.Int64("seed", 1, "master seed")
-		workers    = fs.Int("workers", 0, "max concurrent simulations (0 = GOMAXPROCS, 1 = serial)")
-		trialsPer  = fs.Int("trials-per-net", 0, "flip trials per fresh network; 0 = one shared network per series (historical semantics)")
-		noCheckpt  = fs.Bool("no-checkpoint", false, "disable converged-state checkpointing; cold-start every trial chunk")
 		reportPath = fs.String("report", "BENCH_report.json", "write the machine-readable report here (empty = skip)")
-		cpuprofile = fs.String("cpuprofile", "", "write a CPU profile to this file")
-		memprofile = fs.String("memprofile", "", "write a heap profile to this file on exit")
-		debugAddr  = fs.String("debug-addr", "", "serve /debug/vars and /debug/pprof on this address (e.g. localhost:6060)")
-		progress   = fs.Duration("progress", 0, "print a progress line to stderr at this interval (0 = off)")
-		traceFile  = fs.String("trace", "", "write a structured JSONL event trace of the figure 6-8 and reliability steps to this file")
-		prov       = fs.Bool("prov", false, "emit the trace with causal provenance (schema v2; requires -trace) and add per-series critical-path percentiles to the report")
-
-		loss       = fs.String("loss", "0,0.1,0.2", "reliability step: comma-separated per-message loss rates")
-		dup        = fs.Float64("dup", 0, "reliability step: per-message duplication probability")
-		jitter     = fs.Duration("jitter", 0, "reliability step: max extra per-message delivery delay")
-		churn      = fs.String("churn", "0,10", "reliability step: comma-separated link-flap rates (flaps per simulated second)")
-		crashes    = fs.Int("crashes", 1, "reliability step: node crash/restart cycles per trial")
-		faultSeed  = fs.Int64("fault-seed", 10_000, "reliability step: fault-plan seed (same seed ⇒ same faults)")
-		flows      = fs.Int("flows", 64, "user-impact step: tracked src→dst flows (quick: halved; 0 skips the step)")
 		detect     = fs.String("detect", "2ms,10ms,50ms", "user-impact step: comma-separated positive BFD transmit intervals; the oracle point is always swept first (unlike centaur-sim -detect-interval, 0 and oracle are rejected)")
-		bloomPL    = fs.Bool("bloom-pl", false, "measure Bloom-compressed Permission Lists: adds the PL-overhead step and switches the reliability centaur series to compressed lists")
-		plFPRate   = fs.Float64("pl-fp-rate", 0, "per-filter false-positive target for -bloom-pl (0 = protocol default)")
-		advStep    = fs.Bool("adv", false, "add the adversarial step: route leaks and hijacks with the invariant checker as the detector, 1000 nodes (quick: 150)")
-		advSeed    = fs.Int64("adv-seed", 40_000, "adversarial step: attacker-selection and noise-relabeling seed")
-		scaling    = fs.Bool("scaling", false, "add the solver scaling step: cold solve vs incremental flips at 1k/4k/16k nodes (quick: 300/600), verified answer-identical")
-		scalingMax = fs.Int("scaling-max-nodes", 16000, "scaling step: largest sweep tier (75000 adds the real-AS-scale point on the sharded table layout)")
 	)
 	fs.Parse(args) // ExitOnError: a malformed flag has already exited
-	// The steps read a count below one as "all" or "the default", so a
-	// slip like -workers -3 would silently run at full width.
-	for _, c := range []struct {
-		name string
-		v    int
+	// The flags only an opt-in step reads, and the flag that turns the
+	// step on.
+	for _, o := range []struct {
+		flag, step string
+		on         bool
 	}{
-		{"workers", *workers}, {"trials-per-net", *trialsPer}, {"crashes", *crashes},
-		{"flows", *flows}, {"scaling-max-nodes", *scalingMax},
+		{"pl-fp-rate", "-bloom-pl", c.Rel.BloomPL},
+		{"adv-seed", "-adv", c.AdvOn},
+		{"scaling-max-nodes", "-scaling", c.Scaling},
+		{"detect", "-flows above 0", c.Scenario.Flows > 0},
 	} {
-		if c.v < 0 {
-			return fmt.Errorf("-%s %d: a count cannot be negative", c.name, c.v)
+		if !o.on && c.IsSet(o.flag) {
+			return fmt.Errorf("-%s: centaur-bench without %s does not read it", o.flag, o.step)
 		}
 	}
-	if *prov && *traceFile == "" {
-		return fmt.Errorf("-prov requires -trace (provenance rides on the event trace)")
+	detects, err := parseDetects(*detect)
+	if err != nil {
+		return fmt.Errorf("-detect: %w", err)
 	}
-
-	stop, err := telemetry.StartProfiles("centaur-bench", *cpuprofile, *memprofile)
+	stop, err := c.Start(telemetry.New, true)
 	if err != nil {
 		return err
 	}
 	defer stop()
+	reg, tc := c.Scenario.Telemetry, c.Scenario.Trace
 
-	// The bench always collects telemetry: its snapshot is part of the
-	// machine-readable report.
-	reg := telemetry.New()
-	bgp.SetTelemetry(reg)
-	ospf.SetTelemetry(reg)
-	centaur.SetTelemetry(reg)
-	pgraph.SetTelemetry(reg)
-	solver.SetTelemetry(reg)
-	forward.SetTelemetry(reg)
-	liveness.SetTelemetry(reg)
-	if *debugAddr != "" {
-		addr, stopDebug, err := telemetry.ServeDebug(*debugAddr, reg)
-		if err != nil {
-			return err
-		}
-		defer stopDebug()
-		fmt.Fprintf(os.Stderr, "centaur-bench: debug endpoint at http://%s/debug/vars\n", addr)
+	sc := experiments.Scale{Nodes: 4000, Seed: c.Scenario.Seed}
+	// Every simulated step runs on the shared seed, workers, telemetry
+	// and trace, at its own scale.
+	at := func(nodes int) experiments.Scenario {
+		s := c.Scenario
+		s.Nodes, s.LinksPerNode, s.Flows = nodes, 2, 0
+		return s
 	}
-	if *progress > 0 {
-		stopProgress := experiments.StartProgress(os.Stderr, *progress, reg)
-		defer stopProgress()
-	}
-
-	sc := experiments.Scale{Nodes: 4000, Seed: *seed}
-	fig6 := experiments.DefaultFigure6Config()
-	fig7 := experiments.DefaultFigure7Config()
-	fig8 := experiments.DefaultFigure8Config()
+	fig := at(500)
+	fig.Flips, fig.MRAI = 120, 30*time.Second
+	fig8 := fig
+	fig8.Sizes, fig8.Flips = []int{100, 200, 300, 400, 500, 600, 700, 800, 900, 1000}, 30
+	rel, adv := at(150), at(1000)
 	fig5Sample := 600
 	if *quick {
 		sc.Nodes = 600
-		fig6 = experiments.Figure6Config{Nodes: 150, LinksPerNode: 2, Flips: 30, Seed: *seed, MRAI: 30 * time.Second}
-		fig7 = experiments.Figure7Config{Nodes: 150, LinksPerNode: 2, Flips: 30, Seed: *seed}
-		fig8 = experiments.Figure8Config{Sizes: []int{60, 120, 240, 480}, LinksPerNode: 2, FlipsPerSize: 15, Seed: *seed}
+		fig.Nodes, fig.Flips = 150, 30
+		fig8.Sizes, fig8.Flips = []int{60, 120, 240, 480}, 15
+		rel.Nodes, adv.Nodes = 60, 150
 		fig5Sample = 150
 	}
-	fig6.Seed, fig7.Seed, fig8.Seed = *seed, *seed, *seed
-	fig6.Workers, fig7.Workers, fig8.Workers = *workers, *workers, *workers
-	fig6.TrialsPerNetwork, fig7.TrialsPerNetwork, fig8.TrialsPerNetwork = *trialsPer, *trialsPer, *trialsPer
-	fig6.NoCheckpoint, fig7.NoCheckpoint, fig8.NoCheckpoint = *noCheckpt, *noCheckpt, *noCheckpt
-	fig6.Telemetry, fig7.Telemetry, fig8.Telemetry = reg, reg, reg
-
-	// Opt-in like -bloom-pl: without -trace the report and stdout stay
-	// byte-identical to builds predating the option.
-	var tc *telemetry.TraceCollector
-	if *traceFile != "" {
-		if *prov {
-			tc = telemetry.NewTraceCollectorV2()
-		} else {
-			tc = telemetry.NewTraceCollector()
-		}
-		fig6.Trace, fig7.Trace, fig8.Trace = tc, tc, tc
-	}
+	seed, workers := c.Scenario.Seed, c.Scenario.Workers
 
 	start := time.Now()
 	report := benchReport{
 		Generated:  time.Now().UTC().Format(time.RFC3339),
 		Nodes:      sc.Nodes,
-		Seed:       *seed,
+		Seed:       seed,
 		Quick:      *quick,
-		Workers:    *workers,
+		Workers:    workers,
 		GoMaxProcs: runtime.GOMAXPROCS(0),
 	}
-	fmt.Printf("Centaur reproduction report (scale: %d nodes, seed %d)\n", sc.Nodes, *seed)
+	fmt.Printf("Centaur reproduction report (scale: %d nodes, seed %d)\n", sc.Nodes, seed)
 	fmt.Printf("generated: %s\n\n", report.Generated)
 
 	step := func(name string, f func() (fmt.Stringer, error)) error {
@@ -259,10 +229,10 @@ func run(args []string) error {
 
 	// Opt-in so a run without -bloom-pl produces byte-identical output
 	// (report and stdout) to builds predating the option.
-	if *bloomPL {
+	if c.Rel.BloomPL {
 		if err := step("pl overhead", func() (fmt.Stringer, error) {
 			return experiments.PLOverhead(experiments.PLOverheadConfig{
-				Solved: solved, FPRate: *plFPRate, Workers: *workers,
+				Solved: solved, FPRate: c.Rel.PLFPRate, Workers: workers,
 			})
 		}); err != nil {
 			return err
@@ -270,18 +240,18 @@ func run(args []string) error {
 	}
 
 	if err := step("figure 5", func() (fmt.Stringer, error) {
-		return experiments.Figure5(solved[0].Name, solved[0].Sol, fig5Sample, *seed)
+		return experiments.Figure5(solved[0].Name, solved[0].Sol, fig5Sample, seed)
 	}); err != nil {
 		return err
 	}
 
 	if err := step("figure 6", func() (fmt.Stringer, error) {
-		return experiments.Figure6(fig6)
+		return experiments.Figure6(fig)
 	}); err != nil {
 		return err
 	}
 	if err := step("figure 7", func() (fmt.Stringer, error) {
-		return experiments.Figure7(fig7)
+		return experiments.Figure7(fig)
 	}); err != nil {
 		return err
 	}
@@ -291,26 +261,8 @@ func run(args []string) error {
 		return err
 	}
 
-	relCfg := experiments.DefaultReliabilityConfig()
-	if *quick {
-		relCfg.Nodes = 60
-	}
-	lossRates, err := experiments.ParseRates(*loss)
-	if err != nil {
-		return fmt.Errorf("-loss: %w", err)
-	}
-	churnRates, err := experiments.ParseRates(*churn)
-	if err != nil {
-		return fmt.Errorf("-churn: %w", err)
-	}
-	relCfg.LossRates, relCfg.ChurnRates = lossRates, churnRates
-	relCfg.Dup, relCfg.Jitter, relCfg.Crashes = *dup, *jitter, *crashes
-	relCfg.Seed, relCfg.FaultSeed = *seed, *faultSeed
-	relCfg.BloomPL, relCfg.PLFPRate = *bloomPL, *plFPRate
-	relCfg.Workers, relCfg.Telemetry = *workers, reg
-	relCfg.Trace = tc
 	if err := step("reliability", func() (fmt.Stringer, error) {
-		return experiments.RunReliability(relCfg)
+		return experiments.RunReliability(rel, c.Rel)
 	}); err != nil {
 		return err
 	}
@@ -319,21 +271,17 @@ func run(args []string) error {
 	// plane — blackhole-seconds and loop packets integrated over tracked
 	// flows, swept across failure-detection latency (oracle vs BFD-style
 	// sessions at each -detect interval).
-	if *flows > 0 {
-		detects, err := parseDetects(*detect)
-		if err != nil {
-			return fmt.Errorf("-detect: %w", err)
+	if flows := c.Scenario.Flows; flows > 0 {
+		imp, impCfg := rel, c.Rel
+		imp.Flows, imp.FlowSeed = flows, 42
+		if *quick {
+			imp.Flows = (flows + 1) / 2
 		}
-		impCfg := relCfg
 		impCfg.LossRates = []float64{0, 0.1}
 		impCfg.ChurnRates = []float64{0, 10}
-		impCfg.Flows, impCfg.FlowSeed = *flows, 42
-		if *quick {
-			impCfg.Flows = (*flows + 1) / 2
-		}
 		impCfg.DetectIntervals = append([]time.Duration{0}, detects...)
 		if err := step("user impact", func() (fmt.Stringer, error) {
-			return experiments.RunReliability(impCfg)
+			return experiments.RunReliability(imp, impCfg)
 		}); err != nil {
 			return err
 		}
@@ -341,16 +289,14 @@ func run(args []string) error {
 
 	// Opt-in like -bloom-pl: a run without -adv produces byte-identical
 	// output (report and stdout) to builds predating the suite.
-	if *advStep {
-		advCfg := experiments.DefaultAdversarialConfig()
-		advCfg.Nodes = 1000
-		if *quick {
-			advCfg.Nodes = 150
+	if c.AdvOn {
+		advCfg := experiments.AdversarialConfig{
+			Kinds:      []adversary.Kind{adversary.Leak, adversary.Hijack},
+			NoiseFracs: []float64{0, 0.02},
+			AdvSeed:    c.Adv.AdvSeed,
 		}
-		advCfg.Seed, advCfg.AdvSeed = *seed, *advSeed
-		advCfg.Workers, advCfg.Telemetry, advCfg.Trace = *workers, reg, tc
 		if err := step("adversarial", func() (fmt.Stringer, error) {
-			return experiments.RunAdversarial(advCfg)
+			return experiments.RunAdversarial(adv, advCfg)
 		}); err != nil {
 			return err
 		}
@@ -358,14 +304,14 @@ func run(args []string) error {
 
 	// Extensions beyond the paper's evaluation (DESIGN.md §6).
 	if err := step("multipath extension", func() (fmt.Stringer, error) {
-		return experiments.MultipathExtension(solved[0].Sol, 3, 200, *seed)
+		return experiments.MultipathExtension(solved[0].Sol, 3, 200, seed)
 	}); err != nil {
 		return err
 	}
 	aggCfg := experiments.DefaultAggregationConfig()
-	aggCfg.Seed = *seed
+	aggCfg.Seed = seed
 	if *quick {
-		aggCfg = experiments.AggregationConfig{Nodes: 80, Hosts: 6, Parts: []int{0, 2, 4}, Seed: *seed}
+		aggCfg = experiments.AggregationConfig{Nodes: 80, Hosts: 6, Parts: []int{0, 2, 4}, Seed: seed}
 	}
 	if err := step("aggregation extension", func() (fmt.Stringer, error) {
 		return experiments.AggregationExtension(aggCfg)
@@ -375,25 +321,16 @@ func run(args []string) error {
 
 	// Opt-in: the 16k cold solve takes about a minute per pass (two with
 	// verification) on top of the sweep itself.
-	if *scaling {
-		scCfg := experiments.ScalingConfig{
-			Sizes: experiments.ScalingSizesUpTo(*scalingMax),
-			Seed:  *seed, TieBreak: policy.TieHashed, Verify: true,
-		}
-		scalingMaxSet := false
-		fs.Visit(func(f *flag.Flag) {
-			if f.Name == "scaling-max-nodes" {
-				scalingMaxSet = true
-			}
-		})
+	if c.Scaling {
+		sweep := experiments.Scenario{Sizes: experiments.ScalingSizesUpTo(c.ScalingMax), Seed: seed, Verify: true}
 		// -quick shrinks the sweep unless the caller explicitly asked for
 		// a tier ceiling (e.g. a quick bench that still wants the 75k
 		// point and nothing else slow).
-		if *quick && !scalingMaxSet {
-			scCfg.Sizes = []int{300, 600}
+		if *quick && !c.IsSet("scaling-max-nodes") {
+			sweep.Sizes = []int{300, 600}
 		}
 		if err := step("scaling", func() (fmt.Stringer, error) {
-			return experiments.Scaling(scCfg)
+			return experiments.Scaling(sweep)
 		}); err != nil {
 			return err
 		}
@@ -406,11 +343,11 @@ func run(args []string) error {
 	reg.Gauge("heap.max_bytes").SetMax(int64(ms.HeapAlloc))
 	report.Telemetry = reg.Snapshot()
 	if tc != nil {
-		if err := os.WriteFile(*traceFile, tc.Bytes(), 0o644); err != nil {
-			return fmt.Errorf("-trace: %w", err)
+		if err := c.WriteTrace(); err != nil {
+			return err
 		}
-		fmt.Printf("event trace: %s\n", *traceFile)
-		if *prov {
+		fmt.Printf("event trace: %s\n", c.TraceFile)
+		if c.Prov {
 			rep, err := telemetry.Explain(bytes.NewReader(tc.Bytes()))
 			if err != nil {
 				return fmt.Errorf("-prov: %w", err)

@@ -19,6 +19,11 @@ func TestRunRejectsBadInvocations(t *testing.T) {
 		{[]string{"-quick", "-flows", "-8"}, "-flows -8"},
 		{[]string{"-quick", "-scaling", "-scaling-max-nodes", "-1"}, "-scaling-max-nodes -1"},
 		{[]string{"-quick", "-prov"}, "-prov requires -trace"},
+		// A flag only an opt-in step reads fails the run without the step.
+		{[]string{"-quick", "-pl-fp-rate", "0.1"}, "-pl-fp-rate: centaur-bench without -bloom-pl does not read it"},
+		{[]string{"-quick", "-adv-seed", "7"}, "-adv-seed: centaur-bench without -adv does not read it"},
+		{[]string{"-quick", "-scaling-max-nodes", "4000"}, "-scaling-max-nodes: centaur-bench without -scaling does not read it"},
+		{[]string{"-quick", "-flows", "0", "-detect", "2ms"}, "-detect: centaur-bench without -flows above 0 does not read it"},
 	} {
 		err := run(append(tc.args, "-report", ""))
 		if err == nil || !strings.Contains(err.Error(), tc.want) {

@@ -37,13 +37,13 @@
 // every filter false positive is denied, counted (pl.fp_hits), and
 // traced (pl-fp events).
 //
-// All modes accept -workers and -trials-per-net to fan independent
-// simulations out over a bounded worker pool; results are identical for
-// every worker count (see experiments.FlipConfig). With -trials-per-net
-// set, each series cold-starts once and forks its converged state per
-// trial chunk (see sim.Checkpoint); -no-checkpoint restores the
-// per-chunk cold starts. -cpuprofile and -memprofile write pprof
-// profiles of the run.
+// The simulating modes accept -workers to fan independent simulations
+// out over a bounded worker pool; results are identical for every worker
+// count (see experiments.FlipConfig). With -trials-per-net set, each flip
+// series cold-starts once and forks its converged state per trial chunk
+// (see sim.Checkpoint). Every mode accepts -cpuprofile and -memprofile,
+// which write pprof profiles of the run, and rejects any flag it does
+// not read (see modes).
 //
 // Observability: -trace file.jsonl records every simulator event as a
 // structured JSONL trace (byte-identical across worker counts, so two
@@ -62,15 +62,7 @@ import (
 	"time"
 
 	"centaur/internal/adversary"
-	"centaur/internal/bgp"
-	"centaur/internal/centaur"
 	"centaur/internal/experiments"
-	"centaur/internal/forward"
-	"centaur/internal/liveness"
-	"centaur/internal/ospf"
-	"centaur/internal/pgraph"
-	"centaur/internal/policy"
-	"centaur/internal/solver"
 	"centaur/internal/telemetry"
 )
 
@@ -85,341 +77,242 @@ func main() {
 	}
 }
 
+// help is centaur-sim's text for the shared flags whose text differs
+// from centaur-bench's.
+var help = map[string]string{
+	"seed":              "topology, delay, and sampling seed",
+	"trace":             "write a structured JSONL event trace to this file",
+	"prov":              "emit the trace with causal provenance (schema v2; requires -trace)",
+	"loss":              "reliability: comma-separated per-message loss rates",
+	"dup":               "reliability: per-message duplication probability",
+	"jitter":            "reliability: max extra per-message delivery delay",
+	"churn":             "reliability: comma-separated link-flap rates (flaps per simulated second)",
+	"crashes":           "reliability: node crash/restart cycles per trial",
+	"fault-seed":        "reliability: fault-plan seed (same seed ⇒ same faults)",
+	"bloom-pl":          "reliability: centaur sends Bloom-compressed Permission Lists",
+	"pl-fp-rate":        "reliability: per-filter false-positive target for -bloom-pl (0 = protocol default)",
+	"adv":               "run the adversarial experiment (route leaks, hijacks, interception, relationship-inference noise)",
+	"adv-seed":          "adversarial: attacker-selection and noise-relabeling seed",
+	"flows":             "data plane: src→dst traffic aggregates walked through the live RIBs (0 = off); figures 6/7, -rel, and -adv",
+	"scaling":           "run the solver scaling sweep (cold solve vs incremental flips; -sizes, -flips, -seed apply)",
+	"scaling-max-nodes": "scaling: largest default sweep tier (75000 adds the real-AS-scale point; ignored when -sizes is set)",
+}
+
+// options is centaur-sim's parsed command line: the shared flags and
+// its own.
+type options struct {
+	*experiments.CLI
+	fig                     string
+	compare, rel, noVerify  bool
+	sizes                   string
+	trials                  int
+	kinds, attackers, noise string
+	detect                  string
+	oracleDetect            bool
+}
+
+// mode is one way centaur-sim runs: its name as the command line selects
+// it, the flags it reads besides the setup flags every mode honours, and
+// its runner.
+type mode struct {
+	name  string
+	reads string
+	run   func(o *options) (fmt.Stringer, error)
+}
+
+// modes is every way centaur-sim runs. A flag set on the command line
+// that the selected mode does not read fails the run before anything
+// runs.
+var modes = []mode{
+	{"-fig 6", "fig nodes m flips seed mrai workers trials-per-net verify trace prov flows flow-seed flow-rate detect-interval detect-mult", func(o *options) (fmt.Stringer, error) {
+		if err := o.single(); err != nil {
+			return nil, err
+		}
+		return experiments.Figure6(o.Scenario)
+	}},
+	{"-fig 7", "fig nodes m flips seed workers trials-per-net verify trace prov flows flow-seed flow-rate detect-interval detect-mult", func(o *options) (fmt.Stringer, error) {
+		if err := o.single(); err != nil {
+			return nil, err
+		}
+		return experiments.Figure7(o.Scenario)
+	}},
+	{"-fig 8", "fig sizes m flips seed workers trials-per-net verify trace prov", func(o *options) (fmt.Stringer, error) {
+		var err error
+		if o.Scenario.Sizes, err = parseSizes(o.sizes); err != nil {
+			return nil, err
+		}
+		return experiments.Figure8(o.Scenario)
+	}},
+	{"-compare", "compare nodes m flips seed mrai workers trials-per-net trace prov", func(o *options) (fmt.Stringer, error) {
+		return experiments.Ladder(o.Scenario)
+	}},
+	{"-rel", "rel nodes m seed workers trace prov loss dup jitter churn crashes fault-seed trials no-transport bloom-pl pl-fp-rate flows flow-seed flow-rate detect-interval detect-mult oracle-detect", runReliability},
+	{"-adv", "adv nodes m seed workers trace prov adv-kinds adv-attackers adv-noise adv-seed trials flows flow-seed flow-rate", runAdversarial},
+	{"-scaling", "scaling sizes scaling-max-nodes flips seed no-verify", runScaling},
+}
+
 // run executes one command line, printing the results to w; diagnostics
 // and progress go to stderr.
 func run(args []string, w io.Writer) error {
-	fs := flag.NewFlagSet("centaur-sim", flag.ExitOnError)
-	var (
-		fig        = fs.String("fig", "", "reproduce a figure: 6 | 7 | 8")
-		compare    = fs.Bool("compare", false, "run the full protocol ladder (Centaur, BGP, BGP+MRAI, BGP-RCN, OSPF) on one flip workload")
-		nodes      = fs.Int("nodes", 500, "BRITE topology size (figures 6 and 7)")
-		m          = fs.Int("m", 2, "BRITE attachment links per node")
-		flips      = fs.Int("flips", 120, "links flipped per measurement (0 = all)")
-		seed       = fs.Int64("seed", 1, "topology, delay, and sampling seed")
-		mrai       = fs.Duration("mrai", 30*time.Second, "BGP MRAI for the figure 6 headline series")
-		sizes      = fs.String("sizes", "100,200,300,400,500,600,700,800,900,1000", "figure 8 topology sizes")
-		workers    = fs.Int("workers", 0, "max concurrent simulations (0 = GOMAXPROCS, 1 = serial)")
-		trialsPer  = fs.Int("trials-per-net", 0, "flip trials per fresh network; 0 = one shared network per series (historical semantics)")
-		cpuprofile = fs.String("cpuprofile", "", "write a CPU profile to this file")
-		memprofile = fs.String("memprofile", "", "write a heap profile to this file on exit")
-		noCheckpt  = fs.Bool("no-checkpoint", false, "disable converged-state checkpointing; cold-start every trial chunk")
-		verify     = fs.Bool("verify", false, "figures 6-8: invariant-check every quiesced flip state against the incremental solver oracle")
-		scaling    = fs.Bool("scaling", false, "run the solver scaling sweep (cold solve vs incremental flips; -sizes, -flips, -seed apply)")
-		scalingMax = fs.Int("scaling-max-nodes", 16000, "scaling: largest default sweep tier (75000 adds the real-AS-scale point; ignored when -sizes is set)")
-		noVerify   = fs.Bool("no-verify", false, "scaling: skip the answer-identical check against a fresh cold solve per size")
-		traceFile  = fs.String("trace", "", "write a structured JSONL event trace to this file")
-		prov       = fs.Bool("prov", false, "emit the trace with causal provenance (schema v2; requires -trace)")
-		debugAddr  = fs.String("debug-addr", "", "serve /debug/vars and /debug/pprof on this address (e.g. localhost:6060)")
-		progress   = fs.Duration("progress", 0, "print a progress line to stderr at this interval (0 = off)")
-
-		rel         = fs.Bool("rel", false, "run the reliability experiment (convergence under injected faults)")
-		loss        = fs.String("loss", "0,0.05,0.1,0.2", "reliability: comma-separated per-message loss rates")
-		dup         = fs.Float64("dup", 0, "reliability: per-message duplication probability")
-		jitter      = fs.Duration("jitter", 0, "reliability: max extra per-message delivery delay")
-		churn       = fs.String("churn", "0,10", "reliability: comma-separated link-flap rates (flaps per simulated second)")
-		crashes     = fs.Int("crashes", 0, "reliability: node crash/restart cycles per trial")
-		faultSeed   = fs.Int64("fault-seed", 10_000, "reliability: fault-plan seed (same seed ⇒ same faults)")
-		trials      = fs.Int("trials", 1, "reliability: trials per (protocol, loss, churn) grid point")
-		noTransport = fs.Bool("no-transport", false, "reliability: run protocols raw, without the reliable-transport adapter")
-		bloomPL     = fs.Bool("bloom-pl", false, "reliability: centaur sends Bloom-compressed Permission Lists")
-		plFPRate    = fs.Float64("pl-fp-rate", 0, "reliability: per-filter false-positive target for -bloom-pl (0 = protocol default)")
-
-		adv          = fs.Bool("adv", false, "run the adversarial experiment (route leaks, hijacks, interception, relationship-inference noise)")
-		advKinds     = fs.String("adv-kinds", "leak,hijack", "adversarial: comma-separated attack kinds (leak|hijack|intercept)")
-		advAttackers = fs.String("adv-attackers", "1", "adversarial: comma-separated simultaneous attacker counts")
-		advNoise     = fs.String("adv-noise", "0", "adversarial: comma-separated fractions of c2p/p2p labels flipped before the protocols see the topology")
-		advSeed      = fs.Int64("adv-seed", 40_000, "adversarial: attacker-selection and noise-relabeling seed")
-
-		flows        = fs.Int("flows", 0, "data plane: src→dst traffic aggregates walked through the live RIBs (0 = off); figures 6/7, -rel, and -adv")
-		flowSeed     = fs.Int64("flow-seed", 42, "data plane: flow sampling seed")
-		flowRate     = fs.Float64("flow-rate", 0, "data plane: packets per second per flow for packet-equivalent metrics (0 = 1000)")
-		detectIntv   = fs.String("detect-interval", "", "liveness: BFD transmit interval(s) — one duration for figures 6/7, a comma-separated sweep for -rel where 0 or oracle names the oracle point (empty = oracle detection; unlike centaur-bench -detect, the oracle point is swept only when listed or with -oracle-detect)")
-		detectMult   = fs.Int("detect-mult", 0, "liveness: detection multiplier (0 = default 3)")
-		oracleDetect = fs.Bool("oracle-detect", false, "liveness: -rel only, add the oracle (instantaneous detection) point to a -detect-interval sweep")
-	)
+	fs, o := newOptions(flag.ExitOnError)
 	fs.Parse(args) // ExitOnError: a malformed flag has already exited
-	// The runners read a count below one as "all" or "the default", so a
-	// slip like -flips -1 would silently flip every link.
-	for _, c := range []struct {
-		name string
-		v    int
-	}{
-		{"flips", *flips}, {"workers", *workers}, {"trials-per-net", *trialsPer},
-		{"flows", *flows}, {"crashes", *crashes}, {"trials", *trials},
-	} {
-		if c.v < 0 {
-			return fmt.Errorf("-%s %d: a count cannot be negative", c.name, c.v)
-		}
+	m, err := o.mode()
+	if err != nil {
+		return err
 	}
-	if *prov && *traceFile == "" {
-		return fmt.Errorf("-prov requires -trace (provenance rides on the event trace)")
+	if err := o.Reject(m.name, strings.Fields(m.reads)); err != nil {
+		return err
 	}
-
-	stop, err := telemetry.StartProfiles("centaur-sim", *cpuprofile, *memprofile)
+	stop, err := o.Start(newRegistry, false)
 	if err != nil {
 		return err
 	}
 	defer stop()
-
-	var (
-		reg *telemetry.Registry
-		tc  *telemetry.TraceCollector
-	)
-	if *traceFile != "" || *debugAddr != "" || *progress > 0 {
-		reg = newRegistry()
-		bgp.SetTelemetry(reg)
-		ospf.SetTelemetry(reg)
-		centaur.SetTelemetry(reg)
-		pgraph.SetTelemetry(reg)
-		solver.SetTelemetry(reg)
-		forward.SetTelemetry(reg)
-		liveness.SetTelemetry(reg)
-	}
-	if *traceFile != "" {
-		if *prov {
-			tc = telemetry.NewTraceCollectorV2()
-		} else {
-			tc = telemetry.NewTraceCollector()
-		}
-	}
-	if *debugAddr != "" {
-		addr, stopDebug, err := telemetry.ServeDebug(*debugAddr, reg)
-		if err != nil {
-			return err
-		}
-		defer stopDebug()
-		fmt.Fprintf(os.Stderr, "centaur-sim: debug endpoint at http://%s/debug/vars\n", addr)
-	}
-	if *progress > 0 {
-		stopProgress := experiments.StartProgress(os.Stderr, *progress, reg)
-		defer stopProgress()
-	}
-
-	sizesSet := false
-	fs.Visit(func(f *flag.Flag) {
-		if f.Name == "sizes" {
-			sizesSet = true
-		}
-	})
-
-	dp := dataPlaneFlags{
-		flows: *flows, flowSeed: *flowSeed, flowRate: *flowRate,
-		detectIntervals: *detectIntv, detectMult: *detectMult, oracleDetect: *oracleDetect,
-	}
-	var dispatchErr error
-	switch {
-	case *scaling:
-		dispatchErr = runScaling(w, *sizes, sizesSet, *scalingMax, *flips, *seed, !*noVerify)
-	case *rel:
-		dispatchErr = runReliability(w, relFlags{
-			nodes: *nodes, m: *m, seed: *seed, workers: *workers,
-			loss: *loss, dup: *dup, jitter: *jitter, churn: *churn,
-			crashes: *crashes, faultSeed: *faultSeed, trials: *trials,
-			noTransport: *noTransport, bloomPL: *bloomPL, plFPRate: *plFPRate,
-			dp: dp,
-		}, reg, tc)
-	case *adv:
-		dispatchErr = runAdversarial(w, advFlags{
-			nodes: *nodes, m: *m, seed: *seed, workers: *workers,
-			kinds: *advKinds, attackers: *advAttackers, noise: *advNoise,
-			advSeed: *advSeed, trials: *trials, dp: dp,
-		}, reg, tc)
-	default:
-		dispatchErr = dispatch(w, *fig, *compare, *nodes, *m, *flips, *seed, *mrai, *sizes, *workers, *trialsPer, *noCheckpt, *verify, dp, reg, tc)
-	}
-	if dispatchErr != nil {
-		return dispatchErr
-	}
-	if *traceFile != "" {
-		if err := writeTrace(*traceFile, tc); err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "centaur-sim: event trace: %s\n", *traceFile)
-	}
-	return nil
-}
-
-// dataPlaneFlags bundles the forwarding/liveness flag values shared by
-// the figure modes and -rel.
-type dataPlaneFlags struct {
-	flows           int
-	flowSeed        int64
-	flowRate        float64
-	detectIntervals string
-	detectMult      int
-	oracleDetect    bool
-}
-
-// single parses the flag set for a figure run, which takes at most one
-// detection interval (the -rel sweep form is rejected).
-func (f dataPlaneFlags) single() (time.Duration, error) {
-	ds, err := parseDetects(f.detectIntervals)
-	if err != nil {
-		return 0, err
-	}
-	if len(ds) > 1 {
-		return 0, fmt.Errorf("-detect-interval: figure modes take a single interval, got %q", f.detectIntervals)
-	}
-	if len(ds) == 0 {
-		return 0, nil
-	}
-	return ds[0], nil
-}
-
-// sweep parses the flag set for -rel: every listed interval, plus the
-// oracle point when -oracle-detect asks for it.
-func (f dataPlaneFlags) sweep() ([]time.Duration, error) {
-	ds, err := parseDetects(f.detectIntervals)
-	if err != nil {
-		return nil, err
-	}
-	if f.oracleDetect && len(ds) > 0 {
-		ds = append([]time.Duration{0}, ds...)
-	}
-	return ds, nil
-}
-
-// dispatch runs the selected experiment mode with the observability
-// hooks threaded through.
-func dispatch(w io.Writer, fig string, compare bool, nodes, m, flips int, seed int64, mrai time.Duration, sizes string, workers, trialsPer int, noCheckpt, verify bool, dp dataPlaneFlags, reg *telemetry.Registry, tc *telemetry.TraceCollector) error {
-	var res fmt.Stringer
-	var err error
-	if compare {
-		res, err = experiments.Ladder(experiments.Figure6Config{
-			Nodes: nodes, LinksPerNode: m, Flips: flips, Seed: seed, MRAI: mrai,
-			TrialsPerNetwork: trialsPer, Workers: workers, NoCheckpoint: noCheckpt,
-			Telemetry: reg, Trace: tc,
-		})
-	} else {
-		res, err = runFigure(fig, nodes, m, flips, seed, mrai, sizes, workers, trialsPer, noCheckpt, verify, dp, reg, tc)
-	}
+	res, err := m.run(o)
 	if err != nil {
 		return err
 	}
 	fmt.Fprint(w, res)
+	if o.TraceFile != "" {
+		if err := o.WriteTrace(); err != nil {
+			return err
+		}
+		fmt.Fprintf(os.Stderr, "centaur-sim: event trace: %s\n", o.TraceFile)
+	}
 	return nil
 }
 
-// runFigure runs the selected figure.
-func runFigure(fig string, nodes, m, flips int, seed int64, mrai time.Duration, sizes string, workers, trialsPer int, noCheckpt, verify bool, dp dataPlaneFlags, reg *telemetry.Registry, tc *telemetry.TraceCollector) (fmt.Stringer, error) {
-	detect, err := dp.single()
+// newOptions declares every centaur-sim flag on a new flag set, bound
+// into the returned options.
+func newOptions(onError flag.ErrorHandling) (*flag.FlagSet, *options) {
+	fs := flag.NewFlagSet("centaur-sim", onError)
+	c := experiments.NewCLI("centaur-sim")
+	c.Loss = "0,0.05,0.1,0.2"
+	s := &c.Scenario
+	s.Nodes, s.LinksPerNode, s.Flips, s.MRAI, s.FlowSeed = 500, 2, 120, 30*time.Second, 42
+	c.Register(fs, help)
+	o := &options{CLI: c}
+	fs.StringVar(&o.fig, "fig", "", "reproduce a figure: 6 | 7 | 8")
+	fs.BoolVar(&o.compare, "compare", false, "run the full protocol ladder (Centaur, BGP, BGP+MRAI, BGP-RCN, OSPF) on one flip workload")
+	fs.IntVar(&s.Nodes, "nodes", s.Nodes, "BRITE topology size (figures 6 and 7)")
+	fs.IntVar(&s.LinksPerNode, "m", s.LinksPerNode, "BRITE attachment links per node")
+	fs.IntVar(&s.Flips, "flips", s.Flips, "links flipped per measurement (0 = all)")
+	fs.DurationVar(&s.MRAI, "mrai", s.MRAI, "BGP MRAI for the figure 6 headline series")
+	fs.StringVar(&o.sizes, "sizes", "100,200,300,400,500,600,700,800,900,1000", "figure 8 topology sizes")
+	fs.BoolVar(&s.Verify, "verify", false, "figures 6-8: invariant-check every quiesced flip state against the incremental solver oracle")
+	fs.BoolVar(&o.noVerify, "no-verify", false, "scaling: skip the answer-identical check against a fresh cold solve per size")
+	fs.BoolVar(&o.rel, "rel", false, "run the reliability experiment (convergence under injected faults)")
+	fs.IntVar(&o.trials, "trials", 1, "reliability: trials per (protocol, loss, churn) grid point")
+	fs.BoolVar(&c.Rel.NoTransport, "no-transport", false, "reliability: run protocols raw, without the reliable-transport adapter")
+	fs.StringVar(&o.kinds, "adv-kinds", "leak,hijack", "adversarial: comma-separated attack kinds (leak|hijack|intercept)")
+	fs.StringVar(&o.attackers, "adv-attackers", "1", "adversarial: comma-separated simultaneous attacker counts")
+	fs.StringVar(&o.noise, "adv-noise", "0", "adversarial: comma-separated fractions of c2p/p2p labels flipped before the protocols see the topology")
+	fs.Int64Var(&s.FlowSeed, "flow-seed", s.FlowSeed, "data plane: flow sampling seed")
+	fs.Float64Var(&s.FlowRate, "flow-rate", 0, "data plane: packets per second per flow for packet-equivalent metrics (0 = 1000)")
+	fs.StringVar(&o.detect, "detect-interval", "", "liveness: BFD transmit interval(s) — one duration for figures 6/7, a comma-separated sweep for -rel where 0 or oracle names the oracle point (empty = oracle detection; unlike centaur-bench -detect, the oracle point is swept only when listed or with -oracle-detect)")
+	fs.IntVar(&s.DetectMult, "detect-mult", 0, "liveness: detection multiplier (0 = default 3)")
+	fs.BoolVar(&o.oracleDetect, "oracle-detect", false, "liveness: -rel only, add the oracle (instantaneous detection) point to a -detect-interval sweep")
+	return fs, o
+}
+
+// mode returns the mode the command line selects.
+func (o *options) mode() (mode, error) {
+	name := "-fig " + o.fig
+	switch {
+	case o.Scaling:
+		name = "-scaling"
+	case o.rel:
+		name = "-rel"
+	case o.AdvOn:
+		name = "-adv"
+	case o.compare:
+		name = "-compare"
+	}
+	for _, m := range modes {
+		if m.name == name {
+			return m, nil
+		}
+	}
+	return mode{}, fmt.Errorf("-fig {6,7,8} is required, got %q (-h lists the flags)", o.fig)
+}
+
+// single parses -detect-interval for a figure run, which takes at most
+// one detection interval (the -rel sweep form is rejected).
+func (o *options) single() error {
+	ds, err := parseDetects(o.detect)
+	if err != nil {
+		return err
+	}
+	if len(ds) > 1 {
+		return fmt.Errorf("-detect-interval: figure modes take a single interval, got %q", o.detect)
+	}
+	if len(ds) == 1 {
+		o.Scenario.DetectInterval = ds[0]
+	}
+	return nil
+}
+
+// sweep parses -detect-interval for -rel: every listed interval, plus
+// the oracle point when -oracle-detect asks for it.
+func (o *options) sweep() ([]time.Duration, error) {
+	ds, err := parseDetects(o.detect)
 	if err != nil {
 		return nil, err
 	}
-	switch fig {
-	case "6":
-		return experiments.Figure6(experiments.Figure6Config{
-			Nodes: nodes, LinksPerNode: m, Flips: flips, Seed: seed, MRAI: mrai,
-			TrialsPerNetwork: trialsPer, Workers: workers,
-			NoCheckpoint: noCheckpt, Verify: verify, Telemetry: reg, Trace: tc,
-			Flows: dp.flows, FlowSeed: dp.flowSeed, FlowRate: dp.flowRate,
-			DetectInterval: detect, DetectMult: dp.detectMult,
-		})
-	case "7":
-		return experiments.Figure7(experiments.Figure7Config{
-			Nodes: nodes, LinksPerNode: m, Flips: flips, Seed: seed,
-			TrialsPerNetwork: trialsPer, Workers: workers,
-			NoCheckpoint: noCheckpt, Verify: verify, Telemetry: reg, Trace: tc,
-			Flows: dp.flows, FlowSeed: dp.flowSeed, FlowRate: dp.flowRate,
-			DetectInterval: detect, DetectMult: dp.detectMult,
-		})
-	case "8":
-		sz, err := parseSizes(sizes)
-		if err != nil {
-			return nil, err
-		}
-		return experiments.Figure8(experiments.Figure8Config{
-			Sizes: sz, LinksPerNode: m, FlipsPerSize: flips, Seed: seed,
-			TrialsPerNetwork: trialsPer, Workers: workers,
-			NoCheckpoint: noCheckpt, Verify: verify, Telemetry: reg, Trace: tc,
-		})
-	default:
-		return nil, fmt.Errorf("-fig {6,7,8} is required, got %q (-h lists the flags)", fig)
+	if o.oracleDetect && len(ds) > 0 {
+		ds = append([]time.Duration{0}, ds...)
 	}
+	return ds, nil
 }
 
 // runScaling runs the solver scaling sweep (no simulator involved). The
 // -sizes default targets figure 8; unless the flag was set explicitly
 // the sweep uses the standard tiers up to -scaling-max-nodes (75000
 // opts into the real-AS-scale point).
-func runScaling(w io.Writer, sizesFlag string, sizesSet bool, maxNodes, flips int, seed int64, verify bool) error {
-	var sz []int
-	if sizesSet {
+func runScaling(o *options) (fmt.Stringer, error) {
+	s := o.Scenario
+	s.Verify = !o.noVerify
+	s.Sizes = experiments.ScalingSizesUpTo(o.ScalingMax)
+	if o.IsSet("sizes") {
 		var err error
-		if sz, err = parseSizes(sizesFlag); err != nil {
-			return err
+		if s.Sizes, err = parseSizes(o.sizes); err != nil {
+			return nil, err
 		}
-	} else {
-		sz = experiments.ScalingSizesUpTo(maxNodes)
 	}
-	res, err := experiments.Scaling(experiments.ScalingConfig{
-		Sizes: sz, Flips: flips, Seed: seed,
-		TieBreak: policy.TieHashed, Verify: verify,
-	})
-	if err != nil {
-		return err
-	}
-	fmt.Fprint(w, res)
-	return nil
+	return experiments.Scaling(s)
 }
 
-// relFlags bundles the reliability-mode flag values.
-type relFlags struct {
-	nodes, m    int
-	seed        int64
-	workers     int
-	loss, churn string
-	dup         float64
-	jitter      time.Duration
-	crashes     int
-	faultSeed   int64
-	trials      int
-	noTransport bool
-	bloomPL     bool
-	plFPRate    float64
-	dp          dataPlaneFlags
-}
-
-// runReliability runs the fault-injection sweep and prints the
-// per-grid-point table. Trials that fail (no quiescence, or a wrongly
-// quiesced state) are listed after the table rather than aborting the
-// sweep — with -no-transport they are the expected result.
-func runReliability(w io.Writer, f relFlags, reg *telemetry.Registry, tc *telemetry.TraceCollector) error {
-	lossRates, err := experiments.ParseRates(f.loss)
-	if err != nil {
-		return fmt.Errorf("-loss: %w", err)
+// runReliability runs the fault-injection sweep.
+func runReliability(o *options) (fmt.Stringer, error) {
+	cfg := o.Rel
+	var err error
+	if cfg.DetectIntervals, err = o.sweep(); err != nil {
+		return nil, err
 	}
-	churnRates, err := experiments.ParseRates(f.churn)
-	if err != nil {
-		return fmt.Errorf("-churn: %w", err)
-	}
-	detects, err := f.dp.sweep()
-	if err != nil {
-		return err
-	}
-	cfg := experiments.ReliabilityConfig{
-		Nodes: f.nodes, LinksPerNode: f.m,
-		LossRates: lossRates, ChurnRates: churnRates,
-		Dup: f.dup, Jitter: f.jitter, Crashes: f.crashes,
-		Trials: f.trials, Seed: f.seed, FaultSeed: f.faultSeed,
-		NoTransport: f.noTransport, BloomPL: f.bloomPL, PLFPRate: f.plFPRate,
-		Workers:   f.workers,
-		Telemetry: reg, Trace: tc,
-		Flows: f.dp.flows, FlowSeed: f.dp.flowSeed, FlowRate: f.dp.flowRate,
-		DetectIntervals: detects, DetectMult: f.dp.detectMult,
-	}
-	if f.noTransport {
+	cfg.Trials = o.trials
+	if cfg.NoTransport {
 		// Raw protocols under faults usually quiesce into a wrong state
 		// quickly; when one genuinely diverges, fail fast with the
 		// watchdog's diagnostics instead of burning the full event budget.
 		cfg.MaxEvents = 20_000_000
 	}
-	res, err := experiments.RunReliability(cfg)
+	res, err := experiments.RunReliability(o.Scenario, cfg)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	fmt.Fprint(w, res)
-	for _, s := range res.Samples {
+	return relReport{res}, nil
+}
+
+// relReport is the per-grid-point reliability table followed by the
+// trials that failed (no quiescence, or a wrongly quiesced state): they
+// are listed rather than aborting the sweep, since with -no-transport
+// they are the expected result.
+type relReport struct{ *experiments.ReliabilityResult }
+
+func (r relReport) String() string {
+	var b strings.Builder
+	b.WriteString(r.ReliabilityResult.String())
+	for _, s := range r.Samples {
 		if s.OK() {
 			continue
 		}
@@ -427,57 +320,32 @@ func runReliability(w io.Writer, f relFlags, reg *telemetry.Registry, tc *teleme
 		if s.Converged {
 			why = fmt.Sprintf("%d invariant violations, e.g. %s", s.Violations, s.FirstViolation)
 		}
-		if res.HasDetect {
-			fmt.Fprintf(w, "  FAILED %s detect=%v loss=%.2f churn=%.1f trial=%d: %s\n", s.Protocol, s.DetectInterval, s.Loss, s.Churn, s.Trial, why)
+		if r.HasDetect {
+			fmt.Fprintf(&b, "  FAILED %s detect=%v loss=%.2f churn=%.1f trial=%d: %s\n", s.Protocol, s.DetectInterval, s.Loss, s.Churn, s.Trial, why)
 			continue
 		}
-		fmt.Fprintf(w, "  FAILED %s loss=%.2f churn=%.1f trial=%d: %s\n", s.Protocol, s.Loss, s.Churn, s.Trial, why)
+		fmt.Fprintf(&b, "  FAILED %s loss=%.2f churn=%.1f trial=%d: %s\n", s.Protocol, s.Loss, s.Churn, s.Trial, why)
 	}
-	return nil
+	return b.String()
 }
 
-// advFlags bundles the adversarial-mode flag values.
-type advFlags struct {
-	nodes, m  int
-	seed      int64
-	workers   int
-	kinds     string
-	attackers string
-	noise     string
-	advSeed   int64
-	trials    int
-	dp        dataPlaneFlags
-}
-
-// runAdversarial runs the misbehavior sweep and prints the containment
-// table: for each drawn attack scenario, how far contaminated state
-// propagated under BGP vs under Centaur's Permission-List structure.
-func runAdversarial(w io.Writer, f advFlags, reg *telemetry.Registry, tc *telemetry.TraceCollector) error {
-	kinds, err := adversary.ParseKinds(f.kinds)
-	if err != nil {
-		return fmt.Errorf("-adv-kinds: %w", err)
+// runAdversarial runs the misbehavior sweep: its containment table shows,
+// for each drawn attack scenario, how far contaminated state propagated
+// under BGP vs under Centaur's Permission-List structure.
+func runAdversarial(o *options) (fmt.Stringer, error) {
+	cfg := o.Adv
+	var err error
+	if cfg.Kinds, err = adversary.ParseKinds(o.kinds); err != nil {
+		return nil, fmt.Errorf("-adv-kinds: %w", err)
 	}
-	counts, err := parseCounts(f.attackers)
-	if err != nil {
-		return fmt.Errorf("-adv-attackers: %w", err)
+	if cfg.AttackerCounts, err = parseCounts(o.attackers); err != nil {
+		return nil, fmt.Errorf("-adv-attackers: %w", err)
 	}
-	noises, err := experiments.ParseRates(f.noise)
-	if err != nil {
-		return fmt.Errorf("-adv-noise: %w", err)
+	if cfg.NoiseFracs, err = experiments.ParseRates(o.noise); err != nil {
+		return nil, fmt.Errorf("-adv-noise: %w", err)
 	}
-	res, err := experiments.RunAdversarial(experiments.AdversarialConfig{
-		Nodes: f.nodes, LinksPerNode: f.m,
-		Kinds: kinds, AttackerCounts: counts, NoiseFracs: noises,
-		Trials: f.trials, Seed: f.seed, AdvSeed: f.advSeed,
-		Flows: f.dp.flows, FlowSeed: f.dp.flowSeed, FlowRate: f.dp.flowRate,
-		Workers:   f.workers,
-		Telemetry: reg, Trace: tc,
-	})
-	if err != nil {
-		return err
-	}
-	fmt.Fprint(w, res)
-	return nil
+	cfg.Trials = o.trials
+	return experiments.RunAdversarial(o.Scenario, cfg)
 }
 
 // parseDetects parses the -detect-interval list: comma-separated Go
@@ -502,19 +370,6 @@ func parseDetects(s string) ([]time.Duration, error) {
 		out = append(out, d)
 	}
 	return out, nil
-}
-
-// writeTrace dumps the collected trace to path.
-func writeTrace(path string, tc *telemetry.TraceCollector) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("-trace: %w", err)
-	}
-	if _, err := tc.WriteTo(f); err != nil {
-		f.Close()
-		return fmt.Errorf("-trace: %w", err)
-	}
-	return f.Close()
 }
 
 // parseCounts parses a comma-separated list of positive integers.

@@ -23,10 +23,10 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("scaling: ")
 
-	res, err := experiments.Figure8(experiments.Figure8Config{
+	res, err := experiments.Figure8(experiments.Scenario{
 		Sizes:        []int{50, 100, 200, 400},
 		LinksPerNode: 2,
-		FlipsPerSize: 15,
+		Flips:        15,
 		Seed:         7,
 	})
 	if err != nil {

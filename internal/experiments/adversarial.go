@@ -28,19 +28,12 @@ import (
 	"centaur/internal/routing"
 	"centaur/internal/sim"
 	"centaur/internal/solver"
-	"centaur/internal/telemetry"
-	"centaur/internal/topogen"
 	"centaur/internal/topology"
 )
 
-// AdversarialConfig parameterizes an adversarial sweep over
-// (protocol × attack kind × attacker count × noise fraction × trial).
+// AdversarialConfig is the adversarial sweep's own axes: (protocol ×
+// attack kind × attacker count × noise fraction × trial).
 type AdversarialConfig struct {
-	// Nodes/LinksPerNode generate the BRITE topology; Topology, when
-	// non-nil, overrides them with an explicit graph.
-	Nodes        int
-	LinksPerNode int
-	Topology     *topology.Graph
 	// Kinds lists the attack kinds to sweep (empty = route leak only).
 	Kinds []adversary.Kind
 	// AttackerCounts lists how many simultaneous attackers to select at
@@ -52,17 +45,9 @@ type AdversarialConfig struct {
 	NoiseFracs []float64
 	// Trials per grid point; each trial draws a fresh scenario. Default 1.
 	Trials int
-	// Seed drives topology generation and per-trial link delays;
-	// AdvSeed drives attacker selection and noise relabeling (scenario
-	// s uses AdvSeed+s).
-	Seed    int64
+	// AdvSeed drives attacker selection and noise relabeling (scenario s
+	// uses AdvSeed+s).
 	AdvSeed int64
-	// Flows enables the data-plane forwarding tracker with that many
-	// seeded src→dst aggregates, measuring the traffic impact of each
-	// attack (hijack/intercept drops show up as blackhole time).
-	Flows    int
-	FlowSeed int64
-	FlowRate float64
 	// MaxEvents caps each trial's event count; 0 means the package-wide
 	// default.
 	MaxEvents int64
@@ -73,26 +58,6 @@ type AdversarialConfig struct {
 	// containment evidence is never conflated with compression noise.
 	BloomPL  bool
 	PLFPRate float64
-	// Workers, Telemetry, Trace as in FlipConfig. Series names are
-	// "adv.centaur" and "adv.bgp".
-	Workers   int
-	Telemetry *telemetry.Registry
-	Trace     *telemetry.TraceCollector
-}
-
-// DefaultAdversarialConfig is the acceptance-scale setup: single route
-// leak and single hijack on a 150-node topology, clean and noisy labels.
-func DefaultAdversarialConfig() AdversarialConfig {
-	return AdversarialConfig{
-		Nodes:          150,
-		LinksPerNode:   2,
-		Kinds:          []adversary.Kind{adversary.Leak, adversary.Hijack},
-		AttackerCounts: []int{1},
-		NoiseFracs:     []float64{0, 0.02},
-		Trials:         1,
-		Seed:           1,
-		AdvSeed:        40_000,
-	}
 }
 
 // AdversarialSample is one (protocol, scenario) outcome.
@@ -281,15 +246,15 @@ func advBuild(name string, spec adversary.Spec, cfg AdversarialConfig) (*adversa
 	return m, hashedCentaur(centaur.Config{Adversary: m, BloomPL: cfg.BloomPL, PLFPRate: cfg.PLFPRate})
 }
 
-// RunAdversarial sweeps the (kind × attackers × noise × trial) scenario
-// grid, running both protocols against each scenario.
-func RunAdversarial(cfg AdversarialConfig) (*AdversarialResult, error) {
-	g := cfg.Topology
-	if g == nil {
-		var err error
-		if g, err = topogen.BRITE(cfg.Nodes, cfg.LinksPerNode, cfg.Seed); err != nil {
-			return nil, err
-		}
+// RunAdversarial sweeps cfg's (kind × attackers × noise × trial)
+// scenario grid on s's BRITE topology, running both protocols against
+// each scenario. It reads s's topology, seed (which also drives the
+// per-trial link delays), Workers, observability and flow fields; series
+// names are "adv.centaur" and "adv.bgp".
+func RunAdversarial(s Scenario, cfg AdversarialConfig) (*AdversarialResult, error) {
+	g, err := s.brite()
+	if err != nil {
+		return nil, err
 	}
 	baseSol, err := hashedSolve(g)
 	if err != nil {
@@ -331,7 +296,7 @@ func RunAdversarial(cfg AdversarialConfig) (*AdversarialResult, error) {
 						}
 					}
 					scen.spec = adversary.Pick(scen.topoRun, kind, count, advSeed)
-					if scen.flows, err = sampleReachableFlows(scen.topoRun, cfg.Flows, cfg.FlowSeed, scen.sol); err != nil {
+					if scen.flows, err = sampleReachableFlows(scen.topoRun, s.Flows, s.FlowSeed, scen.sol); err != nil {
 						return nil, err
 					}
 					scens = append(scens, scen)
@@ -342,7 +307,7 @@ func RunAdversarial(cfg AdversarialConfig) (*AdversarialResult, error) {
 
 	res := &AdversarialResult{
 		Samples:   make([]AdversarialSample, len(scens)*len(advProtocols)),
-		HasImpact: cfg.Flows > 0,
+		HasImpact: s.Flows > 0,
 	}
 	var trials []trial
 	for _, scen := range scens {
@@ -361,14 +326,14 @@ func RunAdversarial(cfg AdversarialConfig) (*AdversarialResult, error) {
 			series := "adv." + name
 			trials = append(trials, trial{
 				label: "experiments: adversarial " + name,
-				topo:  scen.topoRun, build: build, delaySeed: cfg.Seed + int64(i), budget: cfg.MaxEvents,
-				series: series, tele: cfg.Telemetry, chunk: cfg.Trace.Chunk(series, cfg.Seed+int64(i)),
-				flows: scen.flows, flowRate: cfg.FlowRate,
+				topo:  scen.topoRun, build: build, delaySeed: s.Seed + int64(i), budget: cfg.MaxEvents,
+				series: series, tele: s.Telemetry, chunk: s.Trace.Chunk(series, s.Seed+int64(i)),
+				flows: scen.flows, flowRate: s.FlowRate,
 				setup: setup, body: body,
 			})
 		}
 	}
-	if err := runTrials(trials, cfg.Workers); err != nil {
+	if err := runTrials(trials, s.Workers); err != nil {
 		return nil, err
 	}
 	return res, nil

@@ -17,15 +17,12 @@ import (
 // radius, with the denials visible as structural evidence.
 func TestAdversarialLeakContainment(t *testing.T) {
 	cfg := AdversarialConfig{
-		Nodes:          80,
-		LinksPerNode:   2,
 		Kinds:          []adversary.Kind{adversary.Leak},
 		AttackerCounts: []int{1},
 		Trials:         1,
-		Seed:           7,
 		AdvSeed:        40_000,
 	}
-	res, err := RunAdversarial(cfg)
+	res, err := RunAdversarial(Scenario{Nodes: 80, LinksPerNode: 2, Seed: 7}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,15 +64,12 @@ func TestAdversarialLeakContainment(t *testing.T) {
 // the hijacker, not the victim).
 func TestAdversarialHijackForeignOrigin(t *testing.T) {
 	cfg := AdversarialConfig{
-		Nodes:          60,
-		LinksPerNode:   2,
 		Kinds:          []adversary.Kind{adversary.Hijack},
 		AttackerCounts: []int{1},
 		Trials:         1,
-		Seed:           3,
 		AdvSeed:        41_000,
 	}
-	res, err := RunAdversarial(cfg)
+	res, err := RunAdversarial(Scenario{Nodes: 60, LinksPerNode: 2, Seed: 3}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,18 +101,14 @@ func TestAdversarialStructuralVsBloomFP(t *testing.T) {
 	pgraph.SetTelemetry(reg)
 	defer pgraph.SetTelemetry(nil)
 	cfg := AdversarialConfig{
-		Nodes:          200,
-		LinksPerNode:   2,
 		Kinds:          []adversary.Kind{adversary.Leak},
 		AttackerCounts: []int{1},
 		Trials:         1,
-		Seed:           7,
 		AdvSeed:        40_000,
-		Telemetry:      reg,
 		BloomPL:        true,
 		PLFPRate:       0.45,
 	}
-	res, err := RunAdversarial(cfg)
+	res, err := RunAdversarial(Scenario{Nodes: 200, LinksPerNode: 2, Seed: 7, Telemetry: reg}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,24 +149,20 @@ func TestAdversarialStructuralVsBloomFP(t *testing.T) {
 // same sweep at Workers 1 and Workers 4 produces identical samples.
 func TestAdversarialWorkerInvariance(t *testing.T) {
 	cfg := AdversarialConfig{
-		Nodes:          60,
-		LinksPerNode:   2,
 		Kinds:          []adversary.Kind{adversary.Leak, adversary.Hijack},
 		AttackerCounts: []int{1},
 		NoiseFracs:     []float64{0, 0.05},
 		Trials:         1,
-		Seed:           5,
 		AdvSeed:        42_000,
-		Flows:          8,
-		FlowSeed:       99,
 	}
-	cfg.Workers = 1
-	a, err := RunAdversarial(cfg)
+	s := Scenario{Nodes: 60, LinksPerNode: 2, Seed: 5, Flows: 8, FlowSeed: 99}
+	s.Workers = 1
+	a, err := RunAdversarial(s, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.Workers = 4
-	b, err := RunAdversarial(cfg)
+	s.Workers = 4
+	b, err := RunAdversarial(s, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,20 +175,18 @@ func TestAdversarialWorkerInvariance(t *testing.T) {
 // the sweep level: same AdvSeed → identical flipped-edge counts and
 // identical outcomes; different AdvSeed → a different scenario draw.
 func TestAdversarialNoiseRelabelDeterminism(t *testing.T) {
+	s := Scenario{Nodes: 60, LinksPerNode: 2, Seed: 11}
 	cfg := AdversarialConfig{
-		Nodes:        60,
-		LinksPerNode: 2,
-		Kinds:        []adversary.Kind{adversary.Leak},
-		NoiseFracs:   []float64{0.1},
-		Trials:       2,
-		Seed:         11,
-		AdvSeed:      43_000,
+		Kinds:      []adversary.Kind{adversary.Leak},
+		NoiseFracs: []float64{0.1},
+		Trials:     2,
+		AdvSeed:    43_000,
 	}
-	a, err := RunAdversarial(cfg)
+	a, err := RunAdversarial(s, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunAdversarial(cfg)
+	b, err := RunAdversarial(s, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,8 +2,10 @@ package experiments
 
 import (
 	"bytes"
+	"os"
 	"reflect"
 	"testing"
+	"time"
 
 	"centaur/internal/bgp"
 	"centaur/internal/centaur"
@@ -14,6 +16,22 @@ import (
 	"centaur/internal/topogen"
 	"centaur/internal/topology"
 )
+
+// coldRun runs trials with their fork sources cleared, so every chunk
+// cold-starts its own network: the path checkpoint forking must match
+// (DESIGN.md invariant 8).
+func coldRun(trials []trial, workers int) error {
+	for i := range trials {
+		trials[i].fork = nil
+	}
+	return runTrials(trials, workers)
+}
+
+// runFlipsCold is RunFlips down the cold path.
+func runFlipsCold(cfg FlipConfig) ([]FlipSample, error) {
+	out := make([]FlipSample, len(flipEdges(cfg)))
+	return out, coldRun(flipTrials(cfg, "", out), cfg.Workers)
+}
 
 // TestRunFlipsCheckpointMatchesColdStart is the harness-level statement
 // of the checkpoint soundness argument (sim/checkpoint.go): for every
@@ -40,9 +58,8 @@ func TestRunFlipsCheckpointMatchesColdStart(t *testing.T) {
 				TrialsPerNetwork: 2,
 			}
 			cold := base
-			cold.NoCheckpoint = true
 			cold.Workers = 1
-			want, err := RunFlips(cold)
+			want, err := runFlipsCold(cold)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -61,7 +78,7 @@ func TestRunFlipsCheckpointMatchesColdStart(t *testing.T) {
 
 // TestCheckpointTelemetryCounters pins the accounting contract: a
 // checkpointed series cold-starts once and forks once per chunk; a
-// NoCheckpoint series cold-starts once per chunk and never forks.
+// series run cold cold-starts once per chunk and never forks.
 func TestCheckpointTelemetryCounters(t *testing.T) {
 	g, err := topogen.BRITE(60, 2, 5)
 	if err != nil {
@@ -93,38 +110,37 @@ func TestCheckpointTelemetryCounters(t *testing.T) {
 
 	reg = telemetry.New()
 	cfg = base
-	cfg.NoCheckpoint = true
 	cfg.Telemetry = reg
-	if _, err := RunFlips(cfg); err != nil {
+	if _, err := runFlipsCold(cfg); err != nil {
 		t.Fatal(err)
 	}
 	if got := reg.Counter("sim.checkpoints").Value(); got != 0 {
-		t.Errorf("NoCheckpoint: sim.checkpoints = %d, want 0", got)
+		t.Errorf("cold: sim.checkpoints = %d, want 0", got)
 	}
 	if got := reg.Counter("sim.coldstarts").Value(); got != 4 {
-		t.Errorf("NoCheckpoint: sim.coldstarts = %d, want 4", got)
+		t.Errorf("cold: sim.coldstarts = %d, want 4", got)
 	}
 	if got := reg.Counter("sim.forks").Value(); got != 0 {
-		t.Errorf("NoCheckpoint: sim.forks = %d, want 0", got)
+		t.Errorf("cold: sim.forks = %d, want 0", got)
 	}
 }
 
 // TestTraceDisablesCheckpointing pins the tracing contract: a traced
 // run keeps the per-chunk cold starts (each chunk's trace must contain
-// its own cold-start events), so its trace bytes are identical whether
-// or not checkpointing was requested — and identical across workers,
-// which TestTraceWorkerCountInvariance already covers.
+// its own cold-start events), so its trace bytes are identical to the
+// cold path's — and identical across workers, which
+// TestTraceWorkerCountInvariance already covers.
 func TestTraceDisablesCheckpointing(t *testing.T) {
 	g, err := topogen.BRITE(60, 2, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := func(noCheckpoint bool, workers int) ([]byte, *telemetry.Registry) {
+	run := func(flips func(FlipConfig) ([]FlipSample, error), workers int) ([]byte, *telemetry.Registry) {
 		tc := telemetry.NewTraceCollector()
 		reg := telemetry.New()
-		_, err := RunFlips(FlipConfig{
+		_, err := flips(FlipConfig{
 			Topology: g, Build: bgp.New(bgp.Config{}), Flips: 8, Seed: 5,
-			TrialsPerNetwork: 2, Workers: workers, NoCheckpoint: noCheckpoint,
+			TrialsPerNetwork: 2, Workers: workers,
 			Series: "test.bgp", Telemetry: reg, Trace: tc,
 		})
 		if err != nil {
@@ -132,8 +148,8 @@ func TestTraceDisablesCheckpointing(t *testing.T) {
 		}
 		return tc.Bytes(), reg
 	}
-	checkpointed, reg := run(false, 4)
-	cold, _ := run(true, 1)
+	checkpointed, reg := run(RunFlips, 4)
+	cold, _ := run(runFlipsCold, 1)
 	if len(checkpointed) == 0 {
 		t.Fatal("trace is empty")
 	}
@@ -169,9 +185,8 @@ func TestCheckpointFallbackNotSnapshottable(t *testing.T) {
 		TrialsPerNetwork: 2,
 	}
 	cold := base
-	cold.NoCheckpoint = true
 	cold.Workers = 1
-	want, err := RunFlips(cold)
+	want, err := runFlipsCold(cold)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,6 +207,38 @@ func TestCheckpointFallbackNotSnapshottable(t *testing.T) {
 	// The template cold start plus one per chunk after the fallback.
 	if got := reg.Counter("sim.coldstarts").Value(); got != 5 {
 		t.Errorf("sim.coldstarts = %d, want 5", got)
+	}
+}
+
+// TestCheckpointSpeedGate is the checkpoint layer's speed gate: Figure 6
+// at 150 nodes, 30 flips and two trials per network prints the same
+// figure when every chunk cold-starts as when the chunks fork their
+// series' checkpoint, and the cold run is at least 1.3 times slower (a
+// conservative bound that keeps shared-runner jitter from flaking). A
+// wall-clock gate needs a quiet machine, so it runs only when
+// CHECKPOINT_SPEED_GATE=1 (CI sets it in a dedicated step).
+func TestCheckpointSpeedGate(t *testing.T) {
+	if os.Getenv("CHECKPOINT_SPEED_GATE") != "1" {
+		t.Skip("set CHECKPOINT_SPEED_GATE=1 to run the checkpoint speed gate")
+	}
+	s := Scenario{Nodes: 150, LinksPerNode: 2, Flips: 30, Seed: 1, MRAI: 30 * time.Second, TrialsPerNetwork: 2}
+	t0 := time.Now()
+	forked, err := Figure6(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t1 := time.Now()
+	cold, err := figure6(s, coldRun)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cp, cs := t1.Sub(t0), time.Since(t1)
+	t.Logf("checkpointed: %v, cold-start: %v", cp, cs)
+	if forked.String() != cold.String() {
+		t.Errorf("checkpointed figure differs from the cold-start one:\n%s\n%s", forked, cold)
+	}
+	if cs*10 < cp*13 {
+		t.Errorf("cold-start run (%v) not at least 1.3x the checkpointed run (%v)", cs, cp)
 	}
 }
 

@@ -65,23 +65,19 @@ type FlipConfig struct {
 	// deterministic per-trial seeding rule that makes chunks independent
 	// of each other and of the worker count. 0 keeps the paper's (and
 	// this repo's historical) semantics: every flip runs sequentially on
-	// one shared network, which also costs only one cold start.
+	// one shared network, which also costs only one cold start. With
+	// several chunks, no trace and no liveness detection, the series
+	// cold-starts once, checkpoints the converged network, and each chunk
+	// forks the checkpoint under its own delay seed (sim.Checkpoint.Fork):
+	// the same per-flip results as a cold start per chunk (DESIGN.md
+	// invariant 8). A traced run cold-starts every chunk, because each
+	// chunk's trace must contain its own cold-start events.
 	TrialsPerNetwork int
 	// Workers bounds how many chunks run concurrently; 0 means
 	// GOMAXPROCS, 1 forces serial execution. The reported samples are
 	// identical for every worker count: chunking is fixed by
 	// TrialsPerNetwork and each chunk writes its own result slots.
 	Workers int
-	// NoCheckpoint disables converged-state checkpointing, making every
-	// chunk cold-start its own network as before PR 3. By default, when a
-	// run has more than one chunk and no trace attached, one network per
-	// series is cold-started and checkpointed at convergence, and each
-	// chunk forks that checkpoint under its own delay seed
-	// (sim.Checkpoint.Fork) — same per-flip results, one cold start
-	// instead of one per chunk. Tracing implies NoCheckpoint because each
-	// chunk's trace must contain its own cold-start events to stay
-	// byte-identical to the uncheckpointed output.
-	NoCheckpoint bool
 	// Verify, when non-nil, makes every flip trial invariant-checked:
 	// after each reconvergence (fail and restore alike) the quiesced
 	// RIBs are checked against ground truth that the incremental solver
@@ -120,7 +116,7 @@ type FlipConfig struct {
 	// every phase's convergence time then includes the detection latency,
 	// and its message counts include the session control frames. The
 	// wrapper is not snapshottable, so a liveness run never forks
-	// checkpoints (each chunk cold-starts, like NoCheckpoint).
+	// checkpoints: each chunk cold-starts.
 	Liveness liveness.Config
 }
 
@@ -200,11 +196,11 @@ func flipTrials(cfg FlipConfig, label string, out []FlipSample) []trial {
 		series: series, tele: cfg.Telemetry, warm: true, flows: cfg.Flows, flowRate: cfg.FlowRate}
 	// Checkpointing pays off only when several chunks would each repeat
 	// the cold start; tracing needs every chunk's own cold-start events
-	// in its trace, so it keeps the historical path (see
-	// FlipConfig.NoCheckpoint). The liveness wrapper is not
+	// in its trace, so it keeps the cold path (see
+	// FlipConfig.TrialsPerNetwork). The liveness wrapper is not
 	// snapshottable, so those runs skip the fork source rather than
 	// cold-start it just to fail the snapshot.
-	if !cfg.NoCheckpoint && cfg.Trace == nil && len(edges) > chunk && !livenessOn {
+	if cfg.Trace == nil && len(edges) > chunk && !livenessOn {
 		base.fork = &forkSource{template: base}
 	}
 	var trials []trial
@@ -334,69 +330,11 @@ func RunFlips(cfg FlipConfig) ([]FlipSample, error) {
 	return out, nil
 }
 
-// Figure6Config parameterizes the convergence-time comparison. The
-// paper's setup is a 500-node BRITE topology with link delays drawn
-// uniformly from 0–5 ms, flipping each link in turn.
-type Figure6Config struct {
-	Nodes int
-	// LinksPerNode is the BRITE attachment parameter m.
-	LinksPerNode int
-	// Flips caps the number of flipped links (0 = all).
-	Flips int
-	Seed  int64
-	// MRAI is the batching timer of the headline BGP series. Session-
-	// level BGP (the paper's DistComm comparator) rate-limits
-	// advertisements; the eBGP default is 30 s. Centaur needs no such
-	// timer — root cause notification suppresses the path exploration
-	// MRAI exists to dampen — which is precisely the asymmetry Figure 6
-	// demonstrates. A second, MRAI-less BGP series is always measured as
-	// the lower bound.
-	MRAI time.Duration
-	// TrialsPerNetwork and Workers are the parallelism knobs, applied to
-	// every protocol series; see FlipConfig. All three series fan out on
-	// one shared pool (protocol × trial chunk), so even the default
-	// TrialsPerNetwork=0 runs the protocols concurrently.
-	TrialsPerNetwork int
-	Workers          int
-	// NoCheckpoint disables converged-state checkpointing; see FlipConfig.
-	NoCheckpoint bool
-	// Verify invariant-checks every quiesced state of every series
-	// against incremental-solver ground truth (one cold solve up front,
-	// microseconds per flip after); see FlipConfig.Verify.
-	Verify bool
-	// Telemetry and Trace are the observability hooks, shared by all
-	// series; see FlipConfig. Series names are "fig6.centaur",
-	// "fig6.bgp_mrai", and "fig6.bgp".
-	Telemetry *telemetry.Registry
-	Trace     *telemetry.TraceCollector
-	// Flows enables the user-impact variant: that many seeded,
-	// policy-reachable src→dst flows are re-walked through the live RIBs
-	// during every flip phase, and the result carries each series'
-	// aggregated blackhole/loop impact. 0 = classic Figure 6.
-	Flows    int
-	FlowSeed int64
-	// FlowRate converts outcome-seconds to packet equivalents (0 =
-	// forward's default, 1000/s).
-	FlowRate float64
-	// DetectInterval > 0 additionally runs every series under BFD-style
-	// liveness detection at that transmit interval (DetectMult 0 =
-	// liveness's default, 3) instead of oracle link-down notification:
-	// reconvergence times then include failure-detection latency.
-	DetectInterval time.Duration
-	DetectMult     int
-}
-
-// DefaultFigure6Config is the paper's setup with a link sample large
-// enough for a stable CDF.
-func DefaultFigure6Config() Figure6Config {
-	return Figure6Config{Nodes: 500, LinksPerNode: 2, Flips: 120, Seed: 1, MRAI: 30 * time.Second}
-}
-
 // Figure6Result holds the convergence-time CDFs (in milliseconds) of
 // both protocols over the same flip workload.
 type Figure6Result struct {
 	Centaur *metrics.Dist
-	// BGP is the headline series (MRAI per Figure6Config.MRAI).
+	// BGP is the headline series (MRAI per Scenario.MRAI).
 	BGP *metrics.Dist
 	// BGPNoMRAI is the timer-less lower bound series.
 	BGPNoMRAI *metrics.Dist
@@ -408,7 +346,7 @@ type Figure6Result struct {
 	// delay, phases without path exploration end at the identical
 	// instant under both protocols.
 	FractionCentaurNotSlower float64
-	// HasImpact marks a user-impact run (Figure6Config.Flows > 0); the
+	// HasImpact marks a user-impact run (Scenario.Flows > 0); the
 	// Impact fields below then sum each series' per-phase data-plane
 	// outcomes over the whole flip workload.
 	HasImpact       bool
@@ -418,41 +356,27 @@ type Figure6Result struct {
 }
 
 // Figure6 runs the paper's convergence-time comparison: identical
-// topology, delays, and flip sequence for Centaur and BGP.
-func Figure6(cfg Figure6Config) (*Figure6Result, error) {
-	g, err := topogen.BRITE(cfg.Nodes, cfg.LinksPerNode, cfg.Seed)
-	if err != nil {
-		return nil, err
-	}
+// topology, delays, and flip sequence for Centaur and BGP. It reads s's
+// topology, flip, seed, MRAI, parallelism, verify, observability, flow
+// and detection fields; series names are "fig6.centaur", "fig6.bgp_mrai"
+// and "fig6.bgp".
+func Figure6(s Scenario) (*Figure6Result, error) { return figure6(s, runTrials) }
+
+// figure6 is Figure6 with the trials run by run.
+func figure6(s Scenario, run func([]trial, int) error) (*Figure6Result, error) {
 	// All three series run the same hashed-tie-break policy, so one base
 	// solution serves every trial's verification fork.
-	verify, err := verifySolution(g, cfg.Verify)
+	trials, out, flows, err := s.dataPlaneSeries(
+		series{hashedCentaur(centaur.Config{}), "fig6.centaur", "experiments: figure 6 centaur"},
+		series{bgp.New(bgp.Config{MRAI: s.MRAI, Policy: hashedPolicy}), "fig6.bgp_mrai", "experiments: figure 6 bgp"},
+		series{bgp.New(bgp.Config{Policy: hashedPolicy}), "fig6.bgp", "experiments: figure 6 bgp (no mrai)"})
 	if err != nil {
 		return nil, err
 	}
-	flows, err := sampleReachableFlows(g, cfg.Flows, cfg.FlowSeed, verify)
-	if err != nil {
+	if err := run(trials, s.Workers); err != nil {
 		return nil, err
 	}
-	flip := func(b sim.Builder, series string) FlipConfig {
-		return FlipConfig{Topology: g, Build: b, Flips: cfg.Flips, Seed: cfg.Seed,
-			TrialsPerNetwork: cfg.TrialsPerNetwork, NoCheckpoint: cfg.NoCheckpoint,
-			Verify: verify, Series: series, Telemetry: cfg.Telemetry, Trace: cfg.Trace,
-			Flows: flows, FlowRate: cfg.FlowRate,
-			Liveness: liveness.Config{TxInterval: cfg.DetectInterval, DetectMult: cfg.DetectMult}}
-	}
-	nFlips := len(flipEdges(flip(nil, "")))
-	cent := make([]FlipSample, nFlips)
-	bgpr := make([]FlipSample, nFlips)
-	bgpFast := make([]FlipSample, nFlips)
-	// One flat trial list across all three protocol series: the pool is
-	// never nested and stays busy even when chunk runtimes are skewed.
-	trials := flipTrials(flip(hashedCentaur(centaur.Config{}), "fig6.centaur"), "experiments: figure 6 centaur", cent)
-	trials = append(trials, flipTrials(flip(bgp.New(bgp.Config{MRAI: cfg.MRAI, Policy: hashedPolicy}), "fig6.bgp_mrai"), "experiments: figure 6 bgp", bgpr)...)
-	trials = append(trials, flipTrials(flip(bgp.New(bgp.Config{Policy: hashedPolicy}), "fig6.bgp"), "experiments: figure 6 bgp (no mrai)", bgpFast)...)
-	if err := runTrials(trials, cfg.Workers); err != nil {
-		return nil, err
-	}
+	cent, bgpr, bgpFast := out[0], out[1], out[2]
 	res := &Figure6Result{
 		Centaur:   metrics.NewDist(2 * len(cent)),
 		BGP:       metrics.NewDist(2 * len(bgpr)),
@@ -524,39 +448,6 @@ func impactLine(i forward.Impact) string {
 		i.BlackholeSec, i.LoopPackets, i.ValleyDeliveries, i.FinalBlackholed+i.FinalLooping)
 }
 
-// Figure7Config parameterizes the convergence-load comparison against
-// OSPF on the same workload as Figure 6.
-type Figure7Config struct {
-	Nodes        int
-	LinksPerNode int
-	Flips        int
-	Seed         int64
-	// TrialsPerNetwork and Workers are the parallelism knobs; see
-	// FlipConfig and Figure6Config.
-	TrialsPerNetwork int
-	Workers          int
-	// NoCheckpoint disables converged-state checkpointing; see FlipConfig.
-	NoCheckpoint bool
-	// Verify invariant-checks every quiesced state; see Figure6Config.
-	Verify bool
-	// Telemetry and Trace are the observability hooks; series names are
-	// "fig7.centaur" and "fig7.ospf".
-	Telemetry *telemetry.Registry
-	Trace     *telemetry.TraceCollector
-	// Flows/FlowSeed/FlowRate and DetectInterval/DetectMult enable the
-	// user-impact and liveness-detection variants; see Figure6Config.
-	Flows          int
-	FlowSeed       int64
-	FlowRate       float64
-	DetectInterval time.Duration
-	DetectMult     int
-}
-
-// DefaultFigure7Config mirrors the paper's 500-node setup.
-func DefaultFigure7Config() Figure7Config {
-	return Figure7Config{Nodes: 500, LinksPerNode: 2, Flips: 120, Seed: 1}
-}
-
 // Figure7Result holds the per-flip message-unit distributions of
 // Centaur and OSPF.
 type Figure7Result struct {
@@ -575,7 +466,7 @@ type Figure7Result struct {
 	// FractionCentaurFewer is the share of flip phases where Centaur
 	// sent strictly fewer units than OSPF (the paper reports 82%).
 	FractionCentaurFewer float64
-	// HasImpact marks a user-impact run (Figure7Config.Flows > 0); the
+	// HasImpact marks a user-impact run (Scenario.Flows > 0); the
 	// Impact fields sum each series' per-phase data-plane outcomes.
 	HasImpact     bool
 	CentaurImpact forward.Impact
@@ -583,35 +474,20 @@ type Figure7Result struct {
 }
 
 // Figure7 runs the paper's convergence-load comparison: identical
-// topology, delays, and flip sequence for Centaur and OSPF.
-func Figure7(cfg Figure7Config) (*Figure7Result, error) {
-	g, err := topogen.BRITE(cfg.Nodes, cfg.LinksPerNode, cfg.Seed)
+// topology, delays, and flip sequence for Centaur and OSPF. It reads the
+// fields Figure6 does but MRAI; series names are "fig7.centaur" and
+// "fig7.ospf".
+func Figure7(s Scenario) (*Figure7Result, error) {
+	trials, out, flows, err := s.dataPlaneSeries(
+		series{hashedCentaur(centaur.Config{}), "fig7.centaur", "experiments: figure 7 centaur"},
+		series{ospf.New(), "fig7.ospf", "experiments: figure 7 ospf"})
 	if err != nil {
 		return nil, err
 	}
-	verify, err := verifySolution(g, cfg.Verify)
-	if err != nil {
+	if err := runTrials(trials, s.Workers); err != nil {
 		return nil, err
 	}
-	flows, err := sampleReachableFlows(g, cfg.Flows, cfg.FlowSeed, verify)
-	if err != nil {
-		return nil, err
-	}
-	flip := func(b sim.Builder, series string) FlipConfig {
-		return FlipConfig{Topology: g, Build: b, Flips: cfg.Flips, Seed: cfg.Seed,
-			TrialsPerNetwork: cfg.TrialsPerNetwork, NoCheckpoint: cfg.NoCheckpoint,
-			Verify: verify, Series: series, Telemetry: cfg.Telemetry, Trace: cfg.Trace,
-			Flows: flows, FlowRate: cfg.FlowRate,
-			Liveness: liveness.Config{TxInterval: cfg.DetectInterval, DetectMult: cfg.DetectMult}}
-	}
-	nFlips := len(flipEdges(flip(nil, "")))
-	cent := make([]FlipSample, nFlips)
-	osp := make([]FlipSample, nFlips)
-	trials := flipTrials(flip(hashedCentaur(centaur.Config{}), "fig7.centaur"), "experiments: figure 7 centaur", cent)
-	trials = append(trials, flipTrials(flip(ospf.New(), "fig7.ospf"), "experiments: figure 7 ospf", osp)...)
-	if err := runTrials(trials, cfg.Workers); err != nil {
-		return nil, err
-	}
+	cent, osp := out[0], out[1]
 	res := &Figure7Result{
 		Centaur:      metrics.NewDist(2 * len(cent)),
 		OSPF:         metrics.NewDist(2 * len(osp)),
@@ -685,40 +561,6 @@ func (r *Figure7Result) String() string {
 	return b.String()
 }
 
-// Figure8Config parameterizes the scalability sweep.
-type Figure8Config struct {
-	// Sizes are the topology node counts to sweep.
-	Sizes []int
-	// LinksPerNode is the BRITE attachment parameter m.
-	LinksPerNode int
-	// FlipsPerSize is the number of update events measured per size.
-	FlipsPerSize int
-	Seed         int64
-	// TrialsPerNetwork and Workers are the parallelism knobs; the pool
-	// spans size × protocol × trial chunk.
-	TrialsPerNetwork int
-	Workers          int
-	// NoCheckpoint disables converged-state checkpointing; see FlipConfig.
-	NoCheckpoint bool
-	// Verify invariant-checks every quiesced state (one verification
-	// solve per sweep size); see Figure6Config.
-	Verify bool
-	// Telemetry and Trace are the observability hooks; series names are
-	// "fig8.centaur" and "fig8.bgp" (all sizes fold together).
-	Telemetry *telemetry.Registry
-	Trace     *telemetry.TraceCollector
-}
-
-// DefaultFigure8Config sweeps 100–1000 nodes like the paper's Figure 8.
-func DefaultFigure8Config() Figure8Config {
-	return Figure8Config{
-		Sizes:        []int{100, 200, 300, 400, 500, 600, 700, 800, 900, 1000},
-		LinksPerNode: 2,
-		FlipsPerSize: 30,
-		Seed:         1,
-	}
-}
-
 // Figure8Point is one sweep point: the mean update units per routing
 // event for each protocol at one topology size.
 type Figure8Point struct {
@@ -742,41 +584,39 @@ type Figure8Result struct {
 
 // Figure8 sweeps topology sizes and measures the mean per-event update
 // overhead of Centaur and BGP ("the update overhead ... under different
-// topology sizes given a routing update event").
-func Figure8(cfg Figure8Config) (*Figure8Result, error) {
-	res := &Figure8Result{Points: make([]Figure8Point, 0, len(cfg.Sizes))}
+// topology sizes given a routing update event"). It reads s's Sizes (the
+// topology of size n is generated under seed Seed+n), LinksPerNode,
+// Flips (per size), Seed, parallelism, Verify and observability fields;
+// series names are "fig8.centaur" and "fig8.bgp" (all sizes fold
+// together).
+func Figure8(s Scenario) (*Figure8Result, error) {
+	res := &Figure8Result{Points: make([]Figure8Point, 0, len(s.Sizes))}
 	// Flatten size × protocol × trial chunk into one trial list so small
 	// sizes don't leave the pool idle while a big size finishes.
-	centBySize := make([][]FlipSample, len(cfg.Sizes))
-	bgpBySize := make([][]FlipSample, len(cfg.Sizes))
+	bySize := make([][][]FlipSample, len(s.Sizes))
 	var trials []trial
-	for i, n := range cfg.Sizes {
-		g, err := topogen.BRITE(n, cfg.LinksPerNode, cfg.Seed+int64(n))
+	for i, n := range s.Sizes {
+		g, err := topogen.BRITE(n, s.LinksPerNode, s.Seed+int64(n))
 		if err != nil {
 			return nil, err
 		}
 		// Both series run the same hashed-tie-break policy, so one
 		// verification solve per size serves every trial's fork.
-		verify, err := verifySolution(g, cfg.Verify)
+		verify, err := verifySolution(g, s.Verify)
 		if err != nil {
 			return nil, err
 		}
-		flip := func(b sim.Builder, series string) FlipConfig {
-			return FlipConfig{Topology: g, Build: b, Flips: cfg.FlipsPerSize, Seed: cfg.Seed,
-				TrialsPerNetwork: cfg.TrialsPerNetwork, NoCheckpoint: cfg.NoCheckpoint,
-				Verify: verify, Series: series, Telemetry: cfg.Telemetry, Trace: cfg.Trace}
-		}
-		nFlips := len(flipEdges(flip(nil, "")))
-		centBySize[i] = make([]FlipSample, nFlips)
-		bgpBySize[i] = make([]FlipSample, nFlips)
-		trials = append(trials, flipTrials(flip(hashedCentaur(centaur.Config{}), "fig8.centaur"), fmt.Sprintf("experiments: figure 8 centaur n=%d", n), centBySize[i])...)
-		trials = append(trials, flipTrials(flip(bgp.New(bgp.Config{Policy: hashedPolicy}), "fig8.bgp"), fmt.Sprintf("experiments: figure 8 bgp n=%d", n), bgpBySize[i])...)
+		ts, out := s.flipSeries(g, verify, nil, liveness.Config{},
+			series{hashedCentaur(centaur.Config{}), "fig8.centaur", fmt.Sprintf("experiments: figure 8 centaur n=%d", n)},
+			series{bgp.New(bgp.Config{Policy: hashedPolicy}), "fig8.bgp", fmt.Sprintf("experiments: figure 8 bgp n=%d", n)})
+		trials = append(trials, ts...)
+		bySize[i] = out
 	}
-	if err := runTrials(trials, cfg.Workers); err != nil {
+	if err := runTrials(trials, s.Workers); err != nil {
 		return nil, err
 	}
-	for i, n := range cfg.Sizes {
-		cent, bgpr := centBySize[i], bgpBySize[i]
+	for i, n := range s.Sizes {
+		cent, bgpr := bySize[i][0], bySize[i][1]
 		pt := Figure8Point{Nodes: n}
 		var cu, bu, cm, bm, cb, bb, events float64
 		for i := range cent {

@@ -122,7 +122,7 @@ func TestFigure5CentaurFewerMessages(t *testing.T) {
 }
 
 func TestFigure6CentaurConvergesFaster(t *testing.T) {
-	cfg := Figure6Config{Nodes: 120, LinksPerNode: 2, Flips: 25, Seed: 2, MRAI: 30 * time.Second}
+	cfg := Scenario{Nodes: 120, LinksPerNode: 2, Flips: 25, Seed: 2, MRAI: 30 * time.Second}
 	res, err := Figure6(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -151,7 +151,7 @@ func TestFigure6CentaurConvergesFaster(t *testing.T) {
 }
 
 func TestFigure7CentaurUsuallyCheaperThanOSPF(t *testing.T) {
-	cfg := Figure7Config{Nodes: 120, LinksPerNode: 2, Flips: 25, Seed: 2}
+	cfg := Scenario{Nodes: 120, LinksPerNode: 2, Flips: 25, Seed: 2}
 	res, err := Figure7(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -169,7 +169,7 @@ func TestFigure7CentaurUsuallyCheaperThanOSPF(t *testing.T) {
 }
 
 func TestFigure8GapWidensWithSize(t *testing.T) {
-	cfg := Figure8Config{Sizes: []int{60, 120, 240}, LinksPerNode: 2, FlipsPerSize: 12, Seed: 2}
+	cfg := Scenario{Sizes: []int{60, 120, 240}, LinksPerNode: 2, Flips: 12, Seed: 2}
 	res, err := Figure8(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -7,9 +7,9 @@ import (
 
 	"centaur/internal/bgp"
 	"centaur/internal/centaur"
+	"centaur/internal/liveness"
 	"centaur/internal/ospf"
 	"centaur/internal/sim"
-	"centaur/internal/topogen"
 	"centaur/internal/topology"
 )
 
@@ -33,15 +33,14 @@ type LadderResult struct {
 
 // Ladder runs Figure 6's workload — one BRITE topology, delay
 // assignment and flip schedule — under the full protocol ladder:
-// Centaur, BGP, BGP with cfg.MRAI, BGP-RCN and OSPF, each with its
-// default policy. It reads cfg's topology, flip, seed, MRAI,
-// parallelism, checkpoint and observability fields; series names are
-// "compare.<protocol>". Every protocol contributes one cold-start trial
-// (unrecorded in telemetry and trace) and its flip trials to one flat
-// trial list, so results, counters and trace are identical for every
-// worker count.
-func Ladder(cfg Figure6Config) (*LadderResult, error) {
-	g, err := topogen.BRITE(cfg.Nodes, cfg.LinksPerNode, cfg.Seed)
+// Centaur, BGP, BGP with s.MRAI, BGP-RCN and OSPF, each with its default
+// policy. It reads s's topology, flip, seed, MRAI, parallelism and
+// observability fields; series names are "compare.<protocol>". Every
+// protocol contributes one cold-start trial (unrecorded in telemetry and
+// trace) and its flip trials to one flat trial list, so results,
+// counters and trace are identical for every worker count.
+func Ladder(s Scenario) (*LadderResult, error) {
+	g, err := s.brite()
 	if err != nil {
 		return nil, err
 	}
@@ -51,25 +50,21 @@ func Ladder(cfg Figure6Config) (*LadderResult, error) {
 	}{
 		{"centaur", centaur.New(centaur.Config{})},
 		{"bgp", bgp.New(bgp.Config{})},
-		{"bgp+mrai", bgp.New(bgp.Config{MRAI: cfg.MRAI})},
+		{"bgp+mrai", bgp.New(bgp.Config{MRAI: s.MRAI})},
 		{"bgp-rcn", bgp.New(bgp.Config{RCN: true})},
 		{"ospf", ospf.New()},
 	}
-	res := &LadderResult{Topology: g.Stats(), Flips: cfg.Flips, Seed: cfg.Seed, Rows: make([]LadderRow, len(ladder))}
+	res := &LadderResult{Topology: g.Stats(), Flips: s.Flips, Seed: s.Seed, Rows: make([]LadderRow, len(ladder))}
 	cold := make([]sim.Stats, len(ladder))
 	var trials []trial
 	for i, p := range ladder {
-		fc := FlipConfig{
-			Topology: g, Build: p.build, Flips: cfg.Flips, Seed: cfg.Seed,
-			TrialsPerNetwork: cfg.TrialsPerNetwork, NoCheckpoint: cfg.NoCheckpoint,
-			Series: "compare." + p.name, Telemetry: cfg.Telemetry, Trace: cfg.Trace,
-		}
-		res.Rows[i] = LadderRow{Protocol: p.name, Samples: make([]FlipSample, len(flipEdges(fc)))}
 		label := "experiments: ladder " + p.name
-		trials = append(trials, trial{label: label, topo: g, build: p.build, delaySeed: cfg.Seed, body: coldStats(&cold[i])})
-		trials = append(trials, flipTrials(fc, label, res.Rows[i].Samples)...)
+		trials = append(trials, trial{label: label, topo: g, build: p.build, delaySeed: s.Seed, body: coldStats(&cold[i])})
+		ts, out := s.flipSeries(g, nil, nil, liveness.Config{}, series{p.build, "compare." + p.name, label})
+		trials = append(trials, ts...)
+		res.Rows[i] = LadderRow{Protocol: p.name, Samples: out[0]}
 	}
-	if err := runTrials(trials, cfg.Workers); err != nil {
+	if err := runTrials(trials, s.Workers); err != nil {
 		return nil, err
 	}
 	for i := range res.Rows {

@@ -85,7 +85,7 @@ func TestRunFlipsWorkerCountInvariance(t *testing.T) {
 // (protocol × trial-chunk fan-out, aggregation into distributions)
 // yields identical results serial and parallel.
 func TestFigure6WorkerCountInvariance(t *testing.T) {
-	cfg := Figure6Config{
+	cfg := Scenario{
 		Nodes: 60, LinksPerNode: 2, Flips: 6, Seed: 9, MRAI: 30 * time.Second,
 		TrialsPerNetwork: 2,
 	}
@@ -113,7 +113,7 @@ func TestFigure6WorkerCountInvariance(t *testing.T) {
 // load-comparison pipeline, in the default shared-network mode where
 // the fan-out dimension is the protocol alone.
 func TestFigure7WorkerCountInvariance(t *testing.T) {
-	cfg := Figure7Config{Nodes: 60, LinksPerNode: 2, Flips: 6, Seed: 9}
+	cfg := Scenario{Nodes: 60, LinksPerNode: 2, Flips: 6, Seed: 9}
 	serial := cfg
 	serial.Workers = 1
 	want, err := Figure7(serial)

@@ -10,9 +10,9 @@
 // into a *wrong* stable state rather than by never quiescing.
 //
 // Determinism contract: trial j of the flattened trial list uses delay
-// seed Seed+j and fault seed FaultSeed+j; otherwise as for every trial
-// (see trial) — samples, counters, and the concatenated trace are
-// byte-identical for every Workers value.
+// seed Scenario.Seed+j and fault seed FaultSeed+j; otherwise as for
+// every trial (see trial) — samples, counters, and the concatenated
+// trace are byte-identical for every Workers value.
 package experiments
 
 import (
@@ -31,19 +31,12 @@ import (
 	"centaur/internal/ospf"
 	"centaur/internal/sim"
 	"centaur/internal/solver"
-	"centaur/internal/telemetry"
-	"centaur/internal/topogen"
-	"centaur/internal/topology"
 )
 
-// ReliabilityConfig parameterizes a reliability sweep: every protocol
-// series runs Trials trials at each (loss, churn) grid point.
+// ReliabilityConfig is the reliability sweep's own axes: every protocol
+// series runs Trials trials at each (loss, churn) grid point, once per
+// detection interval.
 type ReliabilityConfig struct {
-	// Nodes/LinksPerNode generate the BRITE topology; Topology, when
-	// non-nil, overrides them with an explicit graph.
-	Nodes        int
-	LinksPerNode int
-	Topology     *topology.Graph
 	// LossRates and ChurnRates span the measurement grid. Loss is the
 	// per-message drop probability; churn is in link flaps per simulated
 	// second. Empty slices mean a single 0 point.
@@ -60,10 +53,9 @@ type ReliabilityConfig struct {
 	Window  time.Duration
 	// Trials per (protocol, loss, churn) grid point. Default 1.
 	Trials int
-	// Seed drives per-trial link delays; FaultSeed drives per-trial fault
-	// plans. Trial j of the flattened trial list uses Seed+j and
-	// FaultSeed+j.
-	Seed      int64
+	// FaultSeed drives per-trial fault plans: trial j of the flattened
+	// trial list uses fault seed FaultSeed+j (and delay seed
+	// Scenario.Seed+j).
 	FaultSeed int64
 	// NoTransport runs the protocols raw instead of wrapped in
 	// sim.Reliable — the diagnostic mode that demonstrates why the
@@ -82,47 +74,13 @@ type ReliabilityConfig struct {
 	// what it was before the option existed.
 	BloomPL  bool
 	PLFPRate float64
-	// Flows enables the data-plane forwarding tracker: that many seeded
-	// src→dst traffic aggregates (restricted to policy-reachable pairs)
-	// are re-walked through the live RIBs on every control-plane change,
-	// and each sample carries the integrated user impact —
-	// blackhole-seconds, loop-packet equivalents, valley-violating
-	// deliveries — over the whole trial, cold-start convergence included.
-	// 0 leaves the sweep and its output bit-for-bit what they were
-	// before the data plane existed.
-	Flows    int
-	FlowSeed int64
-	// FlowRate converts outcome-seconds to packet equivalents (packets
-	// per second per flow; 0 = forward's default, 1000).
-	FlowRate float64
 	// DetectIntervals sweeps BFD-style failure detection: each entry runs
 	// the full (protocol × loss × churn × trial) grid with every node's
-	// links guarded by liveness sessions at that transmit interval. A 0
-	// entry is the oracle point — instantaneous link-down notification,
-	// exactly the pre-liveness simulator. Empty means oracle only.
+	// links guarded by liveness sessions at that transmit interval
+	// (Scenario.DetectMult applies). A 0 entry is the oracle point —
+	// instantaneous link-down notification, exactly the pre-liveness
+	// simulator. Empty means oracle only.
 	DetectIntervals []time.Duration
-	// DetectMult is the liveness detection multiplier (0 = liveness's
-	// default, 3).
-	DetectMult int
-	// Workers, Telemetry, Trace as in FlipConfig. Series names are
-	// "rel.centaur", "rel.bgp", "rel.ospf".
-	Workers   int
-	Telemetry *telemetry.Registry
-	Trace     *telemetry.TraceCollector
-}
-
-// DefaultReliabilityConfig is the acceptance-scale setup: a 150-node
-// topology swept over loss and churn.
-func DefaultReliabilityConfig() ReliabilityConfig {
-	return ReliabilityConfig{
-		Nodes:        150,
-		LinksPerNode: 2,
-		LossRates:    []float64{0, 0.05, 0.1, 0.2},
-		ChurnRates:   []float64{0, 10},
-		Trials:       1,
-		Seed:         1,
-		FaultSeed:    10_000,
-	}
 }
 
 // ReliabilitySample is one trial's outcome.
@@ -250,16 +208,16 @@ func relBody(s *ReliabilitySample, sol *solver.Solution) func(*trial, *sim.Netwo
 	}
 }
 
-// RunReliability sweeps the (protocol × loss × churn × trial) grid.
-// Trials that fail to quiesce or quiesce into a wrong state are
-// reported in their samples, not as errors — they are measurements.
-func RunReliability(cfg ReliabilityConfig) (*ReliabilityResult, error) {
-	g := cfg.Topology
-	if g == nil {
-		var err error
-		if g, err = topogen.BRITE(cfg.Nodes, cfg.LinksPerNode, cfg.Seed); err != nil {
-			return nil, err
-		}
+// RunReliability sweeps cfg's (protocol × detection × loss × churn ×
+// trial) grid on s's BRITE topology. It reads s's topology, seed,
+// Workers, observability, flow and DetectMult fields; series names are
+// "rel.centaur", "rel.bgp" and "rel.ospf". Trials that fail to quiesce
+// or quiesce into a wrong state are reported in their samples, not as
+// errors — they are measurements.
+func RunReliability(s Scenario, cfg ReliabilityConfig) (*ReliabilityResult, error) {
+	g, err := s.brite()
+	if err != nil {
+		return nil, err
 	}
 	sol, err := hashedSolve(g)
 	if err != nil {
@@ -282,7 +240,7 @@ func RunReliability(cfg ReliabilityConfig) (*ReliabilityResult, error) {
 	// policy-reachable pairs so steady-state blackhole time measures
 	// faults, not policy holes. (Graph-reachable ⊇ policy-reachable, so
 	// the restriction is sound for the shortest-path series too.)
-	flows, err := sampleReachableFlows(g, cfg.Flows, cfg.FlowSeed, sol)
+	flows, err := sampleReachableFlows(g, s.Flows, s.FlowSeed, sol)
 	if err != nil {
 		return nil, err
 	}
@@ -321,7 +279,7 @@ func RunReliability(cfg ReliabilityConfig) (*ReliabilityResult, error) {
 			// transport.
 			build := liveness.Wrap(base, liveness.Config{
 				TxInterval: detect,
-				DetectMult: cfg.DetectMult,
+				DetectMult: s.DetectMult,
 				Oracle:     detect == 0,
 			})
 			for _, loss := range lossRates {
@@ -343,12 +301,12 @@ func RunReliability(cfg ReliabilityConfig) (*ReliabilityResult, error) {
 						}
 						trials = append(trials, trial{
 							label: "experiments: reliability " + p.name,
-							topo:  g, build: build, delaySeed: cfg.Seed + int64(i), budget: cfg.MaxEvents,
-							series: series, tele: cfg.Telemetry, chunk: cfg.Trace.Chunk(series, cfg.Seed+int64(i)),
-							flows: flows, flowRate: cfg.FlowRate,
+							topo:  g, build: build, delaySeed: s.Seed + int64(i), budget: cfg.MaxEvents,
+							series: series, tele: s.Telemetry, chunk: s.Trace.Chunk(series, s.Seed+int64(i)),
+							flows: flows, flowRate: s.FlowRate,
 							setup: func(net *sim.Network) {
 								if plan.Active() {
-									faults.Attach(net, plan, cfg.Telemetry)
+									faults.Attach(net, plan, s.Telemetry)
 								}
 							},
 							body: relBody(&res.Samples[i], sol),
@@ -358,7 +316,7 @@ func RunReliability(cfg ReliabilityConfig) (*ReliabilityResult, error) {
 			}
 		}
 	}
-	if err := runTrials(trials, cfg.Workers); err != nil {
+	if err := runTrials(trials, s.Workers); err != nil {
 		return nil, err
 	}
 	return res, nil

@@ -7,18 +7,17 @@ import (
 	"time"
 )
 
-// relFlowsConfig is a small but fully loaded reliability sweep: faults,
+// relFlows is a small but fully loaded reliability sweep: faults,
 // flows, and a detection sweep including the oracle point.
-func relFlowsConfig() ReliabilityConfig {
-	return ReliabilityConfig{
-		Nodes: 24, LinksPerNode: 2,
-		LossRates:  []float64{0, 0.1},
-		ChurnRates: []float64{10},
-		Trials:     1,
-		Seed:       3, FaultSeed: 7,
-		Flows: 12, FlowSeed: 42,
-		DetectIntervals: []time.Duration{0, 2 * time.Millisecond},
-	}
+func relFlows(workers int) (*ReliabilityResult, error) {
+	return RunReliability(Scenario{Nodes: 24, LinksPerNode: 2, Seed: 3, Flows: 12, FlowSeed: 42, Workers: workers},
+		ReliabilityConfig{
+			LossRates:       []float64{0, 0.1},
+			ChurnRates:      []float64{10},
+			Trials:          1,
+			FaultSeed:       7,
+			DetectIntervals: []time.Duration{0, 2 * time.Millisecond},
+		})
 }
 
 // TestReliabilityFlowsWorkerInvariance extends the determinism
@@ -26,16 +25,12 @@ func relFlowsConfig() ReliabilityConfig {
 // user impact and BFD accounting are byte-identical at every worker
 // count.
 func TestReliabilityFlowsWorkerInvariance(t *testing.T) {
-	serial := relFlowsConfig()
-	serial.Workers = 1
-	want, err := RunReliability(serial)
+	want, err := relFlows(1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{0, 4} {
-		cfg := relFlowsConfig()
-		cfg.Workers = workers
-		got, err := RunReliability(cfg)
+		got, err := relFlows(workers)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -50,7 +45,7 @@ func TestReliabilityFlowsWorkerInvariance(t *testing.T) {
 // solver oracle inside the run), blackhole time is nonzero once
 // detection latency exists, and the report carries the impact columns.
 func TestReliabilityFlowsAccounting(t *testing.T) {
-	res, err := RunReliability(relFlowsConfig())
+	res, err := relFlows(0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,10 +20,9 @@ func TestReliabilityAcceptance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("150-node fault sweep in -short mode")
 	}
-	res, err := RunReliability(ReliabilityConfig{
-		Nodes: 150, LinksPerNode: 2,
+	res, err := RunReliability(Scenario{Nodes: 150, LinksPerNode: 2, Seed: 1}, ReliabilityConfig{
 		LossRates: []float64{0.2},
-		Trials:    1, Seed: 1, FaultSeed: 10_000,
+		Trials:    1, FaultSeed: 10_000,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -63,24 +62,21 @@ func TestReliabilityAcceptance(t *testing.T) {
 // snapshot are byte-identical for every worker count, with the full
 // fault repertoire (loss, dup, jitter, churn, crashes) active.
 func TestReliabilityWorkerCountInvariance(t *testing.T) {
-	base := ReliabilityConfig{
-		Nodes: 30, LinksPerNode: 2,
+	cfg := ReliabilityConfig{
 		LossRates:  []float64{0.15},
 		ChurnRates: []float64{0, 10},
 		Dup:        0.05, Jitter: time.Millisecond,
 		Crashes: 1, Window: 300 * time.Millisecond,
-		Trials: 2, Seed: 3, FaultSeed: 500,
+		Trials: 2, FaultSeed: 500,
 	}
 	run := func(workers int) (*ReliabilityResult, *telemetry.TraceCollector, *telemetry.Registry) {
-		cfg := base
-		cfg.Workers = workers
-		cfg.Trace = telemetry.NewTraceCollector()
-		cfg.Telemetry = telemetry.New()
-		res, err := RunReliability(cfg)
+		s := Scenario{Nodes: 30, LinksPerNode: 2, Seed: 3, Workers: workers,
+			Trace: telemetry.NewTraceCollector(), Telemetry: telemetry.New()}
+		res, err := RunReliability(s, cfg)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		return res, cfg.Trace, cfg.Telemetry
+		return res, s.Trace, s.Telemetry
 	}
 	res1, tc1, reg1 := run(1)
 	res8, tc8, reg8 := run(runtime.GOMAXPROCS(0) + 3)
@@ -134,10 +130,9 @@ func TestReliabilityWorkerCountInvariance(t *testing.T) {
 // per sample, either as a convergence-watchdog diagnostic or as
 // invariant violations in the wrongly-quiesced state.
 func TestReliabilityNoTransportIsDiagnostic(t *testing.T) {
-	res, err := RunReliability(ReliabilityConfig{
-		Nodes: 40, LinksPerNode: 2,
+	res, err := RunReliability(Scenario{Nodes: 40, LinksPerNode: 2, Seed: 2}, ReliabilityConfig{
 		LossRates: []float64{0.3},
-		Trials:    1, Seed: 2, FaultSeed: 77,
+		Trials:    1, FaultSeed: 77,
 		NoTransport: true,
 		MaxEvents:   2_000_000,
 	})

@@ -13,32 +13,6 @@ import (
 	"centaur/internal/topogen"
 )
 
-// ScalingConfig parameterizes the solver scaling sweep (ROADMAP item 2):
-// for each topology size, one cold all-destinations solve is measured
-// against a series of incrementally re-solved link flips, quantifying
-// how far the warm-start path moves the internet-scale ceiling.
-type ScalingConfig struct {
-	// Sizes are the CAIDA-like node counts to sweep; empty means
-	// DefaultScalingSizes. The real AS graph (~75k nodes) is reachable
-	// with an explicit size entry but not swept by default — a cold
-	// solve at that scale takes tens of minutes and tens of GB.
-	Sizes []int
-	// Flips is the number of single-link fail+restore trials per size
-	// (0 = 30). Links are sampled deterministically from Seed.
-	Flips int
-	// Seed drives topology generation and flip sampling.
-	Seed int64
-	// TieBreak is the solver preference model; the default (TieLowestVia
-	// zero value aside, callers pass TieHashed) must match whatever
-	// consumer the numbers are quoted against.
-	TieBreak policy.TieBreakMode
-	// Verify additionally re-solves every topology from scratch after
-	// its flip series (all links restored) and fails unless the
-	// incrementally maintained tables are byte-identical — the
-	// correctness bar, paid for with one extra cold solve per size.
-	Verify bool
-}
-
 // DefaultScalingSizes spans the previous experiment ceiling (1k/4k) and
 // the first internet-order size (16k).
 func DefaultScalingSizes() []int { return ScalingSizesUpTo(16000) }
@@ -96,7 +70,7 @@ type ScalingPoint struct {
 	// as opposed to ColdAllocMB's cumulative churn.
 	TableMB float64
 	// Verified reports the answer-identical check after the flip series
-	// (always true when ScalingConfig.Verify ran; false means the check
+	// (always true when Scenario.Verify ran; false means the check
 	// was skipped). Dense points compare against a second cold solve;
 	// sharded points use the shard-streamed cold solve so verification
 	// never doubles the resident footprint.
@@ -109,22 +83,30 @@ type ScalingResult struct {
 	Points   []ScalingPoint
 }
 
-// Scaling runs the cold-vs-incremental solver sweep. The flip series is
-// serial by design: Resolve mutates the solution in place, and the
-// point of the measurement is single-flip latency at steady state, not
-// throughput.
-func Scaling(cfg ScalingConfig) (*ScalingResult, error) {
-	sizes := cfg.Sizes
+// Scaling runs the solver scaling sweep: for each
+// CAIDA-like topology of s.Sizes nodes (empty = DefaultScalingSizes;
+// the real AS graph's ~75k nodes only with an explicit entry), one cold
+// all-destinations solve under hashed tie-breaks is measured against
+// s.Flips (0 = 30) single-link fail+restore trials re-solved
+// incrementally, links sampled from s.Seed. With s.Verify every topology
+// is re-solved from scratch after its flip series (all links restored),
+// and the sweep fails unless the incrementally maintained tables are
+// identical — one extra cold solve per size. The flip series is serial
+// by design: Resolve mutates the solution in place, and the point of the
+// measurement is single-flip latency at steady state, not throughput.
+func Scaling(s Scenario) (*ScalingResult, error) {
+	sizes := s.Sizes
 	if len(sizes) == 0 {
 		sizes = DefaultScalingSizes()
 	}
-	flips := cfg.Flips
+	flips := s.Flips
 	if flips <= 0 {
 		flips = 30
 	}
-	res := &ScalingResult{TieBreak: cfg.TieBreak, Points: make([]ScalingPoint, 0, len(sizes))}
+	opts := solver.Options{TieBreak: hashedPolicy.TieBreak}
+	res := &ScalingResult{TieBreak: opts.TieBreak, Points: make([]ScalingPoint, 0, len(sizes))}
 	for _, n := range sizes {
-		g, err := topogen.CAIDALike(n, cfg.Seed)
+		g, err := topogen.CAIDALike(n, s.Seed)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: scaling n=%d: %w", n, err)
 		}
@@ -132,7 +114,7 @@ func Scaling(cfg ScalingConfig) (*ScalingResult, error) {
 
 		a0 := totalAlloc()
 		t0 := time.Now()
-		sol, err := solver.SolveOpts(g, solver.Options{TieBreak: cfg.TieBreak})
+		sol, err := hashedSolve(g)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: scaling n=%d cold solve: %w", n, err)
 		}
@@ -148,7 +130,7 @@ func Scaling(cfg ScalingConfig) (*ScalingResult, error) {
 		pt.IndexMB = float64(totalAlloc()-a0) / (1 << 20)
 
 		edges := g.Edges()
-		rng := rand.New(rand.NewSource(cfg.Seed + int64(n)))
+		rng := rand.New(rand.NewSource(s.Seed + int64(n)))
 		rng.Shuffle(len(edges), func(i, j int) { edges[i], edges[j] = edges[j], edges[i] })
 		if flips < len(edges) {
 			edges = edges[:flips]
@@ -188,12 +170,12 @@ func Scaling(cfg ScalingConfig) (*ScalingResult, error) {
 		if mean := (fail.Mean() + restore.Mean()) / 2; mean > 0 {
 			pt.Speedup = pt.ColdSolveMS * 1000 / mean
 		}
-		if cfg.Verify {
+		if s.Verify {
 			if sol.Layout() == solver.LayoutSharded {
 				// Stream the cold side shard by shard: the check never
 				// holds a second full table, so it stays affordable at
 				// exactly the sizes where sharding matters.
-				ok, err := solver.StreamEqual(g, solver.Options{TieBreak: cfg.TieBreak}, sol)
+				ok, err := solver.StreamEqual(g, opts, sol)
 				if err != nil {
 					return nil, fmt.Errorf("experiments: scaling n=%d verify stream: %w", n, err)
 				}
@@ -201,7 +183,7 @@ func Scaling(cfg ScalingConfig) (*ScalingResult, error) {
 					return nil, fmt.Errorf("experiments: scaling n=%d: incremental tables diverged from streamed cold solve after %d flips", n, len(edges))
 				}
 			} else {
-				cold, err := solver.SolveOpts(g, solver.Options{TieBreak: cfg.TieBreak})
+				cold, err := hashedSolve(g)
 				if err != nil {
 					return nil, fmt.Errorf("experiments: scaling n=%d verify solve: %w", n, err)
 				}

@@ -3,8 +3,6 @@ package experiments
 import (
 	"strings"
 	"testing"
-
-	"centaur/internal/policy"
 )
 
 // TestScalingQuickGate is the CI gate for the incremental solver: at a
@@ -13,13 +11,7 @@ import (
 // (At the full 4k/16k sweep sizes the measured gap is 500-1000x; 10x at
 // 400 nodes leaves generous headroom for loaded CI machines.)
 func TestScalingQuickGate(t *testing.T) {
-	res, err := Scaling(ScalingConfig{
-		Sizes:    []int{400},
-		Flips:    12,
-		Seed:     7,
-		TieBreak: policy.TieHashed,
-		Verify:   true,
-	})
+	res, err := Scaling(Scenario{Sizes: []int{400}, Flips: 12, Seed: 7, Verify: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,13 +36,7 @@ func TestScalingQuickGate(t *testing.T) {
 // TestScalingMultiSize exercises the sweep loop over more than one size
 // with verification on, at toy scale.
 func TestScalingMultiSize(t *testing.T) {
-	res, err := Scaling(ScalingConfig{
-		Sizes:    []int{60, 90},
-		Flips:    6,
-		Seed:     3,
-		TieBreak: policy.TieHashed,
-		Verify:   true,
-	})
+	res, err := Scaling(Scenario{Sizes: []int{60, 90}, Flips: 6, Seed: 3, Verify: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -115,7 +115,7 @@ func TestRunFlipsVerifyCatchesWrongOracle(t *testing.T) {
 // TestFigure6Verified smoke-runs the figure harness with verification
 // enabled end to end.
 func TestFigure6Verified(t *testing.T) {
-	res, err := Figure6(Figure6Config{Nodes: 60, LinksPerNode: 2, Flips: 6, Seed: 2,
+	res, err := Figure6(Scenario{Nodes: 60, LinksPerNode: 2, Flips: 6, Seed: 2,
 		MRAI: 30e9, Verify: true})
 	if err != nil {
 		t.Fatal(err)
