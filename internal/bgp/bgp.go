@@ -260,7 +260,7 @@ func (n *Node) Start(env sim.Env) {
 		Class: policy.ClassOwn,
 		Via:   routing.None,
 	}
-	sim.RouteChangedVia(env, n.self, routing.None, routing.None)
+	env.RouteChangedVia(n.self, routing.None, routing.None)
 	n.advertiseAll(n.self)
 	// A hijacking attacker additionally announces its victim destination
 	// from session start; advertise supplies the forged path.
@@ -372,7 +372,7 @@ func (n *Node) runDecision(dest routing.NodeID) {
 	}
 	// With no route both Vias are routing.None: the zero Candidate's.
 	r.best = newBest
-	sim.RouteChangedVia(n.env, dest, old.Via, newBest.Via)
+	n.env.RouteChangedVia(dest, old.Via, newBest.Via)
 	n.advertiseAll(dest)
 }
 

@@ -94,7 +94,7 @@ func (n *refNode) Start(env sim.Env) {
 		Class: policy.ClassOwn,
 		Via:   routing.None,
 	}
-	sim.RouteChangedVia(env, n.self, routing.None, routing.None)
+	env.RouteChangedVia(n.self, routing.None, routing.None)
 	for _, nb := range n.nbrs {
 		n.scheduleAdvert(nb, n.self)
 	}
@@ -210,7 +210,7 @@ func (n *refNode) runDecision(dest routing.NodeID) {
 		n.best[dest] = newBest
 		newVia = newBest.Via
 	}
-	sim.RouteChangedVia(n.env, dest, oldVia, newVia)
+	n.env.RouteChangedVia(dest, oldVia, newVia)
 	for _, nb := range n.nbrs {
 		n.scheduleAdvert(nb, dest)
 	}

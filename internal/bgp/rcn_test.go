@@ -241,11 +241,11 @@ func TestRCNTraceIsDeterministic(t *testing.T) {
 			Topology:  g,
 			Build:     New(Config{Policy: policy.GaoRexford{TieBreak: policy.TieHashed}, RCN: true}),
 			DelaySeed: 3,
-			Trace:     tc.Chunk("rcn", 3).Observe,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
+		net.Observe(tc.Chunk("rcn", 3).Observe)
 		quiesce := func() {
 			if _, _, err := net.RunToConvergence(50_000_000); err != nil {
 				t.Fatal(err)

@@ -5,6 +5,7 @@ import (
 
 	"centaur/internal/policy"
 	"centaur/internal/routing"
+	"centaur/internal/sim"
 	"centaur/internal/solver"
 	"centaur/internal/topogen"
 	"centaur/internal/topology"
@@ -131,4 +132,32 @@ func TestBloomPLFailureRecovery(t *testing.T) {
 		t.Fatal("restore did not quiesce")
 	}
 	checkAgainstSolverTie(t, g, nodes, policy.TieOverride)
+}
+
+// TestBloomPLFalsePositivesReachNetworkThroughAdapter: a node behind an
+// adapter env (sim.Reliable) still reports every Bloom false positive to
+// the network, through sim.BaseEnv — the count equals an unwrapped run's.
+func TestBloomPLFalsePositivesReachNetworkThroughAdapter(t *testing.T) {
+	g, err := topogen.HeTopLike(120, 4) // small, yet takes false positives
+	if err != nil {
+		t.Fatal(err)
+	}
+	build := New(Config{BloomPL: true, PLFPRate: 0.5, Policy: overridePolicy()})
+	count := func(b sim.Builder) int64 {
+		net, err := sim.NewNetwork(sim.Config{Topology: g, Build: b, DelaySeed: 7})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := net.RunToConvergence(50_000_000); err != nil {
+			t.Fatal(err)
+		}
+		return net.Stats().PLFalsePositives
+	}
+	bare, wrapped := count(build), count(sim.Reliable(build, sim.ReliableConfig{}))
+	if bare == 0 {
+		t.Fatal("the run took no false positives; the test proves nothing")
+	}
+	if wrapped != bare {
+		t.Fatalf("false positives behind sim.Reliable = %d, unwrapped = %d", wrapped, bare)
+	}
 }

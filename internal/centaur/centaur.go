@@ -296,7 +296,8 @@ func (n *Node) openSession(nb *neighbor, b routing.NodeID) {
 }
 
 // plFPNoter is the optional environment interface for Permission List
-// Bloom false-positive accounting; the simulator's envs implement it.
+// Bloom false-positive accounting; the simulator's own env implements
+// it, and sim.BaseEnv reaches that env through any adapter envs.
 type plFPNoter interface{ NotePLFalsePositive(dest routing.NodeID) }
 
 // installFPObserver wires the graph's Bloom false-positive hits into
@@ -309,7 +310,7 @@ func (n *Node) installFPObserver(g *pgraph.Graph) {
 		return
 	}
 	g.SetFPObserver(func(_ routing.Link, dest, _ routing.NodeID) {
-		if noter, ok := n.env.(plFPNoter); ok {
+		if noter, ok := sim.BaseEnv(n.env).(plFPNoter); ok {
 			noter.NotePLFalsePositive(dest)
 		}
 	})
@@ -759,7 +760,7 @@ func (n *Node) applyBest(p int, best policy.Candidate) bool {
 	default:
 		*r = route{path: best.Path.Prepend(n.self), class: best.Class, via: best.Via}
 	}
-	sim.RouteChangedVia(n.env, n.idx.ID(p), old.via, r.via)
+	n.env.RouteChangedVia(n.idx.ID(p), old.via, r.via)
 	// Every neighbor whose export view the change can alter is dirty.
 	for i := range n.nbrs {
 		nb := &n.nbrs[i]

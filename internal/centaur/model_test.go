@@ -545,7 +545,7 @@ func (n *refNode) applyBest(d routing.NodeID, best policy.Candidate, dirty map[r
 		n.vias[d] = best.Via
 		newVia = best.Via
 	}
-	sim.RouteChangedVia(n.env, d, oldVia, newVia)
+	n.env.RouteChangedVia(d, oldVia, newVia)
 	if dirty != nil {
 		n.markDirty(dirty, d, oldClass, best)
 	}

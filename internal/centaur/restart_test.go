@@ -37,7 +37,7 @@ type sentUpdate struct {
 // recordSends makes net append to *log every Update a node sends while
 // *on is set.
 func recordSends(net *sim.Network, on *bool, log *[]sentUpdate) {
-	net.AddObserver(func(ev sim.TraceEvent) {
+	net.Observe(func(ev sim.TraceEvent) {
 		if u, ok := ev.Msg.(Update); ok && ev.Kind == sim.TraceSend && *on {
 			*log = append(*log, sentUpdate{ev.From, ev.To, u})
 		}

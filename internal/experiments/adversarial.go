@@ -143,7 +143,7 @@ func advHooks(g *topology.Graph, scen *advScenario, model *adversary.Model, s *A
 		// Root-cause markers for the causal trace: one adv-inject root per
 		// attacker, before any protocol event fires.
 		for _, a := range model.Attackers() {
-			net.NoteAdversaryInject(a, model.VictimOf(a))
+			net.Emit(sim.TraceAdvInject, a, model.VictimOf(a))
 		}
 		det = invariant.NewAdvTracker(g, model, net)
 		det.Install()
@@ -181,7 +181,7 @@ func advHooks(g *topology.Graph, scen *advScenario, model *adversary.Model, s *A
 					continue
 				}
 				var p routing.Path
-				if rib, ok := invariant.Unwrap(net.Node(v.Node)).(invariant.PathRIB); ok {
+				if rib, ok := sim.Unwrap(net.Node(v.Node)).(invariant.PathRIB); ok {
 					p = rib.BestPath(v.Dest)
 				}
 				if _, _, bad := invariant.ClassifyBad(g, model, v.Dest, p); !bad {

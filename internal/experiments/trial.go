@@ -97,9 +97,9 @@ func (t *trial) run() error {
 
 // network returns the trial's network: a fork of the series' checkpoint
 // when there is one (falling back to a cold start if the protocol is
-// not snapshottable), otherwise a new network with the trace chunk and
-// provenance wired in and setup applied — quiesced when the trial is
-// warm, untouched otherwise.
+// not snapshottable), otherwise a new network with the trace chunk
+// subscribed and setup applied — quiesced when the trial is warm,
+// untouched otherwise.
 func (t *trial) network() (*sim.Network, error) {
 	if t.fork != nil {
 		cp, err := t.fork.checkpoint()
@@ -117,17 +117,15 @@ func (t *trial) network() (*sim.Network, error) {
 			return nil, err
 		}
 	}
-	cfg := sim.Config{Topology: t.topo, Build: t.build, DelaySeed: t.delaySeed}
-	if t.chunk != nil {
-		cfg.Trace = t.chunk.Observe
-		// A schema-v2 chunk needs the simulator to assign provenance
-		// spans; a v1 chunk must not see them (byte-compat).
-		cfg.Provenance = t.chunk.Provenance()
-	}
 	t0 := time.Now()
-	net, err := sim.NewNetwork(cfg)
+	net, err := sim.NewNetwork(sim.Config{Topology: t.topo, Build: t.build, DelaySeed: t.delaySeed})
 	if err != nil {
 		return nil, err
+	}
+	// The trace chunk subscribes first, so every event setup's layers
+	// emit lands in the chunk after the event that caused it.
+	if t.chunk != nil {
+		net.Observe(t.chunk.Observe)
 	}
 	if t.setup != nil {
 		t.setup(net)

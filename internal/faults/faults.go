@@ -156,8 +156,8 @@ func Attach(net *sim.Network, plan Plan, reg *telemetry.Registry) *Injector {
 	edges := topo.Edges()
 	nodes := topo.Nodes()
 
-	// Causal provenance (sim.Config.Provenance) needs no help from this
-	// package: the top-level Schedule calls below run with no active
+	// Causal provenance (the simulator assigns spans to every event)
+	// needs no help from this package: the top-level Schedule calls below run with no active
 	// cause, so each FailLink/CrashNode traces as its own root span, and
 	// the nested restore Schedules capture the cause register the outage
 	// just set — a flap's link-up parents to its link-down, a restart to

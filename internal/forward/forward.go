@@ -15,8 +15,9 @@
 // events, so exact time integrals come from re-evaluating lazily: a
 // Tracker marks itself dirty on any route/link/node trace event and
 // re-walks once per simulated instant at which the network was dirty,
-// via the simulator's instant hook. Runs without a Tracker installed
-// are byte-identical to runs before this package existed.
+// at the instant's end in the simulator's event stream. Runs without a
+// Tracker installed are byte-identical to runs before this package
+// existed.
 package forward
 
 import (
@@ -117,22 +118,9 @@ type (
 	}
 )
 
-// unwrap peels transport/liveness adapters (anything exposing Inner)
-// like invariant.Unwrap; local copy so forward does not import
-// invariant (invariant imports forward for CheckFlows).
-func unwrap(p sim.Protocol) sim.Protocol {
-	for {
-		u, ok := p.(interface{ Inner() sim.Protocol })
-		if !ok {
-			return p
-		}
-		p = u.Inner()
-	}
-}
-
 // nextHopOf reads cur's selected next hop toward dst, or routing.None.
 func nextHopOf(net *sim.Network, cur, dst routing.NodeID) routing.NodeID {
-	switch rib := unwrap(net.Node(cur)).(type) {
+	switch rib := sim.Unwrap(net.Node(cur)).(type) {
 	case nextHopForward:
 		return rib.NextHopTo(dst)
 	case nextHopRIB:
@@ -254,11 +242,11 @@ func (i *Impact) Add(o Impact) {
 // LostSec is the total flow-seconds during which packets were lost.
 func (i Impact) LostSec() float64 { return i.BlackholeSec + i.LoopSec }
 
-// Tracker integrates flow outcomes over simulated time. It observes the
-// network's trace stream for anything that can change forwarding
-// (route changes, link and node transitions), marks itself dirty, and
-// re-walks every flow at the *end* of each dirty simulated instant via
-// the simulator's instant hook — outcome functions are
+// Tracker integrates flow outcomes over simulated time. It subscribes
+// to the network's event stream, marks itself dirty on anything that
+// can change forwarding (route changes, link and node transitions), and
+// re-walks every flow at the *end* of each dirty simulated instant (the
+// stream's TraceInstant events) — outcome functions are
 // piecewise-constant between instants, so the integral is exact.
 type Tracker struct {
 	net *sim.Network
@@ -278,28 +266,22 @@ func NewTracker(net *sim.Network, cfg Config) *Tracker {
 	return &Tracker{net: net, cfg: cfg, cur: make([]Outcome, len(cfg.Flows))}
 }
 
-// Install hooks the tracker into the network's trace stream and
-// instant clock. Observer installation is output-neutral: runs with a
-// tracker report the same convergence times, message counts, and
-// traces as runs without.
-func (t *Tracker) Install() {
-	t.net.AddObserver(t.onTrace)
-	t.net.SetInstantHook(t.onInstant)
-}
+// Install subscribes the tracker to the network's event stream.
+// Subscribing is output-neutral: runs with a tracker report the same
+// convergence times, message counts, and traces as runs without.
+func (t *Tracker) Install() { t.net.Observe(t.observe) }
 
-func (t *Tracker) onTrace(ev sim.TraceEvent) {
+// observe marks the tracker dirty on forwarding-relevant events and
+// re-evaluates at the end of each dirty instant that scheduled further
+// work, so outcome intervals are attributed with event precision.
+func (t *Tracker) observe(ev sim.TraceEvent) {
 	switch ev.Kind {
 	case sim.TraceRouteChange, sim.TraceLinkDown, sim.TraceLinkUp, sim.TraceCrash, sim.TraceRestart:
 		t.dirty = true
-	}
-}
-
-// onInstant fires at the end of each simulated instant that scheduled
-// further work; a dirty instant triggers re-evaluation, so outcome
-// intervals are attributed with event precision.
-func (t *Tracker) onInstant(now time.Duration) {
-	if t.dirty {
-		t.eval(now)
+	case sim.TraceInstant:
+		if t.dirty {
+			t.eval(ev.At)
+		}
 	}
 }
 
@@ -345,8 +327,8 @@ func (t *Tracker) eval(now time.Duration) {
 }
 
 // Window closes the measurement window at now — typically net.Now()
-// after quiescence, which the instant hook never sees (it fires only
-// when an instant schedules a later one). It integrates the open
+// after quiescence, whose instant never ends in the event stream (an
+// instant ends only when a later one is scheduled). It integrates the open
 // interval, converts to packet equivalents, snapshots the final flow
 // states, and resets the accumulators so the next window starts clean
 // (the classification cursor carries over).

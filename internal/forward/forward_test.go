@@ -194,8 +194,8 @@ func TestTrackerIntegratesOutcomeTime(t *testing.T) {
 	})
 	tr.Install()
 	// The mutation instants schedule later work (the sentinel below), so
-	// the instant hook fires at each and the tracker evaluates exactly
-	// when forwarding changes.
+	// each one's end is in the event stream and the tracker evaluates
+	// exactly when forwarding changes.
 	net.Schedule(10*time.Millisecond, func() { net.FailLink(2, 3) })
 	net.Schedule(30*time.Millisecond, func() { net.RestoreLink(2, 3) })
 	net.Schedule(100*time.Millisecond, func() {}) // sentinel: closes the run at 100 ms

@@ -97,11 +97,12 @@ func attackerEndOrOn(m *adversary.Model, p routing.Path) routing.NodeID {
 
 // AdvTracker observes a network under attack and records which honest
 // nodes ever held contaminated RIB state. Install it with Install
-// BEFORE sim.Network.Run: it hooks the route-audit callback, so every
-// route change is classified synchronously at the instant it happens —
-// "ever held bad state" needs no per-instant full scans. Each
+// BEFORE sim.Network.Run: it subscribes to the network's event stream,
+// so every route change is classified synchronously at the instant it
+// happens — "ever held bad state" needs no per-instant full scans. Each
 // contaminated change also emits a TraceAdvBad span into the causal
-// trace, attributed to the update that caused it.
+// trace, right after the route event and attributed to the update that
+// caused it.
 type AdvTracker struct {
 	g   *topology.Graph
 	m   *adversary.Model
@@ -128,16 +129,22 @@ func NewAdvTracker(g *topology.Graph, m *adversary.Model, net *sim.Network) *Adv
 	}
 }
 
-// Install hooks the tracker into the network's route audit.
-func (t *AdvTracker) Install() { t.net.SetRouteAudit(t.audit) }
+// Install subscribes the tracker to the network's event stream.
+func (t *AdvTracker) Install() {
+	t.net.Observe(func(ev sim.TraceEvent) {
+		if ev.Kind == sim.TraceRouteChange && t.audit(ev.From, ev.To) {
+			t.net.Emit(sim.TraceAdvBad, ev.From, ev.To)
+		}
+	})
+}
 
-// audit classifies the changed (node, dest) entry; returning true makes
-// the simulator emit the TraceAdvBad span.
+// audit classifies the changed (node, dest) entry and reports whether
+// it is contaminated.
 func (t *AdvTracker) audit(node, dest routing.NodeID) bool {
 	if t.m.IsAttacker(node) {
 		return false // the adversary's own RIB is not "contaminated"
 	}
-	rib, ok := Unwrap(t.net.Node(node)).(PathRIB)
+	rib, ok := sim.Unwrap(t.net.Node(node)).(PathRIB)
 	if !ok {
 		return false
 	}
@@ -243,7 +250,7 @@ func (t *AdvTracker) Report() AdvReport {
 			continue
 		}
 		r.Honest++
-		rib, ok := Unwrap(t.net.Node(id)).(PathRIB)
+		rib, ok := sim.Unwrap(t.net.Node(id)).(PathRIB)
 		if !ok {
 			continue
 		}
@@ -317,7 +324,7 @@ func StructuralDenials(net *sim.Network, g *topology.Graph, m *adversary.Model) 
 		if m.IsAttacker(id) {
 			continue
 		}
-		rib, ok := Unwrap(net.Node(id)).(advStructuralRIB)
+		rib, ok := sim.Unwrap(net.Node(id)).(advStructuralRIB)
 		if !ok {
 			continue
 		}

@@ -39,17 +39,9 @@ type NextHopRIB interface {
 	NextHop(dest routing.NodeID) routing.NodeID
 }
 
-// Unwrap peels transport adapters (anything exposing Inner) until it
-// reaches the protocol instance itself.
-func Unwrap(p sim.Protocol) sim.Protocol {
-	for {
-		u, ok := p.(interface{ Inner() sim.Protocol })
-		if !ok {
-			return p
-		}
-		p = u.Inner()
-	}
-}
+// Unwrap is sim.Unwrap; the benchmark module (benchmark/) still calls it
+// here.
+func Unwrap(p sim.Protocol) sim.Protocol { return sim.Unwrap(p) }
 
 // Violation is one broken invariant at one (node, destination) pair.
 type Violation struct {
@@ -94,7 +86,7 @@ func checkAgainst(net *sim.Network, sol *solver.Solution, g *topology.Graph) []V
 	nodes := g.Nodes()
 	usesNextHop := false
 	for _, id := range nodes {
-		switch p := Unwrap(net.Node(id)).(type) {
+		switch p := sim.Unwrap(net.Node(id)).(type) {
 		case PathRIB:
 			out = append(out, checkNodePaths(g, sol, id, p, nodes)...)
 		case NextHopRIB:
@@ -165,7 +157,7 @@ func CheckStreamed(net *sim.Network, g *topology.Graph, opts solver.Options) ([]
 	ribs := make(map[routing.NodeID]PathRIB, len(nodes))
 	usesNextHop := false
 	for _, id := range nodes {
-		switch p := Unwrap(net.Node(id)).(type) {
+		switch p := sim.Unwrap(net.Node(id)).(type) {
 		case PathRIB:
 			ribs[id] = p
 		case NextHopRIB:
@@ -224,7 +216,7 @@ func CheckFlows(net *sim.Network, sol *solver.Solution, flows []forward.Flow) []
 	}
 	for _, f := range flows {
 		path, outcome := forward.WalkFlow(net, f)
-		_, isPath := Unwrap(net.Node(f.Src)).(PathRIB)
+		_, isPath := sim.Unwrap(net.Node(f.Src)).(PathRIB)
 		// Ground truth depends on the source's RIB shape: path-vector
 		// sources answer to the policy solver, next-hop sources to plain
 		// graph reachability — the same split Check makes.
@@ -334,7 +326,7 @@ func checkNextHopsOn(net *sim.Network, g *topology.Graph) []Violation {
 			if id == dest {
 				continue
 			}
-			rib, ok := Unwrap(net.Node(id)).(NextHopRIB)
+			rib, ok := sim.Unwrap(net.Node(id)).(NextHopRIB)
 			if !ok {
 				continue
 			}
@@ -373,7 +365,7 @@ func walkNextHops(net *sim.Network, id, dest routing.NodeID, maxHops int) (int, 
 		if cur == dest {
 			return hops, cur, false
 		}
-		rib, ok := Unwrap(net.Node(cur)).(NextHopRIB)
+		rib, ok := sim.Unwrap(net.Node(cur)).(NextHopRIB)
 		if !ok {
 			return hops, cur, false
 		}

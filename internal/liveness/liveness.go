@@ -222,23 +222,9 @@ func (e *livEnv) LinkIsUp(peer routing.NodeID) bool {
 // own environment through this wrapper.
 func (e *livEnv) UnwrapEnv() sim.Env { return e.Env }
 
-// NotePLFalsePositive forwards compressed-Permission-List accounting to
-// the real environment (the embedded interface hides extra methods; see
-// the identical forwarder on sim's relEnv).
-func (e *livEnv) NotePLFalsePositive(dest routing.NodeID) {
-	if noter, ok := e.Env.(interface{ NotePLFalsePositive(routing.NodeID) }); ok {
-		noter.NotePLFalsePositive(dest)
-	}
-}
-
-// RouteChangedVia forwards next-hop-annotated route reports to the real
-// environment, like sim's relEnv.
-func (e *livEnv) RouteChangedVia(dest, oldNext, newNext routing.NodeID) {
-	sim.RouteChangedVia(e.Env, dest, oldNext, newNext)
-}
-
-// Inner returns the wrapped protocol, so invariant.Unwrap and the
-// forwarding walker reach the RIB through the detector.
+// Inner returns the wrapped protocol, so sim.Unwrap (the invariant
+// checker's and the forwarding walker's peel) reaches the RIB through
+// the detector.
 func (n *Node) Inner() sim.Protocol { return n.inner }
 
 // LinkSessions implements sim.SessionReporter for watchdog stall

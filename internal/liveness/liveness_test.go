@@ -60,11 +60,11 @@ func buildPair(t *testing.T, cfg liveness.Config, inj sim.Injector) (*sim.Networ
 		Build:    build,
 		MinDelay: time.Millisecond,
 		MaxDelay: time.Millisecond,
-		Faults:   inj,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	net.SetInjector(inj)
 	return net, probes
 }
 

@@ -170,14 +170,15 @@ func Hub(k int, rel topology.Relationship) *StubEnv {
 	return env
 }
 
-func (e *StubEnv) Self() routing.NodeID             { return e.ID }
-func (e *StubEnv) Now() time.Duration               { return 0 }
-func (e *StubEnv) Send(routing.NodeID, sim.Message) { e.Sends++ }
-func (e *StubEnv) After(time.Duration, func())      {}
-func (e *StubEnv) Neighbors() []topology.Neighbor   { return e.Nbrs }
-func (e *StubEnv) LinkIsUp(routing.NodeID) bool     { return true }
-func (e *StubEnv) RouteChanged(routing.NodeID)      {}
-func (e *StubEnv) Index() *topology.Index           { return e.Idx }
+func (e *StubEnv) Self() routing.NodeID                   { return e.ID }
+func (e *StubEnv) Now() time.Duration                     { return 0 }
+func (e *StubEnv) Send(routing.NodeID, sim.Message)       { e.Sends++ }
+func (e *StubEnv) After(time.Duration, func())            {}
+func (e *StubEnv) Neighbors() []topology.Neighbor         { return e.Nbrs }
+func (e *StubEnv) LinkIsUp(routing.NodeID) bool           { return true }
+func (e *StubEnv) RouteChanged(routing.NodeID)            {}
+func (e *StubEnv) RouteChangedVia(_, _, _ routing.NodeID) {}
+func (e *StubEnv) Index() *topology.Index                 { return e.Idx }
 
 // FlipBench measures one link failed, quiesced, restored and quiesced
 // on a network of build's nodes converged on g.

@@ -65,7 +65,7 @@ func (e *capEnv) RouteChanged(dest routing.NodeID) {
 func (e *capEnv) RouteChangedVia(dest, oldNext, newNext routing.NodeID) {
 	e.out = append(e.out, emission{dest: dest, old: oldNext, nw: newNext, via: true})
 	if e.forward {
-		sim.RouteChangedVia(e.Env, dest, oldNext, newNext)
+		e.Env.RouteChangedVia(dest, oldNext, newNext)
 	}
 }
 

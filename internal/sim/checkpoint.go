@@ -119,10 +119,10 @@ func (c *Checkpoint) Fork(delaySeed int64) (*Network, error) {
 	n.now = src.now
 	n.seq = src.seq
 	n.events = src.events
-	// Provenance continues from the template: span IDs stay unique per
-	// network lineage, and the active-cause registers are zero on a
-	// quiesced template anyway (Run clears them on drain).
-	n.prov = src.prov
+	// Span IDs continue from the template, so they stay unique per
+	// network lineage; the active-cause registers are zero on a quiesced
+	// template anyway (Run clears them on drain). Subscribers are not
+	// inherited: a fork starts with an empty event stream.
 	n.spanSeq = src.spanSeq
 	// A link down in the template is down in the fork — its endpoints'
 	// protocol state says so — whatever delay the fork drew for it.

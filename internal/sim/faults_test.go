@@ -38,11 +38,13 @@ func buildEchoFixed(t *testing.T, g *topology.Graph, inj Injector, trace func(Tr
 		},
 		MinDelay: time.Millisecond,
 		MaxDelay: time.Millisecond,
-		Faults:   inj,
-		Trace:    trace,
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+	net.SetInjector(inj)
+	if trace != nil {
+		net.Observe(trace)
 	}
 	return net, nodes
 }

@@ -26,11 +26,11 @@ func TestNotePLFalsePositiveCountsAndTraces(t *testing.T) {
 			return n
 		},
 		DelaySeed: 1,
-		Trace:     func(ev TraceEvent) { events = append(events, ev) },
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	net.Observe(func(ev TraceEvent) { events = append(events, ev) })
 	if _, ok := net.Run(0); !ok {
 		t.Fatal("startup should quiesce")
 	}
@@ -62,7 +62,8 @@ func TestNotePLFalsePositiveCountsAndTraces(t *testing.T) {
 
 func TestRelEnvForwardsPLFalsePositive(t *testing.T) {
 	// The reliable-transport adapter interposes its own Env; the
-	// accounting must still reach the network.
+	// accounting must still reach the network through BaseEnv, which is
+	// how protocols (Centaur's Bloom Permission Lists) report it.
 	g, err := topogen.Chain(2)
 	if err != nil {
 		t.Fatal(err)
@@ -82,9 +83,12 @@ func TestRelEnvForwardsPLFalsePositive(t *testing.T) {
 	if _, ok := net.Run(0); !ok {
 		t.Fatal("startup should quiesce")
 	}
-	noter, ok := envs[0].(plFPNoter)
+	if _, ok := envs[0].(*relEnv); !ok {
+		t.Fatalf("protocol env is %T, want the adapter's relEnv", envs[0])
+	}
+	noter, ok := BaseEnv(envs[0]).(plFPNoter)
 	if !ok {
-		t.Fatal("relEnv must forward NotePLFalsePositive")
+		t.Fatal("BaseEnv of relEnv must reach the network's NotePLFalsePositive")
 	}
 	noter.NotePLFalsePositive(3)
 	if got := net.Stats().PLFalsePositives; got != 1 {

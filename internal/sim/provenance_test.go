@@ -34,7 +34,7 @@ func (p *provNode) LinkDown(peer routing.NodeID) {
 		for _, nb := range p.env.Neighbors() {
 			p.env.Send(nb.ID, pingMsg{hops: 1})
 		}
-		RouteChangedVia(p.env, peer, peer, routing.None)
+		p.env.RouteChangedVia(peer, peer, routing.None)
 	}
 	if p.useTimer {
 		p.env.After(time.Millisecond, fire)
@@ -49,15 +49,18 @@ func buildProv(t *testing.T, g *topology.Graph, useTimer bool) (*Network, *[]Tra
 	t.Helper()
 	var events []TraceEvent
 	net, err := NewNetwork(Config{
-		Topology:   g,
-		Build:      func(env Env) Protocol { return &provNode{useTimer: useTimer} },
-		DelaySeed:  7,
-		Provenance: true,
-		Trace:      func(ev TraceEvent) { events = append(events, ev) },
+		Topology:  g,
+		Build:     func(env Env) Protocol { return &provNode{useTimer: useTimer} },
+		DelaySeed: 7,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	net.Observe(func(ev TraceEvent) {
+		if ev.Kind != TraceInstant {
+			events = append(events, ev)
+		}
+	})
 	return net, &events
 }
 
@@ -253,51 +256,6 @@ func TestProvenanceCrashRestartParenting(t *testing.T) {
 	for _, u := range byKind(*events, TraceLinkUp) {
 		if u.Parent != restart.Span || u.Depth != 0 {
 			t.Fatalf("restart adjacency link-up %+v; want parent %d depth 0", u, restart.Span)
-		}
-	}
-}
-
-// TestProvenanceDoesNotPerturbSchedule pins the byte-compat guarantee:
-// with provenance off the trace carries no spans, and turning it on
-// changes only the provenance fields — the (time, kind, from, to)
-// sequence is identical.
-func TestProvenanceDoesNotPerturbSchedule(t *testing.T) {
-	g, err := topogen.BRITE(20, 2, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	run := func(prov bool) []TraceEvent {
-		var events []TraceEvent
-		net, err := NewNetwork(Config{
-			Topology:   g,
-			Build:      func(env Env) Protocol { return &provNode{} },
-			DelaySeed:  7,
-			Provenance: prov,
-			Trace:      func(ev TraceEvent) { events = append(events, ev) },
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, ok := net.Run(0); !ok {
-			t.Fatal("startup should quiesce")
-		}
-		net.FailLink(1, 2)
-		if _, ok := net.Run(100_000); !ok {
-			t.Fatal("run did not quiesce")
-		}
-		return events
-	}
-	off, on := run(false), run(true)
-	if len(off) != len(on) {
-		t.Fatalf("event counts differ: off=%d on=%d", len(off), len(on))
-	}
-	for i := range off {
-		if off[i].Span != 0 || off[i].Parent != 0 || off[i].Depth != 0 {
-			t.Fatalf("provenance-off event %d carries spans: %+v", i, off[i])
-		}
-		if off[i].At != on[i].At || off[i].Kind != on[i].Kind ||
-			off[i].From != on[i].From || off[i].To != on[i].To {
-			t.Fatalf("event %d differs: off=%+v on=%+v", i, off[i], on[i])
 		}
 	}
 }

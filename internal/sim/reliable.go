@@ -207,12 +207,6 @@ type relNode struct {
 	cfg   ReliableConfig
 	sess  map[routing.NodeID]*relSession
 	noter transportNoter
-
-	// Local counters, exposed for tests; the Network-wide totals live in
-	// Stats via transportNoter.
-	retransmits   int64
-	dupSuppressed int64
-	abandoned     int64
 }
 
 var _ Protocol = (*relNode)(nil)
@@ -229,34 +223,9 @@ func (e *relEnv) Send(to routing.NodeID, msg Message) { e.n.sendData(to, msg) }
 // UnwrapEnv implements EnvUnwrapper.
 func (e *relEnv) UnwrapEnv() Env { return e.Env }
 
-// NotePLFalsePositive forwards compressed-Permission-List accounting to
-// the real environment. The embedded Env interface hides the concrete
-// env's extra methods, so without this forwarder a protocol running
-// behind the adapter could not reach the network's counter.
-func (e *relEnv) NotePLFalsePositive(dest routing.NodeID) {
-	if noter, ok := e.Env.(interface{ NotePLFalsePositive(routing.NodeID) }); ok {
-		noter.NotePLFalsePositive(dest)
-	}
-}
-
-// RouteChangedVia forwards next-hop-annotated route reports to the real
-// environment, for the same reason as NotePLFalsePositive above: the
-// embedded interface hides the concrete env's extra methods, and
-// without the forwarder a protocol behind the adapter would silently
-// degrade to plain RouteChanged and lose its oh/nh trace fields.
-func (e *relEnv) RouteChangedVia(dest, oldNext, newNext routing.NodeID) {
-	RouteChangedVia(e.Env, dest, oldNext, newNext)
-}
-
 // Inner returns the wrapped protocol instance, so tests and invariant
 // checkers can reach the protocol's RIB accessors through the adapter.
 func (n *relNode) Inner() Protocol { return n.inner }
-
-// Retransmits, DupSuppressed, and Abandoned expose this node's local
-// transport counters.
-func (n *relNode) Retransmits() int64   { return n.retransmits }
-func (n *relNode) DupSuppressed() int64 { return n.dupSuppressed }
-func (n *relNode) Abandoned() int64     { return n.abandoned }
 
 func (n *relNode) session(peer routing.NodeID) *relSession {
 	s := n.sess[peer]
@@ -303,14 +272,12 @@ func (n *relNode) armRetransmit(to routing.NodeID, gen, seq uint64, d time.Durat
 		}
 		if attempt > n.cfg.maxRetries() {
 			delete(s.outstanding, seq)
-			n.abandoned++
 			if n.noter != nil {
 				n.noter.noteAbandoned()
 			}
 			return
 		}
 		p.frame.Rexmit = true
-		n.retransmits++
 		if n.noter != nil {
 			n.noter.noteRetransmit()
 		}
@@ -329,7 +296,6 @@ func (n *relNode) recvData(from routing.NodeID, f DataFrame) {
 	s := n.session(from)
 	_, buffered := s.buffer[f.Seq]
 	if f.Seq < s.nextExpected || buffered {
-		n.dupSuppressed++
 		if n.noter != nil {
 			n.noter.noteDupSuppressed()
 		}

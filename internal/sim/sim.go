@@ -77,6 +77,12 @@ type Env interface {
 	// behind per-destination convergence metrics — and counts it in
 	// Stats.RouteChanges.
 	RouteChanged(dest routing.NodeID)
+	// RouteChangedVia is RouteChanged with the old and new next hop of
+	// the changed route attached (routing.None = no route), which the
+	// route event carries (schema v2's oh/nh fields). Protocols that
+	// know their next hops at update time report through it; OSPF, whose
+	// SPF is lazy, reports through RouteChanged.
+	RouteChangedVia(dest, oldNext, newNext routing.NodeID)
 	// Index returns the dense index of the topology's nodes, shared by
 	// every node of the network. Protocols size their per-destination
 	// tables from it once and key them by position.
@@ -103,8 +109,9 @@ type Builder func(env Env) Protocol
 
 // EnvUnwrapper is implemented by adapter environments (sim's own relEnv,
 // internal/liveness's gated env) that wrap another Env. BaseEnv follows
-// the chain, so type-asserted accounting hooks (transportNoter) reach
-// the simulator's own environment through any stack of wrappers.
+// the chain, so type-asserted accounting hooks (transportNoter, the
+// Permission List false-positive note) reach the simulator's own
+// environment through any stack of wrappers.
 type EnvUnwrapper interface {
 	UnwrapEnv() Env
 }
@@ -119,6 +126,25 @@ func BaseEnv(env Env) Env {
 		}
 		env = u.UnwrapEnv()
 	}
+}
+
+// Unwrap peels adapter protocols (anything exposing Inner() Protocol,
+// such as Reliable's and internal/liveness's wrappers) off p and
+// returns the protocol instance itself.
+func Unwrap(p Protocol) Protocol { return peel(p, func(Protocol) bool { return false }) }
+
+// peel walks p's adapter chain outermost first — p, then each layer's
+// Inner() — and returns the first layer stop accepts, or the innermost
+// protocol when it accepts none.
+func peel(p Protocol, stop func(Protocol) bool) Protocol {
+	for !stop(p) {
+		a, ok := p.(interface{ Inner() Protocol })
+		if !ok {
+			break
+		}
+		p = a.Inner()
+	}
+	return p
 }
 
 // Event kinds of the tagged event union. evFunc and evNodeTimer are the
@@ -147,11 +173,11 @@ const faultDrop uint8 = 1
 // on kind: evFunc uses fn; evStart uses to; evDeliver uses from, to,
 // link, epoch, fault, and msg; evLinkDown/evLinkUp use from (the peer)
 // and to (the dense index of the notified node); evNodeTimer uses fn,
-// to, and epoch (the node generation). Under Config.Provenance every
-// event also carries cause/depth: the span of the occurrence that
-// scheduled it (the send for a delivery, the link transition for a
-// notification, the active cause for a timer) and that cause's causal
-// depth, captured at scheduling time so the handler inherits causality.
+// to, and epoch (the node generation). Every event also carries
+// cause/depth: the span of the occurrence that scheduled it (the send
+// for a delivery, the link transition for a notification, the active
+// cause for a timer) and that cause's causal depth, captured at
+// scheduling time so the handler inherits causality.
 type event struct {
 	at    time.Duration
 	seq   uint64 // tie-break so equal-time events run in schedule order
@@ -323,25 +349,6 @@ type Config struct {
 	// defaults 0 and 5 ms apply. Delays are fixed per link, which makes
 	// each link FIFO like DistComm's session transport.
 	MinDelay, MaxDelay time.Duration
-	// Trace, when non-nil, observes every simulation event (sends,
-	// deliveries, drops, link transitions). It runs synchronously inside
-	// the event loop, so it sees a consistent view but should stay cheap.
-	Trace func(TraceEvent)
-	// Provenance enables causal provenance: every traced event is
-	// assigned a trace-unique span ID (TraceEvent.Span, dense from 1 per
-	// network in emission order) and annotated with the span of the
-	// event that caused it (Parent) and its causal depth in message hops
-	// from the root link/node event (Depth). Root events — link
-	// transitions, crashes, restarts — are depth 0; a send is one deeper
-	// than its cause; deliveries, fault records, and route changes
-	// inherit their cause's depth. Schema v2 trace chunks
-	// (telemetry.NewTraceCollectorV2) require it; leave it off to keep
-	// traces byte-identical to the v1 schema.
-	Provenance bool
-	// Faults, when non-nil, is consulted once per message entering an up
-	// link and may lose, duplicate, or delay it (see Injector). It can
-	// also be installed after construction with SetInjector.
-	Faults Injector
 }
 
 // FaultDecision is a fault injector's verdict for one message
@@ -416,10 +423,17 @@ const (
 	// the run starts (From is the attacker, To its victim destination or
 	// routing.None). A root event: no parent, depth 0.
 	TraceAdvInject
-	// TraceAdvBad is the route-audit hook flagging a just-installed
-	// route as contaminated (From is the node, To the destination).
+	// TraceAdvBad is the adversarial detector flagging a just-installed
+	// route as contaminated (From is the node, To the destination),
+	// emitted by the detector's subscriber right after the route event.
 	// Like route events it inherits the causing delivery's span.
 	TraceAdvBad
+	// TraceInstant marks the end of a processed simulated instant (At):
+	// every state change of the instant has been applied and nothing
+	// later has run. It carries no span and is published once per
+	// instant Run advances past, so the final instant before quiescence
+	// gets none. The forwarding tracker flushes on it.
+	TraceInstant
 )
 
 // String names the trace kind.
@@ -455,6 +469,8 @@ func (k TraceKind) String() string {
 		return "adv-inject"
 	case TraceAdvBad:
 		return "adv-bad"
+	case TraceInstant:
+		return "instant"
 	default:
 		return fmt.Sprintf("trace(%d)", uint8(k))
 	}
@@ -467,12 +483,14 @@ type TraceEvent struct {
 	At       time.Duration
 	From, To routing.NodeID
 	Msg      Message
-	// Span, Parent, and Depth are the causal provenance annotations,
-	// populated only under Config.Provenance: Span is this event's
-	// trace-unique cause ID (dense from 1 per network, in emission
-	// order), Parent the span of the event that caused it (0 = none, a
-	// startup or externally driven occurrence), and Depth the causal
-	// depth in message hops from the root link/node event.
+	// Span, Parent, and Depth are the causal provenance annotations:
+	// Span is this event's network-unique cause ID (dense from 1, in
+	// emission order), Parent the span of the event that caused it (0 =
+	// none, a startup or externally driven occurrence), and Depth the
+	// causal depth in message hops from the root link/node event. Root
+	// events — link transitions, crashes, restarts — are depth 0; a send
+	// is one deeper than its cause; deliveries, fault records, and route
+	// changes inherit their cause's depth.
 	Span, Parent uint64
 	Depth        int32
 	// OldNext and NewNext are the old and new next hop of a
@@ -517,7 +535,11 @@ type Network struct {
 	routeChangedAt  []time.Duration
 	routeChangedSet []bool
 	events          int64
-	trace           func(TraceEvent)
+	// subs are the event-stream subscribers, in subscription order (see
+	// Observe); queued holds the event being published and those its
+	// subscribers emit behind it.
+	subs   []func(TraceEvent)
+	queued []TraceEvent
 	// injector, when non-nil, is consulted for every message entering an
 	// up link (see Injector). Its presence blocks Checkpoint.
 	injector Injector
@@ -531,10 +553,7 @@ type Network struct {
 	// retained so Checkpoint.Fork can re-derive per-link delays from a new
 	// seed exactly the way NewNetwork did.
 	minDelay, maxDelay time.Duration
-	// prov enables causal provenance (Config.Provenance); the fields
-	// below are only maintained when it is on.
-	prov bool
-	// spanSeq allocates trace-unique provenance span IDs, dense from 1
+	// spanSeq allocates network-unique provenance span IDs, dense from 1
 	// in emission order. Deterministic because the event schedule is a
 	// total order processed single-threaded.
 	spanSeq uint64
@@ -552,12 +571,6 @@ type Network struct {
 	// multiple root operations in one closure (a partition's cuts)
 	// become siblings instead of a chain.
 	rootCause uint64
-	// instantHook, when non-nil, runs each time Run is about to advance
-	// the clock past a processed instant (see SetInstantHook).
-	instantHook func(now time.Duration)
-	// routeAudit, when non-nil, inspects every reported route change
-	// (see SetRouteAudit); returning true emits a TraceAdvBad event.
-	routeAudit func(node, dest routing.NodeID) bool
 }
 
 // kindCount is one per-kind accumulator of sent messages, units, and
@@ -569,30 +582,34 @@ type kindCount struct {
 	bytes int64
 }
 
-// emit reports a plain (provenance-free) trace event to the configured
-// observer, if any. All emission sites go through emitSpan, which falls
-// back here when provenance is off.
-func (n *Network) emit(kind TraceKind, from, to routing.NodeID, msg Message) {
-	if n.trace != nil {
-		n.trace(TraceEvent{Kind: kind, At: n.now, From: from, To: to, Msg: msg})
-	}
-}
-
-// emitSpan reports a trace event, allocating its provenance span when
-// provenance is on. parent and depth are the causal annotations; the
-// allocated span ID is returned (0 with provenance off) so the caller
-// can thread causality into whatever the event triggers.
-func (n *Network) emitSpan(kind TraceKind, from, to routing.NodeID, msg Message, parent uint64, depth int32) uint64 {
-	if !n.prov {
-		n.emit(kind, from, to, msg)
-		return 0
-	}
+// emit allocates the next span and publishes an event under it with the
+// given causal annotations. The span is returned so the caller can
+// thread causality into whatever the event triggers. Spans are
+// allocated whether or not anyone subscribes, so span IDs do not depend
+// on who is listening.
+func (n *Network) emit(kind TraceKind, from, to routing.NodeID, msg Message, parent uint64, depth int32) uint64 {
 	n.spanSeq++
-	if n.trace != nil {
-		n.trace(TraceEvent{Kind: kind, At: n.now, From: from, To: to, Msg: msg,
+	if len(n.subs) > 0 {
+		n.publish(TraceEvent{Kind: kind, At: n.now, From: from, To: to, Msg: msg,
 			Span: n.spanSeq, Parent: parent, Depth: depth})
 	}
 	return n.spanSeq
+}
+
+// publish hands ev to every subscriber in subscription order. An event
+// a subscriber emits meanwhile waits in the queue until ev has reached
+// every subscriber, so all of them see one order.
+func (n *Network) publish(ev TraceEvent) {
+	n.queued = append(n.queued, ev)
+	if len(n.queued) > 1 {
+		return // emitted from a subscriber: the loop below delivers it
+	}
+	for i := 0; i < len(n.queued); i++ {
+		for _, fn := range n.subs {
+			fn(n.queued[i])
+		}
+	}
+	n.queued = n.queued[:0]
 }
 
 // NewNetwork builds the simulation: assigns per-link delays, constructs
@@ -606,7 +623,6 @@ func NewNetwork(cfg Config) (*Network, error) {
 		return nil, err
 	}
 	n.build = cfg.Build
-	n.injector = cfg.Faults
 	numNodes := len(n.nodes)
 	for i := 0; i < numNodes; i++ {
 		n.nodes[i] = cfg.Build(&n.envs[i])
@@ -648,8 +664,6 @@ func newShell(cfg Config, idx *topology.Index) (*Network, error) {
 		links:  make([]linkState, 0, len(edges)),
 		linkAt: make(map[linkKey]int32, len(edges)),
 		pq:     make(eventQueue, 0, numNodes),
-		trace:  cfg.Trace,
-		prov:   cfg.Provenance,
 
 		routeChangedAt:  make([]time.Duration, numNodes),
 		routeChangedSet: make([]bool, numNodes),
@@ -736,7 +750,7 @@ func (e *nodeEnv) Send(to routing.NodeID, msg Message) {
 		// A send-time refusal has no send span of its own, so the drop
 		// hangs directly off the active cause, one hop deeper — the same
 		// place the send would have been.
-		net.emitSpan(TraceDrop, e.self, to, msg, net.curCause, net.curDepth+1)
+		net.emit(TraceDrop, e.self, to, msg, net.curCause, net.curDepth+1)
 		return
 	}
 	ls := &net.links[ar.link]
@@ -753,7 +767,7 @@ func (e *nodeEnv) Send(to routing.NodeID, msg Message) {
 	// The send is one message hop deeper than whatever triggered it; the
 	// delivery (and every fault record) inherits the send's span/depth.
 	sendDepth := net.curDepth + 1
-	sendSpan := net.emitSpan(TraceSend, e.self, to, msg, net.curCause, sendDepth)
+	sendSpan := net.emit(TraceSend, e.self, to, msg, net.curCause, sendDepth)
 	delay := ls.delay
 	var fault uint8
 	var dec FaultDecision
@@ -761,11 +775,11 @@ func (e *nodeEnv) Send(to routing.NodeID, msg Message) {
 		dec = net.injector.Deliver(e.self, to, msg)
 		if dec.Drop {
 			fault = faultDrop
-			net.emitSpan(TraceFaultLoss, e.self, to, msg, sendSpan, sendDepth)
+			net.emit(TraceFaultLoss, e.self, to, msg, sendSpan, sendDepth)
 		}
 		if dec.Jitter > 0 {
 			delay += dec.Jitter
-			net.emitSpan(TraceFaultJitter, e.self, to, msg, sendSpan, sendDepth)
+			net.emit(TraceFaultJitter, e.self, to, msg, sendSpan, sendDepth)
 		}
 	}
 	net.seq++
@@ -784,7 +798,7 @@ func (e *nodeEnv) Send(to routing.NodeID, msg Message) {
 	})
 	if dec.Duplicate {
 		net.stats.FaultDups++
-		net.emitSpan(TraceFaultDup, e.self, to, msg, sendSpan, sendDepth)
+		net.emit(TraceFaultDup, e.self, to, msg, sendSpan, sendDepth)
 		net.seq++
 		net.pq.push(event{
 			at:    net.now + ls.delay + dec.DupJitter,
@@ -820,23 +834,19 @@ func (e *nodeEnv) noteAbandoned()     { e.net.stats.TransportAbandoned++ }
 
 // NotePLFalsePositive folds a compressed Permission List Bloom
 // false-positive hit (observed inside a protocol's path derivation)
-// into the stats and the trace. Exported because protocol packages
-// reach it by type-asserting their Env, which crosses packages —
-// unlike the transportNoter methods, which sim's own adapter asserts.
+// into the stats and the event stream. Exported because protocol
+// packages reach it by type-asserting BaseEnv of their Env, which
+// crosses packages — unlike the transportNoter methods, which sim's own
+// adapter asserts.
 func (e *nodeEnv) NotePLFalsePositive(dest routing.NodeID) {
 	e.net.stats.PLFalsePositives++
-	e.net.emitSpan(TracePLFalsePositive, e.self, dest, nil, e.net.curCause, e.net.curDepth)
+	e.net.Emit(TracePLFalsePositive, e.self, dest)
 }
 
 func (e *nodeEnv) RouteChanged(dest routing.NodeID) {
 	e.routeChanged(dest, routing.None, routing.None, false)
 }
 
-// RouteChangedVia is RouteChanged additionally carrying the old and new
-// next hop of the changed route (routing.None = no route), which the
-// trace records on the route event (schema v2's oh/nh fields). Protocol
-// packages reach it through the sim.RouteChangedVia helper, which
-// type-asserts the Env and falls back to plain RouteChanged.
 func (e *nodeEnv) RouteChangedVia(dest, oldNext, newNext routing.NodeID) {
 	e.routeChanged(dest, oldNext, newNext, true)
 }
@@ -848,47 +858,18 @@ func (e *nodeEnv) routeChanged(dest, oldNext, newNext routing.NodeID, hasVia boo
 		net.routeChangedAt[p] = net.now
 		net.routeChangedSet[p] = true
 	}
-	if net.trace == nil {
-		if net.prov {
-			net.spanSeq++ // keep span IDs independent of trace presence
-		}
-	} else {
-		ev := TraceEvent{Kind: TraceRouteChange, At: net.now, From: e.self, To: dest,
-			OldNext: oldNext, NewNext: newNext, HasVia: hasVia}
-		if net.prov {
-			net.spanSeq++
-			ev.Span = net.spanSeq
-			ev.Parent = net.curCause
-			ev.Depth = net.curDepth
-		}
-		net.trace(ev)
-	}
-	// The audit runs after the route event is on the wire so its
-	// TraceAdvBad span follows the route span it annotates; like route
-	// and pl-fp events it parents to the causing delivery. Emission goes
-	// through emitSpan, so span allocation stays identical with tracing
-	// off and runs without an audit are byte-identical to before.
-	if net.routeAudit != nil && net.routeAudit(e.self, dest) {
-		net.emitSpan(TraceAdvBad, e.self, dest, nil, net.curCause, net.curDepth)
+	net.spanSeq++
+	if len(net.subs) > 0 {
+		net.publish(TraceEvent{Kind: TraceRouteChange, At: net.now, From: e.self, To: dest,
+			Span: net.spanSeq, Parent: net.curCause, Depth: net.curDepth,
+			OldNext: oldNext, NewNext: newNext, HasVia: hasVia})
 	}
 }
 
-// RouteChangedVia reports a best-route change like Env.RouteChanged but
-// with the old and new next hop attached, so provenance traces can
-// follow per-destination forwarding state (churn and oscillation
-// analysis need the state sequence, not just the fact of a change).
-// Environments that cannot record next hops — and wrappers that predate
-// the method — fall back to the plain report, so protocols call this
-// unconditionally. Use routing.None for "no route".
+// RouteChangedVia calls env.RouteChangedVia; the benchmark module
+// (benchmark/) still calls it in this form.
 func RouteChangedVia(env Env, dest, oldNext, newNext routing.NodeID) {
-	type viaReporter interface {
-		RouteChangedVia(dest, oldNext, newNext routing.NodeID)
-	}
-	if v, ok := env.(viaReporter); ok {
-		v.RouteChangedVia(dest, oldNext, newNext)
-		return
-	}
-	env.RouteChanged(dest)
+	env.RouteChangedVia(dest, oldNext, newNext)
 }
 
 // schedule enqueues a closure event after the given delay. Protocol
@@ -957,48 +938,24 @@ func (n *Network) LinkIsUp(a, b routing.NodeID) bool {
 	return ok && n.links[li].up
 }
 
-// AddObserver chains fn in front of the currently installed trace
-// observer (fn runs first, then the prior observer, so an existing
-// trace-chunk collector sees the identical event stream). It lets
-// post-construction instrumentation — the forwarding tracker — ride the
-// trace path on networks whose Config-time observer is already fixed,
-// including forked ones.
-func (n *Network) AddObserver(fn func(TraceEvent)) {
-	prev := n.trace
-	if prev == nil {
-		n.trace = fn
-		return
-	}
-	n.trace = func(ev TraceEvent) { fn(ev); prev(ev) }
+// Observe subscribes fn to the network's event stream: every send,
+// delivery, drop, fault record, link and node transition, route change
+// and end of instant, synchronously inside the event loop, so fn sees a
+// consistent view but should stay cheap. Subscribers run in
+// subscription order; an event a subscriber emits (Emit) reaches every
+// subscriber after the event that triggered it. The trace writer, the
+// forwarding tracker and the adversarial detector subscribe here.
+// Subscribing changes nothing the network computes.
+func (n *Network) Observe(fn func(TraceEvent)) { n.subs = append(n.subs, fn) }
+
+// Emit publishes a message-less event of the given kind under a fresh
+// span, parented to the active cause at the cause's depth. Inside a
+// subscriber that is the cause of the event being observed; before the
+// first Run and between runs there is none, so the event is a root
+// (the adversarial setup's TraceAdvInject markers).
+func (n *Network) Emit(kind TraceKind, from, to routing.NodeID) {
+	n.emit(kind, from, to, nil, n.curCause, n.curDepth)
 }
-
-// SetRouteAudit installs fn (nil removes it) to inspect every route
-// change any node reports, synchronously at the moment of the report —
-// the only point at which "did this RIB ever hold bad state" can be
-// answered without scanning every node at every instant. When fn
-// returns true a TraceAdvBad event is emitted, parented like the route
-// event itself. The adversarial detector (internal/invariant) is the
-// intended client; runs without an audit are untouched.
-func (n *Network) SetRouteAudit(fn func(node, dest routing.NodeID) bool) { n.routeAudit = fn }
-
-// NoteAdversaryInject records the attachment of an adversarial attack
-// as a root trace event (depth 0, no parent): from is the attacker, to
-// its victim destination (routing.None for kinds without one). Call it
-// after construction and before Run, once per attacker, in
-// deterministic order.
-func (n *Network) NoteAdversaryInject(from, to routing.NodeID) {
-	n.emitSpan(TraceAdvInject, from, to, nil, 0, 0)
-}
-
-// SetInstantHook installs fn (nil removes it) to run whenever Run is
-// about to advance the simulated clock past a processed instant, with
-// that instant as argument. All state mutations of the instant have been
-// applied and nothing at a later time has run yet, so the hook sees each
-// distinct simulated time exactly once, in order, at its end — the
-// flush point the forwarding tracker uses to attribute outcome time
-// exactly. The final instant before quiescence gets no call (nothing
-// advances past it); callers flush it explicitly at Now().
-func (n *Network) SetInstantHook(fn func(now time.Duration)) { n.instantHook = fn }
 
 // CrashNode takes node id down at the current simulated time, modeling a
 // full process crash: every up adjacency fails (in-flight messages on it
@@ -1014,7 +971,7 @@ func (n *Network) CrashNode(id routing.NodeID) bool {
 	}
 	n.nodeDown[i] = true
 	n.envs[i].gen++
-	crash := n.emitSpan(TraceCrash, id, id, nil, n.rootCause, 0)
+	crash := n.emit(TraceCrash, id, id, nil, n.rootCause, 0)
 	n.curCause, n.curDepth = crash, 0
 	for _, ar := range n.envs[i].adj {
 		ls := &n.links[ar.link]
@@ -1024,7 +981,7 @@ func (n *Network) CrashNode(id routing.NodeID) bool {
 		ls.up = false
 		ls.epoch++
 		ls.since = n.now
-		span := n.emitSpan(TraceLinkDown, id, ar.id, nil, crash, 0)
+		span := n.emit(TraceLinkDown, id, ar.id, nil, crash, 0)
 		n.push(event{kind: evLinkDown, to: ar.node, from: id, cause: span})
 	}
 	return true
@@ -1045,7 +1002,7 @@ func (n *Network) RestartNode(id routing.NodeID) bool {
 	}
 	n.nodeDown[i] = false
 	n.nodes[i] = n.build(&n.envs[i])
-	restart := n.emitSpan(TraceRestart, id, id, nil, n.rootCause, 0)
+	restart := n.emit(TraceRestart, id, id, nil, n.rootCause, 0)
 	n.curCause, n.curDepth = restart, 0
 	n.push(event{kind: evStart, to: int32(i), cause: restart})
 	for _, ar := range n.envs[i].adj {
@@ -1055,7 +1012,7 @@ func (n *Network) RestartNode(id routing.NodeID) bool {
 		}
 		ls.up = true
 		ls.since = n.now
-		span := n.emitSpan(TraceLinkUp, id, ar.id, nil, restart, 0)
+		span := n.emit(TraceLinkUp, id, ar.id, nil, restart, 0)
 		n.push(event{kind: evLinkUp, to: ar.node, from: id, cause: span})
 	}
 	return true
@@ -1123,7 +1080,7 @@ func (n *Network) FailLink(a, b routing.NodeID) bool {
 	n.links[li].up = false
 	n.links[li].epoch++
 	n.links[li].since = n.now
-	span := n.emitSpan(TraceLinkDown, a, b, nil, n.rootCause, 0)
+	span := n.emit(TraceLinkDown, a, b, nil, n.rootCause, 0)
 	n.curCause, n.curDepth = span, 0
 	n.push(event{kind: evLinkDown, to: int32(n.idx.Pos(a)), from: b, cause: span})
 	n.push(event{kind: evLinkDown, to: int32(n.idx.Pos(b)), from: a, cause: span})
@@ -1145,7 +1102,7 @@ func (n *Network) RestoreLink(a, b routing.NodeID) bool {
 	}
 	n.links[li].up = true
 	n.links[li].since = n.now
-	span := n.emitSpan(TraceLinkUp, a, b, nil, n.rootCause, 0)
+	span := n.emit(TraceLinkUp, a, b, nil, n.rootCause, 0)
 	n.curCause, n.curDepth = span, 0
 	n.push(event{kind: evLinkUp, to: int32(n.idx.Pos(a)), from: b, cause: span})
 	n.push(event{kind: evLinkUp, to: int32(n.idx.Pos(b)), from: a, cause: span})
@@ -1172,8 +1129,8 @@ func (n *Network) Run(maxEvents int64) (processed int64, quiesced bool) {
 			return processed, false
 		}
 		ev := n.pq.pop()
-		if n.instantHook != nil && ev.at > n.now {
-			n.instantHook(n.now)
+		if ev.at > n.now && len(n.subs) > 0 {
+			n.publish(TraceEvent{Kind: TraceInstant, At: n.now})
 		}
 		n.now = ev.at
 		// Load the event's captured causality into the active registers
@@ -1186,13 +1143,13 @@ func (n *Network) Run(maxEvents int64) (processed int64, quiesced bool) {
 			switch {
 			case !ls.up || ls.epoch != ev.epoch:
 				n.stats.Dropped++
-				n.emitSpan(TraceDrop, ev.from, n.idx.ID(int(ev.to)), ev.msg, ev.cause, ev.depth)
+				n.emit(TraceDrop, ev.from, n.idx.ID(int(ev.to)), ev.msg, ev.cause, ev.depth)
 			case ev.fault&faultDrop != 0:
 				n.stats.Dropped++
 				n.stats.FaultDrops++
-				n.emitSpan(TraceDropFault, ev.from, n.idx.ID(int(ev.to)), ev.msg, ev.cause, ev.depth)
+				n.emit(TraceDropFault, ev.from, n.idx.ID(int(ev.to)), ev.msg, ev.cause, ev.depth)
 			default:
-				span := n.emitSpan(TraceDeliver, ev.from, n.idx.ID(int(ev.to)), ev.msg, ev.cause, ev.depth)
+				span := n.emit(TraceDeliver, ev.from, n.idx.ID(int(ev.to)), ev.msg, ev.cause, ev.depth)
 				n.curCause = span
 				n.nodes[ev.to].Handle(ev.from, ev.msg)
 			}
@@ -1268,9 +1225,15 @@ type LinkSession struct {
 
 // SessionReporter is implemented by liveness-detection wrappers that
 // track per-adjacency session state; the convergence watchdog includes
-// their report in stall diagnostics instead of the raw carrier state.
+// the report of the outermost one along a node's adapter chain in stall
+// diagnostics instead of the raw carrier state.
 type SessionReporter interface {
 	LinkSessions() []LinkSession
+}
+
+func isSessionReporter(p Protocol) bool {
+	_, ok := p.(SessionReporter)
+	return ok
 }
 
 // ConvergenceError reports a network that failed to quiesce within its
@@ -1381,9 +1344,9 @@ func (n *Network) convergenceError(maxEvents int64) error {
 		}
 	}
 	for pos, p := range byNode {
-		// Attach the node's liveness view: detector sessions when its
-		// protocol reports them, raw carrier state otherwise.
-		if rep, ok := n.nodes[pos].(SessionReporter); ok {
+		// Attach the node's liveness view: detector sessions when a layer
+		// of its protocol reports them, raw carrier state otherwise.
+		if rep, ok := peel(n.nodes[pos], isSessionReporter).(SessionReporter); ok {
 			p.Links = rep.LinkSessions()
 		} else {
 			for _, ar := range n.envs[pos].adj {

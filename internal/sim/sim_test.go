@@ -334,11 +334,11 @@ func TestTraceHook(t *testing.T) {
 			nodes[env.Self()] = n
 			return n
 		},
-		Trace: func(ev TraceEvent) { events = append(events, ev) },
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	net.Observe(func(ev TraceEvent) { events = append(events, ev) })
 	net.Run(0)
 	net.schedule(0, func() { nodes[1].env.Send(2, pingMsg{}) })
 	net.Run(0)
@@ -482,7 +482,7 @@ func TestRouteChangedAccounting(t *testing.T) {
 	}
 	net, nodes := buildEcho(t, g)
 	var traced []TraceEvent
-	net.trace = func(ev TraceEvent) { traced = append(traced, ev) }
+	net.Observe(func(ev TraceEvent) { traced = append(traced, ev) })
 	net.Run(0)
 	net.schedule(2*time.Millisecond, func() { nodes[1].env.RouteChanged(3) })
 	net.schedule(5*time.Millisecond, func() { nodes[2].env.RouteChanged(3) })

@@ -16,13 +16,13 @@ func TestReliableBackoffClampsAtMaxRTO(t *testing.T) {
 	var sendTimes []time.Duration
 	cfg := ReliableConfig{RTO: 4 * time.Millisecond, MaxRTO: 8 * time.Millisecond, MaxRetries: 4}
 	net, inners := buildReliablePair(t, cfg, nil)
-	net.trace = func(ev TraceEvent) {
+	net.Observe(func(ev TraceEvent) {
 		if ev.Kind == TraceSend && ev.From == 1 {
 			if _, ok := ev.Msg.(DataFrame); ok {
 				sendTimes = append(sendTimes, ev.At)
 			}
 		}
-	}
+	})
 	net.Run(0)
 	// Black-hole the reverse path: no ack ever returns.
 	net.SetInjector(funcInjector{f: func(from, _ routing.NodeID, _ Message) FaultDecision {
@@ -72,41 +72,54 @@ func (s *stallReporter) LinkDown(routing.NodeID)        {}
 func (s *stallReporter) LinkUp(routing.NodeID)          {}
 func (s *stallReporter) LinkSessions() []LinkSession    { return s.sessions }
 
+// passThrough is an adapter that adds nothing: it forwards every upcall
+// and exposes the wrapped protocol through Inner(), like the transport
+// and liveness wrappers do.
+type passThrough struct{ Protocol }
+
+func (p passThrough) Inner() Protocol { return p.Protocol }
+
 // TestWatchdogReportsLinkSessions checks that a stalled node's per-link
 // session state appears in the convergence error, non-up sessions
-// spelled out and up sessions counted.
+// spelled out and up sessions counted — also when the reporting layer
+// sits under another adapter, as liveness does under a tracing wrapper.
 func TestWatchdogReportsLinkSessions(t *testing.T) {
-	g, err := topogen.Chain(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	nodes := make(map[routing.NodeID]*stallReporter)
-	net, err := NewNetwork(Config{
-		Topology: g,
-		Build: func(env Env) Protocol {
-			n := &stallReporter{}
-			nodes[env.Self()] = n
-			return n
-		},
-		MinDelay: time.Millisecond,
-		MaxDelay: time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	nodes[1].sessions = []LinkSession{
-		{Peer: 2, State: "init", Since: 3 * time.Millisecond},
-		{Peer: 7, State: "up", Since: time.Millisecond},
-	}
-	nodes[2].sessions = []LinkSession{{Peer: 1, State: "up", Since: time.Millisecond}}
-	_, _, err = net.RunToConvergence(200)
-	if err == nil {
-		t.Fatal("self-rearming timers must trip the watchdog")
-	}
-	msg := err.Error()
-	for _, want := range []string{"links[N2:init@3ms 1 up]", "links[1 up]"} {
-		if !strings.Contains(msg, want) {
-			t.Fatalf("watchdog diagnostics missing %q:\n%s", want, msg)
+	for _, wrapped := range []bool{false, true} {
+		g, err := topogen.Chain(2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		nodes := make(map[routing.NodeID]*stallReporter)
+		net, err := NewNetwork(Config{
+			Topology: g,
+			Build: func(env Env) Protocol {
+				n := &stallReporter{}
+				nodes[env.Self()] = n
+				if wrapped {
+					return passThrough{n}
+				}
+				return n
+			},
+			MinDelay: time.Millisecond,
+			MaxDelay: time.Millisecond,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		nodes[1].sessions = []LinkSession{
+			{Peer: 2, State: "init", Since: 3 * time.Millisecond},
+			{Peer: 7, State: "up", Since: time.Millisecond},
+		}
+		nodes[2].sessions = []LinkSession{{Peer: 1, State: "up", Since: time.Millisecond}}
+		_, _, err = net.RunToConvergence(200)
+		if err == nil {
+			t.Fatal("self-rearming timers must trip the watchdog")
+		}
+		msg := err.Error()
+		for _, want := range []string{"links[N2:init@3ms 1 up]", "links[1 up]"} {
+			if !strings.Contains(msg, want) {
+				t.Fatalf("wrapped=%v: watchdog diagnostics missing %q:\n%s", wrapped, want, msg)
+			}
 		}
 	}
 }

@@ -49,8 +49,8 @@
 // parent to the crash). A send has d = parent depth + 1 (d=1 when p is
 // omitted). deliver, fault-loss, fault-dup, fault-jitter and drop-fault
 // require p and d equal to the parent's depth. route, pl-fp and
-// adv-bad (the route audit flagging a contaminated RIB entry) carry
-// their cause's depth (d=0 when p is omitted). drop has two shapes — a
+// adv-bad (the adversarial detector flagging a contaminated RIB entry)
+// carry their cause's depth (d=0 when p is omitted). drop has two shapes — a
 // refused send (d = cause depth + 1) and an in-flight loss (d = send
 // depth) — so only its parent reference is checked.
 //
@@ -85,9 +85,8 @@ type TraceCollector struct {
 func NewTraceCollector() *TraceCollector { return &TraceCollector{} }
 
 // NewTraceCollectorV2 returns an empty collector emitting schema v2
-// (causal provenance). Its chunks report Provenance() true; wire that
-// into sim.Config.Provenance so the simulator populates the span
-// fields — a v2 chunk fed events without spans fails ValidateTrace.
+// (causal provenance): its chunks write the span fields the simulator
+// assigns to every event, which v1 chunks omit.
 func NewTraceCollectorV2() *TraceCollector { return &TraceCollector{prov: true} }
 
 // Chunk appends a new chunk labeled with the job's series name and seed
@@ -147,23 +146,19 @@ func (tc *TraceCollector) Bytes() []byte {
 	return out
 }
 
-// TraceChunk is one simulation's event stream. Observe is the
-// sim.Config.Trace observer; it must be called from a single goroutine
-// (the simulator is single-threaded, so wiring it via sim.Config.Trace
-// satisfies this). A nil chunk no-ops.
+// TraceChunk is one simulation's event stream. Observe is a
+// sim.Network subscriber; it must be called from a single goroutine
+// (the simulator is single-threaded, so subscribing it with
+// sim.Network.Observe satisfies this). A nil chunk no-ops.
 type TraceChunk struct {
 	prov bool
 	buf  []byte
 }
 
-// Provenance reports whether this chunk expects schema-v2 provenance
-// fields; callers mirror it into sim.Config.Provenance. False on a nil
-// chunk.
-func (c *TraceChunk) Provenance() bool { return c != nil && c.prov }
-
-// Observe appends one simulator event as a JSONL line.
+// Observe appends one simulator event as a JSONL line. The end of an
+// instant (sim.TraceInstant) is not a trace line and is skipped.
 func (c *TraceChunk) Observe(ev sim.TraceEvent) {
-	if c == nil {
+	if c == nil || ev.Kind == sim.TraceInstant {
 		return
 	}
 	b := c.buf

@@ -183,12 +183,10 @@ func TestUnconsumedLossDecisions(t *testing.T) {
 func TestTraceV2RoundTrip(t *testing.T) {
 	tc := NewTraceCollectorV2()
 	c := tc.Chunk("fig6.centaur", 42)
-	if !c.Provenance() {
-		t.Fatal("v2 chunk must report Provenance()")
-	}
-	var nilChunk *TraceChunk
-	if nilChunk.Provenance() {
-		t.Fatal("nil chunk must not report Provenance()")
+	header := len(tc.Bytes())
+	c.Observe(sim.TraceEvent{Kind: sim.TraceInstant, At: 5})
+	if len(tc.Bytes()) != header {
+		t.Fatal("the end of an instant must not be written")
 	}
 	msg := fakeMsg{kind: "centaur.update", units: 1, bytes: 40}
 	c.Observe(sim.TraceEvent{Kind: sim.TraceLinkDown, At: 10, From: 1, To: 2, Span: 1, Depth: 0})
