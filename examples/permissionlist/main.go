@@ -81,8 +81,10 @@ func main() {
 	// and derives. (In the protocol, C's Gao-Rexford export filter to a
 	// provider would actually prune the non-customer routes; here we
 	// export everything to show the data structure's own guarantee.)
+	// A's graph resolves nodes through the index of the announcing graph,
+	// which holds every node the links name.
 	announced := g.LinkInfos()
-	atA := pgraph.New(C)
+	atA := pgraph.New(g.Index(), C)
 	atA.MarkDest(C)
 	atA.Apply(pgraph.Delta{Adds: announced})
 	fmt.Println("\nupstream reconstruction from the announced links:")

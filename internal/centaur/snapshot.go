@@ -59,7 +59,7 @@ func (n *Node) ForkProtocol(env sim.Env) sim.Protocol {
 		// concurrently from one template must not share it, and copying
 		// it would buy nothing a fresh graph does not.
 		nb.spare = nil
-		nb.derived = slices.Clone(nb.derived)
+		nb.derived = nb.derived.Clone()
 		nb.injected = nil // like adv, adversarial state is not forked
 	}
 	return out
@@ -81,7 +81,7 @@ func (n *Node) SnapshotBytes() int {
 		if nb.view != nil {
 			b += nb.view.ApproxMemBytes()
 		}
-		b += len(nb.derived) * 3 * word
+		b += nb.derived.Len() * 3 * word
 	}
 	return b
 }

@@ -133,7 +133,7 @@ func (lg *localGraphs) build(sol *solver.Solution, node routing.NodeID) (*pgraph
 			lg.paths = append(lg.paths, lg.hops[lo:len(lg.hops):len(lg.hops)])
 		}
 	}
-	g, err := pgraph.BuildInto(lg.g, node, lg.paths)
+	g, err := pgraph.BuildInto(lg.g, idx, node, lg.paths)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: building P-graph for %v: %w", node, err)
 	}
@@ -405,7 +405,7 @@ func newNodeStatic(sol *solver.Solution, u routing.NodeID) *nodeStatic {
 		if st.views[nb.Rel] != nil {
 			continue
 		}
-		view := pgraph.NewView(u)
+		view := pgraph.NewView(sol.Index(), u)
 		for d, p := range paths {
 			if pol.Export(u, st.classes[d], nb.Rel) {
 				view.Set(d, p)

@@ -113,7 +113,7 @@ func TestBuildFigure4(t *testing.T) {
 }
 
 func TestDerivePathRootAndMissing(t *testing.T) {
-	g := New(1)
+	g := New(testIx, 1)
 	if p, ok := g.DerivePath(1); !ok || !p.Equal(routing.Path{1}) {
 		t.Fatalf("DerivePath(root) = %v, %v; want <N1>, true", p, ok)
 	}
@@ -124,7 +124,7 @@ func TestDerivePathRootAndMissing(t *testing.T) {
 
 func TestDerivePathBrokenChain(t *testing.T) {
 	// 2->3 exists but nothing connects the root to 2: no path.
-	g := New(1)
+	g := New(testIx, 1)
 	g.AddLink(link(2, 3))
 	if _, ok := g.DerivePath(3); ok {
 		t.Fatal("derivation must fail when the parent chain does not reach the root")
@@ -135,7 +135,7 @@ func TestDerivePathHonorsPermissionOnSingleParent(t *testing.T) {
 	// After import filtering a node can be single-homed yet keep a
 	// Permission List; the list must still gate derivation (otherwise
 	// the receiver could derive paths the sender does not use).
-	g := New(1)
+	g := New(testIx, 1)
 	g.AddLink(link(1, 2))
 	g.AddLink(link(2, 3))
 	pl := &PermissionList{}
@@ -154,7 +154,7 @@ func TestDerivePathHonorsPermissionOnSingleParent(t *testing.T) {
 func TestDerivePathCycleGuard(t *testing.T) {
 	// A malformed (adversarial) graph with a parent cycle must fail
 	// cleanly instead of hanging.
-	g := New(1)
+	g := New(testIx, 1)
 	g.AddLink(link(2, 3))
 	g.AddLink(link(3, 2))
 	if _, ok := g.DerivePath(3); ok {
@@ -288,7 +288,7 @@ func TestDiffAndApply(t *testing.T) {
 	}
 	// A receiver holding the old view and applying the delta must end up
 	// with exactly the new view.
-	recv := New(1)
+	recv := New(testIx, 1)
 	// A link announcement never carries the root's own destination mark;
 	// receivers mark it at session creation (the neighbor is itself a
 	// destination), so the test does the same.

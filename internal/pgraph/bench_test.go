@@ -8,6 +8,7 @@ import (
 	"centaur/internal/routing"
 	"centaur/internal/solver"
 	"centaur/internal/topogen"
+	"centaur/internal/topology"
 )
 
 // The layer benchmarks run on one fixed input — the selected path set
@@ -15,9 +16,9 @@ import (
 // the coldstart workload's shape — so two commits compare with
 // benchstat without running a figure.
 
-// benchInput returns that node, its path set, and the destinations in
-// ascending order.
-func benchInput(b *testing.B) (routing.NodeID, map[routing.NodeID]routing.Path, []routing.NodeID) {
+// benchInput returns the topology's index, that node, its path set, and
+// the destinations in ascending order.
+func benchInput(b *testing.B) (*topology.Index, routing.NodeID, map[routing.NodeID]routing.Path, []routing.NodeID) {
 	b.Helper()
 	g, err := topogen.BRITE(160, 2, 1)
 	if err != nil {
@@ -39,12 +40,12 @@ func benchInput(b *testing.B) (routing.NodeID, map[routing.NodeID]routing.Path, 
 		dests = append(dests, d)
 	}
 	slices.Sort(dests)
-	return hub, paths, dests
+	return sol.Index(), hub, paths, dests
 }
 
 // BenchmarkBuild measures bulk construction (paper Table 2).
 func BenchmarkBuild(b *testing.B) {
-	hub, paths, _ := benchInput(b)
+	_, hub, paths, _ := benchInput(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -57,19 +58,19 @@ func BenchmarkBuild(b *testing.B) {
 // BenchmarkBuildInto is BenchmarkBuild into one recycled graph, the way
 // the per-node sweeps of tables 4-5 build.
 func BenchmarkBuildInto(b *testing.B) {
-	hub, paths, dests := benchInput(b)
+	ix, hub, paths, dests := benchInput(b)
 	list := make([]routing.Path, len(dests))
 	for i, d := range dests {
 		list[i] = paths[d]
 	}
-	g, err := pgraph.BuildInto(nil, hub, list)
+	g, err := pgraph.BuildInto(nil, ix, hub, list)
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := pgraph.BuildInto(g, hub, list); err != nil {
+		if _, err := pgraph.BuildInto(g, ix, hub, list); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -79,8 +80,8 @@ func BenchmarkBuildInto(b *testing.B) {
 // phase: every eighth destination withdrawn and flushed, then
 // re-announced and flushed, on a view holding the full path set.
 func BenchmarkViewSetFlush(b *testing.B) {
-	hub, paths, dests := benchInput(b)
-	v := pgraph.NewView(hub)
+	ix, hub, paths, dests := benchInput(b)
+	v := pgraph.NewView(ix, hub)
 	for _, d := range dests {
 		v.Set(d, paths[d])
 	}
@@ -104,14 +105,14 @@ func BenchmarkViewSetFlush(b *testing.B) {
 // BenchmarkGraphApply measures the receiver side: a neighbor's full
 // announcement applied to an empty graph and withdrawn again.
 func BenchmarkGraphApply(b *testing.B) {
-	hub, paths, _ := benchInput(b)
+	ix, hub, paths, _ := benchInput(b)
 	built, err := pgraph.Build(hub, paths)
 	if err != nil {
 		b.Fatal(err)
 	}
 	announce := pgraph.Delta{Adds: built.LinkInfos()}
 	withdraw := pgraph.Delta{Removes: built.Links()}
-	g := pgraph.New(hub)
+	g := pgraph.New(ix, hub)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

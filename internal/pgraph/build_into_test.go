@@ -26,15 +26,16 @@ func listOf(paths map[routing.NodeID]routing.Path) []routing.Path {
 	return list
 }
 
-// rebuild runs BuildInto on the recycled graph g and holds the result to
-// a fresh Build of the same input.
-func rebuild(t *testing.T, g *pgraph.Graph, root routing.NodeID, paths map[routing.NodeID]routing.Path) *pgraph.Graph {
+// rebuild runs BuildInto over ix on the recycled graph g and holds the
+// result to a fresh Build of the same input, which indexes the paths'
+// own nodes.
+func rebuild(t *testing.T, g *pgraph.Graph, ix *topology.Index, root routing.NodeID, paths map[routing.NodeID]routing.Path) *pgraph.Graph {
 	t.Helper()
 	want, err := pgraph.Build(root, paths)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := pgraph.BuildInto(g, root, listOf(paths))
+	got, err := pgraph.BuildInto(g, ix, root, listOf(paths))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,6 +62,15 @@ func rebuild(t *testing.T, g *pgraph.Graph, root routing.NodeID, paths map[routi
 	return got
 }
 
+// denseIndex indexes the node IDs 1 to n.
+func denseIndex(n int) *topology.Index {
+	ids := make([]routing.NodeID, n)
+	for i := range ids {
+		ids[i] = routing.NodeID(i + 1)
+	}
+	return topology.IndexOf(ids)
+}
+
 // pathSet keys the given paths by their destination.
 func pathSet(paths ...routing.Path) map[routing.NodeID]routing.Path {
 	out := make(map[routing.NodeID]routing.Path, len(paths))
@@ -84,7 +94,8 @@ func TestBuildIntoMatchesBuild(t *testing.T) {
 		routing.Path{1, 2, 4}, routing.Path{1, 3, 4, 5}, routing.Path{1, 2, 4, 6},
 		routing.Path{1, 3, 5, 7}, routing.Path{1, 3, 4, 6, 8},
 	)
-	g := rebuild(t, nil, 1, multi)
+	small := denseIndex(100)
+	g := rebuild(t, nil, small, 1, multi)
 	if g.NumPermissionLists() == 0 {
 		t.Fatal("the multi-homed input built no Permission List; the test would show nothing")
 	}
@@ -92,28 +103,28 @@ func TestBuildIntoMatchesBuild(t *testing.T) {
 	for d := routing.NodeID(10); d < 60; d++ {
 		grown[d] = routing.Path{1, 2 + d%2, 4, d}
 	}
-	rebuild(t, g, 1, grown)
+	rebuild(t, g, small, 1, grown)
 	// The same nodes as multi, every one single-homed.
 	tree := pathSet(
 		routing.Path{1, 2}, routing.Path{1, 3},
 		routing.Path{1, 2, 4}, routing.Path{1, 2, 4, 5}, routing.Path{1, 2, 4, 6},
 		routing.Path{1, 2, 4, 5, 7}, routing.Path{1, 2, 4, 6, 8},
 	)
-	if rebuild(t, g, 1, tree); g.NumPermissionLists() != 0 {
+	if rebuild(t, g, small, 1, tree); g.NumPermissionLists() != 0 {
 		t.Fatalf("a tree kept %d Permission Lists of the graph before it", g.NumPermissionLists())
 	}
-	rebuild(t, g, 1, multi)
-	rebuild(t, g, 8, pathSet(routing.Path{8, 4}, routing.Path{8, 4, 1}))
-	rebuild(t, g, 8, nil)
+	rebuild(t, g, small, 1, multi)
+	rebuild(t, g, small, 8, pathSet(routing.Path{8, 4}, routing.Path{8, 4, 1}))
+	rebuild(t, g, small, 8, nil)
 
 	// An invalid input fails and leaves the graph usable.
-	if _, err := pgraph.BuildInto(g, 1, []routing.Path{{2, 3}}); err == nil {
+	if _, err := pgraph.BuildInto(g, small, 1, []routing.Path{{2, 3}}); err == nil {
 		t.Fatal("a path that does not start at the root must fail")
 	}
-	if _, err := pgraph.BuildInto(g, 1, []routing.Path{{1, 2, 4}, {1, 3, 4}}); err == nil {
+	if _, err := pgraph.BuildInto(g, small, 1, []routing.Path{{1, 2, 4}, {1, 3, 4}}); err == nil {
 		t.Fatal("two paths for one destination must fail")
 	}
-	rebuild(t, g, 1, multi)
+	rebuild(t, g, small, 1, multi)
 
 	brite, err := topogen.BRITE(60, 2, 7)
 	if err != nil {
@@ -125,7 +136,7 @@ func TestBuildIntoMatchesBuild(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, root := range topo.Nodes() {
-			rebuild(t, g, root, sol.PathSet(root))
+			rebuild(t, g, sol.Index(), root, sol.PathSet(root))
 		}
 	}
 }
@@ -141,7 +152,8 @@ func TestBuildIntoAllocations(t *testing.T) {
 		tree[d] = routing.Path{1, 2 + d%3, d}
 		multi[d] = routing.Path{1, 2 + d%3, 5 + d%2, d}
 	}
-	g, err := pgraph.BuildInto(nil, 1, listOf(multi))
+	ix := denseIndex(100)
+	g, err := pgraph.BuildInto(nil, ix, 1, listOf(multi))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +169,7 @@ func TestBuildIntoAllocations(t *testing.T) {
 	build := func(paths map[routing.NodeID]routing.Path) func() {
 		list := listOf(paths)
 		return func() {
-			if _, err := pgraph.BuildInto(g, 1, list); err != nil {
+			if _, err := pgraph.BuildInto(g, ix, 1, list); err != nil {
 				t.Fatal(err)
 			}
 		}

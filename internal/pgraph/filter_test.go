@@ -165,7 +165,7 @@ func TestPermitReportTrustsFilterWithoutOracle(t *testing.T) {
 }
 
 func TestApplyCarriesFilters(t *testing.T) {
-	g := New(1)
+	g := New(testIx, 1)
 	fs := []DestFilter{{Next: 3, Dests: []routing.NodeID{10, 11}}}
 	d := Delta{Adds: []LinkInfo{{
 		Link:    routing.Link{From: 1, To: 2},

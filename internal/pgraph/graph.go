@@ -3,11 +3,11 @@ package pgraph
 import (
 	"cmp"
 	"fmt"
-	"maps"
 	"slices"
 	"strings"
 
 	"centaur/internal/routing"
+	"centaur/internal/topology"
 )
 
 // Graph is a P-graph: a directed graph of downstream links rooted at the
@@ -22,10 +22,12 @@ import (
 // node the graph contains is interned to a dense slot, and a slot's
 // record holds the node's in-edges — each with its parent,
 // selected-path counter and Permission List — and its child list. An
-// entry point resolves a NodeID through the intern table once;
-// everything after that walks slots. Memory is proportional to the
-// graph's own size, so sparse node IDs (real AS numbers) cost nothing
-// extra.
+// entry point resolves a NodeID once, through the network's shared
+// topology.Index to a position and through the graph's position table
+// to a slot; everything after that walks slots. A node outside the
+// index cannot enter the graph. Records grow with the graph's own size
+// and the position table with the index's, so sparse node IDs (real AS
+// numbers) cost nothing extra.
 //
 // Concurrency: HasLink, IsDest, Permission, Counter, the DerivePath
 // family and Clone only read the graph and may run concurrently with
@@ -33,10 +35,13 @@ import (
 // visit and every mutator rewrites records, so those need exclusive
 // access.
 type Graph struct {
-	root  routing.NodeID
-	idx   map[routing.NodeID]int32 // intern table: node -> slot
-	nodes nodeTable                // by slot; a free slot has id None
-	free  []int32                  // released slots awaiting reuse
+	root routing.NodeID
+	ix   *topology.Index // resolves a NodeID to its position
+	// slotOf is the position table: by index position, the slot of the
+	// node there plus one, 0 when the node is not in the graph.
+	slotOf []int32
+	nodes  nodeTable // by slot; a free slot has id None
+	free   []int32   // released slots awaiting reuse
 
 	nLinks, nDests, nPerms int
 
@@ -99,9 +104,49 @@ func (t *nodeTable) sized() nodeTable {
 	return out
 }
 
+// SlotTable holds one T per slot of a graph, for state a caller keys by
+// slot (DestSlot): a View's per-slot paths and layouts, a Centaur
+// neighbor's derive cache. Its chunks run parallel to the graph's node
+// table, so growing with the graph adds chunks and never copies. The
+// zero value is an empty table.
+type SlotTable[T any] struct{ chunks [][]T }
+
+// Len returns the number of slots the table covers.
+func (t *SlotTable[T]) Len() int { return len(t.chunks) * chunkSize }
+
+// At returns slot s's record; s must be below Len.
+func (t *SlotTable[T]) At(s int) *T { return &t.chunks[s>>chunkBits][s&(chunkSize-1)] }
+
+// Grow makes the table cover every slot g has handed out.
+func (t *SlotTable[T]) Grow(g *Graph) {
+	for len(t.chunks) < len(g.nodes.chunks) {
+		t.chunks = append(t.chunks, make([]T, chunkSize))
+	}
+}
+
+// Clear zeroes every record, keeping the storage.
+func (t *SlotTable[T]) Clear() {
+	for _, c := range t.chunks {
+		clear(c)
+	}
+}
+
+// Clone returns an independent copy whose chunks share one allocation.
+// The records are copied as values.
+func (t *SlotTable[T]) Clone() SlotTable[T] {
+	out := SlotTable[T]{chunks: make([][]T, len(t.chunks))}
+	all := make([]T, len(t.chunks)*chunkSize)
+	for c := range out.chunks {
+		out.chunks[c] = all[c*chunkSize : (c+1)*chunkSize : (c+1)*chunkSize]
+		copy(out.chunks[c], t.chunks[c])
+	}
+	return out
+}
+
 // node is one slot's record.
 type node struct {
 	id   routing.NodeID
+	pos  int32      // id's index position
 	in   []edge     // in-edges, ascending by parent ID
 	out  []childRef // children, ascending by ID
 	dest bool
@@ -123,31 +168,45 @@ type childRef struct {
 	slot int32
 }
 
-// New returns an empty P-graph rooted at root.
-func New(root routing.NodeID) *Graph {
-	g := &Graph{root: root, idx: make(map[routing.NodeID]int32)}
-	g.intern(root)
+// New returns an empty P-graph rooted at root whose nodes are resolved
+// through ix, which every node the graph will hold must be in — for a
+// protocol node the network's index (sim.Env.Index). The graph keeps ix
+// and allocates a position table of ix.Len() entries. A root outside ix
+// is a caller's bug and panics.
+func New(ix *topology.Index, root routing.NodeID) *Graph {
+	g := &Graph{}
+	g.reset(ix, root, false)
 	return g
 }
 
-// Reset empties g into what New(root) returns, keeping the intern
-// table's buckets and the slot chunks, so a graph rebuilt link by link
-// (a restarted session's neighbour P-graph) allocates again only its
-// edge lists and what outgrows its previous incarnation. Unlike
-// BuildInto's reuse, every slot's in-edge and child lists are dropped:
-// a slot is taken by whichever node arrives first, and capacity kept
-// across that reassignment would creep towards the largest list any
-// slot ever held. The false-positive observer is cleared too.
-func (g *Graph) Reset(root routing.NodeID) { g.reset(root, false) }
+// Reset empties g into what New(ix, root) returns for g's own index,
+// keeping the position table and the slot chunks, so a graph rebuilt
+// link by link (a restarted session's neighbour P-graph) allocates
+// again only its edge lists and what outgrows its previous incarnation.
+// Unlike BuildInto's reuse, every slot's in-edge and child lists are
+// dropped: a slot is taken by whichever node arrives first, and
+// capacity kept across that reassignment would creep towards the
+// largest list any slot ever held. The false-positive observer is
+// cleared too.
+func (g *Graph) Reset(root routing.NodeID) { g.reset(g.ix, root, false) }
 
-// reset empties g for reuse as a graph rooted at root. The intern
-// table's buckets, the slot chunks and the traversal scratch are kept,
-// and each slot's edge capacity when keepEdges is set; the records are
-// blanked, which also drops their Permission List pointers.
-func (g *Graph) reset(root routing.NodeID, keepEdges bool) {
-	clear(g.idx)
+// reset empties g for reuse as a graph over ix rooted at root. The slot
+// chunks and the traversal scratch are kept, so is the position table
+// while the index stays the same, and each slot's edge capacity when
+// keepEdges is set; the records are blanked, which also drops their
+// Permission List pointers. Only the entries of slots handed out are
+// cleared from the position table, so a reset costs the graph's size,
+// not the index's.
+func (g *Graph) reset(ix *topology.Index, root routing.NodeID, keepEdges bool) {
+	slotOf := g.slotOf
+	if g.ix != ix {
+		slotOf = make([]int32, ix.Len())
+	}
 	for s := int32(0); s < g.nodes.n; s++ {
 		nd := g.nodes.at(s)
+		if g.ix == ix {
+			slotOf[nd.pos] = 0 // a free slot's pos is 0: clearing it again is harmless
+		}
 		if !keepEdges {
 			*nd = node{}
 			continue
@@ -156,19 +215,38 @@ func (g *Graph) reset(root routing.NodeID, keepEdges bool) {
 		*nd = node{in: nd.in[:0], out: nd.out[:0]}
 	}
 	g.nodes.n = 0
-	*g = Graph{root: root, idx: g.idx, nodes: g.nodes, free: g.free[:0], stack: g.stack[:0], found: g.found[:0]}
-	g.intern(root)
+	*g = Graph{root: root, ix: ix, slotOf: slotOf, nodes: g.nodes, free: g.free[:0], stack: g.stack[:0], found: g.found[:0]}
+	if _, ok := g.intern(root); !ok {
+		panic(fmt.Sprintf("pgraph: root %v is not in the graph's index", root))
+	}
 }
 
-// slot resolves n through the intern table.
+// Index returns the index the graph resolves node IDs through.
+func (g *Graph) Index() *topology.Index { return g.ix }
+
+// slot resolves n through the index and the position table.
 func (g *Graph) slot(n routing.NodeID) (int32, bool) {
-	s, ok := g.idx[n]
-	return s, ok
+	p := g.ix.Pos(n)
+	if p < 0 {
+		return 0, false
+	}
+	s := g.slotOf[p] - 1
+	return s, s >= 0
 }
 
-// intern returns n's slot, assigning one when n is new to the graph.
-func (g *Graph) intern(n routing.NodeID) int32 {
-	if s, ok := g.idx[n]; ok {
+// intern returns n's slot, assigning one when n is new to the graph; ok
+// is false, and nothing changes, when n is outside the index.
+func (g *Graph) intern(n routing.NodeID) (s int32, ok bool) {
+	p := g.ix.Pos(n)
+	if p < 0 {
+		return 0, false
+	}
+	return g.internAt(n, p), true
+}
+
+// internAt is intern for n at index position p.
+func (g *Graph) internAt(n routing.NodeID, p int) int32 {
+	if s := g.slotOf[p] - 1; s >= 0 {
 		return s
 	}
 	var s int32
@@ -179,7 +257,8 @@ func (g *Graph) intern(n routing.NodeID) int32 {
 	} else {
 		s = g.nodes.push(n)
 	}
-	g.idx[n] = s
+	g.nodes.at(s).pos = int32(p)
+	g.slotOf[p] = s + 1
 	return s
 }
 
@@ -200,7 +279,7 @@ func (g *Graph) gc(s int32) {
 	if nd.dest {
 		g.nDests--
 	}
-	delete(g.idx, nd.id)
+	g.slotOf[nd.pos] = 0
 	in, out := nd.in[:0], nd.out[:0]
 	if cap(in) > 1 {
 		in = nil
@@ -257,21 +336,25 @@ func (g *Graph) edgeOf(l routing.Link) *edge {
 }
 
 // insertLink makes sure l is present and returns where its record
-// lives; added reports whether it was created. l must be valid.
-func (g *Graph) insertLink(l routing.Link) (to int32, i int, added bool) {
-	to, i, ok := g.link(l)
-	if ok {
-		return to, i, false
+// lives; added reports whether it was created. ok is false, and nothing
+// changes, when an endpoint is outside the index (None included).
+func (g *Graph) insertLink(l routing.Link) (to int32, i int, added, ok bool) {
+	if to, i, ok = g.link(l); ok {
+		return to, i, false, true
 	}
-	from := g.intern(l.From)
-	to = g.intern(l.To)
+	pf, pt := g.ix.Pos(l.From), g.ix.Pos(l.To)
+	if pf < 0 || pt < 0 {
+		return 0, 0, false, false
+	}
+	from := g.internAt(l.From, pf)
+	to = g.internAt(l.To, pt)
 	head, tail := g.nodes.at(to), g.nodes.at(from)
 	i, _ = head.inEdge(l.From)
 	head.in = slices.Insert(head.in, i, edge{from: l.From, slot: from})
 	j, _ := tail.child(l.To)
 	tail.out = slices.Insert(tail.out, j, childRef{id: l.To, slot: to})
 	g.nLinks++
-	return to, i, true
+	return to, i, true, true
 }
 
 // removeEdge deletes the in-edge at position i of slot to, with its
@@ -316,11 +399,12 @@ func (g *Graph) HasLink(l routing.Link) bool {
 }
 
 // AddLink inserts directed link l; it reports whether l was newly added.
+// A link with an endpoint outside the graph's index is not added.
 func (g *Graph) AddLink(l routing.Link) bool {
 	if !l.IsValid() {
 		return false
 	}
-	_, _, added := g.insertLink(l)
+	_, _, added, _ := g.insertLink(l)
 	return added
 }
 
@@ -362,10 +446,11 @@ func (g *Graph) InDegree(n routing.NodeID) int {
 // MultiHomed reports whether n has more than one parent in the graph.
 func (g *Graph) MultiHomed(n routing.NodeID) bool { return g.InDegree(n) > 1 }
 
-// MarkDest marks n as a destination (prefix owner).
+// MarkDest marks n as a destination (prefix owner); a node outside the
+// graph's index is ignored.
 func (g *Graph) MarkDest(n routing.NodeID) {
-	if n.IsValid() {
-		g.setDest(g.intern(n), true)
+	if s, ok := g.intern(n); ok {
+		g.setDest(s, true)
 	}
 }
 
@@ -391,8 +476,20 @@ func (g *Graph) setDest(s int32, dest bool) {
 
 // IsDest reports whether n is marked as a destination.
 func (g *Graph) IsDest(n routing.NodeID) bool {
+	_, ok := g.DestSlot(n)
+	return ok
+}
+
+// DestSlot returns the slot of n when n is a marked destination. A
+// caller can key state of its own by slot in a SlotTable; but a slot
+// released when its node leaves the graph is handed to the next node
+// to arrive, so such state must record whose it is.
+func (g *Graph) DestSlot(n routing.NodeID) (int, bool) {
 	s, ok := g.slot(n)
-	return ok && g.nodes.at(s).dest
+	if !ok || !g.nodes.at(s).dest {
+		return 0, false
+	}
+	return int(s), true
 }
 
 // Dests returns the marked destinations in ascending order.
@@ -588,17 +685,18 @@ func (g *Graph) DestsBelow(n routing.NodeID) []routing.NodeID {
 // small factor is enough.
 const (
 	wordBytes     = 8
+	posBytes      = 4  // one position table entry
 	mapEntryBytes = 48 // one map entry's amortized share of buckets and keys
 	nodeBytes     = 64 // one slot record
 	edgeBytes     = 32 // one in-edge record plus its child reference
 )
 
-// ApproxMemBytes estimates the graph's heap footprint: the intern
+// ApproxMemBytes estimates the graph's heap footprint: the position
 // table, slot records, edge records and Permission List pairs. Feeds
 // the checkpoint layer's snapshot-bytes accounting
 // (sim.checkpoint_bytes).
 func (g *Graph) ApproxMemBytes() int {
-	b := len(g.idx)*mapEntryBytes + g.nodes.len()*nodeBytes + g.nLinks*edgeBytes
+	b := len(g.slotOf)*posBytes + g.nodes.len()*nodeBytes + g.nLinks*edgeBytes
 	for s := int32(0); s < g.nodes.n; s++ {
 		for _, e := range g.nodes.at(s).in {
 			if e.perm != nil {
@@ -613,7 +711,8 @@ func (g *Graph) ApproxMemBytes() int {
 func (g *Graph) Clone() *Graph {
 	out := &Graph{
 		root:   g.root,
-		idx:    maps.Clone(g.idx),
+		ix:     g.ix,
+		slotOf: slices.Clone(g.slotOf),
 		nodes:  g.nodes.sized(),
 		free:   slices.Clone(g.free),
 		nLinks: g.nLinks, nDests: g.nDests, nPerms: g.nPerms,
@@ -635,7 +734,7 @@ func (g *Graph) Clone() *Graph {
 		}
 		lo = len(kids)
 		kids = append(kids, src.out...)
-		*out.nodes.at(s) = node{id: src.id, in: in, out: kids[lo:len(kids):len(kids)], dest: src.dest}
+		*out.nodes.at(s) = node{id: src.id, pos: src.pos, in: in, out: kids[lo:len(kids):len(kids)], dest: src.dest}
 	}
 	return out
 }

@@ -4,12 +4,23 @@ import (
 	"testing"
 
 	"centaur/internal/routing"
+	"centaur/internal/topology"
 )
 
 func link(a, b routing.NodeID) routing.Link { return routing.Link{From: a, To: b} }
 
+// testIx indexes every node ID the package's tests use: 1 to 1000 and
+// the sparse IDs of the property tests.
+var testIx = func() *topology.Index {
+	ids := append([]routing.NodeID(nil), propIDs...)
+	for id := routing.NodeID(1); id <= 1000; id++ {
+		ids = append(ids, id)
+	}
+	return topology.IndexOf(ids)
+}()
+
 func TestGraphAddRemoveLink(t *testing.T) {
-	g := New(1)
+	g := New(testIx, 1)
 	if !g.AddLink(link(1, 2)) {
 		t.Fatal("first add should succeed")
 	}
@@ -37,7 +48,7 @@ func TestGraphAddRemoveLink(t *testing.T) {
 }
 
 func TestGraphInvalidLinkRejected(t *testing.T) {
-	g := New(1)
+	g := New(testIx, 1)
 	if g.AddLink(link(2, 2)) {
 		t.Fatal("self-loop must be rejected")
 	}
@@ -47,7 +58,7 @@ func TestGraphInvalidLinkRejected(t *testing.T) {
 }
 
 func TestGraphMultiHomed(t *testing.T) {
-	g := New(1)
+	g := New(testIx, 1)
 	g.AddLink(link(1, 3))
 	if g.MultiHomed(3) {
 		t.Fatal("single parent is not multi-homed")
@@ -65,7 +76,7 @@ func TestGraphMultiHomed(t *testing.T) {
 }
 
 func TestGraphDestMarks(t *testing.T) {
-	g := New(1)
+	g := New(testIx, 1)
 	g.AddLink(link(1, 2))
 	g.MarkDest(2)
 	if !g.IsDest(2) {
@@ -80,7 +91,7 @@ func TestGraphDestMarks(t *testing.T) {
 func TestGraphGCOnRemoval(t *testing.T) {
 	// Removing a node's last link drops its bookkeeping, including the
 	// destination mark — but the root keeps its mark.
-	g := New(1)
+	g := New(testIx, 1)
 	g.MarkDest(1)
 	g.AddLink(link(1, 2))
 	g.MarkDest(2)
@@ -94,7 +105,7 @@ func TestGraphGCOnRemoval(t *testing.T) {
 }
 
 func TestGraphPermissionLifecycle(t *testing.T) {
-	g := New(1)
+	g := New(testIx, 1)
 	g.AddLink(link(1, 2))
 	pl := &PermissionList{}
 	pl.Add(5, routing.None)
@@ -119,7 +130,7 @@ func TestGraphPermissionLifecycle(t *testing.T) {
 }
 
 func TestGraphCloneEqual(t *testing.T) {
-	g := New(1)
+	g := New(testIx, 1)
 	g.AddLink(link(1, 2))
 	g.AddLink(link(2, 3))
 	g.MarkDest(3)
@@ -141,7 +152,7 @@ func TestGraphCloneEqual(t *testing.T) {
 }
 
 func TestGraphNodesAndLinksSorted(t *testing.T) {
-	g := New(5)
+	g := New(testIx, 5)
 	g.AddLink(link(5, 2))
 	g.AddLink(link(2, 9))
 	g.AddLink(link(5, 1))
@@ -165,7 +176,7 @@ func TestGraphNodesAndLinksSorted(t *testing.T) {
 }
 
 func TestDestsBelow(t *testing.T) {
-	g := New(1)
+	g := New(testIx, 1)
 	g.AddLink(link(1, 2))
 	g.AddLink(link(2, 3))
 	g.AddLink(link(2, 4))
@@ -232,7 +243,7 @@ func TestReadPathAllocations(t *testing.T) {
 
 // TestResetMatchesNew pins Graph.Reset: a graph that held Permission
 // Lists, destination marks and an observer, reset to another root, is
-// New(root) in everything but its kept slot chunks, holds no slot's old
+// New(ix, root) in everything but its kept slot chunks, holds no slot's old
 // edge lists, and assembles a later announcement exactly like a fresh
 // graph.
 func TestResetMatchesNew(t *testing.T) {
@@ -243,7 +254,7 @@ func TestResetMatchesNew(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := New(1)
+	g := New(testIx, 1)
 	g.MarkDest(1)
 	g.Apply(Delta{Adds: built.LinkInfos()})
 	g.SetFPObserver(func(routing.Link, routing.NodeID, routing.NodeID) {})
@@ -253,9 +264,9 @@ func TestResetMatchesNew(t *testing.T) {
 	chunks := len(g.nodes.chunks)
 
 	g.Reset(9)
-	if fresh := New(9); !g.Equal(fresh) || !fresh.Equal(g) || g.Root() != 9 ||
+	if fresh := New(testIx, 9); !g.Equal(fresh) || !fresh.Equal(g) || g.Root() != 9 ||
 		g.NumLinks() != 0 || g.NumDests() != 0 || g.NumPermissionLists() != 0 || g.fpObserver != nil {
-		t.Fatalf("reset graph differs from New(9): %v", g)
+		t.Fatalf("reset graph differs from New(ix, 9): %v", g)
 	}
 	if len(g.nodes.chunks) != chunks {
 		t.Fatalf("Reset kept %d slot chunks of %d", len(g.nodes.chunks), chunks)
@@ -272,7 +283,7 @@ func TestResetMatchesNew(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := New(9)
+	want := New(testIx, 9)
 	for _, h := range []*Graph{g, want} {
 		h.MarkDest(9)
 		h.Apply(Delta{Adds: next.LinkInfos()})

@@ -43,6 +43,7 @@ func equalDelta(a, b Delta) bool {
 // every derivation under a random failed-link mask.
 func checkSameGraph(t *testing.T, rng *rand.Rand, step int, g *Graph, ref *refGraph) {
 	t.Helper()
+	checkPositions(t, g)
 	infos := g.LinkInfos()
 	if want := ref.LinkInfos(); !slices.EqualFunc(infos, want, LinkInfo.Equal) {
 		t.Fatalf("step %d: LinkInfos\n got %v\nwant %v", step, infos, want)
@@ -85,8 +86,8 @@ func checkSameGraph(t *testing.T, rng *rand.Rand, step int, g *Graph, ref *refGr
 func TestViewMatchesModel(t *testing.T) {
 	for seed := int64(1); seed <= 30; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		view, refV := NewView(propIDs[0]), newRefView(propIDs[0])
-		recv, refRecv := New(propIDs[0]), newRefGraph(propIDs[0])
+		view, refV := NewView(testIx, propIDs[0]), newRefView(propIDs[0])
+		recv, refRecv := New(testIx, propIDs[0]), newRefGraph(propIDs[0])
 		for step := 0; step < 400; step++ {
 			for k := rng.Intn(4); k >= 0; k-- {
 				var p routing.Path

@@ -28,7 +28,11 @@ import (
 // destination. Every path must start at root, end at its destination,
 // and be loop-free; the paths of one destination must be distinct.
 func BuildMulti(root routing.NodeID, paths map[routing.NodeID][]routing.Path) (*Graph, error) {
-	g := New(root)
+	var all []routing.Path
+	for _, set := range paths {
+		all = append(all, set...)
+	}
+	g := New(indexOfPaths(root, all), root)
 	g.setDest(rootSlot, true)
 	var hops []int32
 	for dest, set := range paths {
@@ -42,7 +46,8 @@ func BuildMulti(root routing.NodeID, paths map[routing.NodeID][]routing.Path) (*
 				return nil, fmt.Errorf("pgraph: duplicate path %v for destination %v", p, dest)
 			}
 			seen[key] = struct{}{}
-			hops = g.addPath(p, hops)
+			// Every node of p is in the graph's index, which is built from them.
+			hops, _ = g.addPath(p, hops)
 		}
 	}
 	// Permission List entries at multi-homed nodes, for every path of

@@ -22,7 +22,7 @@ func TestDeriveCountsFPHits(t *testing.T) {
 	// Diamond 1→{2,3}→4: node 4 is multi-homed, link 2→4 carries a
 	// restricted list whose filter falsely admits destination 4 (the
 	// oracle only permits 5), link 3→4 is the unrestricted primary.
-	g := New(1)
+	g := New(testIx, 1)
 	for _, l := range []routing.Link{{From: 1, To: 2}, {From: 1, To: 3}, {From: 2, To: 4}, {From: 3, To: 4}} {
 		g.AddLink(l)
 	}

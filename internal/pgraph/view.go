@@ -1,9 +1,11 @@
 package pgraph
 
 import (
+	"fmt"
 	"slices"
 
 	"centaur/internal/routing"
+	"centaur/internal/topology"
 )
 
 // View maintains an announced P-graph incrementally, implementing the
@@ -22,17 +24,8 @@ import (
 // the receiver side remains Graph.Apply.
 type View struct {
 	g *Graph
-	// paths is the current selected path per destination, indexed by the
-	// destination's slot in g (the slices are shared with the caller and
-	// never mutated). A destination with a path is the head of a link, so
-	// its slot cannot be released while the entry is set.
-	paths []routing.Path
-	// state tracks, per slot of g, the node's multi-homing status and
-	// current primary (unrestricted) parent, so transitions can be
-	// detected without rescanning. Only a node with several in-links has
-	// state, and a Set removes at most one of them, so a slot is never
-	// released (and reused) with state left in it.
-	state []nodeState
+	// side is the view's record per slot of g.
+	side SlotTable[viewSlot]
 	// round snapshots the announced LinkInfo of every link touched since
 	// the last Flush, in first-touch order. An in-edge record stamped with
 	// the current epoch is already in it; a link removed and re-added
@@ -43,6 +36,21 @@ type View struct {
 	// slots (paths are short, so membership checks stay linear) and the
 	// slots of the path being walked.
 	slotBuf, hopBuf []int32
+}
+
+// viewSlot is what a View keeps for one slot of its graph.
+type viewSlot struct {
+	// path is the current selected path when the slot's node is a
+	// destination (the slice is shared with the caller and never
+	// mutated). A destination with a path is the head of a link, so its
+	// slot cannot be released while the entry is set.
+	path routing.Path
+	// state tracks the node's multi-homing status and current primary
+	// (unrestricted) parent, so transitions can be detected without
+	// rescanning. Only a node with several in-links has state, and a Set
+	// removes at most one of them, so a slot is never released (and
+	// reused) with state left in it.
+	state nodeState
 }
 
 // nodeState is the cached per-node announcement layout.
@@ -68,14 +76,21 @@ const (
 	withdraw
 )
 
-// NewView returns an empty announced view rooted at root.
-func NewView(root routing.NodeID) *View {
-	g := New(root)
+// NewView returns an empty announced view rooted at root whose graph
+// resolves node IDs through ix (see New). Every path Set must stay
+// inside ix.
+func NewView(ix *topology.Index, root routing.NodeID) *View {
+	g := New(ix, root)
 	// The root is its own destination, matching Build; the mark never
 	// appears in announcements (the root is never a link head).
 	g.setDest(rootSlot, true)
-	return &View{g: g, epoch: 1}
+	v := &View{g: g, epoch: 1}
+	v.side.Grow(g)
+	return v
 }
+
+// at returns slot s's record.
+func (v *View) at(s int32) *viewSlot { return v.side.At(int(s)) }
 
 // Graph exposes the maintained P-graph (shared; callers must not mutate).
 func (v *View) Graph() *Graph { return v.g }
@@ -90,28 +105,27 @@ func (v *View) Graph() *Graph { return v.g }
 func (v *View) Clone() *View {
 	return &View{
 		g:     v.g.Clone(),
-		paths: slices.Clone(v.paths),
-		state: slices.Clone(v.state),
+		side:  v.side.Clone(),
 		round: slices.Clone(v.round),
 		epoch: v.epoch,
 	}
 }
 
 // ApproxMemBytes estimates the view's heap footprint: the maintained
-// graph plus the per-destination path table and per-node layout cache.
+// graph plus the per-slot path and layout records.
 // Feeds the checkpoint layer's snapshot-bytes accounting.
 func (v *View) ApproxMemBytes() int {
-	b := v.g.ApproxMemBytes() + len(v.paths)*3*wordBytes + len(v.state)*wordBytes
-	for _, p := range v.paths {
-		b += len(p) * wordBytes / 2
+	b := v.g.ApproxMemBytes() + v.side.Len()*4*wordBytes
+	for s := 0; s < v.side.Len(); s++ {
+		b += len(v.side.At(s).path) * wordBytes / 2
 	}
 	return b
 }
 
 // Path returns the currently announced path for dest (nil if none).
 func (v *View) Path(dest routing.NodeID) routing.Path {
-	if s, ok := v.g.slot(dest); ok && int(s) < len(v.paths) {
-		return v.paths[s]
+	if s, ok := v.g.slot(dest); ok {
+		return v.at(s).path
 	}
 	return nil
 }
@@ -139,8 +153,8 @@ func (v *View) Set(dest routing.NodeID, p routing.Path) {
 	g := v.g
 	ds, known := g.slot(dest)
 	var old routing.Path
-	if known && int(ds) < len(v.paths) {
-		old = v.paths[ds]
+	if known {
+		old = v.at(ds).path
 	}
 	if old.Equal(p) {
 		return
@@ -151,7 +165,7 @@ func (v *View) Set(dest routing.NodeID, p routing.Path) {
 	// node slots resolve by walking child lists down from the root; they
 	// are resolved up front because removals release slots.
 	if old != nil {
-		v.paths[ds] = nil
+		v.at(ds).path = nil
 		hops := append(v.hopBuf[:0], rootSlot)
 		for i := 1; i < len(old); i++ {
 			nd := g.nodes.at(hops[i-1])
@@ -191,7 +205,10 @@ func (v *View) Set(dest routing.NodeID, p routing.Path) {
 				v.touch(cur, at)
 			} else {
 				l := routing.Link{From: p[i-1], To: p[i]}
-				cur, at, _ = g.insertLink(l)
+				var ok bool
+				if cur, at, _, ok = g.insertLink(l); !ok {
+					panic(fmt.Sprintf("pgraph: view path %v leaves the index at %v", p, p[i]))
+				}
 				g.nodes.at(cur).in[at].touched = v.epoch
 				v.round = append(v.round, snapshot{to: cur, info: LinkInfo{Link: l}})
 			}
@@ -201,11 +218,8 @@ func (v *View) Set(dest routing.NodeID, p routing.Path) {
 		}
 		v.hopBuf = hops
 		ds, known = cur, true
-		if n := g.nodes.len(); len(v.paths) < n {
-			v.paths = append(v.paths, make([]routing.Path, n-len(v.paths))...)
-			v.state = append(v.state, make([]nodeState, n-len(v.state))...)
-		}
-		v.paths[ds] = p
+		v.side.Grow(g)
+		v.at(ds).path = p
 	}
 
 	// Destination mark follows path presence; a change re-announces
@@ -227,7 +241,7 @@ func (v *View) Set(dest routing.NodeID, p routing.Path) {
 	}
 	for i := 1; i < len(p); i++ {
 		s := v.hopBuf[i]
-		st := v.state[s]
+		st := v.at(s).state
 		if !st.multi || p[i-1] == st.primary {
 			continue
 		}
@@ -262,9 +276,9 @@ func (v *View) fixNode(s int32) {
 	if !nd.id.IsValid() {
 		return // released by the removals
 	}
-	st := v.state[s]
+	st := &v.at(s).state
 	if len(nd.in) < 2 {
-		v.state[s] = nodeState{}
+		*st = nodeState{}
 		if len(nd.in) == 1 {
 			v.dropPerm(s, 0)
 		}
@@ -292,7 +306,7 @@ func (v *View) fixNode(s int32) {
 		}
 		v.dropPerm(s, primary)
 	}
-	v.state[s] = nodeState{multi: true, primary: primaryID}
+	*st = nodeState{multi: true, primary: primaryID}
 }
 
 // dropPerm clears the Permission List, if any, of the in-edge at
@@ -316,7 +330,7 @@ func (v *View) installPairs(s int32, i int) {
 	g.pushWalk(s)
 	var pairs []PermEntry
 	for _, ds := range g.walkBelow() {
-		p := v.paths[ds]
+		p := v.at(ds).path
 		for k := 0; k+1 < len(p); k++ {
 			if p[k] == e.from && p[k+1] == head {
 				pairs = append(pairs, PermEntry{Dest: g.nodes.at(ds).id, Next: nextAfter(p, k+1)})

@@ -9,7 +9,7 @@ import (
 )
 
 func TestViewBasicLifecycle(t *testing.T) {
-	v := NewView(1)
+	v := NewView(testIx, 1)
 	if v.Graph().Root() != 1 {
 		t.Fatal("root wrong")
 	}
@@ -52,8 +52,8 @@ func TestViewMatchesBuildProperty(t *testing.T) {
 	const root routing.NodeID = 1
 	property := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		v := NewView(root)
-		recv := New(root)
+		v := NewView(testIx, root)
+		recv := New(testIx, root)
 		recv.MarkDest(root)
 		current := make(map[routing.NodeID]routing.Path)
 		for step := 0; step < 24; step++ {
@@ -127,7 +127,7 @@ func equalView(a, b *Graph) bool {
 // path membership exactly.
 func TestViewCountersMatchBuild(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
-	v := NewView(1)
+	v := NewView(testIx, 1)
 	current := make(map[routing.NodeID]routing.Path)
 	for step := 0; step < 40; step++ {
 		dest := routing.NodeID(2 + rng.Intn(8))
@@ -157,7 +157,7 @@ func TestViewPrimaryFlip(t *testing.T) {
 	// Node 4 multi-homed via 2 (one path) and 3 (one path): tie broken
 	// to lowest parent (2). Adding a second path through 3 flips the
 	// primary to 3, which must re-announce both in-links.
-	v := NewView(1)
+	v := NewView(testIx, 1)
 	v.Set(4, routing.Path{1, 2, 4})
 	v.Set(5, routing.Path{1, 3, 4, 5})
 	v.Flush()
@@ -191,7 +191,7 @@ func TestViewPrimaryFlip(t *testing.T) {
 // the original, so flips replayed on one never show through the other.
 func TestViewCloneIndependence(t *testing.T) {
 	const root routing.NodeID = 1
-	v := NewView(root)
+	v := NewView(testIx, root)
 	v.Set(3, routing.Path{1, 2, 3})
 	v.Set(5, routing.Path{1, 4, 5})
 	v.Flush()

@@ -21,6 +21,20 @@ func NewIndex(g *Graph) *Index {
 	return &Index{ids: g.Nodes()}
 }
 
+// IndexOf returns the dense index of the given node IDs in ascending ID
+// order, each indexed once; routing.None is not indexed. ids is not
+// retained. It serves callers that hold node sets rather than a Graph,
+// such as a P-graph built from a bare path set.
+func IndexOf(ids []routing.NodeID) *Index {
+	sorted := slices.Clone(ids)
+	slices.Sort(sorted)
+	sorted = slices.Compact(sorted)
+	if len(sorted) > 0 && sorted[0] == routing.None {
+		sorted = sorted[1:]
+	}
+	return &Index{ids: sorted}
+}
+
 // Len returns the number of indexed nodes.
 func (ix *Index) Len() int { return len(ix.ids) }
 

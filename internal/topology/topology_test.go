@@ -3,6 +3,7 @@ package topology
 import (
 	"bytes"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -262,6 +263,19 @@ func TestIndex(t *testing.T) {
 	}
 	if len(ix.IDs()) != 3 {
 		t.Fatal("IDs length wrong")
+	}
+}
+
+// TestIndexOf checks that an index of a bare ID list sorts it, indexes
+// a repeated ID once, skips None and matches the index of a graph
+// holding the same nodes.
+func TestIndexOf(t *testing.T) {
+	ix := IndexOf([]routing.NodeID{20, routing.None, 5, 10, 20, 5})
+	if want := indexOf(t, 5, 10, 20); !slices.Equal(ix.IDs(), want.IDs()) {
+		t.Fatalf("IndexOf IDs = %v, want %v", ix.IDs(), want.IDs())
+	}
+	if IndexOf(nil).Len() != 0 || IndexOf([]routing.NodeID{routing.None}).Len() != 0 {
+		t.Fatal("an index of no valid IDs must be empty")
 	}
 }
 
