@@ -148,9 +148,9 @@ func peel(p Protocol, stop func(Protocol) bool) Protocol {
 }
 
 // Event kinds of the tagged event union. evFunc and evNodeTimer are the
-// only kinds that carry a closure; the others are dispatched inline by
-// Run so the steady-state send/deliver cycle allocates nothing per
-// event.
+// only kinds that carry a closure (as a timerFn in msg); the others are
+// dispatched inline by Run so the steady-state send/deliver cycle
+// allocates nothing per event.
 const (
 	evFunc uint8 = iota
 	evStart
@@ -164,31 +164,47 @@ const (
 	evNodeTimer
 )
 
+// timerFn carries a timer's closure in an event's msg field, so an event
+// needs no separate func field. A func value is pointer-shaped, so
+// boxing it in the interface does not allocate. It is never sent: the
+// Message methods exist only to fit the field.
+type timerFn func()
+
+func (timerFn) Kind() string { return "sim.timer" }
+func (timerFn) Units() int   { return 0 }
+
 // faultDrop marks a delivery the fault injector decided to lose: the
 // message traverses the link (so the trace shows the decision and the
 // loss as separate records) and is discarded at delivery time.
 const faultDrop uint8 = 1
 
 // event is one scheduled occurrence. Which fields are meaningful depends
-// on kind: evFunc uses fn; evStart uses to; evDeliver uses from, to,
-// link, epoch, fault, and msg; evLinkDown/evLinkUp use from (the peer)
-// and to (the dense index of the notified node); evNodeTimer uses fn,
-// to, and epoch (the node generation). Every event also carries
-// cause/depth: the span of the occurrence that scheduled it (the send
-// for a delivery, the link transition for a notification, the active
-// cause for a timer) and that cause's causal depth, captured at
+// on kind: evFunc uses msg (a timerFn); evStart uses to; evDeliver uses
+// from, to, link, epoch, fault, and msg; evLinkDown/evLinkUp use from
+// (the peer) and to (the dense index of the notified node); evNodeTimer
+// uses msg (a timerFn), to, and epoch (the node generation). Every event
+// also carries cause/depth: the span of the occurrence that scheduled it
+// (the send for a delivery, the link transition for a notification, the
+// active cause for a timer) and that cause's causal depth, captured at
 // scheduling time so the handler inherits causality.
+//
+// The fields are ordered so the struct packs into exactly one 64-byte
+// cache line; every pop and sift moves whole events, so each byte
+// counts. epoch is 32 bits: a link epoch would have to wrap (2³² failures
+// of one link while a message sent before the first is still in flight)
+// before a stale delivery could pass its check, and a node generation
+// (2³² crashes of one node while a timer of the first instance is
+// pending) before a stale timer could fire.
 type event struct {
 	at    time.Duration
 	seq   uint64 // tie-break so equal-time events run in schedule order
-	epoch uint64
 	cause uint64
-	fn    func()
 	msg   Message
 	from  routing.NodeID
 	to    int32
 	link  int32
 	depth int32
+	epoch uint32
 	kind  uint8
 	fault uint8
 }
@@ -205,20 +221,24 @@ func (e *event) before(o *event) bool {
 // eventQueue is a 4-ary min-heap of by-value events. The wider fan-out
 // halves the sift-down depth relative to a binary heap and keeps the
 // slice cache-resident; events are stored by value so pushes reuse the
-// slice's capacity instead of allocating per event.
+// slice's capacity instead of allocating per event. Both sifts carry
+// the moving event aside and shift parents (push) or children (pop)
+// into the hole it leaves, storing it once where it lands: one copy per
+// level instead of a swap's three.
 type eventQueue []event
 
 func (q *eventQueue) push(e event) {
-	h := append(*q, e)
+	h := append(*q, event{})
 	i := len(h) - 1
 	for i > 0 {
 		p := (i - 1) / 4
-		if !h[i].before(&h[p]) {
+		if !e.before(&h[p]) {
 			break
 		}
-		h[i], h[p] = h[p], h[i]
+		h[i] = h[p]
 		i = p
 	}
+	h[i] = e
 	*q = h
 }
 
@@ -226,9 +246,13 @@ func (q *eventQueue) pop() event {
 	h := *q
 	top := h[0]
 	n := len(h) - 1
-	h[0] = h[n]
-	h[n] = event{} // drop fn/msg references for the GC
+	last := h[n]
+	h[n] = event{} // drop the msg reference for the GC
 	h = h[:n]
+	*q = h
+	if n == 0 {
+		return top
+	}
 	i := 0
 	for {
 		first := 4*i + 1
@@ -236,22 +260,19 @@ func (q *eventQueue) pop() event {
 			break
 		}
 		best := first
-		end := first + 4
-		if end > n {
-			end = n
-		}
+		end := min(first+4, n)
 		for c := first + 1; c < end; c++ {
 			if h[c].before(&h[best]) {
 				best = c
 			}
 		}
-		if !h[best].before(&h[i]) {
+		if !h[best].before(&last) {
 			break
 		}
-		h[i], h[best] = h[best], h[i]
+		h[i] = h[best]
 		i = best
 	}
-	*q = h
+	h[i] = last
 	return top
 }
 
@@ -272,8 +293,9 @@ type linkState struct {
 	// for watchdog diagnostics (LinkSession.Since).
 	since time.Duration
 	// epoch increments on every failure so in-flight messages sent
-	// before the failure are dropped at delivery time.
-	epoch uint64
+	// before the failure are dropped at delivery time (32 bits, see
+	// event).
+	epoch uint32
 	up    bool
 }
 
@@ -571,6 +593,11 @@ type Network struct {
 	// multiple root operations in one closure (a partition's cuts)
 	// become siblings instead of a chain.
 	rootCause uint64
+	// cold marks a network whose cold start has not drained yet. Every
+	// node speaks at once in a cold start, so the queue peaks far above
+	// what any later phase needs; the Run that first drains it drops the
+	// backing array, and later runs grow the queue to their own peak.
+	cold bool
 }
 
 // kindCount is one per-kind accumulator of sent messages, units, and
@@ -623,6 +650,7 @@ func NewNetwork(cfg Config) (*Network, error) {
 		return nil, err
 	}
 	n.build = cfg.Build
+	n.cold = true
 	numNodes := len(n.nodes)
 	for i := 0; i < numNodes; i++ {
 		n.nodes[i] = cfg.Build(&n.envs[i])
@@ -703,8 +731,9 @@ type nodeEnv struct {
 	pos  int32
 	adj  []adjRef // ascending by neighbor ID
 	// gen is the node's protocol-instance generation; CrashNode bumps it
-	// so Env.After timers of the dead instance are skipped.
-	gen uint64
+	// so Env.After timers of the dead instance are skipped (32 bits, see
+	// event).
+	gen uint32
 }
 
 var _ Env = (*nodeEnv)(nil)
@@ -821,7 +850,7 @@ func (e *nodeEnv) After(d time.Duration, fn func()) {
 	// The timer captures the active cause: an MRAI or retransmit timer
 	// armed while handling a delivery keeps that delivery's causality,
 	// so sends it makes later still chain back to the root event.
-	net.pq.push(event{at: net.now + d, seq: net.seq, fn: fn, kind: evNodeTimer,
+	net.pq.push(event{at: net.now + d, seq: net.seq, msg: timerFn(fn), kind: evNodeTimer,
 		to: e.pos, epoch: e.gen, cause: net.curCause, depth: net.curDepth})
 }
 
@@ -879,7 +908,7 @@ func RouteChangedVia(env Env, dest, oldNext, newNext routing.NodeID) {
 // nested restores to the fail that scheduled them.
 func (n *Network) schedule(after time.Duration, fn func()) {
 	n.seq++
-	n.pq.push(event{at: n.now + after, seq: n.seq, fn: fn, kind: evFunc,
+	n.pq.push(event{at: n.now + after, seq: n.seq, msg: timerFn(fn), kind: evFunc,
 		cause: n.curCause, depth: n.curDepth})
 }
 
@@ -1154,10 +1183,10 @@ func (n *Network) Run(maxEvents int64) (processed int64, quiesced bool) {
 				n.nodes[ev.to].Handle(ev.from, ev.msg)
 			}
 		case evFunc:
-			ev.fn()
+			ev.msg.(timerFn)()
 		case evNodeTimer:
 			if n.envs[ev.to].gen == ev.epoch {
-				ev.fn()
+				ev.msg.(timerFn)()
 			} else {
 				n.stats.StaleTimers++
 			}
@@ -1175,6 +1204,12 @@ func (n *Network) Run(maxEvents int64) (processed int64, quiesced bool) {
 	// event loop (the flip harness calling FailLink between runs) start a
 	// fresh parentless root instead of inheriting a stale cause.
 	n.curCause, n.curDepth, n.rootCause = 0, 0, 0
+	// Give back the cold start's peak once. Releasing on every drain
+	// instead would make each later phase regrow its queue from nothing,
+	// turning the live-heap saving into allocation and copying.
+	if n.cold {
+		n.pq, n.cold = nil, false
+	}
 	return processed, true
 }
 
