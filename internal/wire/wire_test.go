@@ -110,6 +110,25 @@ func TestTrailingBytesRejected(t *testing.T) {
 	}
 }
 
+// TestNonCanonicalFramesRejected pins frames that once decoded but
+// re-encoded to different bytes: an overlong varint and unknown link
+// flag bits.
+func TestNonCanonicalFramesRejected(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		frame  []byte
+		decode func([]byte) error
+	}{
+		{"overlong bgp dest", []byte{KindBGPUpdate, 0x83, 0x00, 0, 0}, func(b []byte) error { _, err := DecodeBGPUpdate(b); return err }},
+		{"unknown centaur flag", []byte{KindCentaurUpdate, 1, 1, 2, 8, 0, 0}, func(b []byte) error { _, err := DecodeCentaurUpdate(b); return err }},
+		{"overlong bfd state", []byte{KindBFDControl, 0x81, 0x00, 0}, func(b []byte) error { _, err := DecodeBFDControl(b); return err }},
+	} {
+		if err := tc.decode(tc.frame); err == nil {
+			t.Errorf("%s: frame %x decoded", tc.name, tc.frame)
+		}
+	}
+}
+
 func TestGarbageDoesNotPanic(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for i := 0; i < 2000; i++ {
