@@ -19,8 +19,18 @@ func TestPLOverheadSmallScale(t *testing.T) {
 	if len(res.Rows) != 2 {
 		t.Fatalf("got %d rows, want 2", len(res.Rows))
 	}
+	// The byte totals and accepted-list counts are pinned exactly: the
+	// wire sizes are a pure function of the topology, so any change to
+	// the layout or to CompressPerm's decision moves them.
+	pinned := map[string][3]int64{ // explicit B, compressed B, accepted lists
+		"CAIDA-like": {147648, 147180, 43},
+		"HeTop-like": {127155, 125928, 164},
+	}
 	compressedLists, fpHits := int64(0), int64(0)
 	for _, row := range res.Rows {
+		if got, want := [3]int64{row.ExplicitBytes, row.CompressedBytes, row.CompressedLists}, pinned[row.Name]; got != want {
+			t.Errorf("%s: explicit/compressed bytes and accepted lists = %v, want %v", row.Name, got, want)
+		}
 		if row.Lists == 0 || row.Groups == 0 {
 			t.Fatalf("%s: empty measurement: %+v", row.Name, row)
 		}
