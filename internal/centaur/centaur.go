@@ -329,7 +329,7 @@ func (n *Node) plFPRate() float64 {
 func (n *Node) compressDelta(d pgraph.Delta) {
 	for i := range d.Adds {
 		if len(d.Adds[i].Perm) > 0 {
-			d.Adds[i].Filters = pgraph.CompressPerm(d.Adds[i].Perm, n.plFPRate())
+			d.Adds[i].Filters = wire.CompressPerm(d.Adds[i].Perm, n.plFPRate())
 		}
 	}
 }

@@ -30,7 +30,7 @@ type PLOverheadConfig struct {
 	// share one solve across every static stage.
 	Solved []SolvedTopology
 	// FPRate is the per-filter false-positive target handed to
-	// pgraph.CompressPerm; 0 means centaur.DefaultPLFPRate.
+	// wire.CompressPerm; 0 means centaur.DefaultPLFPRate.
 	FPRate float64
 	// Workers bounds the per-node fan-out (0 = GOMAXPROCS).
 	Workers int
@@ -58,7 +58,7 @@ type PLOverheadRow struct {
 	// ExplicitBytes is the total wire bytes of all measured lists in the
 	// plain grouped encoding (wire.PermWireLen). CompressedBytes is what
 	// a BloomPL sender actually puts on the wire: the filter container
-	// (pgraph.FiltersWireLen) for accepted lists, the explicit form for
+	// (wire.FiltersWireLen) for accepted lists, the explicit form for
 	// refused ones. CompressedBytes < ExplicitBytes whenever any list is
 	// accepted, by CompressPerm's whole-list decision rule.
 	ExplicitBytes   int64
@@ -126,9 +126,9 @@ func plOverheadRow(name string, sol *solver.Solution, fpRate float64, workers in
 			}
 			explicitLen := int64(wire.PermWireLen(perm))
 			c.Lists++
-			c.Groups += int64(permGroups(perm))
+			c.Groups += int64(lp.Perm.NumEntries())
 			c.ExplicitBytes += explicitLen
-			fs := pgraph.CompressPerm(perm, fpRate)
+			fs := wire.CompressPerm(perm, fpRate)
 			if fs == nil {
 				// Compression refused: the sender keeps the explicit form,
 				// so that is what the compressed mode pays.
@@ -136,7 +136,7 @@ func plOverheadRow(name string, sol *solver.Solution, fpRate float64, workers in
 				continue
 			}
 			c.CompressedLists++
-			c.CompressedBytes += int64(pgraph.FiltersWireLen(fs))
+			c.CompressedBytes += int64(wire.FiltersWireLen(fs))
 			bloomGroups := 0
 			for _, f := range fs {
 				if f.Filter != nil {
@@ -188,17 +188,6 @@ func plOverheadRow(name string, sol *solver.Solution, fpRate float64, workers in
 		out.FPHits += c.FPHits
 	}
 	return out, nil
-}
-
-// permGroups counts the next-hop groups of a canonical pair list.
-func permGroups(perm []pgraph.PermEntry) int {
-	groups := 0
-	for i, e := range perm {
-		if i == 0 || e.Next != perm[i-1].Next {
-			groups++
-		}
-	}
-	return groups
 }
 
 // permDests returns the distinct destinations of a canonical pair list,

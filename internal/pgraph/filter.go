@@ -60,116 +60,6 @@ func cloneFilters(fs []DestFilter) []DestFilter {
 	return out
 }
 
-// filterUvarintLen mirrors the wire package's uvarint length accounting
-// (1–10 bytes); CompressPerm needs it to decide per group whether the
-// Bloom form actually saves bytes. Pinned against the real encoder by
-// the wire package's tests.
-func filterUvarintLen(v uint64) int {
-	n := 1
-	for v >= 0x80 {
-		v >>= 7
-		n++
-	}
-	return n
-}
-
-// filterWireLen returns the encoded body length of one compressed entry
-// as the wire package encodes it: the next hop, a one-byte form tag,
-// then either the length-prefixed destination list or the filter
-// geometry and bit array.
-func filterWireLen(f DestFilter) int {
-	n := filterUvarintLen(uint64(f.Next)) + 1 // form tag is 0 or 1: one byte
-	if f.Filter != nil {
-		m := f.Filter.SizeBits()
-		return n + filterUvarintLen(m) + filterUvarintLen(uint64(f.Filter.Hashes())) + int((m+7)/8)
-	}
-	n += filterUvarintLen(uint64(len(f.Dests)))
-	for _, d := range f.Dests {
-		n += filterUvarintLen(uint64(d))
-	}
-	return n
-}
-
-// FiltersWireLen returns the total encoded length of a compressed
-// Permission List (group count prefix plus each entry body), matching
-// the wire package's size accounting.
-func FiltersWireLen(fs []DestFilter) int {
-	n := filterUvarintLen(uint64(len(fs)))
-	for _, f := range fs {
-		n += filterWireLen(f)
-	}
-	return n
-}
-
-// PermWireLen returns the encoded length of canonical (Next, Dest)-sorted
-// pairs in the wire package's grouped explicit form: a group-count
-// prefix, then per group the next hop, a destination count, and the
-// destinations. Pinned against the real encoder by the wire package's
-// tests; CompressPerm needs it to decide whether compression pays at
-// all (the compressed container costs one form-tag byte per group, so a
-// list of small groups is cheaper sent explicitly).
-func PermWireLen(perm []PermEntry) int {
-	n := 0
-	groups := 0
-	for i, e := range perm {
-		if i == 0 || e.Next != perm[i-1].Next {
-			groups++
-			n += filterUvarintLen(uint64(e.Next))
-			run := 1
-			for j := i + 1; j < len(perm) && perm[j].Next == e.Next; j++ {
-				run++
-			}
-			n += filterUvarintLen(uint64(run))
-		}
-		n += filterUvarintLen(uint64(e.Dest))
-	}
-	return n + filterUvarintLen(uint64(groups))
-}
-
-// CompressPerm converts canonical (Next, Dest)-sorted Permission List
-// pairs into the §4.1 compressed form. Each next-hop group gets a Bloom
-// filter sized for its destination count at fpRate when that is smaller
-// on the wire than the explicit destination list; small groups (the
-// common case per Table 5) keep the explicit form. The decision is then
-// made once more for the list as a whole: the compressed container pays
-// a form-tag byte per group, so unless the filtered groups save more
-// than the tags cost — compare against the plain grouped encoding via
-// PermWireLen — CompressPerm returns nil and the sender keeps the
-// explicit form. A non-nil result is therefore always strictly smaller
-// on the wire than the explicit list it replaces.
-func CompressPerm(perm []PermEntry, fpRate float64) []DestFilter {
-	if len(perm) == 0 {
-		return nil
-	}
-	var out []DestFilter
-	for i := 0; i < len(perm); {
-		j := i
-		for j < len(perm) && perm[j].Next == perm[i].Next {
-			j++
-		}
-		dests := make([]routing.NodeID, 0, j-i)
-		for _, e := range perm[i:j] {
-			dests = append(dests, e.Dest)
-		}
-		explicit := DestFilter{Next: perm[i].Next, Dests: dests}
-		fl := bloom.New(len(dests), fpRate)
-		for _, d := range dests {
-			fl.Add(d)
-		}
-		compressed := DestFilter{Next: perm[i].Next, Filter: fl}
-		if filterWireLen(compressed) < filterWireLen(explicit) {
-			out = append(out, compressed)
-		} else {
-			out = append(out, explicit)
-		}
-		i = j
-	}
-	if FiltersWireLen(out) >= PermWireLen(perm) {
-		return nil
-	}
-	return out
-}
-
 // SetFilters installs the compressed representation on the list. A list
 // received off the wire may carry only filters (no explicit pairs); a
 // simulated receiver carries both, and PermitReport uses the pairs as

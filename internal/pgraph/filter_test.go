@@ -1,7 +1,6 @@
 package pgraph
 
 import (
-	"math/rand"
 	"testing"
 
 	"centaur/internal/bloom"
@@ -18,95 +17,6 @@ func permOf(groups map[routing.NodeID][]routing.NodeID) []PermEntry {
 		}
 	}
 	return pl.Pairs()
-}
-
-func TestCompressPermSmallListRefused(t *testing.T) {
-	// Table 5: most Permission Lists have 1–3 pairs per group. A Bloom
-	// filter's fixed 64-bit floor can never beat a couple of varints, and
-	// the compressed container itself costs a form-tag byte per group —
-	// so for a small list compression cannot pay and CompressPerm must
-	// decline, leaving the sender on the plain explicit encoding.
-	perm := permOf(map[routing.NodeID][]routing.NodeID{
-		3: {10, 11},
-		4: {12},
-	})
-	if fs := CompressPerm(perm, 0.01); fs != nil {
-		t.Fatalf("small list compressed to %+v, want refusal (nil)", fs)
-	}
-}
-
-func TestCompressPermMixedListPaysForItsTags(t *testing.T) {
-	// One provider-cone-sized group among small ones: the Bloom savings
-	// on the big group must exceed the per-group tag overhead, and the
-	// small groups keep their explicit form inside the container.
-	dests := make([]routing.NodeID, 0, 300)
-	for i := 0; i < 300; i++ {
-		dests = append(dests, routing.NodeID(1000+i*7))
-	}
-	perm := permOf(map[routing.NodeID][]routing.NodeID{
-		3: {10, 11},
-		4: {12},
-		9: dests,
-	})
-	fs := CompressPerm(perm, 0.01)
-	if len(fs) != 3 {
-		t.Fatalf("got %d groups, want 3: %+v", len(fs), fs)
-	}
-	for _, f := range fs {
-		if wantBloom := f.Next == 9; (f.Filter != nil) != wantBloom {
-			t.Fatalf("group %v: filter=%v", f.Next, f.Filter != nil)
-		}
-	}
-	if got, want := FiltersWireLen(fs), PermWireLen(perm); got >= want {
-		t.Fatalf("compressed %d B not below explicit %d B", got, want)
-	}
-}
-
-func TestCompressPermLargeGroupCompresses(t *testing.T) {
-	// A provider-cone-sized group is where §4.1 compression pays: the
-	// filter must win the per-group size race and shrink the total.
-	dests := make([]routing.NodeID, 0, 400)
-	for i := 0; i < 400; i++ {
-		dests = append(dests, routing.NodeID(1000+i*7))
-	}
-	perm := permOf(map[routing.NodeID][]routing.NodeID{9: dests})
-	fs := CompressPerm(perm, 0.01)
-	if len(fs) != 1 || fs[0].Filter == nil {
-		t.Fatalf("large group did not compress: %+v", fs)
-	}
-	explicit := []DestFilter{{Next: 9, Dests: dests}}
-	if got, want := FiltersWireLen(fs), FiltersWireLen(explicit); got >= want {
-		t.Fatalf("compressed %d B not below explicit %d B", got, want)
-	}
-}
-
-func TestCompressPermNeverLarger(t *testing.T) {
-	// The whole-list decision rule: whenever CompressPerm accepts, the
-	// compressed form must be strictly smaller on the wire than the
-	// plain grouped encoding it replaces — never merely equal.
-	rng := rand.New(rand.NewSource(3))
-	accepted := 0
-	for trial := 0; trial < 50; trial++ {
-		groups := make(map[routing.NodeID][]routing.NodeID)
-		for g := 0; g < 1+rng.Intn(6); g++ {
-			next := routing.NodeID(rng.Intn(50))
-			for n := 1 + rng.Intn(200); n > 0; n-- {
-				groups[next] = append(groups[next], routing.NodeID(rng.Intn(100_000)+1))
-			}
-		}
-		perm := permOf(groups)
-		fs := CompressPerm(perm, 0.01)
-		if fs == nil {
-			continue
-		}
-		accepted++
-		if got, want := FiltersWireLen(fs), PermWireLen(perm); got >= want {
-			t.Fatalf("trial %d: compressed %d B not below explicit %d B", trial, got, want)
-		}
-	}
-	if accepted == 0 {
-		t.Fatal("no trial accepted compression; the test exercised nothing")
-	}
 }
 
 func TestPermitReportExplicitForm(t *testing.T) {

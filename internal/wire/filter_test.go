@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"math/rand"
 	"testing"
 
 	"centaur/internal/bloom"
@@ -18,11 +19,112 @@ func bigPerm(next routing.NodeID, n int) []pgraph.PermEntry {
 	return out
 }
 
+// permOf builds a canonical pair list: one group per next hop with the
+// given destinations.
+func permOf(groups map[routing.NodeID][]routing.NodeID) []pgraph.PermEntry {
+	var pl pgraph.PermissionList
+	for next, dests := range groups {
+		for _, d := range dests {
+			pl.Add(d, next)
+		}
+	}
+	return pl.Pairs()
+}
+
+func TestCompressPermSmallListRefused(t *testing.T) {
+	// Table 5: most Permission Lists have 1–3 pairs per group. A Bloom
+	// filter's fixed 64-bit floor can never beat a couple of varints, and
+	// the compressed container itself costs a form-tag byte per group —
+	// so for a small list compression cannot pay and CompressPerm must
+	// decline, leaving the sender on the plain explicit encoding.
+	perm := permOf(map[routing.NodeID][]routing.NodeID{
+		3: {10, 11},
+		4: {12},
+	})
+	if fs := CompressPerm(perm, 0.01); fs != nil {
+		t.Fatalf("small list compressed to %+v, want refusal (nil)", fs)
+	}
+}
+
+func TestCompressPermMixedListPaysForItsTags(t *testing.T) {
+	// One provider-cone-sized group among small ones: the Bloom savings
+	// on the big group must exceed the per-group tag overhead, and the
+	// small groups keep their explicit form inside the container.
+	dests := make([]routing.NodeID, 0, 300)
+	for i := 0; i < 300; i++ {
+		dests = append(dests, routing.NodeID(1000+i*7))
+	}
+	perm := permOf(map[routing.NodeID][]routing.NodeID{
+		3: {10, 11},
+		4: {12},
+		9: dests,
+	})
+	fs := CompressPerm(perm, 0.01)
+	if len(fs) != 3 {
+		t.Fatalf("got %d groups, want 3: %+v", len(fs), fs)
+	}
+	for _, f := range fs {
+		if wantBloom := f.Next == 9; (f.Filter != nil) != wantBloom {
+			t.Fatalf("group %v: filter=%v", f.Next, f.Filter != nil)
+		}
+	}
+	if got, want := FiltersWireLen(fs), PermWireLen(perm); got >= want {
+		t.Fatalf("compressed %d B not below explicit %d B", got, want)
+	}
+}
+
+func TestCompressPermLargeGroupCompresses(t *testing.T) {
+	// A provider-cone-sized group is where §4.1 compression pays: the
+	// filter must win the per-group size race and shrink the total.
+	dests := make([]routing.NodeID, 0, 400)
+	for i := 0; i < 400; i++ {
+		dests = append(dests, routing.NodeID(1000+i*7))
+	}
+	perm := permOf(map[routing.NodeID][]routing.NodeID{9: dests})
+	fs := CompressPerm(perm, 0.01)
+	if len(fs) != 1 || fs[0].Filter == nil {
+		t.Fatalf("large group did not compress: %+v", fs)
+	}
+	explicit := []pgraph.DestFilter{{Next: 9, Dests: dests}}
+	if got, want := FiltersWireLen(fs), FiltersWireLen(explicit); got >= want {
+		t.Fatalf("compressed %d B not below explicit %d B", got, want)
+	}
+}
+
+func TestCompressPermNeverLarger(t *testing.T) {
+	// The whole-list decision rule: whenever CompressPerm accepts, the
+	// compressed form must be strictly smaller on the wire than the
+	// plain grouped encoding it replaces — never merely equal.
+	rng := rand.New(rand.NewSource(3))
+	accepted := 0
+	for trial := 0; trial < 50; trial++ {
+		groups := make(map[routing.NodeID][]routing.NodeID)
+		for g := 0; g < 1+rng.Intn(6); g++ {
+			next := routing.NodeID(rng.Intn(50))
+			for n := 1 + rng.Intn(200); n > 0; n-- {
+				groups[next] = append(groups[next], routing.NodeID(rng.Intn(100_000)+1))
+			}
+		}
+		perm := permOf(groups)
+		fs := CompressPerm(perm, 0.01)
+		if fs == nil {
+			continue
+		}
+		accepted++
+		if got, want := FiltersWireLen(fs), PermWireLen(perm); got >= want {
+			t.Fatalf("trial %d: compressed %d B not below explicit %d B", trial, got, want)
+		}
+	}
+	if accepted == 0 {
+		t.Fatal("no trial accepted compression; the test exercised nothing")
+	}
+}
+
 func TestCentaurUpdateFilterRoundTrip(t *testing.T) {
 	// A compressed list mixing both group forms: a Bloom group (large
 	// destination set) and an explicit group (small one).
 	perm := append(bigPerm(5, 300), pgraph.PermEntry{Dest: 42, Next: 9})
-	fs := pgraph.CompressPerm(perm, 0.01)
+	fs := CompressPerm(perm, 0.01)
 	if fs[0].Filter == nil || fs[1].Filter != nil {
 		t.Fatalf("expected bloom+explicit mix, got %+v", fs)
 	}
@@ -65,7 +167,7 @@ func TestCentaurUpdateFilterRoundTrip(t *testing.T) {
 }
 
 func TestCentaurUpdateSizeWithFilters(t *testing.T) {
-	fs := pgraph.CompressPerm(bigPerm(5, 300), 0.01)
+	fs := CompressPerm(bigPerm(5, 300), 0.01)
 	u := CentaurUpdate{Adds: []pgraph.LinkInfo{
 		{Link: routing.Link{From: 1, To: 2}, Filters: fs},
 		{Link: routing.Link{From: 1, To: 3}, Filters: []pgraph.DestFilter{
@@ -83,11 +185,6 @@ func TestPermWireLenMatchesEncoding(t *testing.T) {
 	delta := len(AppendCentaurUpdate(nil, withPerm)) - len(AppendCentaurUpdate(nil, base))
 	if got := PermWireLen(perm); got != delta {
 		t.Fatalf("PermWireLen = %d, encoding grew by %d", got, delta)
-	}
-	// pgraph mirrors this size math for CompressPerm's whole-list
-	// decision; the two must never drift.
-	if got := pgraph.PermWireLen(perm); got != delta {
-		t.Fatalf("pgraph.PermWireLen = %d, encoding grew by %d", got, delta)
 	}
 }
 

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"encoding/binary"
 	"math/rand"
 	"sort"
 	"testing"
@@ -56,10 +57,7 @@ func TestCentaurUpdateSizeMatchesEncoding(t *testing.T) {
 				if rng.Intn(2) == 0 {
 					perm = randPerm(rng, 200)
 				}
-				li.Filters = pgraph.CompressPerm(perm, 0.01)
-			}
-			if pgraph.PermWireLen(li.Perm) != permLen(li.Perm) {
-				t.Fatalf("pgraph.PermWireLen disagrees with permLen for %+v", li.Perm)
+				li.Filters = CompressPerm(perm, 0.01)
 			}
 			u.Adds = append(u.Adds, li)
 		}
@@ -100,17 +98,67 @@ func TestOSPFLSASizeMatchesEncoding(t *testing.T) {
 
 func TestUvarintLen(t *testing.T) {
 	for _, v := range []uint64{0, 1, 127, 128, 16383, 16384, 1<<63 - 1, ^uint64(0)} {
-		if got, want := uvarintLen(v), len(appendUvarintRef(nil, v)); got != want {
-			t.Fatalf("uvarintLen(%d) = %d, want %d", v, got, want)
+		w := sizing()
+		w.uvarint(v)
+		if want := len(binary.AppendUvarint(nil, v)); w.n != want {
+			t.Fatalf("sized uvarint %d as %d bytes, want %d", v, w.n, want)
 		}
 	}
 }
 
-// appendUvarintRef is the stdlib reference used to pin uvarintLen.
-func appendUvarintRef(buf []byte, v uint64) []byte {
-	for v >= 0x80 {
-		buf = append(buf, byte(v)|0x80)
-		v >>= 7
+// sizeCases are representative messages of each kind sized on every
+// simulated send: a Centaur update with explicit Permission Lists, one
+// with a Bloom group, a BGP-RCN update and an OSPF LSA.
+func sizeCases() []struct {
+	name string
+	size func() int
+} {
+	rng := rand.New(rand.NewSource(1))
+	explicit := CentaurUpdate{
+		Adds: []pgraph.LinkInfo{
+			{Link: routing.Link{From: 1, To: 2}, ToIsDest: true},
+			{Link: routing.Link{From: 2, To: 3}, Perm: randPerm(rng, 6)},
+			{Link: routing.Link{From: 3, To: 400}, Perm: randPerm(rng, 3)},
+		},
+		Removes:     randLinks(rng, 2),
+		FailedLinks: randLinks(rng, 1),
 	}
-	return append(buf, byte(v))
+	compressed := CentaurUpdate{Adds: []pgraph.LinkInfo{{
+		Link:    routing.Link{From: 1, To: 2},
+		Filters: CompressPerm(append(bigPerm(5, 300), pgraph.PermEntry{Dest: 42, Next: 9}), 0.01),
+	}}}
+	bgp := BGPUpdate{Dest: 7, Path: routing.Path{3, 70000, 9, 7}, FailedLinks: []routing.Link{{From: 2, To: 3}}}
+	ospf := OSPFLSA{Origin: 3, Seq: 1 << 20, Neighbors: []routing.NodeID{1, 2, 9, 300, 70000}}
+	return []struct {
+		name string
+		size func() int
+	}{
+		{"centaur", func() int { return CentaurUpdateSize(explicit) }},
+		{"centaur-bloom", func() int { return CentaurUpdateSize(compressed) }},
+		{"bgp", func() int { return BGPUpdateSize(bgp) }},
+		{"ospf", func() int { return OSPFLSASize(ospf) }},
+	}
+}
+
+func TestWireSizeAllocatesNothing(t *testing.T) {
+	for _, c := range sizeCases() {
+		if allocs := testing.AllocsPerRun(100, func() { c.size() }); allocs != 0 {
+			t.Errorf("%s: sizing allocates %.0f times", c.name, allocs)
+		}
+	}
+}
+
+// sizeSink keeps the benchmarked sizes live.
+var sizeSink int
+
+// BenchmarkWireSize times the sizing every simulated send pays.
+func BenchmarkWireSize(b *testing.B) {
+	for _, c := range sizeCases() {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				sizeSink += c.size()
+			}
+		})
+	}
 }
