@@ -147,11 +147,30 @@ type ribEntry struct {
 	path routing.Path
 }
 
+// findScanMax is the longest list find scans; longer ones, the rows of
+// a hub (degree 72 on the baseline graph), it bisects.
+const findScanMax = 8
+
 // find returns where slot's entry is (or would be inserted) in a
-// slot-sorted list, and whether it is there. Lists are as short as the
-// node's degree, which a scan suits.
+// slot-sorted list, and whether it is there: a scan up to findScanMax
+// entries, a binary search beyond.
 func find(es []ribEntry, slot int) (int, bool) {
-	for i := range es {
+	lo, hi := 0, len(es)
+	for hi-lo > findScanMax {
+		mid := int(uint(lo+hi) >> 1)
+		if es[mid].slot < slot {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return seek(es, slot, lo)
+}
+
+// seek is find for a caller that knows every entry before from has a
+// lower slot: it scans forward from there.
+func seek(es []ribEntry, slot, from int) (int, bool) {
+	for i := from; i < len(es); i++ {
 		if es[i].slot >= slot {
 			return i, es[i].slot == slot
 		}
@@ -377,22 +396,26 @@ func (n *Node) runDecision(dest routing.NodeID) {
 }
 
 // advertiseAll schedules the advertisement of dest's current state to
-// every neighbor, in ascending ID order, sharing one boxed message.
+// every neighbor, in ascending ID order, sharing one boxed message. The
+// slots ascend, so a cursor walks dest's row.out once in step with them
+// instead of searching it per neighbor.
 func (n *Node) advertiseAll(dest routing.NodeID) {
 	var box outbox
+	cur := 0
 	for slot := range n.nbrs {
-		n.scheduleAdvert(slot, dest, &box)
+		n.scheduleAdvert(slot, dest, &box, &cur)
 	}
 }
 
 // scheduleAdvert queues (or immediately performs) the advertisement of
-// dest's current state to the neighbor in slot, honoring MRAI.
-func (n *Node) scheduleAdvert(slot int, dest routing.NodeID, box *outbox) {
+// dest's current state to the neighbor in slot, honoring MRAI. cur is
+// advertise's cursor, nil outside advertiseAll.
+func (n *Node) scheduleAdvert(slot int, dest routing.NodeID, box *outbox, cur *int) {
 	if !n.env.LinkIsUp(n.nbrs[slot]) {
 		return
 	}
 	if n.cfg.MRAI <= 0 {
-		n.advertise(slot, dest, box)
+		n.advertise(slot, dest, box, cur)
 		return
 	}
 	p := &n.peers[slot]
@@ -426,7 +449,7 @@ func (n *Node) flushPending(slot int) {
 	tele.mraiFlushes.Inc()
 	p := &n.peers[slot]
 	for _, d := range p.pending {
-		n.advertise(slot, d, &outbox{})
+		n.advertise(slot, d, &outbox{}, nil)
 	}
 	p.pending = p.pending[:0]
 }
@@ -439,7 +462,13 @@ func (n *Node) flushPending(slot int) {
 // re-exports provider/peer routes to providers and peers where the
 // export rule forbids it (CAIR's route-leak pattern). The honest branch
 // is untouched when no model is attached.
-func (n *Node) advertise(slot int, dest routing.NodeID, box *outbox) {
+//
+// A non-nil cur is an index into dest's row.out before which every entry
+// has a lower slot; the lookup scans from there and leaves it at slot's
+// position, which keeps that true for any higher slot. A held
+// advertisement (MRAI) changes only slot's own entry, at or after the
+// cursor, so skipping the call leaves the cursor valid too.
+func (n *Node) advertise(slot int, dest routing.NodeID, box *outbox, cur *int) {
 	nb, rel := n.nbrs[slot], n.peers[slot].rel
 	r := n.row(dest)
 	var toSend routing.Path
@@ -458,7 +487,14 @@ func (n *Node) advertise(slot int, dest routing.NodeID, box *outbox) {
 			injected = true
 		}
 	}
-	i, had := find(r.out, slot)
+	var i int
+	var had bool
+	if cur != nil {
+		i, had = seek(r.out, slot, *cur)
+		*cur = i
+	} else {
+		i, had = find(r.out, slot)
+	}
 	if toSend == nil {
 		if !had {
 			return
@@ -542,13 +578,13 @@ func (n *Node) LinkUp(nb routing.NodeID) {
 	}
 	for d := 0; d < len(n.rows); d++ {
 		if len(n.rows[d].best.Path) > 0 {
-			n.scheduleAdvert(slot, n.idx.ID(d), &outbox{})
+			n.scheduleAdvert(slot, n.idx.ID(d), &outbox{}, nil)
 		}
 	}
 	// A hijack victim destination is advertised without a best-path
 	// entry, so the table walk above misses it.
 	if v, ok := n.adv.HijackVictim(n.self); ok && len(n.bestOf(v).Path) == 0 {
-		n.scheduleAdvert(slot, v, &outbox{})
+		n.scheduleAdvert(slot, v, &outbox{}, nil)
 	}
 }
 

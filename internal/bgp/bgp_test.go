@@ -1,6 +1,7 @@
 package bgp
 
 import (
+	"math/rand"
 	"testing"
 	"time"
 
@@ -215,5 +216,48 @@ func TestUpdateStringForms(t *testing.T) {
 	a := Update{Dest: 3, Path: routing.Path{1, 2, 3}}
 	if a.String() == w.String() {
 		t.Fatal("announce and withdraw must render differently")
+	}
+}
+
+// scan is find's reference: the first entry at or above slot, by a
+// linear walk.
+func scan(es []ribEntry, slot int) (int, bool) {
+	for i, e := range es {
+		if e.slot >= slot {
+			return i, e.slot == slot
+		}
+	}
+	return len(es), false
+}
+
+// TestFindMatchesScan checks find, and seek from every cursor it may be
+// handed, against a linear scan on random slot lists shorter and longer
+// than findScanMax, for every slot present and every gap around them.
+func TestFindMatchesScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for n := 0; n <= 4*findScanMax; n++ {
+		for trial := 0; trial < 20; trial++ {
+			var es []ribEntry
+			for slot := 0; len(es) < n; slot++ {
+				if rng.Intn(3) == 0 {
+					es = append(es, ribEntry{slot: slot})
+				}
+			}
+			top := 0
+			if n > 0 {
+				top = es[n-1].slot + 1
+			}
+			for slot := -1; slot <= top; slot++ {
+				wi, wok := scan(es, slot)
+				if i, ok := find(es, slot); i != wi || ok != wok {
+					t.Fatalf("len %d, slot %d: find (%d, %v), scan (%d, %v)", n, slot, i, ok, wi, wok)
+				}
+				for from := 0; from <= wi; from++ {
+					if i, ok := seek(es, slot, from); i != wi || ok != wok {
+						t.Fatalf("len %d, slot %d from %d: seek (%d, %v), scan (%d, %v)", n, slot, from, i, ok, wi, wok)
+					}
+				}
+			}
+		}
 	}
 }

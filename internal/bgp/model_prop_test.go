@@ -93,6 +93,9 @@ func TestNodeMatchesModel(t *testing.T) {
 			if m := realCfg.Adversary; m != nil && (m.InjectedUnits() == 0 || m.InjectedUnits() != modelCfg.Adversary.InjectedUnits()) {
 				t.Fatalf("injected %d units, model %d", m.InjectedUnits(), modelCfg.Adversary.InjectedUnits())
 			}
+			if tc.g == caida && longestList(net, tc.g) <= findScanMax {
+				t.Fatalf("no row list is longer than %d: the lockstep run no longer bisects", findScanMax)
+			}
 			for _, id := range tc.g.Nodes() {
 				p := net.Node(id).(*prototest.Pair)
 				got, want := p.Real().(*Node).Routes(), p.Model().(*refNode).best
@@ -107,4 +110,16 @@ func TestNodeMatchesModel(t *testing.T) {
 			}
 		})
 	}
+}
+
+// longestList returns the longest Adj-RIB-In or advertised list of any
+// row of any real node in a network of lockstep pairs.
+func longestList(net *sim.Network, g *topology.Graph) int {
+	longest := 0
+	for _, id := range g.Nodes() {
+		for _, r := range net.Node(id).(*prototest.Pair).Real().(*Node).rows {
+			longest = max(longest, len(r.in), len(r.out))
+		}
+	}
+	return longest
 }

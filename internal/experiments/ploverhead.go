@@ -36,12 +36,6 @@ type PLOverheadConfig struct {
 	Workers int
 }
 
-// DefaultPLOverheadConfig measures at the documented reproduction scale
-// with the protocol's default false-positive target.
-func DefaultPLOverheadConfig() PLOverheadConfig {
-	return PLOverheadConfig{Scale: DefaultScale()}
-}
-
 // PLOverheadRow aggregates one topology.
 type PLOverheadRow struct {
 	Name string

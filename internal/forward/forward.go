@@ -239,9 +239,6 @@ func (i *Impact) Add(o Impact) {
 	i.FinalValley += o.FinalValley
 }
 
-// LostSec is the total flow-seconds during which packets were lost.
-func (i Impact) LostSec() float64 { return i.BlackholeSec + i.LoopSec }
-
 // Tracker integrates flow outcomes over simulated time. It subscribes
 // to the network's event stream, marks itself dirty on anything that
 // can change forwarding (route changes, link and node transitions), and

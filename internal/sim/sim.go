@@ -28,6 +28,7 @@ import (
 	"sort"
 	"strings"
 	"time"
+	"unsafe"
 
 	"centaur/internal/routing"
 	"centaur/internal/topology"
@@ -598,6 +599,9 @@ type Network struct {
 	// what any later phase needs; the Run that first drains it drops the
 	// backing array, and later runs grow the queue to their own peak.
 	cold bool
+	// sized is the accounting of the last message Send charged, reused
+	// while a fan-out hands Send the same box (see Send).
+	sized sizedMsg
 }
 
 // kindCount is one per-kind accumulator of sent messages, units, and
@@ -724,6 +728,22 @@ func newShell(cfg Config, idx *topology.Index) (*Network, error) {
 	return n, nil
 }
 
+// sizedMsg is the accounting of one boxed message.
+type sizedMsg struct {
+	msg         Message
+	units, wire int64
+	kind        string
+}
+
+// sameBox reports whether a and b are one boxed value: the same dynamic
+// type and the same data word. Unlike ==, it never compares contents, so
+// it costs two word compares and cannot panic on an uncomparable type. A
+// pointer-shaped value is its own data word, so there equal words are
+// equal contents.
+func sameBox(a, b Message) bool {
+	return *(*[2]unsafe.Pointer)(unsafe.Pointer(&a)) == *(*[2]unsafe.Pointer)(unsafe.Pointer(&b))
+}
+
 // nodeEnv is the per-node view of the network.
 type nodeEnv struct {
 	net  *Network
@@ -734,14 +754,28 @@ type nodeEnv struct {
 	// so Env.After timers of the dead instance are skipped (32 bits, see
 	// event).
 	gen uint32
+	// hint is the index in adj that ref resolved last.
+	hint int32
 }
 
 var _ Env = (*nodeEnv)(nil)
 
-// ref finds the adjacency entry for neighbor to by binary search over
-// the (small, sorted) adjacency list.
+// ref finds the adjacency entry for neighbor to. It tries the entry
+// it resolved last and the one after it before a binary search over the
+// sorted list, so LinkIsUp(nb) followed by Send(nb), and any loop over
+// the neighbors in ascending order, resolve each neighbor in O(1)
+// however high the node's degree.
 func (e *nodeEnv) ref(to routing.NodeID) (adjRef, bool) {
 	adj := e.adj
+	if h := int(e.hint); h < len(adj) {
+		if adj[h].id == to {
+			return adj[h], true
+		}
+		if h++; h < len(adj) && adj[h].id == to {
+			e.hint = int32(h)
+			return adj[h], true
+		}
+	}
 	lo, hi := 0, len(adj)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
@@ -752,6 +786,7 @@ func (e *nodeEnv) ref(to routing.NodeID) (adjRef, bool) {
 		}
 	}
 	if lo < len(adj) && adj[lo].id == to {
+		e.hint = int32(lo)
 		return adj[lo], true
 	}
 	return adjRef{}, false
@@ -770,6 +805,14 @@ func (e *nodeEnv) LinkIsUp(n routing.NodeID) bool {
 	return ok && e.net.links[ar.link].up
 }
 
+// Send charges msg to the stats and queues its delivery. A fan-out hands
+// Send one boxed message for every neighbor, so Send keeps the last box
+// it charged with its units, wire bytes and kind, and charges the same
+// box again without asking it: the message is sized once per fan-out,
+// not once per neighbor. The reuse is exact because a message is
+// immutable once handed to Send (DESIGN.md, "One boxed message per
+// fan-out"), and because the held box stays alive, so no other message
+// can be given its address.
 func (e *nodeEnv) Send(to routing.NodeID, msg Message) {
 	net := e.net
 	ar, ok := e.ref(to)
@@ -784,14 +827,16 @@ func (e *nodeEnv) Send(to routing.NodeID, msg Message) {
 	}
 	ls := &net.links[ar.link]
 	net.stats.Messages++
-	units := int64(msg.Units())
-	net.stats.Units += units
-	var wire int64
-	if bs, ok := msg.(ByteSizer); ok {
-		wire = int64(bs.WireBytes())
-		net.stats.Bytes += wire
+	sz := &net.sized
+	if sz.msg == nil || !sameBox(sz.msg, msg) {
+		*sz = sizedMsg{msg: msg, units: int64(msg.Units()), kind: msg.Kind()}
+		if bs, ok := msg.(ByteSizer); ok {
+			sz.wire = int64(bs.WireBytes())
+		}
 	}
-	net.account(msg.Kind(), units, wire)
+	net.stats.Units += sz.units
+	net.stats.Bytes += sz.wire
+	net.account(sz.kind, sz.units, sz.wire)
 	net.stats.LastSend = net.now
 	// The send is one message hop deeper than whatever triggered it; the
 	// delivery (and every fault record) inherits the send's span/depth.
