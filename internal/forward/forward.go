@@ -1,12 +1,12 @@
 // Package forward adds a flow-level data plane to the simulator: a set
-// of deterministic src→dst traffic aggregates that are re-walked
-// hop-by-hop through the live per-node RIBs on every control-plane
-// change, and classified as delivered, blackholed, looping, or
-// valley-violating. Integrating each outcome over simulated time turns
-// the control-plane event stream into the user-visible loss metrics the
-// reliability experiments report — blackhole-seconds, transient-loop
-// packet equivalents, valley-violating deliveries — instead of only
-// convergence time.
+// of deterministic src→dst traffic aggregates that are walked
+// hop-by-hop through the live per-node RIBs whenever the control plane
+// changes something a walk reads, and classified as delivered,
+// blackholed, looping, or valley-violating. Integrating each outcome
+// over simulated time turns the control-plane event stream into the
+// user-visible loss metrics the reliability experiments report —
+// blackhole-seconds, transient-loop packet equivalents,
+// valley-violating deliveries — instead of only convergence time.
 //
 // The walker reads whatever RIB the node's protocol exposes after
 // transport/liveness wrappers are peeled: a NextHopTo/NextHop pointer
@@ -14,15 +14,18 @@
 // BestPath. Classification is piecewise-constant between control-plane
 // events, so exact time integrals come from re-evaluating lazily: a
 // Tracker marks itself dirty on any route/link/node trace event and
-// re-walks once per simulated instant at which the network was dirty,
-// at the instant's end in the simulator's event stream. Runs without a
-// Tracker installed are byte-identical to runs before this package
-// existed.
+// evaluates once per simulated instant at which the network was dirty,
+// at the instant's end in the simulator's event stream. It re-walks the
+// flows only when one of those events could move one: a link or node
+// event, a route change without next hops, or a next-hop change toward
+// a flow's destination (see Tracker.observe). Runs without a Tracker
+// installed are byte-identical to runs before this package existed.
 package forward
 
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"time"
 
@@ -242,17 +245,24 @@ func (i *Impact) Add(o Impact) {
 // Tracker integrates flow outcomes over simulated time. It subscribes
 // to the network's event stream, marks itself dirty on anything that
 // can change forwarding (route changes, link and node transitions), and
-// re-walks every flow at the *end* of each dirty simulated instant (the
-// stream's TraceInstant events) — outcome functions are
-// piecewise-constant between instants, so the integral is exact.
+// evaluates at the *end* of each dirty simulated instant (the stream's
+// TraceInstant events) — outcome functions are piecewise-constant
+// between instants, so the integral is exact. An evaluation re-walks
+// every flow only when the instant also made the tracker stale.
 type Tracker struct {
 	net *sim.Network
 	cfg Config
 
-	cur      []Outcome    // current classification per flow
-	pathBuf  routing.Path // eval's walk scratch; it only wants the outcomes
+	cur     []Outcome        // current classification per flow
+	pathBuf routing.Path     // eval's walk scratch; it only wants the outcomes
+	dsts    []routing.NodeID // the flows' destinations, ascending, once each
+	// dirty marks an instant to evaluate (every forwarding-relevant
+	// event); stale marks one whose evaluation must re-walk (an event
+	// that can move a flow).
 	dirty    bool
+	stale    bool
 	primed   bool          // cur holds a real evaluation
+	walks    int64         // evaluations that re-walked the flows
 	lastEval time.Duration // left edge of the open integration interval
 	imp      Impact
 }
@@ -260,7 +270,12 @@ type Tracker struct {
 // NewTracker builds a tracker over net's live state. Call Install
 // before Run; Window closes a measurement window.
 func NewTracker(net *sim.Network, cfg Config) *Tracker {
-	return &Tracker{net: net, cfg: cfg, cur: make([]Outcome, len(cfg.Flows))}
+	dsts := make([]routing.NodeID, len(cfg.Flows))
+	for i, f := range cfg.Flows {
+		dsts[i] = f.Dst
+	}
+	slices.Sort(dsts)
+	return &Tracker{net: net, cfg: cfg, cur: make([]Outcome, len(cfg.Flows)), dsts: slices.Compact(dsts)}
 }
 
 // Install subscribes the tracker to the network's event stream.
@@ -271,15 +286,35 @@ func (t *Tracker) Install() { t.net.Observe(t.observe) }
 // observe marks the tracker dirty on forwarding-relevant events and
 // re-evaluates at the end of each dirty instant that scheduled further
 // work, so outcome intervals are attributed with event precision.
+//
+// An event also marks the tracker stale when it can change a flow's
+// outcome. A walk reads the next hops toward the flow's destination,
+// node and carrier state, and the static relationships. Link and node
+// events change the states. A route change reported with its next hops
+// (Env.RouteChangedVia) changes a walk only if the next hop moved and
+// the destination is some flow's; a plain route change (OSPF, whose
+// lazy SPF can move any next hop) is taken to change everything.
 func (t *Tracker) observe(ev sim.TraceEvent) {
 	switch ev.Kind {
-	case sim.TraceRouteChange, sim.TraceLinkDown, sim.TraceLinkUp, sim.TraceCrash, sim.TraceRestart:
+	case sim.TraceRouteChange:
 		t.dirty = true
+		if !t.stale && (!ev.HasVia || ev.OldNext != ev.NewNext && t.isDst(ev.To)) {
+			t.stale = true
+		}
+	case sim.TraceLinkDown, sim.TraceLinkUp, sim.TraceCrash, sim.TraceRestart:
+		t.dirty = true
+		t.stale = true
 	case sim.TraceInstant:
 		if t.dirty {
 			t.eval(ev.At)
 		}
 	}
+}
+
+// isDst reports whether d is some flow's destination.
+func (t *Tracker) isDst(d routing.NodeID) bool {
+	_, ok := slices.BinarySearch(t.dsts, d)
+	return ok
 }
 
 // accumulate integrates the current classification over [lastEval, now).
@@ -302,7 +337,9 @@ func (t *Tracker) accumulate(now time.Duration) {
 	}
 }
 
-// eval closes the open interval at now and re-walks every flow.
+// eval closes the open interval at now and, on the first evaluation or
+// when the tracker is stale, re-walks every flow. An evaluation that
+// skips the walk still counts: its outcomes are the last walk's.
 func (t *Tracker) eval(now time.Duration) {
 	if t.primed {
 		t.accumulate(now)
@@ -311,6 +348,11 @@ func (t *Tracker) eval(now time.Duration) {
 	t.dirty = false
 	t.imp.Evals++
 	tele.evals.Inc()
+	if t.primed && !t.stale {
+		return
+	}
+	t.stale = false
+	t.walks++
 	for i, f := range t.cfg.Flows {
 		var o Outcome
 		t.pathBuf, o = walkFlow(t.net, f, t.pathBuf)

@@ -172,7 +172,7 @@ type Node struct {
 	env   sim.Env
 	lenv  livEnv
 	cfg   Config
-	sess  map[routing.NodeID]*session
+	sess  sim.PeerTable[session]
 
 	// Local accounting, aggregated per run by Collect.
 	stats SessionStats
@@ -188,7 +188,7 @@ func Wrap(inner sim.Builder, cfg Config) sim.Builder {
 		return inner
 	}
 	return func(env sim.Env) sim.Protocol {
-		n := &Node{env: env, cfg: cfg, sess: make(map[routing.NodeID]*session)}
+		n := &Node{env: env, cfg: cfg, sess: sim.NewPeerTable[session](env.Neighbors())}
 		n.lenv = livEnv{Env: env, n: n}
 		n.inner = inner(&n.lenv)
 		return n
@@ -204,7 +204,7 @@ type livEnv struct {
 }
 
 func (e *livEnv) Send(to routing.NodeID, msg sim.Message) {
-	if s := e.n.sess[to]; s == nil || !s.innerUp {
+	if s := e.n.sess.Get(to); s == nil || !s.innerUp {
 		e.n.stats.GatedSends++
 		tele.gatedSends.Inc()
 		return
@@ -213,7 +213,7 @@ func (e *livEnv) Send(to routing.NodeID, msg sim.Message) {
 }
 
 func (e *livEnv) LinkIsUp(peer routing.NodeID) bool {
-	s := e.n.sess[peer]
+	s := e.n.sess.Get(peer)
 	return s != nil && s.innerUp
 }
 
@@ -233,7 +233,7 @@ func (n *Node) LinkSessions() []sim.LinkSession {
 	nbs := n.env.Neighbors()
 	out := make([]sim.LinkSession, 0, len(nbs))
 	for _, nb := range nbs {
-		s := n.sess[nb.ID]
+		s := n.sess.Get(nb.ID)
 		if s == nil {
 			continue
 		}
@@ -242,20 +242,11 @@ func (n *Node) LinkSessions() []sim.LinkSession {
 	return out
 }
 
-// SessionState returns the FSM state of the session toward peer
-// (StateDown when none exists yet).
-func (n *Node) SessionState(peer routing.NodeID) State {
-	if s := n.sess[peer]; s != nil {
-		return s.state
-	}
-	return StateDown
-}
-
 func (n *Node) session(peer routing.NodeID) *session {
-	s := n.sess[peer]
+	s := n.sess.Get(peer)
 	if s == nil {
 		s = &session{state: StateDown, peerRemaining: expectActive}
-		n.sess[peer] = s
+		n.sess.Set(peer, s)
 	}
 	return s
 }
@@ -318,7 +309,7 @@ func (n *Node) LinkDown(peer routing.NodeID) {
 	delay := n.detectionDelay(s)
 	gen := s.gen
 	n.env.After(delay, func() {
-		if n.sess[peer] != s || s.gen != gen {
+		if n.sess.Get(peer) != s || s.gen != gen {
 			return
 		}
 		n.stats.Detections++
@@ -435,7 +426,7 @@ func (n *Node) txNow(peer routing.NodeID, s *session) {
 func (n *Node) armTx(peer routing.NodeID, s *session) {
 	gen := s.gen
 	n.env.After(n.cfg.interval(), func() {
-		if n.sess[peer] != s || s.gen != gen {
+		if n.sess.Get(peer) != s || s.gen != gen {
 			return
 		}
 		n.txNow(peer, s)
@@ -453,7 +444,7 @@ func (n *Node) armDetect(peer routing.NodeID, s *session) {
 	gen := s.gen
 	rx := s.lastRx
 	n.env.After(n.cfg.DetectionTime(), func() {
-		if n.sess[peer] != s || s.gen != gen || s.state != StateUp {
+		if n.sess.Get(peer) != s || s.gen != gen || s.state != StateUp {
 			return
 		}
 		if s.lastRx != rx {

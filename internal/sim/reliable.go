@@ -161,7 +161,7 @@ func Reliable(inner Builder, cfg ReliableConfig) Builder {
 		n := &relNode{
 			env:  env,
 			cfg:  cfg,
-			sess: make(map[routing.NodeID]*relSession),
+			sess: NewPeerTable[relSession](env.Neighbors()),
 		}
 		n.noter, _ = BaseEnv(env).(transportNoter)
 		n.renv = relEnv{Env: env, n: n}
@@ -170,32 +170,91 @@ func Reliable(inner Builder, cfg ReliableConfig) Builder {
 	}
 }
 
-// relPending is one unacked outbound frame.
-type relPending struct {
-	frame DataFrame
-}
-
 // relSession is the adapter's per-neighbor state, covering both
 // directions. gen increments on every session reset (link down/up) so
 // retransmission timers of a previous session cannot touch the new one.
 type relSession struct {
 	gen uint64
 	// Sender side: lastSeq is the most recently assigned sequence
-	// number; outstanding holds unacked frames by sequence number.
-	lastSeq     uint64
-	outstanding map[uint64]*relPending
+	// number. win[head:] is the send window: the payload of frame
+	// firstSeq+i sits at win[head+i], up to lastSeq, and nil marks a
+	// frame given up on. A frame below firstSeq was acked or given up on.
+	lastSeq  uint64
+	firstSeq uint64
+	head     int
+	win      []Message
 	// Receiver side: nextExpected is the next in-order sequence number;
-	// buffer holds out-of-order arrivals awaiting the gap fill.
+	// buffer holds out-of-order arrivals awaiting the gap fill (nil until
+	// the first one).
 	nextExpected uint64
 	buffer       map[uint64]Message
 }
 
-func newRelSession(gen uint64) *relSession {
-	return &relSession{
-		gen:          gen,
-		outstanding:  make(map[uint64]*relPending),
-		nextExpected: 1,
-		buffer:       make(map[uint64]Message),
+// reset opens generation gen on s: both directions start over from
+// sequence number 1, in the storage of the previous generation.
+func (s *relSession) reset(gen uint64) {
+	clear(s.win)
+	clear(s.buffer)
+	*s = relSession{gen: gen, firstSeq: 1, win: s.win[:0], nextExpected: 1, buffer: s.buffer}
+}
+
+// push assigns the next sequence number to payload and appends it to
+// the send window. A full array whose acked prefix is at least half of
+// it is compacted in place instead of grown, so each entry is moved at
+// most once per entry acked before it.
+func (s *relSession) push(payload Message) uint64 {
+	s.lastSeq++
+	if len(s.win) == cap(s.win) && s.head > 0 && 2*s.head >= len(s.win) {
+		k := copy(s.win, s.win[s.head:])
+		clear(s.win[k:])
+		s.win = s.win[:k]
+		s.head = 0
+	}
+	s.win = append(s.win, payload)
+	return s.lastSeq
+}
+
+// pending returns the payload of frame seq while it awaits its ack, and
+// nil once it was acked or given up on.
+func (s *relSession) pending(seq uint64) Message {
+	if seq < s.firstSeq {
+		return nil
+	}
+	return s.win[s.head+int(seq-s.firstSeq)]
+}
+
+// ack clears every frame up to and including seq from the window, in
+// time proportional to the frames it clears.
+func (s *relSession) ack(seq uint64) {
+	if seq < s.firstSeq {
+		return
+	}
+	k := len(s.win) - s.head
+	if d := seq - s.firstSeq + 1; d < uint64(k) {
+		k = int(d)
+	}
+	clear(s.win[s.head : s.head+k])
+	s.head += k
+	s.firstSeq += uint64(k)
+	s.trim()
+}
+
+// abandon gives up on frame seq, which must be pending.
+func (s *relSession) abandon(seq uint64) {
+	s.win[s.head+int(seq-s.firstSeq)] = nil
+	s.trim()
+}
+
+// trim moves the window's start past frames given up on, and rewinds
+// the storage when nothing is left awaiting an ack.
+func (s *relSession) trim() {
+	for s.head < len(s.win) && s.win[s.head] == nil {
+		s.head++
+		s.firstSeq++
+	}
+	if s.head == len(s.win) {
+		s.win = s.win[:0]
+		s.head = 0
 	}
 }
 
@@ -205,7 +264,7 @@ type relNode struct {
 	env   Env
 	renv  relEnv
 	cfg   ReliableConfig
-	sess  map[routing.NodeID]*relSession
+	sess  PeerTable[relSession]
 	noter transportNoter
 }
 
@@ -228,10 +287,11 @@ func (e *relEnv) UnwrapEnv() Env { return e.Env }
 func (n *relNode) Inner() Protocol { return n.inner }
 
 func (n *relNode) session(peer routing.NodeID) *relSession {
-	s := n.sess[peer]
+	s := n.sess.Get(peer)
 	if s == nil {
-		s = newRelSession(0)
-		n.sess[peer] = s
+		s = &relSession{}
+		s.reset(0)
+		n.sess.Set(peer, s)
 	}
 	return s
 }
@@ -240,18 +300,16 @@ func (n *relNode) session(peer routing.NodeID) *relSession {
 // next session generation. Pending retransmission timers check the
 // generation and die silently.
 func (n *relNode) resetSession(peer routing.NodeID) {
-	if s := n.sess[peer]; s != nil {
-		n.sess[peer] = newRelSession(s.gen + 1)
+	if s := n.sess.Get(peer); s != nil {
+		s.reset(s.gen + 1)
 	}
 }
 
 func (n *relNode) sendData(to routing.NodeID, msg Message) {
 	s := n.session(to)
-	s.lastSeq++
-	f := DataFrame{Seq: s.lastSeq, Payload: msg}
-	s.outstanding[f.Seq] = &relPending{frame: f}
-	n.env.Send(to, f)
-	n.armRetransmit(to, s.gen, f.Seq, n.cfg.rto(), 1)
+	seq := s.push(msg)
+	n.env.Send(to, DataFrame{Seq: seq, Payload: msg})
+	n.armRetransmit(to, s.gen, seq, n.cfg.rto(), 1)
 }
 
 // armRetransmit schedules the attempt-th retransmission of frame seq on
@@ -262,26 +320,25 @@ func (n *relNode) sendData(to routing.NodeID, msg Message) {
 // re-arms with the delay doubled, capped at MaxRTO.
 func (n *relNode) armRetransmit(to routing.NodeID, gen, seq uint64, d time.Duration, attempt int) {
 	n.env.After(d, func() {
-		s := n.sess[to]
+		s := n.sess.Get(to)
 		if s == nil || s.gen != gen {
 			return
 		}
-		p, ok := s.outstanding[seq]
-		if !ok {
+		payload := s.pending(seq)
+		if payload == nil {
 			return
 		}
 		if attempt > n.cfg.maxRetries() {
-			delete(s.outstanding, seq)
+			s.abandon(seq)
 			if n.noter != nil {
 				n.noter.noteAbandoned()
 			}
 			return
 		}
-		p.frame.Rexmit = true
 		if n.noter != nil {
 			n.noter.noteRetransmit()
 		}
-		n.env.Send(to, p.frame)
+		n.env.Send(to, DataFrame{Seq: seq, Payload: payload, Rexmit: true})
 		next := 2 * d
 		if max := n.cfg.maxRTO(); next > max {
 			next = max
@@ -291,15 +348,22 @@ func (n *relNode) armRetransmit(to routing.NodeID, gen, seq uint64, d time.Durat
 }
 
 // recvData acks, deduplicates, and releases in-order payloads to the
-// wrapped protocol.
+// wrapped protocol. The next expected frame with nothing buffered — the
+// common case — goes straight to the protocol; the buffer sees only
+// frames that arrive out of order or twice.
 func (n *relNode) recvData(from routing.NodeID, f DataFrame) {
 	s := n.session(from)
-	_, buffered := s.buffer[f.Seq]
-	if f.Seq < s.nextExpected || buffered {
+	if f.Seq == s.nextExpected && len(s.buffer) == 0 {
+		s.nextExpected++
+		n.inner.Handle(from, f.Payload)
+	} else if _, buffered := s.buffer[f.Seq]; f.Seq < s.nextExpected || buffered {
 		if n.noter != nil {
 			n.noter.noteDupSuppressed()
 		}
 	} else {
+		if s.buffer == nil {
+			s.buffer = make(map[uint64]Message)
+		}
 		s.buffer[f.Seq] = f.Payload
 		for {
 			payload, ok := s.buffer[s.nextExpected]
@@ -330,12 +394,8 @@ func (n *relNode) Handle(from routing.NodeID, msg Message) {
 	case DataFrame:
 		n.recvData(from, m)
 	case Ack:
-		if s := n.sess[from]; s != nil {
-			for seq := range s.outstanding {
-				if seq <= m.Seq {
-					delete(s.outstanding, seq)
-				}
-			}
+		if s := n.sess.Get(from); s != nil {
+			s.ack(m.Seq)
 		}
 	default:
 		// Unframed message — peer not wrapped. Pass through.

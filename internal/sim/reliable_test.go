@@ -1,11 +1,13 @@
 package sim
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
 	"centaur/internal/routing"
 	"centaur/internal/topogen"
+	"centaur/internal/topology"
 )
 
 // funcInjector adapts a closure to the Injector interface.
@@ -241,4 +243,48 @@ func TestReliablePassesThroughUnframed(t *testing.T) {
 	if rel.Inner() != Protocol(inners[2]) {
 		t.Fatal("Inner() must expose the wrapped protocol")
 	}
+}
+
+// nopEnv is an Env that discards sends and timers, so a benchmark of the
+// transport's bookkeeping sees the transport alone.
+type nopEnv struct{ nbrs []topology.Neighbor }
+
+func (e *nopEnv) Self() routing.NodeID                   { return 1 }
+func (e *nopEnv) Now() time.Duration                     { return 0 }
+func (e *nopEnv) Send(routing.NodeID, Message)           {}
+func (e *nopEnv) After(time.Duration, func())            {}
+func (e *nopEnv) Neighbors() []topology.Neighbor         { return e.nbrs }
+func (e *nopEnv) LinkIsUp(routing.NodeID) bool           { return true }
+func (e *nopEnv) RouteChanged(routing.NodeID)            {}
+func (e *nopEnv) RouteChangedVia(_, _, _ routing.NodeID) {}
+func (e *nopEnv) Index() *topology.Index                 { return nil }
+
+// BenchmarkReliableSendAck times the sender's bookkeeping per frame: a
+// session first carries a 1,024-frame burst, acked at once, then steady
+// traffic in which each frame is sent and cumulatively acked. The
+// steady frames' cost must not depend on the burst (ns/frame, B/frame:
+// the frame's box, its retransmission timer and the ack's box).
+func BenchmarkReliableSendAck(b *testing.B) {
+	env := &nopEnv{nbrs: []topology.Neighbor{{ID: 2}, {ID: 3}}}
+	inner := &recNode{}
+	rel := Reliable(func(Env) Protocol { return inner }, ReliableConfig{})(env)
+	rel.Start(env)
+	msg := Message(pingMsg{hops: 1})
+	for i := 0; i < 1024; i++ {
+		inner.env.Send(2, msg)
+	}
+	seq := uint64(1024)
+	rel.Handle(2, Ack{Seq: seq})
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		inner.env.Send(2, msg)
+		seq++
+		rel.Handle(2, Ack{Seq: seq})
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/frame")
+	b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/float64(b.N), "B/frame")
 }

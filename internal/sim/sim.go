@@ -83,6 +83,13 @@ type Env interface {
 	// route event carries (schema v2's oh/nh fields). Protocols that
 	// know their next hops at update time report through it; OSPF, whose
 	// SPF is lazy, reports through RouteChanged.
+	//
+	// A protocol that reports through it promises that every change of
+	// the next hop it forwards on toward dest is reported, in the instant
+	// of the change, with the true old and new next hop; a report with
+	// equal next hops says the next hop did not move. The data-plane flow
+	// tracker (internal/forward) skips its walks on that promise. A
+	// protocol that cannot keep it reports through RouteChanged.
 	RouteChangedVia(dest, oldNext, newNext routing.NodeID)
 	// Index returns the dense index of the topology's nodes, shared by
 	// every node of the network. Protocols size their per-destination
@@ -1181,16 +1188,6 @@ func (n *Network) RestoreLink(a, b routing.NodeID) bool {
 	n.push(event{kind: evLinkUp, to: int32(n.idx.Pos(a)), from: b, cause: span})
 	n.push(event{kind: evLinkUp, to: int32(n.idx.Pos(b)), from: a, cause: span})
 	return true
-}
-
-// LinkDelay returns the propagation delay assigned to link a—b and
-// whether the link exists.
-func (n *Network) LinkDelay(a, b routing.NodeID) (time.Duration, bool) {
-	li, ok := n.linkAt[keyOf(a, b)]
-	if !ok {
-		return 0, false
-	}
-	return n.links[li].delay, true
 }
 
 // Run processes events until the queue drains or maxEvents events have

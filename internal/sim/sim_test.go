@@ -114,6 +114,16 @@ func TestMessageDeliveryAndAccounting(t *testing.T) {
 	}
 }
 
+// LinkDelay returns the propagation delay assigned to link a—b and
+// whether the link exists.
+func (n *Network) LinkDelay(a, b routing.NodeID) (time.Duration, bool) {
+	li, ok := n.linkAt[keyOf(a, b)]
+	if !ok {
+		return 0, false
+	}
+	return n.links[li].delay, true
+}
+
 func TestDelaysAreFixedPerLinkAndBounded(t *testing.T) {
 	g, err := topogen.BRITE(30, 2, 3)
 	if err != nil {
