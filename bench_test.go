@@ -1,11 +1,20 @@
-// Benchmarks regenerating every table and figure of the paper's
-// evaluation (§5) at reduced, benchmark-friendly scale, plus micro
-// benchmarks of the core data structures and the ablations called out
-// in DESIGN.md §6. Run with:
+// Benchmarks regenerating the tables and figures of the paper's
+// evaluation (§5) at reduced, benchmark-friendly scale, plus the
+// ablations called out in DESIGN.md §6 and a few whole-structure
+// benchmarks (derivation, diffing, the solver, the baselines' cold
+// starts). Run with:
 //
-//	go test -bench=. -benchmem
+//	go test -run '^$' -bench . -benchmem
 //
-// Full-scale reproductions are produced by cmd/centaur-bench.
+// Four harnesses, four questions:
+//   - these root benchmarks: what a paper figure or a §6 ablation costs
+//     at bench scale;
+//   - each package's own benchmarks (bench_test.go files under
+//     internal/): what one layer costs, with exact allocations;
+//   - benchmark/ (sh benchmark/run.sh): the ruler every change is
+//     compared with, five fixed workloads with end-to-end and per-layer
+//     metrics;
+//   - cmd/centaur-bench: the full-scale reproduction and its report.
 package centaur
 
 import (
@@ -157,20 +166,6 @@ func BenchmarkFigure8Scalability(b *testing.B) {
 
 // --- Core data structure micro benchmarks --------------------------
 
-// BenchmarkBuildGraph measures BuildGraph (paper Table 2) over one
-// node's full selected path set.
-func BenchmarkBuildGraph(b *testing.B) {
-	sol := benchSolution(b)
-	node := sol.Index().ID(0)
-	paths := sol.PathSet(node)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := pgraph.Build(node, paths); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkDerivePath measures DerivePath (paper Table 1) across every
 // destination of a built P-graph.
 func BenchmarkDerivePath(b *testing.B) {
@@ -261,19 +256,6 @@ func BenchmarkSolver(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := solver.SolveOpts(g, solver.Options{TieBreak: policy.TieOverride}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkSolverSingleDest measures the per-destination solve, the
-// granularity a streaming analysis of very large snapshots would use.
-func BenchmarkSolverSingleDest(b *testing.B) {
-	g := benchTopology(b)
-	nodes := g.Nodes()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := solver.SolveDest(g, nodes[i%len(nodes)]); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -387,12 +369,6 @@ func benchColdStart(b *testing.B, build sim.Builder) {
 			b.Fatal(err)
 		}
 	}
-}
-
-// BenchmarkColdStartCentaur measures a full Centaur initialization phase
-// (§4.3.1) to quiescence.
-func BenchmarkColdStartCentaur(b *testing.B) {
-	benchColdStart(b, centaur.New(centaur.Config{}))
 }
 
 // BenchmarkColdStartBGP measures the path-vector baseline's cold start.

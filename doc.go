@@ -8,7 +8,7 @@
 // The repository layout:
 //
 //   - internal/pgraph — the paper's P-graph data structure, Permission
-//     Lists, DerivePath (Table 1) and BuildGraph (Table 2).
+//     Lists, DerivePath (Table 1) and Build (Table 2).
 //   - internal/centaur — the Centaur protocol (§3–§4).
 //   - internal/bgp, internal/ospf — the path-vector and link-state
 //     baselines of the evaluation.

@@ -226,11 +226,6 @@ func (m *Model) Kind() Kind {
 	return m.spec.Kind
 }
 
-// Active reports whether the model actually makes anyone misbehave.
-func (m *Model) Active() bool {
-	return m != nil && m.spec.Kind != None && len(m.spec.Attackers) > 0
-}
-
 // IsAttacker reports whether n misbehaves under this model.
 func (m *Model) IsAttacker(n routing.NodeID) bool {
 	return m != nil && m.attackers[n]
@@ -279,25 +274,6 @@ func (m *Model) VictimOf(n routing.NodeID) routing.NodeID {
 		return routing.None
 	}
 	return m.spec.Victims[n]
-}
-
-// Victims returns the sorted set of victim destinations.
-func (m *Model) Victims() []routing.NodeID {
-	if m == nil || len(m.spec.Victims) == 0 {
-		return nil
-	}
-	set := make(map[routing.NodeID]bool, len(m.spec.Victims))
-	for _, v := range m.spec.Victims {
-		if v != routing.None {
-			set[v] = true
-		}
-	}
-	out := make([]routing.NodeID, 0, len(set))
-	for v := range set {
-		out = append(out, v)
-	}
-	slices.Sort(out)
-	return out
 }
 
 // NoteInjected records that an attacker actually put bad state for

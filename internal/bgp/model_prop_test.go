@@ -39,7 +39,7 @@ func TestNodeMatchesModel(t *testing.T) {
 		t.Fatal(err)
 	}
 	hashed := policy.GaoRexford{TieBreak: policy.TieHashed}
-	rcn := Config{Policy: hashed, RCN: true, RCNMaskTTL: 200 * time.Millisecond}
+	rcn := Config{Policy: hashed, RCN: true, rcnMaskTTL: 200 * time.Millisecond}
 	for _, tc := range []struct {
 		name string
 		g    *topology.Graph

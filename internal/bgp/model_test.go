@@ -155,7 +155,7 @@ func (n *refNode) queueRCN(l routing.Link) {
 	if n.pendingRCN == nil {
 		return
 	}
-	ttl := n.cfg.RCNMaskTTL
+	ttl := n.cfg.rcnMaskTTL
 	if ttl <= 0 {
 		ttl = time.Second
 	}
@@ -392,7 +392,7 @@ func (n *refNode) maskEdge(e edgeKey) {
 	n.failedGen++
 	gen := n.failedGen
 	n.failed[e] = gen
-	ttl := n.cfg.RCNMaskTTL
+	ttl := n.cfg.rcnMaskTTL
 	if ttl <= 0 {
 		ttl = time.Second
 	}

@@ -11,7 +11,7 @@
 // (internal/centaur): Adj-RIBs-In are never mutated by third-party
 // notices; masked candidates are skipped at decision time; a mask lifts
 // when a newly announced path crosses the link again, when the local
-// adjacency recovers, or after MaskTTL.
+// adjacency recovers, or after the mask TTL.
 package bgp
 
 import (
@@ -50,7 +50,7 @@ func (n *Node) maskEdge(e edgeKey) {
 	n.failedGen++
 	gen := n.failedGen
 	n.failed[e] = gen
-	ttl := n.cfg.RCNMaskTTL
+	ttl := n.cfg.rcnMaskTTL
 	if ttl <= 0 {
 		ttl = time.Second
 	}

@@ -81,10 +81,10 @@ type Config struct {
 	// withdrawals to plain per-neighbor removals. Used by the ablation
 	// benchmarks to isolate the root-cause contribution to convergence.
 	DisableRootCause bool
-	// MaskTTL bounds how long a root-cause mask suppresses a failed link
+	// maskTTL bounds how long a root-cause mask suppresses a failed link
 	// before the node re-trusts standing announcements (see the failed
-	// field); zero means one second.
-	MaskTTL time.Duration
+	// field); zero means one second. Only tests shorten it.
+	maskTTL time.Duration
 	// Deprecated: ignored; the node always re-solves only the affected
 	// destinations. Kept so the benchmark module compiles; delete it when
 	// benchmark/ is next edited.
@@ -147,7 +147,7 @@ type Node struct {
 	// that legitimately still announce the link (they may never learn of
 	// a failure that heals quickly, and then would never re-announce).
 	// A mask lifts when the link is re-announced by anyone, when the
-	// local adjacency comes back, or after MaskTTL (after the
+	// local adjacency comes back, or after the mask TTL (after the
 	// convergence episode the withdrawals have done their work; any
 	// announcement still standing is to be trusted again).
 	failed map[routing.Link]uint64
@@ -155,7 +155,7 @@ type Node struct {
 	// newer mask for the same link.
 	failedGen uint64
 	// noted tracks which links this node already attached a root-cause
-	// note for within the current MaskTTL window. Third-party notes
+	// note for within the current mask-TTL window. Third-party notes
 	// (Handle) are propagated at most once per window: on a topology with
 	// cycles and slow links (e.g. transport retransmission delays under
 	// message loss) an undeduplicated note can outlive every mask and
@@ -382,7 +382,7 @@ func (n *Node) Handle(from routing.NodeID, msg sim.Message) {
 	if !n.cfg.DisableRootCause {
 		for _, l := range u.FailedLinks {
 			// Always mask (the derivation benefit is local), but propagate
-			// each link's note at most once per MaskTTL window — see noted.
+			// each link's note at most once per mask-TTL window — see noted.
 			if n.markNoted(l) {
 				n.noteFailedLink(l)
 			}
@@ -456,8 +456,8 @@ func (n *Node) maskAffect(l routing.Link) {
 
 // maskTTL resolves the configured mask lifetime.
 func (n *Node) maskTTL() time.Duration {
-	if n.cfg.MaskTTL > 0 {
-		return n.cfg.MaskTTL
+	if n.cfg.maskTTL > 0 {
+		return n.cfg.maskTTL
 	}
 	return time.Second
 }
@@ -495,7 +495,7 @@ func (n *Node) isFailed(l routing.Link) bool {
 
 // markNoted opens (or refreshes) l's note-dedup window and reports
 // whether the note is new — false means a note for l already went out
-// within the last MaskTTL and must not be re-propagated.
+// within the last mask TTL and must not be re-propagated.
 func (n *Node) markNoted(l routing.Link) bool {
 	if n.noted == nil {
 		n.noted = make(map[routing.Link]uint64)
@@ -849,14 +849,6 @@ func (n *Node) NextHopTo(dest routing.NodeID) routing.NodeID {
 		return p[1]
 	}
 	return routing.None
-}
-
-// BestClass returns the class of the selected route to dest (0 if none).
-func (n *Node) BestClass(dest routing.NodeID) policy.RouteClass {
-	if dest == n.self {
-		return policy.ClassOwn
-	}
-	return n.route(dest).class
 }
 
 // Routes returns a copy of the selected path set keyed by destination.

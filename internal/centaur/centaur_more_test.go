@@ -65,10 +65,10 @@ func TestLoopFreeForwarding(t *testing.T) {
 				if p == nil {
 					break // consistently unreachable is fine
 				}
-				cur = p.FirstHop()
-				if cur == routing.None {
+				if len(p) < 2 {
 					t.Fatalf("broken next hop at %v toward %v", cur, to)
 				}
+				cur = p[1]
 			}
 		}
 	}
@@ -126,11 +126,11 @@ func TestPolicyWithdrawalOnlyAffectsAnnouncingNeighbor(t *testing.T) {
 	// D hears from both B and C; both graphs contain the link A->B or
 	// A->C respectively... take a link D learned from B:
 	gb := d.NeighborGraph(topogen.NodeB)
-	links := gb.Links()
-	if len(links) == 0 {
+	infos := gb.LinkInfos()
+	if len(infos) == 0 {
 		t.Skip("B announced nothing to D under this policy")
 	}
-	l := links[0]
+	l := infos[0].Link
 	// C withdraws the same link (policy change, no failure flag): only
 	// C's graph may change.
 	before := gb.NumLinks()

@@ -70,7 +70,7 @@ func TestConvergesToSolverFigure2a(t *testing.T) {
 }
 
 func TestConvergesToSolverFigure4(t *testing.T) {
-	g := topogen.Figure4()
+	g := figure4()
 	_, nodes := converge(t, g, Config{})
 	checkAgainstSolver(t, g, nodes)
 }
@@ -111,8 +111,8 @@ func TestTopologyHiding(t *testing.T) {
 	}
 	// B reaches D directly (customer route <B,D>), so B's announced
 	// graph must never contain the link C->D or D->C.
-	for _, l := range gb.Links() {
-		if l.From == topogen.NodeC || l.To == topogen.NodeC {
+	for _, li := range gb.LinkInfos() {
+		if l := li.Link; l.From == topogen.NodeC || l.To == topogen.NodeC {
 			t.Fatalf("B announced a link involving C: %v — B's paths do not cross C", l)
 		}
 	}
@@ -152,7 +152,7 @@ func TestPermissionListFigure4(t *testing.T) {
 		B  = topogen.NodeB
 		C  = topogen.NodeC
 		D  = topogen.NodeD
-		DP = topogen.DPrime
+		DP = dPrime
 	)
 	mustEdge(t, g, A, C, topology.RelCustomer)  // C is customer of A
 	mustEdge(t, g, A, B, topology.RelCustomer)  // B is customer of A
@@ -213,13 +213,17 @@ func TestLocalPermissionLists(t *testing.T) {
 			if pg == nil {
 				continue
 			}
-			for _, nd := range pg.Nodes() {
-				if !pg.MultiHomed(nd) {
+			in := map[routing.NodeID][]routing.Link{}
+			for _, li := range pg.LinkInfos() {
+				in[li.Link.To] = append(in[li.Link.To], li.Link)
+			}
+			for nd, links := range in {
+				if len(links) < 2 {
 					continue
 				}
 				unrestricted := 0
-				for _, parent := range pg.Parents(nd) {
-					if pg.Permission(routing.Link{From: parent, To: nd}) == nil {
+				for _, l := range links {
+					if pg.Permission(l) == nil {
 						unrestricted++
 					}
 				}
@@ -456,4 +460,18 @@ func mustEdge(t *testing.T, g *topology.Graph, a, b routing.NodeID, rel topology
 	if err := g.AddEdge(a, b, rel); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// dPrime is the destination D' of the paper's Figure 4.
+const dPrime routing.NodeID = 5
+
+// figure4 extends topogen.Figure2a with Figure 4's D', attached below D
+// as its customer: the minimal topology on which Permission Lists
+// become necessary.
+func figure4() *topology.Graph {
+	g := topogen.Figure2a()
+	if err := g.AddEdge(dPrime, topogen.NodeD, topology.RelProvider); err != nil {
+		panic(err)
+	}
+	return g
 }

@@ -176,7 +176,7 @@ func (n *refNode) Handle(from routing.NodeID, msg sim.Message) {
 	if !n.cfg.DisableRootCause {
 		for _, l := range u.FailedLinks {
 			// Always mask (the derivation benefit is local), but propagate
-			// each link's note at most once per MaskTTL window — see noted.
+			// each link's note at most once per mask-TTL window — see noted.
 			if n.markNoted(l) {
 				n.noteFailedLink(l)
 			}
@@ -196,7 +196,7 @@ func (n *refNode) Handle(from routing.NodeID, msg sim.Message) {
 // cached derivations.
 func (n *refNode) collectHeads(g *pgraph.Graph, from routing.NodeID, d pgraph.Delta, affected map[routing.NodeID]struct{}) {
 	visit := func(head routing.NodeID) {
-		for _, dst := range g.DestsBelow(head) {
+		for _, dst := range g.AppendDestsBelow(nil, head) {
 			affected[dst] = struct{}{}
 			n.invalidate(from, dst)
 		}
@@ -215,7 +215,7 @@ func (n *refNode) collectHeads(g *pgraph.Graph, from routing.NodeID, d pgraph.De
 // recompute mode) only performs the invalidation.
 func (n *refNode) maskAffect(l routing.Link, affected map[routing.NodeID]struct{}) {
 	for b, g := range n.nbGraph {
-		for _, dst := range g.DestsBelow(l.To) {
+		for _, dst := range g.AppendDestsBelow(nil, l.To) {
 			if affected != nil {
 				affected[dst] = struct{}{}
 			}
@@ -239,7 +239,7 @@ func (n *refNode) mask(l routing.Link) {
 	n.failedGen++
 	gen := n.failedGen
 	n.failed[l] = gen
-	ttl := n.cfg.MaskTTL
+	ttl := n.cfg.maskTTL
 	if ttl <= 0 {
 		ttl = time.Second
 	}
@@ -267,7 +267,7 @@ func (n *refNode) isFailed(l routing.Link) bool {
 
 // markNoted opens (or refreshes) l's note-dedup window and reports
 // whether the note is new — false means a note for l already went out
-// within the last MaskTTL and must not be re-propagated.
+// within the last mask TTL and must not be re-propagated.
 func (n *refNode) markNoted(l routing.Link) bool {
 	if n.noted == nil {
 		n.noted = make(map[routing.Link]uint64)
@@ -276,7 +276,7 @@ func (n *refNode) markNoted(l routing.Link) bool {
 	n.notedGen++
 	gen := n.notedGen
 	n.noted[l] = gen
-	ttl := n.cfg.MaskTTL
+	ttl := n.cfg.maskTTL
 	if ttl <= 0 {
 		ttl = time.Second
 	}

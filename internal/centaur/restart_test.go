@@ -174,17 +174,17 @@ func TestRestartAnnouncesFullView(t *testing.T) {
 	t.Run("emptied", func(t *testing.T) {
 		// D exports only D->D' to its provider B; with D—D' down too,
 		// nothing is left to announce when D—B comes back.
-		c := newRestartChecker(t, topogen.Figure4())
+		c := newRestartChecker(t, figure4())
 		before := c.fail(topogen.NodeD, topogen.NodeB)
 		if len(before[topogen.NodeD]) == 0 {
 			t.Fatal("D announced nothing to B before the outage")
 		}
-		beforeDP := c.fail(topogen.NodeD, topogen.DPrime)
+		beforeDP := c.fail(topogen.NodeD, dPrime)
 		c.restore(topogen.NodeD, topogen.NodeB, before)
 		if c.empty == 0 {
 			t.Fatal("D's view toward B did not empty during the outage")
 		}
-		c.restore(topogen.NodeD, topogen.DPrime, beforeDP)
+		c.restore(topogen.NodeD, dPrime, beforeDP)
 	})
 }
 

@@ -105,8 +105,8 @@ func TestAdversarialStructuralVsBloomFP(t *testing.T) {
 		AttackerCounts: []int{1},
 		Trials:         1,
 		AdvSeed:        40_000,
-		BloomPL:        true,
-		PLFPRate:       0.45,
+		bloomPL:        true,
+		plFPRate:       0.45,
 	}
 	res, err := RunAdversarial(Scenario{Nodes: 200, LinksPerNode: 2, Seed: 7, Telemetry: reg}, cfg)
 	if err != nil {
@@ -141,7 +141,7 @@ func TestAdversarialStructuralVsBloomFP(t *testing.T) {
 	}
 	fp := reg.Counter("pl.fp_hits").Value()
 	if fp == 0 {
-		t.Fatalf("PLFPRate %v produced no Bloom false positives — the separation is untested", cfg.PLFPRate)
+		t.Fatalf("PLFPRate %v produced no Bloom false positives — the separation is untested", cfg.plFPRate)
 	}
 }
 

@@ -30,7 +30,7 @@ func coldRun(trials []trial, workers int) error {
 // runFlipsCold is RunFlips down the cold path.
 func runFlipsCold(cfg FlipConfig) ([]FlipSample, error) {
 	out := make([]FlipSample, len(flipEdges(cfg)))
-	return out, coldRun(flipTrials(cfg, "", out), cfg.Workers)
+	return out, coldRun(flipTrials(cfg, "", out), cfg.workers)
 }
 
 // TestRunFlipsCheckpointMatchesColdStart is the harness-level statement
@@ -58,13 +58,13 @@ func TestRunFlipsCheckpointMatchesColdStart(t *testing.T) {
 				TrialsPerNetwork: 2,
 			}
 			cold := base
-			cold.Workers = 1
+			cold.workers = 1
 			want, err := runFlipsCold(cold)
 			if err != nil {
 				t.Fatal(err)
 			}
 			forked := base
-			forked.Workers = 4
+			forked.workers = 4
 			got, err := RunFlips(forked)
 			if err != nil {
 				t.Fatal(err)
@@ -86,7 +86,7 @@ func TestCheckpointTelemetryCounters(t *testing.T) {
 	}
 	base := FlipConfig{
 		Topology: g, Build: bgp.New(bgp.Config{}), Flips: 8, Seed: 5,
-		TrialsPerNetwork: 2, Workers: 2,
+		TrialsPerNetwork: 2, workers: 2,
 	}
 
 	reg := telemetry.New()
@@ -104,7 +104,7 @@ func TestCheckpointTelemetryCounters(t *testing.T) {
 	if got := reg.Counter("sim.forks").Value(); got != 4 {
 		t.Errorf("sim.forks = %d, want 4 (8 flips / 2 per chunk)", got)
 	}
-	if reg.Gauge("sim.checkpoint_bytes").Value() <= 0 {
+	if reg.Snapshot().Gauges["sim.checkpoint_bytes"] <= 0 {
 		t.Error("sim.checkpoint_bytes gauge never raised")
 	}
 
@@ -140,7 +140,7 @@ func TestTraceDisablesCheckpointing(t *testing.T) {
 		reg := telemetry.New()
 		_, err := flips(FlipConfig{
 			Topology: g, Build: bgp.New(bgp.Config{}), Flips: 8, Seed: 5,
-			TrialsPerNetwork: 2, Workers: workers,
+			TrialsPerNetwork: 2, workers: workers,
 			Series: "test.bgp", Telemetry: reg, Trace: tc,
 		})
 		if err != nil {
@@ -185,14 +185,14 @@ func TestCheckpointFallbackNotSnapshottable(t *testing.T) {
 		TrialsPerNetwork: 2,
 	}
 	cold := base
-	cold.Workers = 1
+	cold.workers = 1
 	want, err := runFlipsCold(cold)
 	if err != nil {
 		t.Fatal(err)
 	}
 	reg := telemetry.New()
 	forked := base
-	forked.Workers = 4
+	forked.workers = 4
 	forked.Telemetry = reg
 	got, err := RunFlips(forked)
 	if err != nil {

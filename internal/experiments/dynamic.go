@@ -73,11 +73,12 @@ type FlipConfig struct {
 	// invariant 8). A traced run cold-starts every chunk, because each
 	// chunk's trace must contain its own cold-start events.
 	TrialsPerNetwork int
-	// Workers bounds how many chunks run concurrently; 0 means
-	// GOMAXPROCS, 1 forces serial execution. The reported samples are
-	// identical for every worker count: chunking is fixed by
-	// TrialsPerNetwork and each chunk writes its own result slots.
-	Workers int
+	// workers bounds how many chunks RunFlips runs concurrently; 0
+	// means GOMAXPROCS, 1 forces serial execution. The reported samples
+	// are identical for every worker count: chunking is fixed by
+	// TrialsPerNetwork and each chunk writes its own result slots. Only
+	// tests set it.
+	workers int
 	// Verify, when non-nil, makes every flip trial invariant-checked:
 	// after each reconvergence (fail and restore alike) the quiesced
 	// RIBs are checked against ground truth that the incremental solver
@@ -324,7 +325,7 @@ func RunFlips(cfg FlipConfig) ([]FlipSample, error) {
 		return nil, fmt.Errorf("experiments: FlipConfig.Build is required")
 	}
 	out := make([]FlipSample, len(flipEdges(cfg)))
-	if err := runTrials(flipTrials(cfg, "", out), cfg.Workers); err != nil {
+	if err := runTrials(flipTrials(cfg, "", out), cfg.workers); err != nil {
 		return nil, err
 	}
 	return out, nil

@@ -48,8 +48,23 @@ func TestTable3ShapesMatchPaper(t *testing.T) {
 	}
 }
 
+// solvedTable3 generates and solves both measured-like topologies the
+// way centaur-bench and centaur-stats do before their static stages.
+func solvedTable3(t *testing.T, sc Scale) []SolvedTopology {
+	t.Helper()
+	t3, err := Table3(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	solved, err := SolveTable3(t3, policy.TieOverride)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return solved
+}
+
 func TestTable4And5Shapes(t *testing.T) {
-	res, err := Table4And5(smallScale())
+	res, err := Table4And5From(solvedTable3(t, smallScale()))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -63,14 +63,14 @@ func TestRunFlipsWorkerCountInvariance(t *testing.T) {
 		TrialsPerNetwork: 2,
 	}
 	serial := base
-	serial.Workers = 1
+	serial.workers = 1
 	want, err := RunFlips(serial)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{0, 2, runtime.GOMAXPROCS(0) + 3} {
 		cfg := base
-		cfg.Workers = workers
+		cfg.workers = workers
 		got, err := RunFlips(cfg)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
@@ -142,7 +142,7 @@ func TestRunFlipsChunkedSeedRule(t *testing.T) {
 	build := bgp.New(bgp.Config{})
 	chunked, err := RunFlips(FlipConfig{
 		Topology: g, Build: build, Flips: 6, Seed: 5,
-		TrialsPerNetwork: 2, Workers: 1,
+		TrialsPerNetwork: 2, workers: 1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -178,7 +178,7 @@ func TestTraceWorkerCountInvariance(t *testing.T) {
 		reg := telemetry.New()
 		_, err := RunFlips(FlipConfig{
 			Topology: g, Build: bgp.New(bgp.Config{}), Flips: 8, Seed: 5,
-			TrialsPerNetwork: 2, Workers: workers,
+			TrialsPerNetwork: 2, workers: workers,
 			Series: "test.bgp", Telemetry: reg, Trace: tc,
 		})
 		if err != nil {
@@ -234,7 +234,7 @@ func TestProvenanceTraceWorkerCountInvariance(t *testing.T) {
 		tc := telemetry.NewTraceCollectorV2()
 		_, err := RunFlips(FlipConfig{
 			Topology: g, Build: bgp.New(bgp.Config{}), Flips: 8, Seed: 5,
-			TrialsPerNetwork: 2, Workers: workers,
+			TrialsPerNetwork: 2, workers: workers,
 			Series: "test.bgp", Trace: tc,
 		})
 		if err != nil {

@@ -14,7 +14,6 @@ import (
 
 	"centaur/internal/centaur"
 	"centaur/internal/pgraph"
-	"centaur/internal/policy"
 	"centaur/internal/routing"
 	"centaur/internal/solver"
 	"centaur/internal/wire"
@@ -23,11 +22,9 @@ import (
 // PLOverheadConfig parameterizes the Permission List overhead
 // measurement.
 type PLOverheadConfig struct {
-	// Scale selects the measured-like topologies (Table 3 stand-ins).
-	Scale Scale
-	// Solved, when non-nil, supplies pre-solved topologies (SolveTable3
-	// with TieOverride) and Scale is ignored — the bench uses this to
-	// share one solve across every static stage.
+	// Solved supplies the measured-like topologies, pre-solved
+	// (SolveTable3 with TieOverride), so every static stage shares one
+	// solve.
 	Solved []SolvedTopology
 	// FPRate is the per-filter false-positive target handed to
 	// wire.CompressPerm; 0 means centaur.DefaultPLFPRate.
@@ -71,27 +68,17 @@ type PLOverheadResult struct {
 	Rows   []PLOverheadRow
 }
 
-// PLOverhead generates the measured-like topologies, solves them,
-// builds every node's local P-graph, and measures explicit-vs-compressed
-// Permission List wire bytes plus Bloom false-positive exposure. Fully
-// deterministic for a fixed Scale (the Bloom hash is seedless FNV).
+// PLOverhead builds every node's local P-graph on each solved topology
+// and measures explicit-vs-compressed Permission List wire bytes plus
+// Bloom false-positive exposure. Fully deterministic for fixed inputs
+// (the Bloom hash is seedless FNV).
 func PLOverhead(cfg PLOverheadConfig) (*PLOverheadResult, error) {
 	fpRate := cfg.FPRate
 	if fpRate <= 0 {
 		fpRate = centaur.DefaultPLFPRate
 	}
-	solved := cfg.Solved
-	if solved == nil {
-		t3, err := Table3(cfg.Scale)
-		if err != nil {
-			return nil, err
-		}
-		if solved, err = SolveTable3(t3, policy.TieOverride); err != nil {
-			return nil, err
-		}
-	}
 	out := &PLOverheadResult{FPRate: fpRate}
-	for _, s := range solved {
+	for _, s := range cfg.Solved {
 		r, err := plOverheadRow(s.Name, s.Sol, fpRate, cfg.Workers)
 		if err != nil {
 			return nil, err

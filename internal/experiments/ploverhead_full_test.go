@@ -14,7 +14,7 @@ func TestPLOverheadFullScaleManual(t *testing.T) {
 	if os.Getenv("PL_FULL") == "" {
 		t.Skip("set PL_FULL=1 to run the full-scale measurement")
 	}
-	res, err := PLOverhead(PLOverheadConfig{Scale: DefaultScale(), FPRate: 0})
+	res, err := PLOverhead(PLOverheadConfig{Solved: solvedTable3(t, Scale{Nodes: 4000, Seed: 1})})
 	if err != nil {
 		t.Fatal(err)
 	}

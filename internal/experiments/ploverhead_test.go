@@ -11,7 +11,7 @@ import (
 // the Bloom form win for the modest provider-cone groups the small
 // topologies produce, so the probe path actually runs.
 func TestPLOverheadSmallScale(t *testing.T) {
-	cfg := PLOverheadConfig{Scale: Scale{Nodes: 300, Seed: 1}, FPRate: 0.5}
+	cfg := PLOverheadConfig{Solved: solvedTable3(t, Scale{Nodes: 300, Seed: 1}), FPRate: 0.5}
 	res, err := PLOverhead(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -47,10 +47,11 @@ type ReliabilityConfig struct {
 	Dup    float64
 	Jitter time.Duration
 	// Crashes is the number of node crash/restart cycles injected per
-	// trial; CrashWindow and the flap schedule share faults.Plan.Window
-	// semantics (default 1s).
+	// trial.
 	Crashes int
-	Window  time.Duration
+	// window is faults.Plan.Window for the crashes and the flap schedule
+	// (0 = its default, 1 s); only tests set it.
+	window time.Duration
 	// Trials per (protocol, loss, churn) grid point. Default 1.
 	Trials int
 	// FaultSeed drives per-trial fault plans: trial j of the flattened
@@ -61,8 +62,6 @@ type ReliabilityConfig struct {
 	// sim.Reliable — the diagnostic mode that demonstrates why the
 	// adapter exists.
 	NoTransport bool
-	// Transport tunes the adapter (zero value = defaults).
-	Transport sim.ReliableConfig
 	// MaxEvents caps each trial's event count; 0 means the package-wide
 	// default. Diagnostic no-transport runs set it low so a genuinely
 	// diverging trial fails fast with watchdog diagnostics.
@@ -270,7 +269,7 @@ func RunReliability(s Scenario, cfg ReliabilityConfig) (*ReliabilityResult, erro
 	for _, p := range protos {
 		base := p.build
 		if !cfg.NoTransport {
-			base = sim.Reliable(base, cfg.Transport)
+			base = sim.Reliable(base, sim.ReliableConfig{})
 		}
 		series := "rel." + p.name
 		for _, detect := range detects {
@@ -297,7 +296,7 @@ func RunReliability(s Scenario, cfg ReliabilityConfig) (*ReliabilityResult, erro
 							Jitter:  cfg.Jitter,
 							Churn:   churn,
 							Crashes: cfg.Crashes,
-							Window:  cfg.Window,
+							Window:  cfg.window,
 						}
 						trials = append(trials, trial{
 							label: "experiments: reliability " + p.name,

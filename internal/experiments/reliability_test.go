@@ -66,7 +66,7 @@ func TestReliabilityWorkerCountInvariance(t *testing.T) {
 		LossRates:  []float64{0.15},
 		ChurnRates: []float64{0, 10},
 		Dup:        0.05, Jitter: time.Millisecond,
-		Crashes: 1, Window: 300 * time.Millisecond,
+		Crashes: 1, window: 300 * time.Millisecond,
 		Trials: 2, FaultSeed: 500,
 	}
 	run := func(workers int) (*ReliabilityResult, *telemetry.TraceCollector, *telemetry.Registry) {

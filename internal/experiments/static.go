@@ -44,9 +44,6 @@ type Scale struct {
 	Seed int64
 }
 
-// DefaultScale is the documented reproduction scale.
-func DefaultScale() Scale { return Scale{Nodes: 4000, Seed: 1} }
-
 // Table3Row is one row of Table 3: a topology and its characteristics.
 type Table3Row struct {
 	Name  string
@@ -210,20 +207,6 @@ func SolveTable3(t3 *Table3Result, tb policy.TieBreakMode) ([]SolvedTopology, er
 		out = append(out, SolvedTopology{Name: row.Name, Sol: sol})
 	}
 	return out, nil
-}
-
-// Table4And5 generates both measured-like topologies, solves them, and
-// computes the P-graph structure tables.
-func Table4And5(sc Scale) (*Table45Result, error) {
-	t3, err := Table3(sc)
-	if err != nil {
-		return nil, err
-	}
-	solved, err := SolveTable3(t3, policy.TieOverride)
-	if err != nil {
-		return nil, err
-	}
-	return Table4And5From(solved)
 }
 
 // Table4And5From computes the P-graph structure tables from pre-solved

@@ -37,7 +37,7 @@ func TestRunFlipsVerifiedQuiescence(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			samples, err := RunFlips(FlipConfig{
 				Topology: g, Build: build, Flips: 8, Seed: 5,
-				Verify: verify, Workers: 2,
+				Verify: verify, workers: 2,
 			})
 			if err != nil {
 				t.Fatal(err)

@@ -396,10 +396,3 @@ func (t *Tracker) Window(now time.Duration) Impact {
 	t.imp = Impact{}
 	return imp
 }
-
-// Outcomes returns the per-flow classification as of the last
-// evaluation, index-aligned with Config.Flows.
-func (t *Tracker) Outcomes() []Outcome { return t.cur }
-
-// Flows returns the tracked traffic matrix.
-func (t *Tracker) Flows() []Flow { return t.cfg.Flows }

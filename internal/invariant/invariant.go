@@ -102,8 +102,8 @@ func checkAgainst(net *sim.Network, sol *solver.Solution, g *topology.Graph) []V
 	return out
 }
 
-// checkNodePaths verifies one path-vector node: RIB equals solver,
-// loop-free, valley-free, for every destination.
+// checkNodePaths verifies one path-vector node against the solver for
+// every destination: RIB equals solver, loop-free, valley-free.
 func checkNodePaths(g *topology.Graph, sol *solver.Solution, id routing.NodeID, rib PathRIB, nodes []routing.NodeID) []Violation {
 	var out []Violation
 	for _, dest := range nodes {
@@ -111,83 +111,28 @@ func checkNodePaths(g *topology.Graph, sol *solver.Solution, id routing.NodeID, 
 			continue
 		}
 		want, reachable := sol.Path(id, dest)
-		out = appendPathViolations(out, g, id, dest, rib.BestPath(dest), want, reachable)
-	}
-	return out
-}
-
-// appendPathViolations runs the full per-(node, destination) check —
-// RIB-vs-oracle, loop, valley — against an already-materialized oracle
-// answer, so the materialized (Check) and shard-streamed
-// (CheckStreamed) oracles share one comparison.
-func appendPathViolations(out []Violation, g *topology.Graph, id, dest routing.NodeID, got, want routing.Path, reachable bool) []Violation {
-	switch {
-	case !reachable && got != nil:
-		out = append(out, Violation{Node: id, Dest: dest, Kind: "phantom-route",
-			Detail: fmt.Sprintf("selected %v but no policy-compliant route exists", got)})
-	case reachable && got == nil:
-		out = append(out, Violation{Node: id, Dest: dest, Kind: "missing-route",
-			Detail: fmt.Sprintf("no route selected; solver has %v", want)})
-	case reachable && !got.Equal(want):
-		out = append(out, Violation{Node: id, Dest: dest, Kind: "rib-mismatch",
-			Detail: fmt.Sprintf("selected %v, solver has %v", got, want)})
-	}
-	if got == nil {
-		return out
-	}
-	if v, ok := loopCheck(id, dest, got); !ok {
-		out = append(out, v)
-	} else if v, ok := valleyCheck(g, id, dest, got); !ok {
-		out = append(out, v)
-	}
-	return out
-}
-
-// CheckStreamed is Check with the ground truth produced destination
-// shard by destination shard (solver.SolveShards) instead of through a
-// materialized Solution: the oracle never holds more than one window
-// of the route table, so quiesced networks far beyond the dense-table
-// memory ceiling stay checkable. g is the live link-state graph — the
-// simulator's topology when all links are up, or a mutated clone
-// mid-plan (the CheckAt situation). opts must describe the same policy
-// the protocol under test runs, or every node reports rib-mismatch.
-func CheckStreamed(net *sim.Network, g *topology.Graph, opts solver.Options) ([]Violation, error) {
-	var out []Violation
-	nodes := g.Nodes()
-	ribs := make(map[routing.NodeID]PathRIB, len(nodes))
-	usesNextHop := false
-	for _, id := range nodes {
-		switch p := sim.Unwrap(net.Node(id)).(type) {
-		case PathRIB:
-			ribs[id] = p
-		case NextHopRIB:
-			usesNextHop = true
-		default:
-			out = append(out, Violation{Node: id, Kind: "no-rib",
-				Detail: fmt.Sprintf("protocol %T exposes neither BestPath nor NextHop", p)})
+		got := rib.BestPath(dest)
+		switch {
+		case !reachable && got != nil:
+			out = append(out, Violation{Node: id, Dest: dest, Kind: "phantom-route",
+				Detail: fmt.Sprintf("selected %v but no policy-compliant route exists", got)})
+		case reachable && got == nil:
+			out = append(out, Violation{Node: id, Dest: dest, Kind: "missing-route",
+				Detail: fmt.Sprintf("no route selected; solver has %v", want)})
+		case reachable && !got.Equal(want):
+			out = append(out, Violation{Node: id, Dest: dest, Kind: "rib-mismatch",
+				Detail: fmt.Sprintf("selected %v, solver has %v", got, want)})
+		}
+		if got == nil {
+			continue
+		}
+		if v, ok := loopCheck(id, dest, got); !ok {
+			out = append(out, v)
+		} else if v, ok := valleyCheck(g, id, dest, got); !ok {
+			out = append(out, v)
 		}
 	}
-	err := solver.SolveShards(g, opts, func(w *solver.ShardView) error {
-		for pos := w.Lo(); pos < w.Hi(); pos++ {
-			dest := w.Index().ID(pos)
-			for _, id := range nodes {
-				rib, isPath := ribs[id]
-				if !isPath || id == dest {
-					continue
-				}
-				want, reachable := w.Path(id, dest)
-				out = appendPathViolations(out, g, id, dest, rib.BestPath(dest), want, reachable)
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	if usesNextHop {
-		out = append(out, checkNextHopsOn(net, g)...)
-	}
-	return out, nil
+	return out
 }
 
 // CheckFlows verifies the data-plane walker's per-flow outcomes against

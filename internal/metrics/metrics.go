@@ -70,20 +70,11 @@ func (d *Dist) Samples() []float64 {
 	return d.samples
 }
 
-// Sum returns the total of all samples.
-func (d *Dist) Sum() float64 {
-	sum := 0.0
-	for _, v := range d.samples {
-		sum += v
-	}
-	return sum
-}
-
 // Median returns the 50th percentile.
 func (d *Dist) Median() float64 { return d.Percentile(50) }
 
-// Percentile returns the p-th percentile (0–100) by nearest-rank
-// interpolation, or NaN when empty (see Mean).
+// Percentile returns the p-th percentile (0–100), interpolating
+// linearly between the two closest ranks, or NaN when empty (see Mean).
 func (d *Dist) Percentile(p float64) float64 {
 	d.ensureSorted()
 	n := len(d.samples)
@@ -104,16 +95,6 @@ func (d *Dist) Percentile(p float64) float64 {
 	}
 	frac := rank - float64(lo)
 	return d.samples[lo]*(1-frac) + d.samples[hi]*frac
-}
-
-// FractionBelow returns the fraction of samples strictly less than v.
-func (d *Dist) FractionBelow(v float64) float64 {
-	d.ensureSorted()
-	if len(d.samples) == 0 {
-		return 0
-	}
-	i := sort.SearchFloat64s(d.samples, v)
-	return float64(i) / float64(len(d.samples))
 }
 
 // CDF returns up to points (x, F(x)) pairs tracing the empirical CDF,
@@ -179,9 +160,6 @@ func (h *Histogram) Add(v int) {
 // Total returns the number of observations.
 func (h *Histogram) Total() int64 { return h.total }
 
-// Count returns the number of observations equal to v.
-func (h *Histogram) Count(v int) int64 { return h.counts[v] }
-
 // CountAbove returns the number of observations strictly greater than v.
 func (h *Histogram) CountAbove(v int) int64 {
 	var n int64
@@ -207,23 +185,6 @@ func (h *Histogram) FractionAbove(v int) float64 {
 		return 0
 	}
 	return float64(h.CountAbove(v)) / float64(h.total)
-}
-
-// Merge adds all of other's observations into h.
-func (h *Histogram) Merge(other *Histogram) {
-	for v, c := range other.counts {
-		h.counts[v] += c
-		h.total += c
-	}
-}
-
-// Counts returns a copy of the value→count map.
-func (h *Histogram) Counts() map[int]int64 {
-	out := make(map[int]int64, len(h.counts))
-	for v, c := range h.counts {
-		out[v] = c
-	}
-	return out
 }
 
 // String lists the value counts in ascending value order.

@@ -26,9 +26,6 @@ func TestDistEmpty(t *testing.T) {
 	if d.CDF(5) != nil {
 		t.Fatal("empty CDF must be nil")
 	}
-	if d.FractionBelow(1) != 0 {
-		t.Fatal("empty FractionBelow must be 0")
-	}
 }
 
 func TestDistBasics(t *testing.T) {
@@ -36,8 +33,8 @@ func TestDistBasics(t *testing.T) {
 	for _, v := range []float64{5, 1, 3, 2, 4} {
 		d.Add(v)
 	}
-	if d.N() != 5 || d.Min() != 1 || d.Max() != 5 || d.Sum() != 15 {
-		t.Fatalf("basics wrong: n=%d min=%g max=%g sum=%g", d.N(), d.Min(), d.Max(), d.Sum())
+	if d.N() != 5 || d.Min() != 1 || d.Max() != 5 {
+		t.Fatalf("basics wrong: n=%d min=%g max=%g", d.N(), d.Min(), d.Max())
 	}
 	if d.Mean() != 3 || d.Median() != 3 {
 		t.Fatalf("mean=%g median=%g", d.Mean(), d.Median())
@@ -62,22 +59,6 @@ func TestDistAddAfterQuery(t *testing.T) {
 	d.Add(20) // must invalidate the sorted cache
 	if d.Max() != 20 {
 		t.Fatal("Add after query must re-sort")
-	}
-}
-
-func TestFractionBelow(t *testing.T) {
-	d := NewDist(4)
-	for _, v := range []float64{1, 2, 3, 4} {
-		d.Add(v)
-	}
-	if got := d.FractionBelow(3); got != 0.5 {
-		t.Fatalf("FractionBelow(3) = %g", got)
-	}
-	if got := d.FractionBelow(0.5); got != 0 {
-		t.Fatalf("FractionBelow(0.5) = %g", got)
-	}
-	if got := d.FractionBelow(10); got != 1 {
-		t.Fatalf("FractionBelow(10) = %g", got)
 	}
 }
 
@@ -147,7 +128,7 @@ func TestHistogram(t *testing.T) {
 	for _, v := range []int{2, 2, 2, 3, 5} {
 		h.Add(v)
 	}
-	if h.Total() != 5 || h.Count(2) != 3 || h.Count(9) != 0 {
+	if h.Total() != 5 {
 		t.Fatalf("counts wrong: %v", h)
 	}
 	if got := h.Fraction(2); got != 0.6 {
@@ -168,22 +149,6 @@ func TestHistogramEmpty(t *testing.T) {
 	h := NewHistogram()
 	if h.Fraction(1) != 0 || h.FractionAbove(1) != 0 {
 		t.Fatal("empty histogram fractions must be 0")
-	}
-}
-
-func TestHistogramMergeAndCounts(t *testing.T) {
-	a, b := NewHistogram(), NewHistogram()
-	a.Add(1)
-	b.Add(1)
-	b.Add(2)
-	a.Merge(b)
-	if a.Total() != 3 || a.Count(1) != 2 || a.Count(2) != 1 {
-		t.Fatalf("merge wrong: %v", a)
-	}
-	counts := a.Counts()
-	counts[1] = 99
-	if a.Count(1) != 2 {
-		t.Fatal("Counts must return a copy")
 	}
 }
 

@@ -446,14 +446,6 @@ func (li LinkInfo) Equal(other LinkInfo) bool {
 	return true
 }
 
-// Clone returns an independent copy of the LinkInfo.
-func (li LinkInfo) Clone() LinkInfo {
-	out := li
-	out.Perm = append([]PermEntry(nil), li.Perm...)
-	out.Filters = cloneFilters(li.Filters)
-	return out
-}
-
 // String renders the announced link with its flags.
 func (li LinkInfo) String() string {
 	s := li.Link.String()

@@ -398,16 +398,6 @@ func (g *Graph) HasLink(l routing.Link) bool {
 	return ok
 }
 
-// AddLink inserts directed link l; it reports whether l was newly added.
-// A link with an endpoint outside the graph's index is not added.
-func (g *Graph) AddLink(l routing.Link) bool {
-	if !l.IsValid() {
-		return false
-	}
-	_, _, added, _ := g.insertLink(l)
-	return added
-}
-
 // RemoveLink deletes directed link l along with its Permission List and
 // counter; it reports whether l was present. Nodes left with no incident
 // links are dropped from the graph (and lose their destination mark).
@@ -419,46 +409,11 @@ func (g *Graph) RemoveLink(l routing.Link) bool {
 	return ok
 }
 
-// Parents returns the upstream neighbors of n in ascending order, as a
-// fresh slice.
-func (g *Graph) Parents(n routing.NodeID) []routing.NodeID {
-	s, ok := g.slot(n)
-	if !ok || len(g.nodes.at(s).in) == 0 {
-		return nil
-	}
-	in := g.nodes.at(s).in
-	out := make([]routing.NodeID, len(in))
-	for i, e := range in {
-		out[i] = e.from
-	}
-	return out
-}
-
-// InDegree returns the number of links pointing at n. A node with
-// InDegree > 1 is "multi-homed" in the paper's terms (§3.2.4).
-func (g *Graph) InDegree(n routing.NodeID) int {
-	if s, ok := g.slot(n); ok {
-		return len(g.nodes.at(s).in)
-	}
-	return 0
-}
-
-// MultiHomed reports whether n has more than one parent in the graph.
-func (g *Graph) MultiHomed(n routing.NodeID) bool { return g.InDegree(n) > 1 }
-
 // MarkDest marks n as a destination (prefix owner); a node outside the
 // graph's index is ignored.
 func (g *Graph) MarkDest(n routing.NodeID) {
 	if s, ok := g.intern(n); ok {
 		g.setDest(s, true)
-	}
-}
-
-// UnmarkDest removes n's destination mark.
-func (g *Graph) UnmarkDest(n routing.NodeID) {
-	if s, ok := g.slot(n); ok {
-		g.setDest(s, false)
-		g.gc(s) // a node held only by its mark leaves the graph with it
 	}
 }
 
@@ -504,9 +459,6 @@ func (g *Graph) Dests() []routing.NodeID {
 	return out
 }
 
-// NumDests returns the number of marked destinations.
-func (g *Graph) NumDests() int { return g.nDests }
-
 // Permission returns the Permission List attached to link l, or nil when
 // the link is unrestricted.
 func (g *Graph) Permission(l routing.Link) *PermissionList {
@@ -522,19 +474,6 @@ func (g *Graph) Permission(l routing.Link) *PermissionList {
 // simulator statistics and the event trace.
 func (g *Graph) SetFPObserver(fn func(l routing.Link, dest, next routing.NodeID)) {
 	g.fpObserver = fn
-}
-
-// SetPermission attaches pl to link l, replacing any existing list. A
-// nil or empty pl clears the restriction. The list lives on the link's
-// record, so l must be present; setting one on an absent link is a
-// no-op.
-func (g *Graph) SetPermission(l routing.Link, pl *PermissionList) {
-	if e := g.edgeOf(l); e != nil {
-		if pl != nil && pl.Empty() {
-			pl = nil
-		}
-		g.setPerm(e, pl)
-	}
 }
 
 // NumPermissionLists returns the number of links carrying a non-empty
@@ -563,15 +502,6 @@ type LinkPermission struct {
 	Perm *PermissionList
 }
 
-// Counter returns the number of selected paths using link l, maintained
-// by BuildGraph for Δ computation in the steady phase (paper §4.3.2).
-func (g *Graph) Counter(l routing.Link) int {
-	if e := g.edgeOf(l); e != nil {
-		return int(e.counter)
-	}
-	return 0
-}
-
 // eachLink calls fn for every link in ascending (From, To) order with
 // the head node's record and the link's in-edge record.
 func (g *Graph) eachLink(fn func(l routing.Link, head *node, e *edge)) {
@@ -592,26 +522,6 @@ func (g *Graph) eachLink(fn func(l routing.Link, head *node, e *edge)) {
 			fn(routing.Link{From: tail.id, To: c.id}, head, &head.in[i])
 		}
 	}
-}
-
-// Links returns every directed link in the graph, sorted.
-func (g *Graph) Links() []routing.Link {
-	out := make([]routing.Link, 0, g.nLinks)
-	g.eachLink(func(l routing.Link, _ *node, _ *edge) { out = append(out, l) })
-	return out
-}
-
-// Nodes returns every node that is an endpoint of at least one link (or
-// the root), in ascending order.
-func (g *Graph) Nodes() []routing.NodeID {
-	out := make([]routing.NodeID, 0, g.nodes.len())
-	for s := int32(0); s < g.nodes.n; s++ {
-		if nd := g.nodes.at(s); s == rootSlot || len(nd.in) > 0 || len(nd.out) > 0 {
-			out = append(out, nd.id)
-		}
-	}
-	slices.Sort(out)
-	return out
 }
 
 // walkBelow returns the slots of the marked destinations reachable from
@@ -667,17 +577,6 @@ func (g *Graph) AppendDestsBelow(dst []routing.NodeID, heads ...routing.NodeID) 
 		dst = append(dst, g.nodes.at(s).id)
 	}
 	return dst
-}
-
-// DestsBelow returns the marked destinations reachable from n by
-// following child links (including n itself if marked), ascending. This
-// is the set of destinations whose derivations can be influenced by a
-// change at n — the incremental recompute mode uses it to bound the
-// affected destination set after applying a delta.
-func (g *Graph) DestsBelow(n routing.NodeID) []routing.NodeID {
-	out := g.AppendDestsBelow(nil, n)
-	slices.Sort(out)
-	return out
 }
 
 // Rough per-element heap costs used by the ApproxMemBytes estimates.
@@ -737,34 +636,6 @@ func (g *Graph) Clone() *Graph {
 		*out.nodes.at(s) = node{id: src.id, pos: src.pos, in: in, out: kids[lo:len(kids):len(kids)], dest: src.dest}
 	}
 	return out
-}
-
-// Equal reports whether two graphs have the same root, links, Permission
-// Lists, and destination marks (counters are bookkeeping and ignored).
-func (g *Graph) Equal(other *Graph) bool {
-	if g.root != other.root || g.nLinks != other.nLinks || g.nDests != other.nDests || g.nPerms != other.nPerms {
-		return false
-	}
-	for s := int32(0); s < g.nodes.n; s++ {
-		nd := g.nodes.at(s)
-		if !nd.id.IsValid() {
-			continue
-		}
-		os, ok := other.slot(nd.id)
-		if !ok {
-			return false
-		}
-		ond := other.nodes.at(os)
-		if nd.dest != ond.dest || len(nd.in) != len(ond.in) {
-			return false
-		}
-		for i, e := range nd.in {
-			if oe := ond.in[i]; e.from != oe.from || !e.perm.Equal(oe.perm) {
-				return false
-			}
-		}
-	}
-	return true
 }
 
 // String renders the graph for debugging: root, links (with Permission

@@ -145,20 +145,6 @@ func (pl *PermissionList) Clone() *PermissionList {
 	return &PermissionList{pairs: slices.Clone(pl.pairs), filters: cloneFilters(pl.filters)}
 }
 
-// Equal reports whether two lists permit exactly the same path set. A
-// nil list equals an empty one. The compressed representation is an
-// encoding of the pairs, not extra state, so it does not participate.
-func (pl *PermissionList) Equal(other *PermissionList) bool {
-	var a, b []PermEntry
-	if pl != nil {
-		a = pl.pairs
-	}
-	if other != nil {
-		b = other.pairs
-	}
-	return slices.Equal(a, b)
-}
-
 // String renders the list's grouped entries sorted by next hop, e.g.
 // "{next:N3 dests:[N5 N7]; next:N4 dests:[N9]}".
 func (pl *PermissionList) String() string {

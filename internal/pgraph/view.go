@@ -65,14 +65,13 @@ type nodeState struct {
 // records there what it decided to announce for the link.
 type snapshot struct {
 	present bool
-	verdict uint8 // noChange, announce or withdraw
+	verdict uint8 // 0 (no change), announce or withdraw
 	to      int32
 	info    LinkInfo
 }
 
 const (
-	noChange uint8 = iota
-	announce
+	announce uint8 = iota + 1
 	withdraw
 )
 
@@ -120,14 +119,6 @@ func (v *View) ApproxMemBytes() int {
 		b += len(v.side.At(s).path) * wordBytes / 2
 	}
 	return b
-}
-
-// Path returns the currently announced path for dest (nil if none).
-func (v *View) Path(dest routing.NodeID) routing.Path {
-	if s, ok := v.g.slot(dest); ok {
-		return v.at(s).path
-	}
-	return nil
 }
 
 // touch snapshots the announced state of the in-edge at position i of

@@ -60,9 +60,6 @@ func (c RouteClass) String() string {
 	}
 }
 
-// IsValid reports whether c is a defined route class.
-func (c RouteClass) IsValid() bool { return c >= ClassOwn && c <= ClassProvider }
-
 // ClassOf maps the relationship of the announcing neighbor to the class
 // of a route learned from it: a route from a customer is a customer
 // route, and so on.
@@ -278,26 +275,18 @@ func Best(pol Policy, self routing.NodeID, cands []Candidate) Candidate {
 	return best
 }
 
-// ValleyFree reports whether path p respects the Gao–Rexford export
-// rules on graph g: p must be constructible by a chain of compliant
-// export decisions starting at its destination. On sibling-free graphs
-// this is the classic phase condition — zero or more uphill
-// (customer-to-provider) steps, at most one peer step, then zero or
-// more downhill steps — but a phase walk that merely treats sibling
-// edges as transparent rejects legal paths: a route learned from a
-// sibling carries ClassSibling and is legally exportable to peers and
-// providers (see Export), so a provider-learned route laundered through
-// a sibling pair may climb again. ValleyFree therefore replays the
-// export chain itself. It returns false if any hop of p is not an edge
-// of g.
-func ValleyFree(g *topology.Graph, p routing.Path) bool {
-	_, ok := ExportViolation(g, p)
-	return ok
-}
-
-// ExportCompliant is ValleyFree under its precise name: it reports
-// whether every announcement hop along p was a legal Gao–Rexford
-// export on graph g.
+// ExportCompliant reports whether path p respects the Gao–Rexford
+// export rules on graph g (is valley-free): p must be constructible by
+// a chain of compliant export decisions starting at its destination. On
+// sibling-free graphs this is the classic phase condition — zero or
+// more uphill (customer-to-provider) steps, at most one peer step, then
+// zero or more downhill steps — but a phase walk that merely treats
+// sibling edges as transparent rejects legal paths: a route learned
+// from a sibling carries ClassSibling and is legally exportable to
+// peers and providers (see Export), so a provider-learned route
+// laundered through a sibling pair may climb again. ExportCompliant
+// therefore replays the export chain itself. It returns false if any
+// hop of p is not an edge of g.
 func ExportCompliant(g *topology.Graph, p routing.Path) bool {
 	_, ok := ExportViolation(g, p)
 	return ok

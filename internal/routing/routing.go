@@ -105,15 +105,6 @@ func (p Path) NextHop(n NodeID) NodeID {
 	return None
 }
 
-// FirstHop returns the second node on the path (the neighbor the source
-// forwards through), or None for paths with fewer than two nodes.
-func (p Path) FirstHop() NodeID {
-	if len(p) < 2 {
-		return None
-	}
-	return p[1]
-}
-
 // Links decomposes the path into its directed downstream links, in order
 // from source to destination.
 func (p Path) Links() []Link {
@@ -199,92 +190,4 @@ func (p Path) String() string {
 	}
 	b.WriteByte('>')
 	return b.String()
-}
-
-// Prefix models an address block owned by a destination node. The paper
-// models one AS per node and marks destination nodes in announcements
-// (§3.2.1); §6.4 notes a node may announce prefixes at any aggregation
-// level. We keep prefixes abstract: an opaque ID plus the owning node.
-type Prefix struct {
-	// ID distinguishes multiple prefixes announced by the same owner,
-	// e.g. de-aggregated sub-nets (§6.4).
-	ID uint32
-	// Owner is the node that originates the prefix.
-	Owner NodeID
-}
-
-// String renders the prefix as "P<id>@N<owner>".
-func (p Prefix) String() string {
-	return fmt.Sprintf("P%d@%s", p.ID, p.Owner)
-}
-
-// LinkSet is a set of directed links with deterministic iteration support.
-// The zero value is ready to use after a call to any method (methods
-// allocate lazily), but NewLinkSet is the conventional constructor.
-type LinkSet struct {
-	set map[Link]struct{}
-}
-
-// NewLinkSet returns an empty link set with capacity for n links.
-func NewLinkSet(n int) *LinkSet {
-	return &LinkSet{set: make(map[Link]struct{}, n)}
-}
-
-// Add inserts link l; it reports whether l was newly added.
-func (s *LinkSet) Add(l Link) bool {
-	if s.set == nil {
-		s.set = make(map[Link]struct{})
-	}
-	if _, ok := s.set[l]; ok {
-		return false
-	}
-	s.set[l] = struct{}{}
-	return true
-}
-
-// Remove deletes link l; it reports whether l was present.
-func (s *LinkSet) Remove(l Link) bool {
-	if _, ok := s.set[l]; !ok {
-		return false
-	}
-	delete(s.set, l)
-	return true
-}
-
-// Has reports whether link l is in the set.
-func (s *LinkSet) Has(l Link) bool {
-	_, ok := s.set[l]
-	return ok
-}
-
-// Len returns the number of links in the set.
-func (s *LinkSet) Len() int { return len(s.set) }
-
-// Links returns the set contents in unspecified order.
-func (s *LinkSet) Links() []Link {
-	out := make([]Link, 0, len(s.set))
-	for l := range s.set {
-		out = append(out, l)
-	}
-	return out
-}
-
-// Diff returns the links present in s but not in other (s \ other).
-func (s *LinkSet) Diff(other *LinkSet) []Link {
-	out := make([]Link, 0)
-	for l := range s.set {
-		if other == nil || !other.Has(l) {
-			out = append(out, l)
-		}
-	}
-	return out
-}
-
-// Clone returns an independent copy of the set.
-func (s *LinkSet) Clone() *LinkSet {
-	out := NewLinkSet(len(s.set))
-	for l := range s.set {
-		out.set[l] = struct{}{}
-	}
-	return out
 }

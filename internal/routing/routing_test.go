@@ -68,12 +68,6 @@ func TestPathQueries(t *testing.T) {
 	if p.NextHop(9) != None {
 		t.Fatal("NextHop of absent node must be None")
 	}
-	if p.FirstHop() != 2 {
-		t.Fatalf("FirstHop = %v", p.FirstHop())
-	}
-	if (Path{1}).FirstHop() != None {
-		t.Fatal("FirstHop of single-node path must be None")
-	}
 }
 
 func TestPathLinks(t *testing.T) {
@@ -129,65 +123,6 @@ func TestPathString(t *testing.T) {
 	}
 }
 
-func TestPrefixString(t *testing.T) {
-	p := Prefix{ID: 3, Owner: 7}
-	if got := p.String(); got != "P3@N7" {
-		t.Fatalf("Prefix.String = %q", got)
-	}
-}
-
-func TestLinkSetBasics(t *testing.T) {
-	s := NewLinkSet(4)
-	l := Link{From: 1, To: 2}
-	if !s.Add(l) {
-		t.Fatal("first Add must report true")
-	}
-	if s.Add(l) {
-		t.Fatal("duplicate Add must report false")
-	}
-	if !s.Has(l) || s.Len() != 1 {
-		t.Fatal("Has/Len broken")
-	}
-	if !s.Remove(l) || s.Remove(l) {
-		t.Fatal("Remove semantics broken")
-	}
-	if s.Len() != 0 {
-		t.Fatal("set must be empty after removal")
-	}
-}
-
-func TestLinkSetZeroValue(t *testing.T) {
-	var s LinkSet
-	if s.Has(Link{From: 1, To: 2}) || s.Len() != 0 {
-		t.Fatal("zero-value set must be empty")
-	}
-	if !s.Add(Link{From: 1, To: 2}) {
-		t.Fatal("zero-value set must accept Add")
-	}
-}
-
-func TestLinkSetDiffClone(t *testing.T) {
-	a := NewLinkSet(2)
-	a.Add(Link{From: 1, To: 2})
-	a.Add(Link{From: 2, To: 3})
-	b := NewLinkSet(1)
-	b.Add(Link{From: 2, To: 3})
-	diff := a.Diff(b)
-	if len(diff) != 1 || diff[0] != (Link{From: 1, To: 2}) {
-		t.Fatalf("Diff = %v", diff)
-	}
-	if d := a.Diff(nil); len(d) != 2 {
-		t.Fatalf("Diff(nil) = %v", d)
-	}
-	cp := a.Clone()
-	cp.Remove(Link{From: 1, To: 2})
-	if !a.Has(Link{From: 1, To: 2}) {
-		t.Fatal("Clone must not share storage")
-	}
-}
-
-// TestPathPrependProperty: prepending never changes the suffix and
-// always extends length by one (testing/quick over random paths).
 func TestPathPrependProperty(t *testing.T) {
 	f := func(nodes []uint32, head uint32) bool {
 		p := make(Path, 0, len(nodes))

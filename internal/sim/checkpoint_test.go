@@ -73,13 +73,15 @@ func compareRoutes(t *testing.T, g *topology.Graph, a, b *sim.Network) {
 					t.Fatalf("node %v: announced view toward %v differs", id, nb.ID)
 				}
 			}
-			if !an.LocalGraph().Equal(bn.LocalGraph()) {
+			if an.LocalGraph().String() != bn.LocalGraph().String() {
 				t.Fatalf("node %v: local P-graphs differ", id)
 			}
 		case *bgp.Node:
 			bn := b.Node(id).(*bgp.Node)
-			if !reflect.DeepEqual(an.Routes(), bn.Routes()) {
-				t.Fatalf("node %v: bgp route tables differ", id)
+			for _, dest := range g.Nodes() {
+				if ap, bp := an.BestPath(dest), bn.BestPath(dest); !ap.Equal(bp) {
+					t.Fatalf("node %v: bgp route toward %v differs: %v vs %v", id, dest, ap, bp)
+				}
 			}
 		case *ospf.Node:
 			bn := b.Node(id).(*ospf.Node)

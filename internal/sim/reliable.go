@@ -30,43 +30,45 @@ import (
 	"centaur/internal/routing"
 )
 
-// ReliableConfig tunes the reliable-transport adapter.
+// ReliableConfig tunes the reliable-transport adapter. Runs use the
+// defaults (the zero value); the fields are hooks for the package's
+// tests.
 type ReliableConfig struct {
-	// RTO is the initial retransmission timeout; it doubles after every
-	// retransmission of a frame. It should exceed one round trip — with
-	// the default 0–5 ms link delays, the default of 25 ms is ≥ 2 RTTs
-	// plus ack processing. Default 25 ms.
-	RTO time.Duration
-	// MaxRetries caps retransmissions per frame; a frame still unacked
+	// initRTO is the initial retransmission timeout; it doubles after
+	// every retransmission of a frame. It should exceed one round trip
+	// — with the default 0–5 ms link delays, the default of 25 ms is ≥ 2
+	// RTTs plus ack processing. Default 25 ms.
+	initRTO time.Duration
+	// retryLimit caps retransmissions per frame; a frame still unacked
 	// after that many resends is abandoned (counted in
 	// Stats.TransportAbandoned). Default 16.
-	MaxRetries int
-	// MaxRTO caps the exponential backoff. Without a cap the interval
-	// doubles every attempt, so a frame that survives a long partition
-	// can sit out seconds-to-minutes of backoff after the link returns —
-	// post-partition re-sync latency was unbounded. With the cap, the
-	// worst-case gap between the partition healing and the next
-	// retransmission is MaxRTO. Default 1 s.
-	MaxRTO time.Duration
+	retryLimit int
+	// backoffCap caps the exponential backoff. Without a cap the
+	// interval doubles every attempt, so a frame that survives a long
+	// partition can sit out seconds-to-minutes of backoff after the link
+	// returns — post-partition re-sync latency was unbounded. With the
+	// cap, the worst-case gap between the partition healing and the next
+	// retransmission is backoffCap. Default 1 s.
+	backoffCap time.Duration
 }
 
 func (c ReliableConfig) rto() time.Duration {
-	if c.RTO > 0 {
-		return c.RTO
+	if c.initRTO > 0 {
+		return c.initRTO
 	}
 	return 25 * time.Millisecond
 }
 
 func (c ReliableConfig) maxRetries() int {
-	if c.MaxRetries > 0 {
-		return c.MaxRetries
+	if c.retryLimit > 0 {
+		return c.retryLimit
 	}
 	return 16
 }
 
 func (c ReliableConfig) maxRTO() time.Duration {
-	if c.MaxRTO > 0 {
-		return c.MaxRTO
+	if c.backoffCap > 0 {
+		return c.backoffCap
 	}
 	return time.Second
 }
@@ -317,7 +319,7 @@ func (n *relNode) sendData(to routing.NodeID, msg Message) {
 // session was reset or the frame was acked meanwhile; otherwise it
 // resends (even onto a down link — the send is then counted
 // undeliverable, exactly what a real timer-driven sender does) and
-// re-arms with the delay doubled, capped at MaxRTO.
+// re-arms with the delay doubled, capped at maxRTO().
 func (n *relNode) armRetransmit(to routing.NodeID, gen, seq uint64, d time.Duration, attempt int) {
 	n.env.After(d, func() {
 		s := n.sess.Get(to)

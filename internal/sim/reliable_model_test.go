@@ -316,7 +316,7 @@ func (s *relSide) diff(m *relSide) string {
 func lockstepReliable(t *testing.T, data []byte) (rexmits, dups, abandons int) {
 	// Two retries and a low backoff cap, so schedules reach abandons and
 	// capped timers in a few steps.
-	cfg := ReliableConfig{RTO: time.Millisecond, MaxRetries: 2, MaxRTO: 3 * time.Millisecond}
+	cfg := ReliableConfig{initRTO: time.Millisecond, retryLimit: 2, backoffCap: 3 * time.Millisecond}
 	win, model := newRelSide(Reliable, cfg), newRelSide(mapReliable, cfg)
 	var done []relStep
 	for i := 0; i+3 <= len(data); i += 3 {

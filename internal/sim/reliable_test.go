@@ -67,7 +67,7 @@ func TestReliableRetransmitsThroughLoss(t *testing.T) {
 		}
 		return FaultDecision{}
 	}}
-	net, inners := buildReliablePair(t, ReliableConfig{RTO: 10 * time.Millisecond}, inj)
+	net, inners := buildReliablePair(t, ReliableConfig{initRTO: 10 * time.Millisecond}, inj)
 	net.Run(0)
 	net.schedule(0, func() { inners[1].env.Send(2, pingMsg{}) })
 	net.Run(0)
@@ -125,7 +125,7 @@ func TestReliableReordersIntoSequence(t *testing.T) {
 		}
 		return FaultDecision{}
 	}}
-	net, inners := buildReliablePair(t, ReliableConfig{RTO: time.Second}, inj)
+	net, inners := buildReliablePair(t, ReliableConfig{initRTO: time.Second}, inj)
 	net.Run(0)
 	net.schedule(0, func() {
 		inners[1].env.Send(2, pingMsg{hops: 1})
@@ -151,7 +151,7 @@ func TestReliableAbandonsAfterMaxRetries(t *testing.T) {
 		}
 		return FaultDecision{}
 	}}
-	net, inners := buildReliablePair(t, ReliableConfig{RTO: time.Millisecond, MaxRetries: 3}, inj)
+	net, inners := buildReliablePair(t, ReliableConfig{initRTO: time.Millisecond, retryLimit: 3}, inj)
 	net.Run(0)
 	net.schedule(0, func() { inners[1].env.Send(2, pingMsg{}) })
 	net.Run(0)
@@ -168,7 +168,7 @@ func TestReliableAbandonsAfterMaxRetries(t *testing.T) {
 
 func TestReliableBackoffDoubles(t *testing.T) {
 	var sendTimes []time.Duration
-	net, inners := buildReliablePair(t, ReliableConfig{RTO: 4 * time.Millisecond, MaxRetries: 2}, nil)
+	net, inners := buildReliablePair(t, ReliableConfig{initRTO: 4 * time.Millisecond, retryLimit: 2}, nil)
 	net.Observe(func(ev TraceEvent) {
 		if ev.Kind == TraceSend && ev.From == 1 {
 			if _, ok := ev.Msg.(DataFrame); ok {
@@ -206,7 +206,7 @@ func TestReliableBackoffDoubles(t *testing.T) {
 }
 
 func TestReliableSessionResetOnFlap(t *testing.T) {
-	net, inners := buildReliablePair(t, ReliableConfig{RTO: 5 * time.Millisecond}, nil)
+	net, inners := buildReliablePair(t, ReliableConfig{initRTO: 5 * time.Millisecond}, nil)
 	net.Run(0)
 	net.schedule(0, func() { inners[1].env.Send(2, pingMsg{hops: 1}) })
 	net.Run(0)

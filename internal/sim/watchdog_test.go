@@ -14,7 +14,7 @@ import (
 // then 8 ms flat instead of 16, 32, … unbounded.
 func TestReliableBackoffClampsAtMaxRTO(t *testing.T) {
 	var sendTimes []time.Duration
-	cfg := ReliableConfig{RTO: 4 * time.Millisecond, MaxRTO: 8 * time.Millisecond, MaxRetries: 4}
+	cfg := ReliableConfig{initRTO: 4 * time.Millisecond, backoffCap: 8 * time.Millisecond, retryLimit: 4}
 	net, inners := buildReliablePair(t, cfg, nil)
 	net.Observe(func(ev TraceEvent) {
 		if ev.Kind == TraceSend && ev.From == 1 {

@@ -44,10 +44,10 @@ const (
 	distEscape = 1<<distBits - 1
 
 	// defaultShardDests is the destinations-per-shard arena size when
-	// Options.ShardDests is unset.
+	// Options.destsPerShard is unset.
 	defaultShardDests = 512
 
-	// autoShardNodes is the LayoutAuto cutover: graphs at least this
+	// autoShardNodes is the automatic layout cutover: graphs at least this
 	// large solve into the packed sharded layout, smaller ones stay
 	// dense (the dense layout is faster to read and its quadratic cost
 	// is irrelevant below this size).

@@ -27,11 +27,11 @@
 // (preferences are strict via the deterministic tie-break), so the
 // fixpoint converges to the same state BGP and Centaur converge to.
 //
-// Storage comes in two layouts (Options.Layout). The dense layout keeps
+// Storage comes in two layouts (Layout). The dense layout keeps
 // flat next/class/dist rows per destination — fastest to read, Θ(N²)
 // at 7 bytes per entry. The sharded layout (packed.go) bit-packs
 // entries into per-shard arenas and derives the class from the
-// adjacency, cutting ~39 GB to ~6 GB at 75k nodes; LayoutAuto switches
+// adjacency, cutting ~39 GB to ~6 GB at 75k nodes; the solver switches
 // to it at autoShardNodes. Both layouts answer every query and every
 // incremental Resolve identically — the layout is a storage choice,
 // never a semantic one.
@@ -52,15 +52,14 @@ import (
 // next-hop tables.
 const noRoute = int32(-1)
 
-// Layout selects the Solution's table storage.
+// Layout selects the Solution's table storage. The zero value picks
+// LayoutDense below autoShardNodes nodes and LayoutSharded at or above
+// it.
 type Layout uint8
 
 const (
-	// LayoutAuto picks LayoutDense below autoShardNodes nodes and
-	// LayoutSharded at or above it.
-	LayoutAuto Layout = iota
 	// LayoutDense stores flat per-destination next/class/dist rows.
-	LayoutDense
+	LayoutDense Layout = iota + 1
 	// LayoutSharded stores bit-packed rows in per-shard arenas
 	// (packed.go) — ~7x smaller on AS-like graphs, same answers.
 	LayoutSharded
@@ -78,9 +77,7 @@ func (l Layout) String() string {
 }
 
 // Solution holds converged best routes for every (node, destination)
-// pair: next hops, route classes, and hop distances. See SolveDest for
-// a per-destination alternative when even the sharded layout is too
-// large.
+// pair: next hops, route classes, and hop distances.
 type Solution struct {
 	topo *topology.Graph
 	idx  *topology.Index
@@ -123,18 +120,19 @@ type Options struct {
 	// the policy.GaoRexford the protocols run so converged states are
 	// comparable.
 	TieBreak policy.TieBreakMode
-	// Layout selects the table storage; the zero value (LayoutAuto)
-	// picks dense below autoShardNodes and sharded at or above.
-	Layout Layout
-	// ShardDests is the number of destination rows per shard arena in
-	// the sharded layout; 0 means defaultShardDests.
-	ShardDests int
+	// layout forces the table storage; the zero value picks dense
+	// below autoShardNodes and sharded at or above. Only tests force it.
+	layout Layout
+	// destsPerShard is the number of destination rows per shard arena
+	// in the sharded layout; 0 means defaultShardDests. Only tests set
+	// it.
+	destsPerShard int
 }
 
 // sharded reports whether the options select the packed layout for an
 // n-node graph.
 func (o Options) sharded(n int) bool {
-	switch o.Layout {
+	switch o.layout {
 	case LayoutDense:
 		return false
 	case LayoutSharded:
@@ -146,8 +144,8 @@ func (o Options) sharded(n int) bool {
 
 // shardDests returns the effective shard size.
 func (o Options) shardDests() int {
-	if o.ShardDests > 0 {
-		return o.ShardDests
+	if o.destsPerShard > 0 {
+		return o.destsPerShard
 	}
 	return defaultShardDests
 }
@@ -555,7 +553,7 @@ func (s *Solution) Index() *topology.Index { return s.idx }
 // Options returns the policy options the solution was computed under.
 func (s *Solution) Options() Options { return s.opts }
 
-// Layout returns the storage layout actually in use (never LayoutAuto).
+// Layout returns the storage layout actually in use (never the zero value).
 func (s *Solution) Layout() Layout {
 	if s.pk != nil {
 		return LayoutSharded
@@ -590,20 +588,6 @@ func (s *Solution) Policy() policy.GaoRexford {
 // Topology returns the graph the solution was computed on.
 func (s *Solution) Topology() *topology.Graph { return s.topo }
 
-// NextHop returns from's next hop toward dest, or routing.None when
-// unreachable. A node's next hop to itself is itself.
-func (s *Solution) NextHop(from, dest routing.NodeID) routing.NodeID {
-	f, d := s.idx.Pos(from), s.idx.Pos(dest)
-	if f < 0 || d < 0 {
-		return routing.None
-	}
-	nh := s.nextPos(d, int32(f))
-	if nh == noRoute {
-		return routing.None
-	}
-	return s.idx.ID(int(nh))
-}
-
 // Class returns the route class of from's best route to dest, or 0 when
 // unreachable.
 func (s *Solution) Class(from, dest routing.NodeID) policy.RouteClass {
@@ -612,16 +596,6 @@ func (s *Solution) Class(from, dest routing.NodeID) policy.RouteClass {
 		return 0
 	}
 	return policy.RouteClass(s.classPos(d, int32(f)))
-}
-
-// Dist returns the hop count of from's best route to dest; 0 means
-// from == dest or unreachable (check Class to distinguish).
-func (s *Solution) Dist(from, dest routing.NodeID) int {
-	f, d := s.idx.Pos(from), s.idx.Pos(dest)
-	if f < 0 || d < 0 {
-		return 0
-	}
-	return int(s.distPos(d, int32(f)))
 }
 
 // Path materializes from's best path to dest by following next hops. The
@@ -672,12 +646,4 @@ func (s *Solution) PathSet(from routing.NodeID) map[routing.NodeID]routing.Path 
 		}
 	}
 	return out
-}
-
-// Reachable reports whether from has any policy-compliant route to dest.
-func (s *Solution) Reachable(from, dest routing.NodeID) bool {
-	if from == dest {
-		return true
-	}
-	return s.NextHop(from, dest) != routing.None
 }

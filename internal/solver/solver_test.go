@@ -204,7 +204,7 @@ func TestSolveAllPathsValleyFree(t *testing.T) {
 					if p.HasLoop() {
 						t.Fatalf("path %v has a loop", p)
 					}
-					if !policy.ValleyFree(g, p) {
+					if !policy.ExportCompliant(g, p) {
 						t.Fatalf("path %v is not valley-free", p)
 					}
 					if p.Len() != s.Dist(from, to) {
@@ -237,43 +237,6 @@ func TestSolveGeneratedFullReachability(t *testing.T) {
 				t.Fatalf("%v cannot reach %v in a BRITE topology", from, to)
 			}
 		}
-	}
-}
-
-func TestSolveDestMatchesFullSolve(t *testing.T) {
-	g, err := topogen.CAIDALike(100, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := Solve(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dest := g.Nodes()[len(g.Nodes())/2]
-	next, class, err := SolveDest(g, dest)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, from := range g.Nodes() {
-		if from == dest {
-			continue
-		}
-		if got, want := next[from], s.NextHop(from, dest); got != want {
-			t.Fatalf("SolveDest next hop at %v = %v, full solve says %v", from, got, want)
-		}
-		if got, want := class[from], s.Class(from, dest); got != want {
-			t.Fatalf("SolveDest class at %v = %v, full solve says %v", from, got, want)
-		}
-	}
-}
-
-func TestSolveDestUnknownDest(t *testing.T) {
-	g, err := topogen.Chain(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := SolveDest(g, 99); err == nil {
-		t.Fatal("SolveDest with unknown destination must fail")
 	}
 }
 
@@ -339,7 +302,7 @@ func TestSolveOptsTieBreakModes(t *testing.T) {
 				if !ok1 {
 					t.Fatalf("mode %v: %v cannot reach %v", mode, from, to)
 				}
-				if p1.HasLoop() || !policy.ValleyFree(g, p1) {
+				if p1.HasLoop() || !policy.ExportCompliant(g, p1) {
 					t.Fatalf("mode %v: invalid path %v", mode, p1)
 				}
 			}

@@ -1,23 +1,18 @@
 // Streaming-shard solving. SolveShards runs the same per-destination
 // fixpoints as SolveOpts but materializes only one destination shard at
 // a time, handing each window to a callback before reusing the memory —
-// O(N·shard) residency instead of O(N²). The scaling sweep's cold-side
-// verification, SolveTable3-style per-destination consumers, and the
-// invariant checker's streamed mode are the intended callers: anything
-// that can consume destinations a window at a time without ever holding
-// the whole table.
+// O(N·shard) residency instead of O(N²). Its one caller is StreamEqual,
+// the scaling sweep's cold-side verification.
 package solver
 
 import (
 	"errors"
 	"fmt"
 
-	"centaur/internal/policy"
-	"centaur/internal/routing"
 	"centaur/internal/topology"
 )
 
-// ShardView is a read-only window over the converged routes toward the
+// ShardView is a window over the converged routes toward the
 // destinations [Lo, Hi) (dense positions). It is valid only during the
 // SolveShards callback that delivered it; the backing memory is reused
 // for the next shard.
@@ -29,104 +24,15 @@ type ShardView struct {
 	hi  int
 }
 
-// Index returns the dense node index the view is expressed in.
-func (w *ShardView) Index() *topology.Index { return w.idx }
-
 // Lo returns the first destination position covered by the view.
 func (w *ShardView) Lo() int { return w.lo }
 
 // Hi returns one past the last destination position covered.
 func (w *ShardView) Hi() int { return w.hi }
 
-// Contains reports whether dest's routes are answerable by this view.
-func (w *ShardView) Contains(dest routing.NodeID) bool {
-	d := w.idx.Pos(dest)
-	return d >= w.lo && d < w.hi
-}
-
-// NextHop returns from's next hop toward dest (which must be inside the
-// window), routing.None when unreachable.
-func (w *ShardView) NextHop(from, dest routing.NodeID) routing.NodeID {
-	f, d := w.idx.Pos(from), w.pos(dest)
-	if f < 0 {
-		return routing.None
-	}
-	nh := w.pk.nextAt(w.adj, d, int32(f))
-	if nh == noRoute {
-		return routing.None
-	}
-	return w.idx.ID(int(nh))
-}
-
-// Class returns the route class of from's best route to dest (inside
-// the window), 0 when unreachable.
-func (w *ShardView) Class(from, dest routing.NodeID) policy.RouteClass {
-	f, d := w.idx.Pos(from), w.pos(dest)
-	if f < 0 {
-		return 0
-	}
-	return policy.RouteClass(w.pk.classAt(w.adj, nil, d, int32(f)))
-}
-
-// Dist returns the hop count of from's best route to dest (inside the
-// window); 0 means from == dest or unreachable.
-func (w *ShardView) Dist(from, dest routing.NodeID) int {
-	f, d := w.idx.Pos(from), w.pos(dest)
-	if f < 0 {
-		return 0
-	}
-	return int(w.pk.distAt(d, int32(f)))
-}
-
-// Path materializes from's best path to dest (inside the window) by
-// following next hops; false when unreachable.
-func (w *ShardView) Path(from, dest routing.NodeID) (routing.Path, bool) {
-	f, d := w.idx.Pos(from), w.pos(dest)
-	if f < 0 {
-		return nil, false
-	}
-	if f == d {
-		return routing.Path{from}, true
-	}
-	if w.pk.nextAt(w.adj, d, int32(f)) == noRoute {
-		return nil, false
-	}
-	p := make(routing.Path, 0, w.pk.distAt(d, int32(f))+1)
-	cur := int32(f)
-	for cur != int32(d) {
-		p = append(p, w.idx.ID(int(cur)))
-		cur = w.pk.nextAt(w.adj, d, cur)
-		if len(p) > w.idx.Len() {
-			return nil, false // a loop here would mean the fixpoint failed
-		}
-	}
-	p = append(p, dest)
-	return p, true
-}
-
-// Reachable reports whether from has a policy-compliant route to dest
-// (inside the window).
-func (w *ShardView) Reachable(from, dest routing.NodeID) bool {
-	if from == dest {
-		return true
-	}
-	return w.NextHop(from, dest) != routing.None
-}
-
-// pos maps dest to its dense position, panicking when it is outside the
-// window — a view query outside its shard is always a caller bug, and
-// silently answering "unreachable" would corrupt whatever consumes it.
-func (w *ShardView) pos(dest routing.NodeID) int {
-	d := w.idx.Pos(dest)
-	if d < w.lo || d >= w.hi {
-		panic(fmt.Sprintf("solver: ShardView query for destination %v outside window [%d,%d)", dest, w.lo, w.hi))
-	}
-	return d
-}
-
 // SolveShards solves g destination-shard by destination-shard, invoking
 // fn with a view of each converged window in ascending destination
-// order. Only one window (O(N · ShardDests) packed bits) is resident at
+// order. Only one window (O(N · destsPerShard) packed bits) is resident at
 // a time. fn returning a non-nil error stops the sweep and returns that
 // error. The per-window fixpoints still fan out across all CPU cores.
 func SolveShards(g *topology.Graph, opts Options, fn func(*ShardView) error) error {

@@ -128,13 +128,6 @@ type Gauge struct {
 	v *atomic.Int64
 }
 
-// Set stores v. No-op on the zero handle.
-func (g Gauge) Set(v int64) {
-	if g.v != nil {
-		g.v.Store(v)
-	}
-}
-
 // SetMax raises the gauge to v if v exceeds the current value — the
 // high-water-mark operation (e.g. peak heap). No-op on the zero handle.
 func (g Gauge) SetMax(v int64) {
@@ -147,14 +140,6 @@ func (g Gauge) SetMax(v int64) {
 			return
 		}
 	}
-}
-
-// Value returns the current gauge value (0 on the zero handle).
-func (g Gauge) Value() int64 {
-	if g.v == nil {
-		return 0
-	}
-	return g.v.Load()
 }
 
 // distShards is the fan-out of a sharded distribution. Observations
@@ -308,37 +293,6 @@ func (r *Registry) Snapshot() *Snapshot {
 		}
 	}
 	return s
-}
-
-// Merge folds other's metrics into r: counters add, gauges keep the
-// maximum (they are used as high-water marks across workers), and
-// distribution samples append. Merging a nil other (or into a nil r) is
-// a no-op.
-func (r *Registry) Merge(other *Registry) {
-	if r == nil || other == nil {
-		return
-	}
-	o := other.Snapshot()
-	for k, v := range o.Counters {
-		r.Counter(k).Add(v)
-	}
-	for k, v := range o.Gauges {
-		r.Gauge(k).SetMax(v)
-	}
-	other.mu.Lock()
-	names := make([]string, 0, len(other.dists))
-	for k := range other.dists {
-		names = append(names, k)
-	}
-	other.mu.Unlock()
-	sort.Strings(names)
-	for _, k := range names {
-		dst := r.Distribution(k)
-		src := other.Distribution(k).Dist()
-		for _, v := range src.Samples() {
-			dst.Observe(v)
-		}
-	}
 }
 
 // CounterNames returns the registered counter names, sorted.

@@ -23,7 +23,7 @@ func TestCounterGaugeBasics(t *testing.T) {
 	}
 
 	g := r.Gauge("heap.max")
-	g.Set(100)
+	g.SetMax(100)
 	g.SetMax(50) // lower: ignored
 	if got := g.Value(); got != 100 {
 		t.Fatalf("gauge = %d, want 100", got)
@@ -92,7 +92,6 @@ func TestNoopZeroAlloc(t *testing.T) {
 	if n := testing.AllocsPerRun(100, func() {
 		c.Inc()
 		c.Add(3)
-		g.Set(1)
 		g.SetMax(2)
 		d.Observe(1.5)
 	}); n != 0 {
@@ -152,7 +151,7 @@ func TestSnapshotJSONDeterministic(t *testing.T) {
 		r := New()
 		r.Counter("z").Add(1)
 		r.Counter("a").Add(2)
-		r.Gauge("g").Set(9)
+		r.Gauge("g").SetMax(9)
 		r.Distribution("d").Observe(4)
 		return r
 	}
@@ -166,41 +165,6 @@ func TestSnapshotJSONDeterministic(t *testing.T) {
 	}
 	if string(b1) != string(b2) {
 		t.Fatalf("snapshot JSON not deterministic:\n%s\n%s", b1, b2)
-	}
-}
-
-func TestMerge(t *testing.T) {
-	a, b := New(), New()
-	a.Counter("c").Add(2)
-	b.Counter("c").Add(3)
-	b.Counter("only-b").Add(7)
-	a.Gauge("hw").Set(10)
-	b.Gauge("hw").Set(4) // lower than a's: must not win
-	a.Distribution("d").Observe(1)
-	b.Distribution("d").Observe(2)
-	b.Distribution("d").Observe(3)
-
-	a.Merge(b)
-	if got := a.Counter("c").Value(); got != 5 {
-		t.Fatalf("merged counter = %d, want 5", got)
-	}
-	if got := a.Counter("only-b").Value(); got != 7 {
-		t.Fatalf("merged new counter = %d, want 7", got)
-	}
-	if got := a.Gauge("hw").Value(); got != 10 {
-		t.Fatalf("merged gauge = %d, want 10 (max)", got)
-	}
-	d := a.Distribution("d").Dist()
-	if d.N() != 3 || d.Sum() != 6 {
-		t.Fatalf("merged dist n=%d sum=%g", d.N(), d.Sum())
-	}
-
-	// Nil merges in either direction are safe no-ops.
-	a.Merge(nil)
-	var nilReg *Registry
-	nilReg.Merge(a)
-	if got := a.Counter("c").Value(); got != 5 {
-		t.Fatalf("nil merge mutated counter: %d", got)
 	}
 }
 

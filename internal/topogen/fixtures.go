@@ -7,14 +7,12 @@ import (
 	"centaur/internal/topology"
 )
 
-// Node names for the paper's worked examples (Figures 2–4). DPrime is
-// the D' destination added in Figure 4.
+// Node names for the paper's worked example of Figure 2.
 const (
-	NodeA  routing.NodeID = 1
-	NodeB  routing.NodeID = 2
-	NodeC  routing.NodeID = 3
-	NodeD  routing.NodeID = 4
-	DPrime routing.NodeID = 5
+	NodeA routing.NodeID = 1
+	NodeB routing.NodeID = 2
+	NodeC routing.NodeID = 3
+	NodeD routing.NodeID = 4
 )
 
 // Figure2a builds the four-node square of the paper's Figure 2(a):
@@ -28,15 +26,6 @@ func Figure2a() *topology.Graph {
 	mustEdge(g, NodeC, NodeA, topology.RelProvider) // A provides C
 	mustEdge(g, NodeD, NodeB, topology.RelProvider) // B provides D
 	mustEdge(g, NodeD, NodeC, topology.RelProvider) // C provides D
-	return g
-}
-
-// Figure4 extends Figure2a with the destination D' of the paper's
-// Figure 4, attached below D as its customer. It is the minimal topology
-// on which Permission Lists become necessary.
-func Figure4() *topology.Graph {
-	g := Figure2a()
-	mustEdge(g, DPrime, NodeD, topology.RelProvider) // D provides D'
 	return g
 }
 
