@@ -96,28 +96,22 @@ func TestAttachMessageFaults(t *testing.T) {
 	}
 	reg := telemetry.New()
 	net := buildChatter(t, g)
-	inj := Attach(net, Plan{Seed: 1, Loss: 0.2, Dup: 0.1, Jitter: 2 * time.Millisecond}, reg)
+	Attach(net, Plan{Seed: 1, Loss: 0.2, Dup: 0.1, Jitter: 2 * time.Millisecond}, reg)
 	if _, _, err := net.RunToConvergence(1_000_000); err != nil {
 		t.Fatal(err)
 	}
-	if inj.Losses() == 0 || inj.Dups() == 0 || inj.Jitters() == 0 {
-		t.Fatalf("faults not injected: losses=%d dups=%d jitters=%d", inj.Losses(), inj.Dups(), inj.Jitters())
+	losses := reg.Counter("faults.loss_injected").Value()
+	dups := reg.Counter("faults.dup_injected").Value()
+	jitters := reg.Counter("faults.jitter_injected").Value()
+	if losses == 0 || dups == 0 || jitters == 0 {
+		t.Fatalf("faults not injected: losses=%d dups=%d jitters=%d", losses, dups, jitters)
 	}
 	st := net.Stats()
-	if st.FaultDrops != inj.Losses() {
-		t.Fatalf("sim dropped %d by fault, injector decided %d", st.FaultDrops, inj.Losses())
+	if st.FaultDrops != losses {
+		t.Fatalf("sim dropped %d by fault, injector decided %d", st.FaultDrops, losses)
 	}
-	if st.FaultDups != inj.Dups() {
-		t.Fatalf("sim duplicated %d, injector decided %d", st.FaultDups, inj.Dups())
-	}
-	for name, want := range map[string]int64{
-		"faults.loss_injected":   inj.Losses(),
-		"faults.dup_injected":    inj.Dups(),
-		"faults.jitter_injected": inj.Jitters(),
-	} {
-		if got := reg.Counter(name).Value(); got != want {
-			t.Fatalf("%s = %d, want %d", name, got, want)
-		}
+	if st.FaultDups != dups {
+		t.Fatalf("sim duplicated %d, injector decided %d", st.FaultDups, dups)
 	}
 }
 
@@ -129,21 +123,16 @@ func TestAttachFlapStormAndCrashes(t *testing.T) {
 	reg := telemetry.New()
 	net := buildChatter(t, g)
 	plan := Plan{Seed: 9, Churn: 20, Window: 500 * time.Millisecond, Crashes: 3}
-	inj := Attach(net, plan, reg)
+	Attach(net, plan, reg)
 	if _, _, err := net.RunToConvergence(5_000_000); err != nil {
 		t.Fatal(err)
 	}
-	if inj.Flaps() == 0 {
+	if reg.Counter("faults.flaps").Value() == 0 {
 		t.Fatal("no link flaps injected")
 	}
-	if inj.Crashes() == 0 || inj.Crashes() != inj.Restarts() {
-		t.Fatalf("crashes=%d restarts=%d; every crash must restart", inj.Crashes(), inj.Restarts())
-	}
-	if got := reg.Counter("faults.flaps").Value(); got != inj.Flaps() {
-		t.Fatalf("faults.flaps = %d, want %d", got, inj.Flaps())
-	}
-	if got := reg.Counter("faults.restarts").Value(); got != inj.Restarts() {
-		t.Fatalf("faults.restarts = %d, want %d", got, inj.Restarts())
+	crashes, restarts := reg.Counter("faults.crashes").Value(), reg.Counter("faults.restarts").Value()
+	if crashes == 0 || crashes != restarts {
+		t.Fatalf("crashes=%d restarts=%d; every crash must restart", crashes, restarts)
 	}
 	verifyAllUp(t, net, g)
 }
@@ -155,14 +144,11 @@ func TestAttachPartitionBisectsAndHeals(t *testing.T) {
 	}
 	reg := telemetry.New()
 	net := buildChatter(t, g)
-	inj := Attach(net, Plan{Seed: 4, Partition: true, Window: 200 * time.Millisecond}, reg)
+	Attach(net, Plan{Seed: 4, Partition: true, Window: 200 * time.Millisecond}, reg)
 	if _, _, err := net.RunToConvergence(1_000_000); err != nil {
 		t.Fatal(err)
 	}
 	// Chain 1-2-3-4 bisected into {1,2} | {3,4}: exactly the 2—3 link.
-	if inj.PartitionCuts() != 1 {
-		t.Fatalf("PartitionCuts = %d, want 1", inj.PartitionCuts())
-	}
 	if got := reg.Counter("faults.partition_cuts").Value(); got != 1 {
 		t.Fatalf("faults.partition_cuts = %d, want 1", got)
 	}
@@ -182,12 +168,15 @@ func TestFaultSequenceIsDeterministic(t *testing.T) {
 	}
 	run := func() result {
 		net := buildChatter(t, g)
-		inj := Attach(net, plan, nil)
+		reg := telemetry.New()
+		Attach(net, plan, reg)
 		if _, _, err := net.RunToConvergence(5_000_000); err != nil {
 			t.Fatal(err)
 		}
 		st := net.Stats()
-		return result{inj.Losses(), inj.Dups(), inj.Jitters(), inj.Flaps(), inj.Crashes(), st.Events, st.Messages}
+		count := func(name string) int64 { return reg.Counter("faults." + name).Value() }
+		return result{count("loss_injected"), count("dup_injected"), count("jitter_injected"),
+			count("flaps"), count("crashes"), st.Events, st.Messages}
 	}
 	a, b := run(), run()
 	if a != b {
@@ -207,11 +196,11 @@ func TestNilRegistryIsAccepted(t *testing.T) {
 		t.Fatal(err)
 	}
 	net := buildChatter(t, g)
-	inj := Attach(net, Plan{Seed: 1, Loss: 0.5}, nil)
+	Attach(net, Plan{Seed: 1, Loss: 0.5}, nil)
 	if _, _, err := net.RunToConvergence(1_000_000); err != nil {
 		t.Fatal(err)
 	}
-	if inj.Losses() == 0 {
+	if net.Stats().FaultDrops == 0 {
 		t.Fatal("faults must still inject without a registry")
 	}
 }

@@ -25,7 +25,6 @@ func (n *Node) ForkProtocol(env sim.Env) sim.Protocol {
 		cfg:   n.cfg,
 		seq:   n.seq,
 		lsdb:  slices.Clone(n.lsdb),
-		held:  n.held,
 		spf:   slices.Clone(n.spf),
 		spfOK: n.spfOK,
 	}

@@ -11,17 +11,12 @@ import (
 
 // HierConfig parameterizes the hierarchical measured-like generator.
 type HierConfig struct {
-	// N is the total node count.
+	// N is the total node count; the fully peer-meshed Tier-1 core has
+	// tier1Size(N) nodes.
 	N int
-	// Tier1 is the size of the fully peer-meshed core.
-	Tier1 int
 	// TransitFrac is the fraction of nodes (beyond Tier-1) that provide
 	// transit; the rest are stubs.
 	TransitFrac float64
-	// ProviderDist is the probability distribution of the number of
-	// providers a non-Tier-1 node buys from: ProviderDist[i] is the
-	// probability of having i+1 providers. Must sum to (about) 1.
-	ProviderDist []float64
 	// PeerFrac is the target fraction of all links that are peer links
 	// (Table 3: CAIDA ≈ 7.6%, HeTop ≈ 35%).
 	PeerFrac float64
@@ -32,25 +27,20 @@ type HierConfig struct {
 	Seed int64
 }
 
+// providerDist is the probability distribution of the number of
+// providers a non-Tier-1 node buys from: providerDist[i] is the
+// probability of having i+1 providers. Mean ≈ 2.05 providers per
+// non-core AS, matching measured snapshots (CAIDA Sep'07: 48457
+// provider links / 26022 ASes ≈ 1.9 per AS including the core).
+var providerDist = []float64{0.30, 0.42, 0.21, 0.07}
+
 // validate fills defaults and sanity-checks the configuration.
 func (c *HierConfig) validate() error {
 	if c.N < 8 {
 		return fmt.Errorf("topogen: hierarchical topology needs N >= 8, got %d", c.N)
 	}
-	if c.Tier1 <= 0 {
-		c.Tier1 = tier1Size(c.N)
-	}
-	if c.Tier1 >= c.N {
-		return fmt.Errorf("topogen: Tier1 (%d) must be smaller than N (%d)", c.Tier1, c.N)
-	}
 	if c.TransitFrac <= 0 || c.TransitFrac >= 1 {
 		c.TransitFrac = 0.15
-	}
-	if len(c.ProviderDist) == 0 {
-		// Mean ≈ 2.05 providers per non-core AS, matching measured
-		// snapshots (CAIDA Sep'07: 48457 provider links / 26022 ASes
-		// ≈ 1.9 per AS including the core).
-		c.ProviderDist = []float64{0.30, 0.42, 0.21, 0.07}
 	}
 	if c.PeerFrac < 0 || c.PeerFrac >= 0.9 {
 		return fmt.Errorf("topogen: PeerFrac %.2f out of range [0, 0.9)", c.PeerFrac)
@@ -72,6 +62,7 @@ func Hierarchical(cfg HierConfig) (*topology.Graph, error) {
 		return nil, err
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
+	tier1 := tier1Size(cfg.N)
 	g := topology.NewGraph(cfg.N)
 	for i := 1; i <= cfg.N; i++ {
 		if err := g.AddNode(routing.NodeID(i)); err != nil {
@@ -79,28 +70,28 @@ func Hierarchical(cfg HierConfig) (*topology.Graph, error) {
 		}
 	}
 
-	// Tier-1 core: full peer mesh over nodes 1..Tier1.
-	for i := 1; i <= cfg.Tier1; i++ {
-		for j := i + 1; j <= cfg.Tier1; j++ {
+	// Tier-1 core: full peer mesh over nodes 1..tier1.
+	for i := 1; i <= tier1; i++ {
+		for j := i + 1; j <= tier1; j++ {
 			if err := g.AddEdge(routing.NodeID(i), routing.NodeID(j), topology.RelPeer); err != nil {
 				return nil, err
 			}
 		}
 	}
 
-	nTransit := int(float64(cfg.N-cfg.Tier1) * cfg.TransitFrac)
-	transitMax := cfg.Tier1 + nTransit // nodes 1..transitMax may sell transit
+	nTransit := int(float64(cfg.N-tier1) * cfg.TransitFrac)
+	transitMax := tier1 + nTransit // nodes 1..transitMax may sell transit
 
 	// endpoints is the preferential-attachment pool: transit-capable
 	// nodes appear once per customer they already serve (plus once flat),
 	// so provider choice follows current customer degree.
 	endpoints := make([]int, 0, cfg.N*2)
-	for i := 1; i <= cfg.Tier1; i++ {
+	for i := 1; i <= tier1; i++ {
 		endpoints = append(endpoints, i)
 	}
 	providerLinks := 0
-	for v := cfg.Tier1 + 1; v <= cfg.N; v++ {
-		nProv := sampleCount(rng, cfg.ProviderDist)
+	for v := tier1 + 1; v <= cfg.N; v++ {
+		nProv := sampleCount(rng, providerDist)
 		chosen := make(map[int]struct{}, nProv)
 		for attempts := 0; len(chosen) < nProv && attempts < 200; attempts++ {
 			u := endpoints[rng.Intn(len(endpoints))]
@@ -111,7 +102,7 @@ func Hierarchical(cfg HierConfig) (*topology.Graph, error) {
 		}
 		if len(chosen) == 0 {
 			// Guarantee connectivity: fall back to a random Tier-1 provider.
-			chosen[1+rng.Intn(cfg.Tier1)] = struct{}{}
+			chosen[1+rng.Intn(tier1)] = struct{}{}
 		}
 		// Sorted, not map order: the append order below shapes the
 		// attachment pool and hence every later draw, so iterating the
