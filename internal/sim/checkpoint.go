@@ -74,8 +74,8 @@ func (n *Network) Checkpoint() (*Checkpoint, error) {
 	if n.injector != nil {
 		return nil, ErrFaultsActive
 	}
-	if len(n.pq) != 0 {
-		return nil, fmt.Errorf("sim: checkpoint requires a quiesced network (%d events pending)", len(n.pq))
+	if n.pq.queued != 0 {
+		return nil, fmt.Errorf("sim: checkpoint requires a quiesced network (%d events pending)", n.pq.queued)
 	}
 	for i, down := range n.nodeDown {
 		if down {

@@ -76,10 +76,10 @@ func runQuiet(t *testing.T, net *Network) {
 func TestColdStartReleasesQueue(t *testing.T) {
 	net, g := floodNetwork(t)
 	peak := 0
-	net.Observe(func(TraceEvent) { peak = max(peak, len(net.pq)) })
+	net.Observe(func(TraceEvent) { peak = max(peak, net.pq.queued) })
 	runQuiet(t, net)
 	coldPeak := peak
-	if c := cap(net.pq); c != 0 {
+	if c := cap(net.pq.slots); c != 0 {
 		t.Fatalf("the quiesced cold start keeps %d queue slots, want none", c)
 	}
 	flipPeak := 0
@@ -97,7 +97,7 @@ func TestColdStartReleasesQueue(t *testing.T) {
 		t.Fatalf("flips peak at %d events in flight, the cold start at %d: the workload does not tell them apart",
 			flipPeak, coldPeak)
 	}
-	if c := cap(net.pq); c == 0 || c > 2*flipPeak {
+	if c := cap(net.pq.slots); c == 0 || c > 2*flipPeak {
 		t.Fatalf("after the flips the queue keeps %d slots, want 1..%d (twice the largest flip peak)", c, 2*flipPeak)
 	}
 }
@@ -111,11 +111,11 @@ func TestQueueReleasedOnlyOnce(t *testing.T) {
 		if _, ok := net.Run(100); ok {
 			t.Fatal("100 events quiesced the cold start")
 		}
-		if cap(net.pq) == 0 {
+		if cap(net.pq.slots) == 0 {
 			t.Fatal("a cold start cut short by maxEvents released its queue")
 		}
 		runQuiet(t, net)
-		if c := cap(net.pq); c != 0 {
+		if c := cap(net.pq.slots); c != 0 {
 			t.Fatalf("the cold start drained in its second run keeps %d slots, want none", c)
 		}
 	})
@@ -126,14 +126,14 @@ func TestQueueReleasedOnlyOnce(t *testing.T) {
 			t.Fatal("node 1 did not crash")
 		}
 		runQuiet(t, net)
-		if cap(net.pq) == 0 {
+		if cap(net.pq.slots) == 0 {
 			t.Fatal("a drain after the cold start released the queue")
 		}
 		if !net.RestartNode(1) {
 			t.Fatal("node 1 did not restart")
 		}
 		runQuiet(t, net)
-		if cap(net.pq) == 0 {
+		if cap(net.pq.slots) == 0 {
 			t.Fatal("a restarted node's start made the network cold again")
 		}
 	})
@@ -148,13 +148,13 @@ func TestQueueReleasedOnlyOnce(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if c := cap(tmpl.pq); c != 0 {
+		if c := cap(tmpl.pq.slots); c != 0 {
 			t.Fatalf("the checkpoint template keeps %d queue slots, want none", c)
 		}
 		e := g.Edges()[0]
 		fork.FailLink(e.A, e.B)
 		runQuiet(t, fork)
-		if cap(fork.pq) == 0 {
+		if cap(fork.pq.slots) == 0 {
 			t.Fatal("a fork's first drain released its queue")
 		}
 	})
@@ -170,8 +170,8 @@ func TestReleaseChangesNothing(t *testing.T) {
 		var events []TraceEvent
 		net.Observe(func(ev TraceEvent) { events = append(events, ev) })
 		runQuiet(t, net)
-		if kept := cap(net.pq) > 0; kept == release {
-			t.Fatalf("release=%v: the cold start keeps %d queue slots", release, cap(net.pq))
+		if kept := cap(net.pq.slots) > 0; kept == release {
+			t.Fatalf("release=%v: the cold start keeps %d queue slots", release, cap(net.pq.slots))
 		}
 		for _, e := range g.Edges()[:10] {
 			net.FailLink(e.A, e.B)

@@ -15,8 +15,9 @@
 //
 // The event loop is the hot path of every Figure 6–8 experiment, so the
 // internals avoid per-event allocations: nodes and links live in dense
-// index-based slices (via topology.Index), the event queue is a typed
-// 4-ary min-heap of by-value events (no container/heap boxing), and
+// index-based slices (via topology.Index), the event queue is a
+// monotone radix queue over an arena of by-value events (simulated time
+// never moves backwards, so a push is O(1) and no pop sifts), and
 // message deliveries, protocol starts, and link transitions are encoded
 // as tagged events rather than heap-allocated closures. Only explicit
 // protocol timers (Env.After) carry a closure.
@@ -24,6 +25,7 @@ package sim
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"sort"
 	"strings"
@@ -65,7 +67,7 @@ type Env interface {
 	// propagation delay, or silently dropped if the link is down.
 	Send(to routing.NodeID, msg Message)
 	// After schedules fn to run on this node after delay d (used for
-	// timers such as BGP's MRAI).
+	// timers such as BGP's MRAI). A negative d panics.
 	After(d time.Duration, fn func())
 	// Neighbors returns the node's adjacencies (with relationships) in
 	// the underlying topology, regardless of current link state.
@@ -197,12 +199,13 @@ const faultDrop uint8 = 1
 // scheduling time so the handler inherits causality.
 //
 // The fields are ordered so the struct packs into exactly one 64-byte
-// cache line; every pop and sift moves whole events, so each byte
-// counts. epoch is 32 bits: a link epoch would have to wrap (2³² failures
-// of one link while a message sent before the first is still in flight)
-// before a stale delivery could pass its check, and a node generation
-// (2³² crashes of one node while a timer of the first instance is
-// pending) before a stale timer could fire.
+// cache line; every push and pop copies a whole event and the queue
+// keeps one per slot of its peak, so each byte counts. epoch is 32
+// bits: a link epoch would have to wrap (2³² failures of one link while
+// a message sent before the first is still in flight) before a stale
+// delivery could pass its check, and a node generation (2³² crashes of
+// one node while a timer of the first instance is pending) before a
+// stale timer could fire.
 type event struct {
 	at    time.Duration
 	seq   uint64 // tie-break so equal-time events run in schedule order
@@ -217,71 +220,119 @@ type event struct {
 	fault uint8
 }
 
-// before orders events by (at, seq); seq is unique, so this is a total
-// order and the pop sequence is independent of heap internals.
-func (e *event) before(o *event) bool {
-	if e.at != o.at {
-		return e.at < o.at
-	}
-	return e.seq < o.seq
+// eventQueue is a monotone radix queue of by-value events, popped in
+// (at, seq) order. It relies on simulated time only moving forward:
+// every queued event is at or after last, the time of the latest pop
+// (the network's now), so an event's bucket is the position of the
+// highest bit in which its time differs from last, bits.Len64(at^last).
+// Bucket 0 holds the events due now; bucket b > 0 those that agree with
+// last above bit b-1 and differ there. A push is O(1). A pop that finds
+// bucket 0 empty takes the lowest non-empty bucket, makes its earliest
+// time (kept up to date by every append) the new last and moves its
+// events down (refill): each lands in a strictly lower bucket, so an
+// event moves at most 63 times however long it waits. Times are
+// non-negative, so bucket 64 is never used.
+//
+// Events live by value in one arena (slots); link threads each slot
+// into its bucket's list or, once popped, into the free chain, so the
+// queue keeps 68 bytes per slot of its peak, plus its fixed bucket
+// tables, and a steady push/pop allocates nothing. Every bucket list is
+// kept oldest first: a push carries the largest seq yet and appends,
+// and a refill walks its bucket in order into buckets that are all
+// empty. Bucket 0 is thus in seq order with no sort, and the pop order
+// is exactly (at, seq). The zero value is an empty queue.
+type eventQueue struct {
+	slots []event
+	link  []int32
+	// For each bucket whose bit is set in nonEmpty: its first and last
+	// slot and its earliest time.
+	head, tail [64]int32
+	earliest   [64]time.Duration
+	nonEmpty   uint64
+	// free is the most recently vacated slot, valid while fewer events
+	// are queued than slots exist.
+	free   int32
+	queued int
+	last   time.Duration
 }
-
-// eventQueue is a 4-ary min-heap of by-value events. The wider fan-out
-// halves the sift-down depth relative to a binary heap and keeps the
-// slice cache-resident; events are stored by value so pushes reuse the
-// slice's capacity instead of allocating per event. Both sifts carry
-// the moving event aside and shift parents (push) or children (pop)
-// into the hole it leaves, storing it once where it lands: one copy per
-// level instead of a swap's three.
-type eventQueue []event
 
 func (q *eventQueue) push(e event) {
-	h := append(*q, event{})
-	i := len(h) - 1
-	for i > 0 {
-		p := (i - 1) / 4
-		if !e.before(&h[p]) {
-			break
-		}
-		h[i] = h[p]
-		i = p
+	var s int32
+	if q.queued < len(q.slots) {
+		s = q.free
+		q.free = q.link[s]
+		q.slots[s] = e
+	} else {
+		s = int32(len(q.slots))
+		q.slots = append(q.slots, e)
+		q.link = append(q.link, 0)
 	}
-	h[i] = e
-	*q = h
+	q.queued++
+	q.appendTo(s, e.at)
 }
 
-func (q *eventQueue) pop() event {
-	h := *q
-	top := h[0]
-	n := len(h) - 1
-	last := h[n]
-	h[n] = event{} // drop the msg reference for the GC
-	h = h[:n]
-	*q = h
-	if n == 0 {
-		return top
+// appendTo links slot s, due at at, to the tail of its bucket.
+func (q *eventQueue) appendTo(s int32, at time.Duration) {
+	b := bits.Len64(uint64(at ^ q.last))
+	if q.nonEmpty&(1<<b) == 0 {
+		q.nonEmpty |= 1 << b
+		q.head[b] = s
+		q.earliest[b] = at
+	} else {
+		q.link[q.tail[b]] = s
+		q.earliest[b] = min(q.earliest[b], at)
 	}
-	i := 0
-	for {
-		first := 4*i + 1
-		if first >= n {
-			break
+	q.tail[b] = s
+}
+
+// pop removes and returns the earliest event; the queue must not be
+// empty.
+func (q *eventQueue) pop() event {
+	if q.nonEmpty&1 == 0 {
+		q.refill()
+	}
+	s := q.head[0]
+	if s == q.tail[0] {
+		q.nonEmpty &^= 1
+	} else {
+		q.head[0] = q.link[s]
+	}
+	ev := q.slots[s]
+	q.slots[s].msg = nil // drop the msg reference for the GC
+	q.link[s] = q.free
+	q.free = s
+	q.queued--
+	return ev
+}
+
+// refill empties the lowest non-empty bucket into the ones below it,
+// relative to its earliest time, which becomes last. The events due at
+// that time reach bucket 0.
+func (q *eventQueue) refill() {
+	b := bits.TrailingZeros64(q.nonEmpty)
+	q.nonEmpty &^= 1 << b
+	q.last = q.earliest[b]
+	for s, end := q.head[b], q.tail[b]; ; {
+		next := q.link[s]
+		q.appendTo(s, q.slots[s].at)
+		if s == end {
+			return
 		}
-		best := first
-		end := min(first+4, n)
-		for c := first + 1; c < end; c++ {
-			if h[c].before(&h[best]) {
-				best = c
+		s = next
+	}
+}
+
+// each calls fn on every queued event, in no particular order.
+func (q *eventQueue) each(fn func(*event)) {
+	for m := q.nonEmpty; m != 0; m &= m - 1 {
+		b := bits.TrailingZeros64(m)
+		for s := q.head[b]; ; s = q.link[s] {
+			fn(&q.slots[s])
+			if s == q.tail[b] {
+				break
 			}
 		}
-		if !h[best].before(&last) {
-			break
-		}
-		h[i] = h[best]
-		i = best
 	}
-	h[i] = last
-	return top
 }
 
 // linkKey canonically identifies an undirected link.
@@ -376,8 +427,9 @@ type Config struct {
 	DelaySeed int64
 	// MinDelay and MaxDelay bound the uniform per-link propagation
 	// delays; the paper's BRITE setup uses 0–5 ms. If both are zero the
-	// defaults 0 and 5 ms apply. Delays are fixed per link, which makes
-	// each link FIFO like DistComm's session transport.
+	// defaults 0 and 5 ms apply; a negative MinDelay is an error. Delays
+	// are fixed per link, which makes each link FIFO like DistComm's
+	// session transport.
 	MinDelay, MaxDelay time.Duration
 }
 
@@ -393,7 +445,8 @@ type FaultDecision struct {
 	// Jitter adds extra delivery delay to the message, breaking the
 	// link's FIFO ordering (delayed messages can be overtaken).
 	Jitter time.Duration
-	// DupJitter adds extra delivery delay to the duplicate copy.
+	// DupJitter adds extra delivery delay to the duplicate copy; the
+	// duplicate's whole delay, link delay included, must not be negative.
 	DupJitter time.Duration
 }
 
@@ -551,7 +604,7 @@ type Network struct {
 	envs   []nodeEnv  // dense; envs[i] is handed to nodes[i]
 	links  []linkState
 	linkAt map[linkKey]int32 // cold-path lookup (fail/restore/delay)
-	pq     eventQueue
+	pq     eventQueue        // every queued event is at or after now
 	now    time.Duration
 	seq    uint64
 	stats  Stats
@@ -687,6 +740,9 @@ func newShell(cfg Config, idx *topology.Index) (*Network, error) {
 	if minD == 0 && maxD == 0 {
 		maxD = 5 * time.Millisecond
 	}
+	if minD < 0 {
+		return nil, fmt.Errorf("sim: negative MinDelay %v", minD)
+	}
 	if maxD < minD {
 		return nil, fmt.Errorf("sim: MaxDelay %v < MinDelay %v", maxD, minD)
 	}
@@ -702,7 +758,7 @@ func newShell(cfg Config, idx *topology.Index) (*Network, error) {
 		envs:   make([]nodeEnv, numNodes),
 		links:  make([]linkState, 0, len(edges)),
 		linkAt: make(map[linkKey]int32, len(edges)),
-		pq:     make(eventQueue, 0, numNodes),
+		pq:     eventQueue{slots: make([]event, 0, numNodes), link: make([]int32, 0, numNodes)},
 
 		routeChangedAt:  make([]time.Duration, numNodes),
 		routeChangedSet: make([]bool, numNodes),
@@ -878,11 +934,15 @@ func (e *nodeEnv) Send(to routing.NodeID, msg Message) {
 		fault: fault,
 	})
 	if dec.Duplicate {
+		dupDelay := ls.delay + dec.DupJitter
+		if dupDelay < 0 {
+			net.schedulingPast(fmt.Sprintf("the injector (a duplicate from node %v)", e.self), dupDelay)
+		}
 		net.stats.FaultDups++
 		net.emit(TraceFaultDup, e.self, to, msg, sendSpan, sendDepth)
 		net.seq++
 		net.pq.push(event{
-			at:    net.now + ls.delay + dec.DupJitter,
+			at:    net.now + dupDelay,
 			seq:   net.seq,
 			epoch: ls.epoch,
 			cause: sendSpan,
@@ -898,6 +958,9 @@ func (e *nodeEnv) Send(to routing.NodeID, msg Message) {
 
 func (e *nodeEnv) After(d time.Duration, fn func()) {
 	net := e.net
+	if d < 0 {
+		net.schedulingPast(fmt.Sprintf("node %v", e.self), d)
+	}
 	net.seq++
 	// The timer captures the active cause: an MRAI or retransmit timer
 	// armed while handling a delivery keeps that delivery's causality,
@@ -959,6 +1022,9 @@ func RouteChangedVia(env Env, dest, oldNext, newNext routing.NodeID) {
 // captures the active cause, which is what parents a fault plan's
 // nested restores to the fail that scheduled them.
 func (n *Network) schedule(after time.Duration, fn func()) {
+	if after < 0 {
+		n.schedulingPast("external", after)
+	}
 	n.seq++
 	n.pq.push(event{at: n.now + after, seq: n.seq, msg: timerFn(fn), kind: evFunc,
 		cause: n.curCause, depth: n.curDepth})
@@ -967,10 +1033,21 @@ func (n *Network) schedule(after time.Duration, fn func()) {
 // push enqueues a tagged event at the current time plus ev.at, assigning
 // the next sequence number. Callers pass ev.at as a relative delay.
 func (n *Network) push(ev event) {
+	if ev.at < 0 {
+		n.schedulingPast(fmt.Sprintf("node %v", n.idx.ID(int(ev.to))), ev.at)
+	}
 	n.seq++
 	ev.at += n.now
 	ev.seq = n.seq
 	n.pq.push(ev)
+}
+
+// schedulingPast panics on an event due d < 0 after now. Simulated time
+// only moves forward, and the event queue's buckets rely on it: such an
+// event would have run before the one being handled. who names the
+// scheduler: a node, or "external" for Network.Schedule.
+func (n *Network) schedulingPast(who string, d time.Duration) {
+	panic(fmt.Sprintf("sim: %s scheduled an event with delay %v at t=%v: simulated time cannot move backwards", who, d, n.now))
 }
 
 // account accumulates one sent message under its kind. Kinds are
@@ -997,6 +1074,7 @@ func (n *Network) Topology() *topology.Graph { return n.topo }
 // Schedule enqueues fn to run after d of simulated time, measured from
 // the current instant. External drivers (fault plans, tests) use it;
 // protocol nodes use Env.After, whose timers a node crash invalidates.
+// A negative d panics.
 func (n *Network) Schedule(d time.Duration, fn func()) { n.schedule(d, fn) }
 
 // SetInjector installs (or, with nil, removes) a delivery-path fault
@@ -1195,7 +1273,7 @@ func (n *Network) RestoreLink(a, b routing.NodeID) bool {
 // whether the network quiesced (queue drained). A protocol that
 // oscillates forever will hit the event limit instead of hanging.
 func (n *Network) Run(maxEvents int64) (processed int64, quiesced bool) {
-	for len(n.pq) > 0 {
+	for n.pq.queued > 0 {
 		if maxEvents > 0 && processed >= maxEvents {
 			return processed, false
 		}
@@ -1250,7 +1328,7 @@ func (n *Network) Run(maxEvents int64) (processed int64, quiesced bool) {
 	// instead would make each later phase regrow its queue from nothing,
 	// turning the live-heap saving into allocation and copying.
 	if n.cold {
-		n.pq, n.cold = nil, false
+		n.pq, n.cold = eventQueue{}, false
 	}
 	return processed, true
 }
@@ -1397,7 +1475,7 @@ func renderLinkSessions(b *strings.Builder, links []LinkSession) {
 
 // convergenceError scans the event queue into a *ConvergenceError.
 func (n *Network) convergenceError(maxEvents int64) error {
-	e := &ConvergenceError{MaxEvents: maxEvents, SimTime: n.now, QueueLen: len(n.pq)}
+	e := &ConvergenceError{MaxEvents: maxEvents, SimTime: n.now, QueueLen: n.pq.queued}
 	byNode := make(map[int32]*PendingWork)
 	at := func(pos int32) *PendingWork {
 		p := byNode[pos]
@@ -1407,8 +1485,7 @@ func (n *Network) convergenceError(maxEvents int64) error {
 		}
 		return p
 	}
-	for i := range n.pq {
-		ev := &n.pq[i]
+	n.pq.each(func(ev *event) {
 		switch ev.kind {
 		case evDeliver:
 			p := at(ev.to)
@@ -1419,7 +1496,7 @@ func (n *Network) convergenceError(maxEvents int64) error {
 		default: // node timers and control events
 			at(ev.to).Timers++
 		}
-	}
+	})
 	for pos, p := range byNode {
 		// Attach the node's liveness view: detector sessions when a layer
 		// of its protocol reports them, raw carrier state otherwise.

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"errors"
 	"strings"
 	"testing"
 	"time"
@@ -123,3 +124,153 @@ func TestWatchdogReportsLinkSessions(t *testing.T) {
 		}
 	}
 }
+
+// pingTimers ping-pongs like forever and also arms node timers a second
+// and more ahead, which never fire within the watchdog's budget.
+type pingTimers struct{ forever }
+
+const pingTimersPerNode = 4
+
+func (p *pingTimers) Start(env Env) {
+	p.forever.Start(env)
+	for k := 0; k < pingTimersPerNode; k++ {
+		env.After(time.Second<<k, func() {})
+	}
+}
+
+// TestWatchdogCountsEveryQueuedEvent trips the watchdog with work in
+// every part of the queue: deliveries due now and within a millisecond
+// (bucket 0 and the low buckets), node timers 1–8 s ahead and detached
+// Schedule closures up to 2^40 ns ahead (the top buckets). The per-node
+// breakdown plus the detached count must account for QueueLen, and
+// QueueLen for exactly what the test queued.
+func TestWatchdogCountsEveryQueuedEvent(t *testing.T) {
+	g, err := topogen.Chain(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	net, err := NewNetwork(Config{
+		Topology: g,
+		Build:    func(Env) Protocol { return &pingTimers{} },
+		MinDelay: time.Millisecond,
+		MaxDelay: time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	detached := 0
+	for k := 30; k <= 40; k++ {
+		net.Schedule(time.Duration(1)<<k, func() {})
+		detached++
+	}
+	// Every delivery sends one ping back, so the pings Start sent (one
+	// per link end) stay in flight; nothing else fires within 300
+	// events, about 50 ms.
+	pings := 2 * len(g.Edges())
+	timers := pingTimersPerNode * len(g.Nodes())
+	_, _, err = net.RunToConvergence(300)
+	var ce *ConvergenceError
+	if !errors.As(err, &ce) {
+		t.Fatalf("error is %v, want a *ConvergenceError", err)
+	}
+	if ce.SimTime >= time.Second {
+		t.Fatalf("the watchdog fired at %v, after the first timer was due", ce.SimTime)
+	}
+	deliveries, nodeTimers := 0, 0
+	for _, p := range ce.Pending {
+		deliveries += p.Deliveries
+		nodeTimers += p.Timers
+	}
+	if sum := deliveries + nodeTimers + ce.DetachedTimers; sum != ce.QueueLen {
+		t.Fatalf("the breakdown counts %d events (%d deliveries, %d timers, %d detached), QueueLen is %d",
+			sum, deliveries, nodeTimers, ce.DetachedTimers, ce.QueueLen)
+	}
+	if deliveries != pings || nodeTimers != timers || ce.DetachedTimers != detached {
+		t.Fatalf("counted %d deliveries, %d timers, %d detached; queued %d, %d, %d",
+			deliveries, nodeTimers, ce.DetachedTimers, pings, timers, detached)
+	}
+}
+
+// TestNegativeDelayPanics checks that both ways of scheduling refuse a
+// time before now, naming who asked, the delay and the current time, and
+// that neither an injector's duplicate nor a link delay can get there.
+func TestNegativeDelayPanics(t *testing.T) {
+	newNet := func(build Builder) *Network {
+		g, err := topogen.Chain(2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		net, err := NewNetwork(Config{Topology: g, Build: build})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return net
+	}
+	mustPanic := func(t *testing.T, f func(), want ...string) {
+		t.Helper()
+		defer func() {
+			t.Helper()
+			r := recover()
+			msg, _ := r.(string)
+			if r == nil {
+				t.Fatal("no panic")
+			}
+			for _, w := range want {
+				if !strings.Contains(msg, w) {
+					t.Fatalf("panic %q lacks %q", msg, w)
+				}
+			}
+		}()
+		f()
+	}
+	t.Run("Env.After", func(t *testing.T) {
+		net := newNet(func(env Env) Protocol {
+			if env.Self() != 2 {
+				return &forever{}
+			}
+			return &timerAt{at: 5 * time.Millisecond, fn: func() { env.After(-3*time.Millisecond, func() {}) }}
+		})
+		mustPanic(t, func() { net.Run(0) }, "node N2", "delay -3ms", "t=5ms")
+	})
+	t.Run("Network.Schedule", func(t *testing.T) {
+		net := newNet(func(Env) Protocol { return &timerAt{} })
+		net.Schedule(7*time.Millisecond, func() {})
+		net.Run(0)
+		mustPanic(t, func() { net.Schedule(-time.Nanosecond, func() {}) }, "external", "delay -1ns", "t=7ms")
+		if _, ok := net.Run(0); !ok || net.Now() != 7*time.Millisecond {
+			t.Fatalf("the refused closure was queued: now %v", net.Now())
+		}
+	})
+	t.Run("duplicate", func(t *testing.T) {
+		net := newNet(func(Env) Protocol { return &forever{} })
+		net.SetInjector(funcInjector{f: func(routing.NodeID, routing.NodeID, Message) FaultDecision {
+			return FaultDecision{Duplicate: true, DupJitter: -time.Hour}
+		}})
+		mustPanic(t, func() { net.Run(0) }, "the injector (a duplicate from node N1)", "t=0s")
+	})
+	t.Run("MinDelay", func(t *testing.T) {
+		g, err := topogen.Chain(2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = NewNetwork(Config{Topology: g, Build: func(Env) Protocol { return &forever{} }, MinDelay: -time.Millisecond})
+		if err == nil || !strings.Contains(err.Error(), "negative MinDelay") {
+			t.Fatalf("NewNetwork with MinDelay -1ms = %v, want a negative-MinDelay error", err)
+		}
+	})
+}
+
+// timerAt arms one timer at Start and otherwise does nothing.
+type timerAt struct {
+	at time.Duration
+	fn func()
+}
+
+func (p *timerAt) Start(env Env) {
+	if p.fn != nil {
+		env.After(p.at, p.fn)
+	}
+}
+func (p *timerAt) Handle(routing.NodeID, Message) {}
+func (p *timerAt) LinkDown(routing.NodeID)        {}
+func (p *timerAt) LinkUp(routing.NodeID)          {}
