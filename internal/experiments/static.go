@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 
 	"centaur/internal/metrics"
@@ -384,17 +385,26 @@ func newNodeStatic(sol *solver.Solution, u routing.NodeID) *nodeStatic {
 			}
 		}
 	}
+	dests := make([]routing.NodeID, 0, len(paths))
+	for d := range paths {
+		dests = append(dests, d)
+	}
+	slices.Sort(dests)
+	exported := make([]routing.Path, 0, len(dests))
 	for _, nb := range nbs {
 		if st.views[nb.Rel] != nil {
 			continue
 		}
-		view := pgraph.NewView(sol.Index(), u)
-		for d, p := range paths {
+		exported = exported[:0]
+		for _, d := range dests {
 			if pol.Export(u, st.classes[d], nb.Rel) {
-				view.Set(d, p)
+				exported = append(exported, paths[d])
 			}
 		}
-		view.Flush()
+		view, err := pgraph.ViewOf(sol.Index(), u, exported)
+		if err != nil {
+			panic(fmt.Sprintf("experiments: export view of %v: %v", u, err)) // the solver's paths are valid
+		}
 		st.views[nb.Rel] = view
 	}
 	return st

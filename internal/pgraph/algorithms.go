@@ -300,14 +300,9 @@ func (g *Graph) addPath(p routing.Path, hops []int32) ([]int32, error) {
 	hops = append(hops, cur)
 	for i := 1; i < len(p); i++ {
 		var at int
-		if j, ok := g.nodes.at(cur).child(p[i]); ok {
-			cur = g.nodes.at(cur).out[j].slot
-			at, _ = g.nodes.at(cur).inEdge(p[i-1])
-		} else {
-			l := routing.Link{From: p[i-1], To: p[i]}
-			if cur, at, _, ok = g.insertLink(l); !ok {
-				return hops, fmt.Errorf("pgraph: path %v: %v is not in the index", p, p[i])
-			}
+		var ok bool
+		if cur, at, _, ok = g.insertLink(routing.Link{From: p[i-1], To: p[i]}); !ok {
+			return hops, fmt.Errorf("pgraph: path %v: %v is not in the index", p, p[i])
 		}
 		g.nodes.at(cur).in[at].counter++
 		hops = append(hops, cur)

@@ -102,6 +102,28 @@ func BenchmarkViewSetFlush(b *testing.B) {
 	}
 }
 
+// BenchmarkViewFlushLargeRound measures the round shape of a view built
+// by Set alone: every destination announced into an empty view and
+// flushed as one round, then every one withdrawn and flushed.
+func BenchmarkViewFlushLargeRound(b *testing.B) {
+	ix, hub, paths, dests := benchInput(b)
+	v := pgraph.NewView(ix, hub)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, d := range dests {
+			v.Set(d, paths[d])
+		}
+		up := v.Flush()
+		for _, d := range dests {
+			v.Set(d, nil)
+		}
+		if down := v.Flush(); len(up.Adds) == 0 || len(down.Removes) != len(up.Adds) {
+			b.Fatalf("announced %d links, withdrew %d", len(up.Adds), len(down.Removes))
+		}
+	}
+}
+
 // BenchmarkGraphApply measures the receiver side: a neighbor's full
 // announcement applied to an empty graph and withdrawn again.
 func BenchmarkGraphApply(b *testing.B) {

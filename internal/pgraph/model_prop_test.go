@@ -151,3 +151,97 @@ func TestBuildMatchesViewModel(t *testing.T) {
 		checkSameGraph(t, rng, int(seed), g, refV.Graph())
 	}
 }
+
+// TestViewOfMatchesModel checks the bulk-built view against the model's
+// incremental one on the same path set, then drives both through the
+// same random Set/Flush rounds: a view ViewOf built must carry on
+// exactly as one built by Set.
+func TestViewOfMatchesModel(t *testing.T) {
+	multiHomed := 0
+	for seed := int64(1); seed <= 50; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		byDest := map[routing.NodeID]routing.Path{}
+		for k := 0; k < 12; k++ {
+			p := randPath(rng, 5)
+			byDest[p.Dest()] = p
+		}
+		var list []routing.Path
+		refV := newRefView(propIDs[0])
+		for _, dest := range propIDs[1:] {
+			if p := byDest[dest]; p != nil {
+				list = append(list, p)
+				refV.Set(dest, p)
+			}
+		}
+		// ViewOf takes the paths in another order than the model's Sets.
+		rng.Shuffle(len(list), func(i, j int) { list[i], list[j] = list[j], list[i] })
+		refV.Flush()
+		view, err := ViewOf(testIx, propIDs[0], list)
+		if err != nil {
+			t.Fatalf("seed %d: ViewOf: %v", seed, err)
+		}
+		for _, n := range propIDs {
+			if view.Graph().MultiHomed(n) {
+				multiHomed++
+			}
+		}
+		checkSameGraph(t, rng, 0, view.Graph(), refV.Graph())
+		for step := 0; step < 100; step++ {
+			for _, dest := range propIDs {
+				if !view.Path(dest).Equal(refV.paths[dest]) {
+					t.Fatalf("seed %d step %d: Path(%v) = %v, want %v", seed, step, dest, view.Path(dest), refV.paths[dest])
+				}
+			}
+			for k := rng.Intn(4); k >= 0; k-- {
+				var p routing.Path
+				dest := propIDs[1+rng.Intn(len(propIDs)-1)]
+				if rng.Intn(4) > 0 {
+					p = randPath(rng, 5)
+					dest = p.Dest()
+				}
+				view.Set(dest, p)
+				refV.Set(dest, p)
+			}
+			checkSameRound(t, step, view, refV)
+			if d, want := view.Flush(), refV.Flush(); !equalDelta(d, want) {
+				t.Fatalf("seed %d step %d: Flush\n got %+v\nwant %+v", seed, step, d, want)
+			}
+			checkSameGraph(t, rng, step, view.Graph(), refV.Graph())
+		}
+	}
+	if multiHomed == 0 {
+		t.Fatal("no path set made a node multi-homed")
+	}
+
+	// What BuildInto rejects, ViewOf returns as an error.
+	for name, paths := range map[string][]routing.Path{
+		"two paths for one destination": {{1, 2, 3}, {1, 4, 3}},
+		"a node outside the index":      {{1, 2, 5000}},
+		"a root outside the index":      {{5000, 2}},
+	} {
+		root := paths[0][0]
+		if v, err := ViewOf(testIx, root, paths); err == nil || v != nil {
+			t.Errorf("%s: ViewOf = %v, %v; want an error", name, v, err)
+		}
+	}
+}
+
+// checkSameRound compares the links the view's pending round has
+// snapshotted with the model's. Both re-establish a node's layout from
+// their cached state only when it is stale, so a view whose cached
+// layouts disagree with its graph snapshots links the model does not.
+func checkSameRound(t *testing.T, step int, v *View, ref *refView) {
+	t.Helper()
+	got := map[routing.Link]bool{}
+	for _, s := range v.round {
+		got[s.link] = true
+	}
+	for l := range ref.round {
+		if !got[l] {
+			t.Fatalf("step %d: the round misses %v", step, l)
+		}
+	}
+	if len(got) != len(ref.round) {
+		t.Fatalf("step %d: the round touched %d links, the model %d", step, len(got), len(ref.round))
+	}
+}

@@ -26,11 +26,15 @@ type View struct {
 	g *Graph
 	// side is the view's record per slot of g.
 	side SlotTable[viewSlot]
-	// round snapshots the announced LinkInfo of every link touched since
-	// the last Flush, in first-touch order. An in-edge record stamped with
-	// the current epoch is already in it; a link removed and re-added
-	// within one round appears twice, and Flush keeps its first snapshot.
+	// round snapshots the announced state of every link touched since the
+	// last Flush, in first-touch order. An in-edge record stamped with the
+	// current epoch is already in it; a link removed and re-added within
+	// one round appears twice, and Flush keeps its first snapshot. pairs
+	// holds the snapshots' Permission List pairs, each snapshot's run in
+	// place; Flush empties both, so a round costs two appends per touch
+	// and no allocation once the buffers have grown.
 	round []snapshot
+	pairs []PermEntry
 	epoch uint32
 	// slotBuf and hopBuf are Set's scratch: the structurally touched
 	// slots (paths are short, so membership checks stay linear) and the
@@ -59,15 +63,20 @@ type nodeState struct {
 	primary routing.NodeID
 }
 
-// snapshot is a link's announced state at first touch in a round; an
-// absent link snapshots with present=false and only info.Link set. to is
-// the slot its head had then, a hint that saves Flush the lookup; Flush
-// records there what it decided to announce for the link.
+// snapshot is a link's announced state at first touch in a round: its
+// destination mark and the run pairs[off:off+n] of the View's pairs
+// buffer holding its Permission List pairs. An absent link snapshots
+// with present=false and nothing else. to is the slot its head had then,
+// a hint that saves Flush the lookup; Flush records in verdict what it
+// decided to announce for the link. The record is 24 bytes and holds no
+// pointer, so Flush's sort moves small values without write barriers.
 type snapshot struct {
-	present bool
-	verdict uint8 // 0 (no change), announce or withdraw
+	link    routing.Link
 	to      int32
-	info    LinkInfo
+	off, n  int32
+	present bool
+	dest    bool
+	verdict uint8 // 0 (no change), announce or withdraw
 }
 
 const (
@@ -88,6 +97,31 @@ func NewView(ix *topology.Index, root routing.NodeID) *View {
 	return v
 }
 
+// ViewOf returns the view NewView(ix, root) holds after one Set per path
+// and a Flush, built in bulk: BuildInto lays out the graph, and the view
+// records each destination's path and each multi-homed node's primary.
+// paths carries one path per destination, each from root and inside ix;
+// a path set BuildInto rejects is an error. Nodes take their slots in
+// list order, as with BuildInto.
+func ViewOf(ix *topology.Index, root routing.NodeID, paths []routing.Path) (*View, error) {
+	g, err := BuildInto(nil, ix, root, paths)
+	if err != nil {
+		return nil, err
+	}
+	v := &View{g: g, epoch: 1}
+	v.side.Grow(g)
+	for _, p := range paths {
+		s, _ := g.slot(p.Dest())
+		v.at(s).path = p
+	}
+	for s := int32(0); s < g.nodes.n; s++ {
+		if in := g.nodes.at(s).in; len(in) > 1 {
+			v.at(s).state = nodeState{multi: true, primary: in[primaryEdge(in)].from}
+		}
+	}
+	return v, nil
+}
+
 // at returns slot s's record.
 func (v *View) at(s int32) *viewSlot { return v.side.At(int(s)) }
 
@@ -96,16 +130,17 @@ func (v *View) Graph() *Graph { return v.g }
 
 // Clone returns an independent deep copy of the view: Set/Flush on
 // either copy never affects the other. The path slices are shared (they
-// are immutable by the View contract), as are the Perm slices inside
-// pending round snapshots (linkInfoOf materializes them fresh and
-// nothing writes into them). The receiver is only read, so concurrent
-// Clones of one view are safe — the checkpoint layer
-// (sim.Checkpoint.Fork) relies on that.
+// are immutable by the View contract); a pending round's snapshots and
+// their pairs are copied, so a Clone taken mid-round flushes the same Δ
+// as the original. The receiver is only read, so concurrent Clones of
+// one view are safe — the checkpoint layer (sim.Checkpoint.Fork) relies
+// on that.
 func (v *View) Clone() *View {
 	return &View{
 		g:     v.g.Clone(),
 		side:  v.side.Clone(),
 		round: slices.Clone(v.round),
+		pairs: slices.Clone(v.pairs),
 		epoch: v.epoch,
 	}
 }
@@ -122,7 +157,8 @@ func (v *View) ApproxMemBytes() int {
 }
 
 // touch snapshots the announced state of the in-edge at position i of
-// slot s the first time it is touched in the current round. It must run
+// slot s the first time it is touched in the current round, appending
+// its Permission List pairs to the round's pairs buffer. It must run
 // BEFORE any mutation of the link.
 func (v *View) touch(s int32, i int) {
 	nd := v.g.nodes.at(s)
@@ -131,8 +167,12 @@ func (v *View) touch(s int32, i int) {
 		return
 	}
 	e.touched = v.epoch
-	l := routing.Link{From: e.from, To: nd.id}
-	v.round = append(v.round, snapshot{present: true, to: s, info: linkInfoOf(l, nd, e)})
+	snap := snapshot{link: routing.Link{From: e.from, To: nd.id}, to: s, off: int32(len(v.pairs)), present: true, dest: nd.dest}
+	if e.perm != nil {
+		v.pairs = append(v.pairs, e.perm.pairs...)
+		snap.n = int32(len(e.perm.pairs))
+	}
+	v.round = append(v.round, snap)
 }
 
 // Set replaces destination dest's announced path; nil (or empty)
@@ -152,16 +192,15 @@ func (v *View) Set(dest routing.NodeID, p routing.Path) {
 	}
 	touched := v.slotBuf[:0]
 
-	// Remove the old path's contributions. Its links all exist, so the
-	// node slots resolve by walking child lists down from the root; they
-	// are resolved up front because removals release slots.
+	// Remove the old path's contributions. Its nodes are all in the
+	// graph, so their slots come from the position table; they are
+	// resolved up front because removals release slots.
 	if old != nil {
 		v.at(ds).path = nil
 		hops := append(v.hopBuf[:0], rootSlot)
-		for i := 1; i < len(old); i++ {
-			nd := g.nodes.at(hops[i-1])
-			j, _ := nd.child(old[i])
-			hops = append(hops, nd.out[j].slot)
+		for _, n := range old[1:] {
+			s, _ := g.slot(n)
+			hops = append(hops, s)
 		}
 		v.hopBuf = hops
 		for i := 1; i < len(old); i++ {
@@ -189,19 +228,17 @@ func (v *View) Set(dest routing.NodeID, p routing.Path) {
 		hops := append(v.hopBuf[:0], rootSlot)
 		cur := int32(rootSlot)
 		for i := 1; i < len(p); i++ {
+			l := routing.Link{From: p[i-1], To: p[i]}
 			var at int
-			if j, ok := g.nodes.at(cur).child(p[i]); ok {
-				cur = g.nodes.at(cur).out[j].slot
-				at, _ = g.nodes.at(cur).inEdge(p[i-1])
-				v.touch(cur, at)
-			} else {
-				l := routing.Link{From: p[i-1], To: p[i]}
-				var ok bool
-				if cur, at, _, ok = g.insertLink(l); !ok {
-					panic(fmt.Sprintf("pgraph: view path %v leaves the index at %v", p, p[i]))
-				}
+			var added, ok bool
+			if cur, at, added, ok = g.insertLink(l); !ok {
+				panic(fmt.Sprintf("pgraph: view path %v leaves the index at %v", p, p[i]))
+			}
+			if added {
 				g.nodes.at(cur).in[at].touched = v.epoch
-				v.round = append(v.round, snapshot{to: cur, info: LinkInfo{Link: l}})
+				v.round = append(v.round, snapshot{link: l, to: cur})
+			} else {
+				v.touch(cur, at)
 			}
 			g.nodes.at(cur).in[at].counter++
 			touched = addSlot(touched, cur)
@@ -343,14 +380,14 @@ func (v *View) installPairs(s int32, i int) {
 // attribute re-announcements) and withdrawals, sorted deterministically.
 func (v *View) Flush() Delta {
 	g := v.g
-	slices.SortStableFunc(v.round, func(a, b snapshot) int { return linkCompare(a.info.Link, b.info.Link) })
+	slices.SortStableFunc(v.round, func(a, b snapshot) int { return linkCompare(a.link, b.link) })
 	// Pass one settles each touched link's verdict and counts, so pass two
 	// fills exactly sized slices and materializes only what is sent.
 	var adds, removes int
 	for i := range v.round {
 		before := &v.round[i]
-		l := before.info.Link
-		if i > 0 && v.round[i-1].info.Link == l {
+		l := before.link
+		if i > 0 && v.round[i-1].link == l {
 			continue // re-touched after a removal; the first snapshot is the baseline
 		}
 		at, now := 0, false
@@ -361,7 +398,7 @@ func (v *View) Flush() Delta {
 		}
 		head := g.nodes.at(before.to)
 		switch {
-		case now && !(before.present && sameAnnouncement(before.info, head, &head.in[at])):
+		case now && !(before.present && v.sameAnnouncement(before, head, &head.in[at])):
 			before.verdict = announce
 			adds++
 		case before.present && !now:
@@ -377,18 +414,16 @@ func (v *View) Flush() Delta {
 		d.Removes = make([]routing.Link, 0, removes)
 	}
 	for _, s := range v.round {
-		l := s.info.Link
 		switch s.verdict {
 		case announce:
 			head := g.nodes.at(s.to)
-			at, _ := head.inEdge(l.From)
-			d.Adds = append(d.Adds, linkInfoOf(l, head, &head.in[at]))
+			at, _ := head.inEdge(s.link.From)
+			d.Adds = append(d.Adds, linkInfoOf(s.link, head, &head.in[at]))
 		case withdraw:
-			d.Removes = append(d.Removes, l)
+			d.Removes = append(d.Removes, s.link)
 		}
 	}
-	clear(v.round)
-	v.round = v.round[:0]
+	v.round, v.pairs = v.round[:0], v.pairs[:0]
 	if v.epoch++; v.epoch == 0 { // stamp wrap-around: forget every old touch
 		for s := int32(0); s < g.nodes.n; s++ {
 			for i := range g.nodes.at(s).in {
@@ -401,14 +436,15 @@ func (v *View) Flush() Delta {
 }
 
 // sameAnnouncement reports whether the link's current record still
-// announces what the snapshot recorded. View lists carry no compressed
-// form, so the pairs and the destination mark are all there is.
-func sameAnnouncement(before LinkInfo, head *node, e *edge) bool {
+// announces what snapshot before recorded. View lists carry no
+// compressed form, so the pairs and the destination mark are all there
+// is.
+func (v *View) sameAnnouncement(before *snapshot, head *node, e *edge) bool {
 	var pairs []PermEntry
 	if e.perm != nil {
 		pairs = e.perm.pairs
 	}
-	return before.ToIsDest == head.dest && slices.Equal(before.Perm, pairs)
+	return before.dest == head.dest && slices.Equal(v.pairs[before.off:before.off+before.n], pairs)
 }
 
 // addSlot appends s to set if absent, preserving first-touch order.

@@ -2,8 +2,10 @@ package pgraph
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"centaur/internal/routing"
 )
@@ -228,5 +230,111 @@ func TestViewCloneIndependence(t *testing.T) {
 	}
 	if got := v.Path(3); len(got) != 3 {
 		t.Fatalf("original path to 3 = %v, want the rerouted path", got)
+	}
+
+	// A clone taken mid-round carries the pending snapshots and their
+	// pairs: it flushes the same Δ as the original, also after the
+	// original has gone on to buffer other pairs in a round of its own.
+	w := NewView(testIx, root)
+	w.Set(4, routing.Path{1, 2, 4})
+	w.Set(5, routing.Path{1, 3, 4, 5}) // 3->4 lists <5,5>
+	w.Set(14, routing.Path{1, 12, 14})
+	w.Set(15, routing.Path{1, 13, 14, 15}) // 13->14 lists <15,15>
+	w.Flush()
+	w.Set(5, nil)
+	w.Set(5, routing.Path{1, 3, 4, 5}) // 3->4 leaves and comes back with the same list
+	w.Set(7, routing.Path{1, 2, 7})
+	if len(w.pairs) == 0 {
+		t.Fatal("the round buffered no pairs; the clone would copy nothing")
+	}
+	mid := w.Clone()
+	want := w.Flush()
+	if len(want.Adds) != 1 || len(want.Removes) != 0 {
+		t.Fatalf("the mid-round edits flushed %+v, want the one new link 2->7", want)
+	}
+	w.Set(15, nil) // buffers 13->14's list where 3->4's was
+	if got := mid.Flush(); !equalDelta(got, want) {
+		t.Fatalf("mid-round clone flushed\n%+v\nthe original\n%+v", got, want)
+	}
+}
+
+// TestFlushReTouchedLink covers a link with a Permission List that loses
+// its last path and regains one within a round: Flush must compare what
+// the link announces now with its first snapshot's pairs, read back from
+// the round's pairs buffer, also when earlier snapshots of the round
+// already filled part of that buffer.
+func TestFlushReTouchedLink(t *testing.T) {
+	perm := link(3, 4) // 2->4 is node 4's primary (the tie goes to the lower parent)
+	for _, tc := range []struct {
+		name    string
+		regain  routing.Path // the path that brings perm back
+		want    []PermEntry  // perm's pairs in the Δ; nil when perm must not be sent
+		prefill bool         // earlier snapshots put perm's pairs at a non-zero offset
+	}{
+		{"different pairs", routing.Path{1, 3, 4, 6}, []PermEntry{{Dest: 6, Next: 6}}, false},
+		{"identical pairs", routing.Path{1, 3, 4, 5}, nil, false},
+		{"different pairs at an offset", routing.Path{1, 3, 4, 6}, []PermEntry{{Dest: 6, Next: 6}}, true},
+		{"identical pairs at an offset", routing.Path{1, 3, 4, 5}, nil, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			v, ref := NewView(testIx, 1), newRefView(1)
+			set := func(dest routing.NodeID, p routing.Path) {
+				v.Set(dest, p)
+				ref.Set(dest, p)
+			}
+			set(4, routing.Path{1, 2, 4})
+			set(5, routing.Path{1, 3, 4, 5})
+			set(14, routing.Path{1, 12, 14})
+			set(15, routing.Path{1, 13, 14, 15})
+			v.Flush()
+			ref.Flush()
+			if pl := v.Graph().Permission(perm); pl == nil || pl.NumPairs() != 1 {
+				t.Fatalf("%v must carry one pair before the round, has %v", perm, pl)
+			}
+			if tc.prefill {
+				// Flips node 14's primary: snapshots 13->14 with its pair.
+				set(17, routing.Path{1, 13, 14, 17})
+			}
+			set(5, nil) // perm loses its last path and leaves the graph
+			if v.Graph().HasLink(perm) {
+				t.Fatalf("%v must be gone with its last path", perm)
+			}
+			set(tc.regain.Dest(), tc.regain)
+			for _, s := range v.round {
+				if s.link == perm && s.present && (s.off > 0) != tc.prefill {
+					t.Fatalf("snapshot of %v at offset %d, not the case under test", perm, s.off)
+				}
+			}
+			d, want := v.Flush(), ref.Flush()
+			if !equalDelta(d, want) {
+				t.Fatalf("Flush\n got %+v\nwant %+v", d, want)
+			}
+			if tc.want == nil && !tc.prefill && !d.Empty() {
+				t.Fatalf("a round that put everything back flushed %+v", d)
+			}
+			var sent *LinkInfo
+			for i := range d.Adds {
+				if d.Adds[i].Link == perm {
+					sent = &d.Adds[i]
+				}
+			}
+			switch {
+			case tc.want == nil && sent != nil:
+				t.Fatalf("%v re-announced with unchanged pairs: %v", perm, *sent)
+			case tc.want != nil && (sent == nil || !slices.Equal(sent.Perm, tc.want)):
+				t.Fatalf("%v announced as %v, want pairs %v", perm, sent, tc.want)
+			}
+			if len(v.round) != 0 || len(v.pairs) != 0 {
+				t.Fatalf("Flush left %d snapshots and %d pairs behind", len(v.round), len(v.pairs))
+			}
+		})
+	}
+}
+
+// TestSnapshotIsSmall pins the round snapshot's layout: 24 bytes with
+// no pointer, so Flush's sort moves small values without write barriers.
+func TestSnapshotIsSmall(t *testing.T) {
+	if n := unsafe.Sizeof(snapshot{}); n != 24 {
+		t.Fatalf("snapshot is %d bytes, want 24", n)
 	}
 }
