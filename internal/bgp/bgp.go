@@ -326,13 +326,13 @@ func (n *Node) Handle(from routing.NodeID, msg sim.Message) {
 		// whatever the neighbor previously announced for the destination.
 		if had {
 			*in = slices.Delete(*in, i, i+1)
-			n.runDecision(u.Dest)
+			n.decide(u.Dest, slot, nil)
 		}
 		return
 	}
 	// Stored as announced and shared with the sender: paths are immutable.
 	set(in, i, had, slot, u.Path)
-	n.runDecision(u.Dest)
+	n.decide(u.Dest, slot, u.Path)
 }
 
 // queueRCN schedules delivery of the root cause to every neighbor with
@@ -349,8 +349,47 @@ func (n *Node) queueRCN(l routing.Link) {
 	}
 }
 
-// runDecision re-selects the best route for dest and, on change,
-// schedules advertisements to every neighbor.
+// decide re-selects the best route for dest after the neighbor in slot
+// replaced its Adj-RIB-In entry by offer (nil: withdrawn), the only entry
+// that changed since dest's last decision. It compares that one offer
+// with the installed route, by the rule and the argument of Centaur's
+// decide, and runs the full decision process only when the comparison
+// cannot tell. With RCN a mask can also have moved, so every decision
+// is a full one.
+func (n *Node) decide(dest routing.NodeID, slot int, offer routing.Path) {
+	if n.cfg.RCN {
+		n.runDecision(dest)
+		return
+	}
+	old := n.row(dest).best
+	via := n.nbrs[slot]
+	cand := policy.Candidate{Path: offer, Class: policy.ClassOf(n.peers[slot].rel), Via: via}
+	if len(offer) == 0 {
+		cand = policy.Candidate{}
+	}
+	if len(old.Path) > 0 {
+		cur := old
+		if cur.Via != routing.None {
+			cur.Path = cur.Path[1:] // ranked as announced, see Config.Policy
+		}
+		switch {
+		case len(cand.Path) > 0 && n.pol.Better(n.self, cand, cur):
+			// The offer beats every candidate: install it.
+		case old.Via != via && (len(cand.Path) == 0 || n.pol.Better(n.self, cur, cand)):
+			cand = cur
+		case old.Via == via && len(cand.Path) > 0 && cur.Path.Equal(cand.Path):
+			cand = cur
+		default:
+			n.runDecision(dest)
+			return
+		}
+	}
+	tele.decisions.Inc()
+	n.install(dest, cand)
+}
+
+// runDecision re-selects the best route for dest over every candidate
+// and, on change, schedules advertisements to every neighbor.
 func (n *Node) runDecision(dest routing.NodeID) {
 	tele.decisions.Inc()
 	r := n.row(dest)
@@ -376,6 +415,14 @@ func (n *Node) runDecision(dest routing.NodeID) {
 	// reused on the next decision.
 	newBest := policy.Best(n.pol, n.self, cands)
 	n.candBuf = cands[:0]
+	n.install(dest, newBest)
+}
+
+// install makes newBest (a neighbor's candidate as announced, the own
+// route, or the zero Candidate for none) dest's Loc-RIB entry and, when
+// that changes the entry, schedules advertisements to every neighbor.
+func (n *Node) install(dest routing.NodeID, newBest policy.Candidate) {
+	r := n.row(dest)
 	old := r.best
 	had := len(old.Path) > 0
 	if newBest.Via != routing.None {
@@ -558,7 +605,7 @@ func (n *Node) LinkDown(nb routing.NodeID) {
 		r := &n.rows[d]
 		drop(&r.out, slot)
 		if drop(&r.in, slot) {
-			n.runDecision(n.idx.ID(d))
+			n.decide(n.idx.ID(d), slot, nil)
 		}
 	}
 	if n.cfg.RCN {

@@ -123,3 +123,59 @@ func longestList(net *sim.Network, g *topology.Graph) int {
 	}
 	return longest
 }
+
+// TestEveryDecisionRanksWhatItChanged runs overlapping flap sequences
+// (prototest.Flaps) with MRAI batching and with an attacker, every node
+// audited after every event it handles: each Loc-RIB entry must be what
+// ranking every candidate gives (audit). That is the definition the
+// single-offer decisions of Handle and LinkDown must keep.
+func TestEveryDecisionRanksWhatItChanged(t *testing.T) {
+	brite, err := topogen.BRITE(50, 2, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	caida, err := topogen.CAIDALike(60, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hashed := policy.GaoRexford{TieBreak: policy.TieHashed}
+	for _, tc := range []struct {
+		name string
+		g    *topology.Graph
+		cfg  Config
+		adv  adversary.Kind
+	}{
+		{"brite/mrai", brite, Config{Policy: hashed, MRAI: 20 * time.Millisecond}, adversary.None},
+		{"caida/mrai", caida, Config{MRAI: 5 * time.Millisecond}, adversary.None},
+		{"caida/leak", caida, Config{Policy: hashed}, adversary.Leak},
+		{"caida/hijack", caida, Config{Policy: hashed}, adversary.Hijack},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := tc.cfg
+			if tc.adv != adversary.None {
+				spec := adversary.Pick(tc.g, tc.adv, 1, 8) // see TestNodeMatchesModel
+				if len(spec.Attackers) == 0 {
+					t.Fatal("no attacker picked")
+				}
+				cfg.Adversary = adversary.NewModel(spec)
+			}
+			audits := 0
+			check := func(p sim.Protocol) error { return p.(*Node).audit() }
+			net, err := sim.NewNetwork(sim.Config{
+				Topology:  tc.g,
+				Build:     prototest.Audit(t, New(cfg), check, &audits),
+				DelaySeed: 11,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			prototest.Flaps{MaxDown: 3, CrashEvery: 5}.Run(t, net, tc.g)
+			if audits == 0 {
+				t.Fatal("nothing was audited")
+			}
+			if m := cfg.Adversary; m != nil && m.InjectedUnits() == 0 {
+				t.Fatal("the attacker injected nothing")
+			}
+		})
+	}
+}

@@ -171,15 +171,20 @@ type Node struct {
 	// Per-round scratch, reused across events (each round finishes
 	// before the next event is dispatched). affected is the round's
 	// destination set, as positions; a destination is in it when its
-	// stamp equals epoch.
+	// stamp, fullRank bit aside, equals epoch.
 	affected   []int
 	stamp      []uint32
 	epoch      uint32
-	addsBuf    []pgraph.LinkInfo
 	headBuf    []routing.NodeID
+	scopeBuf   []routing.NodeID
 	belowBuf   []routing.NodeID
 	changedBuf []int
 }
+
+// fullRank flags, in a destination's stamp, that the round may have
+// changed an offer other than the event neighbor's, so the destination
+// is ranked over every neighbor (see decide). The epoch counts below it.
+const fullRank = 1 << 31
 
 // neighbor is the state kept for one adjacency.
 type neighbor struct {
@@ -269,10 +274,10 @@ func (n *Node) Start(env sim.Env) {
 	for i, b := range n.nbrList {
 		if env.LinkIsUp(b) {
 			n.openSession(&n.nbrs[i], b)
-			n.affect(b)
+			n.affect(b, true)
 		}
 	}
-	n.solveAffected()
+	n.solveAffected(routing.None)
 }
 
 // openSession gives neighbor b an empty P-graph — the ended session's
@@ -345,33 +350,52 @@ func (n *Node) Handle(from routing.NodeID, msg sim.Message) {
 	if nb == nil || nb.graph == nil {
 		return // link went down; the session state is gone
 	}
-	// Import filtering: drop links pointing at this node (loop
-	// elimination — any path through them would revisit us). Apply copies
-	// what it keeps, so the filtered delta can live in scratch.
-	filtered := pgraph.Delta{
-		Adds:    n.addsBuf[:0],
-		Removes: u.Delta.Removes,
+	// The destinations whose derivations this update can influence. A
+	// re-announcement the graph can scope itself (AppendReannounced)
+	// touches only the destinations it names. Every other add and every
+	// withdrawal touches the marked destinations below its link head: in
+	// the new graph for context that appears, and in the old graph for
+	// context that disappears, which only a withdrawal or a cleared
+	// destination mark can make disappear (adds never remove a link).
+	// Links pointing at this node are dropped by the import filter (loop
+	// elimination — any path through them would revisit us).
+	n.beginRound()
+	heads := n.headBuf[:0]
+	for _, l := range u.Delta.Removes {
+		heads = append(heads, l.To)
 	}
+	lost := len(heads) // heads[:lost] are walked in the old graph too
+	scope := n.scopeBuf[:0]
 	for _, li := range u.Delta.Adds {
 		if li.Link.To == n.self {
 			continue
 		}
-		filtered.Adds = append(filtered.Adds, li)
+		var narrow bool
+		if scope, narrow = nb.graph.AppendReannounced(scope, li); narrow {
+			continue
+		}
+		heads = append(heads, li.Link.To)
+		if !li.ToIsDest && nb.graph.IsDest(li.Link.To) {
+			heads[lost], heads[len(heads)-1] = heads[len(heads)-1], heads[lost]
+			lost++
+		}
 	}
-	n.addsBuf = filtered.Adds
-	// The destinations whose derivations this update can influence are
-	// the marked destinations below every touched link head — in the old
-	// graph for context that disappears, in the new graph for context
-	// that appears (any link whose Permission List changed is re-announced
-	// by the sender, so it shows up here too).
-	n.beginRound()
-	n.collectHeads(nb, filtered)
-	nb.graph.Apply(filtered)
-	n.collectHeads(nb, filtered)
+	n.affectBelow(nb, false, heads[:lost]...)
+	n.apply(nb.graph, u.Delta)
+	n.affectBelow(nb, false, heads...)
+	// The scoped destinations' cached derivations are dropped in the new
+	// graph, which may have just marked one: nothing is cached for a
+	// destination while it is unmarked, but what was cached before its
+	// mark was cleared may still sit in its slot.
+	for _, d := range scope {
+		n.affect(d, false)
+		n.forget(nb, d)
+	}
+	n.headBuf, n.scopeBuf = heads, scope
 	// A re-announced link is evidence it is back in service: lift its
 	// root-cause mask.
-	for _, li := range filtered.Adds {
-		if _, wasMasked := n.failed[li.Link]; wasMasked {
+	for _, li := range u.Delta.Adds {
+		if _, wasMasked := n.failed[li.Link]; wasMasked && li.Link.To != n.self {
 			delete(n.failed, li.Link)
 			n.maskAffect(li.Link)
 		}
@@ -390,66 +414,83 @@ func (n *Node) Handle(from routing.NodeID, msg sim.Message) {
 			n.maskAffect(l)
 		}
 	}
-	n.solveAffected()
+	n.solveAffected(from)
+}
+
+// apply merges the neighbor's delta into its graph minus the import
+// filter's drops, without copying the delta: the adds between two
+// dropped links go to Apply as one sub-slice of the message's own.
+func (n *Node) apply(g *pgraph.Graph, d pgraph.Delta) {
+	g.Apply(pgraph.Delta{Removes: d.Removes})
+	lo := 0
+	for i, li := range d.Adds {
+		if li.Link.To == n.self {
+			g.Apply(pgraph.Delta{Adds: d.Adds[lo:i]})
+			lo = i + 1
+		}
+	}
+	g.Apply(pgraph.Delta{Adds: d.Adds[lo:]})
 }
 
 // beginRound empties the affected set for a new event.
 func (n *Node) beginRound() {
-	if n.epoch++; n.epoch == 0 { // stamp wrap-around: forget every old round
+	if n.epoch++; n.epoch == fullRank { // stamp wrap-around: forget every old round
 		clear(n.stamp)
 		n.epoch = 1
 	}
 	n.affected = n.affected[:0]
 }
 
-// affect adds destination d to the round's affected set and returns its
-// position, or -1 when d is no node of the network: such a destination
-// has no slot, so it is never routed.
-func (n *Node) affect(d routing.NodeID) int {
+// affect adds destination d to the round's affected set, flagged for a
+// full ranking when full is set, and returns its position, or -1 when d
+// is no node of the network: such a destination has no slot, so it is
+// never routed.
+func (n *Node) affect(d routing.NodeID, full bool) int {
 	p := n.idx.Pos(d)
-	if p >= 0 && n.stamp[p] != n.epoch {
+	if p < 0 {
+		return p
+	}
+	if n.stamp[p]&^fullRank != n.epoch {
 		n.stamp[p] = n.epoch
 		n.affected = append(n.affected, p)
 	}
+	if full {
+		n.stamp[p] |= fullRank
+	}
 	return p
+}
+
+// forget drops the neighbor's cached derivation for destination d.
+func (n *Node) forget(nb *neighbor, d routing.NodeID) {
+	if s, ok := nb.graph.DestSlot(d); ok && s < nb.derived.Len() {
+		*nb.derived.At(s) = nil
+	}
 }
 
 // affectBelow adds to the affected set the destinations below any of
 // heads in the neighbor's current graph — one traversal for all heads —
 // and drops their cached derivations.
-func (n *Node) affectBelow(nb *neighbor, heads ...routing.NodeID) {
+func (n *Node) affectBelow(nb *neighbor, full bool, heads ...routing.NodeID) {
+	if len(heads) == 0 {
+		return
+	}
 	n.belowBuf = nb.graph.AppendDestsBelow(n.belowBuf[:0], heads...)
 	for _, dst := range n.belowBuf {
-		n.affect(dst)
-		if s, ok := nb.graph.DestSlot(dst); ok && s < nb.derived.Len() {
-			*nb.derived.At(s) = nil
-		}
+		n.affect(dst, full)
+		n.forget(nb, dst)
 	}
-}
-
-// collectHeads affects the destinations below every link head touched
-// by the delta in the neighbor's current graph.
-func (n *Node) collectHeads(nb *neighbor, d pgraph.Delta) {
-	heads := n.headBuf[:0]
-	for _, li := range d.Adds {
-		heads = append(heads, li.Link.To)
-	}
-	for _, l := range d.Removes {
-		heads = append(heads, l.To)
-	}
-	n.headBuf = heads
-	n.affectBelow(nb, heads...)
 }
 
 // maskAffect affects, for a link whose failed-mask state changed, the
 // destinations whose derivations that can influence. Derivation consults
 // the mask only for the in-links a graph actually holds, so only the
 // neighbor graphs containing l are concerned; everywhere else every
-// cached derivation, and hence every installed route, stands.
+// cached derivation, and hence every installed route, stands. The mask
+// is every neighbor's, so these destinations are ranked in full.
 func (n *Node) maskAffect(l routing.Link) {
 	for i := range n.nbrs {
 		if nb := &n.nbrs[i]; nb.graph != nil && nb.graph.HasLink(l) {
-			n.affectBelow(nb, l.To)
+			n.affectBelow(nb, true, l.To)
 		}
 	}
 }
@@ -483,7 +524,7 @@ func (n *Node) mask(l routing.Link) {
 			// every up neighbor already has a current view.
 			return
 		}
-		n.solveAffected()
+		n.solveAffected(routing.None)
 	})
 }
 
@@ -541,7 +582,7 @@ func (n *Node) LinkDown(b routing.NodeID) {
 	n.beginRound()
 	if nb.graph != nil {
 		for _, d := range nb.graph.Dests() {
-			n.affect(d)
+			n.affect(d, false)
 		}
 	}
 	nb.endSession()
@@ -555,7 +596,7 @@ func (n *Node) LinkDown(b routing.NodeID) {
 			n.maskAffect(l)
 		}
 	}
-	n.solveAffected()
+	n.solveAffected(b)
 }
 
 // LinkUp implements sim.Protocol: restart the session — an empty
@@ -570,33 +611,36 @@ func (n *Node) LinkUp(b routing.NodeID) {
 	nb.endSession()
 	n.openSession(nb, b)
 	n.beginRound()
-	n.affect(b)
+	n.affect(b, false)
 	for _, l := range []routing.Link{{From: n.self, To: b}, {From: b, To: n.self}} {
 		if _, wasMasked := n.failed[l]; wasMasked {
 			delete(n.failed, l)
 			n.maskAffect(l)
 		}
 	}
-	n.solveAffected()
+	n.solveAffected(b)
 }
 
 // solveAffected is the local solver plus announcement step: it re-solves
 // the round's affected destinations in ascending order and sends
 // per-neighbor deltas of the export-filtered views; only the views of
-// neighbors an export-relevant route changed for are updated.
+// neighbors an export-relevant route changed for are updated. sender is
+// the neighbor whose state the event changed (Handle, LinkDown, LinkUp),
+// routing.None when the round may have changed anyone's (Start, a mask
+// expiry).
 //
 // Root-cause notifications ride along with the deltas: a node whose
 // selected paths used a failed link withdraws that link in its delta, so
 // exactly the nodes that were told about the link hear that it failed —
 // nodes whose paths were unaffected never announced it and have nothing
 // to propagate.
-func (n *Node) solveAffected() {
+func (n *Node) solveAffected(sender routing.NodeID) {
 	tele.recomputes.Inc()
 	slices.Sort(n.affected)
 	for i := range n.nbrs {
 		n.nbrs[i].dirty = false
 	}
-	n.finish(n.solveSome(n.affected))
+	n.finish(n.solveSome(n.affected, sender))
 }
 
 // finish applies the round's route changes to the announced views of the
@@ -695,25 +739,71 @@ func (n *Node) exportable(p int, b routing.NodeID, nb *neighbor) routing.Path {
 // candidates are the unique policy-compliant paths DerivePath
 // reconstructs from each neighbor P-graph, self-prepended, loop-checked,
 // and ranked by the policy. Destinations no longer derivable anywhere
-// lose their route. dests and the result are positions. It returns the
+// lose their route. dests and the result are positions. A destination
+// whose stamp lacks fullRank saw only sender's offer change and is
+// decided from that offer when it can be (decide). It returns the
 // destinations whose route changed (scratch, valid until the next
 // round), having marked dirty every neighbor whose export view a changed
 // route could alter.
-func (n *Node) solveSome(dests []int) []int {
+func (n *Node) solveSome(dests []int, sender routing.NodeID) []int {
 	// With nothing masked the derivations take their unfiltered fast
 	// path; the result is the same as filtering with an empty mask.
 	var skip func(routing.Link) bool
 	if len(n.failed) > 0 {
 		skip = n.isFailed
 	}
+	snd := n.neighbor(sender)
 	changed := n.changedBuf[:0]
 	for _, p := range dests {
-		if n.idx.ID(p) != n.self && n.applyBest(p, n.rank(p, skip)) {
+		if n.idx.ID(p) == n.self {
+			continue
+		}
+		best, ok := policy.Candidate{}, false
+		if snd != nil && n.stamp[p]&fullRank == 0 {
+			best, ok = n.decide(p, sender, snd, skip)
+		}
+		if !ok {
+			best = n.rank(p, skip)
+		}
+		if n.applyBest(p, best) {
 			changed = append(changed, p)
 		}
 	}
 	n.changedBuf = changed
 	return changed
+}
+
+// decide returns rank's answer for the destination at position p without
+// ranking, when p's installed route is rank's answer over the offers
+// before the event and only neighbor b's offer may have changed since:
+// it derives b's offer alone and compares it with the installed route.
+// ok is false when the comparison cannot tell, and p must be ranked.
+//
+// Better is a strict weak order (see policy.Policy), so rank's answer is
+// the first offer, in neighbor order, of the best equivalence class.
+// Then an offer strictly better than the installed route beats every
+// other offer too; an installed route via another neighbor that is
+// strictly better than b's offer, or faces none, stays the first of the
+// best class; and an unchanged offer from the installed route's own
+// neighbor changes nothing. No installed route means no neighbor
+// offered one, so b's offer, if any, is the only one. Any other case,
+// a tie included, is ranked.
+func (n *Node) decide(p int, b routing.NodeID, nb *neighbor, skip func(routing.Link) bool) (best policy.Candidate, ok bool) {
+	offer := n.offer(p, b, nb, skip)
+	r := &n.routes[p]
+	if r.path == nil {
+		return offer, true
+	}
+	cur := policy.Candidate{Path: r.path[1:], Class: r.class, Via: r.via}
+	switch {
+	case len(offer.Path) > 0 && n.pol.Better(n.self, offer, cur):
+		return offer, true
+	case r.via != b && (len(offer.Path) == 0 || n.pol.Better(n.self, cur, offer)):
+		return cur, true
+	case r.via == b && len(offer.Path) > 0 && offer.Path.Equal(cur.Path):
+		return cur, true
+	}
+	return policy.Candidate{}, false
 }
 
 // rank returns the best candidate for the destination at position p as
@@ -724,20 +814,25 @@ func (n *Node) solveSome(dests []int) []int {
 func (n *Node) rank(p int, skip func(routing.Link) bool) policy.Candidate {
 	var best policy.Candidate
 	for i, b := range n.nbrList {
-		nb := &n.nbrs[i]
-		if nb.graph == nil {
-			continue
-		}
-		path, ok := n.derive(nb, p, skip)
-		if !ok || !n.pol.Accept(n.self, b, path) {
-			continue
-		}
-		cand := policy.Candidate{Path: path, Class: policy.ClassOf(nb.rel), Via: b}
-		if len(best.Path) == 0 || n.pol.Better(n.self, cand, best) {
+		cand := n.offer(p, b, &n.nbrs[i], skip)
+		if len(cand.Path) > 0 && (len(best.Path) == 0 || n.pol.Better(n.self, cand, best)) {
 			best = cand
 		}
 	}
 	return best
+}
+
+// offer returns neighbor b's candidate for the destination at position
+// p, the zero Candidate when b offers no acceptable path.
+func (n *Node) offer(p int, b routing.NodeID, nb *neighbor, skip func(routing.Link) bool) policy.Candidate {
+	if nb.graph == nil {
+		return policy.Candidate{}
+	}
+	path, ok := n.derive(nb, p, skip)
+	if !ok || !n.pol.Accept(n.self, b, path) {
+		return policy.Candidate{}
+	}
+	return policy.Candidate{Path: path, Class: policy.ClassOf(nb.rel), Via: b}
 }
 
 // applyBest installs best (rank's winner, empty for "no route") as the

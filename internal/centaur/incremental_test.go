@@ -2,8 +2,11 @@ package centaur
 
 import (
 	"testing"
+	"time"
 
+	"centaur/internal/adversary"
 	"centaur/internal/pgraph"
+	"centaur/internal/prototest"
 	"centaur/internal/routing"
 	"centaur/internal/sim"
 	"centaur/internal/telemetry"
@@ -152,5 +155,65 @@ func TestNoChangeHandleAllocatesNothing(t *testing.T) {
 	}}}
 	if allocs := testing.AllocsPerRun(50, func() { n.Handle(from, msg) }); allocs != 0 {
 		t.Fatalf("a no-change Handle round allocated %v times, want 0", allocs)
+	}
+}
+
+// TestEveryRoundDecidesWhatItChanged runs overlapping flap sequences
+// (prototest.Flaps) on the configurations the reference model does not
+// cover — Bloom-compressed Permission Lists, an attacker, root-cause
+// masking off — with every node audited after every event it handles:
+// each installed route must be what ranking every neighbor's uncached
+// derivation gives (audit). That is the definition the round's narrowed
+// scope and its sender-scoped decisions must keep. The override
+// tie-break gives the networks many Permission Lists, so
+// re-announcements that change only a list are frequent.
+func TestEveryRoundDecidesWhatItChanged(t *testing.T) {
+	caida, err := topogen.CAIDALike(60, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	brite, err := topogen.BRITE(50, 2, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	override := overridePolicy()
+	for _, tc := range []struct {
+		name string
+		g    *topology.Graph
+		cfg  Config
+		adv  adversary.Kind
+	}{
+		{"caida/bloom", caida, Config{Policy: override, BloomPL: true, PLFPRate: 0.2}, adversary.None},
+		{"brite/bloom", brite, Config{Policy: override, BloomPL: true, maskTTL: 30 * time.Millisecond}, adversary.None},
+		{"caida/leak", caida, Config{Policy: override}, adversary.Leak},
+		{"brite/no-root-cause", brite, Config{Policy: override, DisableRootCause: true}, adversary.None},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := tc.cfg
+			if tc.adv != adversary.None {
+				spec := adversary.Pick(tc.g, tc.adv, 1, 8)
+				if len(spec.Attackers) == 0 {
+					t.Fatal("no attacker picked")
+				}
+				cfg.Adversary = adversary.NewModel(spec)
+			}
+			audits := 0
+			check := func(p sim.Protocol) error { return p.(*Node).audit() }
+			net, err := sim.NewNetwork(sim.Config{
+				Topology:  tc.g,
+				Build:     prototest.Audit(t, New(cfg), check, &audits),
+				DelaySeed: 11,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			prototest.Flaps{MaxDown: 3, CrashEvery: 5}.Run(t, net, tc.g)
+			if audits == 0 {
+				t.Fatal("nothing was audited")
+			}
+			if m := cfg.Adversary; m != nil && m.InjectedUnits() == 0 {
+				t.Fatal("the attacker injected nothing")
+			}
+		})
 	}
 }

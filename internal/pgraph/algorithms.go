@@ -576,3 +576,61 @@ func (g *Graph) Apply(d Delta) {
 		g.setPerm(&g.nodes.at(to).in[i], pl)
 	}
 }
+
+// AppendReannounced tells whether applying li re-announces a link g
+// already holds in a way derivation can follow destination by
+// destination: the link stays restricted (an explicit Permission List on
+// both sides) or stays unrestricted, and no Bloom filter is involved on
+// either side. Then the in-edges derivation counts at the head, and
+// which of them are unrestricted, stay the same; only a Permission List
+// answer can change, and only for the (dest, next) pairs the old and the
+// new list do not share. So the derivations li can change are those of
+// the destinations of that symmetric difference, plus the head's own
+// when its destination mark flips: AppendReannounced appends those to
+// dst (possibly repeated, in no particular order) and reports true. For
+// any other add — a new link, a flip between restricted and
+// unrestricted, a Bloom-compressed list, pairs out of canonical order —
+// it returns dst unchanged and false, and the caller must scope li by
+// what lies below its head.
+func (g *Graph) AppendReannounced(dst []routing.NodeID, li LinkInfo) ([]routing.NodeID, bool) {
+	to, i, ok := g.link(li.Link)
+	if !ok {
+		return dst, false
+	}
+	head := g.nodes.at(to)
+	e := &head.in[i]
+	if (e.perm == nil) != (len(li.Perm) == 0) || len(li.Filters) > 0 || (e.perm != nil && e.perm.filters != nil) {
+		return dst, false
+	}
+	var old []PermEntry
+	if e.perm != nil {
+		old = e.perm.pairs
+	}
+	for k := 1; k < len(li.Perm); k++ {
+		if comparePerm(li.Perm[k-1], li.Perm[k]) >= 0 {
+			return dst, false
+		}
+	}
+	if head.dest != li.ToIsDest {
+		dst = append(dst, head.id)
+	}
+	// Merge the two ascending lists, keeping what only one of them has.
+	a, b := old, li.Perm
+	for len(a) > 0 && len(b) > 0 {
+		switch c := comparePerm(a[0], b[0]); {
+		case c < 0:
+			dst, a = append(dst, a[0].Dest), a[1:]
+		case c > 0:
+			dst, b = append(dst, b[0].Dest), b[1:]
+		default:
+			a, b = a[1:], b[1:]
+		}
+	}
+	for _, p := range a {
+		dst = append(dst, p.Dest)
+	}
+	for _, p := range b {
+		dst = append(dst, p.Dest)
+	}
+	return dst, true
+}

@@ -2,6 +2,7 @@ package pgraph
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -370,4 +371,99 @@ func TestDeriveAllInto(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestAppendReannouncedNamesEveryChangedDerivation holds
+// AppendReannounced to its contract on random graphs: every link is
+// re-announced with its destination mark and Permission List perturbed,
+// the list's pairs drawn mostly from the (dest, next) pairs derivations
+// actually ask the link's head about. AppendReannounced must accept
+// exactly the re-announcements that keep the link's restricted or
+// unrestricted status and carry no Bloom filter; and applying one it
+// accepts must change the derivation, or the destination mark, of no
+// node it does not name.
+func TestAppendReannouncedNamesEveryChangedDerivation(t *testing.T) {
+	const root, universe routing.NodeID = 1, 12
+	rng := rand.New(rand.NewSource(3))
+	accepted, named := 0, 0
+	for round := 0; round < 300; round++ {
+		g, err := BuildInto(nil, testIx, root, sortedPaths(randomPathSet(rng, root)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, old := range g.LinkInfos() {
+			li := LinkInfo{Link: old.Link, ToIsDest: old.ToIsDest != (rng.Intn(4) == 0)}
+			// The pairs derivations ask this head about, and one at random.
+			var asked []PermEntry
+			for d := root; d <= universe; d++ {
+				if p, ok := g.DerivePath(d); ok {
+					if i := slices.Index(p, li.Link.To); i >= 0 {
+						asked = append(asked, PermEntry{Dest: d, Next: nextAfter(p, i)})
+					}
+				}
+			}
+			asked = append(asked, PermEntry{Dest: routing.NodeID(2 + rng.Intn(11)), Next: routing.NodeID(rng.Intn(13))})
+			pairs := slices.Clone(old.Perm)
+			for _, e := range asked {
+				if rng.Intn(2) == 0 {
+					continue
+				}
+				if i := slices.Index(pairs, e); i >= 0 {
+					pairs = slices.Delete(pairs, i, i+1)
+				} else {
+					pairs = append(pairs, e)
+				}
+			}
+			if len(pairs) > 0 && (len(old.Perm) > 0 || rng.Intn(4) == 0) {
+				slices.SortFunc(pairs, comparePerm)
+				li.Perm = slices.Compact(pairs)
+			}
+			names, ok := g.AppendReannounced(nil, li)
+			if ok != ((len(old.Perm) > 0) == (len(li.Perm) > 0)) {
+				t.Fatalf("round %d: re-announcing %v as %v: accepted=%v", round, old, li, ok)
+			}
+			if bloomed := li; len(li.Perm) > 0 {
+				bloomed.Filters = []DestFilter{{Next: li.Perm[0].Next, Dests: []routing.NodeID{li.Perm[0].Dest}}}
+				if _, ok := g.AppendReannounced(nil, bloomed); ok {
+					t.Fatalf("round %d: accepted Bloom-compressed %v", round, bloomed)
+				}
+			}
+			if !ok {
+				continue
+			}
+			accepted++
+			after := g.Clone()
+			after.Apply(Delta{Adds: []LinkInfo{li}})
+			for n := root; n <= universe; n++ {
+				p, okBefore := g.DerivePath(n)
+				q, okAfter := after.DerivePath(n)
+				if g.IsDest(n) == after.IsDest(n) && okBefore == okAfter && p.Equal(q) {
+					continue
+				}
+				named++
+				if !slices.Contains(names, n) {
+					t.Fatalf("round %d: re-announcing %v as %v changes %v (%v %v -> %v %v) but names only %v in\n%v",
+						round, old, li, n, p, g.IsDest(n), q, after.IsDest(n), names, g)
+				}
+			}
+		}
+	}
+	if accepted == 0 || named == 0 {
+		t.Fatalf("%d re-announcements accepted, %d changed a derivation; the test shows nothing", accepted, named)
+	}
+	t.Logf("%d re-announcements accepted, %d changed derivations or marks", accepted, named)
+}
+
+// sortedPaths lists a path set by ascending destination.
+func sortedPaths(paths map[routing.NodeID]routing.Path) []routing.Path {
+	dests := make([]routing.NodeID, 0, len(paths))
+	for d := range paths {
+		dests = append(dests, d)
+	}
+	slices.Sort(dests)
+	out := make([]routing.Path, len(dests))
+	for i, d := range dests {
+		out[i] = paths[d]
+	}
+	return out
 }

@@ -64,9 +64,11 @@ const rootSlot = 0
 
 // nodeTable holds the slot records in fixed-size chunks, so a growing
 // graph allocates only the new chunk: records are never copied, and a
-// *node stays valid for the graph's lifetime.
+// *node stays valid for the graph's lifetime. A chunk is a pointer to
+// an array, so a slot access loads one chunk pointer and checks one
+// bound: the offset inside the chunk is masked below its length.
 type nodeTable struct {
-	chunks [][]node
+	chunks []*[chunkSize]node
 	n      int32 // slots handed out, released ones included
 }
 
@@ -86,7 +88,7 @@ func (t *nodeTable) len() int { return int(t.n) }
 func (t *nodeTable) push(id routing.NodeID) int32 {
 	s := t.n
 	if int(s>>chunkBits) == len(t.chunks) {
-		t.chunks = append(t.chunks, make([]node, chunkSize))
+		t.chunks = append(t.chunks, new([chunkSize]node))
 	}
 	t.n++
 	t.at(s).id = id
@@ -96,10 +98,15 @@ func (t *nodeTable) push(id routing.NodeID) int32 {
 // sized returns an empty table with as many slots as t, its chunks
 // carved from one allocation.
 func (t *nodeTable) sized() nodeTable {
-	out := nodeTable{chunks: make([][]node, len(t.chunks)), n: t.n}
-	all := make([]node, len(t.chunks)*chunkSize)
-	for c := range out.chunks {
-		out.chunks[c] = all[c*chunkSize : (c+1)*chunkSize : (c+1)*chunkSize]
+	return nodeTable{chunks: carve[node](len(t.chunks)), n: t.n}
+}
+
+// carve returns k chunks carved from one allocation.
+func carve[T any](k int) []*[chunkSize]T {
+	out := make([]*[chunkSize]T, k)
+	all := make([][chunkSize]T, k)
+	for c := range out {
+		out[c] = &all[c]
 	}
 	return out
 }
@@ -109,7 +116,7 @@ func (t *nodeTable) sized() nodeTable {
 // neighbor's derive cache. Its chunks run parallel to the graph's node
 // table, so growing with the graph adds chunks and never copies. The
 // zero value is an empty table.
-type SlotTable[T any] struct{ chunks [][]T }
+type SlotTable[T any] struct{ chunks []*[chunkSize]T }
 
 // Len returns the number of slots the table covers.
 func (t *SlotTable[T]) Len() int { return len(t.chunks) * chunkSize }
@@ -120,25 +127,23 @@ func (t *SlotTable[T]) At(s int) *T { return &t.chunks[s>>chunkBits][s&(chunkSiz
 // Grow makes the table cover every slot g has handed out.
 func (t *SlotTable[T]) Grow(g *Graph) {
 	for len(t.chunks) < len(g.nodes.chunks) {
-		t.chunks = append(t.chunks, make([]T, chunkSize))
+		t.chunks = append(t.chunks, new([chunkSize]T))
 	}
 }
 
 // Clear zeroes every record, keeping the storage.
 func (t *SlotTable[T]) Clear() {
 	for _, c := range t.chunks {
-		clear(c)
+		*c = [chunkSize]T{}
 	}
 }
 
 // Clone returns an independent copy whose chunks share one allocation.
 // The records are copied as values.
 func (t *SlotTable[T]) Clone() SlotTable[T] {
-	out := SlotTable[T]{chunks: make([][]T, len(t.chunks))}
-	all := make([]T, len(t.chunks)*chunkSize)
-	for c := range out.chunks {
-		out.chunks[c] = all[c*chunkSize : (c+1)*chunkSize : (c+1)*chunkSize]
-		copy(out.chunks[c], t.chunks[c])
+	out := SlotTable[T]{chunks: carve[T](len(t.chunks))}
+	for c, src := range t.chunks {
+		*out.chunks[c] = *src
 	}
 	return out
 }

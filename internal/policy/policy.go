@@ -102,7 +102,15 @@ type Policy interface {
 	// relationship instead of one per neighbor.
 	Export(self routing.NodeID, cl RouteClass, rel topology.Relationship) bool
 	// Better is the ranking function: whether candidate a is strictly
-	// preferred over candidate b at node self.
+	// preferred over candidate b at node self. Over the candidates for
+	// one destination it must be a strict weak order: irreflexive (no
+	// candidate is better than itself), transitive, and with transitive
+	// incomparability (two candidates neither of which is better are
+	// equally good, and equally good is transitive). The protocols rely
+	// on it: a best candidate then stays best when another candidate
+	// worsens, and an offer better than the best is better than every
+	// candidate, so Centaur and BGP decide from the one offer an event
+	// changed whenever that comparison is strict.
 	Better(self routing.NodeID, a, b Candidate) bool
 }
 

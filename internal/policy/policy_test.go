@@ -1,6 +1,7 @@
 package policy
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -130,6 +131,48 @@ func TestBetterIsStrictTotalOrder(t *testing.T) {
 		}
 		if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 			t.Fatalf("mode %v: %v", mode, err)
+		}
+	}
+}
+
+// TestBetterIsStrictWeakOrder checks the order Policy.Better promises
+// for every tie-break mode over random triples of candidates for one
+// destination: irreflexive, transitive, and with transitive
+// incomparability. Vias, classes and lengths are drawn from small sets,
+// so equally ranked candidates with different paths are common.
+func TestBetterIsStrictWeakOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for _, mode := range []TieBreakMode{TieLowestVia, TieHashed, TieHashedPreferred, TieOverride} {
+		pol := GaoRexford{TieBreak: mode}
+		incomparable := 0
+		for i := 0; i < 20000; i++ {
+			self := routing.NodeID(1 + rng.Intn(4))
+			dest := routing.NodeID(900 + rng.Intn(3))
+			mk := func() Candidate {
+				via := routing.NodeID(101 + rng.Intn(3))
+				p := routing.Path{via}
+				for k := rng.Intn(3); k > 0; k-- {
+					p = append(p, routing.NodeID(500+rng.Intn(4)))
+				}
+				return Candidate{Path: append(p, dest), Class: RouteClass(2 + rng.Intn(2)), Via: via}
+			}
+			a, b, c := mk(), mk(), mk()
+			better := func(x, y Candidate) bool { return pol.Better(self, x, y) }
+			inc := func(x, y Candidate) bool { return !better(x, y) && !better(y, x) }
+			switch {
+			case better(a, a):
+				t.Fatalf("mode %v: %v is better than itself", mode, a)
+			case better(a, b) && better(b, c) && !better(a, c):
+				t.Fatalf("mode %v: %v > %v > %v but not %v > %v", mode, a, b, c, a, c)
+			case inc(a, b) && inc(b, c) && !inc(a, c):
+				t.Fatalf("mode %v: %v ~ %v ~ %v but not %v ~ %v", mode, a, b, c, a, c)
+			}
+			if inc(a, b) && !a.Path.Equal(b.Path) {
+				incomparable++
+			}
+		}
+		if incomparable == 0 {
+			t.Fatalf("mode %v: no two different candidates ranked equal; the test shows nothing", mode)
 		}
 	}
 }

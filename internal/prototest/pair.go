@@ -4,9 +4,11 @@
 // Pair is the harness behind the model-based tests (DESIGN.md invariant
 // 16): it runs a protocol implementation and its reference model side
 // by side inside a real simulation and fails the test at the first
-// event after which the two did not do the same things. Flaps is the
-// failure schedule those tests drive, StubEnv the environment of the
-// allocation pins, FlipBench the loop of the layer benchmarks.
+// event after which the two did not do the same things. Audit holds
+// one node's state to a test's definition after every event instead.
+// Flaps is the failure schedule those tests drive, StubEnv the
+// environment of the allocation pins, FlipBench the loop of the layer
+// benchmarks.
 package prototest
 
 import (
