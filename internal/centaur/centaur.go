@@ -119,9 +119,10 @@ const DefaultPLFPRate = 0.01
 // stamps) lives in tables sized once by the network's topology.Index and
 // keyed by a destination's position there; messages and traces still
 // speak NodeID. Per-neighbor state lives in nbrs, parallel to nbrList,
-// and is sized by what the neighbor announces: its P-graph and the
-// export view toward it resolve nodes through the same index, and its
-// derive cache is keyed by the slots of its P-graph.
+// and is sized by what the neighbor announces: its P-graph resolves
+// nodes through the same index, and its derive cache is keyed by the
+// slots of its P-graph. The announced views live in classes, one per
+// export class (see exportClass).
 type Node struct {
 	cfg  Config
 	pol  policy.Policy
@@ -133,6 +134,9 @@ type Node struct {
 	// state kept for neighbor nbrList[i].
 	nbrList []routing.NodeID
 	nbrs    []neighbor
+	// classes are the export classes, in the order their first member
+	// appears in nbrList.
+	classes []exportClass
 
 	// routes is the selected path set (Loc-RIB) with each route's class
 	// and learned-from neighbor, by destination position.
@@ -186,27 +190,49 @@ type Node struct {
 // is ranked over every neighbor (see decide). The epoch counts below it.
 const fullRank = 1 << 31
 
+// exportClass groups the neighbors whose relationship Policy.Export
+// passes the same route classes to. Their announced views hold the same
+// paths but for the sender-side loop filter, so one pgraph.ClassView
+// keeps them all.
+type exportClass struct {
+	// exports has bit cl set when the members are exported routes of
+	// class cl.
+	exports uint8
+	// members are the class's neighbors, ascending.
+	members []routing.NodeID
+	// view maintains the members' announced (export-filtered) P-graphs;
+	// its Flush yields their Δ_B update messages. nil until a member's
+	// first session's first announcement; it is kept up to date whether
+	// or not any member's session is up, so a restart announces it
+	// whole (see announceView).
+	view *pgraph.ClassView
+	// dirty marks, within a round, that a route exportable to the class
+	// changed, so its view needs updating.
+	dirty bool
+}
+
+// exportsClass reports whether the class's members are exported routes
+// of class cl.
+func (ec *exportClass) exportsClass(cl policy.RouteClass) bool {
+	return cl != 0 && ec.exports&(1<<cl) != 0
+}
+
 // neighbor is the state kept for one adjacency.
 type neighbor struct {
 	rel topology.Relationship
+	// class is the neighbor's export class (an index into Node.classes)
+	// and member its position among the class's members.
+	class, member int
 	// graph is G_{b→self}, the P-graph announced by the neighbor; nil
 	// exactly while the link is down.
 	graph *pgraph.Graph
 	// spare is the ended session's graph, kept while the link is down so
 	// the next session reuses its storage (see openSession).
 	spare *pgraph.Graph
-	// view maintains the announced (export-filtered) P-graph toward the
-	// neighbor; its Flush yields the Δ_B update messages. nil until the
-	// first session's first announcement; it outlives the session, so a
-	// restart brings it up to date instead of rebuilding it (see finish).
-	view *pgraph.View
 	// derived memoizes the DerivePath result from graph per destination,
 	// keyed by the destination's slot in graph and grown with it (see
 	// derive). Entries are invalidated by the affected-set analysis.
 	derived pgraph.SlotTable[routing.Path]
-	// dirty marks, within a round, that a route exportable to the
-	// neighbor changed, so its view needs updating.
-	dirty bool
 	// fresh marks a session whose full view has not been announced yet,
 	// from Start or LinkUp to the end of that event's round.
 	fresh bool
@@ -249,10 +275,31 @@ func New(cfg Config) sim.Builder {
 		slices.SortFunc(nbs, func(a, b topology.Neighbor) int { return cmp.Compare(a.ID, b.ID) })
 		for _, nb := range nbs {
 			n.nbrList = append(n.nbrList, nb.ID)
-			n.nbrs = append(n.nbrs, neighbor{rel: nb.Rel})
+			n.nbrs = append(n.nbrs, n.classify(nb))
 		}
 		return n
 	}
+}
+
+// classify returns the state for a new neighbor, placed in its export
+// class: the one whose members Policy.Export passes the same route
+// classes to, a new one when no class has that signature yet. Export is a
+// pure function of (self, class, rel), so the signature is computed once.
+func (n *Node) classify(nb topology.Neighbor) neighbor {
+	var exports uint8
+	for cl := policy.ClassOwn; cl <= policy.ClassProvider; cl++ {
+		if n.pol.Export(n.self, cl, nb.Rel) {
+			exports |= 1 << cl
+		}
+	}
+	c := slices.IndexFunc(n.classes, func(ec exportClass) bool { return ec.exports == exports })
+	if c < 0 {
+		c = len(n.classes)
+		n.classes = append(n.classes, exportClass{exports: exports})
+	}
+	ec := &n.classes[c]
+	ec.members = append(ec.members, nb.ID)
+	return neighbor{rel: nb.Rel, class: c, member: len(ec.members) - 1}
 }
 
 // neighbor returns the state kept for adjacency b, nil when b is not a
@@ -561,9 +608,9 @@ func (n *Node) noteFailedLink(l routing.Link) {
 }
 
 // endSession drops everything learned from a neighbor. The graph's
-// storage is kept as the next session's spare, and the announced view is
-// kept whole: the next session's first round brings it up to date and
-// announces all of it (see finish).
+// storage is kept as the next session's spare; the class view, which
+// also holds the neighbor's announced view, stays up to date, and the
+// next session's first round announces all of it (see finish).
 func (nb *neighbor) endSession() {
 	nb.derived.Clear() // keeps the table's storage for the next session
 	if nb.graph != nil {
@@ -581,7 +628,8 @@ func (n *Node) LinkDown(b routing.NodeID) {
 	}
 	n.beginRound()
 	if nb.graph != nil {
-		for _, d := range nb.graph.Dests() {
+		n.belowBuf = nb.graph.AppendDests(n.belowBuf[:0])
+		for _, d := range n.belowBuf {
 			n.affect(d, false)
 		}
 	}
@@ -624,7 +672,7 @@ func (n *Node) LinkUp(b routing.NodeID) {
 // solveAffected is the local solver plus announcement step: it re-solves
 // the round's affected destinations in ascending order and sends
 // per-neighbor deltas of the export-filtered views; only the views of
-// neighbors an export-relevant route changed for are updated. sender is
+// classes an export-relevant route changed for are updated. sender is
 // the neighbor whose state the event changed (Handle, LinkDown, LinkUp),
 // routing.None when the round may have changed anyone's (Start, a mask
 // expiry).
@@ -637,42 +685,51 @@ func (n *Node) LinkUp(b routing.NodeID) {
 func (n *Node) solveAffected(sender routing.NodeID) {
 	tele.recomputes.Inc()
 	slices.Sort(n.affected)
-	for i := range n.nbrs {
-		n.nbrs[i].dirty = false
+	for c := range n.classes {
+		n.classes[c].dirty = false
 	}
 	n.finish(n.solveSome(n.affected, sender))
 }
 
-// finish applies the round's route changes to the announced views of the
-// neighbors marked dirty (pgraph.View, the §4.3.2 counter machinery) and
-// sends the flushed Δ_B messages; a session's first round announces the
-// whole view instead (announceView). The round's root-cause links are
-// copied once and the copy rides every message of the fan-out: a message
-// is immutable once handed to Send, so receivers may share it.
+// finish applies the round's route changes to the class views marked
+// dirty (pgraph.ClassView over the §4.3.2 counter machinery), once per
+// class, and sends each member's flushed Δ_B message; a session's first
+// round announces the member's whole view instead (announceView). The
+// round's root-cause links are copied once and the copy rides every
+// message of the fan-out: a message is immutable once handed to Send, so
+// receivers may share it.
 func (n *Node) finish(changed []int) {
 	failed := n.pendingFailed
 	n.pendingFailed = failed[:0] // failed is read before the next round appends
+	for c := range n.classes {
+		ec := &n.classes[c]
+		if ec.view == nil || !ec.dirty {
+			continue // current, or built whole by a member's first announcement
+		}
+		for _, p := range changed {
+			ec.view.Set(n.idx.ID(p), n.classPath(p, ec))
+		}
+		ec.view.Flush()
+	}
 	var sent []routing.Link
 	for i, b := range n.nbrList {
 		nb := &n.nbrs[i]
 		if nb.graph == nil {
 			continue
 		}
+		ec := &n.classes[nb.class]
 		// Adversarial injections (nil for honest nodes) ride the same
 		// delta so the receiver processes them like any announcement.
 		inject := n.advInjects(b, nb)
 		var delta pgraph.Delta
 		switch {
 		case nb.fresh:
-			delta = n.announceView(b, nb)
-		case (len(changed) == 0 || !nb.dirty) && len(inject) == 0:
+			delta = n.announceView(nb)
+		case ec.dirty:
+			delta = ec.view.Delta(nb.member)
+		case len(inject) == 0:
 			// No exportable-to-b route changed; the view is current.
 			continue
-		default:
-			for _, p := range changed {
-				nb.view.Set(n.idx.ID(p), n.exportable(p, b, nb))
-			}
-			delta = nb.view.Flush()
 		}
 		if len(inject) > 0 {
 			delta.Adds = append(delta.Adds, inject...)
@@ -697,42 +754,37 @@ func (n *Node) finish(changed []int) {
 	}
 }
 
-// announceView brings the view toward neighbor b up to the exportable
-// path set and returns its full announcement (§4.3.1 Steps 1 and 4). A
-// view kept from an ended session is updated destination by destination,
-// an unchanged path costing one lookup, and the round's Flush — a Δ
-// against the ended session, which the neighbor no longer holds — is
-// dropped in favour of the whole graph: the maintained layout depends
-// only on the path set, so that is exactly what a fresh view's Flush
-// would send. An empty view's Flush already is the whole announcement.
-func (n *Node) announceView(b routing.NodeID, nb *neighbor) pgraph.Delta {
+// announceView returns the full announcement of the view toward the
+// neighbor (§4.3.1 Steps 1 and 4): the whole of its share of the class
+// view, which finish has already brought up to date when it exists. The
+// class's first session builds the class view from the route table; a
+// restarted session, or a later member's first, finds it current. The
+// maintained layout depends only on the path set, so this is exactly
+// what a fresh view of the neighbor's paths would send.
+func (n *Node) announceView(nb *neighbor) pgraph.Delta {
 	nb.fresh = false
-	if nb.view == nil {
-		nb.view = pgraph.NewView(n.idx, n.self)
-	}
-	empty := nb.view.Graph().NumLinks() == 0
-	for p := range n.routes {
-		if path := n.exportable(p, b, nb); path != nil || !empty {
-			nb.view.Set(n.idx.ID(p), path)
+	ec := &n.classes[nb.class]
+	if ec.view == nil {
+		ec.view = pgraph.NewClassView(n.idx, n.self, ec.members)
+		for p := range n.routes {
+			if path := n.classPath(p, ec); path != nil {
+				ec.view.Set(n.idx.ID(p), path)
+			}
 		}
+		ec.view.Flush()
 	}
-	delta := nb.view.Flush()
-	if empty {
-		return delta
-	}
-	return pgraph.Delta{Adds: nb.view.Graph().LinkInfos()}
+	return pgraph.Delta{Adds: ec.view.LinkInfos(nb.member)}
 }
 
-// exportable returns the path announced to neighbor b for the
-// destination at position p: the selected path when the export filter
-// admits its class and it does not traverse b (sender-side loop
-// avoidance), nil otherwise.
-func (n *Node) exportable(p int, b routing.NodeID, nb *neighbor) routing.Path {
-	r := n.routes[p]
-	if r.path == nil || !n.pol.Export(n.self, r.class, nb.rel) || r.path.Contains(b) {
-		return nil
+// classPath returns the path the class view holds for the destination at
+// position p: the selected path when the export filter admits its class,
+// nil otherwise. The class view drops it for the members it traverses
+// (sender-side loop avoidance).
+func (n *Node) classPath(p int, ec *exportClass) routing.Path {
+	if r := n.routes[p]; r.path != nil && ec.exportsClass(r.class) {
+		return r.path
 	}
-	return r.path
+	return nil
 }
 
 // solveSome is the local solver core (§3.2.3): for each destination the
@@ -854,12 +906,10 @@ func (n *Node) applyBest(p int, best policy.Candidate) bool {
 		*r = route{path: best.Path.Prepend(n.self), class: best.Class, via: best.Via}
 	}
 	n.env.RouteChangedVia(n.idx.ID(p), old.via, r.via)
-	// Every neighbor whose export view the change can alter is dirty.
-	for i := range n.nbrs {
-		nb := &n.nbrs[i]
-		if !nb.dirty && ((old.class != 0 && n.pol.Export(n.self, old.class, nb.rel)) ||
-			(best.Class != 0 && n.pol.Export(n.self, best.Class, nb.rel))) {
-			nb.dirty = true
+	// Every class whose export view the change can alter is dirty.
+	for c := range n.classes {
+		if ec := &n.classes[c]; !ec.dirty && (ec.exportsClass(old.class) || ec.exportsClass(best.Class)) {
+			ec.dirty = true
 		}
 	}
 	return true
@@ -985,11 +1035,13 @@ func (n *Node) NeighborGraph(b routing.NodeID) *pgraph.Graph {
 
 // ExportedView returns the announced view toward neighbor b as link
 // announcements, nil when no session exists — also while the adjacency
-// is down, although the node keeps the ended session's view for the
-// next one.
+// is down, although the class view keeps b's share up to date for the
+// next session.
 func (n *Node) ExportedView(b routing.NodeID) []pgraph.LinkInfo {
-	if nb := n.neighbor(b); nb != nil && nb.graph != nil && nb.view != nil {
-		return nb.view.Graph().LinkInfos()
+	if nb := n.neighbor(b); nb != nil && nb.graph != nil {
+		if ec := &n.classes[nb.class]; ec.view != nil {
+			return ec.view.LinkInfos(nb.member)
+		}
 	}
 	return nil
 }

@@ -2,6 +2,7 @@ package centaur
 
 import (
 	"fmt"
+	"slices"
 
 	"centaur/internal/policy"
 	"centaur/internal/routing"
@@ -15,6 +16,45 @@ func (n *Node) BestClass(dest routing.NodeID) policy.RouteClass {
 		return policy.ClassOwn
 	}
 	return n.route(dest).class
+}
+
+// exportable returns the path announced to neighbor b for the
+// destination at position p: the selected path when the export filter
+// admits its class and it does not traverse b (sender-side loop
+// avoidance), nil otherwise.
+func (n *Node) exportable(p int, b routing.NodeID, nb *neighbor) routing.Path {
+	r := n.routes[p]
+	if r.path == nil || !n.pol.Export(n.self, r.class, nb.rel) || r.path.Contains(b) {
+		return nil
+	}
+	return r.path
+}
+
+// classCases reports how neighbor b's share of its class view differs
+// from the class view, read off the route table: whether a path the
+// class exports contains b at its second hop or later (deep), and
+// whether a node on a path containing b is also on one that does not
+// (shared). kept reports that the class view exists and gives b links.
+func (n *Node) classCases(b routing.NodeID) (shared, deep, kept bool) {
+	nb := n.neighbor(b)
+	ec := &n.classes[nb.class]
+	excluded, rest := map[routing.NodeID]bool{}, map[routing.NodeID]bool{}
+	for p := range n.routes {
+		path := n.classPath(p, ec)
+		i := slices.Index(path, b)
+		deep = deep || i >= 2
+		for _, hop := range path[min(1, len(path)):] {
+			if i > 0 {
+				excluded[hop] = true
+			} else {
+				rest[hop] = true
+			}
+		}
+	}
+	for hop := range excluded {
+		shared = shared || rest[hop]
+	}
+	return shared, deep, ec.view != nil && len(ec.view.LinkInfos(nb.member)) > 0
 }
 
 // audit holds every installed route to its definition: it re-derives

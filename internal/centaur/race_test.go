@@ -4,7 +4,8 @@ package centaur
 
 // TestColdStartAllocBudget's limits under the race detector, whose
 // instrumentation moves some values from the stack to the heap: measured
-// 310,962 allocations and 23.71 MB (330,414 and 25.28 MB while every
+// 252,998 allocations and 19.29 MB (310,962 and 23.71 MB while every
+// neighbor had an export view of its own; 330,414 and 25.28 MB while every
 // re-announcement re-derived everything below its head and every round
 // ranked every neighbor's offer; 331,872 and 26.14 MB while a View's
 // round snapshots copied each link's Permission List pairs into a fresh
@@ -15,15 +16,17 @@ package centaur
 // tables grew on demand to the highest ID seen; 554,900 allocations
 // while the node still maintained a local view).
 const (
-	coldStartAllocBudget = 315_000
-	coldStartByteBudget  = 24_200_000
+	coldStartAllocBudget = 257_000
+	coldStartByteBudget  = 19_700_000
 )
 
-// TestFlipAllocBudget's limits under the race detector: measured 4,796
-// allocations and 170.1 KB per episode (5,596 and 265.1 KB while a
+// TestFlipAllocBudget's limits under the race detector: measured 4,221
+// allocations and 164.1 KB per episode (4,595 and 166.7 KB while every
+// neighbor had an export view of its own and LinkDown listed the ended
+// graph's destinations into a fresh slice; 5,596 and 265.1 KB while a
 // restarted session rebuilt its export view and its neighbour P-graph
 // from nothing).
 const (
-	flipAllocBudget = 4_900
-	flipByteBudget  = 180_000
+	flipAllocBudget = 4_350
+	flipByteBudget  = 168_000
 )

@@ -14,13 +14,14 @@ var _ sim.Snapshotter = (*Node)(nil)
 // only read — many forks are taken concurrently from one checkpointed
 // template, and the race detector gates this in CI.
 //
-// Copy depth follows the package's mutation contract: cfg, pol and
-// nbrList are construction-only and shared; routing.Path values are
-// immutable once installed, so the route table and the derive caches
-// are copied but their path slices are not; the neighbor P-graphs and
-// the announced views are live mutable, so deep-cloned (Graph.Clone /
-// View.Clone, in-place-mutating Permission Lists included; there is no
-// local view to clone, see LocalGraph). The derive caches are copied as
+// Copy depth follows the package's mutation contract: cfg, pol, nbrList
+// and the classes' member lists are construction-only and shared;
+// routing.Path values are immutable once installed, so the route table
+// and the derive caches are copied but their path slices are not; the
+// neighbor P-graphs and the class views are live mutable, so
+// deep-cloned, each class view once (Graph.Clone / ClassView.Clone,
+// in-place-mutating Permission Lists included; there is no local view to
+// clone, see LocalGraph). The derive caches are copied as
 // well — not for correctness (each entry is a pure function of the
 // neighbor's P-graph) but so a fork's cache hit pattern is deterministic
 // rather than dependent on which template the scheduler checkpointed.
@@ -36,6 +37,7 @@ func (n *Node) ForkProtocol(env sim.Env) sim.Protocol {
 		idx:           n.idx,
 		nbrList:       n.nbrList,
 		nbrs:          slices.Clone(n.nbrs),
+		classes:       slices.Clone(n.classes),
 		routes:        slices.Clone(n.routes),
 		pendingFailed: slices.Clone(n.pendingFailed),
 		failed:        maps.Clone(n.failed),
@@ -44,6 +46,11 @@ func (n *Node) ForkProtocol(env sim.Env) sim.Protocol {
 		notedGen:      n.notedGen,
 		stamp:         make([]uint32, len(n.stamp)),
 	}
+	for c := range out.classes {
+		if ec := &out.classes[c]; ec.view != nil {
+			ec.view = ec.view.Clone()
+		}
+	}
 	for i := range out.nbrs {
 		nb := &out.nbrs[i]
 		if nb.graph != nil {
@@ -51,9 +58,6 @@ func (n *Node) ForkProtocol(env sim.Env) sim.Protocol {
 			// Graph.Clone does not carry the false-positive observer — it
 			// closes over the owning node; the fork registers its own.
 			out.installFPObserver(nb.graph)
-		}
-		if nb.view != nil {
-			nb.view = nb.view.Clone()
 		}
 		// A down link's spare graph is storage, not state: forks taken
 		// concurrently from one template must not share it, and copying
@@ -66,7 +70,8 @@ func (n *Node) ForkProtocol(env sim.Env) sim.Protocol {
 }
 
 // SnapshotBytes implements sim.Snapshotter: a rough heap estimate of what
-// ForkProtocol copies, mostly the per-neighbor P-graphs and announced views.
+// ForkProtocol copies, mostly the per-neighbor P-graphs and the class
+// views.
 func (n *Node) SnapshotBytes() int {
 	const word = 8
 	b := len(n.routes)*5*word + len(n.failed)*6*word
@@ -78,10 +83,12 @@ func (n *Node) SnapshotBytes() int {
 		if nb.graph != nil {
 			b += nb.graph.ApproxMemBytes()
 		}
-		if nb.view != nil {
-			b += nb.view.ApproxMemBytes()
-		}
 		b += nb.derived.Len() * 3 * word
+	}
+	for c := range n.classes {
+		if v := n.classes[c].view; v != nil {
+			b += v.ApproxMemBytes()
+		}
 	}
 	return b
 }

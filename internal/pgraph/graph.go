@@ -454,14 +454,20 @@ func (g *Graph) DestSlot(n routing.NodeID) (int, bool) {
 
 // Dests returns the marked destinations in ascending order.
 func (g *Graph) Dests() []routing.NodeID {
-	out := make([]routing.NodeID, 0, g.nDests)
-	for i := int32(0); i < g.nodes.n; i++ {
-		if nd := g.nodes.at(i); nd.dest {
-			out = append(out, nd.id)
-		}
-	}
+	out := g.AppendDests(make([]routing.NodeID, 0, g.nDests))
 	slices.Sort(out)
 	return out
+}
+
+// AppendDests appends the marked destinations to dst in slot order, not
+// sorted: an allocation-free walk when dst has room.
+func (g *Graph) AppendDests(dst []routing.NodeID) []routing.NodeID {
+	for i := int32(0); i < g.nodes.n; i++ {
+		if nd := g.nodes.at(i); nd.dest {
+			dst = append(dst, nd.id)
+		}
+	}
+	return dst
 }
 
 // Permission returns the Permission List attached to link l, or nil when

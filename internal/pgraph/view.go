@@ -378,12 +378,16 @@ func (v *View) installPairs(s int32, i int) {
 // Flush returns the Δ accumulated since the last Flush: every touched
 // link whose announced state actually changed, as additions (including
 // attribute re-announcements) and withdrawals, sorted deterministically.
-func (v *View) Flush() Delta {
+func (v *View) Flush() Delta { return v.flush(nil) }
+
+// flush is Flush with the additions appended to adds[:0] when adds is
+// not nil, so a caller that copies them out can reuse the storage.
+func (v *View) flush(adds []LinkInfo) Delta {
 	g := v.g
 	slices.SortStableFunc(v.round, func(a, b snapshot) int { return linkCompare(a.link, b.link) })
 	// Pass one settles each touched link's verdict and counts, so pass two
 	// fills exactly sized slices and materializes only what is sent.
-	var adds, removes int
+	var nAdds, removes int
 	for i := range v.round {
 		before := &v.round[i]
 		l := before.link
@@ -400,15 +404,18 @@ func (v *View) Flush() Delta {
 		switch {
 		case now && !(before.present && v.sameAnnouncement(before, head, &head.in[at])):
 			before.verdict = announce
-			adds++
+			nAdds++
 		case before.present && !now:
 			before.verdict = withdraw
 			removes++
 		}
 	}
 	var d Delta
-	if adds > 0 {
-		d.Adds = make([]LinkInfo, 0, adds)
+	switch {
+	case adds != nil:
+		d.Adds = slices.Grow(adds[:0], nAdds)
+	case nAdds > 0:
+		d.Adds = make([]LinkInfo, 0, nAdds)
 	}
 	if removes > 0 {
 		d.Removes = make([]routing.Link, 0, removes)

@@ -100,6 +100,12 @@ type Policy interface {
 	// neighbors of the same relationship are exported the same routes,
 	// which is what lets experiments.Figure5 keep one announced view per
 	// relationship instead of one per neighbor.
+	//
+	// Export must be a pure function of (self, cl, rel): the same answer
+	// on every call, whatever else has happened. A Centaur node asks it
+	// once per neighbor and route class when it is built, groups its
+	// neighbors into export classes by the answers, and keeps one
+	// announced view per class from then on.
 	Export(self routing.NodeID, cl RouteClass, rel topology.Relationship) bool
 	// Better is the ranking function: whether candidate a is strictly
 	// preferred over candidate b at node self. Over the candidates for

@@ -68,6 +68,30 @@ func TestExportRules(t *testing.T) {
 	}
 }
 
+// TestGaoRexfordHasTwoExportClasses pins the grouping Centaur builds
+// its export classes from: under every tie-break mode, customers and
+// siblings are exported one set of route classes and peers and providers
+// another.
+func TestGaoRexfordHasTwoExportClasses(t *testing.T) {
+	for _, mode := range []TieBreakMode{TieLowestVia, TieHashed, TieHashedPreferred, TieOverride} {
+		pol := GaoRexford{TieBreak: mode}
+		signature := func(rel topology.Relationship) (sig uint8) {
+			for cl := ClassOwn; cl <= ClassProvider; cl++ {
+				if pol.Export(7, cl, rel) {
+					sig |= 1 << cl
+				}
+			}
+			return sig
+		}
+		cust, sib := signature(topology.RelCustomer), signature(topology.RelSibling)
+		peer, prov := signature(topology.RelPeer), signature(topology.RelProvider)
+		if cust != sib || peer != prov || cust == peer {
+			t.Errorf("%v: export signatures customer %b, sibling %b, peer %b, provider %b; want two classes, customer and sibling versus peer and provider",
+				mode, cust, sib, peer, prov)
+		}
+	}
+}
+
 func TestAcceptRejectsLoops(t *testing.T) {
 	pol := GaoRexford{}
 	if pol.Accept(2, 3, routing.Path{3, 2, 5}) {
