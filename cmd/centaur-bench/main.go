@@ -42,6 +42,7 @@ import (
 	"centaur/internal/liveness"
 	"centaur/internal/policy"
 	"centaur/internal/telemetry"
+	"centaur/internal/trace"
 )
 
 func main() {
@@ -80,7 +81,7 @@ type benchReport struct {
 	// depth and root-to-last-route-change latency) derived from the
 	// -prov trace. Only present with -trace -prov, so a default run's
 	// report stays byte-identical to builds predating the option.
-	Provenance map[string]telemetry.SeriesProvenance `json:"provenance,omitempty"`
+	Provenance map[string]trace.SeriesProvenance `json:"provenance,omitempty"`
 }
 
 // help is centaur-bench's text for the shared flags whose text differs
@@ -348,7 +349,7 @@ func run(args []string) error {
 		}
 		fmt.Printf("event trace: %s\n", c.TraceFile)
 		if c.Prov {
-			rep, err := telemetry.Explain(bytes.NewReader(tc.Bytes()))
+			rep, err := trace.Explain(bytes.NewReader(tc.Bytes()))
 			if err != nil {
 				return fmt.Errorf("-prov: %w", err)
 			}

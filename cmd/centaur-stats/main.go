@@ -34,8 +34,8 @@ import (
 	"centaur/internal/experiments"
 	"centaur/internal/policy"
 	"centaur/internal/solver"
-	"centaur/internal/telemetry"
 	"centaur/internal/topology"
+	"centaur/internal/trace"
 )
 
 func main() {
@@ -202,7 +202,7 @@ func run(args []string, w io.Writer) error {
 }
 
 // checkTrace validates a JSONL event trace against the schema
-// telemetry.ValidateTrace documents and prints what it contains; a
+// internal/trace documents and prints what it contains; a
 // malformed trace surfaces as a non-zero exit naming the bad line.
 func checkTrace(w io.Writer, path string) error {
 	f, err := os.Open(path)
@@ -210,7 +210,7 @@ func checkTrace(w io.Writer, path string) error {
 		return err
 	}
 	defer f.Close()
-	sum, err := telemetry.ValidateTrace(f)
+	sum, err := trace.Validate(f)
 	if err != nil {
 		return fmt.Errorf("%s: %w", path, err)
 	}
@@ -232,23 +232,17 @@ func checkTrace(w io.Writer, path string) error {
 	return nil
 }
 
-// explainTrace runs the causal analysis on a schema-v2 trace: it
-// validates the trace first (provenance integrity included), then
-// prints the per-root-event trees and the per-series critical-path
-// summary.
+// explainTrace runs the causal analysis on a schema-v2 trace — read
+// once, through the validator, so a malformed trace fails as it does
+// under -check-trace — and prints the per-root-event trees and the
+// per-series critical-path summary.
 func explainTrace(w io.Writer, path string) error {
 	f, err := os.Open(path)
 	if err != nil {
 		return err
 	}
 	defer f.Close()
-	if _, err := telemetry.ValidateTrace(f); err != nil {
-		return fmt.Errorf("%s: %w", path, err)
-	}
-	if _, err := f.Seek(0, 0); err != nil {
-		return err
-	}
-	rep, err := telemetry.Explain(f)
+	rep, err := trace.Explain(f)
 	if err != nil {
 		return fmt.Errorf("%s: %w", path, err)
 	}

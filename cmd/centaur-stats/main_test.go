@@ -2,6 +2,8 @@ package main
 
 import (
 	"io"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -55,5 +57,27 @@ func TestRunSampleBounds(t *testing.T) {
 		if err := run([]string{"-fig", "5", "-nodes", "40", "-sample", sample}, io.Discard); err != nil {
 			t.Errorf("-sample %s: %v", sample, err)
 		}
+	}
+}
+
+// TestExplainFailsLikeCheckTrace: -explain reads through the validator,
+// so a trace -check-trace rejects fails -explain with the same
+// line-numbered error, here a span gap that -explain alone used to
+// catch.
+func TestExplainFailsLikeCheckTrace(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "gap.jsonl")
+	gap := `{"chunk":0,"v":2,"label":"x","seed":1}` + "\n" +
+		`{"t":1,"k":"link-down","f":1,"o":2,"c":1,"d":0}` + "\n" +
+		`{"t":2,"k":"link-up","f":1,"o":2,"c":3,"d":0}` + "\n"
+	if err := os.WriteFile(path, []byte(gap), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	checkErr := run([]string{"-check-trace", path}, io.Discard)
+	explainErr := run([]string{"-explain", path}, io.Discard)
+	if checkErr == nil || !strings.Contains(checkErr.Error(), "trace line 3") {
+		t.Fatalf("-check-trace: %v, want an error naming line 3", checkErr)
+	}
+	if explainErr == nil || explainErr.Error() != checkErr.Error() {
+		t.Fatalf("-explain: %v, want -check-trace's %v", explainErr, checkErr)
 	}
 }

@@ -8,9 +8,9 @@ import (
 	"centaur/internal/policy"
 	"centaur/internal/routing"
 	"centaur/internal/sim"
-	"centaur/internal/telemetry"
 	"centaur/internal/topogen"
 	"centaur/internal/topology"
+	"centaur/internal/trace"
 )
 
 func TestEdgeOfCanonical(t *testing.T) {
@@ -236,7 +236,7 @@ func TestRCNTraceIsDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	series := func() []byte {
-		tc := telemetry.NewTraceCollector()
+		tc := trace.NewCollector()
 		net, err := sim.NewNetwork(sim.Config{
 			Topology:  g,
 			Build:     New(Config{Policy: policy.GaoRexford{TieBreak: policy.TieHashed}, RCN: true}),

@@ -9,6 +9,7 @@ import (
 	"centaur/internal/solver"
 	"centaur/internal/topogen"
 	"centaur/internal/topology"
+	"centaur/internal/trace"
 )
 
 // overridePolicy forces non-shortest-path choices, so converged views
@@ -136,7 +137,8 @@ func TestBloomPLFailureRecovery(t *testing.T) {
 
 // TestBloomPLFalsePositivesReachNetworkThroughAdapter: a node behind an
 // adapter env (sim.Reliable) still reports every Bloom false positive to
-// the network, through sim.BaseEnv — the count equals an unwrapped run's.
+// the network, through the Emit the adapter forwards — the count equals
+// an unwrapped run's.
 func TestBloomPLFalsePositivesReachNetworkThroughAdapter(t *testing.T) {
 	g, err := topogen.HeTopLike(120, 4) // small, yet takes false positives
 	if err != nil {
@@ -151,7 +153,7 @@ func TestBloomPLFalsePositivesReachNetworkThroughAdapter(t *testing.T) {
 		if _, _, err := net.RunToConvergence(50_000_000); err != nil {
 			t.Fatal(err)
 		}
-		return net.Stats().PLFalsePositives
+		return net.Notes(trace.NotePLFalsePositive)
 	}
 	bare, wrapped := count(build), count(sim.Reliable(build, sim.ReliableConfig{}))
 	if bare == 0 {
@@ -159,5 +161,71 @@ func TestBloomPLFalsePositivesReachNetworkThroughAdapter(t *testing.T) {
 	}
 	if wrapped != bare {
 		t.Fatalf("false positives behind sim.Reliable = %d, unwrapped = %d", wrapped, bare)
+	}
+}
+
+// TestBloomPLFalsePositiveNotes: every Bloom false positive is one pl-fp
+// note from the node deriving, caused by what that node was handling —
+// parented to it and as deep — and the network counts each one. A link
+// flip after the cold start gives notes under a root cause too.
+func TestBloomPLFalsePositiveNotes(t *testing.T) {
+	g, err := topogen.HeTopLike(120, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	build := New(Config{BloomPL: true, PLFPRate: 0.5, Policy: overridePolicy()})
+	net, err := sim.NewNetwork(sim.Config{Topology: g, Build: build, DelaySeed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// causes holds every event a note could be parented to: deliveries
+	// and link transitions (a derivation runs inside a handler, or in a
+	// timer that keeps the cause of the handler that armed it).
+	causes := make(map[uint64]sim.TraceEvent)
+	var notes []sim.TraceEvent
+	net.Observe(func(ev sim.TraceEvent) {
+		switch ev.Kind {
+		case sim.TraceDeliver, sim.TraceLinkDown, sim.TraceLinkUp:
+			causes[ev.Span] = ev
+		case sim.TraceNote:
+			notes = append(notes, ev)
+		}
+	})
+	if _, _, err := net.RunToConvergence(50_000_000); err != nil {
+		t.Fatal(err)
+	}
+	l := g.Edges()[0]
+	for _, flip := range []func(a, b routing.NodeID) bool{net.FailLink, net.RestoreLink} {
+		if !flip(l.A, l.B) {
+			t.Fatal("link flip refused")
+		}
+		if _, _, err := net.RunToConvergence(50_000_000); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(notes) < 2 {
+		t.Fatalf("%d pl-fp notes; the test proves nothing", len(notes))
+	}
+	if got := net.Notes(trace.NotePLFalsePositive); got != int64(len(notes)) {
+		t.Fatalf("Network.Notes counts %d pl-fp notes, the stream carried %d", got, len(notes))
+	}
+	for _, ev := range notes {
+		if ev.Note != trace.NotePLFalsePositive || ev.Msg != nil {
+			t.Fatalf("note %+v: want a message-less pl-fp", ev)
+		}
+		cause, ok := causes[ev.Parent]
+		if !ok {
+			t.Fatalf("pl-fp %+v: parent %d is no delivery or link transition", ev, ev.Parent)
+		}
+		if ev.Depth != cause.Depth {
+			t.Fatalf("pl-fp %+v at depth %d, its cause %+v at %d", ev, ev.Depth, cause, cause.Depth)
+		}
+		deriving := cause.To // the delivery's receiver
+		if cause.Kind != sim.TraceDeliver && ev.From == cause.From {
+			deriving = cause.From // either end of a flipped link derives
+		}
+		if ev.From != deriving {
+			t.Fatalf("pl-fp %+v from node %v, but its cause %+v was handled by %v", ev, ev.From, cause, deriving)
+		}
 	}
 }

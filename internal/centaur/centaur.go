@@ -36,6 +36,7 @@ import (
 	"centaur/internal/routing"
 	"centaur/internal/sim"
 	"centaur/internal/topology"
+	"centaur/internal/trace"
 	"centaur/internal/wire"
 )
 
@@ -94,7 +95,7 @@ type Config struct {
 	// explicit list when that is smaller on the wire), and WireBytes
 	// charges only the compressed form. Receivers answer membership from
 	// the filters and verify positive hits against the explicit pairs,
-	// so a false positive is counted (pl.fp_hits, Stats.PLFalsePositives)
+	// so a false positive is counted (pl.fp_hits, a pl-fp note)
 	// and denied — routing decisions are identical to the explicit mode.
 	BloomPL bool
 	// PLFPRate is the per-group Bloom filter false-positive target used
@@ -344,24 +345,17 @@ func (n *Node) openSession(nb *neighbor, b routing.NodeID) {
 	nb.graph, nb.spare, nb.fresh = g, nil, true
 }
 
-// plFPNoter is the optional environment interface for Permission List
-// Bloom false-positive accounting; the simulator's own env implements
-// it, and sim.BaseEnv reaches that env through any adapter envs.
-type plFPNoter interface{ NotePLFalsePositive(dest routing.NodeID) }
-
-// installFPObserver wires the graph's Bloom false-positive hits into
-// the simulator's stats and trace. Only compressed Permission Lists
-// (BloomPL mode) can produce hits. The observer closes over the node,
-// so a forked protocol instance re-installs its own on its cloned
-// graphs (see snapshot.go).
+// installFPObserver publishes the graph's Bloom false-positive hits as
+// pl-fp notes, which the simulator counts (sim.Network.Notes) and traces.
+// Only compressed Permission Lists (BloomPL mode) can produce hits. The
+// observer closes over the node, so a forked protocol instance
+// re-installs its own on its cloned graphs (see snapshot.go).
 func (n *Node) installFPObserver(g *pgraph.Graph) {
 	if !n.cfg.BloomPL {
 		return
 	}
 	g.SetFPObserver(func(_ routing.Link, dest, _ routing.NodeID) {
-		if noter, ok := sim.BaseEnv(n.env).(plFPNoter); ok {
-			noter.NotePLFalsePositive(dest)
-		}
+		n.env.Emit(trace.NotePLFalsePositive, dest)
 	})
 }
 

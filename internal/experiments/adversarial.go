@@ -29,6 +29,7 @@ import (
 	"centaur/internal/sim"
 	"centaur/internal/solver"
 	"centaur/internal/topology"
+	"centaur/internal/trace"
 )
 
 // AdversarialConfig is the adversarial sweep's own axes: (protocol ×
@@ -141,7 +142,7 @@ func advHooks(g *topology.Graph, scen *advScenario, model *adversary.Model, s *A
 		// Root-cause markers for the causal trace: one adv-inject root per
 		// attacker, before any protocol event fires.
 		for _, a := range model.Attackers() {
-			net.Emit(sim.TraceAdvInject, a, model.VictimOf(a))
+			net.Emit(trace.NoteAdvInject, a, model.VictimOf(a))
 		}
 		det = invariant.NewAdvTracker(g, model, net)
 		det.Install()

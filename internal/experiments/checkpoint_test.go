@@ -15,6 +15,7 @@ import (
 	"centaur/internal/telemetry"
 	"centaur/internal/topogen"
 	"centaur/internal/topology"
+	"centaur/internal/trace"
 )
 
 // coldRun runs trials with their fork sources cleared, so every chunk
@@ -136,7 +137,7 @@ func TestTraceDisablesCheckpointing(t *testing.T) {
 		t.Fatal(err)
 	}
 	run := func(flips func(FlipConfig) ([]FlipSample, error), workers int) ([]byte, *telemetry.Registry) {
-		tc := telemetry.NewTraceCollector()
+		tc := trace.NewCollector()
 		reg := telemetry.New()
 		_, err := flips(FlipConfig{
 			Topology: g, Build: bgp.New(bgp.Config{}), Flips: 8, Seed: 5,

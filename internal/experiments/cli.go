@@ -15,6 +15,7 @@ import (
 	"centaur/internal/pgraph"
 	"centaur/internal/solver"
 	"centaur/internal/telemetry"
+	"centaur/internal/trace"
 )
 
 // CLI is the command-line surface centaur-sim and centaur-bench share.
@@ -177,9 +178,9 @@ func (c *CLI) Start(newRegistry func() *telemetry.Registry, always bool) (stop f
 		liveness.SetTelemetry(reg)
 	}
 	if c.TraceFile != "" {
-		s.Trace = telemetry.NewTraceCollector()
+		s.Trace = trace.NewCollector()
 		if c.Prov {
-			s.Trace = telemetry.NewTraceCollectorV2()
+			s.Trace = trace.NewCollectorV2()
 		}
 	}
 	if c.debugAt != "" {

@@ -20,6 +20,7 @@ import (
 	"centaur/internal/telemetry"
 	"centaur/internal/topogen"
 	"centaur/internal/topology"
+	"centaur/internal/trace"
 )
 
 // FlipSample is one link-flip measurement: the link was failed, the
@@ -103,7 +104,7 @@ type FlipConfig struct {
 	// chunk per simulation is created at trial-construction time (a serial
 	// step), so the concatenated trace is byte-identical for every
 	// worker count.
-	Trace *telemetry.TraceCollector
+	Trace *trace.Collector
 	// Flows enables per-phase data-plane accounting: each flow is
 	// re-walked through the live RIBs on every control-plane change, and
 	// every flip sample carries the integrated user impact of its down

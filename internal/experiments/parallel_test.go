@@ -14,6 +14,7 @@ import (
 	"centaur/internal/bgp"
 	"centaur/internal/telemetry"
 	"centaur/internal/topogen"
+	"centaur/internal/trace"
 )
 
 func TestParallelEach(t *testing.T) {
@@ -173,8 +174,8 @@ func TestTraceWorkerCountInvariance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := func(workers int) (*telemetry.TraceCollector, *telemetry.Registry) {
-		tc := telemetry.NewTraceCollector()
+	run := func(workers int) (*trace.Collector, *telemetry.Registry) {
+		tc := trace.NewCollector()
 		reg := telemetry.New()
 		_, err := RunFlips(FlipConfig{
 			Topology: g, Build: bgp.New(bgp.Config{}), Flips: 8, Seed: 5,
@@ -196,7 +197,7 @@ func TestTraceWorkerCountInvariance(t *testing.T) {
 	if !bytes.Equal(b1, b8) {
 		t.Fatal("traces differ between workers=1 and workers=8")
 	}
-	if _, err := telemetry.ValidateTrace(bytes.NewReader(b1)); err != nil {
+	if _, err := trace.Validate(bytes.NewReader(b1)); err != nil {
 		t.Fatalf("trace does not validate: %v", err)
 	}
 
@@ -230,8 +231,8 @@ func TestProvenanceTraceWorkerCountInvariance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := func(workers int) *telemetry.TraceCollector {
-		tc := telemetry.NewTraceCollectorV2()
+	run := func(workers int) *trace.Collector {
+		tc := trace.NewCollectorV2()
 		_, err := RunFlips(FlipConfig{
 			Topology: g, Build: bgp.New(bgp.Config{}), Flips: 8, Seed: 5,
 			TrialsPerNetwork: 2, workers: workers,
@@ -249,14 +250,14 @@ func TestProvenanceTraceWorkerCountInvariance(t *testing.T) {
 	if !bytes.Equal(b1, b8) {
 		t.Fatal("provenance traces differ between workers=1 and workers=8")
 	}
-	sum, err := telemetry.ValidateTrace(bytes.NewReader(b1))
+	sum, err := trace.Validate(bytes.NewReader(b1))
 	if err != nil {
 		t.Fatalf("provenance trace does not validate: %v", err)
 	}
 	if sum.ProvenanceChunks != sum.Chunks || sum.Chunks == 0 {
 		t.Fatalf("want every chunk schema v2: %+v", sum)
 	}
-	rep, err := telemetry.Explain(bytes.NewReader(b1))
+	rep, err := trace.Explain(bytes.NewReader(b1))
 	if err != nil {
 		t.Fatalf("explain failed: %v", err)
 	}

@@ -31,6 +31,7 @@ import (
 	"centaur/internal/ospf"
 	"centaur/internal/sim"
 	"centaur/internal/solver"
+	"centaur/internal/trace"
 )
 
 // ReliabilityConfig is the reliability sweep's own axes: every protocol
@@ -159,7 +160,7 @@ func relBody(s *ReliabilitySample, sol *solver.Solution) func(*trial, *sim.Netwo
 		s.Retransmits = st.Retransmits
 		s.DupSuppressed = st.DupSuppressed
 		s.Abandoned = st.TransportAbandoned
-		s.PLFalsePositives = st.PLFalsePositives
+		s.PLFalsePositives = net.Notes(trace.NotePLFalsePositive)
 		if tracker != nil {
 			// One measurement window over the whole trial, closed at the
 			// quiescence instant (or wherever the budget ran out).
@@ -193,8 +194,8 @@ func relBody(s *ReliabilitySample, sol *solver.Solution) func(*trial, *sim.Netwo
 		r.Counter("transport.abandoned").Add(st.TransportAbandoned)
 		// Registered only when a hit occurred, so a BloomPL-off run's
 		// telemetry snapshot is byte-identical to pre-option runs.
-		if st.PLFalsePositives > 0 {
-			r.Counter("sim.pl_fp").Add(st.PLFalsePositives)
+		if s.PLFalsePositives > 0 {
+			r.Counter("sim.pl_fp").Add(s.PLFalsePositives)
 		}
 		// Registered only when the data plane ran, so a flow-less run's
 		// telemetry snapshot is byte-identical to pre-data-plane runs.

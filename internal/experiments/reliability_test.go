@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"centaur/internal/telemetry"
+	"centaur/internal/trace"
 )
 
 // TestReliabilityAcceptance is the PR's headline acceptance check: on a
@@ -69,9 +70,9 @@ func TestReliabilityWorkerCountInvariance(t *testing.T) {
 		Crashes: 1, window: 300 * time.Millisecond,
 		Trials: 2, FaultSeed: 500,
 	}
-	run := func(workers int) (*ReliabilityResult, *telemetry.TraceCollector, *telemetry.Registry) {
+	run := func(workers int) (*ReliabilityResult, *trace.Collector, *telemetry.Registry) {
 		s := Scenario{Nodes: 30, LinksPerNode: 2, Seed: 3, Workers: workers,
-			Trace: telemetry.NewTraceCollector(), Telemetry: telemetry.New()}
+			Trace: trace.NewCollector(), Telemetry: telemetry.New()}
 		res, err := RunReliability(s, cfg)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
@@ -91,7 +92,7 @@ func TestReliabilityWorkerCountInvariance(t *testing.T) {
 	if !bytes.Equal(b1, b8) {
 		t.Fatal("traces differ between serial and parallel runs")
 	}
-	sum, err := telemetry.ValidateTrace(bytes.NewReader(b1))
+	sum, err := trace.Validate(bytes.NewReader(b1))
 	if err != nil {
 		t.Fatalf("trace does not validate: %v", err)
 	}
@@ -122,6 +123,38 @@ func TestReliabilityWorkerCountInvariance(t *testing.T) {
 			t.Errorf("%s loss=%v churn=%v trial=%d failed: converged=%v violations=%d %s %s",
 				s.Protocol, s.Loss, s.Churn, s.Trial, s.Converged, s.Violations, s.Diagnostic, s.FirstViolation)
 		}
+	}
+}
+
+// TestReliabilityPLFalsePositivesMatchTrace: a BloomPL trial's
+// false-positive count, its sim.pl_fp counter and the pl-fp notes in its
+// trace are one tally.
+func TestReliabilityPLFalsePositivesMatchTrace(t *testing.T) {
+	s := Scenario{Nodes: 100, LinksPerNode: 2, Seed: 5, Trace: trace.NewCollector(), Telemetry: telemetry.New()}
+	res, err := RunReliability(s, ReliabilityConfig{
+		LossRates: []float64{0},
+		Trials:    1, FaultSeed: 21,
+		BloomPL: true, PLFPRate: 0.5,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var counted int64
+	for _, smp := range res.Samples {
+		counted += smp.PLFalsePositives
+	}
+	if counted == 0 {
+		t.Fatal("the trial took no Bloom false positives; the test proves nothing")
+	}
+	sum, err := trace.Validate(bytes.NewReader(s.Trace.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if traced := int64(sum.ByKind[trace.NotePLFalsePositive]); traced != counted {
+		t.Fatalf("samples count %d false positives, the trace carries %d pl-fp notes", counted, traced)
+	}
+	if c := s.Telemetry.Snapshot().Counters["sim.pl_fp"]; c != counted {
+		t.Fatalf("sim.pl_fp = %d, samples count %d", c, counted)
 	}
 }
 

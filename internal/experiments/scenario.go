@@ -10,6 +10,7 @@ import (
 	"centaur/internal/telemetry"
 	"centaur/internal/topogen"
 	"centaur/internal/topology"
+	"centaur/internal/trace"
 )
 
 // Scenario is the workload the flip figures, the protocol ladder, the
@@ -52,7 +53,7 @@ type Scenario struct {
 	// Telemetry and Trace are the observability hooks, shared by every
 	// series; see FlipConfig.
 	Telemetry *telemetry.Registry
-	Trace     *telemetry.TraceCollector
+	Trace     *trace.Collector
 	// Flows enables the user-impact variant: that many seeded,
 	// policy-reachable src→dst flows are re-walked through the live RIBs,
 	// and results carry the integrated blackhole/loop impact. FlowRate

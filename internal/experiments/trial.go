@@ -14,6 +14,7 @@ import (
 	"centaur/internal/solver"
 	"centaur/internal/telemetry"
 	"centaur/internal/topology"
+	"centaur/internal/trace"
 )
 
 // maxEvents bounds each simulation run; all protocols quiesce far below
@@ -59,7 +60,7 @@ type trial struct {
 	// series names the trial in telemetry ("fig6.centaur", "rel.bgp").
 	series string
 	tele   *telemetry.Registry
-	chunk  *telemetry.TraceChunk
+	chunk  *trace.Chunk
 	// warm makes the cold start a warm-up: the network is quiesced
 	// before the tracker attaches and the body runs (the flip grids).
 	// Otherwise the body measures the cold start itself.

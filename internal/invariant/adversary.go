@@ -11,6 +11,7 @@ import (
 	"centaur/internal/routing"
 	"centaur/internal/sim"
 	"centaur/internal/topology"
+	"centaur/internal/trace"
 )
 
 // This file extends the invariant checker into the adversarial-suite
@@ -100,7 +101,7 @@ func attackerEndOrOn(m *adversary.Model, p routing.Path) routing.NodeID {
 // BEFORE sim.Network.Run: it subscribes to the network's event stream,
 // so every route change is classified synchronously at the instant it
 // happens — "ever held bad state" needs no per-instant full scans. Each
-// contaminated change also emits a TraceAdvBad span into the causal
+// contaminated change also emits an adv-bad note into the causal
 // trace, right after the route event and attributed to the update that
 // caused it.
 type AdvTracker struct {
@@ -133,7 +134,7 @@ func NewAdvTracker(g *topology.Graph, m *adversary.Model, net *sim.Network) *Adv
 func (t *AdvTracker) Install() {
 	t.net.Observe(func(ev sim.TraceEvent) {
 		if ev.Kind == sim.TraceRouteChange && t.audit(ev.From, ev.To) {
-			t.net.Emit(sim.TraceAdvBad, ev.From, ev.To)
+			t.net.Emit(trace.NoteAdvBad, ev.From, ev.To)
 		}
 	})
 }

@@ -178,6 +178,7 @@ func (e *StubEnv) Neighbors() []topology.Neighbor         { return e.Nbrs }
 func (e *StubEnv) LinkIsUp(routing.NodeID) bool           { return true }
 func (e *StubEnv) RouteChanged(routing.NodeID)            {}
 func (e *StubEnv) RouteChangedVia(_, _, _ routing.NodeID) {}
+func (e *StubEnv) Emit(string, routing.NodeID)            {}
 func (e *StubEnv) Index() *topology.Index                 { return e.Idx }
 
 // FlipBench measures one link failed, quiesced, restored and quiesced

@@ -86,9 +86,6 @@ func TestInjectedLossDropsAtDelivery(t *testing.T) {
 	if drop.At != loss.At+time.Millisecond {
 		t.Fatalf("drop at %v, decision at %v; want the 1 ms link delay between them", drop.At, loss.At)
 	}
-	if loss.Kind.String() != "fault-loss" || drop.Kind.String() != "drop-fault" {
-		t.Fatalf("kind names: %q, %q", loss.Kind.String(), drop.Kind.String())
-	}
 }
 
 func TestInjectedDuplicateDeliversTwice(t *testing.T) {
@@ -243,14 +240,8 @@ func TestCrashNodeSemantics(t *testing.T) {
 		switch ev.Kind {
 		case TraceCrash:
 			crashEvents++
-			if ev.Kind.String() != "crash" {
-				t.Fatalf("crash kind renders %q", ev.Kind.String())
-			}
 		case TraceRestart:
 			restartEvents++
-			if ev.Kind.String() != "restart" {
-				t.Fatalf("restart kind renders %q", ev.Kind.String())
-			}
 		}
 	}
 	if crashEvents != 1 || restartEvents != 1 {

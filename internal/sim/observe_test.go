@@ -53,7 +53,7 @@ func TestObserveOrderAndNestedEmit(t *testing.T) {
 		net.Observe(func(ev TraceEvent) {
 			order = append(order, 2)
 			if ev.Kind == TraceRouteChange {
-				net.Emit(TraceAdvBad, ev.From, ev.To)
+				net.Emit("audit", ev.From, ev.To)
 			}
 		})
 		net.Observe(func(ev TraceEvent) {
@@ -76,14 +76,14 @@ func TestObserveOrderAndNestedEmit(t *testing.T) {
 		}
 		routes++
 		if i+1 == len(first) {
-			t.Fatal("route event is the last event; its emitted adv-bad is missing")
+			t.Fatal("route event is the last event; its emitted note is missing")
 		}
 		bad := first[i+1]
-		if bad.Kind != TraceAdvBad || bad.From != ev.From || bad.To != ev.To {
-			t.Fatalf("event after route %+v is %+v, want its adv-bad", ev, bad)
+		if bad.Kind != TraceNote || bad.Note != "audit" || bad.From != ev.From || bad.To != ev.To {
+			t.Fatalf("event after route %+v is %+v, want its note", ev, bad)
 		}
 		if bad.Span != ev.Span+1 || bad.Parent != ev.Parent || bad.Depth != ev.Depth {
-			t.Fatalf("adv-bad %+v not parented like route %+v", bad, ev)
+			t.Fatalf("note %+v not parented like route %+v", bad, ev)
 		}
 	}
 	if routes == 0 {

@@ -99,8 +99,8 @@ func (f DataFrame) Kind() string {
 func (f DataFrame) Units() int { return f.Payload.Units() }
 
 // uvarintLen is the byte length of v's unsigned-varint encoding —
-// duplicated from internal/wire because sim cannot import it (wire
-// reaches sim transitively through pgraph's telemetry counters).
+// duplicated from internal/wire because the kernel imports only routing
+// and topology (TestLayering), and the transport still lives in it.
 // TestTransportSizesMatchWire pins the two implementations together.
 func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
 

@@ -202,6 +202,7 @@ func (e *stepEnv) noteDupSuppressed()             { e.dups++ }
 func (e *stepEnv) noteAbandoned()                 { e.aband++ }
 
 func (e *stepEnv) RouteChangedVia(_, _, _ routing.NodeID) {}
+func (e *stepEnv) Emit(string, routing.NodeID)            {}
 
 func (e *stepEnv) Send(to routing.NodeID, msg Message) {
 	e.sends = append(e.sends, sentMsg{to, msg})

@@ -257,6 +257,7 @@ func (e *nopEnv) Neighbors() []topology.Neighbor         { return e.nbrs }
 func (e *nopEnv) LinkIsUp(routing.NodeID) bool           { return true }
 func (e *nopEnv) RouteChanged(routing.NodeID)            {}
 func (e *nopEnv) RouteChangedVia(_, _, _ routing.NodeID) {}
+func (e *nopEnv) Emit(string, routing.NodeID)            {}
 func (e *nopEnv) Index() *topology.Index                 { return nil }
 
 // BenchmarkReliableSendAck times the sender's bookkeeping per frame: a

@@ -1,7 +1,6 @@
-// External test package on purpose: sim cannot import wire (wire
-// reaches sim transitively through pgraph's telemetry counters), so
-// reliable.go duplicates the transport-frame size math. This test pins
-// the duplicate to the real encoder.
+// External test package on purpose: sim imports only routing and
+// topology (TestLayering), so reliable.go duplicates the transport-frame
+// size math. This test pins the duplicate to the real encoder.
 package sim_test
 
 import (

@@ -97,6 +97,12 @@ type Env interface {
 	// every node of the network. Protocols size their per-destination
 	// tables from it once and key them by position.
 	Index() *topology.Index
+	// Emit publishes a note named note from this node about to (a
+	// destination, a peer, or routing.None) into the event stream,
+	// caused by whatever the node is handling (see Network.Emit). The
+	// layers above the kernel name their own notes; the kernel only
+	// counts them. Adapter envs forward it by embedding their Env.
+	Emit(note string, to routing.NodeID)
 }
 
 // Protocol is one routing protocol instance running at one node.
@@ -119,9 +125,9 @@ type Builder func(env Env) Protocol
 
 // EnvUnwrapper is implemented by adapter environments (sim's own relEnv,
 // internal/liveness's gated env) that wrap another Env. BaseEnv follows
-// the chain, so type-asserted accounting hooks (transportNoter, the
-// Permission List false-positive note) reach the simulator's own
-// environment through any stack of wrappers.
+// the chain, so a type-asserted accounting hook (transportNoter)
+// reaches the simulator's own environment through any stack of
+// wrappers.
 type EnvUnwrapper interface {
 	UnwrapEnv() Env
 }
@@ -405,11 +411,6 @@ type Stats struct {
 	// StaleTimers counts Env.After timers skipped because their node
 	// crashed (and was possibly replaced) after they were scheduled.
 	StaleTimers int64
-	// PLFalsePositives counts Bloom false-positive hits taken by
-	// compressed Permission List checks during path derivation (§4.1).
-	// Each hit was denied — compression never grants a path the policy
-	// did not — so the count measures exposure, not damage.
-	PLFalsePositives int64
 	// Events is the lifetime number of simulator events processed by
 	// Run. Unlike the message counters it is NOT zeroed by ResetStats,
 	// so callers can tell "quiesced" from "hit maxEvents" even after a
@@ -498,19 +499,10 @@ const (
 	// transitions (From and To are both the node).
 	TraceCrash
 	TraceRestart
-	// TracePLFalsePositive is a Bloom false-positive hit in a compressed
-	// Permission List check (From is the node deriving, To the
-	// destination whose check hit; the path was denied).
-	TracePLFalsePositive
-	// TraceAdvInject is the attachment of an adversarial attack before
-	// the run starts (From is the attacker, To its victim destination or
-	// routing.None). A root event: no parent, depth 0.
-	TraceAdvInject
-	// TraceAdvBad is the adversarial detector flagging a just-installed
-	// route as contaminated (From is the node, To the destination),
-	// emitted by the detector's subscriber right after the route event.
-	// Like route events it inherits the causing delivery's span.
-	TraceAdvBad
+	// TraceNote is a named event a layer above the kernel publishes
+	// (Env.Emit, Network.Emit); TraceEvent.Note carries its name, and
+	// the kernel gives it no meaning beyond counting it (Network.Notes).
+	TraceNote
 	// TraceInstant marks the end of a processed simulated instant (At):
 	// every state change of the instant has been applied and nothing
 	// later has run. It carries no span and is published once per
@@ -519,70 +511,31 @@ const (
 	TraceInstant
 )
 
-// String names the trace kind.
-func (k TraceKind) String() string {
-	switch k {
-	case TraceSend:
-		return "send"
-	case TraceDeliver:
-		return "deliver"
-	case TraceDrop:
-		return "drop"
-	case TraceLinkDown:
-		return "link-down"
-	case TraceLinkUp:
-		return "link-up"
-	case TraceRouteChange:
-		return "route"
-	case TraceFaultLoss:
-		return "fault-loss"
-	case TraceFaultDup:
-		return "fault-dup"
-	case TraceFaultJitter:
-		return "fault-jitter"
-	case TraceDropFault:
-		return "drop-fault"
-	case TraceCrash:
-		return "crash"
-	case TraceRestart:
-		return "restart"
-	case TracePLFalsePositive:
-		return "pl-fp"
-	case TraceAdvInject:
-		return "adv-inject"
-	case TraceAdvBad:
-		return "adv-bad"
-	case TraceInstant:
-		return "instant"
-	default:
-		return fmt.Sprintf("trace(%d)", uint8(k))
-	}
-}
-
 // TraceEvent is one observed simulator occurrence. Msg is nil for link
-// transitions.
+// transitions and notes.
 type TraceEvent struct {
-	Kind     TraceKind
-	At       time.Duration
-	From, To routing.NodeID
-	Msg      Message
+	Kind TraceKind
+	// HasVia marks a TraceRouteChange reported through RouteChangedVia:
+	// OldNext and NewNext are then the old and new next hop (routing.None
+	// means "no route"). A plain RouteChanged report leaves them unknown
+	// (e.g. OSPF, whose SPF — and hence next hop — is computed lazily).
+	HasVia bool
 	// Span, Parent, and Depth are the causal provenance annotations:
 	// Span is this event's network-unique cause ID (dense from 1, in
 	// emission order), Parent the span of the event that caused it (0 =
 	// none, a startup or externally driven occurrence), and Depth the
 	// causal depth in message hops from the root link/node event. Root
 	// events — link transitions, crashes, restarts — are depth 0; a send
-	// is one deeper than its cause; deliveries, fault records, and route
-	// changes inherit their cause's depth.
-	Span, Parent uint64
-	Depth        int32
-	// OldNext and NewNext are the old and new next hop of a
-	// TraceRouteChange reported through RouteChangedVia; routing.None
-	// means "no route". HasVia distinguishes them from a plain
-	// RouteChanged report, which leaves the next hops unknown (e.g.
-	// OSPF, whose SPF — and hence next hop — is computed lazily).
+	// is one deeper than its cause; deliveries, fault records, route
+	// changes and notes inherit their cause's depth.
+	Depth            int32
+	At               time.Duration
+	From, To         routing.NodeID
 	OldNext, NewNext routing.NodeID
-	HasVia           bool
+	Msg              Message
+	// Note is a TraceNote's name.
+	Note         string
+	Span, Parent uint64
 }
 
 // adjRef is one adjacency of a node in the dense layout: the neighbor's
@@ -662,6 +615,11 @@ type Network struct {
 	// sized is the accounting of the last message Send charged, reused
 	// while a fan-out hands Send the same box (see Send).
 	sized sizedMsg
+	// notes counts the published notes by name since the last
+	// ResetStats (Notes). It is last so that the fields above keep their
+	// offsets: placed after kindUnits it shifted them, and the `flips`
+	// benchmark workload ran about 12 % slower on a 2-CPU Linux host.
+	notes map[string]int64
 }
 
 // kindCount is one per-kind accumulator of sent messages, units, and
@@ -976,16 +934,7 @@ func (e *nodeEnv) noteRetransmit()    { e.net.stats.Retransmits++ }
 func (e *nodeEnv) noteDupSuppressed() { e.net.stats.DupSuppressed++ }
 func (e *nodeEnv) noteAbandoned()     { e.net.stats.TransportAbandoned++ }
 
-// NotePLFalsePositive folds a compressed Permission List Bloom
-// false-positive hit (observed inside a protocol's path derivation)
-// into the stats and the event stream. Exported because protocol
-// packages reach it by type-asserting BaseEnv of their Env, which
-// crosses packages — unlike the transportNoter methods, which sim's own
-// adapter asserts.
-func (e *nodeEnv) NotePLFalsePositive(dest routing.NodeID) {
-	e.net.stats.PLFalsePositives++
-	e.net.Emit(TracePLFalsePositive, e.self, dest)
-}
+func (e *nodeEnv) Emit(note string, to routing.NodeID) { e.net.Emit(note, e.self, to) }
 
 func (e *nodeEnv) RouteChanged(dest routing.NodeID) {
 	e.routeChanged(dest, routing.None, routing.None, false)
@@ -1107,14 +1056,27 @@ func (n *Network) LinkIsUp(a, b routing.NodeID) bool {
 // Subscribing changes nothing the network computes.
 func (n *Network) Observe(fn func(TraceEvent)) { n.subs = append(n.subs, fn) }
 
-// Emit publishes a message-less event of the given kind under a fresh
-// span, parented to the active cause at the cause's depth. Inside a
-// subscriber that is the cause of the event being observed; before the
-// first Run and between runs there is none, so the event is a root
-// (the adversarial setup's TraceAdvInject markers).
-func (n *Network) Emit(kind TraceKind, from, to routing.NodeID) {
-	n.emit(kind, from, to, nil, n.curCause, n.curDepth)
+// Emit publishes a TraceNote named note under a fresh span, parented
+// to the active cause at the cause's depth, and counts it in
+// Notes. Inside a subscriber or a handler that is the cause of
+// the event being observed or handled; before the first Run and between
+// runs there is none, so the note is a root (the adversarial setup's
+// attack markers).
+func (n *Network) Emit(note string, from, to routing.NodeID) {
+	if n.notes == nil {
+		n.notes = make(map[string]int64)
+	}
+	n.notes[note]++
+	n.spanSeq++
+	if len(n.subs) > 0 {
+		n.publish(TraceEvent{Kind: TraceNote, Note: note, At: n.now, From: from, To: to,
+			Span: n.spanSeq, Parent: n.curCause, Depth: n.curDepth})
+	}
 }
+
+// Notes returns how many notes named note were published (Emit,
+// Env.Emit) since the network started or last reset its stats.
+func (n *Network) Notes(note string) int64 { return n.notes[note] }
 
 // CrashNode takes node id down at the current simulated time, modeling a
 // full process crash: every up adjacency fails (in-flight messages on it
@@ -1199,6 +1161,7 @@ func (n *Network) Stats() Stats {
 func (n *Network) ResetStats() {
 	n.stats = Stats{}
 	n.kindUnits = n.kindUnits[:0]
+	clear(n.notes)
 	for i := range n.routeChangedSet {
 		n.routeChangedSet[i] = false
 		n.routeChangedAt[i] = 0

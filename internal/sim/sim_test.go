@@ -362,9 +362,6 @@ func TestTraceHook(t *testing.T) {
 	counts := map[TraceKind]int{}
 	for _, ev := range events {
 		counts[ev.Kind]++
-		if ev.Kind.String() == "" {
-			t.Fatal("kind must render")
-		}
 	}
 	if counts[TraceSend] != 1 || counts[TraceDeliver] != 1 {
 		t.Fatalf("send/deliver counts = %d/%d, want 1/1", counts[TraceSend], counts[TraceDeliver])
@@ -387,9 +384,6 @@ func TestTraceHook(t *testing.T) {
 	}
 	if send == nil || deliver == nil || send.At > deliver.At || send.Msg == nil {
 		t.Fatalf("send/deliver ordering broken: %+v %+v", send, deliver)
-	}
-	if TraceKind(99).String() != "trace(99)" {
-		t.Fatal("unknown kind rendering broken")
 	}
 }
 
@@ -520,9 +514,6 @@ func TestRouteChangedAccounting(t *testing.T) {
 	for _, ev := range traced {
 		if ev.Kind == TraceRouteChange {
 			routes++
-			if ev.Kind.String() != "route" {
-				t.Fatalf("kind renders %q", ev.Kind.String())
-			}
 		}
 	}
 	if routes != 3 {

@@ -1,8 +1,8 @@
 // Package telemetry is the cross-cutting observability layer: a
 // lock-cheap registry of named counters, gauges, and sample
 // distributions that the simulator, the protocol packages, and the
-// experiment harness report into, plus a structured JSONL event trace
-// (trace.go) and a live debug HTTP endpoint (debug.go).
+// experiment harness report into, plus a live debug HTTP endpoint
+// (debug.go). The JSONL event trace is internal/trace's.
 //
 // The design constraint is that measurement must never distort what it
 // measures. A nil *Registry is the disabled state: every handle it

@@ -1,7 +1,7 @@
 // Causal analysis of schema-v2 traces. Explain reconstructs, per trace
-// chunk, the causal tree hanging off every root link/node event and
-// derives the observability artifacts the -explain CLI and the bench
-// report publish:
+// chunk, the causal tree hanging off every root event (a link or node
+// transition, or an attack's attachment) and derives the observability
+// artifacts the -explain CLI and the bench report publish:
 //
 //   - the convergence wavefront: how many route changes happened at
 //     each causal depth (message hops from the root event);
@@ -20,11 +20,9 @@
 // a span costs ~56 bytes, so even multi-million-event chunks fit
 // comfortably.
 
-package telemetry
+package trace
 
 import (
-	"bufio"
-	"encoding/json"
 	"fmt"
 	"io"
 	"sort"
@@ -32,42 +30,8 @@ import (
 	"time"
 
 	"centaur/internal/metrics"
+	"centaur/internal/sim"
 )
-
-// Span-kind enum for the compact per-chunk span table. Values are
-// internal to this file; strings come from exKindNames.
-const (
-	exOther uint8 = iota // kinds explain doesn't analyze (faults, pl-fp, drop)
-	exSend
-	exDeliver
-	exRoute
-	exLinkDown
-	exLinkUp
-	exCrash
-	exRestart
-)
-
-var exKindNames = [...]string{"?", "send", "deliver", "route", "link-down", "link-up", "crash", "restart"}
-
-func exKind(k string) uint8 {
-	switch k {
-	case "send":
-		return exSend
-	case "deliver":
-		return exDeliver
-	case "route":
-		return exRoute
-	case "link-down":
-		return exLinkDown
-	case "link-up":
-		return exLinkUp
-	case "crash":
-		return exCrash
-	case "restart":
-		return exRestart
-	}
-	return exOther
-}
 
 // exSpan is one traced event in the per-chunk span table, indexed by
 // span ID (spans are dense from 1 within a chunk).
@@ -78,7 +42,7 @@ type exSpan struct {
 	from   int32
 	to     int32
 	depth  int32
-	kind   uint8
+	kind   kind
 	msg    uint8 // interned message kind; 0 = none
 }
 
@@ -101,7 +65,8 @@ type CriticalPath struct {
 	Hops      []Hop
 }
 
-// RootTree summarizes the causal tree of one root link/node event.
+// RootTree summarizes the causal tree of one root event: a link or node
+// transition, or an attack's attachment.
 type RootTree struct {
 	Kind     string
 	From, To int64
@@ -145,8 +110,7 @@ type LinkBlame struct {
 type ChunkExplain struct {
 	Label string
 	Seed  int64
-	// Roots lists every root link/node event's causal tree, in trace
-	// order.
+	// Roots lists every root event's causal tree, in trace order.
 	Roots []*RootTree
 	// StartupRouteChanges counts route events with no root ancestor
 	// (initial convergence), excluded from the trees.
@@ -209,58 +173,43 @@ const (
 	renderChunks = 12 // chunks rendered in full by String
 )
 
-// Explain reads a JSONL trace and reconstructs its causal trees. Every
-// chunk must declare schema v2 (run the producer with provenance on);
-// the trace is assumed valid — run ValidateTrace first for untrusted
-// input, Explain only reports errors that block the analysis itself.
+// Explain reads a JSONL trace and reconstructs its causal trees. It
+// checks the trace as Validate does, with the same errors, and then
+// needs every chunk to declare schema v2 (run the producer with
+// provenance on).
 func Explain(r io.Reader) (*ExplainReport, error) {
 	rep := &ExplainReport{series: make(map[string]*seriesDists)}
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
+	rd := newReader(r)
 	var cur *chunkAnalysis
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
+	var v1 error // the first v1 chunk; reported once the rest validates
+	for {
+		l, k, err := rd.next()
+		if err == io.EOF {
+			break
 		}
-		var tl traceLine
-		if err := json.Unmarshal(line, &tl); err != nil {
-			return nil, fmt.Errorf("trace line %d: %w", lineNo, err)
+		if err != nil {
+			return nil, err
 		}
-		if tl.Chunk != nil {
-			if tl.V == nil || *tl.V != 2 {
-				return nil, fmt.Errorf("trace line %d: chunk %d is schema v1 — explain needs a provenance trace (re-run with -prov)", lineNo, *tl.Chunk)
-			}
+		switch {
+		case v1 != nil:
+		case l.Chunk == nil:
+			cur.observe(l, k)
+		case !rd.prov:
+			v1 = rd.errorf("chunk %d is schema v1 — explain needs a provenance trace (re-run with -prov)", *l.Chunk)
+		default:
 			if cur != nil {
 				rep.add(cur.finish())
 			}
-			cur = newChunkAnalysis(deref(tl.Label), deref(tl.Seed))
-			continue
-		}
-		if cur == nil {
-			return nil, fmt.Errorf("trace line %d: event before first chunk header", lineNo)
-		}
-		if err := cur.observe(&tl); err != nil {
-			return nil, fmt.Errorf("trace line %d: %w", lineNo, err)
+			cur = newChunkAnalysis(*l.Label, *l.Seed)
 		}
 	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("trace: %w", err)
+	if v1 != nil {
+		return nil, v1
 	}
 	if cur != nil {
 		rep.add(cur.finish())
 	}
 	return rep, nil
-}
-
-func deref[T any](p *T) T {
-	var zero T
-	if p == nil {
-		return zero
-	}
-	return *p
 }
 
 func (r *ExplainReport) add(c *ChunkExplain) {
@@ -290,7 +239,7 @@ type churnState struct {
 // rootAgg accumulates one root event's tree while a chunk streams.
 type rootAgg struct {
 	span      int64
-	kind      uint8
+	kind      kind
 	from, to  int64
 	at        int64
 	changes   int
@@ -341,29 +290,22 @@ func (c *chunkAnalysis) intern(m *string) uint8 {
 	return i
 }
 
-func (c *chunkAnalysis) observe(tl *traceLine) error {
-	if tl.C == nil || tl.D == nil {
-		return fmt.Errorf("%s event without provenance fields in a v2 chunk", deref(tl.K))
-	}
-	id := *tl.C
-	if id != int64(len(c.spans)) {
-		return fmt.Errorf("span %d out of order (want %d)", id, len(c.spans))
-	}
+// observe adds one validated v2 event to the chunk's span table and,
+// for a root or a route change, to its tree.
+func (c *chunkAnalysis) observe(l *line, k kind) {
+	id := *l.C
 	s := exSpan{
-		t:     deref(tl.T),
-		from:  int32(deref(tl.F)),
-		to:    int32(deref(tl.O)),
-		depth: int32(*tl.D),
-		kind:  exKind(deref(tl.K)),
-		msg:   c.intern(tl.M),
+		t:     *l.T,
+		from:  int32(*l.F),
+		to:    int32(*l.O),
+		depth: int32(*l.D),
+		kind:  k,
+		msg:   c.intern(l.M),
 	}
-	if tl.P != nil {
-		s.parent = *tl.P
-		if s.parent >= id || s.parent < 1 {
-			return fmt.Errorf("span %d references invalid parent %d", id, s.parent)
-		}
+	if l.P != nil {
+		s.parent = *l.P
 	}
-	isRoot := s.kind == exLinkDown || s.kind == exLinkUp || s.kind == exCrash || s.kind == exRestart
+	isRoot := kinds[k].rule == root
 	switch {
 	case isRoot:
 		s.root = id
@@ -376,10 +318,10 @@ func (c *chunkAnalysis) observe(tl *traceLine) error {
 		ra := &rootAgg{span: id, kind: s.kind, from: int64(s.from), to: int64(s.to), at: s.t, lastAt: s.t, critAt: s.t}
 		c.roots = append(c.roots, ra)
 		c.rootIdx[id] = ra
-		return nil
+		return
 	}
-	if s.kind != exRoute {
-		return nil
+	if k != kind(sim.TraceRouteChange) {
+		return
 	}
 	// A route change: attribute it to its root's tree and to its
 	// (node, dest) churn record.
@@ -405,9 +347,9 @@ func (c *chunkAnalysis) observe(tl *traceLine) error {
 		c.churn[key] = cs
 	}
 	cs.changes++
-	if tl.NH != nil {
+	if l.NH != nil {
 		cs.hasVia = true
-		nh := *tl.NH
+		nh := *l.NH
 		if last, seen := cs.lastIdx[nh]; seen && last < cs.n-1 {
 			cs.cycles++
 		}
@@ -417,7 +359,6 @@ func (c *chunkAnalysis) observe(tl *traceLine) error {
 			cs.seq = append(cs.seq, nh)
 		}
 	}
-	return nil
 }
 
 // criticalPath walks the parent chain from the critical route change
@@ -430,9 +371,9 @@ func (c *chunkAnalysis) criticalPath(ra *rootAgg) CriticalPath {
 	}
 	for id := ra.critSpan; id != 0 && id != ra.span; {
 		s := &c.spans[id]
-		if s.kind == exDeliver && s.parent != 0 {
+		if s.kind == kind(sim.TraceDeliver) && s.parent != 0 {
 			snd := &c.spans[s.parent]
-			if snd.kind == exSend {
+			if snd.kind == kind(sim.TraceSend) {
 				cp.Hops = append(cp.Hops, Hop{
 					From: int64(snd.from), To: int64(snd.to),
 					Msg: c.msgKinds[snd.msg], SendAt: snd.t, DeliverAt: s.t,
@@ -453,7 +394,7 @@ func (c *chunkAnalysis) finish() *ChunkExplain {
 	blame := make(map[uint64]*LinkBlame)
 	for _, ra := range c.roots {
 		rt := &RootTree{
-			Kind: exKindNames[ra.kind], From: ra.from, To: ra.to, At: ra.at,
+			Kind: kinds[ra.kind].name, From: ra.from, To: ra.to, At: ra.at,
 			RouteChanges: ra.changes, Wavefront: ra.wavefront, LastRouteAt: ra.lastAt,
 			Critical: c.criticalPath(ra),
 		}

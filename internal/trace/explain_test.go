@@ -1,4 +1,4 @@
-package telemetry
+package trace
 
 import (
 	"reflect"
@@ -154,5 +154,56 @@ func TestExplainRejectsV1(t *testing.T) {
 	}
 	if _, err := Explain(strings.NewReader("{\"t\":1,\"k\":\"route\",\"f\":0,\"o\":1}\n")); err == nil {
 		t.Fatal("event before header must be rejected")
+	}
+	// A v1 chunk ahead of a broken line: Explain reports what Validate
+	// reports.
+	broken := v1 + `{"t":0,"k":"route","f":0,"o":1}` + "\n"
+	_, verr := Validate(strings.NewReader(broken))
+	_, eerr := Explain(strings.NewReader(broken))
+	if verr == nil || eerr == nil || eerr.Error() != verr.Error() {
+		t.Fatalf("Explain error %v, Validate error %v: want the same", eerr, verr)
+	}
+}
+
+// TestExplainRejectsWhatValidateRejects: Explain reads through the
+// validating reader, so it fails every invalid trace with Validate's
+// line-numbered error (the span gap used to pass Validate and fail only
+// Explain).
+func TestExplainRejectsWhatValidateRejects(t *testing.T) {
+	for name, in := range map[string]string{
+		"span gap":      strings.Replace(explainTrace, `"c":8,"p":1`, `"c":9,"p":1`, 1),
+		"depth":         strings.Replace(explainTrace, `"c":7,"p":6,"d":2`, `"c":7,"p":6,"d":3`, 1),
+		"unknown kind":  strings.Replace(explainTrace, `"k":"link-up"`, `"k":"link-sideways"`, 1),
+		"non-monotone":  strings.Replace(explainTrace, `{"t":20,`, `{"t":14,`, 1),
+		"chunk id":      strings.Replace(explainTrace, `{"chunk":1,`, `{"chunk":2,`, 1),
+		"orphan parent": strings.Replace(explainTrace, `"c":4,"p":1`, `"c":4,"p":7`, 1),
+	} {
+		if in == explainTrace {
+			t.Fatalf("%s: the replacement did not apply", name)
+		}
+		_, verr := Validate(strings.NewReader(in))
+		_, eerr := Explain(strings.NewReader(in))
+		if verr == nil || eerr == nil || eerr.Error() != verr.Error() {
+			t.Errorf("%s: Explain error %v, Validate error %v: want the same", name, eerr, verr)
+		}
+	}
+}
+
+// TestExplainAttributesToAttackRoot: an adv-inject note is a root, as
+// the validator has it, so the route change its forged update causes
+// belongs to that attack's tree rather than to initial convergence.
+func TestExplainAttributesToAttackRoot(t *testing.T) {
+	rep, err := Explain(strings.NewReader(validAdvTrace))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := rep.Chunks[0]
+	if c.StartupRouteChanges != 0 || len(c.Roots) != 1 {
+		t.Fatalf("chunk = %+v, want one root and no startup route change", c)
+	}
+	r := c.Roots[0]
+	if r.Kind != NoteAdvInject || r.From != 9 || r.To != 2 || r.RouteChanges != 1 ||
+		!reflect.DeepEqual(r.Wavefront, []int{0, 1}) || r.Critical.Depth != 1 || len(r.Critical.Hops) != 1 {
+		t.Fatalf("attack root = %+v", r)
 	}
 }

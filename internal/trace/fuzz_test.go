@@ -1,4 +1,4 @@
-package telemetry
+package trace
 
 import (
 	"bytes"
@@ -51,15 +51,17 @@ func TestFuzzSeedsValidate(t *testing.T) {
 	for name, trace := range map[string]string{
 		"v1": validV1Trace, "v2": validV2Trace, "adv": validAdvTrace,
 	} {
-		if _, err := ValidateTrace(strings.NewReader(trace)); err != nil {
+		if _, err := Validate(strings.NewReader(trace)); err != nil {
 			t.Errorf("%s seed rejected: %v", name, err)
 		}
 	}
 }
 
-// FuzzValidateTrace: the validator must never panic and must stay
-// consistent — anything it accepts, it accepts again byte-for-byte, and
-// the summary counts match a re-validation.
+// FuzzValidateTrace: the validator and Explain, which reads through it,
+// must never panic. The validator must stay consistent — anything it
+// accepts, it accepts again byte-for-byte, and the summary counts match
+// a re-validation. Explain must reject what the validator rejects, with
+// the same error, and accept what it accepts when every chunk is v2.
 func FuzzValidateTrace(f *testing.F) {
 	f.Add([]byte(validV1Trace))
 	f.Add([]byte(validV2Trace))
@@ -81,11 +83,18 @@ func FuzzValidateTrace(f *testing.F) {
 	f.Add([]byte(strings.Replace(validAdvTrace, `"k":"adv-bad","f":3,"o":2,"c":5,"p":3,"d":1`, `"k":"adv-bad","f":3,"o":2,"c":5,"p":77,"d":1`, 1)))
 	f.Add([]byte(validV1Trace + `{"t":20,"k":"adv-inject","f":9,"o":2}` + "\n"))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		sum, err := ValidateTrace(bytes.NewReader(data))
+		sum, err := Validate(bytes.NewReader(data))
+		_, xerr := Explain(bytes.NewReader(data))
 		if err != nil {
+			if xerr == nil || xerr.Error() != err.Error() {
+				t.Fatalf("validator rejected with %v, Explain with %v", err, xerr)
+			}
 			return
 		}
-		sum2, err2 := ValidateTrace(bytes.NewReader(data))
+		if sum.ProvenanceChunks == sum.Chunks && xerr != nil {
+			t.Fatalf("valid all-v2 trace rejected by Explain: %v", xerr)
+		}
+		sum2, err2 := Validate(bytes.NewReader(data))
 		if err2 != nil {
 			t.Fatalf("accepted once, rejected twice: %v", err2)
 		}

@@ -1,4 +1,4 @@
-package telemetry
+package trace
 
 import (
 	"bytes"
@@ -28,7 +28,7 @@ func (bareMsg) Kind() string { return "bare" }
 func (bareMsg) Units() int   { return 2 }
 
 func TestTraceRoundTrip(t *testing.T) {
-	tc := NewTraceCollector()
+	tc := NewCollector()
 	c := tc.Chunk("fig6.centaur", 42)
 	c.Observe(sim.TraceEvent{Kind: sim.TraceSend, At: 10 * time.Millisecond, From: 1, To: 2,
 		Msg: fakeMsg{kind: "centaur.update", units: 3, bytes: 120}})
@@ -39,7 +39,7 @@ func TestTraceRoundTrip(t *testing.T) {
 	c2.Observe(sim.TraceEvent{Kind: sim.TraceDrop, At: 5 * time.Millisecond, From: 3, To: 4,
 		Msg: fakeMsg{kind: "bgp.update", units: 1, bytes: 34}})
 
-	sum, err := ValidateTrace(bytes.NewReader(tc.Bytes()))
+	sum, err := Validate(bytes.NewReader(tc.Bytes()))
 	if err != nil {
 		t.Fatalf("trace does not validate: %v\n%s", err, tc.Bytes())
 	}
@@ -68,7 +68,7 @@ func TestTraceRoundTrip(t *testing.T) {
 }
 
 func TestNilTraceCollector(t *testing.T) {
-	var tc *TraceCollector
+	var tc *Collector
 	c := tc.Chunk("x", 1)
 	if c != nil {
 		t.Fatal("nil collector must hand out nil chunks")
@@ -99,7 +99,7 @@ func TestValidateTraceRejects(t *testing.T) {
 			`{"t":4,"k":"route","f":0,"o":1}` + "\n",
 	}
 	for name, in := range cases {
-		if _, err := ValidateTrace(strings.NewReader(in)); err == nil {
+		if _, err := Validate(strings.NewReader(in)); err == nil {
 			t.Errorf("%s: validated but should fail:\n%s", name, in)
 		}
 	}
@@ -110,7 +110,7 @@ func TestValidateTraceRejects(t *testing.T) {
 		`{"t":9,"k":"route","f":0,"o":1}` + "\n" +
 		`{"chunk":1,"label":"y","seed":2}` + "\n" +
 		`{"t":1,"k":"route","f":0,"o":1}` + "\n"
-	if _, err := ValidateTrace(strings.NewReader(ok)); err != nil {
+	if _, err := Validate(strings.NewReader(ok)); err != nil {
 		t.Fatalf("cross-chunk timestamp reset rejected: %v", err)
 	}
 }
@@ -128,7 +128,7 @@ func TestValidateTraceFaultKindsAndPairing(t *testing.T) {
 		drop +
 		`{"t":3,"k":"crash","f":5,"o":5}` + "\n" +
 		`{"t":4,"k":"restart","f":5,"o":5}` + "\n"
-	sum, err := ValidateTrace(strings.NewReader(ok))
+	sum, err := Validate(strings.NewReader(ok))
 	if err != nil {
 		t.Fatalf("fault trace rejected: %v", err)
 	}
@@ -140,22 +140,22 @@ func TestValidateTraceFaultKindsAndPairing(t *testing.T) {
 
 	// A leftover decision (no drop) is legal: a link flap can drop the
 	// message first, tracing as plain "drop".
-	if _, err := ValidateTrace(strings.NewReader(header + loss)); err != nil {
+	if _, err := Validate(strings.NewReader(header + loss)); err != nil {
 		t.Fatalf("leftover fault-loss decision rejected: %v", err)
 	}
 
 	// A drop-fault with no matching decision is a corrupt trace.
-	if _, err := ValidateTrace(strings.NewReader(header + drop)); err == nil {
+	if _, err := Validate(strings.NewReader(header + drop)); err == nil {
 		t.Fatal("unmatched drop-fault must be rejected")
 	}
 	// A decision for a different (from, to, kind) does not match.
 	other := `{"t":1,"k":"fault-loss","f":8,"o":9,"m":"bgp.update","u":1,"b":34}` + "\n"
-	if _, err := ValidateTrace(strings.NewReader(header + other + drop)); err == nil {
+	if _, err := Validate(strings.NewReader(header + other + drop)); err == nil {
 		t.Fatal("drop-fault must match on (from, to, message kind)")
 	}
 	// Decisions do not carry across chunk boundaries.
 	cross := header + loss + `{"chunk":1,"label":"y","seed":8}` + "\n" + drop
-	if _, err := ValidateTrace(strings.NewReader(cross)); err == nil {
+	if _, err := Validate(strings.NewReader(cross)); err == nil {
 		t.Fatal("decision must not pair across chunks")
 	}
 }
@@ -165,13 +165,13 @@ func TestUnconsumedLossDecisions(t *testing.T) {
 	loss := `{"t":1,"k":"fault-loss","f":3,"o":9,"m":"bgp.update","u":1,"b":34}` + "\n"
 	drop := `{"t":2,"k":"drop-fault","f":3,"o":9,"m":"bgp.update","u":1,"b":34}` + "\n"
 
-	sum, err := ValidateTrace(strings.NewReader(header + loss + drop))
+	sum, err := Validate(strings.NewReader(header + loss + drop))
 	if err != nil || sum.UnconsumedLossDecisions != 0 {
 		t.Fatalf("paired decision: unconsumed=%d err=%v", sum.UnconsumedLossDecisions, err)
 	}
 	// A leftover at end of trace and one at a chunk boundary both count.
 	in := header + loss + `{"chunk":1,"label":"y","seed":8}` + "\n" + loss
-	sum, err = ValidateTrace(strings.NewReader(in))
+	sum, err = Validate(strings.NewReader(in))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +181,7 @@ func TestUnconsumedLossDecisions(t *testing.T) {
 }
 
 func TestTraceV2RoundTrip(t *testing.T) {
-	tc := NewTraceCollectorV2()
+	tc := NewCollectorV2()
 	c := tc.Chunk("fig6.centaur", 42)
 	header := len(tc.Bytes())
 	c.Observe(sim.TraceEvent{Kind: sim.TraceInstant, At: 5})
@@ -197,6 +197,7 @@ func TestTraceV2RoundTrip(t *testing.T) {
 	c.Observe(sim.TraceEvent{Kind: sim.TraceDeliver, At: 15, From: 1, To: 3, Msg: msg, Span: 6, Parent: 5, Depth: 1})
 	c.Observe(sim.TraceEvent{Kind: sim.TraceRouteChange, At: 15, From: 3, To: 2, Span: 7, Parent: 6, Depth: 1,
 		OldNext: 2, NewNext: routing.None, HasVia: true})
+	c.Observe(sim.TraceEvent{Kind: sim.TraceNote, Note: NotePLFalsePositive, At: 15, From: 3, To: 4, Span: 8, Parent: 6, Depth: 1})
 
 	out := string(tc.Bytes())
 	if !strings.Contains(out, `{"chunk":0,"v":2,"label":"fig6.centaur","seed":42}`) {
@@ -208,15 +209,18 @@ func TestTraceV2RoundTrip(t *testing.T) {
 	if !strings.Contains(out, `"oh":2,"nh":0`) {
 		t.Fatalf("next-hop fields not rendered:\n%s", out)
 	}
+	if !strings.Contains(out, `{"t":15,"k":"pl-fp","f":3,"o":4,"c":8,"p":6,"d":1}`) {
+		t.Fatalf("note not rendered under its name:\n%s", out)
+	}
 	if strings.Contains(out, `"p":0`) {
 		t.Fatalf("zero parent must be omitted:\n%s", out)
 	}
 
-	sum, err := ValidateTrace(bytes.NewReader(tc.Bytes()))
+	sum, err := Validate(bytes.NewReader(tc.Bytes()))
 	if err != nil {
 		t.Fatalf("v2 trace does not validate: %v\n%s", err, out)
 	}
-	if sum.ProvenanceChunks != 1 || sum.Chunks != 1 || sum.Events != 7 {
+	if sum.ProvenanceChunks != 1 || sum.Chunks != 1 || sum.Events != 8 || sum.ByKind["pl-fp"] != 1 {
 		t.Fatalf("summary = %+v", sum)
 	}
 }
@@ -231,6 +235,11 @@ func TestValidateTraceV2Rejects(t *testing.T) {
 		"missing c/d in v2":      h2 + `{"t":1,"k":"link-down","f":1,"o":2}` + "\n",
 		"span not increasing": h2 + down +
 			`{"t":2,"k":"link-up","f":1,"o":2,"c":1,"d":0}` + "\n",
+		"span gap": h2 + down +
+			`{"t":2,"k":"link-up","f":1,"o":2,"c":3,"d":0}` + "\n",
+		"first span not 1": h2 + `{"t":1,"k":"link-down","f":1,"o":2,"c":2,"d":0}` + "\n",
+		"drop depth beyond its cause + 1": h2 + down +
+			`{"t":1,"k":"drop","f":1,"o":3,"m":"a","u":1,"b":1,"c":2,"p":1,"d":2}` + "\n",
 		"unknown parent": h2 + down +
 			`{"t":1,"k":"send","f":1,"o":3,"m":"a","u":1,"b":1,"c":2,"p":9,"d":1}` + "\n",
 		"root with nonzero depth": h2 + `{"t":1,"k":"link-down","f":1,"o":2,"c":1,"d":2}` + "\n",
@@ -252,7 +261,7 @@ func TestValidateTraceV2Rejects(t *testing.T) {
 		"negative depth": h2 + `{"t":1,"k":"send","f":1,"o":3,"m":"a","u":1,"b":1,"c":1,"d":-1}` + "\n",
 	}
 	for name, in := range cases {
-		if _, err := ValidateTrace(strings.NewReader(in)); err == nil {
+		if _, err := Validate(strings.NewReader(in)); err == nil {
 			t.Errorf("%s: validated but should fail:\n%s", name, in)
 		}
 	}
@@ -265,7 +274,7 @@ func TestValidateTraceV2Rejects(t *testing.T) {
 		`{"t":1,"k":"send","f":1,"o":3,"m":"a","u":1,"b":1,"c":2,"p":1,"d":1}` + "\n" +
 		`{"t":2,"k":"deliver","f":1,"o":3,"m":"a","u":1,"b":1,"c":3,"p":2,"d":1}` + "\n" +
 		`{"t":2,"k":"route","f":3,"o":9,"c":4,"p":3,"d":1,"oh":0,"nh":1}` + "\n"
-	sum, err := ValidateTrace(strings.NewReader(mixed))
+	sum, err := Validate(strings.NewReader(mixed))
 	if err != nil {
 		t.Fatalf("mixed v1/v2 trace rejected: %v", err)
 	}
@@ -273,7 +282,22 @@ func TestValidateTraceV2Rejects(t *testing.T) {
 		t.Fatalf("summary = %+v", sum)
 	}
 	// A v1 explicit version marker is accepted.
-	if _, err := ValidateTrace(strings.NewReader(`{"chunk":0,"v":1,"label":"x","seed":1}` + "\n")); err != nil {
+	if _, err := Validate(strings.NewReader(`{"chunk":0,"v":1,"label":"x","seed":1}` + "\n")); err != nil {
 		t.Fatalf("explicit v1 header rejected: %v", err)
+	}
+}
+
+// TestKindTableNamesEveryKernelKind: every kind the simulator publishes
+// as a trace line has a name in the table, and the two that are not
+// trace lines (notes go under their own names) have none.
+func TestKindTableNamesEveryKernelKind(t *testing.T) {
+	for k := sim.TraceSend; k <= sim.TraceInstant; k++ {
+		named := kinds[k].name != ""
+		if want := k != sim.TraceNote && k != sim.TraceInstant; named != want {
+			t.Errorf("kernel kind %d: named %v, want %v", k, named, want)
+		}
+	}
+	if len(kindOf) != len(kinds)-3 { // index 0, TraceNote and TraceInstant are unnamed
+		t.Errorf("%d distinct names for %d kinds: a name is repeated", len(kindOf), len(kinds)-3)
 	}
 }
