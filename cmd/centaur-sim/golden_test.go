@@ -54,7 +54,7 @@ func TestGoldenTracedRuns(t *testing.T) {
 		args   []string
 	}{
 		{"rel_impact_40.golden", []string{"-rel", "-nodes", "40", "-loss", "0,0.1", "-churn", "10", "-crashes", "1",
-			"-flows", "24", "-detect-interval", "2ms", "-oracle-detect", "-fault-seed", "7"}},
+			"-flows", "24", "-detect-interval", "0,2ms", "-fault-seed", "7"}},
 		{"adv_prov_80.golden", []string{"-adv", "-nodes", "80", "-adv-kinds", "leak,hijack", "-adv-noise", "0,0.05", "-prov"}},
 		{"compare_60.golden", []string{"-compare", "-nodes", "60", "-flips", "10", "-seed", "3"}},
 		{"fig6_flows_60.golden", []string{"-fig", "6", "-nodes", "60", "-flips", "6", "-flows", "16", "-detect-interval", "5ms"}},

@@ -108,7 +108,6 @@ type options struct {
 	trials                  int
 	kinds, attackers, noise string
 	detect                  string
-	oracleDetect            bool
 }
 
 // mode is one way centaur-sim runs: its name as the command line selects
@@ -146,7 +145,7 @@ var modes = []mode{
 	{"-compare", "compare nodes m flips seed mrai workers trials-per-net trace prov", func(o *options) (fmt.Stringer, error) {
 		return experiments.Ladder(o.Scenario)
 	}},
-	{"-rel", "rel nodes m seed workers trace prov loss dup jitter churn crashes fault-seed trials no-transport bloom-pl pl-fp-rate flows flow-seed flow-rate detect-interval detect-mult oracle-detect", runReliability},
+	{"-rel", "rel nodes m seed workers trace prov loss dup jitter churn crashes fault-seed trials no-transport bloom-pl pl-fp-rate flows flow-seed flow-rate detect-interval detect-mult", runReliability},
 	{"-adv", "adv nodes m seed workers trace prov adv-kinds adv-attackers adv-noise adv-seed trials flows flow-seed flow-rate", runAdversarial},
 	{"-scaling", "scaling sizes scaling-max-nodes flips seed no-verify", runScaling},
 }
@@ -209,9 +208,8 @@ func newOptions(onError flag.ErrorHandling) (*flag.FlagSet, *options) {
 	fs.StringVar(&o.noise, "adv-noise", "0", "adversarial: comma-separated fractions of c2p/p2p labels flipped before the protocols see the topology")
 	fs.Int64Var(&s.FlowSeed, "flow-seed", s.FlowSeed, "data plane: flow sampling seed")
 	fs.Float64Var(&s.FlowRate, "flow-rate", 0, "data plane: packets per second per flow for packet-equivalent metrics (0 = 1000)")
-	fs.StringVar(&o.detect, "detect-interval", "", "liveness: BFD transmit interval(s) — one duration for figures 6/7, a comma-separated sweep for -rel where 0 or oracle names the oracle point (empty = oracle detection; unlike centaur-bench -detect, the oracle point is swept only when listed or with -oracle-detect)")
+	fs.StringVar(&o.detect, "detect-interval", "", "liveness: BFD transmit interval(s) — one duration for figures 6/7, a comma-separated sweep for -rel where 0 or oracle names the oracle point (empty = oracle detection; unlike centaur-bench -detect, the oracle point is swept only when listed)")
 	fs.IntVar(&s.DetectMult, "detect-mult", 0, "liveness: detection multiplier (0 = default 3)")
-	fs.BoolVar(&o.oracleDetect, "oracle-detect", false, "liveness: -rel only, add the oracle (instantaneous detection) point to a -detect-interval sweep")
 	return fs, o
 }
 
@@ -252,19 +250,6 @@ func (o *options) single() error {
 	return nil
 }
 
-// sweep parses -detect-interval for -rel: every listed interval, plus
-// the oracle point when -oracle-detect asks for it.
-func (o *options) sweep() ([]time.Duration, error) {
-	ds, err := parseDetects(o.detect)
-	if err != nil {
-		return nil, err
-	}
-	if o.oracleDetect && len(ds) > 0 {
-		ds = append([]time.Duration{0}, ds...)
-	}
-	return ds, nil
-}
-
 // runScaling runs the solver scaling sweep (no simulator involved). The
 // -sizes default targets figure 8; unless the flag was set explicitly
 // the sweep uses the standard tiers up to -scaling-max-nodes (75000
@@ -286,7 +271,7 @@ func runScaling(o *options) (fmt.Stringer, error) {
 func runReliability(o *options) (fmt.Stringer, error) {
 	cfg := o.Rel
 	var err error
-	if cfg.DetectIntervals, err = o.sweep(); err != nil {
+	if cfg.DetectIntervals, err = parseDetects(o.detect); err != nil {
 		return nil, err
 	}
 	cfg.Trials = o.trials

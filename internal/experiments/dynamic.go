@@ -190,7 +190,7 @@ func flipTrials(cfg FlipConfig, label string, out []FlipSample) []trial {
 		series = "flips"
 	}
 	build := cfg.Build
-	livenessOn := cfg.Liveness.TxInterval > 0 && cfg.Liveness.Enabled()
+	livenessOn := cfg.Liveness.TxInterval > 0
 	if livenessOn {
 		build = liveness.Wrap(build, cfg.Liveness)
 	}

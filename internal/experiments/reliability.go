@@ -277,11 +277,12 @@ func RunReliability(s Scenario, cfg ReliabilityConfig) (*ReliabilityResult, erro
 			// Liveness wraps outside the transport: it must hear raw carrier
 			// events, and its control frames must not ride the retransmitting
 			// transport.
-			build := liveness.Wrap(base, liveness.Config{
-				TxInterval: detect,
-				DetectMult: s.DetectMult,
-				Oracle:     detect == 0,
-			})
+			// A 0 interval is the oracle point: no detector, the
+			// simulator's instantaneous link notifications.
+			build := base
+			if detect > 0 {
+				build = liveness.Wrap(base, liveness.Config{TxInterval: detect, DetectMult: s.DetectMult})
+			}
 			for _, loss := range lossRates {
 				for _, churn := range churnRates {
 					for k := 0; k < nTrials; k++ {

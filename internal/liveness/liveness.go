@@ -80,11 +80,6 @@ type Config struct {
 	// DetectMult is the detection multiplier: a session is declared down
 	// after DetectMult×TxInterval without an expected frame. Default 3.
 	DetectMult int
-	// Oracle disables the detector entirely: Wrap returns the inner
-	// builder unchanged, restoring the simulator's instantaneous
-	// link-down/link-up notifications. With Oracle set the wrapped run is
-	// byte-identical to an unwrapped one by construction.
-	Oracle bool
 }
 
 func (c Config) interval() time.Duration {
@@ -107,10 +102,6 @@ func (c Config) mult() int {
 func (c Config) DetectionTime() time.Duration {
 	return time.Duration(c.mult()) * c.interval()
 }
-
-// Enabled reports whether wrapping with this config installs a detector
-// (false for Oracle or the zero value's explicit use as "off").
-func (c Config) Enabled() bool { return !c.Oracle }
 
 // ControlFrame is one session control message: the sender's FSM state
 // and — meaningful in up state — how many more frames the sender's
@@ -181,12 +172,10 @@ type Node struct {
 var _ sim.Protocol = (*Node)(nil)
 var _ sim.SessionReporter = (*Node)(nil)
 
-// Wrap gives every node of inner a per-link liveness detector. With
-// cfg.Oracle it returns inner unchanged.
+// Wrap gives every node of inner a per-link liveness detector. A run
+// without one (the simulator's instantaneous link notifications) uses
+// inner itself.
 func Wrap(inner sim.Builder, cfg Config) sim.Builder {
-	if cfg.Oracle {
-		return inner
-	}
 	return func(env sim.Env) sim.Protocol {
 		n := &Node{env: env, cfg: cfg, sess: sim.NewPeerTable[session](env.Neighbors())}
 		n.lenv = livEnv{Env: env, n: n}

@@ -77,28 +77,6 @@ func livenessNode(t *testing.T, net *sim.Network, id routing.NodeID) *liveness.N
 	return ln
 }
 
-func TestOracleConfigBypassesDetector(t *testing.T) {
-	inner := func(env sim.Env) sim.Protocol { return &probe{} }
-	build := liveness.Wrap(inner, liveness.Config{Oracle: true})
-	g, err := topogen.Chain(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	net, err := sim.NewNetwork(sim.Config{
-		Topology: g, Build: build,
-		MinDelay: time.Millisecond, MaxDelay: time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := net.Node(1).(*probe); !ok {
-		t.Fatalf("Oracle wrap built %T, want the inner *probe unchanged", net.Node(1))
-	}
-	if cfg := (liveness.Config{Oracle: true}); cfg.Enabled() {
-		t.Fatal("Oracle config must report Enabled() == false")
-	}
-}
-
 func TestHandshakeEstablishesThenGoesQuiet(t *testing.T) {
 	net, probes := buildPair(t, liveness.Config{TxInterval: 5 * time.Millisecond, DetectMult: 3}, nil)
 	if _, quiesced := net.Run(0); !quiesced {

@@ -43,7 +43,10 @@
 // per destination), and materialized paths are interned in a per-solve
 // arena so the cascade allocates nothing per node. A flip that leaves
 // routing untouched therefore costs a few bitmap words, and a typical
-// single-link failure re-runs a handful of localized cascades.
+// single-link failure re-runs a handful of localized cascades. A cold
+// solve runs the same fixpoint from the empty assignment, which it seeds
+// at once without reading the row: every class is 0 but the
+// destination's own.
 //
 // Sharded-layout seeds read their route class through Solution.patched
 // during pass 1: the packed table derives classes from the adjacency's
@@ -262,8 +265,7 @@ func (s *Solution) runDirty(dirty []uint64, seeds []int32, stats *ResolveStats) 
 		s.inc = newIncState(s.adj.n)
 	}
 	st := s.inc
-	st.sol = s
-	st.adj = s.adj
+	st.sol, st.adj = s, s.adj
 	for w, word := range dirty {
 		for word != 0 {
 			b := bits.TrailingZeros64(word)
@@ -550,7 +552,9 @@ func orBits(dst, src []uint64) {
 	}
 }
 
-// incState is the reusable warm-start scratch of the incremental path.
+// incState is the solver's one best-response engine: the scratch of a
+// per-destination fixpoint run from a stored row. Resolve runs it from
+// the previous assignment (warm), solveRange from the empty one (cold).
 // All per-node arrays are epoch-stamped: bumping epoch invalidates every
 // lazily seeded value at once, so switching destinations costs O(1)
 // instead of an O(N) clear. Paths live in a per-solve arena reset per
@@ -559,6 +563,10 @@ type incState struct {
 	adj *adjacency
 	sol *Solution
 	d   int
+	// cold marks a scratch whose every row starts as the empty
+	// assignment: seeds and write-back compare against it without
+	// reading the row.
+	cold bool
 	// oldNext/oldClass/oldDist alias the destination's dense rows
 	// (immutable during the fixpoint; writeBack mutates them after).
 	// All nil under the sharded layout, where the oldNxt/oldCls/oldDst
@@ -567,36 +575,45 @@ type incState struct {
 	oldClass []uint8
 	oldDist  []uint16
 	epoch    uint32
-	// class[v] is v's current route class, valid iff clsEp[v] == epoch;
-	// stale entries read through to the old row.
-	clsEp []uint32
-	class []uint8
-	// path[v] is v's current route, valid iff pathEp[v] == epoch; stale
-	// entries materialize from the old next row on first touch. Invariant:
-	// a stale pathEp with a current non-zero class means v still holds its
-	// old route (every route change stamps both).
-	pathEp []uint32
-	path   [][]int32
-	inqEp  []uint32
-	queue  []int32
-	head   int
-	chEp   []uint32
+	// cs[v] packs v's current route class (low byte), the pathCur flag
+	// and, above them, the epoch both were written in: one load per
+	// candidate. An entry of an older epoch is stale and reads through
+	// to the old row.
+	cs []uint64
+	// path[v] is v's current route while cs[v] is current with pathCur
+	// set. A current non-zero class without pathCur means v still holds
+	// its old route, materialized from the old next row on first read.
+	// slot[v] is the adjacency slot of path[v]'s next hop, set with
+	// every route change.
+	path  [][]int32
+	slot  []int32
+	inqEp []uint32
+	queue []int32
+	head  int
+	chEp  []uint32
 	// changed lists the nodes whose route changed at least once during
 	// the current destination's cascade (deduplicated via chEp).
 	changed []int32
-	arena   []int32
+	// arena is the chunk paths are carved from, chunks[chunk] the one it
+	// slices; resolveDest rewinds to the first chunk, so a worker's path
+	// storage is its largest cascade's, rounded up to a chunk.
+	arena  []int32
+	chunks [][]int32
+	chunk  int
 }
+
+// arenaChunk is the path arena's chunk size in node positions.
+const arenaChunk = 1024
 
 func newIncState(n int) *incState {
 	return &incState{
-		clsEp:  make([]uint32, n),
-		class:  make([]uint8, n),
-		pathEp: make([]uint32, n),
+		cs:     make([]uint64, n),
 		path:   make([][]int32, n),
+		slot:   make([]int32, n),
 		inqEp:  make([]uint32, n),
 		chEp:   make([]uint32, n),
 		queue:  make([]int32, 0, 64),
-		arena:  make([]int32, 0, 1024),
+		chunks: [][]int32{make([]int32, 0, arenaChunk)},
 	}
 }
 
@@ -626,33 +643,44 @@ func (st *incState) oldDst(v int32) uint16 {
 	return st.sol.pk.distAt(st.d, v)
 }
 
-// resolveDest re-runs the best-response fixpoint for destination d,
-// seeded from the old assignment with only the flipped links' endpoints
-// activated. The run loop mirrors destState.solve exactly (budget,
-// compaction, dest skip); only the seeding differs.
+// resolveDest runs the best-response fixpoint for destination d from
+// its stored row, with only the seeds activated: the flipped links'
+// endpoints for Resolve, the destination's neighbours for a cold solve.
 func (st *incState) resolveDest(d int, seeds []int32) error {
 	st.epoch++
 	st.d = d
+	st.oldNext, st.oldClass, st.oldDist = nil, nil, nil
 	if st.sol.pk == nil {
-		st.oldNext = st.sol.next[d]
-		st.oldClass = st.sol.class[d]
-		st.oldDist = st.sol.dist[d]
-	} else {
-		st.oldNext, st.oldClass, st.oldDist = nil, nil, nil
+		st.oldNext, st.oldClass, st.oldDist = st.sol.next[d], st.sol.class[d], st.sol.dist[d]
 	}
-	st.arena = st.arena[:0]
-	st.queue = st.queue[:0]
-	st.head = 0
-	st.changed = st.changed[:0]
+	st.chunk, st.arena = 0, st.chunks[0][:0]
+	st.queue, st.head, st.changed = st.queue[:0], 0, st.changed[:0]
+	if st.cold {
+		// Every node starts unreachable: seed all classes at once, so
+		// the candidate scan never takes the seeding branch.
+		stamp := st.stamp()
+		for v := range st.cs {
+			st.cs[v] = stamp
+		}
+	}
+	// The destination's own route never changes: stamp it, so seeding
+	// only ever reads other nodes' entries.
+	st.path[d] = append(st.alloc(1)[:0], int32(d))
+	st.cs[d] = st.stamp() | pathCur | uint64(policy.ClassOwn)
 	for _, v := range seeds {
 		st.push(v)
 	}
 	adj := st.adj
+	// Convergence bound: under Gao–Rexford policies every best-response
+	// cascade is finite; the generous cap below only guards against a
+	// malformed topology (e.g. a customer-provider cycle).
 	budget := int64(64) * int64(adj.n+1) * int64(adj.n+1)
 	for st.head < len(st.queue) {
 		if budget--; budget < 0 {
-			return fmt.Errorf("solver: incremental fixpoint did not converge for destination position %d (policy oscillation — check the topology for customer-provider cycles)", d)
+			return fmt.Errorf("solver: fixpoint did not converge for destination position %d (policy oscillation — check the topology for customer-provider cycles)", d)
 		}
+		// Compact the drained prefix occasionally so the backing array
+		// stays proportional to the pending set, not the total enqueued.
 		if st.head >= 1024 && 2*st.head >= len(st.queue) {
 			st.queue = st.queue[:copy(st.queue, st.queue[st.head:])]
 			st.head = 0
@@ -661,7 +689,7 @@ func (st *incState) resolveDest(d int, seeds []int32) error {
 		st.head++
 		st.inqEp[v] = st.epoch - 1
 		if int(v) == d {
-			continue // the destination's own route never changes
+			continue
 		}
 		if st.reselect(v) {
 			st.activateNeighbors(v)
@@ -684,85 +712,138 @@ func (st *incState) activateNeighbors(v int32) {
 	}
 }
 
-// reselect is destState.reselect with lazy seeding: neighbor classes and
-// paths read through to the old rows until first modified. The candidate
-// scan, ranking, and loop check are otherwise identical — the
-// equivalence tests hold the two implementations together.
+// reselect recomputes v's best route as the best response to its
+// neighbors' current routes — subject to the export rule and the
+// receiver-side loop check — and reports whether it changed.
 func (st *incState) reselect(v int32) bool {
 	adj := st.adj
-	var (
-		bestClass uint8
-		bestLen   int
-		bestNbr   int32
-		bestPath  []int32
-	)
-	for s := adj.off[v]; s < adj.off[v+1]; s++ {
-		u := adj.nbr[s]
-		cu := st.cls(u)
-		if cu == 0 || !exportOK(cu, adj.expRel[s]) {
-			continue
+	end := adj.off[v+1]
+	s, best, bestPath := st.scan(v, adj.off[v], end, -1, nil)
+	if s < end {
+		// A neighbour not seeded this epoch: seed it and the rest of
+		// the slots, then finish the scan from it.
+		for t := s; t < end; t++ {
+			if c := st.cls(adj.nbr[t]); c != 0 && exportOK(c, adj.expRel[t]) {
+				st.pathOf(adj.nbr[t])
+			}
 		}
-		up := st.pathOf(u)
-		c, plen := adj.classIn[s], len(up)+1
-		if bestPath != nil && !adj.better(v, st.d, c, plen, u, bestClass, bestLen, bestNbr) {
-			continue
-		}
-		if containsNode(up, v) {
-			continue
-		}
-		bestClass, bestLen, bestNbr, bestPath = c, plen, u, up
+		_, best, bestPath = st.scan(v, s, end, best, bestPath)
 	}
-	if bestPath == nil {
+	if best < 0 {
 		if st.cls(v) == 0 {
 			return false
 		}
-		st.class[v] = 0
+		st.cs[v] = st.stamp()
 		st.markChanged(v)
 		return true
 	}
+	bestClass := adj.classIn[best]
 	if st.cls(v) == bestClass && pathEqualPrepended(st.pathOf(v), v, bestPath) {
 		return false
 	}
-	p := st.alloc(len(bestPath) + 1)
-	p[0] = v
-	copy(p[1:], bestPath)
-	st.path[v] = p
-	st.pathEp[v] = st.epoch
-	st.class[v] = bestClass
-	st.clsEp[v] = st.epoch
+	// Reuse v's block when this cascade already gave it one that fits:
+	// no other node's path aliases it (bestPath belongs to a neighbour).
+	p := st.path[v]
+	if st.cs[v]&pathCur == 0 || cap(p) < len(bestPath)+1 {
+		p = st.alloc(len(bestPath) + 1)
+	}
+	st.path[v] = append(append(p[:0], v), bestPath...)
+	st.slot[v] = best
+	st.cs[v] = st.stamp() | pathCur | uint64(bestClass)
 	st.markChanged(v)
 	return true
+}
+
+// scan ranks v's candidates at slots [s, end) against the best so far
+// (its slot, -1 for none, and path: class, via and length follow from
+// them) and returns where it stopped — end, or the slot of a neighbour
+// whose class, or exportable route's path, is not seeded this epoch. It
+// calls nothing but better, so the candidate loop keeps its state in
+// registers; a cold solve, which seeds every class up front and whose
+// every route is this cascade's, never stops early.
+func (st *incState) scan(v, s, end, best int32, bestPath []int32) (int32, int32, []int32) {
+	adj := st.adj
+	for ; s < end; s++ {
+		u := adj.nbr[s]
+		x := st.cs[u]
+		if x>>9 != uint64(st.epoch) {
+			break
+		}
+		if cu := uint8(x); cu == 0 || !exportOK(cu, adj.expRel[s]) {
+			continue
+		}
+		if x&pathCur == 0 {
+			break
+		}
+		up := st.path[u]
+		// Rank: class, then the within-class order of the selected
+		// tie-break mode (mirroring policy.GaoRexford.Better). Slots
+		// ascend by neighbor position, so when everything else ties the
+		// first slot wins the final lowest-via comparison.
+		if best >= 0 && !adj.better(v, st.d, adj.classIn[s], len(up)+1, u,
+			adj.classIn[best], len(bestPath)+1, adj.nbr[best]) {
+			continue
+		}
+		// Receiver-side loop check last — it is the expensive part.
+		if containsNode(up, v) {
+			continue
+		}
+		best, bestPath = s, up
+	}
+	return s, best, bestPath
 }
 
 // cls returns v's current route class, seeding it from the old row on
 // first touch.
 func (st *incState) cls(v int32) uint8 {
-	if st.clsEp[v] != st.epoch {
-		st.clsEp[v] = st.epoch
-		st.class[v] = st.oldCls(v)
+	if x := st.cs[v]; x>>9 == uint64(st.epoch) {
+		return uint8(x)
 	}
-	return st.class[v]
+	return st.seedCls(v)
+}
+
+// pathCur is cs's flag for a path[v] written in the current epoch.
+const pathCur = 1 << 8
+
+// stamp is the current epoch's cs bits.
+func (st *incState) stamp() uint64 { return uint64(st.epoch) << 9 }
+
+// seedCls is cls's first-touch path, kept out of line so cls inlines
+// into the candidate scan.
+//
+//go:noinline
+func (st *incState) seedCls(v int32) uint8 {
+	c := st.oldCls(v)
+	st.cs[v] = st.stamp() | uint64(c)
+	return c
 }
 
 // pathOf returns v's current route path (v first). Callers must have
-// established that v's current class is non-zero. A stale entry is v's
-// old route, materialized into the arena by walking the old next row —
-// which stays internally consistent during the fixpoint because
-// writeBack only mutates it afterwards.
+// established that v's current class is non-zero, which makes cs[v]
+// current.
 func (st *incState) pathOf(v int32) []int32 {
-	if st.pathEp[v] != st.epoch {
-		st.pathEp[v] = st.epoch
-		n := int(st.oldDst(v)) + 1
-		p := st.alloc(n)
-		cur := v
-		for i := 0; i < n-1; i++ {
-			p[i] = cur
-			cur = st.oldNxt(cur)
-		}
-		p[n-1] = cur
-		st.path[v] = p
+	if st.cs[v]&pathCur != 0 {
+		return st.path[v]
 	}
-	return st.path[v]
+	return st.seedPath(v)
+}
+
+// seedPath materializes v's old route into the arena by walking the old
+// next row — which stays internally consistent during the fixpoint
+// because writeBack only mutates it afterwards. A cold solve never gets
+// here: its only routed node at the start is the stamped destination.
+func (st *incState) seedPath(v int32) []int32 {
+	st.cs[v] |= pathCur
+	n := int(st.oldDst(v)) + 1
+	p := st.alloc(n)
+	cur := v
+	for i := 0; i < n-1; i++ {
+		p[i] = cur
+		cur = st.oldNxt(cur)
+	}
+	p[n-1] = cur
+	st.path[v] = p
+	return p
 }
 
 func (st *incState) markChanged(v int32) {
@@ -773,23 +854,26 @@ func (st *incState) markChanged(v int32) {
 }
 
 // alloc carves an n-element block out of the arena. The three-index
-// result cannot grow into a later block; when the arena itself grows,
-// earlier blocks keep referencing the abandoned backing array, which is
-// exactly the write-once lifetime paths need.
+// result cannot grow into a later block, and a block never spans two
+// chunks, so every block stays valid until resolveDest rewinds.
 func (st *incState) alloc(n int) []int32 {
 	if cap(st.arena)-len(st.arena) < n {
-		c := 2 * cap(st.arena)
-		if c < n {
-			c = n
-		}
-		if c < 1024 {
-			c = 1024
-		}
-		st.arena = make([]int32, 0, c)
+		st.nextChunk(n)
 	}
 	off := len(st.arena)
 	st.arena = st.arena[:off+n]
 	return st.arena[off : off+n : off+n]
+}
+
+// nextChunk moves the arena to the next chunk with room for n, adding
+// one when the worker has not needed it before.
+func (st *incState) nextChunk(n int) {
+	st.chunk++
+	if st.chunk == len(st.chunks) || cap(st.chunks[st.chunk]) < n {
+		// A block too long for a standard chunk replaces the rest.
+		st.chunks = append(st.chunks[:st.chunk], make([]int32, 0, max(n, arenaChunk)))
+	}
+	st.arena = st.chunks[st.chunk][:0]
 }
 
 // writeBack folds destination d's re-converged assignment into the
@@ -798,11 +882,10 @@ func (st *incState) alloc(n int) []int32 {
 // changed during the cascade but settled back on a route with identical
 // (class, next, dist) leaves its row untouched.
 func (st *incState) writeBack(d int) int {
-	s := st.sol
-	adj := st.adj
+	s, adj := st.sol, st.adj
 	changed := 0
 	for _, v := range st.changed {
-		newC := st.class[v] // epoch-current: markChanged implies a class stamp
+		newC := uint8(st.cs[v]) // epoch-current: markChanged implies a class stamp
 		newN := noRoute
 		var newD uint16
 		if newC != 0 {
@@ -810,14 +893,16 @@ func (st *incState) writeBack(d int) int {
 			newN = p[1] // v != d: the destination is never reselected
 			newD = uint16(len(p) - 1)
 		}
-		if newC == st.oldCls(v) && newN == st.oldNxt(v) && newD == st.oldDst(v) {
+		// A cold row is the empty assignment: only a route is news.
+		if st.cold && newC == 0 ||
+			!st.cold && newC == st.oldCls(v) && newN == st.oldNxt(v) && newD == st.oldDst(v) {
 			continue
 		}
 		if s.pk != nil {
 			if newC == 0 {
 				s.pk.setNoRoute(d, v)
 			} else {
-				s.pk.setVia(adj, d, v, adj.slot(v, newN), newD)
+				s.pk.setVia(adj, d, v, st.slot[v], newD)
 			}
 			changed++
 			continue
@@ -831,12 +916,11 @@ func (st *incState) writeBack(d int) int {
 				}
 			}
 			if newN != noRoute {
-				s.rev[adj.slot(v, newN)][d>>6] |= 1 << (uint(d) & 63)
+				s.rev[st.slot[v]][d>>6] |= 1 << (uint(d) & 63)
 			}
 		}
-		st.oldNext[v] = newN // the old* slices alias the dense rows
-		st.oldClass[v] = newC
-		st.oldDist[v] = newD
+		// The old* slices alias the dense rows.
+		st.oldNext[v], st.oldClass[v], st.oldDist[v] = newN, newC, newD
 		changed++
 	}
 	return changed

@@ -143,11 +143,10 @@ func (t *packedTable) load(d int, v int32) (rel, raw uint32) {
 	return uint32(e) & (1<<sb - 1), uint32(e >> sb)
 }
 
-// store writes entry (d, v). Distinct rows never share a 64-bit word
-// (rows are word-aligned), so concurrent stores to different
-// destinations are race-free.
-func (t *packedTable) store(d int, v int32, rel, raw uint32) {
-	row := t.row(d)
+// store writes node v's entry into row. Distinct rows never share a
+// 64-bit word (rows are word-aligned), so concurrent stores to
+// different destinations are race-free.
+func (t *packedTable) store(row []uint64, v int32, rel, raw uint32) {
 	off := t.boff[v]
 	sb := t.slotBits[v]
 	width := uint32(sb) + distBits
@@ -164,7 +163,7 @@ func (t *packedTable) store(d int, v int32, rel, raw uint32) {
 // setNoRoute marks (d, v) unreachable. Also the canonical encoding of
 // the destination's own entry (readers branch on v == d first).
 func (t *packedTable) setNoRoute(d int, v int32) {
-	t.store(d, v, uint32(t.deg[v]), 0)
+	t.store(t.row(d), v, uint32(t.deg[v]), 0)
 	if m := t.overflow[d-t.dbase]; m != nil {
 		delete(m, v)
 	}
@@ -184,19 +183,18 @@ func (t *packedTable) setVia(a *adjacency, d int, v int32, s int32, dist uint16)
 	} else if m := t.overflow[d-t.dbase]; m != nil {
 		delete(m, v)
 	}
-	t.store(d, v, uint32(s-a.off[v]), raw)
+	t.store(t.row(d), v, uint32(s-a.off[v]), raw)
 }
 
-// setRow encodes destination d's entire converged row from a fixpoint's
-// scratch (class 0 = unreachable; st.slot[v] is the selected slot).
-func (t *packedTable) setRow(a *adjacency, d int, st *destState) {
+// noRouteRow returns one row's words with every entry unreachable —
+// the packed empty assignment, since the destination's own entry is
+// encoded as no route too.
+func (t *packedTable) noRouteRow() []uint64 {
+	row := make([]uint64, t.rowWords)
 	for v := int32(0); v < int32(t.n); v++ {
-		if int(v) == d || st.class[v] == 0 {
-			t.setNoRoute(d, v)
-			continue
-		}
-		t.setVia(a, d, v, st.slot[v], uint16(len(st.path[v])-1))
+		t.store(row, v, uint32(t.deg[v]), 0)
 	}
+	return row
 }
 
 // nextAt decodes the next-hop position of (d, v): v itself at the

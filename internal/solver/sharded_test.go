@@ -411,3 +411,21 @@ func TestShardedMemoryGate(t *testing.T) {
 		t.Fatalf("sharded 4k solve allocated %d B/op, dense baseline %d B/op — the sharded layout must allocate less", sb, db)
 	}
 }
+
+// BenchmarkSolveColdSharded measures a from-scratch solve of the 4,000-node
+// CAIDA-like graph of the root package's BenchmarkSolveCold with the packed
+// sharded layout forced, which graphs below autoShardNodes never reach on
+// their own.
+func BenchmarkSolveColdSharded(b *testing.B) {
+	g, err := topogen.CAIDALike(4000, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := SolveOpts(g, Options{TieBreak: policy.TieHashed, layout: LayoutSharded}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -27,6 +27,13 @@
 // (preferences are strict via the deterministic tie-break), so the
 // fixpoint converges to the same state BGP and Centaur converge to.
 //
+// One engine runs that fixpoint (incState, incremental.go), and it
+// converges to the unique state from any initial assignment: a cold
+// solve (SolveOpts, SolveShards) starts each destination from the empty
+// assignment with the destination's neighbours activated, and Resolve
+// starts the destinations a flip batch can change from their previous
+// routes with the flipped links' endpoints activated.
+//
 // Storage comes in two layouts (Layout). The dense layout keeps
 // flat next/class/dist rows per destination — fastest to read, Θ(N²)
 // at 7 bytes per entry. The sharded layout (packed.go) bit-packs
@@ -176,50 +183,27 @@ func SolveOpts(g *topology.Graph, opts Options) (*Solution, error) {
 		s.class = make([][]uint8, n)
 		s.dist = make([][]uint16, n)
 	}
-	if err := solveRange(adj, 0, n, s.emitRow); err != nil {
+	if err := solveRange(s, 0, n); err != nil {
 		return nil, err
 	}
 	reportTableBytes(s.MemoryBytes())
 	return s, nil
 }
 
-// emitRow stores destination d's converged fixpoint into the solution's
-// table. Rows of distinct destinations never share memory (packed rows
-// are word-aligned), so concurrent workers emit without locks.
-func (s *Solution) emitRow(d int, st *destState) {
+// solveRange cold-solves destination positions [lo, hi) of s's table
+// across all CPU cores. A cold solve is the warm-start fixpoint run from
+// the empty assignment: each destination's row is reset to it (the
+// destination routes to itself, no other node has a route), the
+// destination's neighbours are activated in slot order, and the result
+// is written back like any Resolve. Rows of distinct destinations never
+// share memory (packed rows are word-aligned), so the workers write
+// without locks.
+func solveRange(s *Solution, lo, hi int) error {
+	adj := s.adj
+	workers := min(runtime.GOMAXPROCS(0), hi-lo)
+	var empty []uint64
 	if s.pk != nil {
-		s.pk.setRow(s.adj, d, st)
-		return
-	}
-	nextRow := make([]int32, s.adj.n)
-	classRow := make([]uint8, s.adj.n)
-	distRow := make([]uint16, s.adj.n)
-	for v := 0; v < s.adj.n; v++ {
-		classRow[v] = st.class[v]
-		if st.class[v] == 0 {
-			nextRow[v] = noRoute
-			continue
-		}
-		distRow[v] = uint16(len(st.path[v]) - 1)
-		if v == d {
-			nextRow[v] = int32(d)
-		} else {
-			nextRow[v] = st.path[v][1]
-		}
-	}
-	s.next[d] = nextRow
-	s.class[d] = classRow
-	s.dist[d] = distRow
-}
-
-// solveRange runs the per-destination fixpoint for destination
-// positions [lo, hi) across all CPU cores and hands each converged
-// scratch to emit. emit may be called concurrently for distinct
-// destinations.
-func solveRange(adj *adjacency, lo, hi int, emit func(d int, st *destState)) error {
-	workers := runtime.GOMAXPROCS(0)
-	if workers > hi-lo {
-		workers = hi - lo
+		empty = s.pk.noRouteRow()
 	}
 	var (
 		wg       sync.WaitGroup
@@ -231,13 +215,19 @@ func solveRange(adj *adjacency, lo, hi int, emit func(d int, st *destState)) err
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			st := newDestState(adj)
+			st := newIncState(adj.n)
+			st.sol, st.adj, st.cold = s, adj, true
 			for d := range tasks {
-				if err := st.solve(d); err != nil {
+				if s.pk != nil {
+					copy(s.pk.row(d), empty)
+				} else {
+					s.next[d], s.class[d], s.dist[d] = emptyDenseRow(adj.n, d)
+				}
+				if err := st.resolveDest(d, adj.nbr[adj.off[d]:adj.off[d+1]]); err != nil {
 					errOnce.Do(func() { firstErr = err })
 					continue
 				}
-				emit(d, st)
+				st.writeBack(d)
 			}
 		}()
 	}
@@ -247,6 +237,19 @@ func solveRange(adj *adjacency, lo, hi int, emit func(d int, st *destState)) err
 	close(tasks)
 	wg.Wait()
 	return firstErr
+}
+
+// emptyDenseRow returns destination d's dense rows under the empty
+// assignment.
+func emptyDenseRow(n, d int) ([]int32, []uint8, []uint16) {
+	next := make([]int32, n)
+	for v := range next {
+		next[v] = noRoute
+	}
+	next[d] = int32(d)
+	class := make([]uint8, n)
+	class[d] = uint8(policy.ClassOwn)
+	return next, class, make([]uint16, n)
 }
 
 // adjacency is the dense CSR-style neighbor representation shared
@@ -320,134 +323,12 @@ func exportOK(cl uint8, rel uint8) bool {
 	}
 }
 
-// destState is the reusable per-destination scratch space of one worker.
-type destState struct {
-	adj *adjacency
-	// path[v] is v's current best path to the destination as dense node
-	// positions, v first. Valid only while class[v] != 0; the backing
-	// arrays are reused across route changes and destinations.
-	path [][]int32
-	// class[v] is the class of v's current best route (0 = none).
-	class []uint8
-	// slot[v] is the absolute adjacency slot of v's selected next hop,
-	// valid only while class[v] != 0 and v is not the destination. The
-	// packed layout encodes rows from it without neighbor searches.
-	slot    []int32
-	inQueue []bool
-	// queue[head:] holds the pending activations; popping advances head
-	// so the backing array keeps its capacity across pushes.
-	queue []int32
-	head  int
-}
-
-func newDestState(adj *adjacency) *destState {
-	return &destState{
-		adj:     adj,
-		path:    make([][]int32, adj.n),
-		class:   make([]uint8, adj.n),
-		slot:    make([]int32, adj.n),
-		inQueue: make([]bool, adj.n),
-		queue:   make([]int32, 0, adj.n),
-	}
-}
-
-// solve runs the best-response fixpoint for destination position d.
-func (st *destState) solve(d int) error {
-	adj := st.adj
-	for i := 0; i < adj.n; i++ {
-		st.class[i] = 0
-		st.inQueue[i] = false
-	}
-	st.queue = st.queue[:0]
-	st.head = 0
-	st.path[d] = append(st.path[d][:0], int32(d))
-	st.class[d] = uint8(policy.ClassOwn)
-	st.activateNeighbors(int32(d))
-
-	// Convergence bound: under Gao–Rexford policies every best-response
-	// cascade is finite; the generous cap below only guards against a
-	// malformed topology (e.g. a customer-provider cycle).
-	budget := int64(64) * int64(adj.n+1) * int64(adj.n+1)
-	for st.head < len(st.queue) {
-		if budget--; budget < 0 {
-			return fmt.Errorf("solver: fixpoint did not converge for destination position %d (policy oscillation — check the topology for customer-provider cycles)", d)
-		}
-		// Compact the drained prefix occasionally so the backing array
-		// stays proportional to the pending set, not the total enqueued.
-		if st.head >= 1024 && 2*st.head >= len(st.queue) {
-			st.queue = st.queue[:copy(st.queue, st.queue[st.head:])]
-			st.head = 0
-		}
-		v := st.queue[st.head]
-		st.head++
-		st.inQueue[v] = false
-		if int(v) == d {
-			continue // the destination's own route never changes
-		}
-		if st.reselect(v, d) {
-			st.activateNeighbors(v)
-		}
-	}
-	return nil
-}
-
-// reselect recomputes v's best route as the best response to its
-// neighbors' current routes; it reports whether v's route changed. dest
-// is the destination position (needed by the hashed tie-break).
-func (st *destState) reselect(v int32, dest int) bool {
-	adj := st.adj
-	var (
-		bestClass uint8
-		bestLen   int
-		bestNbr   int32
-		bestSlot  int32
-		bestPath  []int32
-	)
-	for s := adj.off[v]; s < adj.off[v+1]; s++ {
-		u := adj.nbr[s]
-		if st.class[u] == 0 || !exportOK(st.class[u], adj.expRel[s]) {
-			continue
-		}
-		up := st.path[u]
-		c, plen := adj.classIn[s], len(up)+1
-		// Rank: class, then the within-class order of the selected
-		// tie-break mode (mirroring policy.GaoRexford.Better). Slots
-		// ascend by neighbor position, so when everything else ties the
-		// first slot wins the final lowest-via comparison.
-		if bestPath != nil && !adj.better(v, dest, c, plen, u, bestClass, bestLen, bestNbr) {
-			continue
-		}
-		// Receiver-side loop check last — it is the expensive part.
-		if containsNode(up, v) {
-			continue
-		}
-		bestClass, bestLen, bestNbr, bestSlot, bestPath = c, plen, u, s, up
-	}
-	if bestPath == nil {
-		if st.class[v] == 0 {
-			return false
-		}
-		st.class[v] = 0
-		return true
-	}
-	if st.class[v] == bestClass && pathEqualPrepended(st.path[v], v, bestPath) {
-		return false
-	}
-	// Reuse v's backing array: bestPath belongs to a different node, so
-	// the two slices never alias.
-	np := append(st.path[v][:0], v)
-	st.path[v] = append(np, bestPath...)
-	st.class[v] = bestClass
-	st.slot[v] = bestSlot
-	return true
-}
-
 // better reports whether candidate (class c, path length plen, via u)
 // outranks the current best (bc, bl, bn) at node v for destination dest,
 // mirroring policy.GaoRexford.Better exactly. It is a method of the
-// adjacency (not destState) because the incremental path's addition
-// prefilter ranks candidates from the dense tables alone, without any
-// per-destination scratch.
+// adjacency (not incState) because Resolve's addition prefilter ranks
+// candidates from the stored tables alone, without any per-destination
+// scratch.
 func (adj *adjacency) better(v int32, dest int, c uint8, plen int, u int32, bc uint8, bl int, bn int32) bool {
 	if c != bc {
 		return c < bc
@@ -505,18 +386,6 @@ func pathEqualPrepended(cur []int32, v int32, rest []int32) bool {
 		}
 	}
 	return true
-}
-
-// activateNeighbors enqueues every neighbor of v for reselection.
-func (st *destState) activateNeighbors(v int32) {
-	adj := st.adj
-	for s := adj.off[v]; s < adj.off[v+1]; s++ {
-		u := adj.nbr[s]
-		if !st.inQueue[u] {
-			st.queue = append(st.queue, u)
-			st.inQueue[u] = true
-		}
-	}
 }
 
 // nextPos returns the dense position of v's next hop toward destination

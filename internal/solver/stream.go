@@ -44,27 +44,21 @@ func SolveShards(g *topology.Graph, opts Options, fn func(*ShardView) error) err
 	adj := buildAdjacency(g, idx, opts)
 	shard := opts.shardDests()
 	view := &ShardView{idx: idx, adj: adj}
+	window := &Solution{topo: g, idx: idx, opts: opts, adj: adj}
 	for lo := 0; lo < n; lo += shard {
-		hi := lo + shard
-		if hi > n {
-			hi = n
-		}
+		hi := min(lo+shard, n)
 		if view.pk == nil || view.pk.nd != hi-lo {
 			view.pk = newPackedTable(adj, lo, hi-lo, hi-lo)
 		} else {
 			view.pk.dbase = lo
-			for i := range view.pk.overflow {
-				view.pk.overflow[i] = nil
-			}
+			clear(view.pk.overflow)
 		}
 		view.lo, view.hi = lo, hi
-		pk := view.pk
-		if err := solveRange(adj, lo, hi, func(d int, st *destState) {
-			pk.setRow(adj, d, st)
-		}); err != nil {
+		window.pk = view.pk
+		if err := solveRange(window, lo, hi); err != nil {
 			return err
 		}
-		reportTableBytes(pk.bytes())
+		reportTableBytes(view.pk.bytes())
 		if err := fn(view); err != nil {
 			return err
 		}

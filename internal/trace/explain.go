@@ -149,10 +149,16 @@ type ExplainReport struct {
 }
 
 // SeriesSummary returns per-series critical-path percentiles, keyed by
-// chunk label.
+// chunk label; a series with no root event reports zeros.
 func (r *ExplainReport) SeriesSummary() map[string]SeriesProvenance {
 	out := make(map[string]SeriesProvenance, len(r.series))
 	for label, sd := range r.series {
+		if sd.roots == 0 {
+			// Empty distributions answer NaN, which neither JSON nor a
+			// reader of the -explain text can use: no root, no path.
+			out[label] = SeriesProvenance{}
+			continue
+		}
 		out[label] = SeriesProvenance{
 			Roots:                sd.roots,
 			CriticalDepthP50:     sd.depth.Percentile(50),

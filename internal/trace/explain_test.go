@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"encoding/json"
 	"reflect"
 	"strings"
 	"testing"
@@ -205,5 +206,28 @@ func TestExplainAttributesToAttackRoot(t *testing.T) {
 	if r.Kind != NoteAdvInject || r.From != 9 || r.To != 2 || r.RouteChanges != 1 ||
 		!reflect.DeepEqual(r.Wavefront, []int{0, 1}) || r.Critical.Depth != 1 || len(r.Critical.Hops) != 1 {
 		t.Fatalf("attack root = %+v", r)
+	}
+}
+
+// TestSeriesSummaryWithoutRoots: a series with no root event (a run with
+// no flip, crash or attack) summarizes to zeros, so the report marshals
+// and the -explain text prints no NaN.
+func TestSeriesSummaryWithoutRoots(t *testing.T) {
+	const quiet = `{"chunk":0,"v":2,"label":"rel.centaur","seed":1}
+{"t":0,"k":"route","f":1,"o":2,"c":1,"d":0,"oh":0,"nh":2}
+`
+	rep, err := Explain(strings.NewReader(quiet))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := rep.SeriesSummary()
+	if got := sum["rel.centaur"]; got != (SeriesProvenance{}) {
+		t.Fatalf("summary = %+v, want zeros", got)
+	}
+	if _, err := json.Marshal(sum); err != nil {
+		t.Fatalf("marshal: %v", err)
+	}
+	if out := rep.String(); strings.Contains(out, "NaN") {
+		t.Fatalf("-explain text prints NaN:\n%s", out)
 	}
 }
